@@ -34,6 +34,9 @@ WORKLOADS = ("cli", "many-blocks", "big-block")
 # tasks per fresh-process pass: about three seconds of work each
 POOL = {"many-blocks": 8, "big-block": 16}
 SETUPS = 5        # set-up-only processes per cli run
+DEMO_ROUNDS = 2   # passes over the shipped demo inputs per timed cli verify
+SEEDED_TRIALS = 10  # trials per property of the untimed seeded cli verify
+VERIFIES = 2      # timed cli verifies per run, at least
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 TIMEOUT = 170     # no child may outlive the run's own limit
 
@@ -199,9 +202,17 @@ def metric(value, unit):
 
 # -- machine-speed calibration ------------------------------------------------
 
-PROBE_REF_MS = 3.0     # probe time of the reference machine all timings are scaled to
-PROBE_INTERVAL_S = 0.1  # one ~3 ms probe per interval: about 3 % of one core
+PROBE_REF_MS = 5.0     # probe time of the reference machine all timings are scaled to
+PROBE_UNITS = 16       # a probe times this many short units of the kernel
+PROBE_INTERVAL_S = 0.2  # one ~5 ms probe per interval: about 3 % of the shared core
 PROBE_WINDOW_S = 0.5    # probes this close to a sample's interval calibrate it
+START_REF_MS = 80.0    # bare-interpreter start time of the reference machine
+
+
+def bare_start_ms():
+    """Wall time of a bare interpreter that starts and exits at once, in ms."""
+    c = spawn([sys.executable, "-c", "pass"])
+    return (c["end"] - c["start"]) * 1e3
 
 
 class Samples:
@@ -210,20 +221,31 @@ class Samples:
     This machine's speed drifts by up to 1.8x over seconds to minutes, and
     the drift moves every timing.  So while the run measures, a background
     thread of this (otherwise idle) process times a fixed numpy kernel, the
-    probe, every PROBE_INTERVAL_S.  A time measured over [t0, t1] is then
-    multiplied by PROBE_REF_MS over the median probe taken within
-    PROBE_WINDOW_S of that interval.  Raw medians go to the result file.
+    probe, every PROBE_INTERVAL_S, on the core that runs the measured child
+    (see main).  The probe is PROBE_UNITS times its median unit: a unit the
+    scheduler hands to the child part-way is an outlier, so the probe reads
+    the core's speed and not the child's time slices.  A time measured over
+    [t0, t1] is then multiplied by PROBE_REF_MS over the median probe taken
+    within PROBE_WINDOW_S of that interval.
+
+    Process start-up (set-up and demo times) is mostly loading files and
+    libraries, which the numpy probe follows poorly.  Each start-up time is
+    instead measured right after a bare interpreter start and multiplied by
+    START_REF_MS over that start's time.  Raw medians go to the result file.
     """
 
     def __init__(self):
         import numpy as np
 
         rng = np.random.default_rng(0)
-        self._small = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                       for _ in range(64)]
-        self._big = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
-        self._samples = {}      # name -> [(raw value, t0, t1)]
+        # one unit: four 2x2 and one 16x16 eigh + svd, about 0.3 ms
+        self._units = [([rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                         for _ in range(4)]
+                        + [rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))])
+                       for _ in range(PROBE_UNITS)]
+        self._samples = {}      # name -> [(raw value, scale factor as a thunk)]
         self._probe_t, self._probe_ms = [], []
+        self._start_ms = []     # the bare interpreter starts of add_start
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._probe_loop, daemon=True)
 
@@ -239,18 +261,25 @@ class Samples:
         import numpy as np
 
         while not self._stop.wait(PROBE_INTERVAL_S):
-            t0 = time.perf_counter()
-            for a in self._small:
-                np.linalg.eigh(a @ a.conj().T)
-                np.linalg.svd(a, compute_uv=False)
-            np.linalg.eigh(self._big @ self._big.conj().T)
-            np.linalg.svd(self._big, compute_uv=False)
-            self._probe_ms.append((time.perf_counter() - t0) * 1e3)
+            unit_ms = []
+            for unit in self._units:
+                t0 = time.perf_counter()
+                for a in unit:
+                    np.linalg.eigh(a @ a.conj().T)
+                    np.linalg.svd(a, compute_uv=False)
+                unit_ms.append((time.perf_counter() - t0) * 1e3)
+            self._probe_ms.append(PROBE_UNITS * statistics.median(unit_ms))
             self._probe_t.append(time.monotonic())
 
     def add(self, name, value, t0, t1):
         """Record a time `value` measured between monotonic times t0 and t1."""
-        self._samples.setdefault(name, []).append((value, t0, t1))
+        self._samples.setdefault(name, []).append((value, lambda: self._factor(t0, t1)))
+
+    def add_start(self, name, value, start_ms):
+        """Record a start-up time `value` measured next to a bare interpreter
+        start that took `start_ms`."""
+        self._start_ms.append(start_ms)
+        self._samples.setdefault(name, []).append((value, lambda: START_REF_MS / start_ms))
 
     def _factor(self, t0, t1):
         lo = bisect.bisect_left(self._probe_t, t0 - PROBE_WINDOW_S)
@@ -261,7 +290,7 @@ class Samples:
         return PROBE_REF_MS / statistics.median(self._probe_ms[lo:hi])
 
     def scaled(self, name):
-        return [v * self._factor(t0, t1) for v, t0, t1 in self._samples[name]]
+        return [v * factor() for v, factor in self._samples[name]]
 
     def median(self, name):
         return statistics.median(self.scaled(name))
@@ -272,7 +301,9 @@ class Samples:
     def detail(self):
         return {"probe_ref_ms": PROBE_REF_MS, "probes": len(self._probe_ms),
                 "probe_ms_median": statistics.median(self._probe_ms),
-                "raw_medians": {k: statistics.median(v for v, _, _ in vs)
+                "start_ref_ms": START_REF_MS,
+                "bare_start_ms_median": statistics.median(self._start_ms),
+                "raw_medians": {k: statistics.median(v for v, _ in vs)
                                 for k, vs in self._samples.items()}}
 
 
@@ -298,18 +329,20 @@ def measure_cli(seed, seconds):
             failures.append({"verify": list(args), "failed": max(failed, 1), "misses": misses})
         return c, report, n
 
-    # correctness on the seed's own instances; not timed, see README.md
-    seeded, _, _ = verify("--seed", str(seed))
+    # correctness on the seed's own instances; not timed, and short, so
+    # that VERIFIES timed verifies fit in a 30-second run: see README.md
+    seeded, _, _ = verify("--seed", str(seed), "--trials", str(SEEDED_TRIALS))
 
     runs, trials, rss, reports = 0, [], [], []
     with Samples() as t:
         for _ in range(SETUPS):
+            ref = bare_start_ms()
             c = spawn(worker_argv("cli", seed))
             if c["code"] != 0:
                 raise SystemExit("error: cli set-up failed")
             ready = json.loads(c["stdout"])["ready"]
-            t.add("setup_s", ready - c["start"], c["start"], ready)
-        while not runs or time.monotonic() - start < seconds:
+            t.add_start("setup_s", ready - c["start"], ref)
+        while runs < VERIFIES or time.monotonic() - start < seconds:
             runs += 1
             c, report, n = verify()
             t.add("wall_s", c["end"] - c["start"], c["start"], c["end"])
@@ -320,14 +353,15 @@ def measure_cli(seed, seconds):
                 t.add("duration_s", d, c["start"], c["end"])
                 t.add("item_ms", 1e3 * d / n, c["start"], c["end"])
                 trials.append(n)
-            for p in inputs:
+            for p in inputs * DEMO_ROUNDS:
                 args, expected = CLI_COMMANDS[p.name]
+                ref = bare_start_ms()
                 d = spawn(nclp_argv(*args, "--input", str(p)))
                 attempted += 1
                 misses = demo_misses(d["stdout"], d["code"], expected, scales[p.name])
                 if misses:
                     failures.append({"demo": p.name, "failed": 1, "misses": misses})
-                t.add("demo_ms", (d["end"] - d["start"]) * 1e3, d["start"], d["end"])
+                t.add_start("demo_ms", (d["end"] - d["start"]) * 1e3, ref)
     if len(set(reports)) > 1:
         # every timed invocation ran the same config: any difference is a failure
         failures.append({"verify": "reports differ beyond duration_seconds",
@@ -364,11 +398,12 @@ def measure_api(workload, seed, seconds):
     start = time.monotonic()
     with Samples() as t:
         while len(rss) < 3 or time.monotonic() - start < seconds:
+            ref = bare_start_ms()
             c = spawn(worker_argv(workload, seed, POOL[workload]))
             if c["code"] != 0:
                 raise SystemExit(f"error: {workload} worker exited {c['code']}")
             res = json.loads(c["stdout"])
-            t.add("setup_s", res["ready"] - c["start"], c["start"], res["ready"])
+            t.add_start("setup_s", res["ready"] - c["start"], ref)
             t.add("wall_s", c["end"] - c["start"], c["start"], c["end"])
             for t0, t1 in res["tasks"]:
                 t.add("item_ms", (t1 - t0) * 1e3, t0, t1)
@@ -376,12 +411,13 @@ def measure_api(workload, seed, seconds):
             attempted += POOL[workload]
             failures.extend(dict(f, failed=1, pass_=len(rss)) for f in res["failures"])
             for args, path, scale in demos:
+                ref = bare_start_ms()
                 d = spawn(nclp_argv(*args, "--input", str(path)))
                 attempted += 1
                 misses = demo_misses(d["stdout"], d["code"], 0, scale)
                 if misses:
                     failures.append({"demo": args[-1], "failed": 1, "misses": misses})
-                t.add("demo_ms", (d["end"] - d["start"]) * 1e3, d["start"], d["end"])
+                t.add_start("demo_ms", (d["end"] - d["start"]) * 1e3, ref)
 
     latencies = t.scaled("item_ms")
     tail_ms, pct, count = tail(latencies)
@@ -432,12 +468,13 @@ def git_commit():
     return out.stdout.strip() if out.returncode == 0 else None
 
 
-def machine(seed):
+def machine(seed, cpus):
     import numpy as np
 
     config = np.show_config(mode="dicts")
     return {
-        "nproc": len(os.sched_getaffinity(0)),
+        "nproc": len(cpus),
+        "pinned_cpu": max(cpus),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": config.get("Build Dependencies", {}).get("blas"),
@@ -466,6 +503,11 @@ def main(argv=None) -> int:
         os.environ[var] = "1"
     sys.path.insert(0, str(SRC))
     OUT.mkdir(exist_ok=True)
+    # This process, its probe thread and every child share one core.  The
+    # drift is partly per core: a probe on the other core did not follow
+    # the task times, while one on the same core halved their spread.
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {max(cpus)})
     # SIGTERM unwinds like Ctrl-C, so spawn() kills the running child
     signal.signal(signal.SIGTERM, signal.default_int_handler)
 
@@ -481,7 +523,7 @@ def main(argv=None) -> int:
     result = {"correct": failed == 0, "attempted": attempted, "failed": failed,
               "metrics": metrics}
     record = dict(result, workload=args.workload, seconds=args.seconds, trace=args.trace,
-                  machine=machine(args.seed), detail=detail)
+                  machine=machine(args.seed, cpus), detail=detail)
     name = f"result-{args.workload}-seed{args.seed}-trace{args.trace}.json"
     (OUT / name).write_text(json.dumps(record, indent=2) + "\n")
     print(json.dumps(result))
