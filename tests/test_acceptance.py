@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nclp import (
+    DEFAULT_TOL,
     BlockAlgebra,
     GradedElement,
     TensorElement,
@@ -42,11 +43,11 @@ from nclp import (
 from nclp.sampling import (
     random_element,
     random_graded,
-    random_positive,
     random_projection,
     random_weight,
     spawn_rng,
 )
+from nclp.properties import _conditioned_instance
 
 SHAPES = ((1,), (2,), (1, 1), (3,), (2, 2))
 RE_VALUES = (0.0, 1 / 3, 0.5, 1.0, 1.5)
@@ -117,21 +118,13 @@ def test_criterion_3_tensor_isometry_certificate():
             f"worst isometry gap {worst_iso:.3e}, worst roundtrip {worst_round:.3e}")
 
 
-def _division_instance(rng, M):
-    """Rank-deficient x whose positive part stays >= 0.2 on its support."""
-    p = random_projection(rng, M)
-    z = p @ random_positive(rng, M) @ p + 0.2 * p
-    u = polar_right(random_element(rng, M) @ p).isometry
-    return u @ z
-
-
 def test_criterion_4_douglas_division():
     rng = _rng("douglas")
     worst_solve = worst_opt = worst_ladder = 0.0
     strict_fail = True
     for _ in range(1000):
         M = _shape(rng)
-        x = _division_instance(rng, M)
+        x = _conditioned_instance(rng, M, DEFAULT_TOL)
         y = random_element(rng, M) @ x
         res = douglas_divide(x, y)
         worst_solve = max(worst_solve,

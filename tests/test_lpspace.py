@@ -13,6 +13,7 @@ from nclp import (
     TensorElement,
     comultiply,
     distance,
+    flatten_element,
     gmul,
     holder_witness,
     holder_witness_imaginary,
@@ -254,6 +255,30 @@ def test_hom_rejects_non_module_map():
                     rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     with pytest.raises(NotModuleMapError):
         hom_to_element(bad)
+
+
+@pytest.mark.parametrize("dims, entry", [((3,), (1, 5)), ((2, 2), (4, 4))])
+def test_hom_to_element_single_entry_perturbation(dims, entry):
+    M = BlockAlgebra(dims)
+    rng = make_rng(24)
+    xi = random_graded(rng, M, 0.5 + 0.2j)
+    T = hom_from_element(xi, 0.5)
+    # the Kronecker form is exactly the matrix of x -> xi @ x, column by column
+    assert np.array_equal(T.matrix, np.stack(
+        [flatten_element(xi.data @ e) for e in M.basis()], axis=1))
+    for eps, rejected in ((1e-6, True), (1e-14, False)):
+        mat = np.array(T.matrix)
+        mat[entry] += eps
+        moved = ModuleHom(M, T.grading_in, T.grading_out, mat)
+        if not rejected:
+            hom_to_element(moved)
+            continue
+        with pytest.raises(NotModuleMapError) as exc:
+            hom_to_element(moved)
+        unit = moved.apply(M.identity())
+        # left multiplication by T(1), one flattened basis image per column
+        multiply = np.stack([flatten_element(unit @ e) for e in M.basis()], axis=1)
+        assert exc.value.residual == np.linalg.norm(mat - multiply)
 
 
 def test_hom_rejects_negative_multiplier_grading():

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from nclp import (
+    DEFAULT_TOL,
     BlockAlgebra,
     BlockEmbedding,
     GradingError,
+    Element,
     NonFaithfulError,
+    NotPositiveError,
     OperatorValuedWeight,
+    Tolerances,
     ValidationError,
     Weight,
     change_of_weight,
@@ -18,11 +22,13 @@ from nclp import (
     evaluate,
     make_element,
     modular_automorphism,
+    operator_norm,
     power_pos,
     pushforward_weight,
     trace,
     trace_weight,
 )
+from nclp.matcore import _pos_eig, flatten_element as flatten
 from nclp.sampling import make_rng, random_element, random_weight
 
 M2 = BlockAlgebra((2,))
@@ -204,8 +210,154 @@ def test_ovw_validation_rejects_bad_maps():
         pushforward_weight(random_weight(rng, M2), bad)
 
 
+def _partial_trace_map():
+    return OperatorValuedWeight.from_compression(
+        BlockEmbedding(M2, BlockAlgebra((4,)), ((0, 0),)))
+
+
+def test_ovw_validation_of_compression_is_exact():
+    assert _partial_trace_map().validate().max_residual == 0.0
+
+
+def test_ovw_validation_adjoint_branch():
+    # adding the anti-Hermitian-valued map q -> 1e-3j T(q) keeps the
+    # bimodule law and breaks T(q*) = T(q)*, the first law checked
+    good = _partial_trace_map()
+    skewed = OperatorValuedWeight(good.embedding, (1 + 1e-3j) * good.matrix)
+    with pytest.raises(ValidationError, match="^adjoint law violated"):
+        skewed.validate()
+
+
+def test_ovw_validation_positivity_branch():
+    # -T is bimodular and *-preserving but sends 1 to a negative element
+    good = _partial_trace_map()
+    negated = OperatorValuedWeight(good.embedding, -good.matrix)
+    with pytest.raises(ValidationError, match="^positivity violated"):
+        negated.validate()
+
+
+def test_ovw_validation_bimodule_branch():
+    # q -> tr(q)/2 * 1 from M_4 to M_2 is positive and *-preserving, and
+    # T(f(p) q) = p T(q) fails for p = E_12
+    M4 = BlockAlgebra((4,))
+    mat = np.zeros((M2.total_dim, M4.total_dim), dtype=complex)
+    for i in range(4):
+        mat[0, 5 * i] = mat[3, 5 * i] = 0.5
+    average = OperatorValuedWeight(BlockEmbedding(M2, M4, ((0, 0),)), mat)
+    with pytest.raises(ValidationError, match="^bimodule law violated"):
+        average.validate()
+
+
+def _reference_validate(T, tol=DEFAULT_TOL, positivity_samples=8,
+                        polarized_samples=8):
+    """The basis-pair loop that validate() replaced; True when T passes.
+
+    Adjoint law on every matrix unit of N, positivity on the identity and
+    seeded rank-one positives, T(f(p) q f(p)*) = p T(q) p* on every pair of
+    matrix units, and seeded random polarized triples.
+    """
+    scale = max(float(np.linalg.norm(T.matrix, 2)), 1.0)
+    bound = tol.eq_bound(scale)
+    rng = np.random.Generator(np.random.PCG64(0))
+    source_basis = list(T.source.basis())
+    applied = [T.apply(q) for q in source_basis]
+    for q, tq in zip(source_basis, applied):
+        if operator_norm(T.apply(q.adjoint()) - tq.adjoint()) > bound:
+            return False
+    positives = [T.source.identity()]
+    for _ in range(positivity_samples):
+        blocks = []
+        for n in T.source.block_dims:
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            blocks.append(np.outer(v, v.conj()))
+        positives.append(Element(T.source, tuple(blocks)))
+    for q in positives:
+        try:
+            _pos_eig(T.apply(q), Tolerances(
+                rank_rel=tol.rank_rel, eq_abs=bound, eq_rel=tol.eq_rel))
+        except NotPositiveError:
+            return False
+
+    def holds(p, fp, q, tq, r, fr):
+        return operator_norm(
+            T.apply(fp @ q @ fr.adjoint()) - p @ tq @ r.adjoint()) <= bound
+
+    def rand(alg):
+        return Element(alg, tuple(
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for n in alg.block_dims))
+
+    for p in T.target.basis():
+        fp = T.embedding.apply(p)
+        for q, tq in zip(source_basis, applied):
+            if not holds(p, fp, q, tq, p, fp):
+                return False
+    for _ in range(polarized_samples):
+        q = rand(T.source)
+        p, r = rand(T.target), rand(T.target)
+        if not holds(p, T.embedding.apply(p), q, T.apply(q),
+                     r, T.embedding.apply(r)):
+            return False
+    return True
+
+
+def _pushforward_law_compressions():
+    """Every embedding shape that weights.pushforward_laws can draw.
+
+    T: M -> N repeats each block of M once or twice along one block of N,
+    S: N -> N (+) N is the diagonal copy, and T o S is their composite.
+    """
+    rng = make_rng(16)
+    seen = {}
+    for dims in ((1,), (2,), (1, 1), (3,)):
+        M = BlockAlgebra(dims)
+        for reps in np.ndindex(*(2,) * len(dims)):
+            row = tuple(i for i, r in enumerate(reps) for _ in range(r + 1))
+            N = BlockAlgebra((sum(M.block_dims[i] for i in row),))
+            T = OperatorValuedWeight.from_compression(
+                BlockEmbedding(M, N, (row,)), rng.uniform(0.5, 2.0, size=len(row)))
+            S = OperatorValuedWeight.from_compression(
+                BlockEmbedding(N, BlockAlgebra((2 * N.block_dims[0],)), ((0, 0),)))
+            for ovw in (T, S, T.compose(S)):
+                emb = ovw.embedding
+                seen.setdefault(
+                    (emb.source.block_dims, emb.target.block_dims, emb.assignment), ovw)
+    return list(seen.values())
+
+
+def _adjoint_conjugate(T):
+    """The matrix of q -> T(q*)*, so that T + this map is *-preserving."""
+    cols = [flatten(T.apply(e.adjoint()).adjoint()) for e in T.source.basis()]
+    return np.stack(cols, axis=1)
+
+
+def test_ovw_validation_agrees_with_basis_pair_loop():
+    # the first two maps move entries far below the bound (1e-13), the rest
+    # far above it (1e-6), so both checkers must reach the same verdict;
+    # every other map keeps T(q*) = T(q)* so that the bimodule law decides
+    rng = make_rng(17)
+    verdicts = []
+    for ovw in _pushforward_law_compressions():
+        candidates = [ovw]
+        for k in range(20):
+            shape = ovw.matrix.shape
+            g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            if k % 2:
+                g = g + _adjoint_conjugate(OperatorValuedWeight(ovw.embedding, g))
+            eps = 1e-13 if k < 2 else 1e-6
+            candidates.append(OperatorValuedWeight(ovw.embedding, ovw.matrix + eps * g))
+        for cand in candidates:
+            try:
+                cand.validate()
+                new = True
+            except ValidationError:
+                new = False
+            assert new == _reference_validate(cand), cand.embedding
+            verdicts.append(new)
+    assert any(verdicts) and not all(verdicts)
+
+
 def test_weight_rejects_indefinite_density():
-    from nclp import NotPositiveError
     with pytest.raises(NotPositiveError):
         Weight(make_element(M2, [np.diag([1.0, -2.0])]))
 
@@ -216,7 +368,6 @@ def test_faithful_flag():
 
 
 def test_weight_tolerance_policy_controls_support():
-    from nclp import Tolerances
     # spectrum spanning 1e12 falls under the default relative cutoff
     wide = make_element(M2, [np.diag([1e8, 1e-4])])
     assert not Weight(wide).faithful
