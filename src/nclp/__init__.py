@@ -12,6 +12,7 @@ from .errors import (
     GradingError,
     NclpError,
     NonFaithfulError,
+    NonFiniteError,
     NotModuleMapError,
     NotPositiveError,
     ShapeError,

@@ -1,8 +1,9 @@
 """Command-line harness: seeded verification suite and one-shot demos.
 
-Exit codes: 0 success, 1 property failure or domain error (a report or a
-machine-readable error object is still emitted), 2 malformed config or
-input.  All I/O is JSON on files and stdout.
+Exit codes: 0 success, 1 property failure, domain error or numerical
+failure (a report or a machine-readable error object is still emitted),
+2 malformed config or input, NaN and infinities included.  All I/O is
+JSON on files and stdout.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import decomp, lpspace, serialize, weights
-from .errors import AlgebraMismatchError, NclpError, ShapeError
+from .errors import AlgebraMismatchError, NclpError, NonFiniteError, ShapeError
 from .matcore import BlockAlgebra, distance, operator_norm
 from .oracle import oracle_commutative
 from .properties import SuiteConfig, run_suite
@@ -168,8 +171,13 @@ def cmd_demo(args) -> int:
     except (ShapeError, AlgebraMismatchError) as exc:
         # structurally invalid input data, not a failed computation
         return _fail("parse", exc, 2)
+    except NonFiniteError as exc:
+        return _fail(type(exc).__name__, exc, 2)
     except NclpError as exc:
         return _fail(type(exc).__name__, exc, 1)
+    except np.linalg.LinAlgError as exc:
+        # a subclass of ValueError, but a failed computation, not bad input
+        return _fail("numerical", exc, 1)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         return _fail("parse", exc, 2)
     _emit(out)
@@ -188,6 +196,8 @@ def cmd_oracle(args) -> int:
         return _fail("parse", exc, 2)
     try:
         value = oracle_commutative(f, a, mu)
+    except NonFiniteError as exc:
+        return _fail(type(exc).__name__, exc, 2)
     except ValueError as exc:
         return _fail("domain", exc, 1)
     _emit({"value": value})

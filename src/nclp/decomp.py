@@ -27,48 +27,47 @@ from .matcore import (
     BlockAlgebra,
     Element,
     Tolerances,
-    func_calc,
+    _operator_norms,
+    _size_classes,
+    _svd,
     operator_norm,
     power_pos,
 )
 from .weights import Weight
 
 
-def _block_svds(x: Element):
-    """Per-block SVDs plus the global largest singular value."""
-    svds = [np.linalg.svd(b) for b in x.blocks]
-    smax = max(float(s.max()) if s.size else 0.0 for _, s, _ in svds)
-    return svds, smax
+def _svd_support(x: Element, tol: Tolerances):
+    """Per-block (u, s, vh, m), m masking the singular values above the cutoff.
 
-
-def _masks(x: Element, svds, smax, tol: Tolerances):
-    return [s > tol.rank_rel * smax * n
-            for (_, s, _), n in zip(svds, x.algebra.block_dims)]
+    The cutoff of block k is rank_rel * smax * n_k, with smax the largest
+    singular value over all blocks.
+    """
+    svds = _svd(x.blocks)
+    smax = max(float(s.max()) for _, s, _ in svds)
+    return [(u, s, vh, s > tol.rank_rel * smax * n)
+            for (u, s, vh), n in zip(svds, x.algebra.block_dims)]
 
 
 def right_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     """Smallest projection p with x @ p = x (projection onto the row space)."""
-    svds, smax = _block_svds(x)
-    masks = _masks(x, svds, smax, tol)
-    blocks = [vh[m].conj().T @ vh[m] for (_, _, vh), m in zip(svds, masks)]
+    blocks = [vh[m].conj().T @ vh[m] for _, _, vh, m in _svd_support(x, tol)]
     return Element(x.algebra, tuple(blocks))
 
 
 def left_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     """Smallest projection p with p @ x = x; equals right_support(x*)."""
-    svds, smax = _block_svds(x)
-    masks = _masks(x, svds, smax, tol)
-    blocks = [u[:, m] @ u[:, m].conj().T for (u, _, _), m in zip(svds, masks)]
+    blocks = [u[:, m] @ u[:, m].conj().T for u, _, _, m in _svd_support(x, tol)]
+    return Element(x.algebra, tuple(blocks))
+
+
+def _pinv(x: Element, svd) -> Element:
+    blocks = [(vh[m].conj().T / s[m]) @ u[:, m].conj().T for u, s, vh, m in svd]
     return Element(x.algebra, tuple(blocks))
 
 
 def pseudo_inverse(x: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     """Moore-Penrose inverse with the library's support cutoff."""
-    svds, smax = _block_svds(x)
-    masks = _masks(x, svds, smax, tol)
-    blocks = [(vh[m].conj().T / s[m]) @ u[:, m].conj().T
-              for (u, s, vh), m in zip(svds, masks)]
-    return Element(x.algebra, tuple(blocks))
+    return _pinv(x, _svd_support(x, tol))
 
 
 @dataclass(frozen=True)
@@ -85,32 +84,26 @@ class PolarDecomposition:
         return self.positive @ self.isometry
 
 
+def _isometry(x: Element, svd) -> Element:
+    return Element(x.algebra, tuple(u[:, m] @ vh[m] for u, _, vh, m in svd))
+
+
 def polar_right(x: Element, tol: Tolerances = DEFAULT_TOL) -> PolarDecomposition:
     """x = u @ z with z = (x*x)^(1/2) and u a partial isometry.
 
     Singular directions below the support cutoff are excluded from u, so
     u*u is exactly the support of z and uu* the left support of x.
     """
-    svds, smax = _block_svds(x)
-    masks = _masks(x, svds, smax, tol)
-    iso, pos = [], []
-    for (u, s, vh), m in zip(svds, masks):
-        iso.append(u[:, m] @ vh[m])
-        pos.append((vh.conj().T * np.where(m, s, 0.0)) @ vh)
-    return PolarDecomposition(Element(x.algebra, tuple(iso)),
-                              Element(x.algebra, tuple(pos)), "right")
+    svd = _svd_support(x, tol)
+    pos = [(vh.conj().T * np.where(m, s, 0.0)) @ vh for _, s, vh, m in svd]
+    return PolarDecomposition(_isometry(x, svd), Element(x.algebra, tuple(pos)), "right")
 
 
 def polar_left(x: Element, tol: Tolerances = DEFAULT_TOL) -> PolarDecomposition:
     """x = z @ u with z = (xx*)^(1/2); u is the same partial isometry part."""
-    svds, smax = _block_svds(x)
-    masks = _masks(x, svds, smax, tol)
-    iso, pos = [], []
-    for (u, s, vh), m in zip(svds, masks):
-        iso.append(u[:, m] @ vh[m])
-        pos.append((u * np.where(m, s, 0.0)) @ u.conj().T)
-    return PolarDecomposition(Element(x.algebra, tuple(iso)),
-                              Element(x.algebra, tuple(pos)), "left")
+    svd = _svd_support(x, tol)
+    pos = [(u * np.where(m, s, 0.0)) @ u.conj().T for u, s, _, m in svd]
+    return PolarDecomposition(_isometry(x, svd), Element(x.algebra, tuple(pos)), "left")
 
 
 @dataclass(frozen=True)
@@ -120,6 +113,17 @@ class DivisionResult:
     quotient: Element
     minimal_c: float
     residual: float
+
+
+def _divide(x: Element, y: Element, svd, tol: Tolerances) -> DivisionResult:
+    """douglas_divide on a precomputed _svd_support of x."""
+    p = y @ _pinv(x, svd)
+    residual, norm_y, norm_p = _operator_norms(y - p @ x, y, p)
+    if residual > tol.eq_bound(norm_y):
+        raise UnsolvableError(
+            f"no c satisfies c^2 x*x >= y*y: residual {residual:.3e}",
+            residual)
+    return DivisionResult(p, norm_p, residual)
 
 
 def douglas_divide(x: Element, y: Element,
@@ -134,13 +138,7 @@ def douglas_divide(x: Element, y: Element,
     the kernel inclusion fails.
     """
     x._check_compatible(y)
-    p = y @ pseudo_inverse(x, tol)
-    residual = operator_norm(y - p @ x)
-    if residual > tol.eq_bound(operator_norm(y)):
-        raise UnsolvableError(
-            f"no c satisfies c^2 x*x >= y*y: residual {residual:.3e}",
-            residual)
-    return DivisionResult(p, operator_norm(p), residual)
+    return _divide(x, y, _svd_support(x, tol), tol)
 
 
 def clipped_inverse(eps: float):
@@ -162,19 +160,40 @@ def douglas_ladder(x: Element, y: Element, epsilons=None,
 
     Returns [(eps, gap)] with gap the operator-norm distance to the exact
     quotient; the gaps are nonincreasing and reach 0 once eps drops below
-    the smallest positive singular value of x.
+    the smallest positive singular value of x.  The default ladder is
+    smax * 2^-k for k = 0..25, smax the largest singular value of x.
+
+    Everything comes from one SVD x = U S V*.  The exact quotient is
+    y V S^+ U* and the rung at eps is y V f_eps(S) U*, so their difference
+    is y V diag(d_eps) U*, where d_i = 1/s_i for kept s_i < eps and 0
+    otherwise.  The kept columns of U are orthonormal, so the gap is
+    ||y V diag(d_eps)||: one values-only SVD per size class covers every
+    rung, and a rung with d_eps = 0 has gap exactly 0.  Raises
+    UnsolvableError as douglas_divide does.
     """
-    exact = douglas_divide(x, y, tol).quotient
-    pol = polar_right(x, tol)
+    x._check_compatible(y)
+    svd = _svd_support(x, tol)
+    _divide(x, y, svd, tol)
     if epsilons is None:
-        smax = operator_norm(x)
+        smax = max(float(s.max()) for _, s, _, _ in svd)
         top = smax if smax > 0.0 else 1.0
         epsilons = [top * 2.0 ** (-k) for k in range(26)]
-    ladder = []
-    for eps in epsilons:
-        approx = y @ func_calc(pol.positive, clipped_inverse(eps), tol) @ pol.isometry.adjoint()
-        ladder.append((float(eps), operator_norm(approx - exact)))
-    return ladder
+    eps = np.array([float(e) for e in epsilons])
+    gaps = np.zeros(eps.size)
+    for idx in _size_classes(x.blocks):
+        s = np.stack([svd[k][1] for k in idx])                       # (k, n)
+        keep = np.stack([svd[k][3] for k in idx])
+        v = np.stack([svd[k][2] for k in idx]).conj().swapaxes(-1, -2)
+        yv = np.stack([y.blocks[k] for k in idx]) @ v                # (k, n, n)
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+        d = np.where(s < eps[:, None, None], inv, 0.0)               # (rungs, k, n)
+        live = np.flatnonzero(d.any(axis=(1, 2)))
+        if live.size:
+            scaled = (yv * d[live, :, None, :]).reshape(-1, *yv.shape[1:])
+            svals = np.linalg.svd(scaled, compute_uv=False)
+            worst = svals[:, 0].reshape(live.size, len(idx)).max(axis=1)
+            gaps[live] = np.maximum(gaps[live], worst)
+    return [(float(e), float(g)) for e, g in zip(eps, gaps)]
 
 
 def isometry_divide(x: Element, y: Element,
@@ -187,12 +206,12 @@ def isometry_divide(x: Element, y: Element,
     """
     gram_x = x.adjoint() @ x
     gram_y = y.adjoint() @ y
-    residual = operator_norm(gram_x - gram_y)
-    scale = max(operator_norm(gram_x), operator_norm(gram_y))
-    if residual > tol.eq_bound(scale):
+    residual, norm_x, norm_y = _operator_norms(gram_x - gram_y, gram_x, gram_y)
+    if residual > tol.eq_bound(max(norm_x, norm_y)):
         raise ConditionViolatedError(
             f"x*x != y*y: residual {residual:.3e}", residual)
-    return polar_right(y, tol).isometry @ polar_right(x, tol).isometry.adjoint()
+    u_y = _isometry(y, _svd_support(y, tol))
+    return u_y @ _isometry(x, _svd_support(x, tol)).adjoint()
 
 
 def graded_divide(x: GradedElement, y: GradedElement,
@@ -275,7 +294,8 @@ def cyclic_generator(generators, mu: Weight, tol: Tolerances = DEFAULT_TOL):
     y_mat = mu.power(complex(0.0, a.imag), tol) @ x
     y = GradedElement(y_mat, a)
 
-    quotients = [douglas_divide(y_mat, g.data, tol).quotient for g in gens]
+    svd = _svd_support(y_mat, tol)
+    quotients = [_divide(y_mat, g.data, svd, tol).quotient for g in gens]
 
     m = len(gens)
     big_y = _place(algebra, m, [((0, 0), y_mat)])

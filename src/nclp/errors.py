@@ -5,6 +5,10 @@ class NclpError(Exception):
     """Base class for all nclp errors."""
 
 
+class NonFiniteError(NclpError):
+    """Input data contains NaN or an infinity."""
+
+
 class ShapeError(NclpError):
     """A block matrix does not match the shape prescribed by its algebra."""
 

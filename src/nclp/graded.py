@@ -9,9 +9,10 @@ grading.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
-from .errors import GradingError
+from .errors import GradingError, NonFiniteError
 from .matcore import DEFAULT_TOL, Element
 
 
@@ -24,6 +25,8 @@ class GradedElement:
 
     def __post_init__(self):
         a = complex(self.grading)
+        if not cmath.isfinite(a):
+            raise NonFiniteError(f"grading must be finite, got {a}")
         if a.real < -DEFAULT_TOL.eq_abs:
             raise GradingError(f"grading must have Re >= 0, got {a}")
         object.__setattr__(self, "grading", a)

@@ -23,6 +23,8 @@ from .matcore import (
     BlockAlgebra,
     Element,
     Tolerances,
+    _svd,
+    _svdvals,
     flatten_element,
     operator_norm,
     spectral_projection,
@@ -40,15 +42,19 @@ def lnorm(xi: GradedElement, tol: Tolerances = DEFAULT_TOL) -> float:
     Every singular value counts: the norm is a continuous function of the
     matrix and must agree with the scalar-path oracle on diagonal algebras,
     so the support cutoff used by divisions has no business here.
+
+    The sum is taken scale-free, as smax * (sum (s/smax)^(1/Re a))^(Re a),
+    so that lnorm(c x) = |c| lnorm(x) holds wherever s^(1/Re a) alone
+    would overflow or underflow.
     """
     re = float(xi.grading.real)
     if re <= tol.eq_abs:
         return operator_norm(xi.data)
-    total = 0.0
-    for b in xi.data.blocks:
-        s = np.linalg.svd(b, compute_uv=False)
-        total += float(np.sum(s ** (1.0 / re)))
-    return total ** re
+    s = np.concatenate(_svdvals(xi.data.blocks))
+    smax = float(s.max())
+    if smax == 0.0:
+        return 0.0
+    return smax * float(np.sum((s / smax) ** (1.0 / re))) ** re
 
 
 def gmul(xi: GradedElement, eta: GradedElement) -> GradedElement:
@@ -74,12 +80,12 @@ def holder_witness(xi: GradedElement, b,
                            "use the spectral-threshold witness on imaginary gradings")
     if b.real < -tol.eq_abs:
         raise GradingError(f"witness grading must have Re >= 0, got {b}")
-    if operator_norm(xi.data) <= tol.eq_abs:
+    svd = _svd(xi.data.blocks)
+    if max(float(s[0]) for _, s, _ in svd) <= tol.eq_abs:
         raise NclpError("the zero element has no Hölder witness")
     e = b / a.real
     blocks = []
-    for blk in xi.data.blocks:
-        _, s, vh = np.linalg.svd(blk)
+    for _, s, vh in svd:
         w = np.zeros(s.shape, dtype=complex)
         mask = s > 0.0
         w[mask] = np.exp(e * np.log(s[mask]))
@@ -139,8 +145,7 @@ def comultiply(zeta: GradedElement, split,
     e1 = complex(a.real, -b.imag) / re_sum
     e2 = b / re_sum
     first_blocks, second_blocks = [], []
-    for blk in zeta.data.blocks:
-        u, s, vh = np.linalg.svd(blk)
+    for u, s, vh in _svd(zeta.data.blocks):
         w1 = np.zeros(s.shape, dtype=complex)
         w2 = np.zeros(s.shape, dtype=complex)
         mask = s > 0.0

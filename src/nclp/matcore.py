@@ -188,9 +188,56 @@ def trace(x: Element) -> complex:
     return complex(sum(np.trace(b) for b in x.blocks))
 
 
+# -- batched factorizations ------------------------------------------------
+
+
+def _size_classes(blocks) -> list[list[int]]:
+    """Block indices grouped by block shape, in order of first appearance."""
+    classes = {}
+    for k, b in enumerate(blocks):
+        classes.setdefault(b.shape, []).append(k)
+    return list(classes.values())
+
+
+def _batched(routine, blocks) -> list:
+    """routine applied to every block, one call per class of equal-size blocks.
+
+    The blocks of each size are stacked into one (k, n, n) array, so numpy's
+    batched LAPACK factorizes a whole class in one call; the results come
+    back per block, in block order, and equal the per-block results bit for
+    bit.  A routine that returns a tuple (svd, eigh) gives a tuple per block.
+    """
+    out = [None] * len(blocks)
+    for idx in _size_classes(blocks):
+        res = routine(np.stack([blocks[k] for k in idx]))
+        for k, r in zip(idx, zip(*res) if isinstance(res, tuple) else res):
+            out[k] = r
+    return out
+
+
+def _svd(blocks) -> list:
+    """Per-block (u, s, vh), from one batched SVD per size class."""
+    return _batched(np.linalg.svd, blocks)
+
+
+def _svdvals(blocks) -> list:
+    """Per-block singular values, descending, from one values-only SVD per class."""
+    return _batched(lambda a: np.linalg.svd(a, compute_uv=False), blocks)
+
+
+def _operator_norms(*xs: Element) -> list[float]:
+    """operator_norm of each element, from one values-only SVD per size class."""
+    svals = _svdvals([b for x in xs for b in x.blocks])
+    out, pos = [], 0
+    for x in xs:
+        out.append(max(float(s[0]) for s in svals[pos:pos + len(x.blocks)]))
+        pos += len(x.blocks)
+    return out
+
+
 def operator_norm(x: Element) -> float:
     """Largest singular value over all blocks."""
-    return max(float(np.linalg.norm(b, 2)) for b in x.blocks)
+    return _operator_norms(x)[0]
 
 
 def distance(x: Element, y: Element) -> float:
@@ -199,8 +246,8 @@ def distance(x: Element, y: Element) -> float:
 
 
 def allclose(x: Element, y: Element, tol: Tolerances = DEFAULT_TOL) -> bool:
-    scale_ = max(operator_norm(x), operator_norm(y))
-    return distance(x, y) <= tol.eq_bound(scale_)
+    nx, ny, gap = _operator_norms(x, y, x - y)
+    return gap <= tol.eq_bound(max(nx, ny))
 
 
 def flatten_element(x: Element) -> np.ndarray:
@@ -222,6 +269,51 @@ def unflatten_element(algebra: BlockAlgebra, vec: np.ndarray) -> Element:
 # -- Hermitian eigensystems and functional calculus ----------------------
 
 
+def _eig_classes(h: Element, tol: Tolerances):
+    """Stacked eigensystems of a positive element, one per size class.
+
+    Returns (classes, lmax) with classes a list of (idx, w, U): the blocks
+    idx of one size, their eigenvalues w (k, n) clamped to 0 below the
+    support cutoff, and eigenvectors U (k, n, n).  The blocks that are not
+    exactly real diagonal share one batched eigh per class.  Raises
+    NotPositiveError, naming the first offending block, if h is not
+    Hermitian PSD within tolerance.
+    """
+    stacks = [(idx, np.stack([h.blocks[k] for k in idx]))
+              for idx in _size_classes(h.blocks)]
+    bad = []
+    for idx, a in stacks:
+        asym = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        bound = tol.eq_abs + tol.eq_rel * np.abs(a).max(axis=(-2, -1))
+        bad += [(idx[j], asym[j]) for j in np.flatnonzero(asym > bound)]
+    if bad:
+        k, asym = min(bad)
+        raise NotPositiveError(f"block {k} is not Hermitian: asymmetry {asym:.3e}")
+    raw = []
+    for idx, a in stacks:
+        n = a.shape[-1]
+        # exactly diagonal with real entries: trivial eigensystem,
+        # which keeps identity densities bit-exact through powers
+        w = np.diagonal(a, axis1=-2, axis2=-1).real.copy()
+        u = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
+        general = (np.any(a[:, ~np.eye(n, dtype=bool)], axis=-1)
+                   | np.any(a.imag, axis=(-2, -1)))
+        if general.any():
+            g = a[general]
+            w[general], u[general] = np.linalg.eigh((g + g.conj().swapaxes(-1, -2)) / 2.0)
+        raw.append((idx, w, u))
+    lmax = max(float(np.abs(w).max()) for _, w, _ in raw)
+    floor = -tol.eq_bound(lmax)
+    neg = [(idx[j], w[j].min()) for idx, w, _ in raw
+           for j in np.flatnonzero(w.min(axis=-1) < floor)]
+    if neg:
+        k, low = min(neg)
+        raise NotPositiveError(f"block {k} has negative eigenvalue {low:.3e}")
+    classes = [(idx, np.where(w > tol.rank_rel * lmax * w.shape[-1], w, 0.0), u)
+               for idx, w, u in raw]
+    return classes, lmax
+
+
 def _pos_eig(h: Element, tol: Tolerances):
     """Eigensystems of a positive element, with support clamping.
 
@@ -229,32 +321,11 @@ def _pos_eig(h: Element, tol: Tolerances):
     already clamped to 0 below the support cutoff.  Raises NotPositiveError
     if h is not Hermitian PSD within tolerance.
     """
-    raw = []
-    lmax = 0.0
-    for k, a in enumerate(h.blocks):
-        asym = float(np.abs(a - a.conj().T).max()) if a.size else 0.0
-        scale_ = float(np.abs(a).max()) if a.size else 0.0
-        if asym > tol.eq_bound(scale_):
-            raise NotPositiveError(
-                f"block {k} is not Hermitian: asymmetry {asym:.3e}")
-        if not np.any(a - np.diag(np.diagonal(a))) and not np.any(a.imag):
-            # exactly diagonal with real entries: trivial eigensystem,
-            # which keeps identity densities bit-exact through powers
-            w = np.diagonal(a).real.copy()
-            u = np.eye(a.shape[0], dtype=complex)
-        else:
-            w, u = np.linalg.eigh((a + a.conj().T) / 2.0)
-        raw.append((w, u))
-        if w.size:
-            lmax = max(lmax, float(np.abs(w).max()))
-    pairs = []
-    for k, ((w, u), n) in enumerate(zip(raw, h.algebra.block_dims)):
-        if w.size and float(w.min()) < -tol.eq_bound(lmax):
-            raise NotPositiveError(
-                f"block {k} has negative eigenvalue {w.min():.3e}")
-        cutoff = tol.rank_rel * lmax * n
-        w = np.where(w > cutoff, w, 0.0)
-        pairs.append((w, u))
+    classes, lmax = _eig_classes(h, tol)
+    pairs = [None] * len(h.blocks)
+    for idx, w, u in classes:
+        for k, wk, uk in zip(idx, w, u):
+            pairs[k] = (wk, uk)
     return pairs, lmax
 
 
@@ -272,6 +343,26 @@ def func_calc(h: Element, f, tol: Tolerances = DEFAULT_TOL) -> Element:
     return Element(h.algebra, tuple(blocks))
 
 
+def _powers(h: Element, exponents, tol: Tolerances) -> list[Element]:
+    """power_pos(h, a, tol) for every a in exponents, from one eigensystem."""
+    classes, _ = _eig_classes(h, tol)
+    spectra = []
+    for idx, w, u in classes:
+        mask = w > 0.0
+        spectra.append((idx, mask, np.log(w[mask]), u, u.conj().swapaxes(-1, -2)))
+    out = []
+    for a in exponents:
+        a = complex(a)
+        blocks = [None] * len(h.blocks)
+        for idx, mask, log_w, u, uh in spectra:
+            pw = np.zeros(mask.shape, dtype=complex)
+            pw[mask] = np.exp(a * log_w)
+            for k, b in zip(idx, (u * pw[:, None, :]) @ uh):
+                blocks[k] = b
+        out.append(Element(h.algebra, tuple(blocks)))
+    return out
+
+
 def power_pos(h: Element, a, tol: Tolerances = DEFAULT_TOL) -> Element:
     """Complex power of a positive element, with 0^a := 0.
 
@@ -279,15 +370,7 @@ def power_pos(h: Element, a, tol: Tolerances = DEFAULT_TOL) -> Element:
     principal real logarithm; the kernel is carried along as 0.  Negative
     real parts therefore act as pseudo-powers on the support.
     """
-    a = complex(a)
-    pairs, _ = _pos_eig(h, tol)
-    blocks = []
-    for w, u in pairs:
-        pw = np.zeros(w.shape, dtype=complex)
-        mask = w > 0.0
-        pw[mask] = np.exp(a * np.log(w[mask]))
-        blocks.append((u * pw) @ u.conj().T)
-    return Element(h.algebra, tuple(blocks))
+    return _powers(h, (a,), tol)[0]
 
 
 def spectral_projection(h: Element, c: float, tol: Tolerances = DEFAULT_TOL) -> Element:

@@ -14,6 +14,7 @@ import json
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .graded import GradedElement
 from .matcore import BlockAlgebra, Element
 from .weights import Weight
@@ -40,6 +41,9 @@ def element_from_obj(obj: dict) -> Element:
     algebra = BlockAlgebra(tuple(obj["block_dims"]))
     blocks = [np.array([[_complex_in(v) for v in row] for row in b], dtype=complex)
               for b in obj["blocks"]]
+    for k, b in enumerate(blocks):
+        if not np.all(np.isfinite(b)):
+            raise NonFiniteError(f"block {k} has a NaN or infinite entry")
     return Element(algebra, tuple(blocks))
 
 

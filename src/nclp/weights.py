@@ -9,6 +9,7 @@ with complex powers taken through the positive functional calculus.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,6 +19,7 @@ from .errors import (
     AlgebraMismatchError,
     GradingError,
     NonFaithfulError,
+    NonFiniteError,
     NotPositiveError,
     ValidationError,
 )
@@ -28,12 +30,13 @@ from .matcore import (
     Tolerances,
     ToleranceReport,
     flatten_element,
-    operator_norm,
+    _operator_norms,
+    _pos_eig,
+    _powers,
     power_pos,
     spectral_projection,
     trace,
     unflatten_element,
-    _pos_eig,
 )
 
 
@@ -50,7 +53,9 @@ class Weight:
     tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
-        _pos_eig(self.density, self.tol)  # raises NotPositiveError
+        # the eigensystem that checks positivity also decides faithfulness
+        pairs, _ = _pos_eig(self.density, self.tol)  # raises NotPositiveError
+        object.__setattr__(self, "faithful", all(np.all(w > 0.0) for w, _ in pairs))
 
     @property
     def algebra(self) -> BlockAlgebra:
@@ -60,17 +65,16 @@ class Weight:
     def support(self) -> Element:
         return spectral_projection(self.density, 0.0, self.tol)
 
-    @cached_property
-    def faithful(self) -> bool:
-        pairs, _ = _pos_eig(self.density, self.tol)
-        return all(np.all(w > 0.0) for w, _ in pairs)
-
     def __call__(self, x: Element) -> complex:
         return evaluate(self, x)
 
     def power(self, a, tol: Tolerances | None = None) -> Element:
         """Matrix of the grading-a symbol of this weight, density^a."""
         return power_pos(self.density, a, self.tol if tol is None else tol)
+
+    def powers(self, exponents, tol: Tolerances | None = None) -> list[Element]:
+        """density^a for every a in exponents, from one eigensystem."""
+        return _powers(self.density, exponents, self.tol if tol is None else tol)
 
     def __repr__(self):
         return f"Weight(dims={self.algebra.block_dims}, faithful={self.faithful})"
@@ -92,6 +96,8 @@ def evaluate(mu: Weight, x: Element) -> complex:
 
 def _require_imaginary(a, tol: Tolerances):
     a = complex(a)
+    if not cmath.isfinite(a):
+        raise NonFiniteError(f"parameter must be finite, got {a}")
     if abs(a.real) > tol.eq_abs:
         raise GradingError(f"parameter must be imaginary, got {a}")
     return a
@@ -109,7 +115,8 @@ def modular_automorphism(mu: Weight, a, p: Element,
     a = _require_imaginary(a, tol)
     if not mu.faithful:
         raise NonFaithfulError("modular automorphisms require a faithful weight")
-    return mu.power(a, tol) @ p @ mu.power(-a, tol)
+    forward, backward = mu.powers((a, -a), tol)
+    return forward @ p @ backward
 
 
 def connes_cocycle(mu: Weight, nu: Weight, a,
@@ -133,11 +140,16 @@ def cocycle_identity_check(mu: Weight, nu: Weight, a, b,
     tol = nu.tol if tol is None else tol
     a = _require_imaginary(a, tol)
     b = _require_imaginary(b, tol)
-    lhs = connes_cocycle(mu, nu, a + b, tol)
-    rhs = connes_cocycle(mu, nu, a, tol) @ modular_automorphism(
-        nu, a, connes_cocycle(mu, nu, b, tol), tol)
-    residual = operator_norm(lhs - rhs)
-    bound = tol.eq_bound(max(operator_norm(lhs), 1.0))
+    if not nu.faithful:
+        raise NonFaithfulError("cocycle derivative requires a faithful denominator")
+    # every power from one eigensystem of each density:
+    # u_c = h^c k^-c and sigma^nu_a(z) = k^a z k^-a
+    h_ab, h_a, h_b = mu.powers((a + b, a, b), tol)
+    k_ab, k_a, k_b, k_up = nu.powers((-(a + b), -a, -b, a), tol)
+    lhs = h_ab @ k_ab
+    rhs = (h_a @ k_a) @ (k_up @ (h_b @ k_b) @ k_a)
+    residual, norm_lhs = _operator_norms(lhs - rhs, lhs)
+    bound = tol.eq_bound(max(norm_lhs, 1.0))
     return ToleranceReport(
         max_residual=residual,
         passed=residual <= bound,
@@ -278,26 +290,27 @@ class OperatorValuedWeight:
         partial trace; slot_weights rescales each diagonal sub-block and
         must be strictly positive to keep the map faithful.
         """
-
-        def compress(q: Element) -> Element:
-            out = [np.zeros((n, n), dtype=complex)
-                   for n in embedding.source.block_dims]
-            slot = 0
-            for j, row in enumerate(embedding.assignment):
-                pos = 0
-                for i in row:
-                    d = embedding.source.block_dims[i]
-                    w = 1.0 if slot_weights is None else float(slot_weights[slot])
-                    out[i] += w * q.blocks[j][pos:pos + d, pos:pos + d]
-                    pos += d
-                    slot += 1
-            return Element(embedding.source, tuple(out))
-
         if slot_weights is not None:
+            if not all(np.isfinite(float(w)) for w in slot_weights):
+                raise NonFiniteError("slot_weights must be finite")
             if any(float(w) <= 0.0 for w in slot_weights):
                 raise ValueError("slot_weights must be strictly positive")
-        cols = [flatten_element(compress(e)) for e in embedding.target.basis()]
-        return cls(embedding, np.stack(cols, axis=1))
+        # the diagonal sub-block of target block j at offset pos, filled by
+        # source block i, lands entry by entry on block i
+        idx_m = _flat_indices(embedding.source)
+        idx_n = _flat_indices(embedding.target)
+        mat = np.zeros((embedding.source.total_dim, embedding.target.total_dim),
+                       dtype=complex)
+        slot = 0
+        for j, row in enumerate(embedding.assignment):
+            pos = 0
+            for i in row:
+                d = embedding.source.block_dims[i]
+                w = 1.0 if slot_weights is None else float(slot_weights[slot])
+                mat[idx_m[i], idx_n[j][pos:pos + d, pos:pos + d]] = w
+                pos += d
+                slot += 1
+        return cls(embedding, mat)
 
     def validate(self, tol: Tolerances = DEFAULT_TOL,
                  positivity_samples: int = 8) -> ToleranceReport:

@@ -201,3 +201,45 @@ def test_oracle_agrees_with_matrix_path(capsys, tmp_path):
     x = Element(D, tuple(np.array([[v]], dtype=complex) for v in f))
     matrix_path = lnorm(GradedElement(x @ power_pos(h, a), a))
     assert abs(out["value"] - matrix_path) <= 1e-12 * matrix_path
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("command, obj", [
+    (("demo", "polar"), {"x": {"block_dims": [2],
+                               "blocks": [[[[1, 0], [NAN, 0]], [[0, 0], [1, 0]]]]}}),
+    (("demo", "holder"), {"x": dict(ELEMENT_X, grading=[0.5, 0]),
+                          "y": dict(ELEMENT_Y, grading=[NAN, 0])}),
+    (("demo", "cocycle"), {"mu": {"density": ELEMENT_Y}, "nu": {"density": ELEMENT_Y},
+                           "a": [0.0, float("inf")]}),
+    (("oracle",), {"f": [[1.0, 0.0], [NAN, 0.0]], "a": [0.5, 0]}),
+    (("oracle",), {"f": [1.0], "a": [0.5, 0], "mu": [float("inf")]}),
+])
+def test_non_finite_input_is_a_typed_input_error(capsys, tmp_path, command, obj):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))   # writes the NaN / Infinity literals
+    code = main([*command, "--input", str(path)])
+    out = _strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert out["error"]["type"] == "NonFiniteError"
+
+
+def test_linalg_failure_is_a_numerical_error(capsys, tmp_path, monkeypatch):
+    import nclp.cli as cli
+
+    def fail(obj):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setitem(cli._DEMOS, "polar", fail)
+    path = write(tmp_path, "x.json", {"x": ELEMENT_X})
+    code = main(["demo", "polar", "--input", path])
+    out = _strict_json(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"] == {"type": "numerical", "message": "SVD did not converge"}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nclp import (
+    DEFAULT_TOL,
     BlockAlgebra,
     ConditionViolatedError,
     GradedElement,
@@ -14,6 +15,7 @@ from nclp import (
     distance,
     douglas_divide,
     douglas_ladder,
+    func_calc,
     graded_divide,
     isometry_divide,
     left_support,
@@ -26,6 +28,8 @@ from nclp import (
     right_support,
     trace_weight,
 )
+from nclp.decomp import clipped_inverse
+from nclp.properties import _conditioned_instance
 from nclp.sampling import (
     make_rng,
     random_element,
@@ -146,6 +150,67 @@ def test_douglas_ladder_monotone_convergence():
     gaps = [g for _, g in ladder]
     assert all(gaps[k + 1] <= gaps[k] + 1e-12 for k in range(len(gaps) - 1))
     assert gaps[-1] < 1e-10
+
+
+def _reference_ladder(x, y, epsilons, tol=DEFAULT_TOL):
+    """The ladder as first written: one func_calc and one norm per rung."""
+    exact = douglas_divide(x, y, tol).quotient
+    pol = polar_right(x, tol)
+    return [(float(eps), operator_norm(
+                y @ func_calc(pol.positive, clipped_inverse(eps), tol)
+                @ pol.isometry.adjoint() - exact))
+            for eps in epsilons]
+
+
+def _ladder_instance(seed, dims):
+    rng = make_rng(seed)
+    M = BlockAlgebra(dims)
+    x = _conditioned_instance(rng, M, DEFAULT_TOL)
+    return x, random_element(rng, M) @ x
+
+
+@pytest.mark.parametrize("dims", [(3,), (1, 2, 3, 2, 3, 1), (2,) * 16, (5, 5)])
+def test_closed_form_ladder_agrees_with_func_calc_ladder(dims):
+    for seed in range(4):
+        x, y = _ladder_instance(40 + seed, dims)
+        smax = operator_norm(x)
+        # off the singular values: at eps = s_i exactly the old ladder's
+        # verdict hung on the rounding of an eigenvalue against eps
+        epsilons = [1.5 * smax * 2.0 ** (-k) for k in range(14)]
+        bound = DEFAULT_TOL.eq_bound(operator_norm(y) + 1.0)
+        for (e1, g1), (e2, g2) in zip(douglas_ladder(x, y, epsilons),
+                                      _reference_ladder(x, y, epsilons)):
+            assert e1 == e2 and abs(g1 - g2) <= bound
+
+
+def test_ladder_rung_at_a_singular_value_inverts_it():
+    x = make_element(BlockAlgebra((3,)), [np.diag([4.0, 2.0, 1.0])])
+    gaps = [g for _, g in douglas_ladder(x, x)]
+    assert gaps[:4] == pytest.approx([1.0, 1.0, 0.0, 0.0], abs=1e-15)
+    assert gaps[2:] == [0.0] * 24
+
+
+def test_douglas_ladder_factorizes_once_per_size_class(monkeypatch):
+    # 64 blocks and every rung: one SVD of x, one values-only SVD for the
+    # division's norms and one for all the rungs
+    instances = [_ladder_instance(50, (2,) * 8), _ladder_instance(51, (2,) * 64),
+                 _ladder_instance(52, (2,) * 64)]
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh", "norm"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    counts = []
+    for (x, y), epsilons in zip(instances, (None, None, np.geomspace(8.0, 1e-9, 200))):
+        calls.clear()
+        douglas_ladder(x, y, epsilons)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2] <= 10
+    assert calls == ["svd"] * len(calls)
 
 
 def test_isometry_divide_examples():

@@ -390,3 +390,19 @@ def test_norm_homogeneity_and_orthogonal_pin():
         p = GradedElement(e(1, 1), a)
         q = GradedElement(e(2, 2), a)
         assert abs(lnorm(p + q) - 2.0 ** a.real) < 1e-12
+
+
+def test_lnorm_is_scale_free_across_the_float_range():
+    # at Re a = 1/3 the singular values enter cubed: s^3 alone overflows
+    # from s ~ 1e103 and underflows below s ~ 1e-103
+    rng = make_rng(60)
+    x = random_element(rng, BlockAlgebra((2, 3, 1)))
+    a = complex(1.0 / 3.0, 0.4)
+    base = lnorm(GradedElement(x, a))
+    for k in range(-150, 151, 15):
+        for phase in (1.0, np.exp(0.7j)):
+            c = phase * 10.0 ** k
+            got = lnorm(GradedElement(x * c, a))
+            assert np.isfinite(got) and got > 0.0
+            assert got == pytest.approx(abs(c) * base, rel=1e-12, abs=0.0)
+    assert lnorm(GradedElement(x * 0.0, a)) == 0.0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nclp import (
+    DEFAULT_TOL,
     AlgebraMismatchError,
     BlockAlgebra,
     NotPositiveError,
@@ -22,6 +23,7 @@ from nclp import (
     trace,
     unflatten_element,
 )
+from nclp.matcore import _batched, _operator_norms, _pos_eig, _powers, _svd, _svdvals
 from nclp.sampling import make_rng, random_element, random_positive
 
 M2 = BlockAlgebra((2,))
@@ -205,3 +207,75 @@ def test_allclose_scales():
     x = random_element(rng, M2)
     assert allclose(x, x + 1e-12 * M2.identity())
     assert not allclose(x, x + M2.identity())
+
+
+# -- batched factorizations ----------------------------------------------
+
+MIXED = BlockAlgebra((1, 2, 3, 2, 3, 1))
+
+
+def test_batched_factorizations_equal_per_block_calls_bit_for_bit():
+    rng = make_rng(30)
+    x = random_element(rng, MIXED)
+    h = random_positive(rng, MIXED)
+    for (u, s, vh), b in zip(_svd(x.blocks), x.blocks):
+        ref = np.linalg.svd(b)
+        assert np.array_equal(u, ref[0]) and np.array_equal(s, ref[1])
+        assert np.array_equal(vh, ref[2])
+    for s, b in zip(_svdvals(x.blocks), x.blocks):
+        assert np.array_equal(s, np.linalg.svd(b, compute_uv=False))
+    for (w, v), b in zip(_batched(np.linalg.eigh, h.blocks), h.blocks):
+        ref = np.linalg.eigh(b)
+        assert np.array_equal(w, ref[0]) and np.array_equal(v, ref[1])
+    assert operator_norm(x) == max(float(np.linalg.norm(b, 2)) for b in x.blocks)
+    assert _operator_norms(x, h) == [operator_norm(x), operator_norm(h)]
+
+
+def test_pos_eig_matches_per_block_eigh_and_keeps_diagonal_path():
+    rng = make_rng(31)
+    h = random_positive(rng, MIXED)
+    blocks = list(h.blocks)
+    blocks[3] = np.diag([2.0, 0.5]).astype(complex)   # exactly diagonal, size 2
+    h = make_element(MIXED, blocks)
+    pairs, lmax = _pos_eig(h, DEFAULT_TOL)
+    for k, ((w, u), b) in enumerate(zip(pairs, h.blocks)):
+        if k in (0, 3, 5):   # 1x1 blocks are real diagonal too
+            ref_w, ref_u = np.diagonal(b).real, np.eye(b.shape[0])
+        else:
+            ref_w, ref_u = np.linalg.eigh((b + b.conj().T) / 2.0)
+        cutoff = DEFAULT_TOL.rank_rel * lmax * b.shape[0]
+        assert np.array_equal(w, np.where(ref_w > cutoff, ref_w, 0.0))
+        assert np.array_equal(u, ref_u)
+
+
+def test_pos_eig_names_the_first_offending_block():
+    blocks = [np.eye(n, dtype=complex) for n in MIXED.block_dims]
+    blocks[4] = np.array([[1, 5, 0], [0, 1, 0], [0, 0, 1]], dtype=complex)
+    blocks[1] = np.array([[1, 2], [0, 1]], dtype=complex)
+    with pytest.raises(NotPositiveError, match="block 1 is not Hermitian"):
+        power_pos(make_element(MIXED, blocks), 0.5)
+    blocks = [np.eye(n, dtype=complex) for n in MIXED.block_dims]
+    blocks[4] = -np.eye(3, dtype=complex)
+    blocks[2] = np.diag([1.0, -1.0, 1.0]).astype(complex)
+    with pytest.raises(NotPositiveError, match="block 2 has negative eigenvalue"):
+        power_pos(make_element(MIXED, blocks), 0.5)
+
+
+def test_identity_and_diagonal_densities_stay_bit_exact_through_powers():
+    d = np.array([0.25, 3.0])
+    diagonal = make_element(BlockAlgebra((2, 2, 1)), [np.diag(d), np.diag(d[::-1]), [[7.0]]])
+    for a in (0.5, 1j, -1.0, 2.0 - 0.3j):
+        assert all(np.array_equal(b, np.eye(n))
+                   for b, n in zip(power_pos(MIXED.identity(), a).blocks, MIXED.block_dims))
+        got = power_pos(diagonal, a).blocks
+        assert np.array_equal(got[0], np.diag(np.exp(a * np.log(d))))
+        assert np.array_equal(got[1], np.diag(np.exp(a * np.log(d[::-1]))))
+        assert np.array_equal(got[2], [[np.exp(a * np.log(7.0))]])
+
+
+def test_powers_equal_power_pos_bit_for_bit():
+    rng = make_rng(32)
+    h = random_positive(rng, MIXED)
+    exponents = (0.5, 1j, -1j, 1.5 - 0.2j)
+    for got, a in zip(_powers(h, exponents, DEFAULT_TOL), exponents):
+        assert all(np.array_equal(g, r) for g, r in zip(got.blocks, power_pos(h, a).blocks))

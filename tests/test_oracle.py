@@ -2,7 +2,7 @@
 
 import pytest
 
-from nclp import oracle_commutative
+from nclp import NonFiniteError, oracle_commutative
 
 
 def test_flat_counting():
@@ -40,3 +40,28 @@ def test_stays_scalar():
     importlib.reload(mod)
     assert "numpy" not in mod.__dict__
     assert "np" not in mod.__dict__
+
+
+def test_no_overflow_on_huge_samples():
+    # |f|^3 would be about 1e600: the scale-free sum never forms it
+    f = [3e200, 4e200j, 1e200 + 1e200j]
+    mu = [1.0, 2.0, 0.5]
+    value = oracle_commutative(f, 1.0 / 3.0, mu)
+    scaled = oracle_commutative([v / 1e200 for v in f], 1.0 / 3.0, mu)
+    assert value == pytest.approx(1e200 * scaled, rel=1e-14, abs=0.0)
+    # and |f|^3 would underflow to 0 here
+    tiny = oracle_commutative([v / 1e200 * 1e-200 for v in f], 1.0 / 3.0, mu)
+    assert tiny == pytest.approx(1e-200 * scaled, rel=1e-14, abs=0.0)
+
+
+def test_zero_samples_give_zero():
+    assert oracle_commutative([0.0, 0j], 0.5, [1.0, 3.0]) == 0.0
+    assert oracle_commutative([], 0.5, []) == 0.0
+
+
+def test_rejects_non_finite_data():
+    nan, inf = float("nan"), float("inf")
+    for f, a, mu in (([nan], 1.0, [1.0]), ([complex(1.0, inf)], 1.0, [1.0]),
+                     ([1.0], 1.0, [nan]), ([1.0], complex(nan, 0.0), [1.0])):
+        with pytest.raises(NonFiniteError):
+            oracle_commutative(f, a, mu)

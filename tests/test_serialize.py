@@ -2,7 +2,9 @@
 
 import json
 
-from nclp import BlockAlgebra, distance
+import pytest
+
+from nclp import BlockAlgebra, GradedElement, NonFiniteError, distance
 from nclp.sampling import make_rng, random_element, random_graded, random_weight
 from nclp.serialize import (
     dumps,
@@ -52,3 +54,19 @@ def test_weight_roundtrip():
 
 def test_dumps_is_canonical():
     assert dumps({"b": 1, "a": 2}) == dumps({"a": 2, "b": 1})
+
+
+def test_non_finite_data_is_rejected_where_it_enters():
+    obj = element_to_obj(random_element(make_rng(9), M))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        broken = json.loads(json.dumps(obj))
+        broken["blocks"][1][2][0] = [0.5, bad]
+        with pytest.raises(NonFiniteError, match="block 1"):
+            element_from_obj(broken)
+        with pytest.raises(NonFiniteError):
+            weight_from_obj({"density": broken})
+        graded = dict(obj, grading=[bad, 0.0])
+        with pytest.raises(NonFiniteError, match="grading"):
+            graded_from_obj(graded)
+    with pytest.raises(NonFiniteError):
+        GradedElement(M.identity(), complex(0.5, float("nan")))

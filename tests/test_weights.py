@@ -10,6 +10,7 @@ from nclp import (
     GradingError,
     Element,
     NonFaithfulError,
+    NonFiniteError,
     NotPositiveError,
     OperatorValuedWeight,
     Tolerances,
@@ -355,6 +356,77 @@ def test_ovw_validation_agrees_with_basis_pair_loop():
             assert new == _reference_validate(cand), cand.embedding
             verdicts.append(new)
     assert any(verdicts) and not all(verdicts)
+
+
+def _reference_compression(embedding, slot_weights=None):
+    """from_compression as first written: one closure call per matrix unit of N."""
+
+    def compress(q):
+        out = [np.zeros((n, n), dtype=complex) for n in embedding.source.block_dims]
+        slot = 0
+        for j, row in enumerate(embedding.assignment):
+            pos = 0
+            for i in row:
+                d = embedding.source.block_dims[i]
+                w = 1.0 if slot_weights is None else float(slot_weights[slot])
+                out[i] += w * q.blocks[j][pos:pos + d, pos:pos + d]
+                pos += d
+                slot += 1
+        return make_element(embedding.source, out)
+
+    cols = [flatten(compress(e)) for e in embedding.target.basis()]
+    return np.stack(cols, axis=1)
+
+
+def test_from_compression_equals_closure_build_entry_for_entry():
+    rng = make_rng(18)
+    embeddings = [ovw.embedding for ovw in _pushforward_law_compressions()]
+    embeddings.append(BlockEmbedding(BlockAlgebra((1, 2)), BlockAlgebra((3, 2, 4)),
+                                     ((0, 1), (1,), (1, 0, 0))))
+    for emb in embeddings:
+        slots = sum(len(row) for row in emb.assignment)
+        for weights in (None, rng.uniform(0.5, 2.0, size=slots)):
+            got = OperatorValuedWeight.from_compression(emb, weights).matrix
+            assert np.array_equal(got, _reference_compression(emb, weights))
+
+
+def test_from_compression_rejects_bad_slot_weights():
+    emb = BlockEmbedding(M2, BlockAlgebra((4,)), ((0, 0),))
+    with pytest.raises(NonFiniteError):
+        OperatorValuedWeight.from_compression(emb, [1.0, float("nan")])
+    with pytest.raises(NonFiniteError):
+        OperatorValuedWeight.from_compression(emb, [float("inf"), 1.0])
+    with pytest.raises(ValueError, match="strictly positive"):
+        OperatorValuedWeight.from_compression(emb, [1.0, 0.0])
+
+
+def test_flow_parameters_must_be_finite():
+    mu = random_weight(make_rng(19), M2)
+    x = random_element(make_rng(20), M2)
+    with pytest.raises(NonFiniteError):
+        modular_automorphism(mu, complex(0.0, float("nan")), x)
+    with pytest.raises(NonFiniteError):
+        connes_cocycle(mu, mu, complex(0.0, float("inf")))
+
+
+def test_weight_functions_match_separate_powers_bit_for_bit():
+    # one eigensystem per density gives the same matrices as one per power
+    rng = make_rng(21)
+    M = BlockAlgebra((1, 2, 3, 2))
+    mu, nu = random_weight(rng, M), random_weight(rng, M)
+    x = random_element(rng, M)
+    a, b = 0.7j, -1.3j
+
+    def same(u, v):
+        return all(np.array_equal(p, q) for p, q in zip(u.blocks, v.blocks))
+
+    assert same(modular_automorphism(mu, a, x), mu.power(a) @ x @ mu.power(-a))
+    cocycle = lambda c: mu.power(c) @ nu.power(-c)   # noqa: E731
+    lhs = cocycle(a + b)
+    rhs = cocycle(a) @ (nu.power(a) @ cocycle(b) @ nu.power(-a))
+    report = cocycle_identity_check(mu, nu, a, b)
+    assert report.max_residual == operator_norm(lhs - rhs)
+    assert report.passed
 
 
 def test_weight_rejects_indefinite_density():
