@@ -25,17 +25,13 @@ from .matcore import (
     Element,
     Tolerances,
     ToleranceReport,
-    add,
-    adjoint,
     allclose,
     distance,
     flatten_element,
     func_calc,
     make_element,
-    mul,
     operator_norm,
     power_pos,
-    scale,
     spectral_projection,
     trace,
     unflatten_element,

@@ -27,42 +27,35 @@ from .matcore import (
     BlockAlgebra,
     Element,
     Tolerances,
+    _assemble,
+    _h,
     _operator_norms,
-    _size_classes,
-    _svd,
+    _svd_support,
+    _udv,
     operator_norm,
     power_pos,
 )
 from .weights import Weight
 
 
-def _svd_support(x: Element, tol: Tolerances):
-    """Per-block (u, s, vh, m), m masking the singular values above the cutoff.
-
-    The cutoff of block k is rank_rel * smax * n_k, with smax the largest
-    singular value over all blocks.
-    """
-    svds = _svd(x.blocks)
-    smax = max(float(s.max()) for _, s, _ in svds)
-    return [(u, s, vh, s > tol.rank_rel * smax * n)
-            for (u, s, vh), n in zip(svds, x.algebra.block_dims)]
-
-
 def right_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     """Smallest projection p with x @ p = x (projection onto the row space)."""
-    blocks = [vh[m].conj().T @ vh[m] for _, _, vh, m in _svd_support(x, tol)]
-    return Element(x.algebra, tuple(blocks))
+    return _assemble(x.algebra, [(idx, _udv(_h(vh), keep, vh))
+                                 for idx, (_, _, vh, keep) in _svd_support(x, tol)])
 
 
 def left_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     """Smallest projection p with p @ x = x; equals right_support(x*)."""
-    blocks = [u[:, m] @ u[:, m].conj().T for u, _, _, m in _svd_support(x, tol)]
-    return Element(x.algebra, tuple(blocks))
+    return _assemble(x.algebra, [(idx, _udv(u, keep, _h(u)))
+                                 for idx, (u, _, _, keep) in _svd_support(x, tol)])
 
 
 def _pinv(x: Element, svd) -> Element:
-    blocks = [(vh[m].conj().T / s[m]) @ u[:, m].conj().T for u, s, vh, m in svd]
-    return Element(x.algebra, tuple(blocks))
+    out = []
+    for idx, (u, s, vh, keep) in svd:
+        inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+        out.append((idx, _udv(_h(vh), inv, _h(u))))
+    return _assemble(x.algebra, out)
 
 
 def pseudo_inverse(x: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
@@ -85,7 +78,8 @@ class PolarDecomposition:
 
 
 def _isometry(x: Element, svd) -> Element:
-    return Element(x.algebra, tuple(u[:, m] @ vh[m] for u, _, vh, m in svd))
+    return _assemble(x.algebra, [(idx, _udv(u, keep, vh))
+                                 for idx, (u, _, vh, keep) in svd])
 
 
 def polar_right(x: Element, tol: Tolerances = DEFAULT_TOL) -> PolarDecomposition:
@@ -95,15 +89,17 @@ def polar_right(x: Element, tol: Tolerances = DEFAULT_TOL) -> PolarDecomposition
     u*u is exactly the support of z and uu* the left support of x.
     """
     svd = _svd_support(x, tol)
-    pos = [(vh.conj().T * np.where(m, s, 0.0)) @ vh for _, s, vh, m in svd]
-    return PolarDecomposition(_isometry(x, svd), Element(x.algebra, tuple(pos)), "right")
+    pos = _assemble(x.algebra, [(idx, _udv(_h(vh), np.where(keep, s, 0.0), vh))
+                                for idx, (_, s, vh, keep) in svd])
+    return PolarDecomposition(_isometry(x, svd), pos, "right")
 
 
 def polar_left(x: Element, tol: Tolerances = DEFAULT_TOL) -> PolarDecomposition:
     """x = z @ u with z = (xx*)^(1/2); u is the same partial isometry part."""
     svd = _svd_support(x, tol)
-    pos = [(u * np.where(m, s, 0.0)) @ u.conj().T for u, s, _, m in svd]
-    return PolarDecomposition(_isometry(x, svd), Element(x.algebra, tuple(pos)), "left")
+    pos = _assemble(x.algebra, [(idx, _udv(u, np.where(keep, s, 0.0), _h(u)))
+                                for idx, (u, s, _, keep) in svd])
+    return PolarDecomposition(_isometry(x, svd), pos, "left")
 
 
 @dataclass(frozen=True)
@@ -175,16 +171,13 @@ def douglas_ladder(x: Element, y: Element, epsilons=None,
     svd = _svd_support(x, tol)
     _divide(x, y, svd, tol)
     if epsilons is None:
-        smax = max(float(s.max()) for _, s, _, _ in svd)
+        smax = max(float(s.max()) for _, (_, s, _, _) in svd)
         top = smax if smax > 0.0 else 1.0
         epsilons = [top * 2.0 ** (-k) for k in range(26)]
     eps = np.array([float(e) for e in epsilons])
     gaps = np.zeros(eps.size)
-    for idx in _size_classes(x.blocks):
-        s = np.stack([svd[k][1] for k in idx])                       # (k, n)
-        keep = np.stack([svd[k][3] for k in idx])
-        v = np.stack([svd[k][2] for k in idx]).conj().swapaxes(-1, -2)
-        yv = np.stack([y.blocks[k] for k in idx]) @ v                # (k, n, n)
+    for idx, (_, s, vh, keep) in svd:                                # s: (k, n)
+        yv = np.stack([y.blocks[k] for k in idx]) @ _h(vh)           # (k, n, n)
         inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
         d = np.where(s < eps[:, None, None], inv, 0.0)               # (rungs, k, n)
         live = np.flatnonzero(d.any(axis=(1, 2)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decomp import polar_left, right_support
+from .decomp import right_support
 from .errors import GradingError, NclpError, NotModuleMapError
 from .graded import GradedElement
 from .matcore import (
@@ -23,13 +23,20 @@ from .matcore import (
     BlockAlgebra,
     Element,
     Tolerances,
-    _svd,
+    _assemble,
+    _classes,
+    _h,
+    _spectral_power,
+    _svd_support,
     _svdvals,
+    _udv,
     flatten_element,
     operator_norm,
-    spectral_projection,
     unflatten_element,
 )
+
+# rungs of the spectral-threshold ladder that certifies imaginary-grading norms
+HOM_LADDER_STEPS = 7
 
 
 def lnorm(xi: GradedElement, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -50,7 +57,7 @@ def lnorm(xi: GradedElement, tol: Tolerances = DEFAULT_TOL) -> float:
     re = float(xi.grading.real)
     if re <= tol.eq_abs:
         return operator_norm(xi.data)
-    s = np.concatenate(_svdvals(xi.data.blocks))
+    s = np.concatenate([s.ravel() for _, s in _svdvals(xi.data.blocks)])
     smax = float(s.max())
     if smax == 0.0:
         return 0.0
@@ -80,17 +87,13 @@ def holder_witness(xi: GradedElement, b,
                            "use the spectral-threshold witness on imaginary gradings")
     if b.real < -tol.eq_abs:
         raise GradingError(f"witness grading must have Re >= 0, got {b}")
-    svd = _svd(xi.data.blocks)
-    if max(float(s[0]) for _, s, _ in svd) <= tol.eq_abs:
+    svd = _classes(np.linalg.svd, xi.data.blocks)
+    if max(float(s.max()) for _, (_, s, _) in svd) <= tol.eq_abs:
         raise NclpError("the zero element has no Hölder witness")
     e = b / a.real
-    blocks = []
-    for _, s, vh in svd:
-        w = np.zeros(s.shape, dtype=complex)
-        mask = s > 0.0
-        w[mask] = np.exp(e * np.log(s[mask]))
-        blocks.append((vh.conj().T * w) @ vh)
-    return GradedElement(Element(xi.algebra, tuple(blocks)), b)
+    y = _assemble(xi.algebra, [(idx, _udv(_h(vh), _spectral_power(s, e), vh))
+                               for idx, (_, s, vh) in svd])
+    return GradedElement(y, b)
 
 
 def holder_witness_imaginary(xi: GradedElement, b, c,
@@ -99,7 +102,9 @@ def holder_witness_imaginary(xi: GradedElement, b, c,
 
     Here c must lie in [0, ||xi||); y is u* @ p where xi = z @ u is the
     left polar decomposition and p the spectral projection of z on [c, inf).
-    Sweeping c toward ||xi|| makes the ratio approach the norm.
+    Sweeping c toward ||xi|| makes the ratio approach the norm.  Both come
+    from one SVD xi = U S V*: u* p = V diag(m) U*, with m marking the
+    singular values that are above the support cutoff and at least c.
     """
     a = xi.grading
     b = complex(b)
@@ -108,12 +113,13 @@ def holder_witness_imaginary(xi: GradedElement, b, c,
         raise GradingError("spectral-threshold witness needs Re a = 0")
     if b.real < -tol.eq_abs:
         raise GradingError(f"witness grading must have Re >= 0, got {b}")
-    nrm = operator_norm(xi.data)
+    svd = _svd_support(xi.data, tol)
+    nrm = max(float(s.max()) for _, (_, s, _, _) in svd)
     if not 0.0 <= c < nrm:
         raise NclpError(f"threshold {c} must lie in [0, {nrm})")
-    pol = polar_left(xi.data, tol)
-    p = spectral_projection(pol.positive, c, tol)
-    return GradedElement(pol.isometry.adjoint() @ p, b)
+    y = _assemble(xi.algebra, [(idx, _udv(_h(vh), keep & (s >= c), _h(u)))
+                               for idx, (u, s, vh, keep) in svd])
+    return GradedElement(y, b)
 
 
 def comultiply(zeta: GradedElement, split,
@@ -144,18 +150,12 @@ def comultiply(zeta: GradedElement, split,
     # are scalar identities in the singular values
     e1 = complex(a.real, -b.imag) / re_sum
     e2 = b / re_sum
-    first_blocks, second_blocks = [], []
-    for u, s, vh in _svd(zeta.data.blocks):
-        w1 = np.zeros(s.shape, dtype=complex)
-        w2 = np.zeros(s.shape, dtype=complex)
-        mask = s > 0.0
-        logs = np.log(s[mask])
-        w1[mask] = np.exp(e1 * logs)
-        w2[mask] = np.exp(e2 * logs)
-        first_blocks.append((u * w1) @ vh)
-        second_blocks.append((vh.conj().T * w2) @ vh)
-    return (GradedElement(Element(zeta.algebra, tuple(first_blocks)), a),
-            GradedElement(Element(zeta.algebra, tuple(second_blocks)), b))
+    svd = _classes(np.linalg.svd, zeta.data.blocks)
+    first = _assemble(zeta.algebra, [(idx, _udv(u, _spectral_power(s, e1), vh))
+                                     for idx, (u, s, vh) in svd])
+    second = _assemble(zeta.algebra, [(idx, _udv(_h(vh), _spectral_power(s, e2), vh))
+                                      for idx, (_, s, vh) in svd])
+    return GradedElement(first, a), GradedElement(second, b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,8 +306,8 @@ def hom_to_element(T: ModuleHom, tol: Tolerances = DEFAULT_TOL) -> GradedElement
     return GradedElement(xi, complex(max(a.real, 0.0), a.imag))
 
 
-def hom_norm_certificate(T: ModuleHom, tol: Tolerances = DEFAULT_TOL,
-                         ladder_steps: int = 7) -> tuple[float, float]:
+def hom_norm_certificate(T: ModuleHom,
+                         tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
     """(reported, certified) pair for the operator norm of a module map.
 
     reported is the graded norm of the recovered multiplier; certified is
@@ -325,7 +325,7 @@ def hom_norm_certificate(T: ModuleHom, tol: Tolerances = DEFAULT_TOL,
         certified = lnorm(out, tol) / lnorm(y, tol)
     else:
         certified = 0.0
-        for k in range(1, ladder_steps + 1):
+        for k in range(1, HOM_LADDER_STEPS + 1):
             c = reported * (1.0 - 10.0 ** (-k))
             y = holder_witness_imaginary(xi, T.grading_in, c, tol)
             out = GradedElement(T.apply(y.data), T.grading_out)

@@ -167,70 +167,90 @@ def make_element(algebra: BlockAlgebra, blocks) -> Element:
     return Element(algebra, tuple(blocks))
 
 
-def mul(x: Element, y: Element) -> Element:
-    return x @ y
-
-
-def add(x: Element, y: Element) -> Element:
-    return x + y
-
-
-def scale(c, x: Element) -> Element:
-    return x * c
-
-
-def adjoint(x: Element) -> Element:
-    return x.adjoint()
-
-
 def trace(x: Element) -> complex:
     """Unnormalized blockwise matrix trace, the reference trace everywhere."""
     return complex(sum(np.trace(b) for b in x.blocks))
 
 
-# -- batched factorizations ------------------------------------------------
+# -- factorizations stacked by size class ----------------------------------
+#
+# Every spectral quantity is one formula per block, U diag(f(s)) V* or
+# U diag(f(w)) U*.  Factorizations are therefore kept as a list of
+# (idx, stacked factors), one entry per class of equal-size blocks idx,
+# from numpy's batched LAPACK through to _assemble, which scatters the
+# rebuilt (k, n, n) stacks back into an Element.  numpy.linalg is looked
+# up at call time throughout, so it can be wrapped to count factorizations.
 
 
-def _size_classes(blocks) -> list[list[int]]:
-    """Block indices grouped by block shape, in order of first appearance."""
+def _classes(routine, blocks) -> list:
+    """[(idx, routine(stack))] for each class idx of equal-size blocks.
+
+    The classes come in order of first appearance, and stack holds the
+    blocks idx as one (k, n, n) array, so numpy's batched LAPACK factorizes
+    a whole class in one call; its results equal the per-block calls bit
+    for bit.
+    """
     classes = {}
     for k, b in enumerate(blocks):
         classes.setdefault(b.shape, []).append(k)
-    return list(classes.values())
+    return [(idx, routine(np.stack([blocks[k] for k in idx])))
+            for idx in classes.values()]
 
 
-def _batched(routine, blocks) -> list:
-    """routine applied to every block, one call per class of equal-size blocks.
+def _assemble(algebra: BlockAlgebra, classes) -> Element:
+    """The Element whose blocks idx are the matrices of stack, for each (idx, stack)."""
+    blocks = [None] * len(algebra.block_dims)
+    for idx, stack in classes:
+        for k, b in zip(idx, stack):
+            blocks[k] = b
+    return Element(algebra, tuple(blocks))
 
-    The blocks of each size are stacked into one (k, n, n) array, so numpy's
-    batched LAPACK factorizes a whole class in one call; the results come
-    back per block, in block order, and equal the per-block results bit for
-    bit.  A routine that returns a tuple (svd, eigh) gives a tuple per block.
-    """
-    out = [None] * len(blocks)
-    for idx in _size_classes(blocks):
-        res = routine(np.stack([blocks[k] for k in idx]))
-        for k, r in zip(idx, zip(*res) if isinstance(res, tuple) else res):
-            out[k] = r
+
+def _h(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _udv(u: np.ndarray, d: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """u @ diag(d) @ vh for every matrix in the stacks; d has shape (k, n)."""
+    return (u * d[:, None, :]) @ vh
+
+
+def _spectral_power(s: np.ndarray, a) -> np.ndarray:
+    """s^a = exp(a log s) entrywise for s >= 0, with 0^a := 0."""
+    out = np.zeros(s.shape, dtype=complex)
+    mask = s > 0.0
+    out[mask] = np.exp(a * np.log(s[mask]))
     return out
 
 
-def _svd(blocks) -> list:
-    """Per-block (u, s, vh), from one batched SVD per size class."""
-    return _batched(np.linalg.svd, blocks)
-
-
 def _svdvals(blocks) -> list:
-    """Per-block singular values, descending, from one values-only SVD per class."""
-    return _batched(lambda a: np.linalg.svd(a, compute_uv=False), blocks)
+    """[(idx, s)], s the descending singular values of each class, values only."""
+    return _classes(lambda a: np.linalg.svd(a, compute_uv=False), blocks)
+
+
+def _svd_support(x: Element, tol: Tolerances) -> list:
+    """[(idx, (u, s, vh, keep))] per size class, keep masking the support.
+
+    keep marks the singular values above the cutoff rank_rel * smax * n,
+    with smax the largest singular value over all blocks and n the size of
+    the class.
+    """
+    svds = _classes(np.linalg.svd, x.blocks)
+    smax = max(float(s.max()) for _, (_, s, _) in svds)
+    return [(idx, (u, s, vh, s > tol.rank_rel * smax * s.shape[-1]))
+            for idx, (u, s, vh) in svds]
 
 
 def _operator_norms(*xs: Element) -> list[float]:
     """operator_norm of each element, from one values-only SVD per size class."""
-    svals = _svdvals([b for x in xs for b in x.blocks])
+    blocks = [b for x in xs for b in x.blocks]
+    top = np.empty(len(blocks))
+    for idx, s in _svdvals(blocks):
+        top[idx] = s[:, 0]
     out, pos = [], 0
     for x in xs:
-        out.append(max(float(s[0]) for s in svals[pos:pos + len(x.blocks)]))
+        out.append(float(top[pos:pos + len(x.blocks)].max()))
         pos += len(x.blocks)
     return out
 
@@ -272,18 +292,17 @@ def unflatten_element(algebra: BlockAlgebra, vec: np.ndarray) -> Element:
 def _eig_classes(h: Element, tol: Tolerances):
     """Stacked eigensystems of a positive element, one per size class.
 
-    Returns (classes, lmax) with classes a list of (idx, w, U): the blocks
-    idx of one size, their eigenvalues w (k, n) clamped to 0 below the
-    support cutoff, and eigenvectors U (k, n, n).  The blocks that are not
-    exactly real diagonal share one batched eigh per class.  Raises
+    Returns (classes, lmax) with classes a list of (idx, (w, U)): the
+    blocks idx of one size, their eigenvalues w (k, n) clamped to 0 below
+    the support cutoff, and eigenvectors U (k, n, n).  The blocks that are
+    not exactly real diagonal share one batched eigh per class.  Raises
     NotPositiveError, naming the first offending block, if h is not
     Hermitian PSD within tolerance.
     """
-    stacks = [(idx, np.stack([h.blocks[k] for k in idx]))
-              for idx in _size_classes(h.blocks)]
+    stacks = _classes(np.asarray, h.blocks)
     bad = []
     for idx, a in stacks:
-        asym = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        asym = np.abs(a - _h(a)).max(axis=(-2, -1))
         bound = tol.eq_abs + tol.eq_rel * np.abs(a).max(axis=(-2, -1))
         bad += [(idx[j], asym[j]) for j in np.flatnonzero(asym > bound)]
     if bad:
@@ -300,7 +319,7 @@ def _eig_classes(h: Element, tol: Tolerances):
                    | np.any(a.imag, axis=(-2, -1)))
         if general.any():
             g = a[general]
-            w[general], u[general] = np.linalg.eigh((g + g.conj().swapaxes(-1, -2)) / 2.0)
+            w[general], u[general] = np.linalg.eigh((g + _h(g)) / 2.0)
         raw.append((idx, w, u))
     lmax = max(float(np.abs(w).max()) for _, w, _ in raw)
     floor = -tol.eq_bound(lmax)
@@ -309,24 +328,9 @@ def _eig_classes(h: Element, tol: Tolerances):
     if neg:
         k, low = min(neg)
         raise NotPositiveError(f"block {k} has negative eigenvalue {low:.3e}")
-    classes = [(idx, np.where(w > tol.rank_rel * lmax * w.shape[-1], w, 0.0), u)
+    classes = [(idx, (np.where(w > tol.rank_rel * lmax * w.shape[-1], w, 0.0), u))
                for idx, w, u in raw]
     return classes, lmax
-
-
-def _pos_eig(h: Element, tol: Tolerances):
-    """Eigensystems of a positive element, with support clamping.
-
-    Returns (pairs, lmax) where pairs[k] = (w, U) for block k, eigenvalues
-    already clamped to 0 below the support cutoff.  Raises NotPositiveError
-    if h is not Hermitian PSD within tolerance.
-    """
-    classes, lmax = _eig_classes(h, tol)
-    pairs = [None] * len(h.blocks)
-    for idx, w, u in classes:
-        for k, wk, uk in zip(idx, w, u):
-            pairs[k] = (wk, uk)
-    return pairs, lmax
 
 
 def func_calc(h: Element, f, tol: Tolerances = DEFAULT_TOL) -> Element:
@@ -335,32 +339,20 @@ def func_calc(h: Element, f, tol: Tolerances = DEFAULT_TOL) -> Element:
     Eigenvalues below the support cutoff are passed to ``f`` as exactly 0,
     so the support convention is decided by ``f(0)``.
     """
-    pairs, _ = _pos_eig(h, tol)
-    blocks = []
-    for w, u in pairs:
-        fw = np.array([f(float(lam)) for lam in w], dtype=complex)
-        blocks.append((u * fw) @ u.conj().T)
-    return Element(h.algebra, tuple(blocks))
+    classes, _ = _eig_classes(h, tol)
+    out = []
+    for idx, (w, u) in classes:
+        fw = np.array([f(float(lam)) for lam in w.ravel()], dtype=complex)
+        out.append((idx, _udv(u, fw.reshape(w.shape), _h(u))))
+    return _assemble(h.algebra, out)
 
 
 def _powers(h: Element, exponents, tol: Tolerances) -> list[Element]:
     """power_pos(h, a, tol) for every a in exponents, from one eigensystem."""
     classes, _ = _eig_classes(h, tol)
-    spectra = []
-    for idx, w, u in classes:
-        mask = w > 0.0
-        spectra.append((idx, mask, np.log(w[mask]), u, u.conj().swapaxes(-1, -2)))
-    out = []
-    for a in exponents:
-        a = complex(a)
-        blocks = [None] * len(h.blocks)
-        for idx, mask, log_w, u, uh in spectra:
-            pw = np.zeros(mask.shape, dtype=complex)
-            pw[mask] = np.exp(a * log_w)
-            for k, b in zip(idx, (u * pw[:, None, :]) @ uh):
-                blocks[k] = b
-        out.append(Element(h.algebra, tuple(blocks)))
-    return out
+    return [_assemble(h.algebra, [(idx, _udv(u, _spectral_power(w, complex(a)), _h(u)))
+                                  for idx, (w, u) in classes])
+            for a in exponents]
 
 
 def power_pos(h: Element, a, tol: Tolerances = DEFAULT_TOL) -> Element:
@@ -381,11 +373,7 @@ def spectral_projection(h: Element, c: float, tol: Tolerances = DEFAULT_TOL) -> 
     c = float(c)
     if c < 0.0:
         raise ValueError(f"threshold must be nonnegative, got {c}")
-    pairs, _ = _pos_eig(h, tol)
-    blocks = []
-    for w, u in pairs:
-        # the kernel never counts, so c = 0 gives the support projection
-        mask = (w >= c) & (w > 0.0)
-        usel = u[:, mask]
-        blocks.append(usel @ usel.conj().T)
-    return Element(h.algebra, tuple(blocks))
+    classes, _ = _eig_classes(h, tol)
+    # the kernel never counts, so c = 0 gives the support projection
+    return _assemble(h.algebra, [(idx, _udv(u, (w >= c) & (w > 0.0), _h(u)))
+                                 for idx, (w, u) in classes])

@@ -744,11 +744,15 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
         rng = spawn_rng(cfg.seed, name)
         passed = failed = 0
         worst = 0.0
-        for _ in range(cfg.trials):
+        crash = None
+        for trial in range(cfg.trials):
             try:
                 ok, resid = prop(rng, cfg)
-            except Exception:  # a crash counts as a failed trial
+            except Exception as exc:  # a crash counts as a failed trial
                 ok, resid = False, float("inf")
+                if crash is None:
+                    crash = {"trial": trial, "type": type(exc).__name__,
+                             "message": str(exc)}
             if ok:
                 passed += 1
             else:
@@ -759,6 +763,8 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
             "failed": failed,
             "worst_residual": worst,
         }
+        if crash is not None:
+            report.properties[name]["first_crash"] = crash
         if failed:
             report.all_passed = False
     report.duration_seconds = time.monotonic() - start

@@ -1,4 +1,4 @@
-"""Seeded random generators for elements, weights, and gradings.
+"""Seeded random generators for elements, weights, and graded elements.
 
 All randomness flows through numpy's PCG64 bit generator, so a seed pins
 the entire stream across platforms.  Conventions: generic elements are
@@ -55,10 +55,10 @@ def random_projection(rng: np.random.Generator, algebra: BlockAlgebra,
 
 
 def random_weight(rng: np.random.Generator, algebra: BlockAlgebra,
-                  faithful: bool = True, floor: float = FAITHFUL_FLOOR) -> Weight:
+                  faithful: bool = True) -> Weight:
     h = random_positive(rng, algebra)
     if faithful:
-        h = h + floor * algebra.identity()
+        h = h + FAITHFUL_FLOOR * algebra.identity()
     else:
         p = random_projection(rng, algebra)
         h = p @ h @ p
@@ -68,12 +68,6 @@ def random_weight(rng: np.random.Generator, algebra: BlockAlgebra,
 def random_graded(rng: np.random.Generator, algebra: BlockAlgebra,
                   grading) -> GradedElement:
     return GradedElement(random_element(rng, algebra), complex(grading))
-
-
-def random_grading(rng: np.random.Generator, re_choices=(0.0, 1 / 3, 0.5, 1.0, 1.5),
-                   im_span: float = 2.0) -> complex:
-    re = float(rng.choice(np.asarray(re_choices, dtype=float)))
-    return complex(re, float(rng.uniform(-im_span, im_span)))
 
 
 def random_shape(rng: np.random.Generator, shapes) -> BlockAlgebra:

@@ -30,8 +30,8 @@ from .matcore import (
     Tolerances,
     ToleranceReport,
     flatten_element,
+    _eig_classes,
     _operator_norms,
-    _pos_eig,
     _powers,
     power_pos,
     spectral_projection,
@@ -54,8 +54,9 @@ class Weight:
 
     def __post_init__(self):
         # the eigensystem that checks positivity also decides faithfulness
-        pairs, _ = _pos_eig(self.density, self.tol)  # raises NotPositiveError
-        object.__setattr__(self, "faithful", all(np.all(w > 0.0) for w, _ in pairs))
+        classes, _ = _eig_classes(self.density, self.tol)  # raises NotPositiveError
+        object.__setattr__(self, "faithful",
+                           all(np.all(w > 0.0) for _, (w, _) in classes))
 
     @property
     def algebra(self) -> BlockAlgebra:
@@ -249,6 +250,10 @@ def _transpose_permutation(indices: list[np.ndarray]) -> np.ndarray:
     return np.concatenate([idx.T.reshape(-1) for idx in indices])
 
 
+# seeded random rank-one positives on which validate() checks positivity
+POSITIVITY_SAMPLES = 8
+
+
 @dataclass(frozen=True, eq=False)
 class OperatorValuedWeight:
     """A positive bimodule map T: N -> M over an embedding f: M -> N.
@@ -312,8 +317,7 @@ class OperatorValuedWeight:
                 slot += 1
         return cls(embedding, mat)
 
-    def validate(self, tol: Tolerances = DEFAULT_TOL,
-                 positivity_samples: int = 8) -> ToleranceReport:
+    def validate(self, tol: Tolerances = DEFAULT_TOL) -> ToleranceReport:
         """Check the adjoint law, positivity and the bimodule law, in that order.
 
         Raises ValidationError at the first law that fails.  The laws are
@@ -344,7 +348,7 @@ class OperatorValuedWeight:
 
         rng = np.random.Generator(np.random.PCG64(0))
         positives = [self.source.identity()]
-        for _ in range(positivity_samples):
+        for _ in range(POSITIVITY_SAMPLES):
             blocks = []
             for n in self.source.block_dims:
                 v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -352,7 +356,7 @@ class OperatorValuedWeight:
             positives.append(Element(self.source, tuple(blocks)))
         for q in positives:
             try:
-                _pos_eig(self.apply(q), Tolerances(
+                _eig_classes(self.apply(q), Tolerances(
                     rank_rel=tol.rank_rel, eq_abs=bound, eq_rel=tol.eq_rel))
             except NotPositiveError as exc:
                 raise ValidationError(f"positivity violated: {exc}") from exc

@@ -24,6 +24,7 @@ from nclp import (
     polar_left,
     polar_right,
     power_pos,
+    pseudo_inverse,
     rank1_reduce,
     right_support,
     trace_weight,
@@ -330,3 +331,36 @@ def test_graded_divide_rejects_real_part_mismatch():
     zero = graded_divide(x, GradedElement(M2.zero(), 1.0))
     assert operator_norm(zero.data) == 0.0
     assert zero.grading.real >= 0.0
+
+
+MIXED = BlockAlgebra((1, 2, 3, 2, 3, 1))
+
+
+def _reference_svd_support(x, tol=DEFAULT_TOL):
+    """Per-block (u, s, vh, m), one SVD per block, m the kept singular values."""
+    svds = [np.linalg.svd(b) for b in x.blocks]
+    smax = max(float(s.max()) for _, s, _ in svds)
+    return [(u, s, vh, s > tol.rank_rel * smax * s.size) for u, s, vh in svds]
+
+
+def test_stacked_rebuilds_match_per_block_column_selection():
+    rng = make_rng(60)
+    for _ in range(4):
+        x = random_element(rng, MIXED) @ random_projection(rng, MIXED)
+        svd = _reference_svd_support(x)
+
+        def ref(build):
+            return make_element(MIXED, [build(u[:, m], s[m], vh[m]) for u, s, vh, m in svd])
+
+        pol_r, pol_l = polar_right(x), polar_left(x)
+        pairs = [
+            (right_support(x), ref(lambda u, s, vh: vh.conj().T @ vh)),
+            (left_support(x), ref(lambda u, s, vh: u @ u.conj().T)),
+            (pseudo_inverse(x), ref(lambda u, s, vh: (vh.conj().T / s) @ u.conj().T)),
+            (pol_r.isometry, ref(lambda u, s, vh: u @ vh)),
+            (pol_r.positive, ref(lambda u, s, vh: (vh.conj().T * s) @ vh)),
+            (pol_l.isometry, ref(lambda u, s, vh: u @ vh)),
+            (pol_l.positive, ref(lambda u, s, vh: (u * s) @ u.conj().T)),
+        ]
+        for got, want in pairs:
+            assert distance(got, want) <= DEFAULT_TOL.eq_bound(operator_norm(want))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nclp import (
+    DEFAULT_TOL,
     BlockAlgebra,
     GradedElement,
     GradingError,
@@ -27,7 +28,13 @@ from nclp import (
     tensor_multiply,
     turpin_upper,
 )
-from nclp.sampling import make_rng, random_element, random_graded, random_positive
+from nclp.sampling import (
+    make_rng,
+    random_element,
+    random_graded,
+    random_positive,
+    random_projection,
+)
 
 M2 = BlockAlgebra((2,))
 M3 = BlockAlgebra((3,))
@@ -406,3 +413,50 @@ def test_lnorm_is_scale_free_across_the_float_range():
             assert np.isfinite(got) and got > 0.0
             assert got == pytest.approx(abs(c) * base, rel=1e-12, abs=0.0)
     assert lnorm(GradedElement(x * 0.0, a)) == 0.0
+
+
+MIXED = BlockAlgebra((1, 2, 3, 2, 3, 1))
+
+
+def test_holder_witness_imaginary_factorizes_once(monkeypatch):
+    xi = random_graded(make_rng(61), BlockAlgebra((2,) * 64), 0.7j)
+    c = 0.5 * operator_norm(xi.data)
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh", "norm"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append((_name, kwargs.get("compute_uv", True)))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    holder_witness_imaginary(xi, 0.5, c)
+    assert calls == [("svd", True)]
+
+
+def test_stacked_witnesses_match_per_block_column_selection():
+    rng = make_rng(62)
+    for _ in range(4):
+        x = random_element(rng, MIXED) @ random_projection(rng, MIXED)
+        svds = [np.linalg.svd(blk) for blk in x.blocks]
+        smax = max(float(s.max()) for _, s, _ in svds)
+
+        def ref(build, m_of):
+            return make_element(MIXED, [build(u[:, m], s[m], vh[m])
+                                        for u, s, vh in svds for m in [m_of(s)]])
+
+        a, b = 0.6 - 0.4j, 0.3 + 0.9j
+        e1, e2 = complex(a.real, -b.imag) / (a + b).real, b / (a + b).real
+        first, second = comultiply(GradedElement(x, a + b), (a, b))
+        pairs = [
+            (holder_witness(GradedElement(x, a), b).data,
+             ref(lambda u, s, vh: (vh.conj().T * s ** (b / a.real)) @ vh, lambda s: s > 0.0)),
+            (first.data, ref(lambda u, s, vh: (u * s ** e1) @ vh, lambda s: s > 0.0)),
+            (second.data, ref(lambda u, s, vh: (vh.conj().T * s ** e2) @ vh, lambda s: s > 0.0)),
+        ]
+        for c in (0.0, 0.4 * smax):
+            pairs.append((holder_witness_imaginary(GradedElement(x, 0.2j), b, c).data,
+                          ref(lambda u, s, vh: vh.conj().T @ u.conj().T,
+                              lambda s: (s > DEFAULT_TOL.rank_rel * smax * s.size) & (s >= c))))
+        for got, want in pairs:
+            assert distance(got, want) <= DEFAULT_TOL.eq_bound(operator_norm(want))

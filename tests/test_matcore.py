@@ -10,21 +10,19 @@ from nclp import (
     NotPositiveError,
     ShapeError,
     Tolerances,
-    adjoint,
     allclose,
     distance,
     flatten_element,
     func_calc,
     make_element,
-    mul,
     operator_norm,
     power_pos,
     spectral_projection,
     trace,
     unflatten_element,
 )
-from nclp.matcore import _batched, _operator_norms, _pos_eig, _powers, _svd, _svdvals
-from nclp.sampling import make_rng, random_element, random_positive
+from nclp.matcore import _assemble, _classes, _eig_classes, _operator_norms, _powers, _svdvals
+from nclp.sampling import make_rng, random_element, random_positive, random_projection
 
 M2 = BlockAlgebra((2,))
 DIAG2 = BlockAlgebra((1, 1))
@@ -66,8 +64,8 @@ def test_arithmetic_rejects_incompatible_algebras():
 def test_unit_law_and_involution():
     rng = make_rng(0)
     x = random_element(rng, M2)
-    assert distance(mul(M2.identity(), x), x) == 0.0
-    assert distance(adjoint(adjoint(x)), x) == 0.0
+    assert distance(M2.identity() @ x, x) == 0.0
+    assert distance(x.adjoint().adjoint(), x) == 0.0
 
 
 def test_matrix_units_multiply():
@@ -214,31 +212,49 @@ def test_allclose_scales():
 MIXED = BlockAlgebra((1, 2, 3, 2, 3, 1))
 
 
-def test_batched_factorizations_equal_per_block_calls_bit_for_bit():
+def _per_block(classes):
+    """{block index: its slice of every stacked factor}, from [(idx, factors)]."""
+    out = {}
+    for idx, factors in classes:
+        parts = factors if isinstance(factors, tuple) else (factors,)
+        for j, k in enumerate(idx):
+            out[k] = tuple(p[j] for p in parts)
+    return out
+
+
+def test_stacked_factorizations_equal_per_block_calls_bit_for_bit():
     rng = make_rng(30)
     x = random_element(rng, MIXED)
     h = random_positive(rng, MIXED)
-    for (u, s, vh), b in zip(_svd(x.blocks), x.blocks):
-        ref = np.linalg.svd(b)
+    svd = _per_block(_classes(np.linalg.svd, x.blocks))
+    assert [idx for idx, _ in _classes(np.linalg.svd, x.blocks)] == [[0, 5], [1, 3], [2, 4]]
+    for k, b in enumerate(x.blocks):
+        (u, s, vh), ref = svd[k], np.linalg.svd(b)
         assert np.array_equal(u, ref[0]) and np.array_equal(s, ref[1])
         assert np.array_equal(vh, ref[2])
-    for s, b in zip(_svdvals(x.blocks), x.blocks):
-        assert np.array_equal(s, np.linalg.svd(b, compute_uv=False))
-    for (w, v), b in zip(_batched(np.linalg.eigh, h.blocks), h.blocks):
-        ref = np.linalg.eigh(b)
+    svals = _per_block(_svdvals(x.blocks))
+    for k, b in enumerate(x.blocks):
+        assert np.array_equal(svals[k][0], np.linalg.svd(b, compute_uv=False))
+    eig = _per_block(_classes(np.linalg.eigh, h.blocks))
+    for k, b in enumerate(h.blocks):
+        (w, v), ref = eig[k], np.linalg.eigh(b)
         assert np.array_equal(w, ref[0]) and np.array_equal(v, ref[1])
+    back = _assemble(MIXED, _classes(np.asarray, x.blocks))
+    assert all(np.array_equal(g, b) for g, b in zip(back.blocks, x.blocks))
     assert operator_norm(x) == max(float(np.linalg.norm(b, 2)) for b in x.blocks)
     assert _operator_norms(x, h) == [operator_norm(x), operator_norm(h)]
 
 
-def test_pos_eig_matches_per_block_eigh_and_keeps_diagonal_path():
+def test_eig_classes_match_per_block_eigh_and_keep_diagonal_path():
     rng = make_rng(31)
     h = random_positive(rng, MIXED)
     blocks = list(h.blocks)
     blocks[3] = np.diag([2.0, 0.5]).astype(complex)   # exactly diagonal, size 2
     h = make_element(MIXED, blocks)
-    pairs, lmax = _pos_eig(h, DEFAULT_TOL)
-    for k, ((w, u), b) in enumerate(zip(pairs, h.blocks)):
+    classes, lmax = _eig_classes(h, DEFAULT_TOL)
+    pairs = _per_block(classes)
+    for k, b in enumerate(h.blocks):
+        w, u = pairs[k]
         if k in (0, 3, 5):   # 1x1 blocks are real diagonal too
             ref_w, ref_u = np.diagonal(b).real, np.eye(b.shape[0])
         else:
@@ -279,3 +295,39 @@ def test_powers_equal_power_pos_bit_for_bit():
     exponents = (0.5, 1j, -1j, 1.5 - 0.2j)
     for got, a in zip(_powers(h, exponents, DEFAULT_TOL), exponents):
         assert all(np.array_equal(g, r) for g, r in zip(got.blocks, power_pos(h, a).blocks))
+
+
+def _reference_eig(h, tol=DEFAULT_TOL):
+    """Per-block eigensystems with the support clamp, one eigh per block."""
+    pairs = [np.linalg.eigh((b + b.conj().T) / 2.0) for b in h.blocks]
+    lmax = max(float(np.abs(w).max()) for w, _ in pairs)
+    return [(np.where(w > tol.rank_rel * lmax * w.size, w, 0.0), u) for w, u in pairs]
+
+
+def test_stacked_functional_calculus_matches_per_block_references():
+    rng = make_rng(33)
+    for _ in range(4):
+        p = random_projection(rng, MIXED)
+        h = p @ random_positive(rng, MIXED) @ p       # kernels of every rank
+        c = 0.3 * operator_norm(h)
+        pairs = _reference_eig(h)
+        refs = []
+        for t in (0.0, c):
+            blocks = []
+            for w, u in pairs:
+                sel = u[:, (w >= t) & (w > 0.0)]
+                blocks.append(sel @ sel.conj().T)
+            refs.append((spectral_projection(h, t), make_element(MIXED, blocks)))
+        for f in (np.sqrt, lambda t: 1.0 / (1.0 + t)):
+            blocks = [(u * np.array([f(lam) for lam in w])) @ u.conj().T for w, u in pairs]
+            refs.append((func_calc(h, f), make_element(MIXED, blocks)))
+        for got, ref in refs:
+            assert distance(got, ref) <= DEFAULT_TOL.eq_bound(operator_norm(ref))
+
+
+def test_func_calc_calls_f_once_per_eigenvalue():
+    seen = []
+    h = random_positive(make_rng(34), MIXED)
+    func_calc(h, lambda t: seen.append(t) or t)
+    assert len(seen) == sum(MIXED.block_dims)
+    assert all(type(t) is float for t in seen)

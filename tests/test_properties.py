@@ -2,6 +2,7 @@
 
 import pytest
 
+from nclp import properties
 from nclp.properties import PROPERTIES, SuiteConfig, run_suite
 from nclp.sampling import spawn_rng
 
@@ -48,3 +49,26 @@ def test_config_obj_roundtrip():
     cfg = SuiteConfig(seed=9, trials=3)
     again = SuiteConfig.from_obj(cfg.to_obj())
     assert again == cfg
+
+
+def test_a_crashed_trial_is_reported_with_its_reason(monkeypatch):
+    calls = []
+
+    def flaky(rng, cfg):
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("injected at trial 2")
+        return True, 0.0
+
+    def steady(rng, cfg):
+        return True, 0.0
+
+    monkeypatch.setattr(properties, "PROPERTIES", {"a.flaky": flaky, "b.steady": steady})
+    report = run_suite(SuiteConfig(seed=1, trials=4)).to_obj()
+    assert report["properties"] == {
+        "a.flaky": {"passed": 3, "failed": 1, "worst_residual": float("inf"),
+                    "first_crash": {"trial": 2, "type": "RuntimeError",
+                                    "message": "injected at trial 2"}},
+        "b.steady": {"passed": 4, "failed": 0, "worst_residual": 0.0},
+    }
+    assert not report["all_passed"]

@@ -29,7 +29,7 @@ from nclp import (
     trace,
     trace_weight,
 )
-from nclp.matcore import _pos_eig, flatten_element as flatten
+from nclp.matcore import _eig_classes, flatten_element as flatten
 from nclp.sampling import make_rng, random_element, random_weight
 
 M2 = BlockAlgebra((2,))
@@ -274,7 +274,7 @@ def _reference_validate(T, tol=DEFAULT_TOL, positivity_samples=8,
         positives.append(Element(T.source, tuple(blocks)))
     for q in positives:
         try:
-            _pos_eig(T.apply(q), Tolerances(
+            _eig_classes(T.apply(q), Tolerances(
                 rank_rel=tol.rank_rel, eq_abs=bound, eq_rel=tol.eq_rel))
         except NotPositiveError:
             return False
