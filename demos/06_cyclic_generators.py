@@ -1,9 +1,10 @@
 """One element generates any finitely generated submodule.
 
 Given generators u_1..u_m of a common grading, the square root of the
-summed Grams yields a single element y with every u_i a left multiple of
-it, and a partial isometry in an amplified algebra certifies that y lies
-inside the submodule the u_i generate.  Collapsing a formal sum of tensor
+summed Grams yields a single element y with every u_i a left multiple
+u_i = q_i y of it.  The adjoints q_i* certify that y lies inside the
+submodule the u_i generate: y = sum_i q_i* u_i, and the row
+[q_1* ... q_m*] is a partial isometry.  Collapsing a formal sum of tensor
 pairs to a single pair is the same construction applied to the right
 factors.
 """

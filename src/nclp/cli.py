@@ -22,8 +22,13 @@ from .oracle import oracle_commutative
 from .properties import SuiteConfig, run_suite
 
 
-def _emit(obj: dict) -> None:
-    sys.stdout.write(serialize.dumps(obj))
+def _emit(obj: dict, code: int = 0) -> int:
+    try:
+        text = serialize.dumps(obj)
+    except ValueError as exc:  # a NaN or inf result, from overflow
+        return _fail("numerical", exc, 1)
+    sys.stdout.write(text)
+    return code
 
 
 def _fail(kind: str, exc: Exception, code: int) -> int:
@@ -31,8 +36,7 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
     residual = getattr(exc, "residual", None)
     if residual is not None:
         err["error"]["residual"] = float(residual)
-    _emit(err)
-    return code
+    return _emit(err, code)
 
 
 def _load_json(path: str) -> dict:
@@ -53,8 +57,7 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         return _fail("config", exc, 2)
     report = run_suite(cfg)
-    _emit(report.to_obj())
-    return 0 if report.all_passed else 1
+    return _emit(report.to_obj(), 0 if report.all_passed else 1)
 
 
 def _demo_holder(obj: dict) -> dict:
@@ -180,8 +183,7 @@ def cmd_demo(args) -> int:
         return _fail("numerical", exc, 1)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         return _fail("parse", exc, 2)
-    _emit(out)
-    return 0
+    return _emit(out)
 
 
 def cmd_oracle(args) -> int:
@@ -200,8 +202,7 @@ def cmd_oracle(args) -> int:
         return _fail(type(exc).__name__, exc, 2)
     except ValueError as exc:
         return _fail("domain", exc, 1)
-    _emit({"value": value})
-    return 0
+    return _emit({"value": value})
 
 
 def main(argv=None) -> int:

@@ -24,10 +24,8 @@ from .errors import (
 from .graded import GradedElement
 from .matcore import (
     DEFAULT_TOL,
-    BlockAlgebra,
     Element,
     Tolerances,
-    _assemble,
     _h,
     _operator_norms,
     _svd_support,
@@ -40,22 +38,24 @@ from .weights import Weight
 
 def right_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     """Smallest projection p with x @ p = x (projection onto the row space)."""
-    return _assemble(x.algebra, [(idx, _udv(_h(vh), keep, vh))
-                                 for idx, (_, _, vh, keep) in _svd_support(x, tol)])
+    return Element._of(x.algebra, [_udv(_h(vh), keep, vh)
+                                   for _, _, vh, keep in _svd_support(x, tol)])
 
 
 def left_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     """Smallest projection p with p @ x = x; equals right_support(x*)."""
-    return _assemble(x.algebra, [(idx, _udv(u, keep, _h(u)))
-                                 for idx, (u, _, _, keep) in _svd_support(x, tol)])
+    return Element._of(x.algebra, [_udv(u, keep, _h(u))
+                                   for u, _, _, keep in _svd_support(x, tol)])
+
+
+def _inv(s: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """1/s on the kept singular values, 0 elsewhere."""
+    return np.divide(1.0, s, out=np.zeros_like(s), where=keep)
 
 
 def _pinv(x: Element, svd) -> Element:
-    out = []
-    for idx, (u, s, vh, keep) in svd:
-        inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-        out.append((idx, _udv(_h(vh), inv, _h(u))))
-    return _assemble(x.algebra, out)
+    return Element._of(x.algebra, [_udv(_h(vh), _inv(s, keep), _h(u))
+                                   for u, s, vh, keep in svd])
 
 
 def pseudo_inverse(x: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
@@ -78,8 +78,7 @@ class PolarDecomposition:
 
 
 def _isometry(x: Element, svd) -> Element:
-    return _assemble(x.algebra, [(idx, _udv(u, keep, vh))
-                                 for idx, (u, _, vh, keep) in svd])
+    return Element._of(x.algebra, [_udv(u, keep, vh) for u, _, vh, keep in svd])
 
 
 def polar_right(x: Element, tol: Tolerances = DEFAULT_TOL) -> PolarDecomposition:
@@ -89,16 +88,16 @@ def polar_right(x: Element, tol: Tolerances = DEFAULT_TOL) -> PolarDecomposition
     u*u is exactly the support of z and uu* the left support of x.
     """
     svd = _svd_support(x, tol)
-    pos = _assemble(x.algebra, [(idx, _udv(_h(vh), np.where(keep, s, 0.0), vh))
-                                for idx, (_, s, vh, keep) in svd])
+    pos = Element._of(x.algebra, [_udv(_h(vh), np.where(keep, s, 0.0), vh)
+                                  for _, s, vh, keep in svd])
     return PolarDecomposition(_isometry(x, svd), pos, "right")
 
 
 def polar_left(x: Element, tol: Tolerances = DEFAULT_TOL) -> PolarDecomposition:
     """x = z @ u with z = (xx*)^(1/2); u is the same partial isometry part."""
     svd = _svd_support(x, tol)
-    pos = _assemble(x.algebra, [(idx, _udv(u, np.where(keep, s, 0.0), _h(u)))
-                                for idx, (u, s, _, keep) in svd])
+    pos = Element._of(x.algebra, [_udv(u, np.where(keep, s, 0.0), _h(u))
+                                  for u, s, _, keep in svd])
     return PolarDecomposition(_isometry(x, svd), pos, "left")
 
 
@@ -171,20 +170,19 @@ def douglas_ladder(x: Element, y: Element, epsilons=None,
     svd = _svd_support(x, tol)
     _divide(x, y, svd, tol)
     if epsilons is None:
-        smax = max(float(s.max()) for _, (_, s, _, _) in svd)
+        smax = max(float(s.max()) for _, s, _, _ in svd)
         top = smax if smax > 0.0 else 1.0
         epsilons = [top * 2.0 ** (-k) for k in range(26)]
     eps = np.array([float(e) for e in epsilons])
     gaps = np.zeros(eps.size)
-    for idx, (_, s, vh, keep) in svd:                                # s: (k, n)
-        yv = np.stack([y.blocks[k] for k in idx]) @ _h(vh)           # (k, n, n)
-        inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-        d = np.where(s < eps[:, None, None], inv, 0.0)               # (rungs, k, n)
+    for (_, s, vh, keep), b in zip(svd, y.stacks):                   # s: (k, n)
+        yv = b @ _h(vh)                                              # (k, n, n)
+        d = np.where(s < eps[:, None, None], _inv(s, keep), 0.0)     # (rungs, k, n)
         live = np.flatnonzero(d.any(axis=(1, 2)))
         if live.size:
             scaled = (yv * d[live, :, None, :]).reshape(-1, *yv.shape[1:])
             svals = np.linalg.svd(scaled, compute_uv=False)
-            worst = svals[:, 0].reshape(live.size, len(idx)).max(axis=1)
+            worst = svals[:, 0].reshape(live.size, len(s)).max(axis=1)
             gaps[live] = np.maximum(gaps[live], worst)
     return [(float(e), float(g)) for e, g in zip(eps, gaps)]
 
@@ -227,42 +225,22 @@ def graded_divide(x: GradedElement, y: GradedElement,
     return GradedElement(p, b - a)
 
 
-# -- amplification helpers for the membership certificate ----------------
-
-
-def _amplified_algebra(algebra: BlockAlgebra, m: int) -> BlockAlgebra:
-    return BlockAlgebra(tuple(n * m for n in algebra.block_dims))
-
-
-def _place(algebra: BlockAlgebra, m: int, entries) -> Element:
-    """Element of the m-fold amplification with given (row, col) sub-blocks."""
-    big = _amplified_algebra(algebra, m)
-    blocks = []
-    for k, n in enumerate(algebra.block_dims):
-        out = np.zeros((n * m, n * m), dtype=complex)
-        for (i, j), el in entries:
-            out[i * n:(i + 1) * n, j * n:(j + 1) * n] = el.blocks[k]
-        blocks.append(out)
-    return Element(big, tuple(blocks))
-
-
-def _extract(big: Element, algebra: BlockAlgebra, m: int, i: int, j: int) -> Element:
-    blocks = [b[i * n:(i + 1) * n, j * n:(j + 1) * n]
-              for b, n in zip(big.blocks, algebra.block_dims)]
-    return Element(algebra, tuple(blocks))
-
-
 def cyclic_generator(generators, mu: Weight, tol: Tolerances = DEFAULT_TOL):
     """One element generating the same left submodule as a finite family.
 
     Given u_1..u_m of a common grading a and a faithful weight mu, returns
     (y, q, certificate) where
 
-    * y has grading a, with matrix h^(Im a) @ (sum u_i* u_i)^(1/2),
+    * y has grading a, with matrix h^(i Im a) @ G^(1/2), G = sum u_i* u_i,
     * q_i are plain algebra elements with u_i = q_i @ y,
-    * certificate_i reproduce y = sum_i certificate_i @ u_i; they are one
-      row of a partial isometry in the m-fold amplification, so membership
-      of y in the generated submodule is witnessed, not just division.
+    * certificate_i = q_i* reproduce y = sum_i certificate_i @ u_i, so
+      membership of y in the generated submodule is witnessed, not just
+      division.
+
+    The certificate is closed form: q_i = u_i y^+, so sum q_i* u_i =
+    (y^+)* G = (y^+)* y* y = y, as y*y = G.  Likewise sum q_i* q_i is
+    the left support of y, so the row [q_1* ... q_m*] is a partial
+    isometry.
     """
     gens = list(generators)
     if not gens:
@@ -289,13 +267,7 @@ def cyclic_generator(generators, mu: Weight, tol: Tolerances = DEFAULT_TOL):
 
     svd = _svd_support(y_mat, tol)
     quotients = [_divide(y_mat, g.data, svd, tol).quotient for g in gens]
-
-    m = len(gens)
-    big_y = _place(algebra, m, [((0, 0), y_mat)])
-    big_z = _place(algebra, m, [((i, 0), g.data) for i, g in enumerate(gens)])
-    big_p = isometry_divide(big_z, big_y, tol)
-    certificate = [_extract(big_p, algebra, m, 0, i) for i in range(m)]
-    return y, quotients, certificate
+    return y, quotients, [q.adjoint() for q in quotients]
 
 
 def rank1_reduce(pairs, mu: Weight, tol: Tolerances = DEFAULT_TOL):

@@ -23,12 +23,9 @@ from .matcore import (
     BlockAlgebra,
     Element,
     Tolerances,
-    _assemble,
-    _classes,
     _h,
     _spectral_power,
     _svd_support,
-    _svdvals,
     _udv,
     flatten_element,
     operator_norm,
@@ -57,7 +54,7 @@ def lnorm(xi: GradedElement, tol: Tolerances = DEFAULT_TOL) -> float:
     re = float(xi.grading.real)
     if re <= tol.eq_abs:
         return operator_norm(xi.data)
-    s = np.concatenate([s.ravel() for _, s in _svdvals(xi.data.blocks)])
+    s = np.concatenate([np.linalg.svd(a, compute_uv=False).ravel() for a in xi.data.stacks])
     smax = float(s.max())
     if smax == 0.0:
         return 0.0
@@ -87,12 +84,11 @@ def holder_witness(xi: GradedElement, b,
                            "use the spectral-threshold witness on imaginary gradings")
     if b.real < -tol.eq_abs:
         raise GradingError(f"witness grading must have Re >= 0, got {b}")
-    svd = _classes(np.linalg.svd, xi.data.blocks)
-    if max(float(s.max()) for _, (_, s, _) in svd) <= tol.eq_abs:
+    svd = [np.linalg.svd(x) for x in xi.data.stacks]
+    if max(float(s.max()) for _, s, _ in svd) <= tol.eq_abs:
         raise NclpError("the zero element has no Hölder witness")
     e = b / a.real
-    y = _assemble(xi.algebra, [(idx, _udv(_h(vh), _spectral_power(s, e), vh))
-                               for idx, (_, s, vh) in svd])
+    y = Element._of(xi.algebra, [_udv(_h(vh), _spectral_power(s, e), vh) for _, s, vh in svd])
     return GradedElement(y, b)
 
 
@@ -114,11 +110,11 @@ def holder_witness_imaginary(xi: GradedElement, b, c,
     if b.real < -tol.eq_abs:
         raise GradingError(f"witness grading must have Re >= 0, got {b}")
     svd = _svd_support(xi.data, tol)
-    nrm = max(float(s.max()) for _, (_, s, _, _) in svd)
+    nrm = max(float(s.max()) for _, s, _, _ in svd)
     if not 0.0 <= c < nrm:
         raise NclpError(f"threshold {c} must lie in [0, {nrm})")
-    y = _assemble(xi.algebra, [(idx, _udv(_h(vh), keep & (s >= c), _h(u)))
-                               for idx, (u, s, vh, keep) in svd])
+    y = Element._of(xi.algebra, [_udv(_h(vh), keep & (s >= c), _h(u))
+                                 for u, s, vh, keep in svd])
     return GradedElement(y, b)
 
 
@@ -150,11 +146,10 @@ def comultiply(zeta: GradedElement, split,
     # are scalar identities in the singular values
     e1 = complex(a.real, -b.imag) / re_sum
     e2 = b / re_sum
-    svd = _classes(np.linalg.svd, zeta.data.blocks)
-    first = _assemble(zeta.algebra, [(idx, _udv(u, _spectral_power(s, e1), vh))
-                                     for idx, (u, s, vh) in svd])
-    second = _assemble(zeta.algebra, [(idx, _udv(_h(vh), _spectral_power(s, e2), vh))
-                                      for idx, (_, s, vh) in svd])
+    svd = [np.linalg.svd(x) for x in zeta.data.stacks]
+    first = Element._of(zeta.algebra, [_udv(u, _spectral_power(s, e1), vh) for u, s, vh in svd])
+    second = Element._of(zeta.algebra, [_udv(_h(vh), _spectral_power(s, e2), vh)
+                                        for _, s, vh in svd])
     return GradedElement(first, a), GradedElement(second, b)
 
 

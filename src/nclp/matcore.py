@@ -7,7 +7,8 @@ is built on the types and operations in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -54,9 +55,14 @@ class ToleranceReport:
 
 @dataclass(frozen=True)
 class BlockAlgebra:
-    """Direct sum of full matrix blocks, recorded by their dimensions."""
+    """Direct sum of full matrix blocks, recorded by their dimensions.
+
+    classes holds the block indices of each size, in order of first
+    appearance; elements store one (k, n, n) stack per class.
+    """
 
     block_dims: tuple[int, ...]
+    classes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(n) for n in self.block_dims)
@@ -65,6 +71,10 @@ class BlockAlgebra:
         if any(n < 1 for n in dims):
             raise ValueError(f"block dimensions must be >= 1, got {dims}")
         object.__setattr__(self, "block_dims", dims)
+        classes = {}
+        for k, n in enumerate(dims):
+            classes.setdefault(n, []).append(k)
+        object.__setattr__(self, "classes", tuple(tuple(idx) for idx in classes.values()))
 
     @property
     def total_dim(self) -> int:
@@ -76,51 +86,72 @@ class BlockAlgebra:
         """Total matrix size, sum of n_k (the algebra acts on C^matrix_dim)."""
         return sum(self.block_dims)
 
+    def _shapes(self):
+        return [(len(idx), self.block_dims[idx[0]], self.block_dims[idx[0]])
+                for idx in self.classes]
+
     def identity(self) -> Element:
-        return Element(self, tuple(np.eye(n, dtype=complex) for n in self.block_dims))
+        return Element._of(self, [np.broadcast_to(np.eye(shape[-1], dtype=complex), shape).copy()
+                                  for shape in self._shapes()])
 
     def zero(self) -> Element:
-        return Element(self, tuple(np.zeros((n, n), dtype=complex) for n in self.block_dims))
+        return Element._of(self, [np.zeros(shape, dtype=complex) for shape in self._shapes()])
 
     def basis(self):
         """Yield the matrix-unit basis E_ij of every block, in flattening order."""
-        for k, n in enumerate(self.block_dims):
-            for i in range(n):
-                for j in range(n):
-                    blocks = [np.zeros((m, m), dtype=complex) for m in self.block_dims]
-                    blocks[k][i, j] = 1.0
-                    yield Element(self, tuple(blocks))
+        for t in range(self.total_dim):
+            vec = np.zeros(self.total_dim, dtype=complex)
+            vec[t] = 1.0
+            yield unflatten_element(self, vec)
 
 
-def _freeze(block: np.ndarray) -> np.ndarray:
-    out = np.array(block, dtype=complex, copy=True)
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Element:
     """An element of a BlockAlgebra: one complex matrix per block.
 
+    Stored as stacks, one read-only (k, n, n) array per class of the
+    algebra, so every ring operation and factorization is one numpy call
+    per class.  Element(algebra, blocks) copies the blocks once into these
+    stacks; blocks gives them back as read-only per-block views.
     Immutable after construction; all arithmetic returns new elements.
     """
 
     algebra: BlockAlgebra
-    blocks: tuple[np.ndarray, ...]
+    stacks: tuple[np.ndarray, ...]
 
-    def __post_init__(self):
-        dims = self.algebra.block_dims
-        if len(self.blocks) != len(dims):
-            raise ShapeError(
-                f"expected {len(dims)} blocks, got {len(self.blocks)}")
-        frozen = []
-        for k, (block, n) in enumerate(zip(self.blocks, dims)):
-            arr = np.asarray(block)
+    def __init__(self, algebra: BlockAlgebra, blocks):
+        dims = algebra.block_dims
+        blocks = [np.asarray(b) for b in blocks]
+        if len(blocks) != len(dims):
+            raise ShapeError(f"expected {len(dims)} blocks, got {len(blocks)}")
+        for k, (arr, n) in enumerate(zip(blocks, dims)):
             if arr.shape != (n, n):
                 raise ShapeError(
                     f"block {k} must have shape ({n}, {n}), got {arr.shape}")
-            frozen.append(_freeze(arr))
-        object.__setattr__(self, "blocks", tuple(frozen))
+        self._set(algebra, [np.array([blocks[k] for k in idx], dtype=complex)
+                            for idx in algebra.classes])
+
+    def _set(self, algebra: BlockAlgebra, stacks):
+        for s in stacks:
+            s.setflags(write=False)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "stacks", tuple(stacks))
+
+    @classmethod
+    def _of(cls, algebra: BlockAlgebra, stacks) -> Element:
+        """The element with the given stacks, freshly computed and not copied."""
+        out = object.__new__(cls)
+        out._set(algebra, [np.asarray(s, dtype=complex) for s in stacks])
+        return out
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """The blocks in algebra order, as read-only views into the stacks."""
+        out = [None] * len(self.algebra.block_dims)
+        for idx, stack in zip(self.algebra.classes, self.stacks):
+            for k, b in zip(idx, stack):
+                out[k] = b
+        return tuple(out)
 
     # -- ring structure -------------------------------------------------
 
@@ -130,33 +161,30 @@ class Element:
                 f"incompatible algebras: {self.algebra.block_dims} vs "
                 f"{other.algebra.block_dims}")
 
-    def __add__(self, other: Element) -> Element:
+    def _zip(self, op, other: Element) -> Element:
         self._check_compatible(other)
-        return Element(self.algebra, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
+        return Element._of(self.algebra, [op(a, b) for a, b in zip(self.stacks, other.stacks)])
+
+    def __add__(self, other: Element) -> Element:
+        return self._zip(np.add, other)
 
     def __sub__(self, other: Element) -> Element:
-        self._check_compatible(other)
-        return Element(self.algebra, tuple(a - b for a, b in zip(self.blocks, other.blocks)))
-
-    def __neg__(self) -> Element:
-        return Element(self.algebra, tuple(-a for a in self.blocks))
+        return self._zip(np.subtract, other)
 
     def __matmul__(self, other: Element) -> Element:
-        self._check_compatible(other)
-        return Element(self.algebra, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
+        return self._zip(np.matmul, other)
+
+    def __neg__(self) -> Element:
+        return Element._of(self.algebra, [-a for a in self.stacks])
 
     def __mul__(self, scalar) -> Element:
         c = complex(scalar)
-        return Element(self.algebra, tuple(c * a for a in self.blocks))
+        return Element._of(self.algebra, [c * a for a in self.stacks])
 
     __rmul__ = __mul__
 
     def adjoint(self) -> Element:
-        return Element(self.algebra, tuple(a.conj().T for a in self.blocks))
-
-    @property
-    def H(self) -> Element:
-        return self.adjoint()
+        return Element._of(self.algebra, [_h(a) for a in self.stacks])
 
     def __repr__(self):
         return f"Element(dims={self.algebra.block_dims})"
@@ -164,7 +192,7 @@ class Element:
 
 def make_element(algebra: BlockAlgebra, blocks) -> Element:
     """Validate a list of matrices against the algebra and wrap it."""
-    return Element(algebra, tuple(blocks))
+    return Element(algebra, blocks)
 
 
 def trace(x: Element) -> complex:
@@ -172,43 +200,19 @@ def trace(x: Element) -> complex:
     return complex(sum(np.trace(b) for b in x.blocks))
 
 
-# -- factorizations stacked by size class ----------------------------------
-#
-# Every spectral quantity is one formula per block, U diag(f(s)) V* or
-# U diag(f(w)) U*.  Factorizations are therefore kept as a list of
-# (idx, stacked factors), one entry per class of equal-size blocks idx,
-# from numpy's batched LAPACK through to _assemble, which scatters the
-# rebuilt (k, n, n) stacks back into an Element.  numpy.linalg is looked
-# up at call time throughout, so it can be wrapped to count factorizations.
-
-
-def _classes(routine, blocks) -> list:
-    """[(idx, routine(stack))] for each class idx of equal-size blocks.
-
-    The classes come in order of first appearance, and stack holds the
-    blocks idx as one (k, n, n) array, so numpy's batched LAPACK factorizes
-    a whole class in one call; its results equal the per-block calls bit
-    for bit.
-    """
-    classes = {}
-    for k, b in enumerate(blocks):
-        classes.setdefault(b.shape, []).append(k)
-    return [(idx, routine(np.stack([blocks[k] for k in idx])))
-            for idx in classes.values()]
-
-
-def _assemble(algebra: BlockAlgebra, classes) -> Element:
-    """The Element whose blocks idx are the matrices of stack, for each (idx, stack)."""
-    blocks = [None] * len(algebra.block_dims)
-    for idx, stack in classes:
-        for k, b in zip(idx, stack):
-            blocks[k] = b
-    return Element(algebra, tuple(blocks))
-
-
 def _h(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of every matrix in a stack."""
     return a.conj().swapaxes(-1, -2)
+
+
+# -- factorizations stacked by size class ----------------------------------
+#
+# Every spectral quantity is one formula per block, U diag(f(s)) V* or
+# U diag(f(w)) U*.  Each factorization therefore runs on x.stacks, one
+# batched LAPACK call per size class whose results equal the per-block
+# calls bit for bit, and its results are plain lists aligned with
+# algebra.classes, rebuilt with Element._of.  numpy.linalg is looked up at
+# call time throughout, so it can be wrapped to count factorizations.
 
 
 def _udv(u: np.ndarray, d: np.ndarray, vh: np.ndarray) -> np.ndarray:
@@ -224,35 +228,24 @@ def _spectral_power(s: np.ndarray, a) -> np.ndarray:
     return out
 
 
-def _svdvals(blocks) -> list:
-    """[(idx, s)], s the descending singular values of each class, values only."""
-    return _classes(lambda a: np.linalg.svd(a, compute_uv=False), blocks)
-
-
 def _svd_support(x: Element, tol: Tolerances) -> list:
-    """[(idx, (u, s, vh, keep))] per size class, keep masking the support.
+    """[(u, s, vh, keep)] per size class, keep masking the support.
 
     keep marks the singular values above the cutoff rank_rel * smax * n,
     with smax the largest singular value over all blocks and n the size of
     the class.
     """
-    svds = _classes(np.linalg.svd, x.blocks)
-    smax = max(float(s.max()) for _, (_, s, _) in svds)
-    return [(idx, (u, s, vh, s > tol.rank_rel * smax * s.shape[-1]))
-            for idx, (u, s, vh) in svds]
+    svds = [np.linalg.svd(a) for a in x.stacks]
+    smax = max(float(s.max()) for _, s, _ in svds)
+    return [(u, s, vh, s > tol.rank_rel * smax * s.shape[-1]) for u, s, vh in svds]
 
 
 def _operator_norms(*xs: Element) -> list[float]:
-    """operator_norm of each element, from one values-only SVD per size class."""
-    blocks = [b for x in xs for b in x.blocks]
-    top = np.empty(len(blocks))
-    for idx, s in _svdvals(blocks):
-        top[idx] = s[:, 0]
-    out, pos = [], 0
-    for x in xs:
-        out.append(float(top[pos:pos + len(x.blocks)].max()))
-        pos += len(x.blocks)
-    return out
+    """operator_norm of each element of one algebra, one values-only SVD per class."""
+    tops = [np.linalg.svd(np.concatenate(stacks), compute_uv=False)[:, 0]
+            .reshape(len(xs), -1).max(axis=1)
+            for stacks in zip(*(x.stacks for x in xs))]
+    return [float(t) for t in np.max(tops, axis=0)]
 
 
 def operator_norm(x: Element) -> float:
@@ -283,7 +276,7 @@ def unflatten_element(algebra: BlockAlgebra, vec: np.ndarray) -> Element:
     for n in algebra.block_dims:
         blocks.append(vec[pos:pos + n * n].reshape(n, n))
         pos += n * n
-    return Element(algebra, tuple(blocks))
+    return Element(algebra, blocks)
 
 
 # -- Hermitian eigensystems and functional calculus ----------------------
@@ -292,16 +285,16 @@ def unflatten_element(algebra: BlockAlgebra, vec: np.ndarray) -> Element:
 def _eig_classes(h: Element, tol: Tolerances):
     """Stacked eigensystems of a positive element, one per size class.
 
-    Returns (classes, lmax) with classes a list of (idx, (w, U)): the
-    blocks idx of one size, their eigenvalues w (k, n) clamped to 0 below
-    the support cutoff, and eigenvectors U (k, n, n).  The blocks that are
-    not exactly real diagonal share one batched eigh per class.  Raises
+    Returns (classes, lmax) with classes a list of (w, U) aligned with
+    h.algebra.classes: eigenvalues w (k, n) clamped to 0 below the support
+    cutoff, and eigenvectors U (k, n, n).  The blocks that are not exactly
+    real diagonal share one batched eigh per class.  Raises
     NotPositiveError, naming the first offending block, if h is not
     Hermitian PSD within tolerance.
     """
-    stacks = _classes(np.asarray, h.blocks)
+    pairs = list(zip(h.algebra.classes, h.stacks))
     bad = []
-    for idx, a in stacks:
+    for idx, a in pairs:
         asym = np.abs(a - _h(a)).max(axis=(-2, -1))
         bound = tol.eq_abs + tol.eq_rel * np.abs(a).max(axis=(-2, -1))
         bad += [(idx[j], asym[j]) for j in np.flatnonzero(asym > bound)]
@@ -309,7 +302,7 @@ def _eig_classes(h: Element, tol: Tolerances):
         k, asym = min(bad)
         raise NotPositiveError(f"block {k} is not Hermitian: asymmetry {asym:.3e}")
     raw = []
-    for idx, a in stacks:
+    for idx, a in pairs:
         n = a.shape[-1]
         # exactly diagonal with real entries: trivial eigensystem,
         # which keeps identity densities bit-exact through powers
@@ -320,16 +313,15 @@ def _eig_classes(h: Element, tol: Tolerances):
         if general.any():
             g = a[general]
             w[general], u[general] = np.linalg.eigh((g + _h(g)) / 2.0)
-        raw.append((idx, w, u))
-    lmax = max(float(np.abs(w).max()) for _, w, _ in raw)
+        raw.append((w, u))
+    lmax = max(float(np.abs(w).max()) for w, _ in raw)
     floor = -tol.eq_bound(lmax)
-    neg = [(idx[j], w[j].min()) for idx, w, _ in raw
+    neg = [(idx[j], w[j].min()) for (idx, _), (w, _) in zip(pairs, raw)
            for j in np.flatnonzero(w.min(axis=-1) < floor)]
     if neg:
         k, low = min(neg)
         raise NotPositiveError(f"block {k} has negative eigenvalue {low:.3e}")
-    classes = [(idx, (np.where(w > tol.rank_rel * lmax * w.shape[-1], w, 0.0), u))
-               for idx, w, u in raw]
+    classes = [(np.where(w > tol.rank_rel * lmax * w.shape[-1], w, 0.0), u) for w, u in raw]
     return classes, lmax
 
 
@@ -341,17 +333,17 @@ def func_calc(h: Element, f, tol: Tolerances = DEFAULT_TOL) -> Element:
     """
     classes, _ = _eig_classes(h, tol)
     out = []
-    for idx, (w, u) in classes:
+    for w, u in classes:
         fw = np.array([f(float(lam)) for lam in w.ravel()], dtype=complex)
-        out.append((idx, _udv(u, fw.reshape(w.shape), _h(u))))
-    return _assemble(h.algebra, out)
+        out.append(_udv(u, fw.reshape(w.shape), _h(u)))
+    return Element._of(h.algebra, out)
 
 
 def _powers(h: Element, exponents, tol: Tolerances) -> list[Element]:
     """power_pos(h, a, tol) for every a in exponents, from one eigensystem."""
     classes, _ = _eig_classes(h, tol)
-    return [_assemble(h.algebra, [(idx, _udv(u, _spectral_power(w, complex(a)), _h(u)))
-                                  for idx, (w, u) in classes])
+    return [Element._of(h.algebra, [_udv(u, _spectral_power(w, complex(a)), _h(u))
+                                    for w, u in classes])
             for a in exponents]
 
 
@@ -375,5 +367,4 @@ def spectral_projection(h: Element, c: float, tol: Tolerances = DEFAULT_TOL) -> 
         raise ValueError(f"threshold must be nonnegative, got {c}")
     classes, _ = _eig_classes(h, tol)
     # the kernel never counts, so c = 0 gives the support projection
-    return _assemble(h.algebra, [(idx, _udv(u, (w >= c) & (w > 0.0), _h(u)))
-                                 for idx, (w, u) in classes])
+    return Element._of(h.algebra, [_udv(u, (w >= c) & (w > 0.0), _h(u)) for w, u in classes])

@@ -9,6 +9,7 @@ identical reports.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -757,11 +758,13 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
                 passed += 1
             else:
                 failed += 1
-            worst = max(worst, float(resid))
+            resid = float(resid)
+            worst = max(worst, resid if math.isfinite(resid) else math.inf)
         report.properties[name] = {
             "passed": passed,
             "failed": failed,
-            "worst_residual": worst,
+            # null, as JSON has no inf: a trial crashed or gave a NaN or inf
+            "worst_residual": worst if math.isfinite(worst) else None,
         }
         if crash is not None:
             report.properties[name]["first_crash"] = crash

@@ -66,5 +66,9 @@ def weight_from_obj(obj: dict) -> Weight:
 
 
 def dumps(obj: dict) -> str:
-    """Canonical JSON: sorted keys, stable float repr, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON: sorted keys, stable float repr, trailing newline.
+
+    Strict: NaN and infinities raise ValueError instead of printing the
+    non-standard NaN and Infinity literals.
+    """
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"

@@ -56,7 +56,7 @@ class Weight:
         # the eigensystem that checks positivity also decides faithfulness
         classes, _ = _eig_classes(self.density, self.tol)  # raises NotPositiveError
         object.__setattr__(self, "faithful",
-                           all(np.all(w > 0.0) for _, (w, _) in classes))
+                           all(np.all(w > 0.0) for w, _ in classes))
 
     @property
     def algebra(self) -> BlockAlgebra:

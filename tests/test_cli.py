@@ -62,10 +62,13 @@ def test_verify_unreachable_tolerance_fails(capsys, tmp_path):
         "trials": 2,
         "tolerances": {"rank_rel": 1e-10, "eq_abs": 1e-300, "eq_rel": 1e-300},
     })
-    code, report = run_cli(capsys, "verify", "--config", cfg)
+    code = main(["verify", "--config", cfg])
+    report = _strict_json(capsys.readouterr().out)
     assert code == 1
     assert report["all_passed"] is False
-    worst = max(r["worst_residual"] for r in report["properties"].values())
+    crashed = [r for r in report["properties"].values() if "first_crash" in r]
+    assert crashed and all(r["worst_residual"] is None for r in crashed)
+    worst = max(r["worst_residual"] or 0.0 for r in report["properties"].values())
     assert worst > 0.0
 
 
@@ -207,6 +210,17 @@ def _strict_json(text):
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
     return json.loads(text, parse_constant=reject)
+
+
+def test_a_demo_result_that_overflows_is_a_numerical_error(capsys, tmp_path):
+    huge = {"block_dims": [2], "blocks": [[[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]],
+            "grading": [0.5, 0.0]}
+    path = write(tmp_path, "huge.json", {"x": huge, "y": huge})
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["demo", "holder", "--input", path])
+    out = _strict_json(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"]["type"] == "numerical"
 
 
 NAN = float("nan")

@@ -296,6 +296,48 @@ def test_cyclic_generator_weight_independence_of_submodule_facts():
         assert distance(rebuilt, y.data) < 1e-10
 
 
+def _reference_certificate(gens, y):
+    """The membership certificate from an amplification, built as it once was.
+
+    In the m-fold amplification, the isometry quotient taking the column
+    [u_1 ... u_m] to y in the corner has first row [cert_1 ... cert_m].
+    """
+    M, m = y.algebra, len(gens)
+
+    def place(entries):
+        blocks = []
+        for k, n in enumerate(M.block_dims):
+            out = np.zeros((n * m, n * m), dtype=complex)
+            for (i, j), el in entries:
+                out[i * n:(i + 1) * n, j * n:(j + 1) * n] = el.blocks[k]
+            blocks.append(out)
+        return make_element(BlockAlgebra(tuple(n * m for n in M.block_dims)), blocks)
+
+    big = isometry_divide(place([((i, 0), g.data) for i, g in enumerate(gens)]),
+                          place([((0, 0), y)]))
+    return [make_element(M, [b[:n, i * n:(i + 1) * n] for b, n in zip(big.blocks, M.block_dims)])
+            for i in range(m)]
+
+
+def test_closed_form_certificate_matches_the_amplified_one():
+    rng = make_rng(61)
+    for trial in range(40):
+        M = BlockAlgebra(((1,), (2,), (1, 1), (3,), (2, 2))[int(rng.integers(0, 5))])
+        a = complex((0.0, 1 / 3, 0.5, 1.0, 1.5)[int(rng.integers(0, 5))],
+                    float(rng.uniform(-2.0, 2.0)))
+        p = random_projection(rng, M) if trial % 2 else M.identity()   # a common kernel
+        gens = [GradedElement(random_element(rng, M) @ p, a)
+                for _ in range(int(rng.integers(1, 5)))]
+        y, qs, cert = cyclic_generator(gens, random_weight(rng, M))
+        scale = max(operator_norm(g.data) for g in gens) + 1.0
+        for got, want in zip(cert, _reference_certificate(gens, y.data)):
+            assert distance(got, want) <= DEFAULT_TOL.eq_bound(scale)
+        row = M.zero()
+        for q in qs:
+            row = row + q.adjoint() @ q
+        assert distance(row, left_support(y.data)) <= DEFAULT_TOL.eq_bound(1.0)
+
+
 def test_rank1_matrix_units():
     pairs = [(GradedElement(e(1, 1), 0.0), GradedElement(e(1, 1), 0.0)),
              (GradedElement(e(1, 2), 0.0), GradedElement(e(2, 1), 0.0))]

@@ -21,7 +21,7 @@ from nclp import (
     trace,
     unflatten_element,
 )
-from nclp.matcore import _assemble, _classes, _eig_classes, _operator_norms, _powers, _svdvals
+from nclp.matcore import _eig_classes, _operator_norms, _powers
 from nclp.sampling import make_rng, random_element, random_positive, random_projection
 
 M2 = BlockAlgebra((2,))
@@ -207,39 +207,80 @@ def test_allclose_scales():
     assert not allclose(x, x + M2.identity())
 
 
-# -- batched factorizations ----------------------------------------------
+# -- the stacked storage format -------------------------------------------
 
 MIXED = BlockAlgebra((1, 2, 3, 2, 3, 1))
 
 
 def _per_block(classes):
-    """{block index: its slice of every stacked factor}, from [(idx, factors)]."""
+    """{block index: its slice of every stacked factor}, from factors per MIXED class."""
     out = {}
-    for idx, factors in classes:
+    for idx, factors in zip(MIXED.classes, classes):
         parts = factors if isinstance(factors, tuple) else (factors,)
         for j, k in enumerate(idx):
             out[k] = tuple(p[j] for p in parts)
     return out
 
 
+def test_ring_operations_equal_per_block_numpy_ops_bit_for_bit():
+    rng = make_rng(35)
+    x, y = random_element(rng, MIXED), random_element(rng, MIXED)
+    c = 0.3 - 1.7j
+    cases = [
+        (x + y, [a + b for a, b in zip(x.blocks, y.blocks)]),
+        (x - y, [a - b for a, b in zip(x.blocks, y.blocks)]),
+        (-x, [-a for a in x.blocks]),
+        (x @ y, [a @ b for a, b in zip(x.blocks, y.blocks)]),
+        (c * x, [c * a for a in x.blocks]),
+        (x * c, [c * a for a in x.blocks]),
+        (x.adjoint(), [a.conj().T for a in x.blocks]),
+        (MIXED.identity(), [np.eye(n) for n in MIXED.block_dims]),
+        (MIXED.zero(), [np.zeros((n, n)) for n in MIXED.block_dims]),
+    ]
+    for got, want in cases:
+        assert len(got.blocks) == len(want)
+        assert all(np.array_equal(g, w) for g, w in zip(got.blocks, want))
+    units = list(MIXED.basis())
+    assert len(units) == MIXED.total_dim
+    assert all(np.array_equal(flatten_element(unit), v)
+               for unit, v in zip(units, np.eye(MIXED.total_dim)))
+
+
+def test_elements_copy_their_input_once_and_stay_read_only():
+    for algebra, shapes in ((MIXED, [(2, 1, 1), (2, 2, 2), (2, 3, 3)]),
+                            (BlockAlgebra((3, 1)), [(1, 3, 3), (1, 1, 1)])):
+        blocks = [np.full((n, n), 1.0 + 2.0j) for n in algebra.block_dims]
+        x = make_element(algebra, blocks)
+        for b in blocks:
+            b[...] = 0.0
+        assert all(np.all(b == 1.0 + 2.0j) for b in x.blocks)
+        assert [s.shape for s in x.stacks] == shapes
+        assert all(s.dtype == complex for s in x.stacks)
+        for arr in (*x.blocks, *x.stacks):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
+
+
 def test_stacked_factorizations_equal_per_block_calls_bit_for_bit():
     rng = make_rng(30)
     x = random_element(rng, MIXED)
     h = random_positive(rng, MIXED)
-    svd = _per_block(_classes(np.linalg.svd, x.blocks))
-    assert [idx for idx, _ in _classes(np.linalg.svd, x.blocks)] == [[0, 5], [1, 3], [2, 4]]
+    svd = _per_block([np.linalg.svd(a) for a in x.stacks])
+    assert MIXED.classes == ((0, 5), (1, 3), (2, 4))
     for k, b in enumerate(x.blocks):
         (u, s, vh), ref = svd[k], np.linalg.svd(b)
         assert np.array_equal(u, ref[0]) and np.array_equal(s, ref[1])
         assert np.array_equal(vh, ref[2])
-    svals = _per_block(_svdvals(x.blocks))
+    svals = _per_block([np.linalg.svd(a, compute_uv=False) for a in x.stacks])
     for k, b in enumerate(x.blocks):
         assert np.array_equal(svals[k][0], np.linalg.svd(b, compute_uv=False))
-    eig = _per_block(_classes(np.linalg.eigh, h.blocks))
+    eig = _per_block([np.linalg.eigh(a) for a in h.stacks])
     for k, b in enumerate(h.blocks):
         (w, v), ref = eig[k], np.linalg.eigh(b)
         assert np.array_equal(w, ref[0]) and np.array_equal(v, ref[1])
-    back = _assemble(MIXED, _classes(np.asarray, x.blocks))
+    back = make_element(MIXED, x.blocks)
+    assert all(np.array_equal(g, b) for g, b in zip(back.stacks, x.stacks))
     assert all(np.array_equal(g, b) for g, b in zip(back.blocks, x.blocks))
     assert operator_norm(x) == max(float(np.linalg.norm(b, 2)) for b in x.blocks)
     assert _operator_norms(x, h) == [operator_norm(x), operator_norm(h)]

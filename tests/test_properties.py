@@ -5,6 +5,7 @@ import pytest
 from nclp import properties
 from nclp.properties import PROPERTIES, SuiteConfig, run_suite
 from nclp.sampling import spawn_rng
+from nclp.serialize import dumps
 
 
 @pytest.fixture(scope="module")
@@ -66,9 +67,20 @@ def test_a_crashed_trial_is_reported_with_its_reason(monkeypatch):
     monkeypatch.setattr(properties, "PROPERTIES", {"a.flaky": flaky, "b.steady": steady})
     report = run_suite(SuiteConfig(seed=1, trials=4)).to_obj()
     assert report["properties"] == {
-        "a.flaky": {"passed": 3, "failed": 1, "worst_residual": float("inf"),
+        "a.flaky": {"passed": 3, "failed": 1, "worst_residual": None,
                     "first_crash": {"trial": 2, "type": "RuntimeError",
                                     "message": "injected at trial 2"}},
         "b.steady": {"passed": 4, "failed": 0, "worst_residual": 0.0},
     }
     assert not report["all_passed"]
+
+
+def test_a_nan_residual_is_reported_as_null(monkeypatch):
+    residuals = iter([1.0, float("nan"), 2.0])
+    monkeypatch.setattr(properties, "PROPERTIES",
+                        {"a.nan": lambda rng, cfg: (False, next(residuals))})
+    report = run_suite(SuiteConfig(seed=1, trials=3)).to_obj()
+    assert report["properties"]["a.nan"]["worst_residual"] is None
+    assert '"worst_residual": null' in dumps(report)
+    with pytest.raises(ValueError):
+        dumps({"worst_residual": float("inf")})
