@@ -144,6 +144,10 @@ class Element:
         out._set(algebra, [np.asarray(s, dtype=complex) for s in stacks])
         return out
 
+    def __reduce__(self):
+        # numpy does not pickle the read-only flag, so rebuild through _of
+        return Element._of, (self.algebra, self.stacks)
+
     @cached_property
     def blocks(self) -> tuple[np.ndarray, ...]:
         """The blocks in algebra order, as read-only views into the stacks."""

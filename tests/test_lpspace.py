@@ -153,6 +153,31 @@ def test_holder_witness_imaginary_rejects_large_threshold():
         holder_witness_imaginary(xi, 0.5, operator_norm(xi.data) * 1.5)
 
 
+def test_holder_witness_imaginary_threshold_reads_the_callers_norm():
+    # the full SVD behind the witness and the values-only SVD behind
+    # operator_norm disagree on the top singular value of a 64 x 64 block by
+    # a few ulps, either way; c at and just below operator_norm must get the
+    # verdict c < operator_norm, and an accepted witness must be nonzero
+    M64 = BlockAlgebra((64,))
+    gaps = []
+    for seed in range(6):
+        x = random_element(make_rng(90 + seed), M64)
+        nrm = operator_norm(x)
+        gaps.append(nrm - float(np.linalg.svd(x.stacks[0])[1].max()))
+        xi = GradedElement(x, 0.3j)
+        for k in range(4):
+            c = nrm - k * np.spacing(nrm)
+            if k == 0:
+                with pytest.raises(NclpError):
+                    holder_witness_imaginary(xi, 0.5, c)
+                continue
+            y = holder_witness_imaginary(xi, 0.5, c)
+            ny = lnorm(y)
+            assert ny > 0.0
+            assert lnorm(gmul(xi, y)) >= c * ny - DEFAULT_TOL.eq_bound(nrm)
+    assert min(gaps) < 0.0 < max(gaps)
+
+
 def test_comultiply_positive_diagonal():
     zeta = GradedElement(diag(1, 2), 1.0)
     f, s = comultiply(zeta, (0.5, 0.5))

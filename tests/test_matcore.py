@@ -1,5 +1,7 @@
 """Unit tests for the block-matrix substrate."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,19 @@ def test_elements_copy_their_input_once_and_stay_read_only():
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 5.0
+
+
+def test_unpickled_elements_stay_read_only():
+    x = random_element(make_rng(31), MIXED)
+    x.blocks   # a cached view tuple must not travel with the pickle
+    y = pickle.loads(pickle.dumps(x))
+    assert y.algebra == x.algebra and y.algebra.classes == MIXED.classes
+    assert all(np.array_equal(a, b) for a, b in zip(x.stacks, y.stacks))
+    for arr in (*y.stacks, *y.blocks):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 5.0
+    assert y.blocks[1].base is not None   # still views into the stacks
 
 
 def test_stacked_factorizations_equal_per_block_calls_bit_for_bit():

@@ -166,6 +166,24 @@ def test_embedding_validation():
         BlockEmbedding(BlockAlgebra((1, 1)), M2, ((0, 0),))
 
 
+def test_embedding_places_blocks_on_the_target_diagonal():
+    emb = BlockEmbedding(BlockAlgebra((1, 2)), BlockAlgebra((3, 2, 4)),
+                         ((0, 1), (1,), (1, 0, 0)))
+    rng = make_rng(23)
+    x, y = random_element(rng, emb.source), random_element(rng, emb.source)
+    fx = emb.apply(x)
+    for j, row in enumerate(emb.assignment):
+        want = np.zeros_like(fx.blocks[j])
+        pos = 0
+        for i in row:
+            d = emb.source.block_dims[i]
+            want[pos:pos + d, pos:pos + d] = x.blocks[i]
+            pos += d
+        assert np.array_equal(fx.blocks[j], want)
+    assert distance(emb.apply(x @ y), fx @ emb.apply(y)) < 1e-13
+    assert distance(emb.apply(emb.source.identity()), emb.target.identity()) == 0.0
+
+
 def test_pushforward_identity():
     rng = make_rng(11)
     mu = random_weight(rng, M2)
@@ -209,6 +227,11 @@ def test_ovw_validation_rejects_bad_maps():
         bad.validate()
     with pytest.raises(ValidationError):
         pushforward_weight(random_weight(rng, M2), bad)
+    for value in (np.nan, np.inf):
+        mat = np.array(good.matrix)
+        mat[0, 0] = value
+        with pytest.raises(NonFiniteError):
+            OperatorValuedWeight(emb, mat)
 
 
 def _partial_trace_map():
@@ -249,13 +272,100 @@ def test_ovw_validation_bimodule_branch():
         average.validate()
 
 
+def test_ovw_validation_rejects_the_missed_negative_direction():
+    # q -> q11 - 0.1 q22 from M_2 to C is a *-preserving bimodule map over
+    # x -> diag(x, x) with K = diag(1, -0.1): it sends E_22 to -0.1, and the
+    # sampled check in _reference_validate misses that direction
+    emb = BlockEmbedding(BlockAlgebra((1,)), M2, ((0, 0),))
+    defect = OperatorValuedWeight(emb, np.array([[1.0, 0.0, 0.0, -0.1]]))
+    assert defect.apply(make_element(M2, [np.diag([0.0, 1.0])])).blocks[0][0, 0] == -0.1
+    assert _reference_validate(defect)
+    with pytest.raises(ValidationError, match="^positivity violated"):
+        defect.validate()
+
+
+def test_ovw_validation_names_a_positive_non_bimodule_map_by_its_bimodule_law():
+    # q -> tr(q) 1 - q on M_2 over the identity embedding is positive, but
+    # its projection onto the bimodule maps is -1/2 q: the negative K alone
+    # does not show that T is not positive, so the bimodule law reports it
+    emb = BlockEmbedding(M2, M2, ((0,),))
+    mat = np.stack([flatten(make_element(M2, [np.trace(e.blocks[0]) * np.eye(2) - e.blocks[0]]))
+                    for e in M2.basis()], axis=1)
+    reduction = OperatorValuedWeight(emb, mat)
+    rng = make_rng(22)
+    for _ in range(20):
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        out = reduction.apply(make_element(M2, [np.outer(v, v.conj())])).blocks[0]
+        assert np.linalg.eigvalsh(out).min() > -1e-12
+    with pytest.raises(ValidationError, match="^bimodule law violated"):
+        reduction.validate()
+    # a clearly negative map off the bimodule maps is still caught as such
+    with pytest.raises(ValidationError, match="^positivity violated"):
+        OperatorValuedWeight(emb, mat - 4.0 * np.eye(4)).validate()
+
+
+def test_ovw_validation_is_closed_form_in_the_relative_commutant(monkeypatch):
+    # (16,) -> (32,): no dense SVD or spectral norm of the 256 x 1024
+    # matrix, one eigvalsh on the 2 x 2 matrix K and nothing else
+    ovw = OperatorValuedWeight.from_compression(
+        BlockEmbedding(BlockAlgebra((16,)), BlockAlgebra((32,)), ((0, 0),)))
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh", "norm"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append((_name, np.shape(args[0])))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    report = ovw.validate()
+    assert report.passed and report.max_residual == 0.0
+    assert calls == [("eigvalsh", (2, 2))]
+    mat = np.array(ovw.matrix)
+    mat[-1, 0] += 1e-3j   # in the last slab of rows the adjoint law reads
+    with pytest.raises(ValidationError, match="^adjoint law violated"):
+        OperatorValuedWeight(ovw.embedding, mat).validate()
+
+
+def test_ovw_residual_inside_the_norm_bracket_takes_the_dense_norm(monkeypatch):
+    # T = (1 + i eps) T_K + E for the partial trace T_K and a unit E that is
+    # orthogonal to the bimodule maps and *-preserving: ||T_K||_2 = sqrt(2),
+    # ||T - T_K||_F = 1, and the adjoint residual is 2 eps ||T_K||_F.  An
+    # adjoint residual between eq_bound(||T_K||_2) and eq_bound(||T_K||_2 + 1)
+    # needs the dense norm, and eq_bound(||T||_2) decides which law fails first
+    base = _partial_trace_map().matrix
+    e = np.zeros(base.shape)
+    for a, b in np.ndindex(2, 2):
+        e[2 * a + b, 4 * a + b] = -0.25   # the four positions of K[0, 0]
+    e[0, 0] = 0.75
+    e /= np.linalg.norm(e)
+    top = np.sqrt(2.0)
+    low, exact, high = (DEFAULT_TOL.eq_bound(s) for s in
+                        (top, np.linalg.norm(base + e, 2), top + 1.0))
+    assert low < exact < high
+    real, calls = np.linalg.norm, []
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(a[1:]) or real(*a, **k))
+    for adjoint, law in (((low + exact) / 2, "bimodule"), ((exact + high) / 2, "adjoint")):
+        eps = adjoint / (2.0 * real(base))
+        T = OperatorValuedWeight(_partial_trace_map().embedding, (1 + 1j * eps) * base + e)
+        calls.clear()
+        with pytest.raises(ValidationError, match=f"^{law} law violated"):
+            T.validate()
+        assert calls == [(2,)]
+
+
 def _reference_validate(T, tol=DEFAULT_TOL, positivity_samples=8,
                         polarized_samples=8):
     """The basis-pair loop that validate() replaced; True when T passes.
 
-    Adjoint law on every matrix unit of N, positivity on the identity and
-    seeded rank-one positives, T(f(p) q f(p)*) = p T(q) p* on every pair of
-    matrix units, and seeded random polarized triples.
+    Adjoint law on every matrix unit of N, T(f(p) q f(p)*) = p T(q) p* on
+    every pair of matrix units, and seeded random polarized triples.  It
+    keeps the sampled positivity check that validate() used before the
+    exact test on the relative-commutant matrices K_ij: T(q) must be
+    positive on the identity and on positivity_samples rank-one positives
+    drawn from PCG64(0).  So it accepts a bimodule map whose K_ij has a
+    negative eigenvalue that those samples miss, such as the q11 - 0.1 q22
+    map of test_ovw_validation_rejects_the_missed_negative_direction.
     """
     scale = max(float(np.linalg.norm(T.matrix, 2)), 1.0)
     bound = tol.eq_bound(scale)
