@@ -47,6 +47,7 @@ print(p.blocks[0].real.round(12))
 print("support projection (threshold 0) of singular h:")
 print(spectral_projection(hs, 0.0).blocks[0].real)
 
-# general functions of a positive element, e.g. a clipped inverse
-clipped = func_calc(h, lambda t: 1.0 / t if t >= 1.0 else 0.0)
+# general functions of a positive element, applied to the eigenvalues of
+# each size class of blocks as one array, e.g. a clipped inverse
+clipped = func_calc(h, lambda w: np.divide(1.0, w, out=np.zeros_like(w), where=w >= 1.0))
 print("\nclipped inverse applied to h (block 1):", clipped.blocks[1].real)

@@ -51,7 +51,6 @@ from .weights import (
 from .decomp import (
     DivisionResult,
     PolarDecomposition,
-    clipped_inverse,
     cyclic_generator,
     douglas_divide,
     douglas_ladder,

@@ -110,14 +110,23 @@ class DivisionResult:
     residual: float
 
 
-def _divide(x: Element, y: Element, svd, tol: Tolerances) -> DivisionResult:
-    """douglas_divide on a precomputed _svd_support of x."""
+def _quotient(x: Element, y: Element, svd):
+    """(p, ||y - p @ x||, ||y||, ||p||) for p = y @ pinv(x), from an _svd_support of x."""
     p = y @ _pinv(x, svd)
-    residual, norm_y, norm_p = _operator_norms(y - p @ x, y, p)
+    return (p, *_operator_norms(y - p @ x, y, p))
+
+
+def _check_solvable(residual: float, norm_y: float, tol: Tolerances):
     if residual > tol.eq_bound(norm_y):
         raise UnsolvableError(
             f"no c satisfies c^2 x*x >= y*y: residual {residual:.3e}",
             residual)
+
+
+def _divide(x: Element, y: Element, svd, tol: Tolerances) -> DivisionResult:
+    """douglas_divide on a precomputed _svd_support of x."""
+    p, residual, norm_y, norm_p = _quotient(x, y, svd)
+    _check_solvable(residual, norm_y, tol)
     return DivisionResult(p, norm_p, residual)
 
 
@@ -134,19 +143,6 @@ def douglas_divide(x: Element, y: Element,
     """
     x._check_compatible(y)
     return _divide(x, y, _svd_support(x, tol), tol)
-
-
-def clipped_inverse(eps: float):
-    """The bounded inverse t -> 1/t for t >= eps and 0 below, used as f_eps.
-
-    0 always maps to 0, matching the support convention of the power maps.
-    """
-    eps = float(eps)
-
-    def f(t: float) -> float:
-        return 1.0 / t if t >= eps and t > 0.0 else 0.0
-
-    return f
 
 
 def douglas_ladder(x: Element, y: Element, epsilons=None,
@@ -214,15 +210,19 @@ def graded_divide(x: GradedElement, y: GradedElement,
     real part clamped into the allowed half-plane.
     """
     a, b = x.grading, y.grading
-    if operator_norm(y.data) <= tol.eq_abs:
-        g = b - a
+    g = b - a
+    if abs(g.real) > tol.eq_abs:   # only y = 0 divides across real parts
+        norm_y = operator_norm(y.data)
+        if norm_y > tol.eq_abs:
+            raise GradingError(
+                f"cannot divide grading {b} data by grading {a} data: "
+                "real parts differ and y != 0")
+    else:   # the division's own norms decide y = 0, ahead of its solvability
+        p, residual, norm_y, _ = _quotient(x.data, y.data, _svd_support(x.data, tol))
+    if norm_y <= tol.eq_abs:
         return GradedElement(y.algebra.zero(), complex(max(g.real, 0.0), g.imag))
-    if abs(a.real - b.real) > tol.eq_abs:
-        raise GradingError(
-            f"cannot divide grading {b} data by grading {a} data: "
-            "real parts differ and y != 0")
-    p = douglas_divide(x.data, y.data, tol).quotient
-    return GradedElement(p, b - a)
+    _check_solvable(residual, norm_y, tol)
+    return GradedElement(p, g)
 
 
 def cyclic_generator(generators, mu: Weight, tol: Tolerances = DEFAULT_TOL):

@@ -250,6 +250,10 @@ class ModuleHom:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
+    def __reduce__(self):
+        # numpy does not pickle the read-only flag, so rebuild through __init__
+        return ModuleHom, (self.algebra, self.grading_in, self.grading_out, self.matrix)
+
     def apply(self, y: Element) -> Element:
         return unflatten_element(self.algebra, self.matrix @ flatten_element(y))
 

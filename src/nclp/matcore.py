@@ -228,7 +228,7 @@ def _spectral_power(s: np.ndarray, a) -> np.ndarray:
     """s^a = exp(a log s) entrywise for s >= 0, with 0^a := 0."""
     out = np.zeros(s.shape, dtype=complex)
     mask = s > 0.0
-    out[mask] = np.exp(a * np.log(s[mask]))
+    out[mask] = np.exp(complex(a) * np.log(s[mask]))
     return out
 
 
@@ -286,15 +286,14 @@ def unflatten_element(algebra: BlockAlgebra, vec: np.ndarray) -> Element:
 # -- Hermitian eigensystems and functional calculus ----------------------
 
 
-def _eig_classes(h: Element, tol: Tolerances):
+def _eig_classes(h: Element, tol: Tolerances) -> list:
     """Stacked eigensystems of a positive element, one per size class.
 
-    Returns (classes, lmax) with classes a list of (w, U) aligned with
-    h.algebra.classes: eigenvalues w (k, n) clamped to 0 below the support
-    cutoff, and eigenvectors U (k, n, n).  The blocks that are not exactly
-    real diagonal share one batched eigh per class.  Raises
-    NotPositiveError, naming the first offending block, if h is not
-    Hermitian PSD within tolerance.
+    Returns a list of (w, U) aligned with h.algebra.classes: eigenvalues
+    w (k, n) clamped to 0 below the support cutoff, and eigenvectors
+    U (k, n, n).  The blocks that are not exactly real diagonal share one
+    batched eigh per class.  Raises NotPositiveError, naming the first
+    offending block, if h is not Hermitian PSD within tolerance.
     """
     pairs = list(zip(h.algebra.classes, h.stacks))
     bad = []
@@ -325,30 +324,23 @@ def _eig_classes(h: Element, tol: Tolerances):
     if neg:
         k, low = min(neg)
         raise NotPositiveError(f"block {k} has negative eigenvalue {low:.3e}")
-    classes = [(np.where(w > tol.rank_rel * lmax * w.shape[-1], w, 0.0), u) for w, u in raw]
-    return classes, lmax
+    return [(np.where(w > tol.rank_rel * lmax * w.shape[-1], w, 0.0), u) for w, u in raw]
+
+
+def _calc(algebra: BlockAlgebra, classes, f) -> Element:
+    """U diag(f(w)) U* for every size class of an _eig_classes result."""
+    return Element._of(algebra, [_udv(u, f(w), _h(u)) for w, u in classes])
 
 
 def func_calc(h: Element, f, tol: Tolerances = DEFAULT_TOL) -> Element:
-    """Apply a scalar function to a positive element through its spectrum.
+    """Apply an array function to a positive element through its spectrum.
 
-    Eigenvalues below the support cutoff are passed to ``f`` as exactly 0,
-    so the support convention is decided by ``f(0)``.
+    f is called once per size class of the algebra with the (k, n) array
+    of the eigenvalues of its k blocks of size n, and must return an array
+    of the same shape.  Eigenvalues below the support cutoff are passed as
+    exactly 0, so the support convention is decided by f at 0.
     """
-    classes, _ = _eig_classes(h, tol)
-    out = []
-    for w, u in classes:
-        fw = np.array([f(float(lam)) for lam in w.ravel()], dtype=complex)
-        out.append(_udv(u, fw.reshape(w.shape), _h(u)))
-    return Element._of(h.algebra, out)
-
-
-def _powers(h: Element, exponents, tol: Tolerances) -> list[Element]:
-    """power_pos(h, a, tol) for every a in exponents, from one eigensystem."""
-    classes, _ = _eig_classes(h, tol)
-    return [Element._of(h.algebra, [_udv(u, _spectral_power(w, complex(a)), _h(u))
-                                    for w, u in classes])
-            for a in exponents]
+    return _calc(h.algebra, _eig_classes(h, tol), f)
 
 
 def power_pos(h: Element, a, tol: Tolerances = DEFAULT_TOL) -> Element:
@@ -358,7 +350,7 @@ def power_pos(h: Element, a, tol: Tolerances = DEFAULT_TOL) -> Element:
     principal real logarithm; the kernel is carried along as 0.  Negative
     real parts therefore act as pseudo-powers on the support.
     """
-    return _powers(h, (a,), tol)[0]
+    return func_calc(h, lambda w: _spectral_power(w, a), tol)
 
 
 def spectral_projection(h: Element, c: float, tol: Tolerances = DEFAULT_TOL) -> Element:
@@ -369,6 +361,4 @@ def spectral_projection(h: Element, c: float, tol: Tolerances = DEFAULT_TOL) -> 
     c = float(c)
     if c < 0.0:
         raise ValueError(f"threshold must be nonnegative, got {c}")
-    classes, _ = _eig_classes(h, tol)
-    # the kernel never counts, so c = 0 gives the support projection
-    return Element._of(h.algebra, [_udv(u, (w >= c) & (w > 0.0), _h(u)) for w, u in classes])
+    return func_calc(h, lambda w: (w >= c) & (w > 0.0), tol)

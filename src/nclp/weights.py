@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -29,11 +29,11 @@ from .matcore import (
     Tolerances,
     ToleranceReport,
     flatten_element,
+    _calc,
     _eig_classes,
     _operator_norms,
-    _powers,
-    power_pos,
-    spectral_projection,
+    _spectral_power,
+    func_calc,
     trace,
     unflatten_element,
 )
@@ -53,7 +53,7 @@ class Weight:
 
     def __post_init__(self):
         # the eigensystem that checks positivity also decides faithfulness
-        classes, _ = _eig_classes(self.density, self.tol)  # raises NotPositiveError
+        classes = _eig_classes(self.density, self.tol)  # raises NotPositiveError
         object.__setattr__(self, "faithful",
                            all(np.all(w > 0.0) for w, _ in classes))
 
@@ -63,18 +63,19 @@ class Weight:
 
     @cached_property
     def support(self) -> Element:
-        return spectral_projection(self.density, 0.0, self.tol)
+        return func_calc(self.density, lambda w: w > 0.0, self.tol)
 
     def __call__(self, x: Element) -> complex:
         return evaluate(self, x)
 
     def power(self, a, tol: Tolerances | None = None) -> Element:
         """Matrix of the grading-a symbol of this weight, density^a."""
-        return power_pos(self.density, a, self.tol if tol is None else tol)
+        return self.powers((a,), tol)[0]
 
     def powers(self, exponents, tol: Tolerances | None = None) -> list[Element]:
         """density^a for every a in exponents, from one eigensystem."""
-        return _powers(self.density, exponents, self.tol if tol is None else tol)
+        classes = _eig_classes(self.density, self.tol if tol is None else tol)
+        return [_calc(self.algebra, classes, partial(_spectral_power, a=a)) for a in exponents]
 
     def __repr__(self):
         return f"Weight(dims={self.algebra.block_dims}, faithful={self.faithful})"
@@ -280,6 +281,10 @@ class OperatorValuedWeight:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
+    def __reduce__(self):
+        # numpy does not pickle the read-only flag, so rebuild through __init__
+        return OperatorValuedWeight, (self.embedding, self.matrix)
+
     @property
     def source(self) -> BlockAlgebra:
         return self.embedding.target   # N, where arguments live
@@ -299,16 +304,17 @@ class OperatorValuedWeight:
         """Canonical bimodule map: sum the diagonal sub-blocks cut by f.
 
         With the left-factor embedding of a tensor square this is the
-        partial trace; slot_weights rescales each diagonal sub-block and
-        must be strictly positive to keep the map faithful.
+        partial trace; slot_weights rescales the diagonal sub-blocks, one per
+        copy, and must be strictly positive to keep the map faithful.
         """
-        if slot_weights is None:
-            slot_weights = np.ones(sum(map(len, embedding.assignment)))
-        if not all(np.isfinite(float(w)) for w in slot_weights):
+        slots = sum(map(len, embedding.assignment))
+        w = np.ones(slots) if slot_weights is None else np.array(slot_weights, dtype=float)
+        if w.shape != (slots,):
+            raise ValueError(f"expected {slots} slot weights, got {w.size}")
+        if not np.all(np.isfinite(w)):
             raise NonFiniteError("slot_weights must be finite")
-        if any(float(w) <= 0.0 for w in slot_weights):
+        if np.any(w <= 0.0):
             raise ValueError("slot_weights must be strictly positive")
-        w = np.array(slot_weights, dtype=float)
         idx_m = _flat_indices(embedding.source)
         mat = np.zeros((embedding.source.total_dim, embedding.target.total_dim),
                        dtype=complex)
@@ -400,4 +406,4 @@ def pushforward_weight(mu: Weight, ovw: OperatorValuedWeight,
     ovw.validate(tol)
     k = unflatten_element(ovw.source, ovw.matrix.conj().T @ flatten_element(mu.density))
     k = (k + k.adjoint()) * 0.5
-    return Weight(k)
+    return Weight(k, tol)

@@ -144,6 +144,19 @@ def test_demo_pushforward(capsys, tmp_path):
     assert out["faithful"] is True
 
 
+def test_demo_pushforward_wrong_number_of_slot_weights_is_parse_error(capsys, tmp_path):
+    mu = {"density": {"block_dims": [2],
+                      "blocks": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}}
+    embedding = {"source_dims": [2], "target_dims": [4], "assignment": [[0, 0]]}
+    for given in ([1.0], [1.0, 1.0, 1.0]):
+        path = write(tmp_path, "pf.json",
+                     {"mu": mu, "embedding": embedding, "slot_weights": given})
+        code, out = run_cli(capsys, "demo", "pushforward", "--input", path)
+        assert code == 2
+        assert out["error"] == {"type": "parse",
+                                "message": f"expected 2 slot weights, got {len(given)}"}
+
+
 def test_demo_parse_error(capsys, tmp_path):
     path = write(tmp_path, "junk.json", {"x": {"block_dims": [2], "blocks": []}})
     code, out = run_cli(capsys, "demo", "polar", "--input", path)

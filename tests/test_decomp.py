@@ -29,7 +29,6 @@ from nclp import (
     right_support,
     trace_weight,
 )
-from nclp.decomp import clipped_inverse
 from nclp.properties import _conditioned_instance
 from nclp.sampling import (
     make_rng,
@@ -157,6 +156,10 @@ def _reference_ladder(x, y, epsilons, tol=DEFAULT_TOL):
     """The ladder as first written: one func_calc and one norm per rung."""
     exact = douglas_divide(x, y, tol).quotient
     pol = polar_right(x, tol)
+
+    def clipped_inverse(eps):   # f_eps(t) = 1/t for t >= eps, 0 below
+        return lambda w: np.divide(1.0, w, out=np.zeros_like(w), where=(w >= eps) & (w > 0.0))
+
     return [(float(eps), operator_norm(
                 y @ func_calc(pol.positive, clipped_inverse(eps), tol)
                 @ pol.isometry.adjoint() - exact))
@@ -373,6 +376,40 @@ def test_graded_divide_rejects_real_part_mismatch():
     zero = graded_divide(x, GradedElement(M2.zero(), 1.0))
     assert operator_norm(zero.data) == 0.0
     assert zero.grading.real >= 0.0
+    # the grading is checked before solvability
+    singular = GradedElement(make_element(M2, [np.diag([1.0, 0.0])]), 0.5)
+    with pytest.raises(GradingError):
+        graded_divide(singular, GradedElement(e(2, 2), 1.0))
+    with pytest.raises(UnsolvableError):
+        graded_divide(singular, GradedElement(e(2, 2), 0.5))
+
+
+def test_graded_divide_takes_the_norm_of_y_once(monkeypatch):
+    # across real parts only ||y|| is needed; otherwise one full SVD of x
+    # and one values-only SVD for the residual, y and p, even for y = 0
+    rng = make_rng(17)
+    M = BlockAlgebra((2,) * 8)
+    x = random_graded(rng, M, 0.5 + 0.3j)
+    y = GradedElement(random_element(rng, M) @ x.data, 0.5 - 0.9j)
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh", "norm"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append((_name, kwargs.get("compute_uv", True)))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    divide = [("svd", True), ("svd", False)]
+    for target, expected in ((y, divide), (GradedElement(M.zero(), 0.5), divide),
+                             (GradedElement(M.zero(), 1.5), [("svd", False)])):
+        calls.clear()
+        graded_divide(x, target)
+        assert calls == expected
+    calls.clear()
+    with pytest.raises(GradingError):
+        graded_divide(x, GradedElement(y.data, 1.5))
+    assert calls == [("svd", False)]
 
 
 MIXED = BlockAlgebra((1, 2, 3, 2, 3, 1))

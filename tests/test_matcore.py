@@ -9,13 +9,18 @@ from nclp import (
     DEFAULT_TOL,
     AlgebraMismatchError,
     BlockAlgebra,
+    BlockEmbedding,
+    GradedElement,
     NotPositiveError,
+    OperatorValuedWeight,
     ShapeError,
     Tolerances,
+    Weight,
     allclose,
     distance,
     flatten_element,
     func_calc,
+    hom_from_element,
     make_element,
     operator_norm,
     power_pos,
@@ -23,7 +28,7 @@ from nclp import (
     trace,
     unflatten_element,
 )
-from nclp.matcore import _eig_classes, _operator_norms, _powers
+from nclp.matcore import _eig_classes, _operator_norms
 from nclp.sampling import make_rng, random_element, random_positive, random_projection
 
 M2 = BlockAlgebra((2,))
@@ -137,8 +142,8 @@ def test_power_pos_imaginary_is_unitary_on_support():
 
 def test_func_calc_identity_and_clip():
     h = make_element(M2, [np.diag([0.5, 2.0])])
-    assert distance(func_calc(h, lambda t: t), h) < 1e-14
-    clipped = func_calc(h, lambda t: 1.0 / t if t >= 1.0 else 0.0)
+    assert distance(func_calc(h, lambda w: w), h) < 1e-14
+    clipped = func_calc(h, lambda w: np.divide(1.0, w, out=np.zeros_like(w), where=w >= 1.0))
     assert distance(clipped, make_element(M2, [np.diag([0.0, 0.5])])) < 1e-14
 
 
@@ -146,13 +151,13 @@ def test_func_calc_agrees_with_power_map():
     rng = make_rng(8)
     h = random_positive(rng, BlockAlgebra((3,)))
     for a in (0.5, 2.0):
-        assert distance(func_calc(h, lambda t: t ** a), power_pos(h, a)) < 1e-11
+        assert distance(func_calc(h, lambda w: w ** a), power_pos(h, a)) < 1e-11
 
 
 def test_func_calc_support_vs_identity():
     h = make_element(M2, [np.diag([3.0, 0.0])])
-    assert distance(func_calc(h, lambda t: 1.0), M2.identity()) < 1e-14
-    support = func_calc(h, lambda t: 1.0 if t > 0 else 0.0)
+    assert distance(func_calc(h, np.ones_like), M2.identity()) < 1e-14
+    support = func_calc(h, lambda w: np.where(w > 0, 1.0, 0.0))
     assert distance(support, make_element(M2, [np.diag([1.0, 0.0])])) < 1e-14
 
 
@@ -277,6 +282,28 @@ def test_unpickled_elements_stay_read_only():
     assert y.blocks[1].base is not None   # still views into the stacks
 
 
+def test_unpickled_operator_valued_weights_stay_read_only():
+    ovw = OperatorValuedWeight.from_compression(
+        BlockEmbedding(M2, BlockAlgebra((4,)), ((0, 0),)), [1.0, 2.0])
+    back = pickle.loads(pickle.dumps(ovw))
+    assert back.embedding == ovw.embedding
+    assert np.array_equal(back.matrix, ovw.matrix)
+    assert not back.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        back.matrix[0, 0] = 5.0
+
+
+def test_unpickled_module_homs_stay_read_only():
+    hom = hom_from_element(GradedElement(random_element(make_rng(35), MIXED), 0.5), 0.5)
+    back = pickle.loads(pickle.dumps(hom))
+    assert back.algebra == hom.algebra
+    assert (back.grading_in, back.grading_out) == (hom.grading_in, hom.grading_out)
+    assert np.array_equal(back.matrix, hom.matrix)
+    assert not back.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        back.matrix[0, 0] = 5.0
+
+
 def test_stacked_factorizations_equal_per_block_calls_bit_for_bit():
     rng = make_rng(30)
     x = random_element(rng, MIXED)
@@ -307,15 +334,17 @@ def test_eig_classes_match_per_block_eigh_and_keep_diagonal_path():
     blocks = list(h.blocks)
     blocks[3] = np.diag([2.0, 0.5]).astype(complex)   # exactly diagonal, size 2
     h = make_element(MIXED, blocks)
-    classes, lmax = _eig_classes(h, DEFAULT_TOL)
-    pairs = _per_block(classes)
+    pairs = _per_block(_eig_classes(h, DEFAULT_TOL))
+    refs = []
     for k, b in enumerate(h.blocks):
-        w, u = pairs[k]
         if k in (0, 3, 5):   # 1x1 blocks are real diagonal too
-            ref_w, ref_u = np.diagonal(b).real, np.eye(b.shape[0])
+            refs.append((np.diagonal(b).real, np.eye(b.shape[0])))
         else:
-            ref_w, ref_u = np.linalg.eigh((b + b.conj().T) / 2.0)
-        cutoff = DEFAULT_TOL.rank_rel * lmax * b.shape[0]
+            refs.append(np.linalg.eigh((b + b.conj().T) / 2.0))
+    lmax = max(float(np.abs(ref_w).max()) for ref_w, _ in refs)
+    for k, (ref_w, ref_u) in enumerate(refs):
+        w, u = pairs[k]
+        cutoff = DEFAULT_TOL.rank_rel * lmax * ref_w.size
         assert np.array_equal(w, np.where(ref_w > cutoff, ref_w, 0.0))
         assert np.array_equal(u, ref_u)
 
@@ -349,7 +378,7 @@ def test_powers_equal_power_pos_bit_for_bit():
     rng = make_rng(32)
     h = random_positive(rng, MIXED)
     exponents = (0.5, 1j, -1j, 1.5 - 0.2j)
-    for got, a in zip(_powers(h, exponents, DEFAULT_TOL), exponents):
+    for got, a in zip(Weight(h).powers(exponents), exponents):
         assert all(np.array_equal(g, r) for g, r in zip(got.blocks, power_pos(h, a).blocks))
 
 
@@ -381,9 +410,35 @@ def test_stacked_functional_calculus_matches_per_block_references():
             assert distance(got, ref) <= DEFAULT_TOL.eq_bound(operator_norm(ref))
 
 
-def test_func_calc_calls_f_once_per_eigenvalue():
+def test_func_calc_calls_f_once_per_size_class():
     seen = []
     h = random_positive(make_rng(34), MIXED)
-    func_calc(h, lambda t: seen.append(t) or t)
-    assert len(seen) == sum(MIXED.block_dims)
-    assert all(type(t) is float for t in seen)
+    got = func_calc(h, lambda w: seen.append(w) or w)
+    assert [w.shape for w in seen] == [(2, 1), (2, 2), (2, 3)]
+    assert all(w.dtype == float for w in seen)
+    assert distance(got, h) <= DEFAULT_TOL.eq_bound(operator_norm(h))
+
+
+def _count_linalg(monkeypatch):
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh", "norm"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_calculus_takes_one_eigh_per_general_size_class(monkeypatch):
+    h = random_positive(make_rng(36), MIXED)   # the 1x1 class is diagonal
+    mu = Weight(h)
+    calls = _count_linalg(monkeypatch)
+    for build in (lambda: func_calc(h, np.sqrt), lambda: power_pos(h, 0.5j),
+                  lambda: spectral_projection(h, 0.5), lambda: mu.powers((0.5j,)),
+                  lambda: mu.powers((0.5j, -0.5j, 1.5, 2.0 - 1j, 0.25))):
+        calls.clear()
+        build()
+        assert calls == ["eigh", "eigh"]

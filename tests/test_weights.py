@@ -508,6 +508,48 @@ def test_from_compression_rejects_bad_slot_weights():
         OperatorValuedWeight.from_compression(emb, [float("inf"), 1.0])
     with pytest.raises(ValueError, match="strictly positive"):
         OperatorValuedWeight.from_compression(emb, [1.0, 0.0])
+    for given in ([1.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match=f"expected 2 slot weights, got {len(given)}"):
+            OperatorValuedWeight.from_compression(emb, given)
+
+
+def test_pushforward_keeps_the_callers_tolerance():
+    tight = Tolerances(rank_rel=1e-15, eq_abs=1e-9, eq_rel=1e-9)
+    mu = Weight(make_element(M2, [np.diag([1.0, 1e-12])]), tight)
+    ovw = OperatorValuedWeight.from_compression(BlockEmbedding(M2, M2, ((0,),)))
+    assert mu.faithful
+    push = pushforward_weight(mu, ovw, tight)
+    assert push.tol == tight and push.faithful
+    assert not pushforward_weight(mu, ovw).faithful
+
+
+def test_weight_operations_take_one_eigh_per_density(monkeypatch):
+    M = BlockAlgebra((2,) * 8)
+    rng = make_rng(22)
+    h, k = random_weight(rng, M).density, random_weight(rng, M).density
+    x = random_element(rng, M)
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh", "norm"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    mu, nu = Weight(h), Weight(k)
+    assert calls == ["eigh", "eigh"]
+    counts = {}
+    for name, run in (("modular_automorphism", lambda: modular_automorphism(mu, 0.3j, x)),
+                      ("connes_cocycle", lambda: connes_cocycle(mu, nu, 0.3j)),
+                      ("cocycle_identity_check",
+                       lambda: cocycle_identity_check(mu, nu, 0.3j, -0.7j)),
+                      ("support", lambda: mu.support)):
+        calls.clear()
+        run()
+        counts[name] = calls.count("eigh")
+    assert counts == {"modular_automorphism": 1, "connes_cocycle": 2,
+                      "cocycle_identity_check": 2, "support": 1}
 
 
 def test_flow_parameters_must_be_finite():
