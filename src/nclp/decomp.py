@@ -265,8 +265,14 @@ def cyclic_generator(generators, mu: Weight, tol: Tolerances = DEFAULT_TOL):
     y_mat = mu.power(complex(0.0, a.imag), tol) @ x
     y = GradedElement(y_mat, a)
 
-    svd = _svd_support(y_mat, tol)
-    quotients = [_divide(y_mat, g.data, svd, tol).quotient for g in gens]
+    # q_i = u_i y^+ from one pseudoinverse; one values-only SVD per class
+    # decides every division, as the residual ||u_i - q_i y|| against ||u_i||
+    inv = _pinv(y_mat, _svd_support(y_mat, tol))
+    quotients = [g.data @ inv for g in gens]
+    norms = _operator_norms(*(g.data - q @ y_mat for g, q in zip(gens, quotients)),
+                            *(g.data for g in gens))
+    for residual, norm_g in zip(norms, norms[len(gens):]):
+        _check_solvable(residual, norm_g, tol)
     return y, quotients, [q.adjoint() for q in quotients]
 
 

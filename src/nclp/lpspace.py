@@ -26,6 +26,7 @@ from .matcore import (
     _h,
     _spectral_power,
     _svd_support,
+    _svds,
     _udv,
     flatten_element,
     operator_norm,
@@ -84,7 +85,7 @@ def holder_witness(xi: GradedElement, b,
                            "use the spectral-threshold witness on imaginary gradings")
     if b.real < -tol.eq_abs:
         raise GradingError(f"witness grading must have Re >= 0, got {b}")
-    svd = [np.linalg.svd(x) for x in xi.data.stacks]
+    svd = _svds(xi.data)
     if max(float(s.max()) for _, s, _ in svd) <= tol.eq_abs:
         raise NclpError("the zero element has no Hölder witness")
     e = b / a.real
@@ -151,7 +152,7 @@ def comultiply(zeta: GradedElement, split,
     # are scalar identities in the singular values
     e1 = complex(a.real, -b.imag) / re_sum
     e2 = b / re_sum
-    svd = [np.linalg.svd(x) for x in zeta.data.stacks]
+    svd = _svds(zeta.data)
     first = Element._of(zeta.algebra, [_udv(u, _spectral_power(s, e1), vh) for u, s, vh in svd])
     second = Element._of(zeta.algebra, [_udv(_h(vh), _spectral_power(s, e2), vh)
                                         for _, s, vh in svd])
@@ -166,6 +167,7 @@ class TensorElement:
     grading_left: complex
     grading_right: complex
     pairs: tuple[tuple[GradedElement, GradedElement], ...]
+    tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
         a = complex(self.grading_left)
@@ -177,9 +179,9 @@ class TensorElement:
             if (l.algebra.block_dims != self.algebra.block_dims
                     or r.algebra.block_dims != self.algebra.block_dims):
                 raise GradingError("tensor factors live in a different algebra")
-            if abs(l.grading - a) > DEFAULT_TOL.eq_abs:
+            if abs(l.grading - a) > self.tol.eq_abs:
                 raise GradingError(f"left factor grading {l.grading} != {a}")
-            if abs(r.grading - b) > DEFAULT_TOL.eq_abs:
+            if abs(r.grading - b) > self.tol.eq_abs:
                 raise GradingError(f"right factor grading {r.grading} != {b}")
         object.__setattr__(self, "pairs", pairs)
 
@@ -257,8 +259,8 @@ class ModuleHom:
     def apply(self, y: Element) -> Element:
         return unflatten_element(self.algebra, self.matrix @ flatten_element(y))
 
-    def __call__(self, eta: GradedElement) -> GradedElement:
-        if abs(eta.grading - self.grading_in) > DEFAULT_TOL.eq_abs:
+    def __call__(self, eta: GradedElement, tol: Tolerances = DEFAULT_TOL) -> GradedElement:
+        if abs(eta.grading - self.grading_in) > tol.eq_abs:
             raise GradingError(
                 f"hom expects grading {self.grading_in}, got {eta.grading}")
         return GradedElement(self.apply(eta.data), self.grading_out)
@@ -293,11 +295,18 @@ def hom_to_element(T: ModuleHom, tol: Tolerances = DEFAULT_TOL) -> GradedElement
     left-multiplication matrix of T(1); a map that differs from it by more
     than the tolerance is not left multiplication by anything, and
     NotModuleMapError reports the Frobenius norm of the difference.
+
+    The tolerance scales with ||T||_2, which lies within that residual r of
+    ||L_xi||_2 = ||xi||_op; only an r between the bounds at the ends of
+    that bracket takes the dense norm of the D x D matrix.
     """
-    scale = max(float(np.linalg.norm(T.matrix, 2)), 1.0)
-    bound = tol.eq_bound(scale)
     xi = T.apply(T.algebra.identity())
     residual = float(np.linalg.norm(T.matrix - _left_multiplication(xi)))
+    top = operator_norm(xi)
+    lo, hi = (tol.eq_bound(max(top + e, 1.0)) for e in (-residual, residual))
+    bound = lo
+    if lo < residual <= hi:
+        bound = tol.eq_bound(max(float(np.linalg.norm(T.matrix, 2)), 1.0))
     if residual > bound:
         raise NotModuleMapError(
             f"right-linearity fails: residual {residual:.3e} against left "

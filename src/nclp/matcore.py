@@ -8,7 +8,7 @@ is built on the types and operations in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -217,6 +217,21 @@ def _h(a: np.ndarray) -> np.ndarray:
 # calls bit for bit, and its results are plain lists aligned with
 # algebra.classes, rebuilt with Element._of.  numpy.linalg is looked up at
 # call time throughout, so it can be wrapped to count factorizations.
+#
+# The full SVDs and eigensystems of the last FACTOR_CACHE elements are
+# kept, so the supports, polar parts, quotients and powers of one element
+# share one factorization across calls.  The key is the element itself:
+# Element hashes by identity and its stacks are read-only, so a key never
+# outlives or changes its factors.  The cache holds its keys alive, which
+# bounds it by FACTOR_CACHE factorizations, whatever callers keep.
+
+FACTOR_CACHE = 4
+
+
+def _frozen(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def _udv(u: np.ndarray, d: np.ndarray, vh: np.ndarray) -> np.ndarray:
@@ -232,14 +247,21 @@ def _spectral_power(s: np.ndarray, a) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=FACTOR_CACHE)
+def _svds(x: Element) -> tuple:
+    """The full SVD (u, s, vh) of each size-class stack of x, read-only."""
+    return tuple(_frozen(*np.linalg.svd(a)) for a in x.stacks)
+
+
 def _svd_support(x: Element, tol: Tolerances) -> list:
     """[(u, s, vh, keep)] per size class, keep masking the support.
 
     keep marks the singular values above the cutoff rank_rel * smax * n,
     with smax the largest singular value over all blocks and n the size of
-    the class.
+    the class.  The triples are _svds(x), shared with every other caller
+    on the same element; only keep depends on tol.
     """
-    svds = [np.linalg.svd(a) for a in x.stacks]
+    svds = _svds(x)
     smax = max(float(s.max()) for _, s, _ in svds)
     return [(u, s, vh, s > tol.rank_rel * smax * s.shape[-1]) for u, s, vh in svds]
 
@@ -286,29 +308,17 @@ def unflatten_element(algebra: BlockAlgebra, vec: np.ndarray) -> Element:
 # -- Hermitian eigensystems and functional calculus ----------------------
 
 
-def _eig_classes(h: Element, tol: Tolerances) -> list:
-    """Stacked eigensystems of a positive element, one per size class.
+@lru_cache(maxsize=FACTOR_CACHE)
+def _eighs(h: Element) -> tuple:
+    """The raw eigensystem (w, U) of each size-class stack of h, read-only.
 
-    Returns a list of (w, U) aligned with h.algebra.classes: eigenvalues
-    w (k, n) clamped to 0 below the support cutoff, and eigenvectors
-    U (k, n, n).  The blocks that are not exactly real diagonal share one
-    batched eigh per class.  Raises NotPositiveError, naming the first
-    offending block, if h is not Hermitian PSD within tolerance.
+    Blocks that are exactly diagonal with real entries get the trivial
+    eigensystem, which keeps identity densities bit-exact through powers;
+    the rest of each class shares one batched eigh of its Hermitian part.
     """
-    pairs = list(zip(h.algebra.classes, h.stacks))
-    bad = []
-    for idx, a in pairs:
-        asym = np.abs(a - _h(a)).max(axis=(-2, -1))
-        bound = tol.eq_abs + tol.eq_rel * np.abs(a).max(axis=(-2, -1))
-        bad += [(idx[j], asym[j]) for j in np.flatnonzero(asym > bound)]
-    if bad:
-        k, asym = min(bad)
-        raise NotPositiveError(f"block {k} is not Hermitian: asymmetry {asym:.3e}")
     raw = []
-    for idx, a in pairs:
+    for a in h.stacks:
         n = a.shape[-1]
-        # exactly diagonal with real entries: trivial eigensystem,
-        # which keeps identity densities bit-exact through powers
         w = np.diagonal(a, axis1=-2, axis2=-1).real.copy()
         u = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
         general = (np.any(a[:, ~np.eye(n, dtype=bool)], axis=-1)
@@ -316,10 +326,32 @@ def _eig_classes(h: Element, tol: Tolerances) -> list:
         if general.any():
             g = a[general]
             w[general], u[general] = np.linalg.eigh((g + _h(g)) / 2.0)
-        raw.append((w, u))
+        raw.append(_frozen(w, u))
+    return tuple(raw)
+
+
+def _eig_classes(h: Element, tol: Tolerances) -> list:
+    """Stacked eigensystems of a positive element, one per size class.
+
+    Returns a list of (w, U) aligned with h.algebra.classes: eigenvalues
+    w (k, n) clamped to 0 below the support cutoff, and eigenvectors
+    U (k, n, n).  The eigensystem is _eighs(h), shared with every other
+    caller on the same element; the checks and the clamp depend on tol and
+    run on every call.  Raises NotPositiveError, naming the first
+    offending block, if h is not Hermitian PSD within tolerance.
+    """
+    bad = []
+    for idx, a in zip(h.algebra.classes, h.stacks):
+        asym = np.abs(a - _h(a)).max(axis=(-2, -1))
+        bound = tol.eq_abs + tol.eq_rel * np.abs(a).max(axis=(-2, -1))
+        bad += [(idx[j], asym[j]) for j in np.flatnonzero(asym > bound)]
+    if bad:
+        k, asym = min(bad)
+        raise NotPositiveError(f"block {k} is not Hermitian: asymmetry {asym:.3e}")
+    raw = _eighs(h)
     lmax = max(float(np.abs(w).max()) for w, _ in raw)
     floor = -tol.eq_bound(lmax)
-    neg = [(idx[j], w[j].min()) for (idx, _), (w, _) in zip(pairs, raw)
+    neg = [(idx[j], w[j].min()) for idx, (w, _) in zip(h.algebra.classes, raw)
            for j in np.flatnonzero(w.min(axis=-1) < floor)]
     if neg:
         k, low = min(neg)

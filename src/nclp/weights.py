@@ -46,6 +46,10 @@ class Weight:
     The tolerance decides the support cutoff: a density whose spectrum spans
     more than about 1/rank_rel reports as nonfaithful unless constructed
     with a tighter policy (pass the same policy to the modular operations).
+
+    The eigensystem of the density comes from matcore's factorization
+    cache, so construction, support and every power share one eigh while
+    the density is among the last FACTOR_CACHE elements factorized.
     """
 
     density: Element

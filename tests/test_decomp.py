@@ -29,6 +29,7 @@ from nclp import (
     right_support,
     trace_weight,
 )
+from nclp.matcore import _eighs, _svds
 from nclp.properties import _conditioned_instance
 from nclp.sampling import (
     make_rng,
@@ -341,6 +342,40 @@ def test_closed_form_certificate_matches_the_amplified_one():
         assert distance(row, left_support(y.data)) <= DEFAULT_TOL.eq_bound(1.0)
 
 
+def test_cyclic_generator_decides_every_division_in_one_norm_call(monkeypatch):
+    # one eigh for G^(1/2) and one for mu's density, one SVD of y, and one
+    # values-only SVD for the residuals and norms of every generator
+    rng = make_rng(62)
+    M = BlockAlgebra((2,) * 8)
+    gens = [random_graded(rng, M, 0.5 + 0.3j) for _ in range(2)]
+    mu = random_weight(rng, M)
+    calls = []
+    for name in ("svd", "eigh", "eigvalsh", "norm"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls.append((_name, kwargs.get("compute_uv", True)))
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    _svds.cache_clear()
+    _eighs.cache_clear()
+    y, qs, _ = cyclic_generator(gens, mu)
+    assert calls == [("eigh", True), ("eigh", True), ("svd", True), ("svd", False)]
+    for g, q in zip(gens, qs):   # the quotients of douglas_divide, bit for bit
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(q.stacks, douglas_divide(y.data, g.data).quotient.stacks))
+
+
+def test_cyclic_generator_reports_a_direction_below_the_support_cutoff():
+    # G = u*u has eigenvalues 1 and 1e-12, below the cutoff of G^(1/2), so
+    # y loses the direction that u keeps at 1e-6 and u = q y has no solution
+    u = GradedElement(make_element(M2, [np.diag([1.0, 1e-6])]), 0.5)
+    with pytest.raises(UnsolvableError) as exc:
+        cyclic_generator([u], trace_weight(M2))
+    assert exc.value.residual == pytest.approx(1e-6, rel=1e-6)
+
+
 def test_rank1_matrix_units():
     pairs = [(GradedElement(e(1, 1), 0.0), GradedElement(e(1, 1), 0.0)),
              (GradedElement(e(1, 2), 0.0), GradedElement(e(2, 1), 0.0))]
@@ -403,9 +438,14 @@ def test_graded_divide_takes_the_norm_of_y_once(monkeypatch):
     divide = [("svd", True), ("svd", False)]
     for target, expected in ((y, divide), (GradedElement(M.zero(), 0.5), divide),
                              (GradedElement(M.zero(), 1.5), [("svd", False)])):
+        _svds.cache_clear()
         calls.clear()
         graded_divide(x, target)
         assert calls == expected
+        # again on the same x: its SVD is reused, the norms are taken afresh
+        calls.clear()
+        graded_divide(x, target)
+        assert calls == [("svd", False)]
     calls.clear()
     with pytest.raises(GradingError):
         graded_divide(x, GradedElement(y.data, 1.5))

@@ -12,6 +12,7 @@ from nclp import (
     NclpError,
     NotModuleMapError,
     TensorElement,
+    Tolerances,
     comultiply,
     distance,
     flatten_element,
@@ -256,6 +257,15 @@ def test_tensor_element_validates_gradings():
                       ((random_graded(rng, M2, 1.0), random_graded(rng, M2, 0.5)),))
 
 
+def test_tensor_element_grading_check_reads_the_tolerance():
+    rng = make_rng(25)
+    left, right = random_graded(rng, M2, 0.5), random_graded(rng, M2, 0.5 + 1e-7)
+    with pytest.raises(GradingError):
+        TensorElement(M2, 0.5, 0.5, ((left, right),))
+    z = TensorElement(M2, 0.5, 0.5, ((left, right),), Tolerances(eq_abs=1e-6))
+    assert z.pairs == ((left, right),)
+
+
 def test_hom_identity():
     unit = GradedElement(M2.identity(), 0.0)
     T = hom_from_element(unit, 0.0)
@@ -329,6 +339,65 @@ def test_hom_call_checks_grading():
     assert out.grading == 1.5
     with pytest.raises(GradingError):
         T(random_graded(rng, M2, 0.25))
+
+
+def test_hom_call_grading_check_reads_the_tolerance():
+    rng = make_rng(26)
+    T = hom_from_element(random_graded(rng, M2, 0.5), 1.0)
+    eta = random_graded(rng, M2, 1.0 + 1e-7)
+    with pytest.raises(GradingError):
+        T(eta)
+    assert T(eta, Tolerances(eq_abs=1e-6)).grading == 1.5
+
+
+def _count_dense_norms(monkeypatch, d):
+    """Record every norm(., 2) and every SVD of a d x d matrix."""
+    calls = []
+    real_norm, real_svd = np.linalg.norm, np.linalg.svd
+
+    def norm(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append("norm2")
+        return real_norm(x, ord, *args, **kwargs)
+
+    def svd(a, *args, **kwargs):
+        if np.shape(a)[-2:] == (d, d):
+            calls.append("svd")
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return calls
+
+
+def test_hom_to_element_brackets_the_norm_of_a_module_map(monkeypatch):
+    M = BlockAlgebra((16,))
+    xi = random_graded(make_rng(27), M, 0.5 + 0.2j)
+    T = hom_from_element(xi, 0.5)
+    calls = _count_dense_norms(monkeypatch, M.total_dim)
+    back = hom_to_element(T)
+    assert calls == []
+    assert distance(back.data, xi.data) <= 1e-10 * (1 + operator_norm(xi.data))
+
+
+def test_hom_to_element_takes_the_dense_norm_inside_the_bracket(monkeypatch):
+    # T = L_xi + c E_01 with xi = 10: r = c and ||T||_2 = (sqrt(c^2 + 400) + c) / 2.
+    # Under eq_rel = 0.1 both c lie in the bracket (0.1 (10 - c), 0.1 (10 + c)],
+    # and only ||T||_2 separates them: 1.05 <= 0.1 * 10.539 but 1.06 > 0.1 * 10.544
+    tol = Tolerances(eq_abs=1e-12, eq_rel=0.1)
+    calls = _count_dense_norms(monkeypatch, M2.total_dim)
+    for c, accepted in ((1.05, True), (1.06, False)):
+        mat = 10.0 * np.eye(M2.total_dim, dtype=complex)
+        mat[0, 1] = c       # column 1 is not read by T(1)
+        T = ModuleHom(M2, 0.5, 0.5, mat)
+        calls.clear()
+        if accepted:
+            assert distance(hom_to_element(T, tol).data, 10.0 * M2.identity()) == 0.0
+        else:
+            with pytest.raises(NotModuleMapError) as exc:
+                hom_to_element(T, tol)
+            assert exc.value.residual == c
+        assert calls == ["norm2"]
 
 
 def test_hom_norm_diagonal_witness():

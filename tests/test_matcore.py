@@ -1,5 +1,6 @@
 """Unit tests for the block-matrix substrate."""
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -10,6 +11,7 @@ from nclp import (
     AlgebraMismatchError,
     BlockAlgebra,
     BlockEmbedding,
+    Element,
     GradedElement,
     NotPositiveError,
     OperatorValuedWeight,
@@ -17,18 +19,25 @@ from nclp import (
     Tolerances,
     Weight,
     allclose,
+    comultiply,
     distance,
+    douglas_divide,
     flatten_element,
     func_calc,
+    holder_witness,
     hom_from_element,
+    left_support,
     make_element,
     operator_norm,
+    polar_left,
+    polar_right,
     power_pos,
+    right_support,
     spectral_projection,
     trace,
     unflatten_element,
 )
-from nclp.matcore import _eig_classes, _operator_norms
+from nclp.matcore import FACTOR_CACHE, _eig_classes, _eighs, _operator_norms, _svds
 from nclp.sampling import make_rng, random_element, random_positive, random_projection
 
 M2 = BlockAlgebra((2,))
@@ -425,7 +434,7 @@ def _count_linalg(monkeypatch):
         real = getattr(np.linalg, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
+            calls.append(_name if kwargs.get("compute_uv", True) else "svdvals")
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -439,6 +448,96 @@ def test_calculus_takes_one_eigh_per_general_size_class(monkeypatch):
     for build in (lambda: func_calc(h, np.sqrt), lambda: power_pos(h, 0.5j),
                   lambda: spectral_projection(h, 0.5), lambda: mu.powers((0.5j,)),
                   lambda: mu.powers((0.5j, -0.5j, 1.5, 2.0 - 1j, 0.25))):
+        _eighs.cache_clear()
         calls.clear()
         build()
         assert calls == ["eigh", "eigh"]
+        calls.clear()
+        build()
+        assert calls == []
+
+
+def _leaves(result):
+    """Every array and number in a result, in order."""
+    if isinstance(result, Element):
+        return list(result.stacks)
+    if isinstance(result, GradedElement):
+        return [*_leaves(result.data), result.grading]
+    if isinstance(result, (list, tuple)):
+        return [v for item in result for v in _leaves(item)]
+    if dataclasses.is_dataclass(result):
+        return _leaves([getattr(result, f.name) for f in dataclasses.fields(result)])
+    return [result]
+
+
+def test_cached_factorizations_give_bit_identical_results(monkeypatch):
+    rng = make_rng(37)
+    x = random_element(rng, MIXED)
+    y = random_element(rng, MIXED) @ x
+    mu = Weight(random_positive(rng, MIXED))
+    runs = (lambda: polar_right(x), lambda: polar_left(x), lambda: left_support(x),
+            lambda: right_support(x), lambda: douglas_divide(x, y),
+            lambda: holder_witness(GradedElement(x, 0.7 + 0.2j), 0.5),
+            lambda: comultiply(GradedElement(x, 1.2 - 0.3j), (0.5, 0.7 - 0.3j)),
+            lambda: mu.powers((0.5j, -0.5j, 1.5)))
+    calls = _count_linalg(monkeypatch)
+    for run in runs:
+        _svds.cache_clear()
+        _eighs.cache_clear()
+        cold = _leaves(run())
+        for other in runs:      # warm the caches from every caller
+            other()
+        calls.clear()
+        warm = _leaves(run())
+        assert "svd" not in calls and "eigh" not in calls
+        assert len(cold) == len(warm)
+        assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                   for a, b in zip(cold, warm))
+
+
+def test_cached_factors_are_read_only():
+    rng = make_rng(38)
+    x, h = random_element(rng, MIXED), random_positive(rng, MIXED)
+    factors = [a for triple in _svds(x) for a in triple] + [a for pair in _eighs(h) for a in pair]
+    assert len(factors) == 3 * 3 + 3 * 2
+    for a in factors:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+
+
+def test_factor_cache_is_keyed_by_identity(monkeypatch):
+    rng = make_rng(39)
+    x, h = random_element(rng, M2), random_positive(rng, M2)
+    twin_x, twin_h = Element(M2, x.blocks), Element(M2, h.blocks)
+    calls = _count_linalg(monkeypatch)
+    _svds.cache_clear()
+    _eighs.cache_clear()
+    for z in (x, twin_x, x, twin_x):
+        left_support(z)
+    assert calls == ["svd", "svd"]
+    calls.clear()
+    for z in (h, twin_h, h, twin_h):
+        power_pos(z, 0.5)
+    assert calls == ["eigh", "eigh"]
+
+
+def test_factor_cache_holds_the_last_factor_cache_elements(monkeypatch):
+    rng = make_rng(40)
+    xs = [random_element(rng, M2) for _ in range(FACTOR_CACHE + 1)]
+    hs = [random_positive(rng, M2) for _ in range(FACTOR_CACHE + 1)]
+    calls = _count_linalg(monkeypatch)
+    for cached, run, name, items in ((_svds, left_support, "svd", xs),
+                                     (_eighs, lambda z: power_pos(z, 0.5), "eigh", hs)):
+        cached.cache_clear()
+        calls.clear()
+        for z in items:
+            run(z)
+        assert calls == [name] * len(items)
+        assert cached.cache_info().currsize == FACTOR_CACHE
+        calls.clear()
+        run(items[-1])
+        assert calls == []
+        run(items[0])       # the oldest was dropped
+        assert calls == [name]
+        assert cached.cache_info().currsize == FACTOR_CACHE

@@ -29,7 +29,7 @@ from nclp import (
     trace,
     trace_weight,
 )
-from nclp.matcore import _eig_classes, flatten_element as flatten
+from nclp.matcore import _eig_classes, _eighs, flatten_element as flatten
 from nclp.sampling import make_rng, random_element, random_weight
 
 M2 = BlockAlgebra((2,))
@@ -537,19 +537,31 @@ def test_weight_operations_take_one_eigh_per_density(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    _eighs.cache_clear()
     mu, nu = Weight(h), Weight(k)
     assert calls == ["eigh", "eigh"]
+    runs = (("modular_automorphism", lambda: modular_automorphism(mu, 0.3j, x)),
+            ("connes_cocycle", lambda: connes_cocycle(mu, nu, 0.3j)),
+            ("cocycle_identity_check", lambda: cocycle_identity_check(mu, nu, 0.3j, -0.7j)),
+            ("support", lambda: mu.support))
     counts = {}
-    for name, run in (("modular_automorphism", lambda: modular_automorphism(mu, 0.3j, x)),
-                      ("connes_cocycle", lambda: connes_cocycle(mu, nu, 0.3j)),
-                      ("cocycle_identity_check",
-                       lambda: cocycle_identity_check(mu, nu, 0.3j, -0.7j)),
-                      ("support", lambda: mu.support)):
+    for name, run in runs:
+        _eighs.cache_clear()
         calls.clear()
         run()
         counts[name] = calls.count("eigh")
+        calls.clear()
+        run()
+        assert calls.count("eigh") == 0
     assert counts == {"modular_automorphism": 1, "connes_cocycle": 2,
                       "cocycle_identity_check": 2, "support": 1}
+    # fresh weights and all their operations: one eigh per density in total
+    _eighs.cache_clear()
+    calls.clear()
+    mu, nu = Weight(h), Weight(k)
+    for _, run in runs:
+        run()
+    assert calls.count("eigh") == 2
 
 
 def test_flow_parameters_must_be_finite():
