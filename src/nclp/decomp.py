@@ -28,6 +28,7 @@ from .matcore import (
     Tolerances,
     _h,
     _operator_norms,
+    _surely_within,
     _svd_support,
     _udv,
     operator_norm,
@@ -111,9 +112,9 @@ class DivisionResult:
 
 
 def _quotient(x: Element, y: Element, svd):
-    """(p, ||y - p @ x||, ||y||, ||p||) for p = y @ pinv(x), from an _svd_support of x."""
+    """(p, y - p @ x) for p = y @ pinv(x), from an _svd_support of x."""
     p = y @ _pinv(x, svd)
-    return (p, *_operator_norms(y - p @ x, y, p))
+    return p, y - p @ x
 
 
 def _check_solvable(residual: float, norm_y: float, tol: Tolerances):
@@ -123,10 +124,33 @@ def _check_solvable(residual: float, norm_y: float, tol: Tolerances):
             residual)
 
 
+def _require_solvable(remainders, ys, tol: Tolerances):
+    """_check_solvable on each pair (y - p @ x, y), in order.
+
+    The Frobenius brackets accept most solvable families outright; only an
+    undecided family takes the exact norms, all in one values-only SVD per
+    size class, so the error carries the exact residual.
+    """
+    if _surely_within(remainders, ys, tol):
+        return
+    norms = _operator_norms(*remainders, *ys)
+    for residual, norm_y in zip(norms, norms[len(remainders):]):
+        _check_solvable(residual, norm_y, tol)
+
+
 def _divide(x: Element, y: Element, svd, tol: Tolerances) -> DivisionResult:
-    """douglas_divide on a precomputed _svd_support of x."""
-    p, residual, norm_y, norm_p = _quotient(x, y, svd)
-    _check_solvable(residual, norm_y, tol)
+    """douglas_divide on a precomputed _svd_support of x.
+
+    The residual and ||p|| are reported, so they are always exact norms;
+    ||y|| only feeds the solvability verdict, and is taken only when the
+    Frobenius brackets leave that verdict open.
+    """
+    p, rem = _quotient(x, y, svd)
+    if _surely_within([rem], [y], tol):
+        residual, norm_p = _operator_norms(rem, p)
+    else:
+        residual, norm_y, norm_p = _operator_norms(rem, y, p)
+        _check_solvable(residual, norm_y, tol)
     return DivisionResult(p, norm_p, residual)
 
 
@@ -160,11 +184,12 @@ def douglas_ladder(x: Element, y: Element, epsilons=None,
     otherwise.  The kept columns of U are orthonormal, so the gap is
     ||y V diag(d_eps)||: one values-only SVD per size class covers every
     rung, and a rung with d_eps = 0 has gap exactly 0.  Raises
-    UnsolvableError as douglas_divide does.
+    UnsolvableError as douglas_divide does; its check needs no norm of the
+    quotient and, on a solvable pair, usually no SVD at all.
     """
     x._check_compatible(y)
     svd = _svd_support(x, tol)
-    _divide(x, y, svd, tol)
+    _require_solvable([_quotient(x, y, svd)[1]], [y], tol)
     if epsilons is None:
         smax = max(float(s.max()) for _, s, _, _ in svd)
         top = smax if smax > 0.0 else 1.0
@@ -189,14 +214,18 @@ def isometry_divide(x: Element, y: Element,
 
     Returns p with p @ x = y, p*p the left support of x, and p* @ y = x.
     Built from the two polar decompositions, which keeps it well defined
-    on degenerate spectra.
+    on degenerate spectra.  The Gram check ||x*x - y*y|| against
+    max(||x*x||, ||y*y||) is accepted from Frobenius brackets when they
+    decide it, and otherwise takes the exact norms.
     """
     gram_x = x.adjoint() @ x
     gram_y = y.adjoint() @ y
-    residual, norm_x, norm_y = _operator_norms(gram_x - gram_y, gram_x, gram_y)
-    if residual > tol.eq_bound(max(norm_x, norm_y)):
-        raise ConditionViolatedError(
-            f"x*x != y*y: residual {residual:.3e}", residual)
+    gap = gram_x - gram_y
+    if not _surely_within([gap], [gram_x], tol):
+        residual, norm_x, norm_y = _operator_norms(gap, gram_x, gram_y)
+        if residual > tol.eq_bound(max(norm_x, norm_y)):
+            raise ConditionViolatedError(
+                f"x*x != y*y: residual {residual:.3e}", residual)
     u_y = _isometry(y, _svd_support(y, tol))
     return u_y @ _isometry(x, _svd_support(x, tol)).adjoint()
 
@@ -218,7 +247,8 @@ def graded_divide(x: GradedElement, y: GradedElement,
                 f"cannot divide grading {b} data by grading {a} data: "
                 "real parts differ and y != 0")
     else:   # the division's own norms decide y = 0, ahead of its solvability
-        p, residual, norm_y, _ = _quotient(x.data, y.data, _svd_support(x.data, tol))
+        p, rem = _quotient(x.data, y.data, _svd_support(x.data, tol))
+        residual, norm_y = _operator_norms(rem, y.data)
     if norm_y <= tol.eq_abs:
         return GradedElement(y.algebra.zero(), complex(max(g.real, 0.0), g.imag))
     _check_solvable(residual, norm_y, tol)
@@ -265,14 +295,13 @@ def cyclic_generator(generators, mu: Weight, tol: Tolerances = DEFAULT_TOL):
     y_mat = mu.power(complex(0.0, a.imag), tol) @ x
     y = GradedElement(y_mat, a)
 
-    # q_i = u_i y^+ from one pseudoinverse; one values-only SVD per class
-    # decides every division, as the residual ||u_i - q_i y|| against ||u_i||
+    # q_i = u_i y^+ from one pseudoinverse; every division is decided as
+    # the residual ||u_i - q_i y|| against ||u_i||, from Frobenius brackets
+    # or, if they leave it open, one values-only SVD per class for them all
     inv = _pinv(y_mat, _svd_support(y_mat, tol))
     quotients = [g.data @ inv for g in gens]
-    norms = _operator_norms(*(g.data - q @ y_mat for g, q in zip(gens, quotients)),
-                            *(g.data for g in gens))
-    for residual, norm_g in zip(norms, norms[len(gens):]):
-        _check_solvable(residual, norm_g, tol)
+    _require_solvable([g.data - q @ y_mat for g, q in zip(gens, quotients)],
+                      [g.data for g in gens], tol)
     return y, quotients, [q.adjoint() for q in quotients]
 
 

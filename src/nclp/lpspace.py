@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import right_support
-from .errors import GradingError, NclpError, NotModuleMapError
+from .errors import GradingError, NclpError, NonFiniteError, NotModuleMapError
 from .graded import GradedElement
 from .matcore import (
     DEFAULT_TOL,
@@ -233,8 +233,9 @@ class ModuleHom:
     """A right-module map from grading-b data to grading-(a+b) data.
 
     Stored as a full linear map on the flattened coordinates of the
-    algebra; nothing about it is trusted until hom_to_element validates
-    right-linearity.
+    algebra, which must be finite; nothing else about it is trusted until
+    hom_to_element validates right-linearity.  ModuleHom(...) copies the
+    matrix once; the internal _of takes ownership of a fresh array.
     """
 
     algebra: BlockAlgebra
@@ -243,18 +244,33 @@ class ModuleHom:
     matrix: np.ndarray
 
     def __post_init__(self):
+        self._set(np.array(self.matrix, dtype=complex, copy=True))
+
+    def _set(self, mat: np.ndarray):
         object.__setattr__(self, "grading_in", complex(self.grading_in))
         object.__setattr__(self, "grading_out", complex(self.grading_out))
-        mat = np.array(self.matrix, dtype=complex, copy=True)
         d = self.algebra.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"hom matrix must have shape ({d}, {d}), got {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise NonFiniteError("hom matrix must be finite")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
+    @classmethod
+    def _of(cls, algebra: BlockAlgebra, grading_in, grading_out,
+            matrix: np.ndarray) -> ModuleHom:
+        """The map with the given complex matrix, freshly built and not copied."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "algebra", algebra)
+        object.__setattr__(out, "grading_in", grading_in)
+        object.__setattr__(out, "grading_out", grading_out)
+        out._set(matrix)
+        return out
+
     def __reduce__(self):
-        # numpy does not pickle the read-only flag, so rebuild through __init__
-        return ModuleHom, (self.algebra, self.grading_in, self.grading_out, self.matrix)
+        # numpy does not pickle the read-only flag, so rebuild through _of
+        return ModuleHom._of, (self.algebra, self.grading_in, self.grading_out, self.matrix)
 
     def apply(self, y: Element) -> Element:
         return unflatten_element(self.algebra, self.matrix @ flatten_element(y))
@@ -267,14 +283,19 @@ class ModuleHom:
 
 
 def _left_multiplication(x: Element) -> np.ndarray:
-    """Matrix of y -> x @ y on flattened coordinates: kron(x_k, 1) per block."""
+    """Matrix of y -> x @ y on flattened coordinates: kron(x_k, 1) per block.
+
+    Each block is written in place, x_k[i, j] at (i n + r, j n + r) for
+    every r < n, so the D x D matrix is the only large array built.
+    """
     d = x.algebra.total_dim
     out = np.zeros((d, d), dtype=complex)
     pos = 0
     for blk in x.blocks:
-        n2 = blk.shape[0] ** 2
-        out[pos:pos + n2, pos:pos + n2] = np.kron(blk, np.eye(blk.shape[0]))
-        pos += n2
+        n = blk.shape[0]
+        i, j, r = np.ogrid[:n, :n, :n]
+        out[pos + i * n + r, pos + j * n + r] = blk[:, :, None]
+        pos += n * n
     return out
 
 
@@ -284,7 +305,7 @@ def hom_from_element(xi: GradedElement, b,
     b = complex(b)
     if b.real < -tol.eq_abs:
         raise GradingError(f"input grading must have Re >= 0, got {b}")
-    return ModuleHom(xi.algebra, b, xi.grading + b, _left_multiplication(xi.data))
+    return ModuleHom._of(xi.algebra, b, xi.grading + b, _left_multiplication(xi.data))
 
 
 def hom_to_element(T: ModuleHom, tol: Tolerances = DEFAULT_TOL) -> GradedElement:

@@ -7,6 +7,7 @@ is built on the types and operations in this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -284,9 +285,53 @@ def distance(x: Element, y: Element) -> float:
     return operator_norm(x - y)
 
 
+def _frobenius_bracket(x: Element) -> tuple[float, float]:
+    """(lo, hi) with lo <= operator_norm(x) <= hi, from per-block Frobenius norms.
+
+    An n x n block b has ||b||_F / sqrt(n) <= ||b||_2 <= ||b||_F, so
+    lo = max_k ||x_k||_F / sqrt(n_k) and hi = max_k ||x_k||_F.  One
+    reduction per size class, taken scale-free as m sqrt(sum (|a|/m)^2)
+    with m the largest entry of the class: the block of largest norm has
+    sum >= 1, so no square that counts overflows or underflows.  A NaN or
+    inf entry makes both ends NaN.
+    """
+    lo = hi = 0.0
+    for a in x.stacks:
+        mag = np.abs(a)
+        m = float(mag.max())
+        if not 0.0 < m < math.inf:
+            if m == 0.0:
+                continue
+            return math.nan, math.nan
+        top = m * math.sqrt(float(np.square(mag / m).sum(axis=(-2, -1)).max()))
+        lo = max(lo, top / math.sqrt(a.shape[-1]))
+        hi = max(hi, top)
+    return lo, hi
+
+
+def _surely_within(residuals, scales, tol: Tolerances) -> bool:
+    """True only if ||r|| <= tol.eq_bound(||s||) for every pair (r, s).
+
+    Decided from Frobenius brackets alone: each pair must satisfy
+    2 hi(r) <= tol.eq_bound(lo(s)).  The factor 2 absorbs the rounding of
+    the Frobenius sums and of the SVD, so an accept here is never refused
+    by the exact operator norms.  False means undecided, not failed: the
+    caller then takes the exact norms.  Non-finite brackets never accept.
+    """
+    for r, s in zip(residuals, scales, strict=True):
+        hi = _frobenius_bracket(r)[1]
+        lo = _frobenius_bracket(s)[0]
+        if not (math.isfinite(hi) and math.isfinite(lo) and 2.0 * hi <= tol.eq_bound(lo)):
+            return False
+    return True
+
+
 def allclose(x: Element, y: Element, tol: Tolerances = DEFAULT_TOL) -> bool:
-    nx, ny, gap = _operator_norms(x, y, x - y)
-    return gap <= tol.eq_bound(max(nx, ny))
+    gap = x - y
+    if _surely_within([gap], [x], tol):
+        return True
+    nx, ny, gap_norm = _operator_norms(x, y, gap)
+    return gap_norm <= tol.eq_bound(max(nx, ny))
 
 
 def flatten_element(x: Element) -> np.ndarray:

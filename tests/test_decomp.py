@@ -196,8 +196,8 @@ def test_ladder_rung_at_a_singular_value_inverts_it():
 
 
 def test_douglas_ladder_factorizes_once_per_size_class(monkeypatch):
-    # 64 blocks and every rung: one SVD of x, one values-only SVD for the
-    # division's norms and one for all the rungs
+    # 64 blocks and every rung: one SVD of x and one values-only SVD for
+    # all the rungs; the solvability check is decided by Frobenius brackets
     instances = [_ladder_instance(50, (2,) * 8), _ladder_instance(51, (2,) * 64),
                  _ladder_instance(52, (2,) * 64)]
     calls = []
@@ -342,13 +342,7 @@ def test_closed_form_certificate_matches_the_amplified_one():
         assert distance(row, left_support(y.data)) <= DEFAULT_TOL.eq_bound(1.0)
 
 
-def test_cyclic_generator_decides_every_division_in_one_norm_call(monkeypatch):
-    # one eigh for G^(1/2) and one for mu's density, one SVD of y, and one
-    # values-only SVD for the residuals and norms of every generator
-    rng = make_rng(62)
-    M = BlockAlgebra((2,) * 8)
-    gens = [random_graded(rng, M, 0.5 + 0.3j) for _ in range(2)]
-    mu = random_weight(rng, M)
+def _count_factorizations(monkeypatch):
     calls = []
     for name in ("svd", "eigh", "eigvalsh", "norm"):
         real = getattr(np.linalg, name)
@@ -360,11 +354,47 @@ def test_cyclic_generator_decides_every_division_in_one_norm_call(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted)
     _svds.cache_clear()
     _eighs.cache_clear()
+    return calls
+
+
+def test_cyclic_generator_decides_every_division_in_one_norm_call(monkeypatch):
+    # one eigh for G^(1/2) and one for mu's density and one SVD of y; the
+    # Frobenius brackets accept every division, so no values-only SVD
+    rng = make_rng(62)
+    M = BlockAlgebra((2,) * 8)
+    gens = [random_graded(rng, M, 0.5 + 0.3j) for _ in range(2)]
+    mu = random_weight(rng, M)
+    calls = _count_factorizations(monkeypatch)
     y, qs, _ = cyclic_generator(gens, mu)
-    assert calls == [("eigh", True), ("eigh", True), ("svd", True), ("svd", False)]
+    assert calls == [("eigh", True), ("eigh", True), ("svd", True)]
     for g, q in zip(gens, qs):   # the quotients of douglas_divide, bit for bit
         assert all(np.array_equal(a, b) for a, b in
                    zip(q.stacks, douglas_divide(y.data, g.data).quotient.stacks))
+
+
+def test_failing_cyclic_generator_decides_in_one_norm_call(monkeypatch):
+    # every block of u keeps a direction at 1e-6 that G^(1/2) drops, so the
+    # brackets leave the divisions open and one values-only SVD for all of
+    # them decides, raising with the exact residual of the first generator
+    rng = make_rng(63)
+    M = BlockAlgebra((2,) * 8)
+    v = polar_right(random_element(rng, M)).isometry
+    gens = []
+    for scale in (1.0, 0.5):
+        w = polar_right(random_element(rng, M)).isometry
+        d = make_element(M, [np.diag([scale, 1e-6])] * 8)
+        gens.append(GradedElement(w @ d @ v, 0.5 + 0.3j))
+    mu = random_weight(rng, M)
+    calls = _count_factorizations(monkeypatch)
+    with pytest.raises(UnsolvableError) as exc:
+        cyclic_generator(gens, mu)
+    assert calls == [("eigh", True), ("eigh", True), ("svd", True), ("svd", False)]
+    y_mat = mu.power(0.3j) @ power_pos(
+        gens[0].data.adjoint() @ gens[0].data + gens[1].data.adjoint() @ gens[1].data, 0.5)
+    u = gens[0].data
+    assert exc.value.residual == operator_norm(u - u @ pseudo_inverse(y_mat) @ y_mat)
+    assert exc.value.residual == pytest.approx(1e-6, rel=1e-6)
+    assert str(exc.value) == f"no c satisfies c^2 x*x >= y*y: residual {exc.value.residual:.3e}"
 
 
 def test_cyclic_generator_reports_a_direction_below_the_support_cutoff():
@@ -426,15 +456,7 @@ def test_graded_divide_takes_the_norm_of_y_once(monkeypatch):
     M = BlockAlgebra((2,) * 8)
     x = random_graded(rng, M, 0.5 + 0.3j)
     y = GradedElement(random_element(rng, M) @ x.data, 0.5 - 0.9j)
-    calls = []
-    for name in ("svd", "eigh", "eigvalsh", "norm"):
-        real = getattr(np.linalg, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append((_name, kwargs.get("compute_uv", True)))
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    calls = _count_factorizations(monkeypatch)
     divide = [("svd", True), ("svd", False)]
     for target, expected in ((y, divide), (GradedElement(M.zero(), 0.5), divide),
                              (GradedElement(M.zero(), 1.5), [("svd", False)])):

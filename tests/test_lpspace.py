@@ -1,5 +1,7 @@
 """Unit tests for graded norms, witnesses, tensors, and homs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from nclp import (
     GradingError,
     ModuleHom,
     NclpError,
+    NonFiniteError,
     NotModuleMapError,
     TensorElement,
     Tolerances,
@@ -321,6 +324,51 @@ def test_hom_to_element_single_entry_perturbation(dims, entry):
         # left multiplication by T(1), one flattened basis image per column
         multiply = np.stack([flatten_element(unit @ e) for e in M.basis()], axis=1)
         assert exc.value.residual == np.linalg.norm(mat - multiply)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_module_hom_rejects_non_finite_matrices(bad):
+    mat = np.eye(M2.total_dim, dtype=complex)
+    mat[1, 2] = bad
+    with pytest.raises(NonFiniteError):
+        ModuleHom(M2, 0.5, 0.5, mat)
+
+
+def test_hom_from_element_owns_its_matrix():
+    # the D x D matrix (1 MiB at (16,)) is built once and not copied again
+    M = BlockAlgebra((16,))
+    xi = random_graded(make_rng(28), M, 0.5)
+    tracemalloc.start()
+    try:
+        T = hom_from_element(xi, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T.matrix.nbytes == 2 ** 20
+    assert peak < 1.5 * 2 ** 20
+    assert not T.matrix.flags.writeable
+    with pytest.raises(ValueError):
+        T.matrix[0, 0] = 5.0
+
+
+def test_graded_sum_reads_the_tolerance():
+    rng = make_rng(29)
+    x, y = random_element(rng, M2), random_element(rng, M2)
+    with pytest.raises(GradingError):
+        GradedElement(x, 0.5) + GradedElement(y, 0.5 + 1e-7)
+    loose = Tolerances(eq_abs=1e-6)
+    total = GradedElement(x, 0.5, loose) + GradedElement(y, 0.5 + 1e-7)
+    assert total.grading == 0.5 and total.tol is loose
+    assert np.array_equal(total.data.stacks[0], (x + y).stacks[0])
+    for derived in (total.adjoint(), 2.0 * total, total - total):
+        assert derived.tol is loose
+
+
+def test_graded_element_grading_check_reads_the_tolerance():
+    x = random_element(make_rng(30), M2)
+    with pytest.raises(GradingError):
+        GradedElement(x, -1e-7)
+    assert GradedElement(x, -1e-7, Tolerances(eq_abs=1e-6)).grading == -1e-7
 
 
 def test_hom_rejects_negative_multiplier_grading():
