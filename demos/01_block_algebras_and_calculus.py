@@ -10,8 +10,8 @@ import numpy as np
 
 from nclp import (
     BlockAlgebra,
+    Element,
     func_calc,
-    make_element,
     operator_norm,
     power_pos,
     spectral_projection,
@@ -20,14 +20,14 @@ from nclp import (
 
 # M_2 ⊕ M_1: a 2x2 block and a scalar block
 M = BlockAlgebra((2, 1))
-x = make_element(M, [np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[3.0]])])
+x = Element(M, [np.array([[1.0, 2.0], [0.0, 1.0]]), np.array([[3.0]])])
 
 print("algebra:", M.block_dims, "total (vector-space) dimension:", M.total_dim)
 print("trace(x) =", trace(x))
 print("operator norm of x =", operator_norm(x))
 
 # positive elements admit complex powers through their eigenvalues
-h = make_element(M, [np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([[4.0]])])
+h = Element(M, [np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([[4.0]])])
 root = power_pos(h, 0.5)
 print("\n||h^(1/2) @ h^(1/2) - h|| =", operator_norm(root @ root - h))
 
@@ -36,7 +36,7 @@ u = power_pos(h, 0.7j)
 print("||h^(0.7i) (h^(0.7i))* - 1|| =", operator_norm(u @ u.adjoint() - M.identity()))
 
 # powers on singular elements: the kernel rides along as 0
-hs = make_element(M, [np.diag([3.0, 0.0]), np.array([[0.0]])])
+hs = Element(M, [np.diag([3.0, 0.0]), np.array([[0.0]])])
 print("\nsingular h, h^(-1) on its support:")
 print(power_pos(hs, -1.0).blocks[0].real)
 

@@ -10,13 +10,13 @@ equality.
 
 import numpy as np
 
-from nclp import BlockAlgebra, GradedElement, gmul, holder_witness, lnorm, make_element
+from nclp import BlockAlgebra, Element, GradedElement, gmul, holder_witness, lnorm
 from nclp.sampling import make_rng, random_graded
 
 M = BlockAlgebra((3,))
 rng = make_rng(1)
 
-d = make_element(M, [np.diag([3.0, 4.0, 0.0])])
+d = Element(M, [np.diag([3.0, 4.0, 0.0])])
 for a, name in [(0.0, "operator"), (0.5, "Hilbert-Schmidt"), (1.0, "trace"), (1.5, "quasi")]:
     print(f"grading {a:<4}: norm = {lnorm(GradedElement(d, a)):.6f}  ({name})")
 
@@ -35,6 +35,6 @@ print(f"\nwitness equality: ||xi y|| = {lhs:.12f}, ||xi|| ||y|| = {rhs:.12f}")
 print(f"relative gap = {abs(lhs - rhs) / rhs:.2e}")
 
 # homogeneity and the two-projection pin: orthogonal unit positives add to 2^Re a
-p = GradedElement(make_element(M, [np.diag([1.0, 0.0, 0.0])]), 1.5)
-q = GradedElement(make_element(M, [np.diag([0.0, 1.0, 0.0])]), 1.5)
+p = GradedElement(Element(M, [np.diag([1.0, 0.0, 0.0])]), 1.5)
+q = GradedElement(Element(M, [np.diag([0.0, 1.0, 0.0])]), 1.5)
 print(f"\n||p + q|| at grading 1.5 = {lnorm(p + q):.6f} = 2^1.5 = {2**1.5:.6f}")

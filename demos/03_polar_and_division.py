@@ -11,13 +11,13 @@ import numpy as np
 
 from nclp import (
     BlockAlgebra,
+    Element,
     UnsolvableError,
     distance,
     douglas_divide,
     douglas_ladder,
     isometry_divide,
     left_support,
-    make_element,
     operator_norm,
     polar_left,
     polar_right,
@@ -57,8 +57,8 @@ for eps, gap in douglas_ladder(x, y)[:8]:
     print(f"  eps = {eps:9.3e}   gap = {gap:9.3e}")
 
 # disjoint supports make division impossible
-bad_x = make_element(M, [np.diag([0.0, 1.0, 1.0])])
-bad_y = make_element(M, [np.diag([1.0, 0.0, 0.0])])
+bad_x = Element(M, [np.diag([0.0, 1.0, 1.0])])
+bad_y = Element(M, [np.diag([1.0, 0.0, 0.0])])
 try:
     douglas_divide(bad_x, bad_y)
 except UnsolvableError as err:

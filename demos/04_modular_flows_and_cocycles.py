@@ -11,13 +11,13 @@ import numpy as np
 
 from nclp import (
     BlockAlgebra,
+    Element,
     Weight,
     change_of_weight,
     cocycle_identity_check,
     connes_cocycle,
     distance,
     evaluate,
-    make_element,
     modular_automorphism,
     trace_weight,
 )
@@ -52,7 +52,7 @@ print("\ncocycle chain rule residual =", chain)
 print(cocycle_identity_check(mu, nu, a, b))
 
 # a nonfaithful numerator rides on its support
-partial = Weight(make_element(M, [np.diag([2.0, 0.0]), np.eye(2)]))
+partial = Weight(Element(M, [np.diag([2.0, 0.0]), np.eye(2)]))
 u = connes_cocycle(partial, nu, a)
 print("\ncocycle of a nonfaithful weight: uu* = its support?",
       distance(u @ u.adjoint(), partial.support))

@@ -11,11 +11,11 @@ import numpy as np
 from nclp import (
     BlockAlgebra,
     BlockEmbedding,
+    Element,
     OperatorValuedWeight,
     Weight,
     distance,
     evaluate,
-    make_element,
     pushforward_weight,
     trace_weight,
 )
@@ -27,7 +27,7 @@ M4 = BlockAlgebra((4,))
 
 # the tensor-square embedding x -> diag(x, x) of M_2 into M_4
 embed = BlockEmbedding(M2, M4, ((0, 0),))
-x = make_element(M2, [np.array([[1.0, 2.0], [3.0, 4.0]])])
+x = Element(M2, [np.array([[1.0, 2.0], [3.0, 4.0]])])
 print("embedded element:\n", embed.apply(x).blocks[0].real)
 
 # its canonical bimodule partner is the partial trace

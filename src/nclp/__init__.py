@@ -29,7 +29,6 @@ from .matcore import (
     distance,
     flatten_element,
     func_calc,
-    make_element,
     operator_norm,
     power_pos,
     spectral_projection,

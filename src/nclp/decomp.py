@@ -111,47 +111,31 @@ class DivisionResult:
     residual: float
 
 
-def _quotient(x: Element, y: Element, svd):
-    """(p, y - p @ x) for p = y @ pinv(x), from an _svd_support of x."""
-    p = y @ _pinv(x, svd)
-    return p, y - p @ x
+def _solve(x: Element, ys, tol: Tolerances, svd=None, measure=None):
+    """The quotients p_k = y_k @ pinv(x) of p @ x = y_k, each checked solvable.
 
-
-def _check_solvable(residual: float, norm_y: float, tol: Tolerances):
-    if residual > tol.eq_bound(norm_y):
-        raise UnsolvableError(
-            f"no c satisfies c^2 x*x >= y*y: residual {residual:.3e}",
-            residual)
-
-
-def _require_solvable(remainders, ys, tol: Tolerances):
-    """_check_solvable on each pair (y - p @ x, y), in order.
-
+    p @ x = y is solvable when ||y - p @ x|| <= tol.eq_bound(||y||); else
+    UnsolvableError carries the exact residual of the first failing y_k.
     The Frobenius brackets accept most solvable families outright; only an
     undecided family takes the exact norms, all in one values-only SVD per
-    size class, so the error carries the exact residual.
+    size class.  measure(quotients, remainders) names the elements whose
+    exact norms the caller needs: they join that SVD, or take their own
+    when the brackets decide, and are returned after the quotients.
+    svd is an _svd_support of x, taken here when not given.
     """
-    if _surely_within(remainders, ys, tol):
-        return
-    norms = _operator_norms(*remainders, *ys)
-    for residual, norm_y in zip(norms, norms[len(remainders):]):
-        _check_solvable(residual, norm_y, tol)
-
-
-def _divide(x: Element, y: Element, svd, tol: Tolerances) -> DivisionResult:
-    """douglas_divide on a precomputed _svd_support of x.
-
-    The residual and ||p|| are reported, so they are always exact norms;
-    ||y|| only feeds the solvability verdict, and is taken only when the
-    Frobenius brackets leave that verdict open.
-    """
-    p, rem = _quotient(x, y, svd)
-    if _surely_within([rem], [y], tol):
-        residual, norm_p = _operator_norms(rem, p)
-    else:
-        residual, norm_y, norm_p = _operator_norms(rem, y, p)
-        _check_solvable(residual, norm_y, tol)
-    return DivisionResult(p, norm_p, residual)
+    inv = _pinv(x, _svd_support(x, tol) if svd is None else svd)
+    ps = [y @ inv for y in ys]
+    rems = [y - p @ x for y, p in zip(ys, ps)]
+    wanted = list(measure(ps, rems)) if measure else []
+    if _surely_within(rems, ys, tol):
+        return ps, _operator_norms(*wanted) if wanted else []
+    m = len(ys)
+    norms = _operator_norms(*rems, *ys, *wanted)
+    for residual, norm_y in zip(norms[:m], norms[m:2 * m]):
+        if residual > tol.eq_bound(norm_y):
+            raise UnsolvableError(
+                f"no c satisfies c^2 x*x >= y*y: residual {residual:.3e}", residual)
+    return ps, norms[2 * m:]
 
 
 def douglas_divide(x: Element, y: Element,
@@ -166,7 +150,8 @@ def douglas_divide(x: Element, y: Element,
     the kernel inclusion fails.
     """
     x._check_compatible(y)
-    return _divide(x, y, _svd_support(x, tol), tol)
+    (p,), (residual, norm_p) = _solve(x, [y], tol, measure=lambda ps, rems: (rems[0], ps[0]))
+    return DivisionResult(p, norm_p, residual)
 
 
 def douglas_ladder(x: Element, y: Element, epsilons=None,
@@ -189,7 +174,7 @@ def douglas_ladder(x: Element, y: Element, epsilons=None,
     """
     x._check_compatible(y)
     svd = _svd_support(x, tol)
-    _require_solvable([_quotient(x, y, svd)[1]], [y], tol)
+    _solve(x, [y], tol, svd)
     if epsilons is None:
         smax = max(float(s.max()) for _, s, _, _ in svd)
         top = smax if smax > 0.0 else 1.0
@@ -236,7 +221,9 @@ def graded_divide(x: GradedElement, y: GradedElement,
 
     Real parts of the gradings must agree unless y = 0 (a nonzero quotient
     cannot change the real part); the zero quotient is returned with its
-    real part clamped into the allowed half-plane.
+    real part clamped into the allowed half-plane.  A y with ||y|| <= eq_abs
+    is always solvable, its remainder being no larger than y, so the
+    division decides y = 0 after its solvability.
     """
     a, b = x.grading, y.grading
     g = b - a
@@ -246,13 +233,11 @@ def graded_divide(x: GradedElement, y: GradedElement,
             raise GradingError(
                 f"cannot divide grading {b} data by grading {a} data: "
                 "real parts differ and y != 0")
-    else:   # the division's own norms decide y = 0, ahead of its solvability
-        p, rem = _quotient(x.data, y.data, _svd_support(x.data, tol))
-        residual, norm_y = _operator_norms(rem, y.data)
+    else:
+        (p,), (norm_y,) = _solve(x.data, [y.data], tol, measure=lambda ps, rems: (y.data,))
     if norm_y <= tol.eq_abs:
-        return GradedElement(y.algebra.zero(), complex(max(g.real, 0.0), g.imag))
-    _check_solvable(residual, norm_y, tol)
-    return GradedElement(p, g)
+        return GradedElement(y.algebra.zero(), complex(max(g.real, 0.0), g.imag), tol)
+    return GradedElement(p, g, tol)
 
 
 def cyclic_generator(generators, mu: Weight, tol: Tolerances = DEFAULT_TOL):
@@ -293,15 +278,8 @@ def cyclic_generator(generators, mu: Weight, tol: Tolerances = DEFAULT_TOL):
         gram = gram + g.data.adjoint() @ g.data
     x = power_pos(gram, 0.5, tol)
     y_mat = mu.power(complex(0.0, a.imag), tol) @ x
-    y = GradedElement(y_mat, a)
-
-    # q_i = u_i y^+ from one pseudoinverse; every division is decided as
-    # the residual ||u_i - q_i y|| against ||u_i||, from Frobenius brackets
-    # or, if they leave it open, one values-only SVD per class for them all
-    inv = _pinv(y_mat, _svd_support(y_mat, tol))
-    quotients = [g.data @ inv for g in gens]
-    _require_solvable([g.data - q @ y_mat for g, q in zip(gens, quotients)],
-                      [g.data for g in gens], tol)
+    y = GradedElement(y_mat, a, tol)
+    quotients, _ = _solve(y_mat, [g.data for g in gens], tol)
     return y, quotients, [q.adjoint() for q in quotients]
 
 
@@ -326,4 +304,4 @@ def rank1_reduce(pairs, mu: Weight, tol: Tolerances = DEFAULT_TOL):
     x_mat = lefts[0].algebra.zero()
     for u, q in zip(lefts, quotients):
         x_mat = x_mat + u.data @ q
-    return GradedElement(x_mat, c), y
+    return GradedElement(x_mat, c, tol), y

@@ -24,6 +24,7 @@ from .matcore import (
     Element,
     Tolerances,
     _h,
+    _norm2_bound,
     _spectral_power,
     _svd_support,
     _svds,
@@ -90,7 +91,7 @@ def holder_witness(xi: GradedElement, b,
         raise NclpError("the zero element has no Hölder witness")
     e = b / a.real
     y = Element._of(xi.algebra, [_udv(_h(vh), _spectral_power(s, e), vh) for _, s, vh in svd])
-    return GradedElement(y, b)
+    return GradedElement(y, b, tol)
 
 
 def holder_witness_imaginary(xi: GradedElement, b, c,
@@ -121,7 +122,7 @@ def holder_witness_imaginary(xi: GradedElement, b, c,
         raise NclpError(f"threshold {c} must lie in [0, {nrm})")
     y = Element._of(xi.algebra, [_udv(_h(vh), keep & (s >= min(c, top)), _h(u))
                                  for u, s, vh, keep in svd])
-    return GradedElement(y, b)
+    return GradedElement(y, b, tol)
 
 
 def comultiply(zeta: GradedElement, split,
@@ -145,7 +146,7 @@ def comultiply(zeta: GradedElement, split,
     re_sum = float(zeta.grading.real)
     if re_sum <= tol.eq_abs:
         supp = right_support(zeta.data, tol)
-        return GradedElement(zeta.data, a), GradedElement(supp, b)
+        return GradedElement(zeta.data, a, tol), GradedElement(supp, b, tol)
     # both factors from one set of singular triples: with t = U V*,
     # h = V diag(s^(1/Re(a+b))) V*, the factors are U diag(w1) V* and
     # V diag(w2) V* for w1 w2 = s, so reconstruction and the norm product
@@ -156,7 +157,7 @@ def comultiply(zeta: GradedElement, split,
     first = Element._of(zeta.algebra, [_udv(u, _spectral_power(s, e1), vh) for u, s, vh in svd])
     second = Element._of(zeta.algebra, [_udv(_h(vh), _spectral_power(s, e2), vh)
                                         for _, s, vh in svd])
-    return GradedElement(first, a), GradedElement(second, b)
+    return GradedElement(first, a, tol), GradedElement(second, b, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,23 +280,20 @@ class ModuleHom:
         if abs(eta.grading - self.grading_in) > tol.eq_abs:
             raise GradingError(
                 f"hom expects grading {self.grading_in}, got {eta.grading}")
-        return GradedElement(self.apply(eta.data), self.grading_out)
+        return GradedElement(self.apply(eta.data), self.grading_out, tol)
 
 
 def _left_multiplication(x: Element) -> np.ndarray:
     """Matrix of y -> x @ y on flattened coordinates: kron(x_k, 1) per block.
 
-    Each block is written in place, x_k[i, j] at (i n + r, j n + r) for
-    every r < n, so the D x D matrix is the only large array built.
+    Each block is written in place, x_k[i, j] at row c[i, r] and column
+    c[j, r] for every r < n, c the block's coords, so the D x D matrix is
+    the only large array built.
     """
     d = x.algebra.total_dim
     out = np.zeros((d, d), dtype=complex)
-    pos = 0
-    for blk in x.blocks:
-        n = blk.shape[0]
-        i, j, r = np.ogrid[:n, :n, :n]
-        out[pos + i * n + r, pos + j * n + r] = blk[:, :, None]
-        pos += n * n
+    for blk, c in zip(x.blocks, x.algebra.coords):
+        out[c[:, None, :], c[None, :, :]] = blk[:, :, None]
     return out
 
 
@@ -319,15 +317,15 @@ def hom_to_element(T: ModuleHom, tol: Tolerances = DEFAULT_TOL) -> GradedElement
 
     The tolerance scales with ||T||_2, which lies within that residual r of
     ||L_xi||_2 = ||xi||_op; only an r between the bounds at the ends of
-    that bracket takes the dense norm of the D x D matrix.
+    that bracket takes the dense norm of the D x D matrix.  T - L_xi is
+    formed in place of L_xi, so no second D x D array is held.
     """
     xi = T.apply(T.algebra.identity())
-    residual = float(np.linalg.norm(T.matrix - _left_multiplication(xi)))
-    top = operator_norm(xi)
-    lo, hi = (tol.eq_bound(max(top + e, 1.0)) for e in (-residual, residual))
-    bound = lo
-    if lo < residual <= hi:
-        bound = tol.eq_bound(max(float(np.linalg.norm(T.matrix, 2)), 1.0))
+    gap = _left_multiplication(xi)
+    np.subtract(T.matrix, gap, out=gap)
+    residual = float(np.linalg.norm(gap))
+    del gap
+    bound = _norm2_bound(T.matrix, operator_norm(xi), residual, (residual,), tol)
     if residual > bound:
         raise NotModuleMapError(
             f"right-linearity fails: residual {residual:.3e} against left "
@@ -337,7 +335,7 @@ def hom_to_element(T: ModuleHom, tol: Tolerances = DEFAULT_TOL) -> GradedElement
         raise GradingError(
             f"hom gradings {T.grading_in} -> {T.grading_out} would need a "
             "multiplier of negative real grading")
-    return GradedElement(xi, complex(max(a.real, 0.0), a.imag))
+    return GradedElement(xi, complex(max(a.real, 0.0), a.imag), tol)
 
 
 def hom_norm_certificate(T: ModuleHom,
@@ -355,14 +353,14 @@ def hom_norm_certificate(T: ModuleHom,
         return reported, 0.0
     if xi.grading.real > tol.eq_abs:
         y = holder_witness(xi, T.grading_in, tol)
-        out = GradedElement(T.apply(y.data), T.grading_out)
+        out = T(y, tol)
         certified = lnorm(out, tol) / lnorm(y, tol)
     else:
         certified = 0.0
         for k in range(1, HOM_LADDER_STEPS + 1):
             c = reported * (1.0 - 10.0 ** (-k))
             y = holder_witness_imaginary(xi, T.grading_in, c, tol)
-            out = GradedElement(T.apply(y.data), T.grading_out)
+            out = T(y, tol)
             certified = max(certified, lnorm(out, tol) / lnorm(y, tol))
     return reported, certified
 

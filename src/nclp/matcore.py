@@ -59,11 +59,15 @@ class BlockAlgebra:
     """Direct sum of full matrix blocks, recorded by their dimensions.
 
     classes holds the block indices of each size, in order of first
-    appearance; elements store one (k, n, n) stack per class.
+    appearance; elements store one (k, n, n) stack per class.  coords holds,
+    per block, the read-only (n, n) array of the flat coordinates of its
+    entries: the blocks are concatenated row-major into vectors of length
+    total_dim, the layout of flatten_element and of every dense map on it.
     """
 
     block_dims: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    coords: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(int(n) for n in self.block_dims)
@@ -76,6 +80,13 @@ class BlockAlgebra:
         for k, n in enumerate(dims):
             classes.setdefault(n, []).append(k)
         object.__setattr__(self, "classes", tuple(tuple(idx) for idx in classes.values()))
+        starts = np.cumsum([0, *(n * n for n in dims)])
+        object.__setattr__(self, "coords", _frozen(*(np.arange(s, s + n * n).reshape(n, n)
+                                                     for s, n in zip(starts, dims))))
+
+    def __reduce__(self):
+        # rebuild the derived fields, read-only again, from the dimensions
+        return BlockAlgebra, (self.block_dims,)
 
     @property
     def total_dim(self) -> int:
@@ -193,11 +204,6 @@ class Element:
 
     def __repr__(self):
         return f"Element(dims={self.algebra.block_dims})"
-
-
-def make_element(algebra: BlockAlgebra, blocks) -> Element:
-    """Validate a list of matrices against the algebra and wrap it."""
-    return Element(algebra, blocks)
 
 
 def trace(x: Element) -> complex:
@@ -334,6 +340,21 @@ def allclose(x: Element, y: Element, tol: Tolerances = DEFAULT_TOL) -> bool:
     return gap_norm <= tol.eq_bound(max(nx, ny))
 
 
+def _norm2_bound(matrix: np.ndarray, top: float, gap: float, values,
+                 tol: Tolerances) -> float:
+    """tol.eq_bound(max(||matrix||_2, 1)), as far as the checks of values see it.
+
+    ||matrix||_2 lies within gap of top.  The bound at the low end of that
+    bracket gives every v in values the verdict v > bound of the exact
+    bound, unless v falls between the bounds at the two ends; only then is
+    the dense norm of matrix taken.
+    """
+    lo, hi = (tol.eq_bound(max(top + e, 1.0)) for e in (-gap, gap))
+    if any(lo < v <= hi for v in values):
+        return tol.eq_bound(max(float(np.linalg.norm(matrix, 2)), 1.0))
+    return lo
+
+
 def flatten_element(x: Element) -> np.ndarray:
     """Row-major concatenation of all blocks into a vector of length total_dim."""
     return np.concatenate([b.reshape(-1) for b in x.blocks])
@@ -343,11 +364,7 @@ def unflatten_element(algebra: BlockAlgebra, vec: np.ndarray) -> Element:
     vec = np.asarray(vec, dtype=complex).reshape(-1)
     if vec.size != algebra.total_dim:
         raise ShapeError(f"expected vector of length {algebra.total_dim}, got {vec.size}")
-    blocks, pos = [], 0
-    for n in algebra.block_dims:
-        blocks.append(vec[pos:pos + n * n].reshape(n, n))
-        pos += n * n
-    return Element(algebra, blocks)
+    return Element(algebra, [vec[c] for c in algebra.coords])
 
 
 # -- Hermitian eigensystems and functional calculus ----------------------

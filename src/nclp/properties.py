@@ -31,6 +31,7 @@ from .matcore import (
 )
 from .oracle import oracle_commutative
 from .sampling import (
+    random_conditioned,
     random_element,
     random_graded,
     random_positive,
@@ -153,14 +154,6 @@ def _pair_real_left(rng, cfg):
 
 def _imaginary(rng) -> complex:
     return complex(0.0, float(rng.uniform(-2.0, 2.0)))
-
-
-def _conditioned_instance(rng, M, tol):
-    """x = u @ z with z >= 0.2 on its support: rank-deficient but not ill."""
-    p = random_projection(rng, M)
-    z = p @ random_positive(rng, M) @ p + 0.2 * p
-    u = decomp.polar_right(random_element(rng, M) @ p, tol).isometry
-    return u @ z
 
 
 # -- matcore properties ----------------------------------------------------
@@ -368,7 +361,7 @@ def prop_polar_laws(rng, cfg):
 def prop_douglas_division(rng, cfg):
     tol = cfg.tolerances
     M = _algebra(rng, cfg)
-    x = _conditioned_instance(rng, M, tol)
+    x = random_conditioned(rng, M, tol)
     y = random_element(rng, M) @ x
     result = decomp.douglas_divide(x, y, tol)
     p = result.quotient
@@ -384,7 +377,7 @@ def prop_douglas_division(rng, cfg):
 def prop_douglas_uniqueness(rng, cfg):
     tol = cfg.tolerances
     M = _algebra(rng, cfg)
-    x = _conditioned_instance(rng, M, tol)
+    x = random_conditioned(rng, M, tol)
     y = random_element(rng, M) @ x
     p = decomp.douglas_divide(x, y, tol).quotient
     lsup = decomp.left_support(x, tol)
@@ -397,7 +390,7 @@ def prop_douglas_uniqueness(rng, cfg):
 def prop_douglas_minimal_constant(rng, cfg):
     tol = cfg.tolerances
     M = _algebra(rng, cfg)
-    x = _conditioned_instance(rng, M, tol)
+    x = random_conditioned(rng, M, tol)
     y = random_element(rng, M) @ x
     if operator_norm(y) < 1e-6:
         return True, 0.0
@@ -422,7 +415,7 @@ def prop_douglas_minimal_constant(rng, cfg):
 def prop_douglas_ladder(rng, cfg):
     tol = cfg.tolerances
     M = _algebra(rng, cfg)
-    x = _conditioned_instance(rng, M, tol)
+    x = random_conditioned(rng, M, tol)
     y = random_element(rng, M) @ x
     ladder = decomp.douglas_ladder(x, y, tol=tol)
     gaps = [g for _, g in ladder]
@@ -468,7 +461,7 @@ def prop_graded_division_grading(rng, cfg):
     M = _algebra(rng, cfg)
     a, _ = _pair(rng, cfg)
     b = complex(a.real, float(rng.uniform(-2.0, 2.0)))
-    x = GradedElement(_conditioned_instance(rng, M, tol), a)
+    x = GradedElement(random_conditioned(rng, M, tol), a)
     y = GradedElement(random_element(rng, M) @ x.data, b)
     q = decomp.graded_divide(x, y, tol)
     resid = max(distance(q.data @ x.data, y.data), abs(q.grading - (b - a)))

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .decomp import polar_right
 from .graded import GradedElement
-from .matcore import BlockAlgebra, Element
+from .matcore import BlockAlgebra, Element, Tolerances
 from .weights import Weight
 
 FAITHFUL_FLOOR = 1e-2
@@ -52,6 +53,15 @@ def random_projection(rng: np.random.Generator, algebra: BlockAlgebra,
         r = int(rng.integers(0, hi + 1))
         blocks.append(u[:, :r] @ u[:, :r].conj().T)
     return Element(algebra, tuple(blocks))
+
+
+def random_conditioned(rng: np.random.Generator, algebra: BlockAlgebra,
+                       tol: Tolerances) -> Element:
+    """x = u @ z with z >= 0.2 on its support: rank-deficient but not ill."""
+    p = random_projection(rng, algebra)
+    z = p @ random_positive(rng, algebra) @ p + 0.2 * p
+    u = polar_right(random_element(rng, algebra) @ p, tol).isometry
+    return u @ z
 
 
 def random_weight(rng: np.random.Generator, algebra: BlockAlgebra,

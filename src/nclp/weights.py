@@ -31,6 +31,7 @@ from .matcore import (
     flatten_element,
     _calc,
     _eig_classes,
+    _norm2_bound,
     _operator_norms,
     _spectral_power,
     func_calc,
@@ -233,15 +234,6 @@ class BlockEmbedding:
         return BlockEmbedding(inner.source, self.target, rows)
 
 
-def _flat_indices(algebra: BlockAlgebra) -> list[np.ndarray]:
-    """Per block, the (n, n) array of flattened coordinates of its entries."""
-    out, pos = [], 0
-    for n in algebra.block_dims:
-        out.append(np.arange(pos, pos + n * n).reshape(n, n))
-        pos += n * n
-    return out
-
-
 def _commutant_columns(embedding: BlockEmbedding) -> dict:
     """(i, j) -> (cols, slots) for the r copies of source block i in target block j.
 
@@ -249,7 +241,7 @@ def _commutant_columns(embedding: BlockEmbedding) -> dict:
     over the d x d sub-blocks q_j[t, s] between copies t and s; cols[s, t] holds
     the flat coordinates of q_j[t, s], and slots numbers the copies in order.
     """
-    idx_n = _flat_indices(embedding.target)
+    idx_n = embedding.target.coords
     copies, slot = {}, 0
     for j, row in enumerate(embedding.assignment):
         starts = np.cumsum([0, *(embedding.source.block_dims[i] for i in row)])
@@ -319,7 +311,7 @@ class OperatorValuedWeight:
             raise NonFiniteError("slot_weights must be finite")
         if np.any(w <= 0.0):
             raise ValueError("slot_weights must be strictly positive")
-        idx_m = _flat_indices(embedding.source)
+        idx_m = embedding.source.coords
         mat = np.zeros((embedding.source.total_dim, embedding.target.total_dim),
                        dtype=complex)
         for (i, j), (cols, copies) in _commutant_columns(embedding).items():
@@ -349,17 +341,16 @@ class OperatorValuedWeight:
         norm.  Reports the worse of the adjoint and bimodule residuals.
         """
         mat = self.matrix
-        idx_m = _flat_indices(self.target)
+        idx_m = self.target.coords
         # conj(mat[t_M][:, t_N]) = mat for the per-block transposes t_M of
         # values (a row gather) and t_N of arguments (a swap per block of N)
-        rest, square, pos = mat[np.concatenate([idx.T.reshape(-1) for idx in idx_m])], 0.0, 0
-        for n in self.source.block_dims:
-            cols = slice(pos, pos + n * n)
+        rest, square = mat[np.concatenate([idx.T.reshape(-1) for idx in idx_m])], 0.0
+        for idx in self.source.coords:
+            n, cols = len(idx), slice(idx[0, 0], idx[-1, -1] + 1)
             for r in range(0, len(mat), 64):   # slabs keep the temporaries small
                 diff = np.conj(rest[r:r + 64, cols].reshape(-1, n, n).swapaxes(1, 2), order="C")
                 diff -= mat[r:r + 64, cols].reshape(-1, n, n)
                 square += np.vdot(diff, diff).real
-            pos += n * n
         adjoint = float(np.sqrt(square))
         np.copyto(rest, mat)   # becomes T - T_K as K is gathered
         lows, row_norms = {}, np.zeros(len(idx_m))
@@ -370,12 +361,8 @@ class OperatorValuedWeight:
             lows[i, j] = float(np.linalg.eigvalsh((k + k.conj().T) / 2.0)[0])
         resid = float(np.sqrt(np.vdot(rest, rest).real))
         top = float(np.sqrt(row_norms.max()))   # ||T_K||_2
-        # decide at the low end of the bracket on ||T||_2 unless a value is inside it
-        lo, hi = (tol.eq_bound(max(top + e, 1.0)) for e in (-resid, resid))
         checked = (adjoint, resid, *(-low - e for low in lows.values() for e in (0.0, resid)))
-        bound = lo
-        if any(lo < x <= hi for x in checked):
-            bound = tol.eq_bound(max(float(np.linalg.norm(mat, 2)), 1.0))
+        bound = _norm2_bound(mat, top, resid, checked, tol)
         if adjoint > bound:
             raise ValidationError(
                 f"adjoint law violated: residual {adjoint:.3e} > {bound:.3e}")

@@ -41,13 +41,13 @@ from nclp import (
     cocycle_identity_check,
 )
 from nclp.sampling import (
+    random_conditioned,
     random_element,
     random_graded,
     random_projection,
     random_weight,
     spawn_rng,
 )
-from nclp.properties import _conditioned_instance
 
 SHAPES = ((1,), (2,), (1, 1), (3,), (2, 2))
 RE_VALUES = (0.0, 1 / 3, 0.5, 1.0, 1.5)
@@ -124,7 +124,7 @@ def test_criterion_4_douglas_division():
     strict_fail = True
     for _ in range(1000):
         M = _shape(rng)
-        x = _conditioned_instance(rng, M, DEFAULT_TOL)
+        x = random_conditioned(rng, M, DEFAULT_TOL)
         y = random_element(rng, M) @ x
         res = douglas_divide(x, y)
         worst_solve = max(worst_solve,

@@ -16,10 +16,10 @@ from nclp import (  # noqa: E402
     DEFAULT_TOL,
     BlockAlgebra,
     BlockEmbedding,
+    Element,
     OperatorValuedWeight,
     ValidationError,
     flatten_element,
-    make_element,
 )
 
 EMBEDDINGS = [
@@ -53,7 +53,7 @@ def _commutant_map(embedding, K):
             for s, ps in enumerate(offsets):
                 for t, pt in enumerate(offsets):
                     out[i] += K[i, j][s, t] * q.blocks[j][pt:pt + d, ps:ps + d]
-        return make_element(embedding.source, out)
+        return Element(embedding.source, out)
 
     return np.stack([flatten_element(apply(e)) for e in embedding.target.basis()], axis=1)
 

@@ -7,6 +7,7 @@ from nclp import (
     DEFAULT_TOL,
     BlockAlgebra,
     ConditionViolatedError,
+    Element,
     GradedElement,
     GradingError,
     NonFaithfulError,
@@ -19,7 +20,6 @@ from nclp import (
     graded_divide,
     isometry_divide,
     left_support,
-    make_element,
     operator_norm,
     polar_left,
     polar_right,
@@ -30,9 +30,9 @@ from nclp import (
     trace_weight,
 )
 from nclp.matcore import _eighs, _svds
-from nclp.properties import _conditioned_instance
 from nclp.sampling import (
     make_rng,
+    random_conditioned,
     random_element,
     random_graded,
     random_positive,
@@ -46,11 +46,11 @@ M2 = BlockAlgebra((2,))
 def e(i, j):
     m = np.zeros((2, 2), dtype=complex)
     m[i - 1, j - 1] = 1.0
-    return make_element(M2, [m])
+    return Element(M2, [m])
 
 
 def diag(*vals):
-    return make_element(M2, [np.diag(np.asarray(vals, dtype=complex))])
+    return Element(M2, [np.diag(np.asarray(vals, dtype=complex))])
 
 
 def test_support_examples():
@@ -170,7 +170,7 @@ def _reference_ladder(x, y, epsilons, tol=DEFAULT_TOL):
 def _ladder_instance(seed, dims):
     rng = make_rng(seed)
     M = BlockAlgebra(dims)
-    x = _conditioned_instance(rng, M, DEFAULT_TOL)
+    x = random_conditioned(rng, M, DEFAULT_TOL)
     return x, random_element(rng, M) @ x
 
 
@@ -189,7 +189,7 @@ def test_closed_form_ladder_agrees_with_func_calc_ladder(dims):
 
 
 def test_ladder_rung_at_a_singular_value_inverts_it():
-    x = make_element(BlockAlgebra((3,)), [np.diag([4.0, 2.0, 1.0])])
+    x = Element(BlockAlgebra((3,)), [np.diag([4.0, 2.0, 1.0])])
     gaps = [g for _, g in douglas_ladder(x, x)]
     assert gaps[:4] == pytest.approx([1.0, 1.0, 0.0, 0.0], abs=1e-15)
     assert gaps[2:] == [0.0] * 24
@@ -223,7 +223,7 @@ def test_isometry_divide_examples():
     x = random_element(rng, M2)
     p = isometry_divide(x, x)
     assert distance(p, left_support(x)) < 1e-12
-    q = isometry_divide(make_element(M2, [np.diag([1.0, 0.0])]), e(2, 1))
+    q = isometry_divide(Element(M2, [np.diag([1.0, 0.0])]), e(2, 1))
     assert distance(q, e(2, 1)) < 1e-13
 
 
@@ -315,11 +315,11 @@ def _reference_certificate(gens, y):
             for (i, j), el in entries:
                 out[i * n:(i + 1) * n, j * n:(j + 1) * n] = el.blocks[k]
             blocks.append(out)
-        return make_element(BlockAlgebra(tuple(n * m for n in M.block_dims)), blocks)
+        return Element(BlockAlgebra(tuple(n * m for n in M.block_dims)), blocks)
 
     big = isometry_divide(place([((i, 0), g.data) for i, g in enumerate(gens)]),
                           place([((0, 0), y)]))
-    return [make_element(M, [b[:n, i * n:(i + 1) * n] for b, n in zip(big.blocks, M.block_dims)])
+    return [Element(M, [b[:n, i * n:(i + 1) * n] for b, n in zip(big.blocks, M.block_dims)])
             for i in range(m)]
 
 
@@ -382,7 +382,7 @@ def test_failing_cyclic_generator_decides_in_one_norm_call(monkeypatch):
     gens = []
     for scale in (1.0, 0.5):
         w = polar_right(random_element(rng, M)).isometry
-        d = make_element(M, [np.diag([scale, 1e-6])] * 8)
+        d = Element(M, [np.diag([scale, 1e-6])] * 8)
         gens.append(GradedElement(w @ d @ v, 0.5 + 0.3j))
     mu = random_weight(rng, M)
     calls = _count_factorizations(monkeypatch)
@@ -400,7 +400,7 @@ def test_failing_cyclic_generator_decides_in_one_norm_call(monkeypatch):
 def test_cyclic_generator_reports_a_direction_below_the_support_cutoff():
     # G = u*u has eigenvalues 1 and 1e-12, below the cutoff of G^(1/2), so
     # y loses the direction that u keeps at 1e-6 and u = q y has no solution
-    u = GradedElement(make_element(M2, [np.diag([1.0, 1e-6])]), 0.5)
+    u = GradedElement(Element(M2, [np.diag([1.0, 1e-6])]), 0.5)
     with pytest.raises(UnsolvableError) as exc:
         cyclic_generator([u], trace_weight(M2))
     assert exc.value.residual == pytest.approx(1e-6, rel=1e-6)
@@ -442,7 +442,7 @@ def test_graded_divide_rejects_real_part_mismatch():
     assert operator_norm(zero.data) == 0.0
     assert zero.grading.real >= 0.0
     # the grading is checked before solvability
-    singular = GradedElement(make_element(M2, [np.diag([1.0, 0.0])]), 0.5)
+    singular = GradedElement(Element(M2, [np.diag([1.0, 0.0])]), 0.5)
     with pytest.raises(GradingError):
         graded_divide(singular, GradedElement(e(2, 2), 1.0))
     with pytest.raises(UnsolvableError):
@@ -491,7 +491,7 @@ def test_stacked_rebuilds_match_per_block_column_selection():
         svd = _reference_svd_support(x)
 
         def ref(build):
-            return make_element(MIXED, [build(u[:, m], s[m], vh[m]) for u, s, vh, m in svd])
+            return Element(MIXED, [build(u[:, m], s[m], vh[m]) for u, s, vh, m in svd])
 
         pol_r, pol_l = polar_right(x), polar_left(x)
         pairs = [

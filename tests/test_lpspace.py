@@ -8,6 +8,7 @@ import pytest
 from nclp import (
     DEFAULT_TOL,
     BlockAlgebra,
+    Element,
     GradedElement,
     GradingError,
     ModuleHom,
@@ -17,9 +18,11 @@ from nclp import (
     TensorElement,
     Tolerances,
     comultiply,
+    cyclic_generator,
     distance,
     flatten_element,
     gmul,
+    graded_divide,
     holder_witness,
     holder_witness_imaginary,
     hom_from_element,
@@ -27,9 +30,11 @@ from nclp import (
     hom_norm_certificate,
     hom_to_element,
     lnorm,
-    make_element,
+    lpspace,
     operator_norm,
+    rank1_reduce,
     tensor_multiply,
+    trace_weight,
     turpin_upper,
 )
 from nclp.sampling import (
@@ -47,11 +52,11 @@ M3 = BlockAlgebra((3,))
 def e(i, j):
     m = np.zeros((2, 2), dtype=complex)
     m[i - 1, j - 1] = 1.0
-    return make_element(M2, [m])
+    return Element(M2, [m])
 
 
 def diag(*vals):
-    return make_element(M2, [np.diag(np.asarray(vals, dtype=complex))])
+    return Element(M2, [np.diag(np.asarray(vals, dtype=complex))])
 
 
 def test_lnorm_examples():
@@ -351,6 +356,69 @@ def test_hom_from_element_owns_its_matrix():
         T.matrix[0, 0] = 5.0
 
 
+@pytest.mark.parametrize("recover", [hom_to_element, hom_norm_certificate],
+                         ids=lambda f: f.__name__)
+def test_hom_recovery_holds_one_matrix(recover):
+    # T - L_xi is formed in place of L_xi: one D x D array (1 MiB at (16,))
+    # besides T itself
+    M = BlockAlgebra((16,))
+    T = hom_from_element(random_graded(make_rng(28), M, 0.5), 0.5)
+    tracemalloc.start()
+    try:
+        recover(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2 ** 20
+
+
+def _witnessed_by_hom_norm(rng, tol, grading, monkeypatch):
+    """Every graded element hom_norm_certificate measures, the witnesses included."""
+    seen = []
+
+    def spy(xi, tol=DEFAULT_TOL, _real=lpspace.lnorm):
+        seen.append(xi)
+        return _real(xi, tol)
+
+    monkeypatch.setattr(lpspace, "lnorm", spy)
+    hom_norm_certificate(hom_from_element(random_graded(rng, M2, grading), 0.5), tol)
+    return seen
+
+
+_BUILT_GRADED = {
+    "graded_divide": lambda rng, tol, mp: [graded_divide(
+        random_graded(rng, M2, 0.5 + 0.3j), random_graded(rng, M2, 0.5 - 0.9j), tol)],
+    "graded_divide_zero": lambda rng, tol, mp: [
+        graded_divide(random_graded(rng, M2, 0.5), GradedElement(M2.zero(), 1.0), tol)],
+    "cyclic_generator": lambda rng, tol, mp: [cyclic_generator(
+        [random_graded(rng, M2, 0.5) for _ in range(2)], trace_weight(M2), tol)[0]],
+    "rank1_reduce": lambda rng, tol, mp: list(rank1_reduce(
+        [(random_graded(rng, M2, 1.0), random_graded(rng, M2, 0.5)) for _ in range(2)],
+        trace_weight(M2), tol)),
+    "holder_witness": lambda rng, tol, mp: [
+        holder_witness(random_graded(rng, M2, 0.5), 0.5, tol)],
+    "holder_witness_imaginary": lambda rng, tol, mp: [
+        holder_witness_imaginary(random_graded(rng, M2, 0.3j), 0.5, 0.1, tol)],
+    "comultiply": lambda rng, tol, mp: list(
+        comultiply(random_graded(rng, M2, 1.0), (0.5, 0.5), tol)),
+    "comultiply_imaginary": lambda rng, tol, mp: list(
+        comultiply(random_graded(rng, M2, 0.2j), (0.1j, 0.1j), tol)),
+    "hom_to_element": lambda rng, tol, mp: [
+        hom_to_element(hom_from_element(random_graded(rng, M2, 0.5), 0.5), tol)],
+    "module_hom_call": lambda rng, tol, mp: [
+        hom_from_element(random_graded(rng, M2, 0.5), 1.0)(random_graded(rng, M2, 1.0), tol)],
+    "hom_norm_certificate": lambda rng, tol, mp: _witnessed_by_hom_norm(rng, tol, 0.5, mp),
+    "hom_norm_certificate_ladder": lambda rng, tol, mp: _witnessed_by_hom_norm(rng, tol, 0.3j, mp),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILT_GRADED))
+def test_built_graded_elements_carry_the_tolerance(name, monkeypatch):
+    loose = Tolerances(eq_abs=1e-6)
+    built = _BUILT_GRADED[name](make_rng(31), loose, monkeypatch)
+    assert built and all(isinstance(g, GradedElement) and g.tol is loose for g in built)
+
+
 def test_graded_sum_reads_the_tolerance():
     rng = make_rng(29)
     x, y = random_element(rng, M2), random_element(rng, M2)
@@ -499,7 +567,7 @@ def test_witness_equality_survives_tiny_singular_values():
     u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
     v = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
     M4 = BlockAlgebra((4,))
-    x = make_element(M4, [u @ np.diag([1.0, 1e-4, 1e-8, 1e-12]) @ v.conj().T])
+    x = Element(M4, [u @ np.diag([1.0, 1e-4, 1e-8, 1e-12]) @ v.conj().T])
     for a, b in [(1 / 3, 1.5), (1.5, 1 / 3), (0.5, 0.5)]:
         xi = GradedElement(x, complex(a))
         y = holder_witness(xi, complex(b))
@@ -517,7 +585,7 @@ def test_quasinorm_noise_floor_amplification_envelope():
     u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
     v = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
     M4 = BlockAlgebra((4,))
-    x = make_element(M4, [u @ np.diag([1.0, 0.3, 0.0, 0.0]) @ v.conj().T])
+    x = Element(M4, [u @ np.diag([1.0, 0.3, 0.0, 0.0]) @ v.conj().T])
     xi = GradedElement(x, 1.5)
     y = holder_witness(xi, 1.5)
     rhs = lnorm(xi) * lnorm(y)
@@ -584,8 +652,8 @@ def test_stacked_witnesses_match_per_block_column_selection():
         smax = max(float(s.max()) for _, s, _ in svds)
 
         def ref(build, m_of):
-            return make_element(MIXED, [build(u[:, m], s[m], vh[m])
-                                        for u, s, vh in svds for m in [m_of(s)]])
+            return Element(MIXED, [build(u[:, m], s[m], vh[m])
+                                   for u, s, vh in svds for m in [m_of(s)]])
 
         a, b = 0.6 - 0.4j, 0.3 + 0.9j
         e1, e2 = complex(a.real, -b.imag) / (a + b).real, b / (a + b).real

@@ -27,7 +27,6 @@ from nclp import (
     holder_witness,
     hom_from_element,
     left_support,
-    make_element,
     operator_norm,
     polar_left,
     polar_right,
@@ -47,24 +46,24 @@ DIAG2 = BlockAlgebra((1, 1))
 def e(i, j):
     m = np.zeros((2, 2), dtype=complex)
     m[i - 1, j - 1] = 1.0
-    return make_element(M2, [m])
+    return Element(M2, [m])
 
 
 def test_make_element_identity():
-    x = make_element(M2, [np.eye(2)])
+    x = Element(M2, [np.eye(2)])
     assert distance(x, M2.identity()) == 0.0
 
 
 def test_make_element_scalar_blocks():
-    x = make_element(DIAG2, [np.array([[2.0]]), np.array([[3.0]])])
+    x = Element(DIAG2, [np.array([[2.0]]), np.array([[3.0]])])
     assert trace(x) == 5.0
 
 
 def test_make_element_shape_mismatch_names_block():
     with pytest.raises(ShapeError, match="block 0"):
-        make_element(M2, [np.zeros((3, 3))])
+        Element(M2, [np.zeros((3, 3))])
     with pytest.raises(ShapeError, match="block 1"):
-        make_element(DIAG2, [np.zeros((1, 1)), np.zeros((2, 2))])
+        Element(DIAG2, [np.zeros((1, 1)), np.zeros((2, 2))])
 
 
 def test_arithmetic_rejects_incompatible_algebras():
@@ -91,7 +90,7 @@ def test_matrix_units_multiply():
 def test_trace_examples():
     assert trace(M2.identity()) == 2.0
     assert trace(e(1, 2)) == 0.0
-    d = make_element(M2, [np.diag([3.0, 4.0])])
+    d = Element(M2, [np.diag([3.0, 4.0])])
     assert trace(d @ d.adjoint()) == 25.0
 
 
@@ -102,8 +101,8 @@ def test_trace_is_cyclic():
 
 
 def test_power_pos_scalar_sqrt():
-    h = make_element(BlockAlgebra((1,)), [np.array([[4.0]])])
-    assert distance(power_pos(h, 0.5), make_element(h.algebra, [np.array([[2.0]])])) < 1e-14
+    h = Element(BlockAlgebra((1,)), [np.array([[4.0]])])
+    assert distance(power_pos(h, 0.5), Element(h.algebra, [np.array([[2.0]])])) < 1e-14
 
 
 def test_power_pos_zero_is_zero():
@@ -113,19 +112,19 @@ def test_power_pos_zero_is_zero():
 
 
 def test_power_pos_complex_exponent():
-    h = make_element(M2, [np.diag([1.0, 4.0])])
-    expected = make_element(M2, [np.diag([1.0, np.exp(1j * np.log(4.0))])])
+    h = Element(M2, [np.diag([1.0, 4.0])])
+    expected = Element(M2, [np.diag([1.0, np.exp(1j * np.log(4.0))])])
     assert distance(power_pos(h, 1j), expected) < 1e-14
 
 
 def test_power_pos_negative_power_on_support():
-    h = make_element(M2, [np.diag([4.0, 0.0])])
-    assert distance(power_pos(h, -1.0), make_element(M2, [np.diag([0.25, 0.0])])) < 1e-14
+    h = Element(M2, [np.diag([4.0, 0.0])])
+    assert distance(power_pos(h, -1.0), Element(M2, [np.diag([0.25, 0.0])])) < 1e-14
 
 
 def test_power_pos_rejects_nonpositive():
     with pytest.raises(NotPositiveError, match="negative eigenvalue"):
-        power_pos(make_element(M2, [np.diag([1.0, -1.0])]), 0.5)
+        power_pos(Element(M2, [np.diag([1.0, -1.0])]), 0.5)
     with pytest.raises(NotPositiveError, match="not Hermitian"):
         power_pos(e(1, 2), 0.5)
 
@@ -143,17 +142,17 @@ def test_power_addition_and_adjoint():
 def test_power_pos_imaginary_is_unitary_on_support():
     rng = make_rng(7)
     h = random_positive(rng, M2)
-    p = make_element(M2, [np.diag([1.0, 0.0])])
+    p = Element(M2, [np.diag([1.0, 0.0])])
     hp = p @ h @ p  # rank-deficient positive
     u = power_pos(hp, -1.3j)
     assert distance(u @ u.adjoint(), spectral_projection(hp, 0.0)) < 1e-12
 
 
 def test_func_calc_identity_and_clip():
-    h = make_element(M2, [np.diag([0.5, 2.0])])
+    h = Element(M2, [np.diag([0.5, 2.0])])
     assert distance(func_calc(h, lambda w: w), h) < 1e-14
     clipped = func_calc(h, lambda w: np.divide(1.0, w, out=np.zeros_like(w), where=w >= 1.0))
-    assert distance(clipped, make_element(M2, [np.diag([0.0, 0.5])])) < 1e-14
+    assert distance(clipped, Element(M2, [np.diag([0.0, 0.5])])) < 1e-14
 
 
 def test_func_calc_agrees_with_power_map():
@@ -164,19 +163,19 @@ def test_func_calc_agrees_with_power_map():
 
 
 def test_func_calc_support_vs_identity():
-    h = make_element(M2, [np.diag([3.0, 0.0])])
+    h = Element(M2, [np.diag([3.0, 0.0])])
     assert distance(func_calc(h, np.ones_like), M2.identity()) < 1e-14
     support = func_calc(h, lambda w: np.where(w > 0, 1.0, 0.0))
-    assert distance(support, make_element(M2, [np.diag([1.0, 0.0])])) < 1e-14
+    assert distance(support, Element(M2, [np.diag([1.0, 0.0])])) < 1e-14
 
 
 def test_spectral_projection_examples():
-    h = make_element(M2, [np.diag([1.0, 3.0])])
+    h = Element(M2, [np.diag([1.0, 3.0])])
     assert distance(spectral_projection(h, 2.0),
-                    make_element(M2, [np.diag([0.0, 1.0])])) < 1e-14
-    hp = make_element(M2, [np.diag([2.0, 0.0])])
+                    Element(M2, [np.diag([0.0, 1.0])])) < 1e-14
+    hp = Element(M2, [np.diag([2.0, 0.0])])
     assert distance(spectral_projection(hp, 0.0),
-                    make_element(M2, [np.diag([1.0, 0.0])])) < 1e-14
+                    Element(M2, [np.diag([1.0, 0.0])])) < 1e-14
     assert operator_norm(spectral_projection(h, 10.0)) == 0.0
 
 
@@ -192,7 +191,7 @@ def test_spectral_projection_commutes_and_dominates():
 
 def test_operator_norm_examples():
     assert operator_norm(M2.identity()) == 1.0
-    assert operator_norm(make_element(M2, [np.diag([3.0, -4.0])])) == 4.0
+    assert operator_norm(Element(M2, [np.diag([3.0, -4.0])])) == 4.0
     assert abs(operator_norm(e(1, 2) + e(2, 1)) - 1.0) < 1e-14
 
 
@@ -214,6 +213,21 @@ def test_flatten_roundtrip():
     M = BlockAlgebra((2, 3, 1))
     x = random_element(rng, M)
     assert distance(unflatten_element(M, flatten_element(x)), x) == 0.0
+
+
+def test_coords_are_the_flat_layout_of_each_block():
+    # blocks concatenated row-major: entry (i, j) of block k sits at coords[k][i, j]
+    M = BlockAlgebra((2, 3, 1, 3))
+    x = random_element(make_rng(6), M)
+    vec = flatten_element(x)
+    assert all(np.array_equal(vec[c], b) for c, b in zip(M.coords, x.blocks))
+    assert np.array_equal(np.concatenate([c.ravel() for c in M.coords]), np.arange(M.total_dim))
+    back = pickle.loads(pickle.dumps(M))
+    assert back == M and hash(back) == hash(M) and back.classes == M.classes
+    for c, d in zip(M.coords, back.coords):
+        assert np.array_equal(c, d) and not c.flags.writeable and not d.flags.writeable
+    with pytest.raises(ValueError):
+        M.coords[0][0, 0] = 5
 
 
 def test_allclose_scales():
@@ -266,7 +280,7 @@ def test_elements_copy_their_input_once_and_stay_read_only():
     for algebra, shapes in ((MIXED, [(2, 1, 1), (2, 2, 2), (2, 3, 3)]),
                             (BlockAlgebra((3, 1)), [(1, 3, 3), (1, 1, 1)])):
         blocks = [np.full((n, n), 1.0 + 2.0j) for n in algebra.block_dims]
-        x = make_element(algebra, blocks)
+        x = Element(algebra, blocks)
         for b in blocks:
             b[...] = 0.0
         assert all(np.all(b == 1.0 + 2.0j) for b in x.blocks)
@@ -330,7 +344,7 @@ def test_stacked_factorizations_equal_per_block_calls_bit_for_bit():
     for k, b in enumerate(h.blocks):
         (w, v), ref = eig[k], np.linalg.eigh(b)
         assert np.array_equal(w, ref[0]) and np.array_equal(v, ref[1])
-    back = make_element(MIXED, x.blocks)
+    back = Element(MIXED, x.blocks)
     assert all(np.array_equal(g, b) for g, b in zip(back.stacks, x.stacks))
     assert all(np.array_equal(g, b) for g, b in zip(back.blocks, x.blocks))
     assert operator_norm(x) == max(float(np.linalg.norm(b, 2)) for b in x.blocks)
@@ -342,7 +356,7 @@ def test_eig_classes_match_per_block_eigh_and_keep_diagonal_path():
     h = random_positive(rng, MIXED)
     blocks = list(h.blocks)
     blocks[3] = np.diag([2.0, 0.5]).astype(complex)   # exactly diagonal, size 2
-    h = make_element(MIXED, blocks)
+    h = Element(MIXED, blocks)
     pairs = _per_block(_eig_classes(h, DEFAULT_TOL))
     refs = []
     for k, b in enumerate(h.blocks):
@@ -363,17 +377,17 @@ def test_pos_eig_names_the_first_offending_block():
     blocks[4] = np.array([[1, 5, 0], [0, 1, 0], [0, 0, 1]], dtype=complex)
     blocks[1] = np.array([[1, 2], [0, 1]], dtype=complex)
     with pytest.raises(NotPositiveError, match="block 1 is not Hermitian"):
-        power_pos(make_element(MIXED, blocks), 0.5)
+        power_pos(Element(MIXED, blocks), 0.5)
     blocks = [np.eye(n, dtype=complex) for n in MIXED.block_dims]
     blocks[4] = -np.eye(3, dtype=complex)
     blocks[2] = np.diag([1.0, -1.0, 1.0]).astype(complex)
     with pytest.raises(NotPositiveError, match="block 2 has negative eigenvalue"):
-        power_pos(make_element(MIXED, blocks), 0.5)
+        power_pos(Element(MIXED, blocks), 0.5)
 
 
 def test_identity_and_diagonal_densities_stay_bit_exact_through_powers():
     d = np.array([0.25, 3.0])
-    diagonal = make_element(BlockAlgebra((2, 2, 1)), [np.diag(d), np.diag(d[::-1]), [[7.0]]])
+    diagonal = Element(BlockAlgebra((2, 2, 1)), [np.diag(d), np.diag(d[::-1]), [[7.0]]])
     for a in (0.5, 1j, -1.0, 2.0 - 0.3j):
         assert all(np.array_equal(b, np.eye(n))
                    for b, n in zip(power_pos(MIXED.identity(), a).blocks, MIXED.block_dims))
@@ -411,10 +425,10 @@ def test_stacked_functional_calculus_matches_per_block_references():
             for w, u in pairs:
                 sel = u[:, (w >= t) & (w > 0.0)]
                 blocks.append(sel @ sel.conj().T)
-            refs.append((spectral_projection(h, t), make_element(MIXED, blocks)))
+            refs.append((spectral_projection(h, t), Element(MIXED, blocks)))
         for f in (np.sqrt, lambda t: 1.0 / (1.0 + t)):
             blocks = [(u * np.array([f(lam) for lam in w])) @ u.conj().T for w, u in pairs]
-            refs.append((func_calc(h, f), make_element(MIXED, blocks)))
+            refs.append((func_calc(h, f), Element(MIXED, blocks)))
         for got, ref in refs:
             assert distance(got, ref) <= DEFAULT_TOL.eq_bound(operator_norm(ref))
 

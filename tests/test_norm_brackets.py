@@ -24,7 +24,6 @@ from nclp import (
     douglas_divide,
     douglas_ladder,
     isometry_divide,
-    make_element,
     matcore,
     operator_norm,
     polar_right,
@@ -97,13 +96,13 @@ def _rank_one(rng, M, right=None) -> Element:
     if right is not None:
         v = right.blocks[0] @ v
     blocks[0] = np.outer(u, v.conj())
-    return _unit(make_element(M, blocks))
+    return _unit(Element(M, blocks))
 
 
 def _kernel_projection(M) -> Element:
     """Onto the last n - n // 2 coordinates of every block: all of a 1 x 1 block."""
-    return make_element(M, [np.diag((np.arange(n) >= n // 2).astype(float))
-                            for n in M.block_dims])
+    return Element(M, [np.diag((np.arange(n) >= n // 2).astype(float))
+                       for n in M.block_dims])
 
 
 def _douglas_cases(rng, M):
@@ -160,7 +159,7 @@ def _cyclic_cases(rng, M):
             if k == 0 or n > 1:
                 d[0] = 1.0
             blocks.append(np.diag(d))
-        return GradedElement(w @ make_element(M, blocks) @ v, 0.5 + 0.3j)
+        return GradedElement(w @ Element(M, blocks) @ v, 0.5 + 0.3j)
 
     for eps in PERTURBATIONS:
         yield [generator(eps, False)], mu, None
@@ -265,7 +264,7 @@ def test_non_finite_residuals_take_the_exact_path(bad, monkeypatch):
     x = random_element(rng, M)
     blocks = [np.array(b) for b in x.blocks]
     blocks[1][0, 1] = bad
-    y = make_element(M, blocks)
+    y = Element(M, blocks)
     assert not _surely_within([y - x], [x], DEFAULT_TOL)
     assert not _surely_within([x * 1e-20], [y], DEFAULT_TOL)
     accepted = []

@@ -21,7 +21,6 @@ from nclp import (
     connes_cocycle,
     distance,
     evaluate,
-    make_element,
     modular_automorphism,
     operator_norm,
     power_pos,
@@ -43,7 +42,7 @@ def test_evaluate_trace_weight():
 
 
 def test_evaluate_examples():
-    mu = Weight(make_element(M2, [np.diag([1.0, 2.0])]))
+    mu = Weight(Element(M2, [np.diag([1.0, 2.0])]))
     assert abs(evaluate(mu, M2.identity()) - 3.0) < 1e-14
     rng = make_rng(1)
     x = random_element(rng, M2)
@@ -61,8 +60,8 @@ def test_modular_flow_of_trace_is_identity_exactly():
 
 
 def test_modular_flow_diagonal_density():
-    mu = Weight(make_element(M2, [np.diag([1.0, 2.0])]))
-    e12 = make_element(M2, [np.array([[0, 1], [0, 0]], dtype=complex)])
+    mu = Weight(Element(M2, [np.diag([1.0, 2.0])]))
+    e12 = Element(M2, [np.array([[0, 1], [0, 0]], dtype=complex)])
     a = 0.6j
     moved = modular_automorphism(mu, a, e12)
     assert distance(moved, complex(np.exp(-a * np.log(2.0))) * e12) < 1e-13
@@ -78,7 +77,7 @@ def test_modular_flow_at_zero_is_identity():
 def test_modular_flow_rejections():
     rng = make_rng(3)
     p = random_element(rng, M2)
-    nonfaithful = Weight(make_element(M2, [np.diag([1.0, 0.0])]))
+    nonfaithful = Weight(Element(M2, [np.diag([1.0, 0.0])]))
     with pytest.raises(NonFaithfulError):
         modular_automorphism(nonfaithful, 1j, p)
     with pytest.raises(GradingError):
@@ -109,7 +108,7 @@ def test_cocycle_chain_rule():
 
 
 def test_cocycle_rejects_nonfaithful_denominator():
-    nonfaithful = Weight(make_element(M2, [np.diag([1.0, 0.0])]))
+    nonfaithful = Weight(Element(M2, [np.diag([1.0, 0.0])]))
     with pytest.raises(NonFaithfulError):
         connes_cocycle(trace_weight(M2), nonfaithful, 1j)
 
@@ -119,8 +118,8 @@ def test_cocycle_identity_check():
     mu, nu = random_weight(rng, M3), random_weight(rng, M3)
     assert cocycle_identity_check(mu, nu, 0.0, 0.0).max_residual < 1e-14
     commuting = cocycle_identity_check(
-        Weight(make_element(M2, [np.diag([1.0, 2.0])])),
-        Weight(make_element(M2, [np.diag([3.0, 0.5])])), 0.8j, -0.2j)
+        Weight(Element(M2, [np.diag([1.0, 2.0])])),
+        Weight(Element(M2, [np.diag([3.0, 0.5])])), 0.8j, -0.2j)
     assert commuting.max_residual < 1e-13
     report = cocycle_identity_check(mu, nu, 1.1j, -0.7j)
     assert report.passed and report.max_residual < 1e-9
@@ -139,13 +138,13 @@ def test_change_of_weight_matches_scalar_radon_nikodym():
     D = BlockAlgebra((1, 1, 1))
     h = [2.0, 0.5, 3.0]
     k = [1.0, 4.0, 0.25]
-    mu = Weight(make_element(D, [np.array([[v]]) for v in h]))
-    nu = Weight(make_element(D, [np.array([[v]]) for v in k]))
+    mu = Weight(Element(D, [np.array([[v]]) for v in h]))
+    nu = Weight(Element(D, [np.array([[v]]) for v in k]))
     rng = make_rng(9)
     y = random_element(rng, D)
     a = 0.75 - 0.3j
     converted = change_of_weight(y, a, mu, nu)
-    expected = make_element(D, [
+    expected = Element(D, [
         y.blocks[i] * np.exp(a * (np.log(h[i]) - np.log(k[i]))) for i in range(3)])
     assert distance(converted, expected) < 1e-13
 
@@ -278,7 +277,7 @@ def test_ovw_validation_rejects_the_missed_negative_direction():
     # sampled check in _reference_validate misses that direction
     emb = BlockEmbedding(BlockAlgebra((1,)), M2, ((0, 0),))
     defect = OperatorValuedWeight(emb, np.array([[1.0, 0.0, 0.0, -0.1]]))
-    assert defect.apply(make_element(M2, [np.diag([0.0, 1.0])])).blocks[0][0, 0] == -0.1
+    assert defect.apply(Element(M2, [np.diag([0.0, 1.0])])).blocks[0][0, 0] == -0.1
     assert _reference_validate(defect)
     with pytest.raises(ValidationError, match="^positivity violated"):
         defect.validate()
@@ -289,13 +288,13 @@ def test_ovw_validation_names_a_positive_non_bimodule_map_by_its_bimodule_law():
     # its projection onto the bimodule maps is -1/2 q: the negative K alone
     # does not show that T is not positive, so the bimodule law reports it
     emb = BlockEmbedding(M2, M2, ((0,),))
-    mat = np.stack([flatten(make_element(M2, [np.trace(e.blocks[0]) * np.eye(2) - e.blocks[0]]))
+    mat = np.stack([flatten(Element(M2, [np.trace(e.blocks[0]) * np.eye(2) - e.blocks[0]]))
                     for e in M2.basis()], axis=1)
     reduction = OperatorValuedWeight(emb, mat)
     rng = make_rng(22)
     for _ in range(20):
         v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        out = reduction.apply(make_element(M2, [np.outer(v, v.conj())])).blocks[0]
+        out = reduction.apply(Element(M2, [np.outer(v, v.conj())])).blocks[0]
         assert np.linalg.eigvalsh(out).min() > -1e-12
     with pytest.raises(ValidationError, match="^bimodule law violated"):
         reduction.validate()
@@ -482,7 +481,7 @@ def _reference_compression(embedding, slot_weights=None):
                 out[i] += w * q.blocks[j][pos:pos + d, pos:pos + d]
                 pos += d
                 slot += 1
-        return make_element(embedding.source, out)
+        return Element(embedding.source, out)
 
     cols = [flatten(compress(e)) for e in embedding.target.basis()]
     return np.stack(cols, axis=1)
@@ -515,7 +514,7 @@ def test_from_compression_rejects_bad_slot_weights():
 
 def test_pushforward_keeps_the_callers_tolerance():
     tight = Tolerances(rank_rel=1e-15, eq_abs=1e-9, eq_rel=1e-9)
-    mu = Weight(make_element(M2, [np.diag([1.0, 1e-12])]), tight)
+    mu = Weight(Element(M2, [np.diag([1.0, 1e-12])]), tight)
     ovw = OperatorValuedWeight.from_compression(BlockEmbedding(M2, M2, ((0,),)))
     assert mu.faithful
     push = pushforward_weight(mu, ovw, tight)
@@ -595,17 +594,17 @@ def test_weight_functions_match_separate_powers_bit_for_bit():
 
 def test_weight_rejects_indefinite_density():
     with pytest.raises(NotPositiveError):
-        Weight(make_element(M2, [np.diag([1.0, -2.0])]))
+        Weight(Element(M2, [np.diag([1.0, -2.0])]))
 
 
 def test_faithful_flag():
-    assert Weight(make_element(M2, [np.diag([1.0, 2.0])])).faithful
-    assert not Weight(make_element(M2, [np.diag([1.0, 0.0])])).faithful
+    assert Weight(Element(M2, [np.diag([1.0, 2.0])])).faithful
+    assert not Weight(Element(M2, [np.diag([1.0, 0.0])])).faithful
 
 
 def test_weight_tolerance_policy_controls_support():
     # spectrum spanning 1e12 falls under the default relative cutoff
-    wide = make_element(M2, [np.diag([1e8, 1e-4])])
+    wide = Element(M2, [np.diag([1e8, 1e-4])])
     assert not Weight(wide).faithful
     tight = Weight(wide, Tolerances(rank_rel=1e-15, eq_abs=1e-9, eq_rel=1e-9))
     assert tight.faithful
