@@ -64,8 +64,11 @@ def lnorm(xi: GradedElement, tol: Tolerances = DEFAULT_TOL) -> float:
 
 
 def gmul(xi: GradedElement, eta: GradedElement) -> GradedElement:
-    """Multiply graded elements: matrices multiply, gradings add."""
-    return GradedElement(xi.data @ eta.data, xi.grading + eta.grading)
+    """Multiply graded elements: matrices multiply, gradings add.
+
+    The product keeps the tolerance of its left operand, as sums do.
+    """
+    return GradedElement(xi.data @ eta.data, xi.grading + eta.grading, xi.tol)
 
 
 def holder_witness(xi: GradedElement, b,
@@ -209,7 +212,7 @@ def tensor_multiply(z: TensorElement) -> GradedElement:
     acc = z.algebra.zero()
     for l, r in z.pairs:
         acc = acc + l.data @ r.data
-    return GradedElement(acc, z.grading_left + z.grading_right)
+    return GradedElement(acc, z.grading_left + z.grading_right, z.tol)
 
 
 def turpin_upper(z: TensorElement, tol: Tolerances = DEFAULT_TOL) -> float:

@@ -6,11 +6,22 @@ files are lossless, language-neutral, and diffable:
     Element       {"block_dims": [2], "blocks": [[[[1,0],[0,0]], ...]]}
     GradedElement adds "grading": [re, im]
     Weight        {"density": <element>}
+
+Output is canonical JSON, byte for byte what
+json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) prints.  It is
+written here rather than by json.dumps because, with indent set, CPython
+skips its C encoder and walks the tree in the pure-Python encoder, one
+generator step per number.  A 64x64 demo output holds about 49k floats,
+and that walk costs more than the demo's linear algebra.  dumps writes each
+rectangular array of plain floats and ints in one pass instead: repr over
+the flattened leaves, interleaved with the separators the array's shape
+fixes, joined once.
 """
 
 from __future__ import annotations
 
-import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -33,7 +44,7 @@ def _complex_in(pair) -> complex:
 def element_to_obj(x: Element) -> dict:
     return {
         "block_dims": list(x.algebra.block_dims),
-        "blocks": [[[_complex_out(v) for v in row] for row in b] for b in x.blocks],
+        "blocks": [np.stack([b.real, b.imag], -1).tolist() for b in x.blocks],
     }
 
 
@@ -65,10 +76,112 @@ def weight_from_obj(obj: dict) -> Weight:
     return Weight(element_from_obj(obj["density"]))
 
 
-def dumps(obj: dict) -> str:
-    """Canonical JSON: sorted keys, stable float repr, trailing newline.
+_NONFINITE = frozenset(("nan", "inf", "-inf"))   # float reprs JSON cannot hold
+_NUMBERS = frozenset((float, int))
 
-    Strict: NaN and infinities raise ValueError instead of printing the
-    non-standard NaN and Infinity literals.
+
+def _out_of_range(text: str) -> ValueError:
+    return ValueError("Out of range float values are not JSON compliant: " + text)
+
+
+def _array_text(lst: list, level: int):
+    """The text of a rectangular list nest of plain floats and ints, else None.
+
+    Bools, numpy scalars, tuples, empty lists and ragged nests return None
+    and are written item by item.
     """
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    shape = []
+    x = lst
+    while type(x) is list and x:
+        shape.append(len(x))
+        x = x[0]
+    if type(x) not in _NUMBERS:
+        return None
+    leaves = lst
+    for n in shape[1:]:
+        if set(map(type, leaves)) != {list} or set(map(len, leaves)) != {n}:
+            return None
+        leaves = list(chain.from_iterable(leaves))
+    if not _NUMBERS.issuperset(map(type, leaves)):
+        return None
+    text = list(map(repr, leaves))
+    if not _NONFINITE.isdisjoint(text):
+        raise _out_of_range(next(t for t in text if t in _NONFINITE))
+    # breaks[j]: a newline and the indent of the items of the depth-j lists
+    depth = len(shape)
+    breaks = ["\n" + "  " * (level + j) for j in range(depth + 1)]
+    seps = ["," + breaks[depth]] * (shape[-1] - 1)
+    for m in range(depth - 1, 0, -1):
+        # between two items of a depth-m list: close the inner lists, open the next
+        close = "".join(breaks[j - 1] + "]" for j in range(depth, m, -1))
+        reopen = "".join("[" + breaks[j] for j in range(m + 1, depth + 1))
+        seps = (seps + [close + "," + breaks[m] + reopen]) * shape[m - 1]
+        seps.pop()
+    parts = [""] * (2 * len(text) - 1)
+    parts[::2] = text
+    parts[1::2] = seps
+    head = "".join("[" + breaks[j] for j in range(1, depth + 1))
+    tail = "".join(breaks[j - 1] + "]" for j in range(depth, 0, -1))
+    return head + "".join(parts) + tail
+
+
+def _write(o, level: int, out: list) -> None:
+    """Append the text of o, as json's encoder orders its type tests."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        text = float.__repr__(o)
+        if text in _NONFINITE:
+            raise _out_of_range(repr(o))
+        out.append(text)
+    elif isinstance(o, (list, tuple)):
+        text = _array_text(o, level) if type(o) is list else None
+        if text is not None:
+            out.append(text)
+        elif not o:
+            out.append("[]")
+        else:
+            brk = "\n" + "  " * (level + 1)
+            out.append("[" + brk)
+            for i, v in enumerate(o):
+                if i:
+                    out.append("," + brk)
+                _write(v, level + 1, out)
+            out.append("\n" + "  " * level + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+        else:
+            brk = "\n" + "  " * (level + 1)
+            out.append("{" + brk)
+            for i, key in enumerate(sorted(o)):
+                # a key that is not a str raises TypeError here
+                out.append(("," + brk if i else "") + encode_basestring_ascii(key) + ": ")
+                _write(o[key], level + 1, out)
+            out.append("\n" + "  " * level + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def dumps(obj: dict) -> str:
+    """Canonical JSON: sorted keys, two-space indent, shortest float repr,
+    trailing newline; the bytes of json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False) + "\n".
+
+    Not written by json.dumps, whose indented output runs CPython's
+    pure-Python encoder item by item (see the module docstring).  Strict:
+    NaN and infinities raise json's ValueError instead of printing the
+    non-standard NaN and Infinity literals; keys must be str.
+    """
+    out = []
+    _write(obj, 0, out)
+    out.append("\n")
+    return "".join(out)

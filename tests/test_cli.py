@@ -5,9 +5,17 @@ import json
 import numpy as np
 import pytest
 
+from nclp import DEFAULT_TOL, BlockAlgebra
 from nclp.cli import main
 from nclp.properties import SuiteConfig, run_suite
-from nclp.serialize import dumps
+from nclp.sampling import (
+    make_rng,
+    random_conditioned,
+    random_element,
+    random_graded,
+    random_weight,
+)
+from nclp.serialize import dumps, element_to_obj, graded_to_obj, weight_to_obj
 
 
 def run_cli(capsys, *argv):
@@ -236,6 +244,18 @@ def test_a_demo_result_that_overflows_is_a_numerical_error(capsys, tmp_path):
     assert out["error"]["type"] == "numerical"
 
 
+def test_an_overflowed_figure_is_reported_with_json_s_message(capsys, tmp_path, monkeypatch):
+    import nclp.cli as cli
+
+    monkeypatch.setitem(cli._DEMOS, "polar", lambda obj: {"residual": float("inf")})
+    path = write(tmp_path, "x.json", {"x": ELEMENT_X})
+    code = main(["demo", "polar", "--input", path])
+    out = _strict_json(capsys.readouterr().out)
+    assert code == 1
+    assert out["error"] == {"type": "numerical", "message":
+                            "Out of range float values are not JSON compliant: inf"}
+
+
 NAN = float("nan")
 
 
@@ -256,6 +276,32 @@ def test_non_finite_input_is_a_typed_input_error(capsys, tmp_path, command, obj)
     out = _strict_json(capsys.readouterr().out)
     assert code == 2
     assert out["error"]["type"] == "NonFiniteError"
+
+
+def _large_demo_inputs():
+    """Inputs for five demos on one 64x64 block, drawn as the bench draws them."""
+    rng = make_rng(64)
+    M = BlockAlgebra((64,))
+    xc = random_conditioned(rng, M, DEFAULT_TOL)
+    return {
+        "polar": {"x": element_to_obj(xc)},
+        "douglas": {"x": element_to_obj(xc),
+                    "y": element_to_obj(random_element(rng, M) @ xc)},
+        "holder": {"x": graded_to_obj(random_graded(rng, M, 0.5)),
+                   "y": graded_to_obj(random_graded(rng, M, 1.0 + 0.5j))},
+        "comultiply": {"zeta": graded_to_obj(random_graded(rng, M, 1.5)),
+                       "split": [[1.0, 0.0], [0.5, 0.0]]},
+        "cocycle": {"mu": weight_to_obj(random_weight(rng, M)),
+                    "nu": weight_to_obj(random_weight(rng, M)), "a": [0.0, 0.7]},
+    }
+
+
+def test_large_demo_output_is_json_dumps_byte_for_byte(capsys, tmp_path):
+    for name, obj in _large_demo_inputs().items():
+        code = main(["demo", name, "--input", write(tmp_path, f"{name}.json", obj)])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n", name
 
 
 def test_linalg_failure_is_a_numerical_error(capsys, tmp_path, monkeypatch):

@@ -432,6 +432,19 @@ def test_graded_sum_reads_the_tolerance():
         assert derived.tol is loose
 
 
+def test_products_keep_the_tolerance_of_their_factors():
+    # each factor and the product lie within 1e-6 of Re >= 0, but not within 1e-9
+    rng = make_rng(32)
+    loose = Tolerances(eq_abs=1e-6)
+    xi, eta = (GradedElement(random_element(rng, M2), -4e-7, loose) for _ in range(2))
+    with pytest.raises(GradingError):
+        GradedElement(xi.data @ eta.data, -8e-7)
+    z = TensorElement(M2, -4e-7, -4e-7, ((xi, eta),), loose)
+    for product in (gmul(xi, eta), tensor_multiply(z)):
+        assert product.tol is loose and product.grading == -8e-7
+        assert np.array_equal(product.data.stacks[0], (xi.data @ eta.data).stacks[0])
+
+
 def test_graded_element_grading_check_reads_the_tolerance():
     x = random_element(make_rng(30), M2)
     with pytest.raises(GradingError):

@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from nclp import BlockAlgebra, GradedElement, NonFiniteError, distance
+from nclp import BlockAlgebra, Element, GradedElement, NonFiniteError, distance
 from nclp.sampling import make_rng, random_element, random_graded, random_weight
 from nclp.serialize import (
     dumps,
@@ -50,6 +51,23 @@ def test_weight_roundtrip():
     assert distance(back.density, mu.density) == 0.0
     text = dumps(weight_to_obj(mu))
     assert dumps(weight_to_obj(weight_from_obj(json.loads(text)))) == text
+
+
+def test_element_to_obj_matches_the_per_entry_build():
+    x = random_element(make_rng(4), M)
+    b0, b1 = x.blocks
+    b1 = b1.copy()
+    b1[0, 0], b1[1, 2], b1[2, 1] = complex(-0.0, 0.0), complex(1.5, -0.0), 5e-324j
+    x = Element(M, (b0, b1))
+    reference = {
+        "block_dims": list(x.algebra.block_dims),
+        "blocks": [[[[complex(v).real, complex(v).imag] for v in row] for row in b]
+                   for b in x.blocks],
+    }
+    obj = element_to_obj(x)
+    assert obj == reference
+    assert dumps(obj) == dumps(reference)
+    assert "-0.0" in dumps(obj) and np.signbit(obj["blocks"][1][0][0][0])
 
 
 def test_dumps_is_canonical():
