@@ -19,7 +19,6 @@ from . import decomp, lpspace, serialize, weights
 from .errors import AlgebraMismatchError, NclpError, NonFiniteError, ShapeError
 from .matcore import BlockAlgebra, distance, operator_norm
 from .oracle import oracle_commutative
-from .properties import SuiteConfig, run_suite
 
 
 def _emit(obj: dict, code: int = 0) -> int:
@@ -45,6 +44,9 @@ def _load_json(path: str) -> dict:
 
 
 def cmd_verify(args) -> int:
+    # the property registry loads here, so demo and oracle processes skip it
+    from .properties import SuiteConfig, run_suite
+
     try:
         obj = _load_json(args.config) if args.config else {}
         if args.seed is not None:
@@ -54,10 +56,11 @@ def cmd_verify(args) -> int:
         if args.trials is not None:
             obj["trials"] = args.trials
         cfg = SuiteConfig.from_obj(obj)
-    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, OverflowError,
+            json.JSONDecodeError) as exc:   # int() of an infinity overflows
         return _fail("config", exc, 2)
     report = run_suite(cfg)
-    return _emit(report.to_obj(), 0 if report.all_passed else 1)
+    return _emit(report, 0 if report["all_passed"] else 1)
 
 
 def _demo_holder(obj: dict) -> dict:

@@ -15,19 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    AlgebraMismatchError,
     ConditionViolatedError,
     GradingError,
     NonFaithfulError,
     UnsolvableError,
 )
-from .graded import GradedElement
+from .graded import GradedElement, _same_grading
 from .matcore import (
     DEFAULT_TOL,
     Element,
     Tolerances,
     _h,
     _operator_norms,
+    _same_algebra,
     _surely_within,
     _svd_support,
     _udv,
@@ -149,7 +149,7 @@ def douglas_divide(x: Element, y: Element,
     Raises UnsolvableError carrying the best-approximation residual when
     the kernel inclusion fails.
     """
-    x._check_compatible(y)
+    _same_algebra(x.algebra, y.algebra, "incompatible algebras")
     (p,), (residual, norm_p) = _solve(x, [y], tol, measure=lambda ps, rems: (rems[0], ps[0]))
     return DivisionResult(p, norm_p, residual)
 
@@ -172,7 +172,7 @@ def douglas_ladder(x: Element, y: Element, epsilons=None,
     UnsolvableError as douglas_divide does; its check needs no norm of the
     quotient and, on a solvable pair, usually no SVD at all.
     """
-    x._check_compatible(y)
+    _same_algebra(x.algebra, y.algebra, "incompatible algebras")
     svd = _svd_support(x, tol)
     _solve(x, [y], tol, svd)
     if epsilons is None:
@@ -263,13 +263,9 @@ def cyclic_generator(generators, mu: Weight, tol: Tolerances = DEFAULT_TOL):
     a = gens[0].grading
     algebra = gens[0].algebra
     for g in gens[1:]:
-        if abs(complex(g.grading) - a) > tol.eq_abs:
-            raise GradingError(
-                f"generators must share a grading: {g.grading} != {a}")
-        if g.algebra.block_dims != algebra.block_dims:
-            raise AlgebraMismatchError("generators live in different algebras")
-    if mu.algebra.block_dims != algebra.block_dims:
-        raise AlgebraMismatchError("weight lives in a different algebra")
+        _same_grading(g.grading, a, tol, "generators must share a grading")
+        _same_algebra(g.algebra, algebra, "generators live in different algebras")
+    _same_algebra(mu.algebra, algebra, "weight lives in a different algebra")
     if not mu.faithful:
         raise NonFaithfulError("cyclic generator requires a faithful weight")
 
@@ -297,9 +293,7 @@ def rank1_reduce(pairs, mu: Weight, tol: Tolerances = DEFAULT_TOL):
     rights = [p[1] for p in pairs]
     c = lefts[0].grading
     for u in lefts[1:]:
-        if abs(complex(u.grading) - c) > tol.eq_abs:
-            raise GradingError(
-                f"left factors must share a grading: {u.grading} != {c}")
+        _same_grading(u.grading, c, tol, "left factors must share a grading")
     y, quotients, _ = cyclic_generator(rights, mu, tol)
     x_mat = lefts[0].algebra.zero()
     for u, q in zip(lefts, quotients):

@@ -29,28 +29,24 @@ class GradingError(NclpError):
     """A grading violates the constraints of the requested operation."""
 
 
-class UnsolvableError(NclpError):
+class _ResidualError(NclpError):
+    """An error decided by a residual, which it carries as .residual."""
+
+    def __init__(self, message, residual):
+        super().__init__(message)
+        self.residual = residual
+
+
+class UnsolvableError(_ResidualError):
     """The division p @ x = y has no solution; carries the best residual."""
 
-    def __init__(self, message, residual):
-        super().__init__(message)
-        self.residual = residual
 
-
-class ConditionViolatedError(NclpError):
+class ConditionViolatedError(_ResidualError):
     """A numerical precondition (e.g. x*x = y*y) fails beyond tolerance."""
 
-    def __init__(self, message, residual):
-        super().__init__(message)
-        self.residual = residual
 
-
-class NotModuleMapError(NclpError):
+class NotModuleMapError(_ResidualError):
     """A linear map fails right-module linearity; carries the worst residual."""
-
-    def __init__(self, message, residual):
-        super().__init__(message)
-        self.residual = residual
 
 
 class ValidationError(NclpError):

@@ -16,6 +16,32 @@ from .errors import GradingError, NonFiniteError
 from .matcore import DEFAULT_TOL, Element, Tolerances
 
 
+def _grading(a, tol: Tolerances, what: str) -> complex:
+    """a as a complex grading: finite, with Re a >= 0 up to tol.eq_abs."""
+    a = complex(a)
+    if not cmath.isfinite(a):
+        raise NonFiniteError(f"{what} must be finite, got {a}")
+    if a.real < -tol.eq_abs:
+        raise GradingError(f"{what} must have Re >= 0, got {a}")
+    return a
+
+
+def _same_grading(a: complex, b: complex, tol: Tolerances, what: str):
+    """Raise GradingError unless |a - b| <= tol.eq_abs; a NaN never matches."""
+    if not abs(a - b) <= tol.eq_abs:
+        raise GradingError(f"{what}: {a} != {b}")
+
+
+def _require_imaginary(a, tol: Tolerances, what: str) -> complex:
+    """a as a finite complex number with Re a = 0 up to tol.eq_abs."""
+    a = complex(a)
+    if not cmath.isfinite(a):
+        raise NonFiniteError(f"{what} must be finite, got {a}")
+    if abs(a.real) > tol.eq_abs:
+        raise GradingError(f"{what} must be imaginary, got {a}")
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class GradedElement:
     """An element of the grading-a space, Re a >= 0.
@@ -29,12 +55,7 @@ class GradedElement:
     tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
-        a = complex(self.grading)
-        if not cmath.isfinite(a):
-            raise NonFiniteError(f"grading must be finite, got {a}")
-        if a.real < -self.tol.eq_abs:
-            raise GradingError(f"grading must have Re >= 0, got {a}")
-        object.__setattr__(self, "grading", a)
+        object.__setattr__(self, "grading", _grading(self.grading, self.tol, "grading"))
 
     @property
     def algebra(self):
@@ -49,9 +70,7 @@ class GradedElement:
     __rmul__ = __mul__
 
     def __add__(self, other: GradedElement) -> GradedElement:
-        if abs(self.grading - other.grading) > self.tol.eq_abs:
-            raise GradingError(
-                f"cannot add gradings {self.grading} and {other.grading}")
+        _same_grading(self.grading, other.grading, self.tol, "cannot add gradings")
         return GradedElement(self.data + other.data, self.grading, self.tol)
 
     def __sub__(self, other: GradedElement) -> GradedElement:

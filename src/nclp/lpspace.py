@@ -17,7 +17,7 @@ import numpy as np
 
 from .decomp import right_support
 from .errors import GradingError, NclpError, NonFiniteError, NotModuleMapError
-from .graded import GradedElement
+from .graded import GradedElement, _grading, _require_imaginary, _same_grading
 from .matcore import (
     DEFAULT_TOL,
     BlockAlgebra,
@@ -25,6 +25,7 @@ from .matcore import (
     Tolerances,
     _h,
     _norm2_bound,
+    _same_algebra,
     _spectral_power,
     _svd_support,
     _svds,
@@ -83,12 +84,10 @@ def holder_witness(xi: GradedElement, b,
     singular values and the equality holds to rounding for any x.
     """
     a = xi.grading
-    b = complex(b)
     if a.real <= tol.eq_abs:
         raise GradingError("equality witness needs Re a > 0; "
                            "use the spectral-threshold witness on imaginary gradings")
-    if b.real < -tol.eq_abs:
-        raise GradingError(f"witness grading must have Re >= 0, got {b}")
+    b = _grading(b, tol, "witness grading")
     svd = _svds(xi.data)
     if max(float(s.max()) for _, s, _ in svd) <= tol.eq_abs:
         raise NclpError("the zero element has no Hölder witness")
@@ -108,13 +107,9 @@ def holder_witness_imaginary(xi: GradedElement, b, c,
     from one SVD xi = U S V*: u* p = V diag(m) U*, with m marking the
     singular values that are above the support cutoff and at least c.
     """
-    a = xi.grading
-    b = complex(b)
     c = float(c)
-    if abs(a.real) > tol.eq_abs:
-        raise GradingError("spectral-threshold witness needs Re a = 0")
-    if b.real < -tol.eq_abs:
-        raise GradingError(f"witness grading must have Re >= 0, got {b}")
+    _require_imaginary(xi.grading, tol, "spectral-threshold witness input grading")
+    b = _grading(b, tol, "witness grading")
     svd = _svd_support(xi.data, tol)
     top = max(float(s.max()) for _, s, _, _ in svd)
     # operator_norm's values-only SVD may differ from this one by ulps (13 on
@@ -140,12 +135,8 @@ def comultiply(zeta: GradedElement, split,
     When Re(a+b) = 0 there is no positive part to distribute: the first
     factor is zeta itself and the second its right support projection.
     """
-    a, b = complex(split[0]), complex(split[1])
-    if a.real < -tol.eq_abs or b.real < -tol.eq_abs:
-        raise GradingError(f"split gradings must have Re >= 0, got {a}, {b}")
-    if abs((a + b) - zeta.grading) > tol.eq_abs:
-        raise GradingError(
-            f"split {a} + {b} does not sum to the grading {zeta.grading}")
+    a, b = _grading(split[0], tol, "split grading"), _grading(split[1], tol, "split grading")
+    _same_grading(a + b, zeta.grading, tol, f"split {a} + {b} does not sum to the grading")
     re_sum = float(zeta.grading.real)
     if re_sum <= tol.eq_abs:
         supp = right_support(zeta.data, tol)
@@ -180,22 +171,11 @@ class TensorElement:
         object.__setattr__(self, "grading_right", b)
         pairs = tuple((l, r) for l, r in self.pairs)
         for l, r in pairs:
-            if (l.algebra.block_dims != self.algebra.block_dims
-                    or r.algebra.block_dims != self.algebra.block_dims):
-                raise GradingError("tensor factors live in a different algebra")
-            if abs(l.grading - a) > self.tol.eq_abs:
-                raise GradingError(f"left factor grading {l.grading} != {a}")
-            if abs(r.grading - b) > self.tol.eq_abs:
-                raise GradingError(f"right factor grading {r.grading} != {b}")
+            _same_algebra(l.algebra, self.algebra, "left factor lives in another algebra")
+            _same_algebra(r.algebra, self.algebra, "right factor lives in another algebra")
+            _same_grading(l.grading, a, self.tol, "left factor grading")
+            _same_grading(r.grading, b, self.tol, "right factor grading")
         object.__setattr__(self, "pairs", pairs)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> TensorElement:
-        pairs = tuple(pairs)
-        if not pairs:
-            raise ValueError("cannot infer gradings from an empty sum")
-        l, r = pairs[0]
-        return cls(l.algebra, l.grading, r.grading, pairs)
 
     def __repr__(self):
         return (f"TensorElement({len(self.pairs)} pairs, gradings "
@@ -277,12 +257,11 @@ class ModuleHom:
         return ModuleHom._of, (self.algebra, self.grading_in, self.grading_out, self.matrix)
 
     def apply(self, y: Element) -> Element:
+        _same_algebra(y.algebra, self.algebra, "hom applied to an element of another algebra")
         return unflatten_element(self.algebra, self.matrix @ flatten_element(y))
 
     def __call__(self, eta: GradedElement, tol: Tolerances = DEFAULT_TOL) -> GradedElement:
-        if abs(eta.grading - self.grading_in) > tol.eq_abs:
-            raise GradingError(
-                f"hom expects grading {self.grading_in}, got {eta.grading}")
+        _same_grading(eta.grading, self.grading_in, tol, "hom input grading")
         return GradedElement(self.apply(eta.data), self.grading_out, tol)
 
 
@@ -303,9 +282,7 @@ def _left_multiplication(x: Element) -> np.ndarray:
 def hom_from_element(xi: GradedElement, b,
                      tol: Tolerances = DEFAULT_TOL) -> ModuleHom:
     """Left multiplication by xi as a module map on grading-b data."""
-    b = complex(b)
-    if b.real < -tol.eq_abs:
-        raise GradingError(f"input grading must have Re >= 0, got {b}")
+    b = _grading(b, tol, "input grading")
     return ModuleHom._of(xi.algebra, b, xi.grading + b, _left_multiplication(xi.data))
 
 
@@ -333,11 +310,8 @@ def hom_to_element(T: ModuleHom, tol: Tolerances = DEFAULT_TOL) -> GradedElement
         raise NotModuleMapError(
             f"right-linearity fails: residual {residual:.3e} against left "
             "multiplication by T(1)", residual)
-    a = T.grading_out - T.grading_in
-    if a.real < -tol.eq_abs:
-        raise GradingError(
-            f"hom gradings {T.grading_in} -> {T.grading_out} would need a "
-            "multiplier of negative real grading")
+    a = _grading(T.grading_out - T.grading_in, tol,
+                 f"multiplier grading of the hom {T.grading_in} -> {T.grading_out}")
     return GradedElement(xi, complex(max(a.real, 0.0), a.imag), tol)
 
 

@@ -35,8 +35,8 @@ class Tolerances:
     def __post_init__(self):
         if not (0.0 < self.rank_rel < 1.0):
             raise ValueError(f"rank_rel must be in (0, 1), got {self.rank_rel}")
-        if self.eq_abs <= 0.0 or self.eq_rel <= 0.0:
-            raise ValueError("eq_abs and eq_rel must be strictly positive")
+        if not (0.0 < self.eq_abs < math.inf and 0.0 < self.eq_rel < math.inf):
+            raise ValueError("eq_abs and eq_rel must be finite and strictly positive")
 
     def eq_bound(self, scale: float) -> float:
         return self.eq_abs + self.eq_rel * float(scale)
@@ -117,6 +117,12 @@ class BlockAlgebra:
             yield unflatten_element(self, vec)
 
 
+def _same_algebra(a: BlockAlgebra, b: BlockAlgebra, what: str):
+    """Raise AlgebraMismatchError unless a and b have the same block_dims."""
+    if a.block_dims != b.block_dims:
+        raise AlgebraMismatchError(f"{what}: {a.block_dims} vs {b.block_dims}")
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Element:
     """An element of a BlockAlgebra: one complex matrix per block.
@@ -171,14 +177,8 @@ class Element:
 
     # -- ring structure -------------------------------------------------
 
-    def _check_compatible(self, other: Element):
-        if self.algebra.block_dims != other.algebra.block_dims:
-            raise AlgebraMismatchError(
-                f"incompatible algebras: {self.algebra.block_dims} vs "
-                f"{other.algebra.block_dims}")
-
     def _zip(self, op, other: Element) -> Element:
-        self._check_compatible(other)
+        _same_algebra(self.algebra, other.algebra, "incompatible algebras")
         return Element._of(self.algebra, [op(a, b) for a, b in zip(self.stacks, other.stacks)])
 
     def __add__(self, other: Element) -> Element:

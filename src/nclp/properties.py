@@ -9,9 +9,10 @@ identical reports.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,6 +76,8 @@ class SuiteConfig:
         object.__setattr__(self, "block_shapes", shapes)
         pairs = tuple((complex(a), complex(b)) for a, b in self.gradings)
         for a, b in pairs:
+            if not (cmath.isfinite(a) and cmath.isfinite(b)):
+                raise ValueError(f"gradings must be finite, got ({a}, {b})")
             if a.real < 0 or b.real < 0:
                 raise ValueError(f"gradings must have Re >= 0, got ({a}, {b})")
         object.__setattr__(self, "gradings", pairs)
@@ -107,24 +110,6 @@ class SuiteConfig:
                 "eq_abs": self.tolerances.eq_abs,
                 "eq_rel": self.tolerances.eq_rel,
             },
-        }
-
-
-@dataclass
-class SuiteReport:
-    seed: int
-    trials: int
-    properties: dict = field(default_factory=dict)
-    all_passed: bool = True
-    duration_seconds: float = 0.0
-
-    def to_obj(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "properties": self.properties,
-            "all_passed": self.all_passed,
-            "duration_seconds": self.duration_seconds,
         }
 
 
@@ -729,10 +714,15 @@ PROPERTIES = {
 }
 
 
-def run_suite(cfg: SuiteConfig) -> SuiteReport:
-    """Run every property cfg.trials times; deterministic given the config."""
+def run_suite(cfg: SuiteConfig) -> dict:
+    """Run every property cfg.trials times; deterministic given the config.
+
+    Returns the report nclp verify prints: seed, trials, properties (name ->
+    passed, failed, worst_residual and, if a trial crashed, first_crash),
+    all_passed and duration_seconds.
+    """
     start = time.monotonic()
-    report = SuiteReport(seed=cfg.seed, trials=cfg.trials)
+    properties = {}
     for name in sorted(PROPERTIES):
         prop = PROPERTIES[name]
         rng = spawn_rng(cfg.seed, name)
@@ -753,15 +743,18 @@ def run_suite(cfg: SuiteConfig) -> SuiteReport:
                 failed += 1
             resid = float(resid)
             worst = max(worst, resid if math.isfinite(resid) else math.inf)
-        report.properties[name] = {
+        properties[name] = {
             "passed": passed,
             "failed": failed,
             # null, as JSON has no inf: a trial crashed or gave a NaN or inf
             "worst_residual": worst if math.isfinite(worst) else None,
         }
         if crash is not None:
-            report.properties[name]["first_crash"] = crash
-        if failed:
-            report.all_passed = False
-    report.duration_seconds = time.monotonic() - start
-    return report
+            properties[name]["first_crash"] = crash
+    return {
+        "seed": cfg.seed,
+        "trials": cfg.trials,
+        "properties": properties,
+        "all_passed": not any(r["failed"] for r in properties.values()),
+        "duration_seconds": time.monotonic() - start,
+    }

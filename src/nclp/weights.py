@@ -9,19 +9,13 @@ with complex powers taken through the positive functional calculus.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import (
-    AlgebraMismatchError,
-    GradingError,
-    NonFaithfulError,
-    NonFiniteError,
-    ValidationError,
-)
+from .errors import NonFaithfulError, NonFiniteError, ValidationError
+from .graded import _grading, _require_imaginary
 from .matcore import (
     DEFAULT_TOL,
     BlockAlgebra,
@@ -33,6 +27,7 @@ from .matcore import (
     _eig_classes,
     _norm2_bound,
     _operator_norms,
+    _same_algebra,
     _spectral_power,
     func_calc,
     trace,
@@ -93,20 +88,8 @@ def trace_weight(algebra: BlockAlgebra) -> Weight:
 
 def evaluate(mu: Weight, x: Element) -> complex:
     """mu(x) = trace(density @ x); real and >= 0 on positive x."""
-    if mu.algebra.block_dims != x.algebra.block_dims:
-        raise AlgebraMismatchError(
-            f"weight on {mu.algebra.block_dims} applied to element of "
-            f"{x.algebra.block_dims}")
+    _same_algebra(mu.algebra, x.algebra, "weight applied to an element of another algebra")
     return trace(mu.density @ x)
-
-
-def _require_imaginary(a, tol: Tolerances):
-    a = complex(a)
-    if not cmath.isfinite(a):
-        raise NonFiniteError(f"parameter must be finite, got {a}")
-    if abs(a.real) > tol.eq_abs:
-        raise GradingError(f"parameter must be imaginary, got {a}")
-    return a
 
 
 def modular_automorphism(mu: Weight, a, p: Element,
@@ -118,7 +101,7 @@ def modular_automorphism(mu: Weight, a, p: Element,
     Defaults to the weight's own tolerance policy.
     """
     tol = mu.tol if tol is None else tol
-    a = _require_imaginary(a, tol)
+    a = _require_imaginary(a, tol, "parameter")
     if not mu.faithful:
         raise NonFaithfulError("modular automorphisms require a faithful weight")
     forward, backward = mu.powers((a, -a), tol)
@@ -134,7 +117,7 @@ def connes_cocycle(mu: Weight, nu: Weight, a,
     of mu's density.  Defaults to the denominator's tolerance policy.
     """
     tol = nu.tol if tol is None else tol
-    a = _require_imaginary(a, tol)
+    a = _require_imaginary(a, tol, "parameter")
     if not nu.faithful:
         raise NonFaithfulError("cocycle derivative requires a faithful denominator")
     return mu.power(a, tol) @ nu.power(-a, tol)
@@ -144,8 +127,8 @@ def cocycle_identity_check(mu: Weight, nu: Weight, a, b,
                            tol: Tolerances | None = None) -> ToleranceReport:
     """Residual of (Dmu:Dnu)_{a+b} = (Dmu:Dnu)_a sigma^nu_a((Dmu:Dnu)_b)."""
     tol = nu.tol if tol is None else tol
-    a = _require_imaginary(a, tol)
-    b = _require_imaginary(b, tol)
+    a = _require_imaginary(a, tol, "parameter")
+    b = _require_imaginary(b, tol, "parameter")
     if not nu.faithful:
         raise NonFaithfulError("cocycle derivative requires a faithful denominator")
     # every power from one eigensystem of each density:
@@ -171,9 +154,7 @@ def change_of_weight(x: Element, a, mu: Weight, nu: Weight,
     converting mu -> rho directly.
     """
     tol = mu.tol if tol is None else tol
-    a = complex(a)
-    if a.real < -tol.eq_abs:
-        raise GradingError(f"grading must have Re >= 0, got {a}")
+    a = _grading(a, tol, "grading")
     if not (mu.faithful and nu.faithful):
         raise NonFaithfulError("change of weight requires faithful weights")
     return x @ mu.power(a, tol) @ nu.power(-a, tol)
@@ -217,8 +198,7 @@ class BlockEmbedding:
 
     def apply(self, x: Element) -> Element:
         """f(x): place the assigned source blocks on the target diagonal."""
-        if x.algebra.block_dims != self.source.block_dims:
-            raise AlgebraMismatchError("element does not live in the source algebra")
+        _same_algebra(x.algebra, self.source, "element does not live in the source algebra")
         out = np.zeros(self.target.total_dim, dtype=complex)
         for (i, _), (cols, copies) in _commutant_columns(self).items():
             out[cols[np.diag_indices(len(copies))]] = x.blocks[i]   # diagonal sub-blocks
@@ -226,8 +206,7 @@ class BlockEmbedding:
 
     def compose(self, inner: BlockEmbedding) -> BlockEmbedding:
         """self o inner, for inner: L -> M and self: M -> N."""
-        if inner.target.block_dims != self.source.block_dims:
-            raise AlgebraMismatchError("embeddings do not compose")
+        _same_algebra(inner.target, self.source, "embeddings do not compose")
         rows = tuple(
             tuple(i for m in row for i in inner.assignment[m])
             for row in self.assignment)
@@ -290,8 +269,7 @@ class OperatorValuedWeight:
         return self.embedding.source   # M, where values land
 
     def apply(self, q: Element) -> Element:
-        if q.algebra.block_dims != self.source.block_dims:
-            raise AlgebraMismatchError("argument does not live in the source algebra")
+        _same_algebra(q.algebra, self.source, "argument does not live in the source algebra")
         return unflatten_element(self.target, self.matrix @ flatten_element(q))
 
     @classmethod
@@ -378,8 +356,7 @@ class OperatorValuedWeight:
 
     def compose(self, inner: OperatorValuedWeight) -> OperatorValuedWeight:
         """self o inner for stacked maps O -> N -> M."""
-        if inner.target.block_dims != self.source.block_dims:
-            raise AlgebraMismatchError("operator-valued weights do not compose")
+        _same_algebra(inner.target, self.source, "operator-valued weights do not compose")
         return OperatorValuedWeight(
             inner.embedding.compose(self.embedding),
             self.matrix @ inner.matrix)
@@ -392,8 +369,7 @@ def pushforward_weight(mu: Weight, ovw: OperatorValuedWeight,
     The density is the trace-adjoint of T applied to mu's density, so that
     trace(k @ q) = trace(h @ T(q)) for every q.
     """
-    if mu.algebra.block_dims != ovw.target.block_dims:
-        raise AlgebraMismatchError("weight does not live on the target algebra")
+    _same_algebra(mu.algebra, ovw.target, "weight does not live on the target algebra")
     ovw.validate(tol)
     k = unflatten_element(ovw.source, ovw.matrix.conj().T @ flatten_element(mu.density))
     k = (k + k.adjoint()) * 0.5

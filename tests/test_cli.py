@@ -46,7 +46,7 @@ def test_verify_default_passes(capsys):
 
 def test_verify_reports_are_deterministic():
     cfg = SuiteConfig(seed=42, trials=3)
-    one, two = run_suite(cfg).to_obj(), run_suite(cfg).to_obj()
+    one, two = run_suite(cfg), run_suite(cfg)
     one.pop("duration_seconds"), two.pop("duration_seconds")
     assert dumps(one) == dumps(two)
 
@@ -268,6 +268,8 @@ NAN = float("nan")
                            "a": [0.0, float("inf")]}),
     (("oracle",), {"f": [[1.0, 0.0], [NAN, 0.0]], "a": [0.5, 0]}),
     (("oracle",), {"f": [1.0], "a": [0.5, 0], "mu": [float("inf")]}),
+    (("demo", "comultiply"), {"zeta": dict(ELEMENT_X, grading=[1.0, 0]),
+                              "split": [[float("inf"), 0], [0.5, 0]]}),
 ])
 def test_non_finite_input_is_a_typed_input_error(capsys, tmp_path, command, obj):
     path = tmp_path / "nan.json"
@@ -276,6 +278,21 @@ def test_non_finite_input_is_a_typed_input_error(capsys, tmp_path, command, obj)
     out = _strict_json(capsys.readouterr().out)
     assert code == 2
     assert out["error"]["type"] == "NonFiniteError"
+
+
+@pytest.mark.parametrize("cfg", [
+    {"trials": 1, "gradings": [[[NAN, 0], [0.5, 0]]]},
+    {"trials": 1, "gradings": [[[0.5, 0], [float("inf"), 0]]]},
+    {"trials": 1, "tolerances": {"eq_abs": NAN}},
+    {"trials": 1, "tolerances": {"eq_rel": float("inf")}},
+    {"trials": 1, "seed": float("inf")},
+    {"trials": float("inf")},
+])
+def test_non_finite_config_is_a_config_error(capsys, tmp_path, cfg):
+    code = main(["verify", "--config", write(tmp_path, "cfg.json", cfg)])
+    out = _strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert out["error"]["type"] == "config"
 
 
 def _large_demo_inputs():

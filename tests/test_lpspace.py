@@ -7,6 +7,7 @@ import pytest
 
 from nclp import (
     DEFAULT_TOL,
+    AlgebraMismatchError,
     BlockAlgebra,
     Element,
     GradedElement,
@@ -263,6 +264,10 @@ def test_tensor_element_validates_gradings():
     with pytest.raises(GradingError):
         TensorElement(M2, 0.5, 0.5,
                       ((random_graded(rng, M2, 1.0), random_graded(rng, M2, 0.5)),))
+    here, there = random_graded(rng, M2, 0.5), random_graded(rng, M3, 0.5)
+    for pair in ((there, here), (here, there)):
+        with pytest.raises(AlgebraMismatchError):
+            TensorElement(M2, 0.5, 0.5, (pair,))
 
 
 def test_tensor_element_grading_check_reads_the_tolerance():
@@ -337,6 +342,17 @@ def test_module_hom_rejects_non_finite_matrices(bad):
     mat[1, 2] = bad
     with pytest.raises(NonFiniteError):
         ModuleHom(M2, 0.5, 0.5, mat)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_gradings_are_rejected(bad):
+    xi = random_graded(make_rng(33), M2, 0.5)
+    for call in (lambda: hom_from_element(xi, bad),
+                 lambda: comultiply(xi, (bad, 0.5)),
+                 lambda: comultiply(xi, (0.5, bad)),
+                 lambda: holder_witness(xi, bad)):
+        with pytest.raises(NonFiniteError):
+            call()
 
 
 def test_hom_from_element_owns_its_matrix():
@@ -468,6 +484,12 @@ def test_hom_call_checks_grading():
     assert out.grading == 1.5
     with pytest.raises(GradingError):
         T(random_graded(rng, M2, 0.25))
+    # the map is 4 x 4 like one on (1, 1, 1, 1), but still checks the algebra
+    for other in (BlockAlgebra((1, 1, 1, 1)), M3):
+        with pytest.raises(AlgebraMismatchError):
+            T.apply(random_element(rng, other))
+        with pytest.raises(AlgebraMismatchError):
+            T(random_graded(rng, other, 1.0))
 
 
 def test_hom_call_grading_check_reads_the_tolerance():

@@ -206,6 +206,11 @@ def test_tolerances_validation():
         Tolerances(rank_rel=2.0)
     with pytest.raises(ValueError):
         Tolerances(eq_abs=0.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            Tolerances(eq_abs=bad)
+        with pytest.raises(ValueError):
+            Tolerances(eq_rel=bad)
 
 
 def test_flatten_roundtrip():

@@ -14,14 +14,14 @@ def report():
 
 
 def test_all_properties_pass(report):
-    failing = {name: r for name, r in report.properties.items() if r["failed"]}
+    failing = {name: r for name, r in report["properties"].items() if r["failed"]}
     assert not failing, f"failing properties: {failing}"
-    assert report.all_passed
+    assert report["all_passed"]
 
 
 def test_counts_sum_to_trials(report):
-    for name, r in report.properties.items():
-        assert r["passed"] + r["failed"] == report.trials, name
+    for name, r in report["properties"].items():
+        assert r["passed"] + r["failed"] == report["trials"], name
 
 
 def test_registry_covers_every_module():
@@ -44,6 +44,9 @@ def test_config_validation():
         SuiteConfig(trials=0)
     with pytest.raises(ValueError):
         SuiteConfig(gradings=(((-0.5 + 0j), 0.5 + 0j),))
+    for bad in (complex(float("nan"), 0.0), complex(0.5, float("inf"))):
+        with pytest.raises(ValueError):
+            SuiteConfig(gradings=((bad, 0.5 + 0j),))
 
 
 def test_config_obj_roundtrip():
@@ -65,7 +68,7 @@ def test_a_crashed_trial_is_reported_with_its_reason(monkeypatch):
         return True, 0.0
 
     monkeypatch.setattr(properties, "PROPERTIES", {"a.flaky": flaky, "b.steady": steady})
-    report = run_suite(SuiteConfig(seed=1, trials=4)).to_obj()
+    report = run_suite(SuiteConfig(seed=1, trials=4))
     assert report["properties"] == {
         "a.flaky": {"passed": 3, "failed": 1, "worst_residual": None,
                     "first_crash": {"trial": 2, "type": "RuntimeError",
@@ -79,7 +82,7 @@ def test_a_nan_residual_is_reported_as_null(monkeypatch):
     residuals = iter([1.0, float("nan"), 2.0])
     monkeypatch.setattr(properties, "PROPERTIES",
                         {"a.nan": lambda rng, cfg: (False, next(residuals))})
-    report = run_suite(SuiteConfig(seed=1, trials=3)).to_obj()
+    report = run_suite(SuiteConfig(seed=1, trials=3))
     assert report["properties"]["a.nan"]["worst_residual"] is None
     assert '"worst_residual": null' in dumps(report)
     with pytest.raises(ValueError):

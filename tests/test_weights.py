@@ -570,6 +570,9 @@ def test_flow_parameters_must_be_finite():
         modular_automorphism(mu, complex(0.0, float("nan")), x)
     with pytest.raises(NonFiniteError):
         connes_cocycle(mu, mu, complex(0.0, float("inf")))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(NonFiniteError):
+            change_of_weight(x, bad, mu, mu)
 
 
 def test_weight_functions_match_separate_powers_bit_for_bit():
