@@ -36,6 +36,10 @@ class _ResidualError(NclpError):
         super().__init__(message)
         self.residual = residual
 
+    def __reduce__(self):
+        # Exception pickles self.args alone, which leaves out the residual
+        return type(self), (*self.args, self.residual)
+
 
 class UnsolvableError(_ResidualError):
     """The division p @ x = y has no solution; carries the best residual."""

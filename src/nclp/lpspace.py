@@ -165,8 +165,8 @@ class TensorElement:
     tol: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
-        a = complex(self.grading_left)
-        b = complex(self.grading_right)
+        a = _grading(self.grading_left, self.tol, "left grading")
+        b = _grading(self.grading_right, self.tol, "right grading")
         object.__setattr__(self, "grading_left", a)
         object.__setattr__(self, "grading_right", b)
         pairs = tuple((l, r) for l, r in self.pairs)
@@ -231,8 +231,11 @@ class ModuleHom:
         self._set(np.array(self.matrix, dtype=complex, copy=True))
 
     def _set(self, mat: np.ndarray):
-        object.__setattr__(self, "grading_in", complex(self.grading_in))
-        object.__setattr__(self, "grading_out", complex(self.grading_out))
+        gin, gout = complex(self.grading_in), complex(self.grading_out)
+        if not np.all(np.isfinite([gin, gout])):
+            raise NonFiniteError(f"hom gradings must be finite, got {gin} and {gout}")
+        object.__setattr__(self, "grading_in", gin)
+        object.__setattr__(self, "grading_out", gout)
         d = self.algebra.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"hom matrix must have shape ({d}, {d}), got {mat.shape}")

@@ -8,6 +8,7 @@ is built on the types and operations in this module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -70,7 +71,7 @@ class BlockAlgebra:
     coords: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.block_dims)
+        dims = tuple(map(operator.index, self.block_dims))
         if len(dims) == 0:
             raise ValueError("block_dims must be nonempty")
         if any(n < 1 for n in dims):

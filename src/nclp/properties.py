@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -66,36 +67,27 @@ class SuiteConfig:
     tolerances: Tolerances = DEFAULT_TOL
 
     def __post_init__(self):
-        if int(self.trials) < 1:
+        object.__setattr__(self, "seed", operator.index(self.seed) & (2 ** 64 - 1))
+        object.__setattr__(self, "trials", operator.index(self.trials))
+        if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        object.__setattr__(self, "seed", int(self.seed) & (2 ** 64 - 1))
-        object.__setattr__(self, "trials", int(self.trials))
-        shapes = tuple(tuple(int(n) for n in s) for s in self.block_shapes)
-        for s in shapes:
-            BlockAlgebra(s)  # validates
-        object.__setattr__(self, "block_shapes", shapes)
+        shapes = tuple(BlockAlgebra(s).block_dims for s in self.block_shapes)
         pairs = tuple((complex(a), complex(b)) for a, b in self.gradings)
+        if not (shapes and pairs):
+            raise ValueError("block_shapes and gradings must be nonempty")
         for a, b in pairs:
-            if not (cmath.isfinite(a) and cmath.isfinite(b)):
-                raise ValueError(f"gradings must be finite, got ({a}, {b})")
-            if a.real < 0 or b.real < 0:
-                raise ValueError(f"gradings must have Re >= 0, got ({a}, {b})")
+            if not (cmath.isfinite(a) and cmath.isfinite(b) and a.real >= 0 and b.real >= 0):
+                raise ValueError(f"gradings must be finite with Re >= 0, got ({a}, {b})")
+        object.__setattr__(self, "block_shapes", shapes)
         object.__setattr__(self, "gradings", pairs)
 
     @classmethod
     def from_obj(cls, obj: dict) -> SuiteConfig:
-        kwargs = {}
-        if "seed" in obj:
-            kwargs["seed"] = obj["seed"]
-        if "trials" in obj:
-            kwargs["trials"] = obj["trials"]
-        if "block_shapes" in obj:
-            kwargs["block_shapes"] = tuple(tuple(s) for s in obj["block_shapes"])
-        if "gradings" in obj:
-            kwargs["gradings"] = tuple(
-                (complex(a[0], a[1]), complex(b[0], b[1])) for a, b in obj["gradings"])
-        if "tolerances" in obj:
-            kwargs["tolerances"] = Tolerances(**obj["tolerances"])
+        kwargs = {**obj}   # TypeError on a non-object, and in cls() on an unknown key
+        if "gradings" in kwargs:
+            kwargs["gradings"] = serialize._read_array(kwargs["gradings"], "gradings", 2)
+        if "tolerances" in kwargs:
+            kwargs["tolerances"] = Tolerances(**kwargs["tolerances"])
         return cls(**kwargs)
 
     def to_obj(self) -> dict:

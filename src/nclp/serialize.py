@@ -36,9 +36,23 @@ def _complex_out(z) -> list:
     return [z.real, z.imag]
 
 
-def _complex_in(pair) -> complex:
-    re, im = pair
-    return complex(float(re), float(im))
+def _read_array(obj, what: str, depth: int, pairs: bool | None = True) -> np.ndarray:
+    """A rectangular nest of JSON numbers as a float array with depth axes, or of
+    [re, im] pairs as a complex one (pairs=None: either).  Anything else raises
+    ValueError.  An integer past the float range reads as infinity, as 1e400 does.
+    """
+    a = np.asarray(obj)   # a ragged nest raises ValueError
+    if a.dtype == object and _NUMBERS.issuperset(map(type, a.flat)):
+        a = a.astype(str).astype(float)   # integers past int64, read from their digits
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must hold JSON numbers only")
+    pairs = a.ndim > depth if pairs is None else pairs
+    if a.ndim != depth + pairs or pairs and a.shape[-1] != 2:
+        raise ValueError(f"{what} must have {depth} axes of "
+                         f"{'[re, im] pairs' if pairs else 'numbers'}, got shape {a.shape}")
+    a = a.astype(float, copy=False)
+    # the float view keeps the bits of both parts; re + 1j*im would not (1j * -0.0)
+    return a.view(complex)[..., 0] if pairs else a
 
 
 def element_to_obj(x: Element) -> dict:
@@ -50,8 +64,7 @@ def element_to_obj(x: Element) -> dict:
 
 def element_from_obj(obj: dict) -> Element:
     algebra = BlockAlgebra(tuple(obj["block_dims"]))
-    blocks = [np.array([[_complex_in(v) for v in row] for row in b], dtype=complex)
-              for b in obj["blocks"]]
+    blocks = [_read_array(b, f"block {k}", 2) for k, b in enumerate(obj["blocks"])]
     for k, b in enumerate(blocks):
         if not np.all(np.isfinite(b)):
             raise NonFiniteError(f"block {k} has a NaN or infinite entry")
@@ -65,7 +78,7 @@ def graded_to_obj(xi: GradedElement) -> dict:
 
 
 def graded_from_obj(obj: dict) -> GradedElement:
-    return GradedElement(element_from_obj(obj), _complex_in(obj["grading"]))
+    return GradedElement(element_from_obj(obj), complex(_read_array(obj["grading"], "grading", 0)))
 
 
 def weight_to_obj(mu: Weight) -> dict:

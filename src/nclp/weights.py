@@ -9,6 +9,7 @@ with complex powers taken through the positive functional calculus.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -177,7 +178,7 @@ class BlockEmbedding:
     assignment: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(i) for i in row) for row in self.assignment)
+        rows = tuple(tuple(map(operator.index, row)) for row in self.assignment)
         object.__setattr__(self, "assignment", rows)
         if len(rows) != len(self.target.block_dims):
             raise ValueError("assignment must have one row per target block")

@@ -295,6 +295,45 @@ def test_non_finite_config_is_a_config_error(capsys, tmp_path, cfg):
     assert out["error"]["type"] == "config"
 
 
+HUGE = 10 ** 400   # json writes it as a 401-digit integer literal
+MU = {"density": ELEMENT_Y}
+EMBEDDING = {"source_dims": [2], "target_dims": [4], "assignment": [[0, 0]]}
+
+
+@pytest.mark.parametrize("command, obj, kind", [
+    (("oracle",), {"f": [[3, 0], [4, 0]], "a": [0.5]}, "parse"),
+    (("verify",), {"gradings": [[[0.5], [0.5, 0]]], "trials": 1}, "config"),
+    (("demo", "polar"), {"x": {"block_dims": [1], "blocks": [[[[HUGE, 0]]]]}},
+     "NonFiniteError"),
+    (("oracle",), {"f": [[HUGE, 0]], "a": [0.5, 0]}, "NonFiniteError"),
+    (("demo", "polar"), {"x": dict(ELEMENT_X, block_dims=[2.9])}, "parse"),
+    (("demo", "pushforward"), {"mu": MU, "embedding": dict(EMBEDDING, target_dims=[4.5])},
+     "parse"),
+    (("demo", "pushforward"), {"mu": MU, "embedding": dict(EMBEDDING, assignment=[[0.9, 0]])},
+     "parse"),
+    (("demo", "pushforward"), {"mu": MU, "embedding": EMBEDDING, "slot_weights": ["1", "2"]},
+     "parse"),
+    (("verify",), {"trials": 2.5}, "config"),
+    (("verify",), {"seed": 42.9}, "config"),
+    (("verify",), {"block_shapes": [[2.7]]}, "config"),
+    (("demo", "polar"), {"x": {"block_dims": [1], "blocks": [[[["1", 0]]]]}}, "parse"),
+    (("oracle",), {"f": ["3", "4"], "a": "0.5"}, "parse"),
+    (("demo", "comultiply"), {"zeta": dict(ELEMENT_X, grading=[1.0, 0]),
+                              "split": [[0.5, 0, 9], [0.5, 0]]}, "parse"),
+    (("verify",), [], "config"),
+    (("verify",), {"trails": 1}, "config"),
+    (("verify",), {"block_shapes": [], "trials": 1}, "config"),
+    (("verify",), {"gradings": [], "trials": 1}, "config"),
+])
+def test_malformed_input_exits_2_with_a_typed_error(capsys, tmp_path, command, obj, kind):
+    flag = "--config" if command == ("verify",) else "--input"
+    code = main([*command, flag, write(tmp_path, "bad.json", obj)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert _strict_json(captured.out)["error"]["type"] == kind
+    assert captured.err == ""
+
+
 def _large_demo_inputs():
     """Inputs for five demos on one 64x64 block, drawn as the bench draws them."""
     rng = make_rng(64)

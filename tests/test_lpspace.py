@@ -350,7 +350,11 @@ def test_non_finite_gradings_are_rejected(bad):
     for call in (lambda: hom_from_element(xi, bad),
                  lambda: comultiply(xi, (bad, 0.5)),
                  lambda: comultiply(xi, (0.5, bad)),
-                 lambda: holder_witness(xi, bad)):
+                 lambda: holder_witness(xi, bad),
+                 lambda: TensorElement(M2, bad, 0.5, ()),
+                 lambda: TensorElement(M2, 0.5, bad, ()),
+                 lambda: ModuleHom(M2, bad, 0.5, np.eye(M2.total_dim)),
+                 lambda: ModuleHom(M2, 0.5, bad, np.eye(M2.total_dim))):
         with pytest.raises(NonFiniteError):
             call()
 

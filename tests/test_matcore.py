@@ -11,12 +11,15 @@ from nclp import (
     AlgebraMismatchError,
     BlockAlgebra,
     BlockEmbedding,
+    ConditionViolatedError,
     Element,
     GradedElement,
+    NotModuleMapError,
     NotPositiveError,
     OperatorValuedWeight,
     ShapeError,
     Tolerances,
+    UnsolvableError,
     Weight,
     allclose,
     comultiply,
@@ -330,6 +333,13 @@ def test_unpickled_module_homs_stay_read_only():
     assert not back.matrix.flags.writeable
     with pytest.raises(ValueError):
         back.matrix[0, 0] = 5.0
+
+
+@pytest.mark.parametrize("error", [UnsolvableError, ConditionViolatedError, NotModuleMapError])
+def test_residual_errors_survive_pickling(error):
+    back = pickle.loads(pickle.dumps(error("no solution", 0.25)))
+    assert type(back) is error
+    assert str(back) == "no solution" and back.residual == 0.25
 
 
 def test_stacked_factorizations_equal_per_block_calls_bit_for_bit():

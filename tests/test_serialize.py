@@ -1,6 +1,7 @@
 """Round-trip tests for the JSON persistence layer."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from nclp import BlockAlgebra, Element, GradedElement, NonFiniteError, distance
 from nclp.sampling import make_rng, random_element, random_graded, random_weight
 from nclp.serialize import (
+    _read_array,
     dumps,
     element_from_obj,
     element_to_obj,
@@ -88,3 +90,50 @@ def test_non_finite_data_is_rejected_where_it_enters():
             graded_from_obj(graded)
     with pytest.raises(NonFiniteError):
         GradedElement(M.identity(), complex(0.5, float("nan")))
+
+
+def _per_entry(nest):
+    """The per-entry parser _read_array replaced: complex(float(re), float(im))."""
+    if not isinstance(nest[0], list):
+        re, im = nest
+        return complex(float(re), float(im))
+    return [_per_entry(v) for v in nest]
+
+
+def _pair_nests(obj):
+    """(depth, nest) for every [re, im] nest of a demo or oracle input."""
+    depths = {"grading": 0, "a": 0, "b": 0, "split": 1, "f": 1}
+    for key, value in obj.items():
+        if key == "blocks":
+            yield from ((2, b) for b in value)
+        elif key in depths:
+            yield depths[key], value
+        elif isinstance(value, dict):
+            yield from _pair_nests(value)
+
+
+SHIPPED = sorted((Path(__file__).resolve().parent.parent / "demos" / "inputs").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_reader_keeps_the_bits_of_the_per_entry_parser_on_shipped_inputs(path):
+    nests = list(_pair_nests(json.loads(path.read_text())))
+    assert nests
+    for depth, nest in nests:
+        old = np.array(_per_entry(nest), dtype=complex)
+        new = _read_array(nest, "nest", depth)
+        assert new.shape == old.shape and new.tobytes() == old.tobytes()
+
+
+def test_reader_keeps_signed_zeros_integers_and_subnormals():
+    block = [[[-0.0, 0.0], [3, -0.0], [-5e-324, 5e-324]],
+             [[2 ** 53 + 1, -7], [2 ** 70 + 1, 0], [-0.0, -0.0]],
+             [[1, 2], [2.2250738585072014e-308, -1e-310], [0, 0]]]
+    old = np.array(_per_entry(block), dtype=complex)
+    new = _read_array(block, "block", 2)
+    assert new.tobytes() == old.tobytes()
+    assert np.signbit(new[0, 0].real) and np.signbit(new[0, 1].imag)
+    ints = [[1, 0], [-2 ** 63, 2 ** 64 - 1]]   # int64 and uint64 extremes
+    assert _read_array(ints, "ints", 1).tobytes() == np.array(_per_entry(ints)).tobytes()
+    assert _read_array([10 ** 400, -10 ** 400], "huge", 1, pairs=False).tolist() == \
+        [np.inf, -np.inf]
