@@ -27,6 +27,7 @@ from .matcore import (
     _norm2_bound,
     _same_algebra,
     _spectral_power,
+    _svals,
     _svd_support,
     _svds,
     _udv,
@@ -57,7 +58,7 @@ def lnorm(xi: GradedElement, tol: Tolerances = DEFAULT_TOL) -> float:
     re = float(xi.grading.real)
     if re <= tol.eq_abs:
         return operator_norm(xi.data)
-    s = np.concatenate([np.linalg.svd(a, compute_uv=False).ravel() for a in xi.data.stacks])
+    s = np.concatenate([v.ravel() for v in _svals(xi.data)])
     smax = float(s.max())
     if smax == 0.0:
         return 0.0

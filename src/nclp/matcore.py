@@ -8,6 +8,7 @@ is built on the types and operations in this module.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -34,6 +35,15 @@ class Tolerances:
     eq_rel: float = 1e-9
 
     def __post_init__(self):
+        # read as floats, so equal policies are one policy and one cache key
+        for name in ("rank_rel", "eq_abs", "eq_rel"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {value!r}")
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise ValueError(f"{name} is out of the float range") from None
         if not (0.0 < self.rank_rel < 1.0):
             raise ValueError(f"rank_rel must be in (0, 1), got {self.rank_rel}")
         if not (0.0 < self.eq_abs < math.inf and 0.0 < self.eq_rel < math.inf):
@@ -60,15 +70,11 @@ class BlockAlgebra:
     """Direct sum of full matrix blocks, recorded by their dimensions.
 
     classes holds the block indices of each size, in order of first
-    appearance; elements store one (k, n, n) stack per class.  coords holds,
-    per block, the read-only (n, n) array of the flat coordinates of its
-    entries: the blocks are concatenated row-major into vectors of length
-    total_dim, the layout of flatten_element and of every dense map on it.
+    appearance; elements store one (k, n, n) stack per class.
     """
 
     block_dims: tuple[int, ...]
     classes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    coords: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = tuple(map(operator.index, self.block_dims))
@@ -81,9 +87,17 @@ class BlockAlgebra:
         for k, n in enumerate(dims):
             classes.setdefault(n, []).append(k)
         object.__setattr__(self, "classes", tuple(tuple(idx) for idx in classes.values()))
-        starts = np.cumsum([0, *(n * n for n in dims)])
-        object.__setattr__(self, "coords", _frozen(*(np.arange(s, s + n * n).reshape(n, n)
-                                                     for s, n in zip(starts, dims))))
+
+    @cached_property
+    def coords(self) -> tuple[np.ndarray, ...]:
+        """Per block, the read-only (n, n) array of the flat coordinates of its
+        entries: the blocks are concatenated row-major into vectors of length
+        total_dim, the layout of flatten_element and of every dense map on it.
+        Built on first use, as only the dense maps read it.
+        """
+        starts = np.cumsum([0, *(n * n for n in self.block_dims)])
+        return _frozen(*(np.arange(s, s + n * n).reshape(n, n)
+                         for s, n in zip(starts, self.block_dims)))
 
     def __reduce__(self):
         # rebuild the derived fields, read-only again, from the dimensions
@@ -226,12 +240,16 @@ def _h(a: np.ndarray) -> np.ndarray:
 # algebra.classes, rebuilt with Element._of.  numpy.linalg is looked up at
 # call time throughout, so it can be wrapped to count factorizations.
 #
-# The full SVDs and eigensystems of the last FACTOR_CACHE elements are
-# kept, so the supports, polar parts, quotients and powers of one element
-# share one factorization across calls.  The key is the element itself:
-# Element hashes by identity and its stacks are read-only, so a key never
-# outlives or changes its factors.  The cache holds its keys alive, which
-# bounds it by FACTOR_CACHE factorizations, whatever callers keep.
+# Four results are kept for the last FACTOR_CACHE elements each: the full
+# SVDs (_svds), the values-only singular values (_svals), the raw
+# eigensystems (_eighs) and the validated, clamped eigensystems of
+# _eig_classes, keyed by element and Tolerances.  So the supports, polar
+# parts, quotients and powers of one element share one factorization, its
+# norms one values-only SVD, and its positivity is checked once per policy.
+# The key is the element itself: Element hashes by identity and its stacks
+# are read-only, so a key never outlives or changes its results, which are
+# read-only too.  Each cache holds its keys alive, which bounds it by
+# FACTOR_CACHE results, whatever callers keep.  Errors are not cached.
 
 FACTOR_CACHE = 4
 
@@ -274,6 +292,15 @@ def _svd_support(x: Element, tol: Tolerances) -> list:
     return [(u, s, vh, s > tol.rank_rel * smax * s.shape[-1]) for u, s, vh in svds]
 
 
+@lru_cache(maxsize=FACTOR_CACHE)
+def _svals(x: Element) -> tuple:
+    """The singular values (k, n) of each size-class stack of x, read-only.
+
+    Values only, never taken from _svds: the two can differ by a few ulps.
+    """
+    return _frozen(*(np.linalg.svd(a, compute_uv=False) for a in x.stacks))
+
+
 def _operator_norms(*xs: Element) -> list[float]:
     """operator_norm of each element of one algebra, one values-only SVD per class."""
     tops = [np.linalg.svd(np.concatenate(stacks), compute_uv=False)[:, 0]
@@ -283,8 +310,8 @@ def _operator_norms(*xs: Element) -> list[float]:
 
 
 def operator_norm(x: Element) -> float:
-    """Largest singular value over all blocks."""
-    return _operator_norms(x)[0]
+    """Largest singular value over all blocks; NaN if any block has one."""
+    return float(np.max([s[:, 0].max() for s in _svals(x)]))
 
 
 def distance(x: Element, y: Element) -> float:
@@ -382,10 +409,13 @@ def _eighs(h: Element) -> tuple:
     raw = []
     for a in h.stacks:
         n = a.shape[-1]
-        w = np.diagonal(a, axis1=-2, axis2=-1).real.copy()
-        u = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
         general = (np.any(a[:, ~np.eye(n, dtype=bool)], axis=-1)
                    | np.any(a.imag, axis=(-2, -1)))
+        if general.all():
+            raw.append(_frozen(*np.linalg.eigh((a + _h(a)) / 2.0)))
+            continue
+        w = np.diagonal(a, axis1=-2, axis2=-1).real.copy()
+        u = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
         if general.any():
             g = a[general]
             w[general], u[general] = np.linalg.eigh((g + _h(g)) / 2.0)
@@ -393,15 +423,17 @@ def _eighs(h: Element) -> tuple:
     return tuple(raw)
 
 
-def _eig_classes(h: Element, tol: Tolerances) -> list:
+@lru_cache(maxsize=FACTOR_CACHE)
+def _eig_classes(h: Element, tol: Tolerances) -> tuple:
     """Stacked eigensystems of a positive element, one per size class.
 
-    Returns a list of (w, U) aligned with h.algebra.classes: eigenvalues
-    w (k, n) clamped to 0 below the support cutoff, and eigenvectors
-    U (k, n, n).  The eigensystem is _eighs(h), shared with every other
-    caller on the same element; the checks and the clamp depend on tol and
-    run on every call.  Raises NotPositiveError, naming the first
-    offending block, if h is not Hermitian PSD within tolerance.
+    Returns a tuple of read-only (w, U) aligned with h.algebra.classes:
+    eigenvalues w (k, n) clamped to 0 below the support cutoff, and
+    eigenvectors U (k, n, n).  The eigensystem is _eighs(h), shared with
+    every other caller on the same element; the checks and the clamp
+    depend on tol, and their result is cached per (h, tol).  Raises
+    NotPositiveError, naming the first offending block, if h is not
+    Hermitian PSD within tolerance, on every call.
     """
     bad = []
     for idx, a in zip(h.algebra.classes, h.stacks):
@@ -419,7 +451,8 @@ def _eig_classes(h: Element, tol: Tolerances) -> list:
     if neg:
         k, low = min(neg)
         raise NotPositiveError(f"block {k} has negative eigenvalue {low:.3e}")
-    return [(np.where(w > tol.rank_rel * lmax * w.shape[-1], w, 0.0), u) for w, u in raw]
+    clamped = _frozen(*(np.where(w > tol.rank_rel * lmax * w.shape[-1], w, 0.0) for w, _ in raw))
+    return tuple(zip(clamped, (u for _, u in raw)))
 
 
 def _calc(algebra: BlockAlgebra, classes, f) -> Element:
@@ -433,7 +466,8 @@ def func_calc(h: Element, f, tol: Tolerances = DEFAULT_TOL) -> Element:
     f is called once per size class of the algebra with the (k, n) array
     of the eigenvalues of its k blocks of size n, and must return an array
     of the same shape.  Eigenvalues below the support cutoff are passed as
-    exactly 0, so the support convention is decided by f at 0.
+    exactly 0, so the support convention is decided by f at 0.  The array
+    is read-only, as it is cached with the eigensystem: f returns a new one.
     """
     return _calc(h.algebra, _eig_classes(h, tol), f)
 

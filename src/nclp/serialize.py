@@ -38,13 +38,14 @@ def _complex_out(z) -> list:
 
 def _read_array(obj, what: str, depth: int, pairs: bool | None = True) -> np.ndarray:
     """A rectangular nest of JSON numbers as a float array with depth axes, or of
-    [re, im] pairs as a complex one (pairs=None: either).  Anything else raises
-    ValueError.  An integer past the float range reads as infinity, as 1e400 does.
+    [re, im] pairs as a complex one (pairs=None: either).  Anything else, true
+    and false included, raises ValueError.  An integer past the float range
+    reads as infinity, as 1e400 does.
     """
     a = np.asarray(obj)   # a ragged nest raises ValueError
     if a.dtype == object and _NUMBERS.issuperset(map(type, a.flat)):
         a = a.astype(str).astype(float)   # integers past int64, read from their digits
-    if a.dtype.kind not in "iuf":
+    if a.dtype.kind not in "iuf" or bool in set(map(type, _leaves(obj, a.ndim))):
         raise ValueError(f"{what} must hold JSON numbers only")
     pairs = a.ndim > depth if pairs is None else pairs
     if a.ndim != depth + pairs or pairs and a.shape[-1] != 2:
@@ -53,6 +54,15 @@ def _read_array(obj, what: str, depth: int, pairs: bool | None = True) -> np.nda
     a = a.astype(float, copy=False)
     # the float view keeps the bits of both parts; re + 1j*im would not (1j * -0.0)
     return a.view(complex)[..., 0] if pairs else a
+
+
+def _leaves(obj, depth: int):
+    """The leaves of a rectangular list nest with depth axes; numpy promotes a
+    bool among numbers to 1 or 0, so only the nest still knows it was one."""
+    leaves = [obj]
+    for _ in range(depth):
+        leaves = chain.from_iterable(leaves)
+    return leaves
 
 
 def element_to_obj(x: Element) -> dict:

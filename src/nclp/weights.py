@@ -44,9 +44,10 @@ class Weight:
     more than about 1/rank_rel reports as nonfaithful unless constructed
     with a tighter policy (pass the same policy to the modular operations).
 
-    The eigensystem of the density comes from matcore's factorization
-    cache, so construction, support and every power share one eigh while
-    the density is among the last FACTOR_CACHE elements factorized.
+    The validated eigensystem of the density comes from matcore's cache,
+    keyed by density and policy, so construction, support and every power
+    at one policy share one eigh and one positivity check while the density
+    is among the last FACTOR_CACHE elements checked at that policy.
     """
 
     density: Element

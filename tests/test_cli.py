@@ -1,6 +1,7 @@
 """CLI contract: exit codes, JSON output, determinism, seed resolution."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,6 +325,12 @@ EMBEDDING = {"source_dims": [2], "target_dims": [4], "assignment": [[0, 0]]}
     (("verify",), {"trails": 1}, "config"),
     (("verify",), {"block_shapes": [], "trials": 1}, "config"),
     (("verify",), {"gradings": [], "trials": 1}, "config"),
+    (("verify",), {"trials": 1, "block_shapes": [[1]], "tolerances": {"eq_abs": HUGE}},
+     "config"),
+    (("verify",), {"trials": 1, "tolerances": {"eq_abs": True}}, "config"),
+    (("demo", "polar"), {"x": {"block_dims": [2],
+                               "blocks": [[[[True, 0], [0, 0]], [[0, 0], [1, 0]]]]}}, "parse"),
+    (("oracle",), {"f": [True, 4], "a": 0.5}, "parse"),
 ])
 def test_malformed_input_exits_2_with_a_typed_error(capsys, tmp_path, command, obj, kind):
     flag = "--config" if command == ("verify",) else "--input"
@@ -332,6 +339,22 @@ def test_malformed_input_exits_2_with_a_typed_error(capsys, tmp_path, command, o
     assert code == 2
     assert _strict_json(captured.out)["error"]["type"] == kind
     assert captured.err == ""
+
+
+def test_a_huge_block_dim_is_refused_before_any_layout_is_built(capsys, tmp_path):
+    # one 1x1 block against block_dims [100000]: the shapes are compared
+    # before anything of size sum n^2 (10^10 here) is allocated
+    obj = {"x": {"block_dims": [100000], "blocks": [[[[1, 0]]]]}}
+    path = write(tmp_path, "huge.json", obj)
+    tracemalloc.start()
+    try:
+        code = main(["demo", "polar", "--input", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert _strict_json(capsys.readouterr().out)["error"]["type"] == "parse"
+    assert peak < 16 * 2 ** 20
 
 
 def _large_demo_inputs():

@@ -29,7 +29,7 @@ from nclp import (
     right_support,
     trace_weight,
 )
-from nclp.matcore import _eighs, _svds
+from nclp.matcore import _eig_classes, _eighs, _svals, _svds
 from nclp.sampling import (
     make_rng,
     random_conditioned,
@@ -352,8 +352,8 @@ def _count_factorizations(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    _svds.cache_clear()
-    _eighs.cache_clear()
+    for cached in (_svds, _svals, _eighs, _eig_classes):
+        cached.cache_clear()
     return calls
 
 
@@ -458,16 +458,19 @@ def test_graded_divide_takes_the_norm_of_y_once(monkeypatch):
     y = GradedElement(random_element(rng, M) @ x.data, 0.5 - 0.9j)
     calls = _count_factorizations(monkeypatch)
     divide = [("svd", True), ("svd", False)]
-    for target, expected in ((y, divide), (GradedElement(M.zero(), 0.5), divide),
-                             (GradedElement(M.zero(), 1.5), [("svd", False)])):
+    norms = [("svd", False)]
+    for target, expected, again in ((y, divide, norms),
+                                    (GradedElement(M.zero(), 0.5), divide, norms),
+                                    (GradedElement(M.zero(), 1.5), norms, [])):
         _svds.cache_clear()
         calls.clear()
         graded_divide(x, target)
         assert calls == expected
-        # again on the same x: its SVD is reused, the norms are taken afresh
+        # again on the same x: its SVD is reused, the norms of a division are
+        # taken afresh, and ||y|| across real parts comes from the cache
         calls.clear()
         graded_divide(x, target)
-        assert calls == [("svd", False)]
+        assert calls == again
     calls.clear()
     with pytest.raises(GradingError):
         graded_divide(x, GradedElement(y.data, 1.5))

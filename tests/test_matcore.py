@@ -2,6 +2,8 @@
 
 import dataclasses
 import pickle
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from nclp import (
     func_calc,
     holder_witness,
     hom_from_element,
+    hom_to_element,
     left_support,
     operator_norm,
     polar_left,
@@ -39,7 +42,16 @@ from nclp import (
     trace,
     unflatten_element,
 )
-from nclp.matcore import FACTOR_CACHE, _eig_classes, _eighs, _operator_norms, _svds
+from nclp.lpspace import lnorm
+from nclp.matcore import (
+    FACTOR_CACHE,
+    _eig_classes,
+    _eighs,
+    _operator_norms,
+    _svals,
+    _svds,
+)
+from nclp.properties import SuiteConfig, run_suite
 from nclp.sampling import make_rng, random_element, random_positive, random_projection
 
 M2 = BlockAlgebra((2,))
@@ -213,6 +225,14 @@ def test_tolerances_validation():
         with pytest.raises(ValueError):
             Tolerances(eq_abs=bad)
         with pytest.raises(ValueError):
+            Tolerances(eq_rel=bad)
+    # every field is read as a float, so equal policies are one cache key
+    tol = Tolerances(rank_rel=np.float32(0.25), eq_abs=1, eq_rel=np.int64(2))
+    assert [type(v) for v in (tol.rank_rel, tol.eq_abs, tol.eq_rel)] == [float] * 3
+    with pytest.raises(ValueError, match="eq_abs is out of the float range"):
+        Tolerances(eq_abs=10 ** 400)
+    for bad in (True, "1e-9", None, 1j):
+        with pytest.raises(TypeError, match="eq_rel must be a real number"):
             Tolerances(eq_rel=bad)
 
 
@@ -457,6 +477,14 @@ def test_func_calc_calls_f_once_per_size_class():
     assert distance(got, h) <= DEFAULT_TOL.eq_bound(operator_norm(h))
 
 
+CACHES = (_svds, _svals, _eighs, _eig_classes)
+
+
+def _clear_caches():
+    for cached in CACHES:
+        cached.cache_clear()
+
+
 def _count_linalg(monkeypatch):
     calls = []
     for name in ("svd", "eigh", "eigvalsh", "norm"):
@@ -467,6 +495,7 @@ def _count_linalg(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    _clear_caches()
     return calls
 
 
@@ -477,7 +506,7 @@ def test_calculus_takes_one_eigh_per_general_size_class(monkeypatch):
     for build in (lambda: func_calc(h, np.sqrt), lambda: power_pos(h, 0.5j),
                   lambda: spectral_projection(h, 0.5), lambda: mu.powers((0.5j,)),
                   lambda: mu.powers((0.5j, -0.5j, 1.5, 2.0 - 1j, 0.25))):
-        _eighs.cache_clear()
+        _clear_caches()
         calls.clear()
         build()
         assert calls == ["eigh", "eigh"]
@@ -508,11 +537,13 @@ def test_cached_factorizations_give_bit_identical_results(monkeypatch):
             lambda: right_support(x), lambda: douglas_divide(x, y),
             lambda: holder_witness(GradedElement(x, 0.7 + 0.2j), 0.5),
             lambda: comultiply(GradedElement(x, 1.2 - 0.3j), (0.5, 0.7 - 0.3j)),
-            lambda: mu.powers((0.5j, -0.5j, 1.5)))
+            lambda: mu.powers((0.5j, -0.5j, 1.5)),
+            lambda: operator_norm(x), lambda: lnorm(GradedElement(x, 0.7 + 0.2j)),
+            lambda: func_calc(mu.density, np.sqrt),
+            lambda: Weight(mu.density).support)
     calls = _count_linalg(monkeypatch)
     for run in runs:
-        _svds.cache_clear()
-        _eighs.cache_clear()
+        _clear_caches()
         cold = _leaves(run())
         for other in runs:      # warm the caches from every caller
             other()
@@ -527,8 +558,10 @@ def test_cached_factorizations_give_bit_identical_results(monkeypatch):
 def test_cached_factors_are_read_only():
     rng = make_rng(38)
     x, h = random_element(rng, MIXED), random_positive(rng, MIXED)
-    factors = [a for triple in _svds(x) for a in triple] + [a for pair in _eighs(h) for a in pair]
-    assert len(factors) == 3 * 3 + 3 * 2
+    factors = [a for triple in _svds(x) for a in triple] + list(_svals(x))
+    for pairs in (_eighs(h), _eig_classes(h, DEFAULT_TOL)):
+        factors += [a for pair in pairs for a in pair]
+    assert len(factors) == 3 * 3 + 3 + 3 * 2 + 3 * 2
     for a in factors:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -540,8 +573,6 @@ def test_factor_cache_is_keyed_by_identity(monkeypatch):
     x, h = random_element(rng, M2), random_positive(rng, M2)
     twin_x, twin_h = Element(M2, x.blocks), Element(M2, h.blocks)
     calls = _count_linalg(monkeypatch)
-    _svds.cache_clear()
-    _eighs.cache_clear()
     for z in (x, twin_x, x, twin_x):
         left_support(z)
     assert calls == ["svd", "svd"]
@@ -556,9 +587,12 @@ def test_factor_cache_holds_the_last_factor_cache_elements(monkeypatch):
     xs = [random_element(rng, M2) for _ in range(FACTOR_CACHE + 1)]
     hs = [random_positive(rng, M2) for _ in range(FACTOR_CACHE + 1)]
     calls = _count_linalg(monkeypatch)
+    power = lambda z: power_pos(z, 0.5)   # noqa: E731
     for cached, run, name, items in ((_svds, left_support, "svd", xs),
-                                     (_eighs, lambda z: power_pos(z, 0.5), "eigh", hs)):
-        cached.cache_clear()
+                                     (_svals, operator_norm, "svdvals", xs),
+                                     (_eighs, power, "eigh", hs),
+                                     (_eig_classes, power, "eigh", hs)):
+        _clear_caches()
         calls.clear()
         for z in items:
             run(z)
@@ -569,4 +603,83 @@ def test_factor_cache_holds_the_last_factor_cache_elements(monkeypatch):
         assert calls == []
         run(items[0])       # the oldest was dropped
         assert calls == [name]
+        assert cached.cache_info().misses == len(items) + 1
         assert cached.cache_info().currsize == FACTOR_CACHE
+
+
+def test_lnorm_after_operator_norm_takes_no_svd(monkeypatch):
+    x = random_element(make_rng(41), MIXED)
+    calls = _count_linalg(monkeypatch)
+    nrm = operator_norm(x)
+    assert calls == ["svdvals"] * 3   # one per size class
+    for a in (0.0, 0.3j, 0.7 + 0.2j, 2.0):
+        got = lnorm(GradedElement(x, a))
+        assert got == nrm if a.real == 0.0 else got > 0.0
+    assert calls == ["svdvals"] * 3
+
+
+def test_suite_report_is_the_same_with_the_caches_bypassed(monkeypatch):
+    cfg = SuiteConfig(seed=7, trials=5)
+    _clear_caches()
+    cached = run_suite(cfg)
+    bare = {c: c.__wrapped__ for c in CACHES}
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "nclp"]:
+        for name, value in list(vars(module).items()):
+            if callable(value) and value in bare:
+                monkeypatch.setattr(module, name, bare[value])
+    _clear_caches()
+    uncached = run_suite(cfg)
+    assert all(c.cache_info().currsize == 0 for c in CACHES)
+    cached.pop("duration_seconds"), uncached.pop("duration_seconds")
+    assert cached == uncached
+
+
+def test_algebra_construction_builds_no_coords():
+    tracemalloc.start()
+    try:
+        M = BlockAlgebra((3000,))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert "coords" not in vars(M) and M.classes == ((0,),)
+
+
+def _coords_up_front(dims):
+    """An algebra whose coords are written before first use, by the flat-layout formula."""
+    M = BlockAlgebra(dims)
+    starts = np.cumsum([0, *(n * n for n in dims)])
+    vars(M)["coords"] = tuple(np.arange(s, s + n * n).reshape(n, n)
+                              for s, n in zip(starts, dims))
+    return M
+
+
+def _same_bits(a, b):
+    return len(a) == len(b) and all(np.asarray(p).tobytes() == np.asarray(q).tobytes()
+                                    for p, q in zip(a, b))
+
+
+def test_lazy_coords_give_the_bits_of_coords_built_up_front():
+    dims = (2, 3, 1, 3)
+    lazy, eager = BlockAlgebra(dims), _coords_up_front(dims)
+    rng = make_rng(42)
+    x = random_element(rng, lazy)
+    x_up = Element(eager, x.blocks)
+    vec = flatten_element(x)
+    assert vec.tobytes() == flatten_element(x_up).tobytes()
+    assert _same_bits(unflatten_element(lazy, vec).stacks, unflatten_element(eager, vec).stacks)
+    homs = [hom_from_element(GradedElement(z, 0.5 + 0.2j), 0.3j) for z in (x, x_up)]
+    assert homs[0].matrix.tobytes() == homs[1].matrix.tobytes()
+    assert _same_bits(*(_leaves(hom_to_element(T)) for T in homs))
+    source = BlockAlgebra((2, 1))
+    maps = [OperatorValuedWeight.from_compression(
+                BlockEmbedding(source, target, [[0, 1], [0, 0, 1]]), [1.0, 2.0, 0.5, 3.0, 1.5])
+            for target in (BlockAlgebra((3, 5)), _coords_up_front((3, 5)))]
+    assert maps[0].matrix.tobytes() == maps[1].matrix.tobytes()
+    assert maps[0].validate() == maps[1].validate()
+    for M in (lazy, pickle.loads(pickle.dumps(lazy))):
+        assert _same_bits(M.coords, eager.coords)
+        assert not any(c.flags.writeable for c in M.coords)
+    back = pickle.loads(pickle.dumps(x))
+    assert "coords" not in vars(back.algebra)
+    assert _same_bits(flatten_element(back), vec)

@@ -30,7 +30,15 @@ from nclp import (
     power_pos,
     trace_weight,
 )
-from nclp.matcore import Element, _eighs, _frobenius_bracket, _surely_within, _svds
+from nclp.matcore import (
+    Element,
+    _eig_classes,
+    _eighs,
+    _frobenius_bracket,
+    _surely_within,
+    _svals,
+    _svds,
+)
 from nclp.sampling import make_rng, random_element, random_positive, random_weight
 
 SHAPES = [(1,), (2, 2), (3,), (2,) * 8, (16,)]
@@ -193,8 +201,8 @@ def _count_factorizations(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    _svds.cache_clear()
-    _eighs.cache_clear()
+    for cached in (_svds, _svals, _eighs, _eig_classes):
+        cached.cache_clear()
     return calls
 
 

@@ -137,3 +137,16 @@ def test_reader_keeps_signed_zeros_integers_and_subnormals():
     assert _read_array(ints, "ints", 1).tobytes() == np.array(_per_entry(ints)).tobytes()
     assert _read_array([10 ** 400, -10 ** 400], "huge", 1, pairs=False).tolist() == \
         [np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("nest, depth, pairs", [
+    ([True, 0], 0, True),
+    ([[1.5, 0], [False, 0]], 1, True),
+    ([[[1, 0], [0, 0]], [[0, 0], [0, True]]], 2, True),
+    ([3.0, True], 1, False),
+    ([10 ** 400, True], 1, False),   # the object path of integers past int64
+    (True, 0, False),
+])
+def test_reader_rejects_booleans_among_numbers(nest, depth, pairs):
+    with pytest.raises(ValueError, match="must hold JSON numbers only"):
+        _read_array(nest, "nest", depth, pairs)

@@ -28,7 +28,7 @@ from nclp import (
     trace,
     trace_weight,
 )
-from nclp.matcore import _eig_classes, _eighs, flatten_element as flatten
+from nclp.matcore import _eig_classes, _eighs, _svals, _svds, flatten_element as flatten
 from nclp.sampling import make_rng, random_element, random_weight
 
 M2 = BlockAlgebra((2,))
@@ -522,6 +522,11 @@ def test_pushforward_keeps_the_callers_tolerance():
     assert not pushforward_weight(mu, ovw).faithful
 
 
+def _clear_caches():
+    for cached in (_svds, _svals, _eighs, _eig_classes):
+        cached.cache_clear()
+
+
 def test_weight_operations_take_one_eigh_per_density(monkeypatch):
     M = BlockAlgebra((2,) * 8)
     rng = make_rng(22)
@@ -536,7 +541,7 @@ def test_weight_operations_take_one_eigh_per_density(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    _eighs.cache_clear()
+    _clear_caches()
     mu, nu = Weight(h), Weight(k)
     assert calls == ["eigh", "eigh"]
     runs = (("modular_automorphism", lambda: modular_automorphism(mu, 0.3j, x)),
@@ -545,7 +550,7 @@ def test_weight_operations_take_one_eigh_per_density(monkeypatch):
             ("support", lambda: mu.support))
     counts = {}
     for name, run in runs:
-        _eighs.cache_clear()
+        _clear_caches()
         calls.clear()
         run()
         counts[name] = calls.count("eigh")
@@ -555,12 +560,52 @@ def test_weight_operations_take_one_eigh_per_density(monkeypatch):
     assert counts == {"modular_automorphism": 1, "connes_cocycle": 2,
                       "cocycle_identity_check": 2, "support": 1}
     # fresh weights and all their operations: one eigh per density in total
-    _eighs.cache_clear()
+    _clear_caches()
     calls.clear()
     mu, nu = Weight(h), Weight(k)
     for _, run in runs:
         run()
     assert calls.count("eigh") == 2
+
+
+def test_weight_checks_its_density_once_per_tolerance():
+    # Weight(h), then powers, support and the modular flow at the weight's
+    # own tol: one positivity check of h, all later calls hit the cache
+    M = BlockAlgebra((2,) * 8)
+    rng = make_rng(23)
+    h, x = random_weight(rng, M).density, random_element(rng, M)
+    _clear_caches()
+    mu = Weight(h)
+    info = _eig_classes.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
+    mu.powers((0.5, 0.3j))
+    mu.support
+    modular_automorphism(mu, 0.3j, x)
+    modular_automorphism(mu, 0.3j, x, mu.tol)
+    info = _eig_classes.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+    # an equal policy is the same key, 1 and 1.0 included; another checks h again
+    mu.powers((0.5,), Tolerances())
+    assert _eig_classes.cache_info().misses == 1
+    mu.powers((0.5,), Tolerances(eq_abs=1))
+    mu.powers((0.5,), Tolerances(eq_abs=1.0))
+    assert _eig_classes.cache_info().misses == 2
+
+
+def test_non_positive_density_raises_on_every_call():
+    blocks = [np.diag([1.0, -1.0]).astype(complex)]
+    h = Element(M2, blocks)
+    _clear_caches()
+    for _ in range(3):
+        with pytest.raises(NotPositiveError, match="negative eigenvalue"):
+            Weight(h)
+        with pytest.raises(NotPositiveError, match="negative eigenvalue"):
+            power_pos(h, 0.5)
+    assert _eig_classes.cache_info().currsize == 0
+    asym = Element(M2, [np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)])
+    for _ in range(2):
+        with pytest.raises(NotPositiveError, match="not Hermitian"):
+            Weight(asym)
 
 
 def test_flow_parameters_must_be_finite():
