@@ -127,7 +127,7 @@ def _demo_cocycle(obj: dict) -> dict:
     u = weights.connes_cocycle(mu, nu, a)
     report = weights.cocycle_identity_check(mu, nu, a, b)
     return {
-        "inputs": {"mu": obj["mu"], "nu": obj["nu"], "a": obj["a"]},
+        "inputs": {k: obj[k] for k in ("mu", "nu", "a", "b") if k in obj},
         "cocycle": serialize.element_to_obj(u),
         "operator_norm": operator_norm(u),
         "identity_residual": report.max_residual,
@@ -148,7 +148,7 @@ def _demo_pushforward(obj: dict) -> dict:
     agreement = max(abs(weights.evaluate(push, q) - weights.evaluate(mu, ovw.apply(q)))
                     for q in ovw.source.basis())
     return {
-        "inputs": {"mu": obj["mu"], "embedding": emb},
+        "inputs": {k: obj[k] for k in ("mu", "embedding", "slot_weights") if k in obj},
         "pushforward": serialize.weight_to_obj(push),
         "agreement_residual": agreement,
         "faithful": push.faithful,

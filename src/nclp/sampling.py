@@ -4,15 +4,24 @@ All randomness flows through numpy's PCG64 bit generator, so a seed pins
 the entire stream across platforms.  Conventions: generic elements are
 entrywise standard complex Gaussian, positives are g @ g*, and faithful
 weight densities are g @ g* plus a small multiple of the identity.
+
+The draw layout is part of the stream.  A random element is one
+standard_normal(2 * total_dim) draw, read block after block as the n * n
+real parts of the block, row-major, then its n * n imaginary parts: the
+same values as two standard_normal((n, n)) draws per block.  A random
+projection draws, block after block, its g in that layout and then its
+rank.  Both are built straight into the size-class stacks of Element.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
 from .decomp import polar_right
 from .graded import GradedElement
-from .matcore import BlockAlgebra, Element, Tolerances
+from .matcore import BlockAlgebra, Element, Tolerances, _h
 from .weights import Weight
 
 FAITHFUL_FLOOR = 1e-2
@@ -29,12 +38,29 @@ def spawn_rng(seed, key: str) -> np.random.Generator:
         np.random.PCG64(np.random.SeedSequence([int(seed), *digest.tolist()])))
 
 
+def _gaussian_stacks(algebra: BlockAlgebra, flat: np.ndarray) -> list:
+    """Per size class, the (k, n, n) stack of the blocks re + 1j * im whose
+    n * n real parts and then n * n imaginary parts follow one another in
+    flat, block after block.  A class of consecutive blocks is read through
+    a view of flat; the blocks of an interleaved class are gathered first.
+    """
+    dims = algebra.block_dims
+    starts = list(accumulate((2 * n * n for n in dims), initial=0))
+    out = []
+    for idx in algebra.classes:
+        n, k = dims[idx[0]], len(idx)
+        if idx[-1] - idx[0] == k - 1:
+            parts = flat[starts[idx[0]]:starts[idx[-1] + 1]]
+        else:
+            parts = np.concatenate([flat[starts[j]:starts[j + 1]] for j in idx])
+        parts = parts.reshape(k, 2, n, n)
+        out.append(parts[:, 0] + 1j * parts[:, 1])
+    return out
+
+
 def random_element(rng: np.random.Generator, algebra: BlockAlgebra) -> Element:
-    blocks = []
-    for n in algebra.block_dims:
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        blocks.append(g / np.sqrt(2.0))
-    return Element(algebra, tuple(blocks))
+    flat = rng.standard_normal(2 * algebra.total_dim)
+    return Element._of(algebra, [g / np.sqrt(2.0) for g in _gaussian_stacks(algebra, flat)])
 
 
 def random_positive(rng: np.random.Generator, algebra: BlockAlgebra) -> Element:
@@ -44,15 +70,26 @@ def random_positive(rng: np.random.Generator, algebra: BlockAlgebra) -> Element:
 
 def random_projection(rng: np.random.Generator, algebra: BlockAlgebra,
                       full_rank_ok: bool = True) -> Element:
-    """Projection with a random rank per block (possibly 0 or full)."""
-    blocks = []
+    """Projection with a random rank per block (possibly 0 or full).
+
+    Each block draws its g and then its rank, whose draw takes a number of
+    bits that depends on its value; the rank-r block is the projection onto
+    the first r eigenvectors of g + g*, from one batched eigh per class.
+    """
+    draws, ranks = [], []
     for n in algebra.block_dims:
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        _, u = np.linalg.eigh(g + g.conj().T)
+        draws.append(rng.standard_normal(2 * n * n))
         hi = n if full_rank_ok else n - 1
-        r = int(rng.integers(0, hi + 1))
-        blocks.append(u[:, :r] @ u[:, :r].conj().T)
-    return Element(algebra, tuple(blocks))
+        ranks.append(int(rng.integers(0, hi + 1)))
+    stacks = []
+    for idx, g in zip(algebra.classes, _gaussian_stacks(algebra, np.concatenate(draws))):
+        _, u = np.linalg.eigh(g + _h(g))
+        p = np.empty_like(u)
+        for j, k in enumerate(idx):
+            v = u[j, :, :ranks[k]]
+            p[j] = v @ v.conj().T
+        stacks.append(p)
+    return Element._of(algebra, stacks)
 
 
 def random_conditioned(rng: np.random.Generator, algebra: BlockAlgebra,

@@ -135,6 +135,7 @@ def test_demo_cocycle(capsys, tmp_path):
     path = write(tmp_path, "cc.json", {"mu": mu, "nu": nu, "a": [0, 0.8]})
     code, out = run_cli(capsys, "demo", "cocycle", "--input", path)
     assert code == 0
+    assert out["inputs"] == {"mu": mu, "nu": nu, "a": [0, 0.8]}   # no default b echoed
     assert out["operator_norm"] == pytest.approx(1.0)
     assert out["identity_passed"] is True
 
@@ -142,15 +143,14 @@ def test_demo_cocycle(capsys, tmp_path):
 def test_demo_pushforward(capsys, tmp_path):
     mu = {"density": {"block_dims": [2],
                       "blocks": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}}
-    path = write(tmp_path, "pf.json", {
-        "mu": mu,
-        "embedding": {"source_dims": [2], "target_dims": [4],
-                      "assignment": [[0, 0]]},
-    })
-    code, out = run_cli(capsys, "demo", "pushforward", "--input", path)
-    assert code == 0
-    assert out["agreement_residual"] < 1e-12
-    assert out["faithful"] is True
+    embedding = {"source_dims": [2], "target_dims": [4], "assignment": [[0, 0]]}
+    for obj in ({"mu": mu, "embedding": embedding},
+                {"mu": mu, "embedding": embedding, "slot_weights": [0.5, 2.0]}):
+        code, out = run_cli(capsys, "demo", "pushforward", "--input", write(tmp_path, "pf.json", obj))
+        assert code == 0
+        assert out["agreement_residual"] < 1e-12
+        assert out["faithful"] is True
+        assert out["inputs"] == obj   # slot_weights changes the result, so it is echoed
 
 
 def test_demo_pushforward_wrong_number_of_slot_weights_is_parse_error(capsys, tmp_path):
@@ -206,6 +206,9 @@ def test_shipped_demo_inputs_stay_valid(capsys):
         code, out = run_cli(capsys, *argv)
         assert code == expected, f"{name}: exit {code} != {expected}"
         assert out is not None
+        if command == "demo" and code == 0:
+            # every key read from the input is echoed back, and nothing else
+            assert out["inputs"] == json.loads((inputs / name).read_text()), name
 
 
 def test_oracle_agrees_with_matrix_path(capsys, tmp_path):
