@@ -116,7 +116,7 @@ def _solve(x: Element, ys, tol: Tolerances, svd=None, measure=None):
 
     p @ x = y is solvable when ||y - p @ x|| <= tol.eq_bound(||y||); else
     UnsolvableError carries the exact residual of the first failing y_k.
-    The Frobenius brackets accept most solvable families outright; only an
+    The entry brackets accept most solvable families outright; only an
     undecided family takes the exact norms, all in one values-only SVD per
     size class.  measure(quotients, remainders) names the elements whose
     exact norms the caller needs: they join that SVD, or take their own
@@ -200,7 +200,7 @@ def isometry_divide(x: Element, y: Element,
     Returns p with p @ x = y, p*p the left support of x, and p* @ y = x.
     Built from the two polar decompositions, which keeps it well defined
     on degenerate spectra.  The Gram check ||x*x - y*y|| against
-    max(||x*x||, ||y*y||) is accepted from Frobenius brackets when they
+    max(||x*x||, ||y*y||) is accepted from entry brackets when they
     decide it, and otherwise takes the exact norms.
     """
     gram_x = x.adjoint() @ x

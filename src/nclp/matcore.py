@@ -11,7 +11,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -118,6 +118,11 @@ class BlockAlgebra:
                 for idx in self.classes]
 
     def identity(self) -> Element:
+        """The unit of the algebra: one read-only element, shared by every call."""
+        return self._identity
+
+    @cached_property
+    def _identity(self) -> Element:
         return Element._of(self, [np.broadcast_to(np.eye(shape[-1], dtype=complex), shape).copy()
                                   for shape in self._shapes()])
 
@@ -161,20 +166,22 @@ class Element:
             if arr.shape != (n, n):
                 raise ShapeError(
                     f"block {k} must have shape ({n}, {n}), got {arr.shape}")
-        self._set(algebra, [np.array([blocks[k] for k in idx], dtype=complex)
-                            for idx in algebra.classes])
+        self._set(algebra, tuple([np.array([blocks[k] for k in idx], dtype=complex)
+                                  for idx in algebra.classes]))
 
-    def _set(self, algebra: BlockAlgebra, stacks):
+    def _set(self, algebra: BlockAlgebra, stacks: tuple):
         for s in stacks:
             s.setflags(write=False)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "stacks", tuple(stacks))
+        # frozen, so the fields go straight into the instance dict
+        fields = vars(self)
+        fields["algebra"] = algebra
+        fields["stacks"] = stacks
 
     @classmethod
     def _of(cls, algebra: BlockAlgebra, stacks) -> Element:
         """The element with the given stacks, freshly computed and not copied."""
         out = object.__new__(cls)
-        out._set(algebra, [np.asarray(s, dtype=complex) for s in stacks])
+        out._set(algebra, tuple([np.asarray(s, dtype=complex) for s in stacks]))
         return out
 
     def __reduce__(self):
@@ -222,8 +229,15 @@ class Element:
 
 
 def trace(x: Element) -> complex:
-    """Unnormalized blockwise matrix trace, the reference trace everywhere."""
-    return complex(sum(np.trace(b) for b in x.blocks))
+    """Unnormalized blockwise matrix trace, the reference trace everywhere.
+
+    One np.trace per stack; the block traces are summed in block order.
+    """
+    traces = [0j] * len(x.algebra.block_dims)
+    for idx, a in zip(x.algebra.classes, x.stacks):
+        for k, t in zip(idx, np.trace(a, axis1=-2, axis2=-1).tolist()):
+            traces[k] = t
+    return complex(sum(traces))
 
 
 def _h(a: np.ndarray) -> np.ndarray:
@@ -301,60 +315,70 @@ def _svals(x: Element) -> tuple:
     return _frozen(*(np.linalg.svd(a, compute_uv=False) for a in x.stacks))
 
 
+def _top(svals) -> float:
+    """The largest leading singular value of (k, n) arrays of singular values;
+    NaN if any is NaN, as np.max gives it (max alone would skip it).
+    """
+    tops = [t for s in svals for t in s[:, 0].tolist()]
+    return math.nan if any(map(math.isnan, tops)) else max(tops)
+
+
 def _operator_norms(*xs: Element) -> list[float]:
     """operator_norm of each element of one algebra, one values-only SVD per class."""
     tops = [np.linalg.svd(np.concatenate(stacks), compute_uv=False)[:, 0]
             .reshape(len(xs), -1).max(axis=1)
             for stacks in zip(*(x.stacks for x in xs))]
-    return [float(t) for t in np.max(tops, axis=0)]
+    return reduce(np.maximum, tops).tolist()
 
 
 def operator_norm(x: Element) -> float:
     """Largest singular value over all blocks; NaN if any block has one."""
-    return float(np.max([s[:, 0].max() for s in _svals(x)]))
+    return _top(_svals(x))
 
 
 def distance(x: Element, y: Element) -> float:
-    """operator_norm(x - y), the metric used by all closeness checks."""
-    return operator_norm(x - y)
+    """operator_norm(x - y), the metric used by all closeness checks.
+
+    x - y is used once, so its values-only SVD is taken here and not kept
+    in _svals, where it would evict an element that is read again.
+    """
+    _same_algebra(x.algebra, y.algebra, "incompatible algebras")
+    return _top([np.linalg.svd(a - b, compute_uv=False) for a, b in zip(x.stacks, y.stacks)])
 
 
-def _frobenius_bracket(x: Element) -> tuple[float, float]:
-    """(lo, hi) with lo <= operator_norm(x) <= hi, from per-block Frobenius norms.
+def _entry_bracket(x: Element) -> tuple[float, float]:
+    """(lo, hi) with lo <= operator_norm(x) <= hi, from the largest entries.
 
-    An n x n block b has ||b||_F / sqrt(n) <= ||b||_2 <= ||b||_F, so
-    lo = max_k ||x_k||_F / sqrt(n_k) and hi = max_k ||x_k||_F.  One
-    reduction per size class, taken scale-free as m sqrt(sum (|a|/m)^2)
-    with m the largest entry of the class: the block of largest norm has
-    sum >= 1, so no square that counts overflows or underflows.  A NaN or
-    inf entry makes both ends NaN.
+    An n x n block b has max |b_ij| <= ||b||_2 <= ||b||_F <= n max |b_ij|,
+    so with m the largest entry of a size class, lo = max m and
+    hi = max n m over the classes.  One abs and one argmax per class, and
+    scale-free, as nothing is squared.  argmax skips the setup of a ufunc
+    reduction, and finds a NaN as max does.  A NaN or inf entry makes both
+    ends NaN.
     """
     lo = hi = 0.0
     for a in x.stacks:
-        mag = np.abs(a)
-        m = float(mag.max())
-        if not 0.0 < m < math.inf:
-            if m == 0.0:
-                continue
+        mag = np.abs(a).ravel()
+        m = float(mag[mag.argmax()])
+        if not m < math.inf:
             return math.nan, math.nan
-        top = m * math.sqrt(float(np.square(mag / m).sum(axis=(-2, -1)).max()))
-        lo = max(lo, top / math.sqrt(a.shape[-1]))
-        hi = max(hi, top)
+        lo = max(lo, m)
+        hi = max(hi, a.shape[-1] * m)
     return lo, hi
 
 
 def _surely_within(residuals, scales, tol: Tolerances) -> bool:
     """True only if ||r|| <= tol.eq_bound(||s||) for every pair (r, s).
 
-    Decided from Frobenius brackets alone: each pair must satisfy
+    Decided from entry brackets alone: each pair must satisfy
     2 hi(r) <= tol.eq_bound(lo(s)).  The factor 2 absorbs the rounding of
-    the Frobenius sums and of the SVD, so an accept here is never refused
-    by the exact operator norms.  False means undecided, not failed: the
-    caller then takes the exact norms.  Non-finite brackets never accept.
+    the brackets and of the SVD, so an accept here is never refused by the
+    exact operator norms.  False means undecided, not failed: the caller
+    then takes the exact norms.  Non-finite brackets never accept.
     """
     for r, s in zip(residuals, scales, strict=True):
-        hi = _frobenius_bracket(r)[1]
-        lo = _frobenius_bracket(s)[0]
+        hi = _entry_bracket(r)[1]
+        lo = _entry_bracket(s)[0]
         if not (math.isfinite(hi) and math.isfinite(lo) and 2.0 * hi <= tol.eq_bound(lo)):
             return False
     return True
@@ -398,6 +422,26 @@ def unflatten_element(algebra: BlockAlgebra, vec: np.ndarray) -> Element:
 # -- Hermitian eigensystems and functional calculus ----------------------
 
 
+@lru_cache(maxsize=64)
+def _off_real_diagonal(n: int) -> np.ndarray:
+    """Read-only mask of the 2 n^2 float parts of an n x n complex matrix, in
+    memory order, that are not the real part of a diagonal entry.
+    """
+    mask = np.ones((n, n, 2), dtype=bool)
+    mask[range(n), range(n), 0] = False
+    mask = mask.ravel()
+    mask.setflags(write=False)
+    return mask
+
+
+def _general_blocks(a: np.ndarray) -> np.ndarray:
+    """Per block of the stack a, whether it is not exactly diagonal and real:
+    whether any part that _off_real_diagonal marks is nonzero (or NaN).
+    """
+    parts = np.ascontiguousarray(a).view(np.float64).reshape(len(a), -1)
+    return parts[:, _off_real_diagonal(a.shape[-1])].any(axis=-1)
+
+
 @lru_cache(maxsize=FACTOR_CACHE)
 def _eighs(h: Element) -> tuple:
     """The raw eigensystem (w, U) of each size-class stack of h, read-only.
@@ -408,15 +452,14 @@ def _eighs(h: Element) -> tuple:
     """
     raw = []
     for a in h.stacks:
-        n = a.shape[-1]
-        general = (np.any(a[:, ~np.eye(n, dtype=bool)], axis=-1)
-                   | np.any(a.imag, axis=(-2, -1)))
-        if general.all():
+        general = _general_blocks(a)
+        count = np.count_nonzero(general)
+        if count == len(a):
             raw.append(_frozen(*np.linalg.eigh((a + _h(a)) / 2.0)))
             continue
         w = np.diagonal(a, axis1=-2, axis2=-1).real.copy()
-        u = np.broadcast_to(np.eye(n, dtype=complex), a.shape).copy()
-        if general.any():
+        u = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
+        if count:
             g = a[general]
             w[general], u[general] = np.linalg.eigh((g + _h(g)) / 2.0)
         raw.append(_frozen(w, u))
@@ -435,24 +478,30 @@ def _eig_classes(h: Element, tol: Tolerances) -> tuple:
     NotPositiveError, naming the first offending block, if h is not
     Hermitian PSD within tolerance, on every call.
     """
-    bad = []
-    for idx, a in zip(h.algebra.classes, h.stacks):
-        asym = np.abs(a - _h(a)).max(axis=(-2, -1))
-        bound = tol.eq_abs + tol.eq_rel * np.abs(a).max(axis=(-2, -1))
-        bad += [(idx[j], asym[j]) for j in np.flatnonzero(asym > bound)]
-    if bad:
-        k, asym = min(bad)
-        raise NotPositiveError(f"block {k} is not Hermitian: asymmetry {asym:.3e}")
+    asym = [np.abs(a - _h(a)).max(axis=(-2, -1)) for a in h.stacks]
+    over = [s > tol.eq_abs + tol.eq_rel * np.abs(a).max(axis=(-2, -1))
+            for s, a in zip(asym, h.stacks)]
+    if any(o.any() for o in over):
+        k, worst = min(_offenders(h, over, asym))
+        raise NotPositiveError(f"block {k} is not Hermitian: asymmetry {worst:.3e}")
     raw = _eighs(h)
     lmax = max(float(np.abs(w).max()) for w, _ in raw)
     floor = -tol.eq_bound(lmax)
-    neg = [(idx[j], w[j].min()) for idx, (w, _) in zip(h.algebra.classes, raw)
-           for j in np.flatnonzero(w.min(axis=-1) < floor)]
-    if neg:
-        k, low = min(neg)
+    lows = [w.min(axis=-1) for w, _ in raw]
+    under = [low < floor for low in lows]
+    if any(u.any() for u in under):
+        k, low = min(_offenders(h, under, lows))
         raise NotPositiveError(f"block {k} has negative eigenvalue {low:.3e}")
     clamped = _frozen(*(np.where(w > tol.rank_rel * lmax * w.shape[-1], w, 0.0) for w, _ in raw))
     return tuple(zip(clamped, (u for _, u in raw)))
+
+
+def _offenders(h: Element, flags, values) -> list:
+    """[(block index, value)] of every flagged block; flags and values hold
+    one (k,) array per size class of h.
+    """
+    return [(idx[j], v[j]) for idx, f, v in zip(h.algebra.classes, flags, values)
+            for j in np.flatnonzero(f)]
 
 
 def _calc(algebra: BlockAlgebra, classes, f) -> Element:

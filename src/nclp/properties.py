@@ -545,8 +545,8 @@ def prop_multiplication_injectivity(rng, cfg):
     a, b = _pair(rng, cfg)
     # orthogonal projections force gmul(xi, eta) = 0
     h = random_positive(rng, M)
-    mid = float(np.median([lam for blk in h.blocks
-                           for lam in np.linalg.eigvalsh(blk)]))
+    lams = sorted(lam for blk in h.blocks for lam in np.linalg.eigvalsh(blk).tolist())
+    mid = (lams[(len(lams) - 1) // 2] + lams[len(lams) // 2]) / 2.0   # their median
     p = spectral_projection(h, max(mid, 1e-6), tol)
     q = M.identity() - p
     xi = GradedElement(random_element(rng, M) @ p, a)

@@ -15,6 +15,7 @@ rank.  Both are built straight into the size-class stacks of Element.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
@@ -118,4 +119,10 @@ def random_graded(rng: np.random.Generator, algebra: BlockAlgebra,
 
 
 def random_shape(rng: np.random.Generator, shapes) -> BlockAlgebra:
-    return BlockAlgebra(tuple(shapes[int(rng.integers(0, len(shapes)))]))
+    return _shape_algebra(tuple(shapes[int(rng.integers(0, len(shapes)))]))
+
+
+@lru_cache(maxsize=64)
+def _shape_algebra(block_dims: tuple) -> BlockAlgebra:
+    """One BlockAlgebra per drawn shape, so its identity is built once."""
+    return BlockAlgebra(block_dims)

@@ -57,7 +57,7 @@ class Weight:
         # the eigensystem that checks positivity also decides faithfulness
         classes = _eig_classes(self.density, self.tol)  # raises NotPositiveError
         object.__setattr__(self, "faithful",
-                           all(np.all(w > 0.0) for w, _ in classes))
+                           all((w > 0.0).all() for w, _ in classes))
 
     @property
     def algebra(self) -> BlockAlgebra:

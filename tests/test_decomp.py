@@ -197,7 +197,7 @@ def test_ladder_rung_at_a_singular_value_inverts_it():
 
 def test_douglas_ladder_factorizes_once_per_size_class(monkeypatch):
     # 64 blocks and every rung: one SVD of x and one values-only SVD for
-    # all the rungs; the solvability check is decided by Frobenius brackets
+    # all the rungs; the solvability check is decided by entry brackets
     instances = [_ladder_instance(50, (2,) * 8), _ladder_instance(51, (2,) * 64),
                  _ladder_instance(52, (2,) * 64)]
     calls = []
@@ -359,7 +359,7 @@ def _count_factorizations(monkeypatch):
 
 def test_cyclic_generator_decides_every_division_in_one_norm_call(monkeypatch):
     # one eigh for G^(1/2) and one for mu's density and one SVD of y; the
-    # Frobenius brackets accept every division, so no values-only SVD
+    # entry brackets accept every division, so no values-only SVD
     rng = make_rng(62)
     M = BlockAlgebra((2,) * 8)
     gens = [random_graded(rng, M, 0.5 + 0.3j) for _ in range(2)]

@@ -47,9 +47,11 @@ from nclp.matcore import (
     FACTOR_CACHE,
     _eig_classes,
     _eighs,
+    _general_blocks,
     _operator_norms,
     _svals,
     _svds,
+    _top,
 )
 from nclp.properties import SuiteConfig, run_suite
 from nclp.sampling import make_rng, random_element, random_positive, random_projection
@@ -683,3 +685,90 @@ def test_lazy_coords_give_the_bits_of_coords_built_up_front():
     back = pickle.loads(pickle.dumps(x))
     assert "coords" not in vars(back.algebra)
     assert _same_bits(flatten_element(back), vec)
+
+
+def test_distance_is_the_norm_of_the_difference_and_caches_nothing():
+    rng = make_rng(43)
+    x, y = random_element(rng, MIXED), random_element(rng, MIXED)
+    _clear_caches()
+    got = distance(x, y)
+    assert _svals.cache_info().currsize == 0
+    assert got.hex() == operator_norm(x - y).hex()
+    operator_norm(x)
+    before = _svals.cache_info()
+    distance(x, y)
+    assert _svals.cache_info() == before
+    with pytest.raises(AlgebraMismatchError, match="incompatible algebras"):
+        distance(x, M2.identity())
+
+
+def test_largest_singular_value_propagates_nan():
+    svals = [np.array([[2.0, 1.0], [3.0, 0.5]]), np.array([[1.0]])]
+    assert _top(svals) == 3.0
+    svals[1] = np.array([[np.nan]])
+    assert np.isnan(_top(svals))
+
+
+def _general_blocks_reference(a):
+    """Reference: a block is general when an off-diagonal entry or any
+    imaginary part is nonzero (NaN counts as nonzero)."""
+    n = a.shape[-1]
+    return (np.any(a[:, ~np.eye(n, dtype=bool)], axis=-1)
+            | np.any(a.imag, axis=(-2, -1)))
+
+
+def test_general_blocks_select_the_blocks_of_the_reference_test():
+    rng = make_rng(44)
+    real_diagonal = np.stack([np.diag(rng.standard_normal(3)) for _ in range(4)]).astype(complex)
+    complex_diagonal = real_diagonal.copy()
+    complex_diagonal[2, 1, 1] += 1e-300j
+    off_diagonal = real_diagonal.copy()
+    off_diagonal[1, 0, 2] = 5e-324        # subnormal, still nonzero
+    mixed = np.concatenate([real_diagonal[:2], random_element(rng, BlockAlgebra((3, 3))).stacks[0],
+                            complex_diagonal[2:3], off_diagonal[1:2]])
+    nan_entries = real_diagonal.copy()
+    nan_entries[0, 0, 0] = np.nan          # a real diagonal NaN stays on the trivial path
+    nan_entries[3, 2, 0] = np.nan
+    signed_zeros = real_diagonal.copy()
+    signed_zeros[1, 0, 1] = -0.0
+    signed_zeros[2, 2, 2] = complex(1.0, -0.0)
+    one_by_one = np.array([[[2.0]], [[1.0 + 1j]], [[0.0]], [[-3.0 - 0.0j]]])
+    stacks = [real_diagonal, complex_diagonal, off_diagonal, mixed, nan_entries, signed_zeros,
+              one_by_one, _h_view(mixed)]
+    for a in stacks:
+        got, ref = _general_blocks(a), _general_blocks_reference(a)
+        assert got.dtype == bool and np.array_equal(got, ref)
+    assert [_general_blocks(a).tolist() for a in stacks[:3]] == [
+        [False] * 4, [False, False, True, False], [False, True, False, False]]
+    assert _general_blocks(one_by_one).tolist() == [False, True, False, False]
+
+
+def _h_view(a):
+    """The conjugate transpose as a non-contiguous view, as Element.adjoint stores it."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def test_identity_is_one_shared_read_only_element():
+    M = BlockAlgebra((1, 2, 3, 2))
+    one = M.identity()
+    assert M.identity() is one
+    assert all(not a.flags.writeable for a in one.stacks)
+    assert all(np.array_equal(b, np.eye(n)) and b.dtype == complex
+               for b, n in zip(one.blocks, M.block_dims))
+    with pytest.raises(ValueError):
+        one.stacks[0][0, 0, 0] = 2.0
+    assert pickle.loads(pickle.dumps(M)).identity() is not one
+
+
+def test_trace_sums_the_block_traces_in_block_order():
+    x = random_element(make_rng(45), MIXED)
+    ref = 0
+    for b in x.blocks:
+        ref = ref + np.trace(b)
+    got = trace(x)
+    assert type(got) is complex and got == complex(ref)
+    assert trace(MIXED.identity()) == sum(MIXED.block_dims)
+    # in block order 1e16 - 1e16 + 1 = 1; class by class, 1 + 1e16 - 1e16 = 0
+    blocks = [np.zeros((n, n)) for n in MIXED.block_dims]
+    blocks[1][0, 0], blocks[2][0, 0], blocks[5][0, 0] = 1e16, -1e16, 1.0
+    assert trace(Element(MIXED, blocks)) == 1.0

@@ -1,4 +1,4 @@
-"""The Frobenius-bracket fast path of the pass/fail-only norm checks.
+"""The entry-bracket fast path of the pass/fail-only norm checks.
 
 isometry_divide, douglas_divide, douglas_ladder, cyclic_generator and
 allclose first ask _surely_within whether a residual is surely inside its
@@ -34,7 +34,7 @@ from nclp.matcore import (
     Element,
     _eig_classes,
     _eighs,
-    _frobenius_bracket,
+    _entry_bracket,
     _surely_within,
     _svals,
     _svds,
@@ -242,8 +242,8 @@ def test_extreme_scales_decide_without_warnings(scale):
         warnings.simplefilter("error")
         for z in (x, 1e-200 * x, 1e200 * x):
             ratio = operator_norm(z) / operator_norm(x)
-            lo, hi = _frobenius_bracket(z)
-            lo1, hi1 = _frobenius_bracket(x)
+            lo, hi = _entry_bracket(z)
+            lo1, hi1 = _entry_bracket(x)
             assert lo == pytest.approx(ratio * lo1, rel=1e-14)
             assert hi == pytest.approx(ratio * hi1, rel=1e-14)
         assert _surely_within([1e-14 * xs], [xs], DEFAULT_TOL)
@@ -259,10 +259,10 @@ def test_brackets_enclose_the_operator_norm():
     for dims in SHAPES + [(1, 3, 2, 3)]:
         M = BlockAlgebra(dims)
         for x in (random_element(rng, M), _rank_one(rng, M), M.identity()):
-            lo, hi = _frobenius_bracket(x)
+            lo, hi = _entry_bracket(x)
             nrm = operator_norm(x)
             assert lo <= nrm * (1 + 1e-14) and nrm <= hi * (1 + 1e-14)
-    assert _frobenius_bracket(M.zero()) == (0.0, 0.0)
+    assert _entry_bracket(M.zero()) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -307,7 +307,7 @@ def test_valid_checks_take_no_values_only_svd(monkeypatch):
 
 
 def test_exact_fallback_keeps_the_reported_figures(monkeypatch):
-    # x = 0 and y at 0.99 of its bound: ||y||_F = 4 ||y||_2 leaves the verdict
+    # x = 0 and y at 0.99 of its bound: hi(y) = 16 ||y||_2 leaves the verdict
     # to the exact norms, which also give the reported residual
     M = BlockAlgebra((16,))
     y = (0.99 * DEFAULT_TOL.eq_abs) * M.identity()

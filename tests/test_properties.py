@@ -1,5 +1,10 @@
 """The seeded property registry: every property passes, reports add up."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from nclp import properties
@@ -87,3 +92,18 @@ def test_a_nan_residual_is_reported_as_null(monkeypatch):
     assert '"worst_residual": null' in dumps(report)
     with pytest.raises(ValueError):
         dumps({"worst_residual": float("inf")})
+
+
+def test_suite_run_imports_no_masked_arrays():
+    # importing numpy.ma adds time and memory to every fresh `nclp verify`
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "from nclp.properties import SuiteConfig, run_suite\n"
+            "run_suite(SuiteConfig(trials=1))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
