@@ -15,10 +15,8 @@ import sys
 
 import numpy as np
 
-from . import decomp, lpspace, serialize, weights
+from . import serialize
 from .errors import AlgebraMismatchError, NclpError, NonFiniteError, ShapeError
-from .matcore import BlockAlgebra, distance, operator_norm
-from .oracle import oracle_commutative
 
 
 def _emit(obj: dict, code: int = 0) -> int:
@@ -62,7 +60,11 @@ def cmd_verify(args) -> int:
     return _emit(report, 0 if report["all_passed"] else 1)
 
 
+# each demo imports the modules it runs, so a process loads only those
+
 def _demo_holder(obj: dict) -> dict:
+    from . import lpspace
+
     x = serialize.graded_from_obj(obj["x"])
     y = serialize.graded_from_obj(obj["y"])
     nx, ny = lpspace.lnorm(x), lpspace.lnorm(y)
@@ -77,6 +79,9 @@ def _demo_holder(obj: dict) -> dict:
 
 
 def _demo_polar(obj: dict) -> dict:
+    from . import decomp
+    from .matcore import distance
+
     x = serialize.element_from_obj(obj["x"])
     right = decomp.polar_right(x)
     left = decomp.polar_left(x)
@@ -93,6 +98,8 @@ def _demo_polar(obj: dict) -> dict:
 
 
 def _demo_douglas(obj: dict) -> dict:
+    from . import decomp
+
     x = serialize.element_from_obj(obj["x"])
     y = serialize.element_from_obj(obj["y"])
     result = decomp.douglas_divide(x, y)
@@ -105,6 +112,9 @@ def _demo_douglas(obj: dict) -> dict:
 
 
 def _demo_comultiply(obj: dict) -> dict:
+    from . import lpspace
+    from .matcore import distance
+
     zeta = serialize.graded_from_obj(obj["zeta"])
     a, b = serialize._read_array(obj["split"], "split", 1).tolist()
     first, second = lpspace.comultiply(zeta, (a, b))
@@ -120,6 +130,9 @@ def _demo_comultiply(obj: dict) -> dict:
 
 
 def _demo_cocycle(obj: dict) -> dict:
+    from . import weights
+    from .matcore import operator_norm
+
     mu = serialize.weight_from_obj(obj["mu"])
     nu = serialize.weight_from_obj(obj["nu"])
     a = complex(serialize._read_array(obj["a"], "a", 0))
@@ -136,6 +149,9 @@ def _demo_cocycle(obj: dict) -> dict:
 
 
 def _demo_pushforward(obj: dict) -> dict:
+    from . import weights
+    from .matcore import BlockAlgebra
+
     mu = serialize.weight_from_obj(obj["mu"])
     emb = obj["embedding"]
     embedding = weights.BlockEmbedding(BlockAlgebra(emb["source_dims"]),
@@ -184,6 +200,8 @@ def cmd_demo(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import oracle_commutative   # scalar code only: no matrix module loads
+
     try:
         obj = _load_json(args.input)
         f = serialize._read_array(obj["f"], "f", 1, pairs=None)

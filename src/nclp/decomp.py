@@ -10,7 +10,7 @@ finitely generated submodule, and the rank-one form of a finite tensor sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,10 +31,14 @@ from .matcore import (
     _surely_within,
     _svd_support,
     _udv,
+    _setfield,
+    _Value,
     operator_norm,
     power_pos,
 )
-from .weights import Weight
+
+if TYPE_CHECKING:   # annotations only: division loads no weight code
+    from .weights import Weight
 
 
 def right_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
@@ -64,13 +68,15 @@ def pseudo_inverse(x: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     return _pinv(x, _svd_support(x, tol))
 
 
-@dataclass(frozen=True)
-class PolarDecomposition:
+class PolarDecomposition(_Value):
     """x = isometry @ positive (side="right") or positive @ isometry ("left")."""
 
-    isometry: Element
-    positive: Element
-    side: str
+    _fields = ("isometry", "positive", "side")
+
+    def __init__(self, isometry: Element, positive: Element, side: str):
+        _setfield(self, "isometry", isometry)
+        _setfield(self, "positive", positive)
+        _setfield(self, "side", side)
 
     def reconstruct(self) -> Element:
         if self.side == "right":
@@ -102,13 +108,15 @@ def polar_left(x: Element, tol: Tolerances = DEFAULT_TOL) -> PolarDecomposition:
     return PolarDecomposition(_isometry(x, svd), pos, "left")
 
 
-@dataclass(frozen=True)
-class DivisionResult:
+class DivisionResult(_Value):
     """Quotient of p @ x = y with its norm (the optimal majorization constant)."""
 
-    quotient: Element
-    minimal_c: float
-    residual: float
+    _fields = ("quotient", "minimal_c", "residual")
+
+    def __init__(self, quotient: Element, minimal_c: float, residual: float):
+        _setfield(self, "quotient", quotient)
+        _setfield(self, "minimal_c", minimal_c)
+        _setfield(self, "residual", residual)
 
 
 def _solve(x: Element, ys, tol: Tolerances, svd=None, measure=None):
@@ -130,7 +138,12 @@ def _solve(x: Element, ys, tol: Tolerances, svd=None, measure=None):
     if _surely_within(rems, ys, tol):
         return ps, _operator_norms(*wanted) if wanted else []
     m = len(ys)
-    norms = _operator_norms(*rems, *ys, *wanted)
+    named = [*rems, *ys, *wanted]
+    # an element named twice (douglas_divide's remainder, graded_divide's y)
+    # enters the SVD once; Element hashes by identity
+    distinct = list(dict.fromkeys(named))
+    norm_of = dict(zip(distinct, _operator_norms(*distinct)))
+    norms = [norm_of[e] for e in named]
     for residual, norm_y in zip(norms[:m], norms[m:2 * m]):
         if residual > tol.eq_bound(norm_y):
             raise UnsolvableError(

@@ -10,10 +10,9 @@ grading.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 from .errors import GradingError, NonFiniteError
-from .matcore import DEFAULT_TOL, Element, Tolerances
+from .matcore import DEFAULT_TOL, Element, Tolerances, _Frozen, _setfield
 
 
 def _grading(a, tol: Tolerances, what: str) -> complex:
@@ -42,20 +41,18 @@ def _require_imaginary(a, tol: Tolerances, what: str) -> complex:
     return a
 
 
-@dataclass(frozen=True, eq=False)
-class GradedElement:
+class GradedElement(_Frozen):
     """An element of the grading-a space, Re a >= 0.
 
     tol decides Re a >= 0 here and the grading match of a sum; adjoints,
     scalar multiples and sums keep the tolerance of their left operand.
+    Graded elements compare and hash by identity.
     """
 
-    data: Element
-    grading: complex
-    tol: Tolerances = DEFAULT_TOL
-
-    def __post_init__(self):
-        object.__setattr__(self, "grading", _grading(self.grading, self.tol, "grading"))
+    def __init__(self, data: Element, grading: complex, tol: Tolerances = DEFAULT_TOL):
+        _setfield(self, "data", data)
+        _setfield(self, "grading", _grading(grading, tol, "grading"))
+        _setfield(self, "tol", tol)
 
     @property
     def algebra(self):

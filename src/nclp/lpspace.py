@@ -11,8 +11,6 @@ translation between graded elements and right-module homomorphisms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .decomp import right_support
@@ -31,6 +29,8 @@ from .matcore import (
     _svd_support,
     _svds,
     _udv,
+    _Frozen,
+    _setfield,
     flatten_element,
     operator_norm,
     unflatten_element,
@@ -155,28 +155,28 @@ def comultiply(zeta: GradedElement, split,
     return GradedElement(first, a, tol), GradedElement(second, b, tol)
 
 
-@dataclass(frozen=True, eq=False)
-class TensorElement:
-    """A finite formal sum of grading-(a, b) pairs over the algebra."""
+class TensorElement(_Frozen):
+    """A finite formal sum of grading-(a, b) pairs over the algebra.
 
-    algebra: BlockAlgebra
-    grading_left: complex
-    grading_right: complex
-    pairs: tuple[tuple[GradedElement, GradedElement], ...]
-    tol: Tolerances = DEFAULT_TOL
+    Tensor elements compare and hash by identity.
+    """
 
-    def __post_init__(self):
-        a = _grading(self.grading_left, self.tol, "left grading")
-        b = _grading(self.grading_right, self.tol, "right grading")
-        object.__setattr__(self, "grading_left", a)
-        object.__setattr__(self, "grading_right", b)
-        pairs = tuple((l, r) for l, r in self.pairs)
+    def __init__(self, algebra: BlockAlgebra, grading_left: complex, grading_right: complex,
+                 pairs: tuple[tuple[GradedElement, GradedElement], ...],
+                 tol: Tolerances = DEFAULT_TOL):
+        a = _grading(grading_left, tol, "left grading")
+        b = _grading(grading_right, tol, "right grading")
+        pairs = tuple((l, r) for l, r in pairs)
         for l, r in pairs:
-            _same_algebra(l.algebra, self.algebra, "left factor lives in another algebra")
-            _same_algebra(r.algebra, self.algebra, "right factor lives in another algebra")
-            _same_grading(l.grading, a, self.tol, "left factor grading")
-            _same_grading(r.grading, b, self.tol, "right factor grading")
-        object.__setattr__(self, "pairs", pairs)
+            _same_algebra(l.algebra, algebra, "left factor lives in another algebra")
+            _same_algebra(r.algebra, algebra, "right factor lives in another algebra")
+            _same_grading(l.grading, a, tol, "left factor grading")
+            _same_grading(r.grading, b, tol, "right factor grading")
+        _setfield(self, "algebra", algebra)
+        _setfield(self, "grading_left", a)
+        _setfield(self, "grading_right", b)
+        _setfield(self, "pairs", pairs)
+        _setfield(self, "tol", tol)
 
     def __repr__(self):
         return (f"TensorElement({len(self.pairs)} pairs, gradings "
@@ -213,47 +213,43 @@ def turpin_upper(z: TensorElement, tol: Tolerances = DEFAULT_TOL) -> float:
     return min(given, reduced)
 
 
-@dataclass(frozen=True, eq=False)
-class ModuleHom:
+class ModuleHom(_Frozen):
     """A right-module map from grading-b data to grading-(a+b) data.
 
     Stored as a full linear map on the flattened coordinates of the
     algebra, which must be finite; nothing else about it is trusted until
     hom_to_element validates right-linearity.  ModuleHom(...) copies the
     matrix once; the internal _of takes ownership of a fresh array.
+    Maps compare and hash by identity.
     """
 
-    algebra: BlockAlgebra
-    grading_in: complex
-    grading_out: complex
-    matrix: np.ndarray
+    _fields = ("algebra", "grading_in", "grading_out", "matrix")
 
-    def __post_init__(self):
-        self._set(np.array(self.matrix, dtype=complex, copy=True))
+    def __init__(self, algebra: BlockAlgebra, grading_in: complex, grading_out: complex,
+                 matrix: np.ndarray):
+        self._set(algebra, grading_in, grading_out, np.array(matrix, dtype=complex, copy=True))
 
-    def _set(self, mat: np.ndarray):
-        gin, gout = complex(self.grading_in), complex(self.grading_out)
+    def _set(self, algebra: BlockAlgebra, grading_in, grading_out, mat: np.ndarray):
+        gin, gout = complex(grading_in), complex(grading_out)
         if not np.all(np.isfinite([gin, gout])):
             raise NonFiniteError(f"hom gradings must be finite, got {gin} and {gout}")
-        object.__setattr__(self, "grading_in", gin)
-        object.__setattr__(self, "grading_out", gout)
-        d = self.algebra.total_dim
+        d = algebra.total_dim
         if mat.shape != (d, d):
             raise ValueError(f"hom matrix must have shape ({d}, {d}), got {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise NonFiniteError("hom matrix must be finite")
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        _setfield(self, "algebra", algebra)
+        _setfield(self, "grading_in", gin)
+        _setfield(self, "grading_out", gout)
+        _setfield(self, "matrix", mat)
 
     @classmethod
     def _of(cls, algebra: BlockAlgebra, grading_in, grading_out,
             matrix: np.ndarray) -> ModuleHom:
         """The map with the given complex matrix, freshly built and not copied."""
         out = object.__new__(cls)
-        object.__setattr__(out, "algebra", algebra)
-        object.__setattr__(out, "grading_in", grading_in)
-        object.__setattr__(out, "grading_out", grading_out)
-        out._set(matrix)
+        out._set(algebra, grading_in, grading_out, matrix)
         return out
 
     def __reduce__(self):

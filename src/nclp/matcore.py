@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
@@ -18,8 +17,53 @@ import numpy as np
 from .errors import AlgebraMismatchError, NotPositiveError, ShapeError
 
 
-@dataclass(frozen=True)
-class Tolerances:
+# Sets a field of a _Frozen record, as a frozen dataclass sets it.  Writing
+# through vars(self) instead would turn the instance's compact attribute
+# storage into a dict, and every later read of a field (x.stacks, tol.eq_abs)
+# would cost about 2.5 times as much on CPython 3.11.
+_setfield = object.__setattr__
+
+
+class _Frozen:
+    """Base of the library's immutable records.
+
+    Each subclass sets its fields with _setfield in its own __init__; after
+    that, assignment and deletion raise AttributeError.  _fields names the
+    fields, in order, for the repr.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
+class _Value(_Frozen):
+    """A _Frozen record that compares and hashes by its _fields."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Tolerances(_Value):
     """Numerical policy shared by every operation.
 
     rank_rel
@@ -30,24 +74,26 @@ class Tolerances:
         the usual bound for a quantity of size ``s`` is ``eq_abs + eq_rel*s``.
     """
 
-    rank_rel: float = 1e-10
-    eq_abs: float = 1e-9
-    eq_rel: float = 1e-9
+    _fields = ("rank_rel", "eq_abs", "eq_rel")
 
-    def __post_init__(self):
+    def __init__(self, rank_rel: float = 1e-10, eq_abs: float = 1e-9, eq_rel: float = 1e-9):
         # read as floats, so equal policies are one policy and one cache key
-        for name in ("rank_rel", "eq_abs", "eq_rel"):
-            value = getattr(self, name)
+        for name, value in zip(self._fields, (rank_rel, eq_abs, eq_rel)):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise TypeError(f"{name} must be a real number, got {value!r}")
             try:
-                object.__setattr__(self, name, float(value))
+                _setfield(self, name, float(value))
             except OverflowError:
                 raise ValueError(f"{name} is out of the float range") from None
         if not (0.0 < self.rank_rel < 1.0):
             raise ValueError(f"rank_rel must be in (0, 1), got {self.rank_rel}")
         if not (0.0 < self.eq_abs < math.inf and 0.0 < self.eq_rel < math.inf):
             raise ValueError("eq_abs and eq_rel must be finite and strictly positive")
+        # a policy is half of every factorization cache key, so its hash is kept
+        _setfield(self, "_hash", hash(self._key()))
+
+    def __hash__(self):
+        return self._hash
 
     def eq_bound(self, scale: float) -> float:
         return self.eq_abs + self.eq_rel * float(scale)
@@ -56,37 +102,38 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-@dataclass(frozen=True)
-class ToleranceReport:
+class ToleranceReport(_Value):
     """Outcome of a tolerance-governed identity check."""
 
-    max_residual: float
-    passed: bool
-    context: str = ""
+    _fields = ("max_residual", "passed", "context")
+
+    def __init__(self, max_residual: float, passed: bool, context: str = ""):
+        _setfield(self, "max_residual", max_residual)
+        _setfield(self, "passed", passed)
+        _setfield(self, "context", context)
 
 
-@dataclass(frozen=True)
-class BlockAlgebra:
+class BlockAlgebra(_Value):
     """Direct sum of full matrix blocks, recorded by their dimensions.
 
     classes holds the block indices of each size, in order of first
-    appearance; elements store one (k, n, n) stack per class.
+    appearance; elements store one (k, n, n) stack per class.  Algebras
+    compare, hash and print by block_dims alone.
     """
 
-    block_dims: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _fields = ("block_dims",)
 
-    def __post_init__(self):
-        dims = tuple(map(operator.index, self.block_dims))
+    def __init__(self, block_dims: tuple[int, ...]):
+        dims = tuple(map(operator.index, block_dims))
         if len(dims) == 0:
             raise ValueError("block_dims must be nonempty")
         if any(n < 1 for n in dims):
             raise ValueError(f"block dimensions must be >= 1, got {dims}")
-        object.__setattr__(self, "block_dims", dims)
         classes = {}
         for k, n in enumerate(dims):
             classes.setdefault(n, []).append(k)
-        object.__setattr__(self, "classes", tuple(tuple(idx) for idx in classes.values()))
+        _setfield(self, "block_dims", dims)
+        _setfield(self, "classes", tuple(tuple(idx) for idx in classes.values()))
 
     @cached_property
     def coords(self) -> tuple[np.ndarray, ...]:
@@ -143,8 +190,7 @@ def _same_algebra(a: BlockAlgebra, b: BlockAlgebra, what: str):
         raise AlgebraMismatchError(f"{what}: {a.block_dims} vs {b.block_dims}")
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Element:
+class Element(_Frozen):
     """An element of a BlockAlgebra: one complex matrix per block.
 
     Stored as stacks, one read-only (k, n, n) array per class of the
@@ -152,10 +198,8 @@ class Element:
     per class.  Element(algebra, blocks) copies the blocks once into these
     stacks; blocks gives them back as read-only per-block views.
     Immutable after construction; all arithmetic returns new elements.
+    Elements compare and hash by identity.
     """
-
-    algebra: BlockAlgebra
-    stacks: tuple[np.ndarray, ...]
 
     def __init__(self, algebra: BlockAlgebra, blocks):
         dims = algebra.block_dims
@@ -172,10 +216,8 @@ class Element:
     def _set(self, algebra: BlockAlgebra, stacks: tuple):
         for s in stacks:
             s.setflags(write=False)
-        # frozen, so the fields go straight into the instance dict
-        fields = vars(self)
-        fields["algebra"] = algebra
-        fields["stacks"] = stacks
+        _setfield(self, "algebra", algebra)
+        _setfield(self, "stacks", stacks)
 
     @classmethod
     def _of(cls, algebra: BlockAlgebra, stacks) -> Element:

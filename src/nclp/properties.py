@@ -13,7 +13,6 @@ import cmath
 import math
 import operator
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +24,8 @@ from .matcore import (
     BlockAlgebra,
     Element,
     Tolerances,
+    _setfield,
+    _Value,
     distance,
     operator_norm,
     power_pos,
@@ -56,30 +57,29 @@ DEFAULT_GRADINGS = (
 )
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
+class SuiteConfig(_Value):
     """Seed, trial count, instance space, and tolerances for one run."""
 
-    seed: int = 42
-    trials: int = 50
-    block_shapes: tuple = DEFAULT_SHAPES
-    gradings: tuple = DEFAULT_GRADINGS
-    tolerances: Tolerances = DEFAULT_TOL
+    _fields = ("seed", "trials", "block_shapes", "gradings", "tolerances")
 
-    def __post_init__(self):
-        object.__setattr__(self, "seed", operator.index(self.seed) & (2 ** 64 - 1))
-        object.__setattr__(self, "trials", operator.index(self.trials))
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        shapes = tuple(BlockAlgebra(s).block_dims for s in self.block_shapes)
-        pairs = tuple((complex(a), complex(b)) for a, b in self.gradings)
+    def __init__(self, seed: int = 42, trials: int = 50, block_shapes: tuple = DEFAULT_SHAPES,
+                 gradings: tuple = DEFAULT_GRADINGS, tolerances: Tolerances = DEFAULT_TOL):
+        seed = operator.index(seed) & (2 ** 64 - 1)
+        trials = operator.index(trials)
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        shapes = tuple(BlockAlgebra(s).block_dims for s in block_shapes)
+        pairs = tuple((complex(a), complex(b)) for a, b in gradings)
         if not (shapes and pairs):
             raise ValueError("block_shapes and gradings must be nonempty")
         for a, b in pairs:
             if not (cmath.isfinite(a) and cmath.isfinite(b) and a.real >= 0 and b.real >= 0):
                 raise ValueError(f"gradings must be finite with Re >= 0, got ({a}, {b})")
-        object.__setattr__(self, "block_shapes", shapes)
-        object.__setattr__(self, "gradings", pairs)
+        _setfield(self, "seed", seed)
+        _setfield(self, "trials", trials)
+        _setfield(self, "block_shapes", shapes)
+        _setfield(self, "gradings", pairs)
+        _setfield(self, "tolerances", tolerances)
 
     @classmethod
     def from_obj(cls, obj: dict) -> SuiteConfig:

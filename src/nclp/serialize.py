@@ -22,13 +22,18 @@ from __future__ import annotations
 
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NonFiniteError
-from .graded import GradedElement
-from .matcore import BlockAlgebra, Element
-from .weights import Weight
+
+# The readers import the types they build, so a command loads only the
+# modules of the objects it reads: `nclp oracle` loads no matrix code.
+if TYPE_CHECKING:
+    from .graded import GradedElement
+    from .matcore import Element
+    from .weights import Weight
 
 
 def _complex_out(z) -> list:
@@ -73,6 +78,8 @@ def element_to_obj(x: Element) -> dict:
 
 
 def element_from_obj(obj: dict) -> Element:
+    from .matcore import BlockAlgebra, Element
+
     algebra = BlockAlgebra(tuple(obj["block_dims"]))
     blocks = [_read_array(b, f"block {k}", 2) for k, b in enumerate(obj["blocks"])]
     for k, b in enumerate(blocks):
@@ -88,6 +95,8 @@ def graded_to_obj(xi: GradedElement) -> dict:
 
 
 def graded_from_obj(obj: dict) -> GradedElement:
+    from .graded import GradedElement
+
     return GradedElement(element_from_obj(obj), complex(_read_array(obj["grading"], "grading", 0)))
 
 
@@ -96,6 +105,8 @@ def weight_to_obj(mu: Weight) -> dict:
 
 
 def weight_from_obj(obj: dict) -> Weight:
+    from .weights import Weight
+
     return Weight(element_from_obj(obj["density"]))
 
 

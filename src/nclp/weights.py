@@ -10,7 +10,6 @@ with complex powers taken through the positive functional calculus.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -30,14 +29,16 @@ from .matcore import (
     _operator_norms,
     _same_algebra,
     _spectral_power,
+    _Frozen,
+    _setfield,
+    _Value,
     func_calc,
     trace,
     unflatten_element,
 )
 
 
-@dataclass(frozen=True, eq=False)
-class Weight:
+class Weight(_Frozen):
     """A weight mu(x) = trace(density @ x); faithful iff density is definite.
 
     The tolerance decides the support cutoff: a density whose spectrum spans
@@ -48,16 +49,15 @@ class Weight:
     keyed by density and policy, so construction, support and every power
     at one policy share one eigh and one positivity check while the density
     is among the last FACTOR_CACHE elements checked at that policy.
+    Weights compare and hash by identity.
     """
 
-    density: Element
-    tol: Tolerances = DEFAULT_TOL
-
-    def __post_init__(self):
+    def __init__(self, density: Element, tol: Tolerances = DEFAULT_TOL):
         # the eigensystem that checks positivity also decides faithfulness
-        classes = _eig_classes(self.density, self.tol)  # raises NotPositiveError
-        object.__setattr__(self, "faithful",
-                           all((w > 0.0).all() for w, _ in classes))
+        classes = _eig_classes(density, tol)  # raises NotPositiveError
+        _setfield(self, "density", density)
+        _setfield(self, "tol", tol)
+        _setfield(self, "faithful", all((w > 0.0).all() for w, _ in classes))
 
     @property
     def algebra(self) -> BlockAlgebra:
@@ -165,8 +165,7 @@ def change_of_weight(x: Element, a, mu: Weight, nu: Weight,
 # -- operator-valued weights ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockEmbedding:
+class BlockEmbedding(_Value):
     """A unital *-homomorphism f: M -> N given by block assignment data.
 
     assignment[j] lists the source blocks whose direct sum fills target
@@ -174,29 +173,30 @@ class BlockEmbedding:
     that f is injective.
     """
 
-    source: BlockAlgebra
-    target: BlockAlgebra
-    assignment: tuple[tuple[int, ...], ...]
+    _fields = ("source", "target", "assignment")
 
-    def __post_init__(self):
-        rows = tuple(tuple(map(operator.index, row)) for row in self.assignment)
-        object.__setattr__(self, "assignment", rows)
-        if len(rows) != len(self.target.block_dims):
+    def __init__(self, source: BlockAlgebra, target: BlockAlgebra,
+                 assignment: tuple[tuple[int, ...], ...]):
+        rows = tuple(tuple(map(operator.index, row)) for row in assignment)
+        if len(rows) != len(target.block_dims):
             raise ValueError("assignment must have one row per target block")
         used = set()
         for j, row in enumerate(rows):
             total = 0
             for i in row:
-                if not 0 <= i < len(self.source.block_dims):
+                if not 0 <= i < len(source.block_dims):
                     raise ValueError(f"assignment row {j} references block {i}")
-                total += self.source.block_dims[i]
+                total += source.block_dims[i]
                 used.add(i)
-            if total != self.target.block_dims[j]:
+            if total != target.block_dims[j]:
                 raise ValueError(
                     f"assignment row {j} fills {total} of "
-                    f"{self.target.block_dims[j]} dimensions")
-        if used != set(range(len(self.source.block_dims))):
+                    f"{target.block_dims[j]} dimensions")
+        if used != set(range(len(source.block_dims))):
             raise ValueError("every source block must appear in the assignment")
+        _setfield(self, "source", source)
+        _setfield(self, "target", target)
+        _setfield(self, "assignment", rows)
 
     def apply(self, x: Element) -> Element:
         """f(x): place the assigned source blocks on the target diagonal."""
@@ -237,26 +237,26 @@ def _commutant_columns(embedding: BlockEmbedding) -> dict:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class OperatorValuedWeight:
+class OperatorValuedWeight(_Frozen):
     """A positive bimodule map T: N -> M over an embedding f: M -> N.
 
-    Stored as an explicit linear map on the flattened coordinates of N;
-    constructors guarantee nothing, use validate() before trusting it.
+    Stored as an explicit linear map on the flattened coordinates of N, of
+    shape (dim M, dim N); constructors guarantee nothing, use validate()
+    before trusting it.  Maps compare and hash by identity.
     """
 
-    embedding: BlockEmbedding
-    matrix: np.ndarray  # shape (dim M, dim N), acts on flattened elements
+    _fields = ("embedding", "matrix")
 
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex, copy=True)
-        expected = (self.embedding.source.total_dim, self.embedding.target.total_dim)
+    def __init__(self, embedding: BlockEmbedding, matrix: np.ndarray):
+        mat = np.array(matrix, dtype=complex, copy=True)
+        expected = (embedding.source.total_dim, embedding.target.total_dim)
         if mat.shape != expected:
             raise ValueError(f"matrix must have shape {expected}, got {mat.shape}")
         if not np.all(np.isfinite(mat)):
             raise NonFiniteError("operator-valued weight matrix must be finite")
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        _setfield(self, "embedding", embedding)
+        _setfield(self, "matrix", mat)
 
     def __reduce__(self):
         # numpy does not pickle the read-only flag, so rebuild through __init__

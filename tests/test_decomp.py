@@ -29,7 +29,7 @@ from nclp import (
     right_support,
     trace_weight,
 )
-from nclp.matcore import _eig_classes, _eighs, _svals, _svds
+from nclp.matcore import _eig_classes, _eighs, _operator_norms, _svals, _svds
 from nclp.sampling import (
     make_rng,
     random_conditioned,
@@ -475,6 +475,53 @@ def test_graded_divide_takes_the_norm_of_y_once(monkeypatch):
     with pytest.raises(GradingError):
         graded_divide(x, GradedElement(y.data, 1.5))
     assert calls == [("svd", False)]
+
+
+def _undecided_division():
+    """(x, y) on one 64 x 64 block, solvable, whose entry brackets decide nothing.
+
+    x drops 8 directions; y = r x plus 3e-11 in those directions, so its
+    remainder is far inside the exact bound but 64 times its largest entry is not.
+    """
+    rng = make_rng(71)
+    M = BlockAlgebra((64,))
+    v = polar_right(random_element(rng, M)).isometry
+    w = polar_right(random_element(rng, M)).isometry
+    d = np.r_[np.geomspace(1.0, 1e-3, 56), np.zeros(8)]
+    x = w @ Element(M, [np.diag(d)]) @ v
+    kernel = v.adjoint() @ Element(M, [np.diag((d == 0.0).astype(float))]) @ v
+    return x, random_element(rng, M) @ x + 3e-11 * (random_element(rng, M) @ kernel)
+
+
+def test_undecided_division_takes_each_norm_once(monkeypatch):
+    # the remainder of douglas_divide and the y of graded_divide are each
+    # named twice; each enters the values-only SVD once
+    x, y = _undecided_division()
+    seen = []
+    real = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        seen.append((len(a), kwargs.get("compute_uv", True)))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    for cached in (_svds, _svals):
+        cached.cache_clear()
+    result = douglas_divide(x, y)
+    assert seen == [(1, True), (3, False)]   # x; then remainder, y and quotient
+    seen.clear()
+    quotient = graded_divide(GradedElement(x, 0.5), GradedElement(y, 0.5 + 0.2j))
+    assert seen == [(2, False)]               # remainder and y; x's SVD is cached
+    monkeypatch.undo()
+    # the figures of the old call, which took the remainder twice, bit for bit
+    p = y @ pseudo_inverse(x)
+    rem = y - p @ x
+    assert rem.stacks[0].tobytes() == (y - result.quotient @ x).stacks[0].tobytes()
+    residual, _, _, norm_p = _operator_norms(rem, y, rem, p)
+    assert (result.residual, result.minimal_c) == (residual, norm_p)
+    assert residual > 0.0
+    assert p.stacks[0].tobytes() == result.quotient.stacks[0].tobytes()
+    assert p.stacks[0].tobytes() == quotient.data.stacks[0].tobytes()
 
 
 MIXED = BlockAlgebra((1, 2, 3, 2, 3, 1))

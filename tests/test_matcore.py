@@ -1,6 +1,6 @@
 """Unit tests for the block-matrix substrate."""
 
-import dataclasses
+import numbers
 import pickle
 import sys
 import tracemalloc
@@ -14,12 +14,15 @@ from nclp import (
     BlockAlgebra,
     BlockEmbedding,
     ConditionViolatedError,
+    DivisionResult,
     Element,
     GradedElement,
     NotModuleMapError,
     NotPositiveError,
     OperatorValuedWeight,
+    PolarDecomposition,
     ShapeError,
+    ToleranceReport,
     Tolerances,
     UnsolvableError,
     Weight,
@@ -518,15 +521,21 @@ def test_calculus_takes_one_eigh_per_general_size_class(monkeypatch):
 
 
 def _leaves(result):
-    """Every array and number in a result, in order."""
+    """Every array and number in a result, in order.
+
+    A result record is walked field by field; anything that is neither a
+    known record nor an array, number or string fails the walk, so no
+    record is ever compared as one opaque object.
+    """
     if isinstance(result, Element):
         return list(result.stacks)
     if isinstance(result, GradedElement):
         return [*_leaves(result.data), result.grading]
     if isinstance(result, (list, tuple)):
         return [v for item in result for v in _leaves(item)]
-    if dataclasses.is_dataclass(result):
-        return _leaves([getattr(result, f.name) for f in dataclasses.fields(result)])
+    if isinstance(result, (PolarDecomposition, DivisionResult, ToleranceReport)):
+        return _leaves([getattr(result, name) for name in result._fields])
+    assert isinstance(result, (np.ndarray, numbers.Number, str)), type(result)
     return [result]
 
 
