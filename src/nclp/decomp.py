@@ -119,20 +119,23 @@ class DivisionResult(_Value):
         _setfield(self, "residual", residual)
 
 
-def _solve(x: Element, ys, tol: Tolerances, svd=None, measure=None):
+def _solve(x: Element, ys, tol: Tolerances, pinv=None, measure=None):
     """The quotients p_k = y_k @ pinv(x) of p @ x = y_k, each checked solvable.
 
     p @ x = y is solvable when ||y - p @ x|| <= tol.eq_bound(||y||); else
     UnsolvableError carries the exact residual of the first failing y_k.
+    The remainders are always taken against x itself, so a pseudo-inverse
+    built another way is checked, not trusted.
     The entry brackets accept most solvable families outright; only an
     undecided family takes the exact norms, all in one values-only SVD per
     size class.  measure(quotients, remainders) names the elements whose
     exact norms the caller needs: they join that SVD, or take their own
     when the brackets decide, and are returned after the quotients.
-    svd is an _svd_support of x, taken here when not given.
+    pinv is the pseudo-inverse of x, taken here from its SVD when not given.
     """
-    inv = _pinv(x, _svd_support(x, tol) if svd is None else svd)
-    ps = [y @ inv for y in ys]
+    if pinv is None:
+        pinv = _pinv(x, _svd_support(x, tol))
+    ps = [y @ pinv for y in ys]
     rems = [y - p @ x for y, p in zip(ys, ps)]
     wanted = list(measure(ps, rems)) if measure else []
     if _surely_within(rems, ys, tol):
@@ -180,29 +183,42 @@ def douglas_ladder(x: Element, y: Element, epsilons=None,
     y V S^+ U* and the rung at eps is y V f_eps(S) U*, so their difference
     is y V diag(d_eps) U*, where d_i = 1/s_i for kept s_i < eps and 0
     otherwise.  The kept columns of U are orthonormal, so the gap is
-    ||y V diag(d_eps)||: one values-only SVD per size class covers every
-    rung, and a rung with d_eps = 0 has gap exactly 0.  Raises
-    UnsolvableError as douglas_divide does; its check needs no norm of the
-    quotient and, on a solvable pair, usually no SVD at all.
+    ||y V diag(d_eps)||, the largest norm over the blocks of the columns
+    of y V S^+ that d_eps keeps.  The kept s_i come first and descend, so
+    in each block those columns run from the first s_i < eps to the last
+    kept one, and their count fixes the first.  Each distinct (block, first
+    column) pair is factorized once on exactly its columns, in one
+    values-only SVD per distinct width and size class; a rung that keeps no
+    column has gap exactly 0.  Raises UnsolvableError as douglas_divide
+    does; its check needs no norm of the quotient and, on a solvable pair,
+    usually no SVD at all.
     """
     _same_algebra(x.algebra, y.algebra, "incompatible algebras")
     svd = _svd_support(x, tol)
-    _solve(x, [y], tol, svd)
+    _solve(x, [y], tol, _pinv(x, svd))
     if epsilons is None:
         smax = max(float(s.max()) for _, s, _, _ in svd)
         top = smax if smax > 0.0 else 1.0
         epsilons = [top * 2.0 ** (-k) for k in range(26)]
     eps = np.array([float(e) for e in epsilons])
     gaps = np.zeros(eps.size)
-    for (_, s, vh, keep), b in zip(svd, y.stacks):                   # s: (k, n)
-        yv = b @ _h(vh)                                              # (k, n, n)
-        d = np.where(s < eps[:, None, None], _inv(s, keep), 0.0)     # (rungs, k, n)
-        live = np.flatnonzero(d.any(axis=(1, 2)))
-        if live.size:
-            scaled = (yv * d[live, :, None, :]).reshape(-1, *yv.shape[1:])
-            svals = np.linalg.svd(scaled, compute_uv=False)
-            worst = svals[:, 0].reshape(live.size, len(s)).max(axis=1)
-            gaps[live] = np.maximum(gaps[live], worst)
+    for (_, s, vh, keep), b in zip(svd, y.stacks):                  # s: (k, n)
+        k, n = s.shape
+        blocks, rows = np.arange(k), np.arange(n)[:, None]
+        ends = keep.sum(axis=-1)                                     # kept columns
+        # the columns ends - width .. ends - 1 of each block are live at a rung
+        widths = ((s < eps[:, None, None]) & keep).sum(axis=-1)      # (rungs, k)
+        pairs = np.zeros((k, n + 1), dtype=bool)                     # (block, width)
+        pairs[blocks, widths] = True
+        pairs[:, 0] = False
+        scaled = (b @ _h(vh)) * _inv(s, keep)[:, None, :]            # y V S^+
+        tops = np.zeros((k, n + 1))                                  # width 0: gap 0
+        for w in np.flatnonzero(pairs.any(axis=0)):
+            j = np.flatnonzero(pairs[:, w])
+            cols = ends[j, None, None] - np.arange(w, 0, -1)         # (pairs, 1, w)
+            tops[j, w] = np.linalg.svd(scaled[j[:, None, None], rows, cols],
+                                       compute_uv=False)[:, 0]
+        gaps = np.maximum(gaps, tops[blocks, widths].max(axis=-1))
     return [(float(e), float(g)) for e, g in zip(eps, gaps)]
 
 
@@ -269,6 +285,11 @@ def cyclic_generator(generators, mu: Weight, tol: Tolerances = DEFAULT_TOL):
     (y^+)* G = (y^+)* y* y = y, as y*y = G.  Likewise sum q_i* q_i is
     the left support of y, so the row [q_1* ... q_m*] is a partial
     isometry.
+
+    mu is faithful, so h^(i Im a) is unitary and y^+ = G^(-1/2) h^(-i Im a):
+    y is never factorized, as the eigensystems of G and of mu's density
+    give both y and y^+.  Each remainder u_i - q_i y is still checked
+    against y, as douglas_divide checks it.
     """
     gens = list(generators)
     if not gens:
@@ -285,10 +306,11 @@ def cyclic_generator(generators, mu: Weight, tol: Tolerances = DEFAULT_TOL):
     gram = algebra.zero()
     for g in gens:
         gram = gram + g.data.adjoint() @ g.data
-    x = power_pos(gram, 0.5, tol)
-    y_mat = mu.power(complex(0.0, a.imag), tol) @ x
+    phase, unphase = mu.powers((complex(0.0, a.imag), complex(0.0, -a.imag)), tol)
+    y_mat = phase @ power_pos(gram, 0.5, tol)
     y = GradedElement(y_mat, a, tol)
-    quotients, _ = _solve(y_mat, [g.data for g in gens], tol)
+    quotients, _ = _solve(y_mat, [g.data for g in gens], tol,
+                          power_pos(gram, -0.5, tol) @ unphase)
     return y, quotients, [q.adjoint() for q in quotients]
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -20,7 +20,9 @@ from .errors import AlgebraMismatchError, NotPositiveError, ShapeError
 # Sets a field of a _Frozen record, as a frozen dataclass sets it.  Writing
 # through vars(self) instead would turn the instance's compact attribute
 # storage into a dict, and every later read of a field (x.stacks, tol.eq_abs)
-# would cost about 2.5 times as much on CPython 3.11.
+# would cost about 2.5 times as much on CPython 3.11.  A functools
+# cached_property writes through vars(self) too, so a field built on first
+# use is a placeholder set to None in __init__ and filled with _setfield.
 _setfield = object.__setattr__
 
 
@@ -134,17 +136,21 @@ class BlockAlgebra(_Value):
             classes.setdefault(n, []).append(k)
         _setfield(self, "block_dims", dims)
         _setfield(self, "classes", tuple(tuple(idx) for idx in classes.values()))
+        _setfield(self, "_coords", None)
+        _setfield(self, "_identity", None)
 
-    @cached_property
+    @property
     def coords(self) -> tuple[np.ndarray, ...]:
         """Per block, the read-only (n, n) array of the flat coordinates of its
         entries: the blocks are concatenated row-major into vectors of length
         total_dim, the layout of flatten_element and of every dense map on it.
         Built on first use, as only the dense maps read it.
         """
-        starts = np.cumsum([0, *(n * n for n in self.block_dims)])
-        return _frozen(*(np.arange(s, s + n * n).reshape(n, n)
-                         for s, n in zip(starts, self.block_dims)))
+        if self._coords is None:
+            starts = np.cumsum([0, *(n * n for n in self.block_dims)])
+            _setfield(self, "_coords", _frozen(*(np.arange(s, s + n * n).reshape(n, n)
+                                                 for s, n in zip(starts, self.block_dims))))
+        return self._coords
 
     def __reduce__(self):
         # rebuild the derived fields, read-only again, from the dimensions
@@ -166,12 +172,11 @@ class BlockAlgebra(_Value):
 
     def identity(self) -> Element:
         """The unit of the algebra: one read-only element, shared by every call."""
+        if self._identity is None:
+            _setfield(self, "_identity", Element._of(
+                self, [np.broadcast_to(np.eye(shape[-1], dtype=complex), shape).copy()
+                       for shape in self._shapes()]))
         return self._identity
-
-    @cached_property
-    def _identity(self) -> Element:
-        return Element._of(self, [np.broadcast_to(np.eye(shape[-1], dtype=complex), shape).copy()
-                                  for shape in self._shapes()])
 
     def zero(self) -> Element:
         return Element._of(self, [np.zeros(shape, dtype=complex) for shape in self._shapes()])
@@ -218,6 +223,7 @@ class Element(_Frozen):
             s.setflags(write=False)
         _setfield(self, "algebra", algebra)
         _setfield(self, "stacks", stacks)
+        _setfield(self, "_blocks", None)
 
     @classmethod
     def _of(cls, algebra: BlockAlgebra, stacks) -> Element:
@@ -230,14 +236,16 @@ class Element(_Frozen):
         # numpy does not pickle the read-only flag, so rebuild through _of
         return Element._of, (self.algebra, self.stacks)
 
-    @cached_property
+    @property
     def blocks(self) -> tuple[np.ndarray, ...]:
         """The blocks in algebra order, as read-only views into the stacks."""
-        out = [None] * len(self.algebra.block_dims)
-        for idx, stack in zip(self.algebra.classes, self.stacks):
-            for k, b in zip(idx, stack):
-                out[k] = b
-        return tuple(out)
+        if self._blocks is None:
+            out = [None] * len(self.algebra.block_dims)
+            for idx, stack in zip(self.algebra.classes, self.stacks):
+                for k, b in zip(idx, stack):
+                    out[k] = b
+            _setfield(self, "_blocks", tuple(out))
+        return self._blocks
 
     # -- ring structure -------------------------------------------------
 
@@ -519,23 +527,38 @@ def _eig_classes(h: Element, tol: Tolerances) -> tuple:
     depend on tol, and their result is cached per (h, tol).  Raises
     NotPositiveError, naming the first offending block, if h is not
     Hermitian PSD within tolerance, on every call.
+
+    Each check and the clamp first look at a whole class through one
+    reduction: asymmetry within eq_abs is within every block's bound, no
+    eigenvalue below the floor leaves no block below it, and none below the
+    cutoff leaves nothing to clamp.  Only when this leaves a class open (a
+    larger asymmetry, a lower eigenvalue, a NaN) is that check taken block
+    by block, with the per-block values that its error names.
     """
-    asym = [np.abs(a - _h(a)).max(axis=(-2, -1)) for a in h.stacks]
-    over = [s > tol.eq_abs + tol.eq_rel * np.abs(a).max(axis=(-2, -1))
-            for s, a in zip(asym, h.stacks)]
-    if any(o.any() for o in over):
-        k, worst = min(_offenders(h, over, asym))
-        raise NotPositiveError(f"block {k} is not Hermitian: asymmetry {worst:.3e}")
+    gaps = [np.abs(a - _h(a)) for a in h.stacks]
+    if not all(g.max() <= tol.eq_abs for g in gaps):
+        asym = [g.max(axis=(-2, -1)) for g in gaps]
+        over = [s > tol.eq_abs + tol.eq_rel * np.abs(a).max(axis=(-2, -1))
+                for s, a in zip(asym, h.stacks)]
+        if any(o.any() for o in over):
+            k, worst = min(_offenders(h, over, asym))
+            raise NotPositiveError(f"block {k} is not Hermitian: asymmetry {worst:.3e}")
     raw = _eighs(h)
-    lmax = max(float(np.abs(w).max()) for w, _ in raw)
+    lows = [float(w.min()) for w, _ in raw]
+    # max |w| per class, NaN if the class holds one, as np.abs(w).max() gives it
+    lmax = max(max(float(w.max()), -low) for (w, _), low in zip(raw, lows))
     floor = -tol.eq_bound(lmax)
-    lows = [w.min(axis=-1) for w, _ in raw]
-    under = [low < floor for low in lows]
-    if any(u.any() for u in under):
-        k, low = min(_offenders(h, under, lows))
-        raise NotPositiveError(f"block {k} has negative eigenvalue {low:.3e}")
-    clamped = _frozen(*(np.where(w > tol.rank_rel * lmax * w.shape[-1], w, 0.0) for w, _ in raw))
-    return tuple(zip(clamped, (u for _, u in raw)))
+    if not all(low >= floor for low in lows):
+        block_lows = [w.min(axis=-1) for w, _ in raw]
+        under = [low < floor for low in block_lows]
+        if any(u.any() for u in under):
+            k, low = min(_offenders(h, under, block_lows))
+            raise NotPositiveError(f"block {k} has negative eigenvalue {low:.3e}")
+    clamped = []
+    for (w, _), low in zip(raw, lows):
+        cutoff = tol.rank_rel * lmax * w.shape[-1]
+        clamped.append(w if low > cutoff else np.where(w > cutoff, w, 0.0))
+    return tuple(zip(_frozen(*clamped), (u for _, u in raw)))
 
 
 def _offenders(h: Element, flags, values) -> list:

@@ -188,6 +188,46 @@ def test_closed_form_ladder_agrees_with_func_calc_ladder(dims):
             assert e1 == e2 and abs(g1 - g2) <= bound
 
 
+def _rotated(seed, d):
+    """(x, y) on one block: x = w diag(d) v for random unitaries w, v; y = r x."""
+    rng = make_rng(seed)
+    M = BlockAlgebra((len(d),))
+    w = polar_right(random_element(rng, M)).isometry
+    v = polar_right(random_element(rng, M)).isometry
+    x = w @ Element(M, [np.diag(d)]) @ v
+    return x, random_element(rng, M) @ x
+
+
+LADDER_EDGES = {
+    "64 full rank": (_rotated(80, np.geomspace(4.0, 0.05, 64)), None),
+    "64 rank deficient": (_rotated(81, np.r_[np.geomspace(4.0, 0.05, 44), np.zeros(20)]), None),
+    "64 rank 0": ((BlockAlgebra((64,)).zero(), BlockAlgebra((64,)).zero()), [4.0, 1.0, 0.25]),
+    "3,1,2,1,3": (_ladder_instance(82, (3, 1, 2, 1, 3)), None),
+    # eps at each singular value of a diagonal x: no rounding moves the verdict
+    "at a singular value": ((Element(BlockAlgebra((3,)), [np.diag([4.0, 2.0, 1.0])]),
+                             Element(BlockAlgebra((3,)), [np.array([[4.0, 4.0, 0.0],
+                                                                    [0.0, 2.0, 3.0],
+                                                                    [4.0, 0.0, 1.0]])])),
+                            [8.0, 4.0, 3.0, 2.0, 1.5, 1.0, 0.5]),
+    "unsorted and repeated": (_ladder_instance(86, (3, 1, 2, 1, 3)),
+                              [0.5, 6.0, 0.5, 0.1, 2.0, 6.0, 0.1, 1.0, 3.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LADDER_EDGES))
+def test_ladder_agrees_with_func_calc_ladder_at_the_edges(case):
+    (x, y), epsilons = LADDER_EDGES[case]
+    if epsilons is None:   # between the singular values, as above
+        epsilons = [1.5 * operator_norm(x) * 2.0 ** (-k) for k in range(14)]
+    bound = DEFAULT_TOL.eq_bound(operator_norm(y) + 1.0)
+    ladder = douglas_ladder(x, y, epsilons)
+    assert [e for e, _ in ladder] == [float(e) for e in epsilons]
+    for (_, g1), (_, g2) in zip(ladder, _reference_ladder(x, y, epsilons)):
+        assert abs(g1 - g2) <= bound
+    if case == "64 rank 0":
+        assert [g for _, g in ladder] == [0.0] * 3
+
+
 def test_ladder_rung_at_a_singular_value_inverts_it():
     x = Element(BlockAlgebra((3,)), [np.diag([4.0, 2.0, 1.0])])
     gaps = [g for _, g in douglas_ladder(x, x)]
@@ -195,27 +235,53 @@ def test_ladder_rung_at_a_singular_value_inverts_it():
     assert gaps[2:] == [0.0] * 24
 
 
+def _rung_pairs(x, epsilons, tol=DEFAULT_TOL):
+    """{(block, first live column, end)} over the rungs, from one SVD per block.
+
+    At eps the live columns of a block are its kept singular values below
+    eps: from the first s_i < eps up to end, the number of kept ones.
+    """
+    pairs = set()
+    for j, (_, s, _, keep) in enumerate(_reference_svd_support(x, tol)):
+        end = int(keep.sum())
+        for eps in epsilons:
+            first = next((i for i, v in enumerate(s) if v < eps), len(s))
+            if first < end:
+                pairs.add((j, first, end))
+    return pairs
+
+
 def test_douglas_ladder_factorizes_once_per_size_class(monkeypatch):
-    # 64 blocks and every rung: one SVD of x and one values-only SVD for
-    # all the rungs; the solvability check is decided by entry brackets
+    # one SVD of x, then one values-only SVD per distinct rung width, each
+    # on exactly the live columns of every (block, first column) pair of
+    # that width; the solvability check is decided by entry brackets
     instances = [_ladder_instance(50, (2,) * 8), _ladder_instance(51, (2,) * 64),
-                 _ladder_instance(52, (2,) * 64)]
-    calls = []
-    for name in ("svd", "eigh", "eigvalsh", "norm"):
-        real = getattr(np.linalg, name)
+                 _ladder_instance(52, (2,) * 64), _ladder_instance(53, (64,))]
+    ladders = [None, None, np.geomspace(8.0, 1e-9, 200), None]
+    seen, counts = [], []
+    real = np.linalg.svd
 
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
+    def svd(a, *args, **kwargs):
+        seen.append((kwargs.get("compute_uv", True), a.shape))
+        return real(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
-    counts = []
-    for (x, y), epsilons in zip(instances, (None, None, np.geomspace(8.0, 1e-9, 200))):
-        calls.clear()
+    for name in ("eigh", "eigvalsh", "norm"):
+        monkeypatch.setattr(np.linalg, name, lambda *args, _name=name, **kwargs: pytest.fail(_name))
+    for (x, y), epsilons in zip(instances, ladders):
+        rungs = [e for e, _ in douglas_ladder(x, y, epsilons)]
+        pairs = _rung_pairs(x, rungs)
+        widths = sorted({end - first for _, first, end in pairs})
+        n = x.algebra.block_dims[0]
+        _svds.cache_clear()
+        seen.clear()
+        monkeypatch.setattr(np.linalg, "svd", svd)
         douglas_ladder(x, y, epsilons)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] == counts[2] <= 10
-    assert calls == ["svd"] * len(calls)
+        monkeypatch.setattr(np.linalg, "svd", real)
+        assert seen[0] == (True, x.stacks[0].shape)
+        assert [(uv, shape[1:]) for uv, shape in seen[1:]] == [(False, (n, w)) for w in widths]
+        assert sum(shape[0] for _, shape in seen[1:]) == len(pairs)
+        counts.append(len(widths))
+    assert counts[1] == 2 and counts[3] > 2   # (2,) blocks: widths 1 and 2
 
 
 def test_isometry_divide_examples():
@@ -357,19 +423,45 @@ def _count_factorizations(monkeypatch):
     return calls
 
 
+def _gram_pinv(gens, mu):
+    """G^(-1/2) h^(-i Im a), the pseudo-inverse of the cyclic generator."""
+    gram = gens[0].algebra.zero()
+    for g in gens:
+        gram = gram + g.data.adjoint() @ g.data
+    return power_pos(gram, -0.5) @ mu.power(complex(0.0, -gens[0].grading.imag))
+
+
 def test_cyclic_generator_decides_every_division_in_one_norm_call(monkeypatch):
-    # one eigh for G^(1/2) and one for mu's density and one SVD of y; the
-    # entry brackets accept every division, so no values-only SVD
+    # one eigh for G^(1/2) and G^(-1/2) and one for mu's density, and no
+    # factorization of y; the entry brackets accept every division, so no
+    # values-only SVD
     rng = make_rng(62)
     M = BlockAlgebra((2,) * 8)
     gens = [random_graded(rng, M, 0.5 + 0.3j) for _ in range(2)]
     mu = random_weight(rng, M)
     calls = _count_factorizations(monkeypatch)
     y, qs, _ = cyclic_generator(gens, mu)
-    assert calls == [("eigh", True), ("eigh", True), ("svd", True)]
-    for g, q in zip(gens, qs):   # the quotients of douglas_divide, bit for bit
-        assert all(np.array_equal(a, b) for a, b in
-                   zip(q.stacks, douglas_divide(y.data, g.data).quotient.stacks))
+    assert calls == [("eigh", True), ("eigh", True)]
+    monkeypatch.undo()
+    pinv = _gram_pinv(gens, mu)
+    for g, q in zip(gens, qs):   # u_i y^+, bit for bit
+        assert all(np.array_equal(a, b) for a, b in zip(q.stacks, (g.data @ pinv).stacks))
+        divided = douglas_divide(y.data, g.data).quotient
+        assert distance(q, divided) <= DEFAULT_TOL.eq_bound(operator_norm(divided))
+
+
+def test_cyclic_generator_takes_no_svd_when_the_weight_is_warm(monkeypatch):
+    rng = make_rng(64)
+    for dims in ((2,), (3, 1), (64,)):
+        M = BlockAlgebra(dims)
+        gens = [random_graded(rng, M, 1.0 - 0.4j) for _ in range(3)]
+        mu = random_weight(rng, M)
+        calls = _count_factorizations(monkeypatch)
+        mu.power(0.4j)   # mu's eigensystem is cached
+        calls.clear()
+        cyclic_generator(gens, mu)
+        assert calls == [("eigh", True)]   # G's alone
+        monkeypatch.undo()
 
 
 def test_failing_cyclic_generator_decides_in_one_norm_call(monkeypatch):
@@ -388,13 +480,17 @@ def test_failing_cyclic_generator_decides_in_one_norm_call(monkeypatch):
     calls = _count_factorizations(monkeypatch)
     with pytest.raises(UnsolvableError) as exc:
         cyclic_generator(gens, mu)
-    assert calls == [("eigh", True), ("eigh", True), ("svd", True), ("svd", False)]
+    assert calls == [("eigh", True), ("eigh", True), ("svd", False)]
+    monkeypatch.undo()
     y_mat = mu.power(0.3j) @ power_pos(
         gens[0].data.adjoint() @ gens[0].data + gens[1].data.adjoint() @ gens[1].data, 0.5)
     u = gens[0].data
-    assert exc.value.residual == operator_norm(u - u @ pseudo_inverse(y_mat) @ y_mat)
+    assert exc.value.residual == operator_norm(u - u @ _gram_pinv(gens, mu) @ y_mat)
     assert exc.value.residual == pytest.approx(1e-6, rel=1e-6)
     assert str(exc.value) == f"no c satisfies c^2 x*x >= y*y: residual {exc.value.residual:.3e}"
+    with pytest.raises(UnsolvableError) as divided:
+        douglas_divide(y_mat, u)
+    assert abs(exc.value.residual - divided.value.residual) <= DEFAULT_TOL.eq_bound(operator_norm(u))
 
 
 def test_cyclic_generator_reports_a_direction_below_the_support_cutoff():

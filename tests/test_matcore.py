@@ -412,6 +412,100 @@ def test_eig_classes_match_per_block_eigh_and_keep_diagonal_path():
         assert np.array_equal(u, ref_u)
 
 
+def _reference_eig_classes(h, tol):
+    """_eig_classes as first written: every check block by block."""
+    asym = [np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) for a in h.stacks]
+    over = [s > tol.eq_abs + tol.eq_rel * np.abs(a).max(axis=(-2, -1))
+            for s, a in zip(asym, h.stacks)]
+    offenders = [(idx[j], v[j]) for idx, f, v in zip(h.algebra.classes, over, asym)
+                 for j in np.flatnonzero(f)]
+    if offenders:
+        k, worst = min(offenders)
+        raise NotPositiveError(f"block {k} is not Hermitian: asymmetry {worst:.3e}")
+    raw = _eighs(h)
+    lmax = max(float(np.abs(w).max()) for w, _ in raw)
+    floor = -tol.eq_bound(lmax)
+    lows = [w.min(axis=-1) for w, _ in raw]
+    offenders = [(idx[j], v[j]) for idx, v in zip(h.algebra.classes, lows)
+                 for j in np.flatnonzero(v < floor)]
+    if offenders:
+        k, low = min(offenders)
+        raise NotPositiveError(f"block {k} has negative eigenvalue {low:.3e}")
+    return tuple((np.where(w > tol.rank_rel * lmax * w.shape[-1], w, 0.0), u) for w, u in raw)
+
+
+def _eig_cases():
+    """{name: (element, tol, verdict)}: definite, semidefinite, near the
+    edges, failing in two size classes at once, and holding a NaN.
+    """
+    rng = make_rng(46)
+    M = BlockAlgebra((1, 2, 3, 2, 3, 1))   # classes: blocks 0, 5 | 1, 3 | 2, 4
+    tight = Tolerances(eq_abs=1e-14, eq_rel=1e-14)
+    definite = random_positive(rng, M) + M.identity()
+    proj = random_projection(rng, M)
+    semidefinite = proj @ random_positive(rng, M) @ proj
+
+    def edit(**changes):
+        blocks = [np.array(b) for b in definite.blocks]
+        for k, change in changes.items():
+            blocks[int(k[1:])] = change(blocks[int(k[1:])])
+        return Element(M, blocks)
+
+    def nudge(i, j, by):
+        def change(b):
+            b[i, j] += by
+            return b
+        return change
+
+    return {
+        "definite": (definite, DEFAULT_TOL, "ok"),
+        "semidefinite": (semidefinite, DEFAULT_TOL, "ok"),
+        "semidefinite tight": (semidefinite, tight, "ok"),
+        "zero": (M.zero(), DEFAULT_TOL, "ok"),
+        "identity": (M.identity(), DEFAULT_TOL, "ok"),
+        # asymmetry above eq_abs, within eq_rel of the scale
+        "large scale": (1e12 * definite, DEFAULT_TOL, "ok"),
+        "skew": (random_element(rng, M), DEFAULT_TOL, "block 0 is not Hermitian"),
+        "asymmetric in two classes": (edit(b4=nudge(2, 0, 1e-3), b1=nudge(0, 1, 1e-3j)),
+                                      DEFAULT_TOL, "block 1 is not Hermitian"),
+        "asymmetric within tolerance": (edit(b4=nudge(2, 0, 1e-10)), DEFAULT_TOL, "ok"),
+        "asymmetric beyond a tight tolerance": (edit(b4=nudge(2, 0, 1e-10)), tight,
+                                                "block 4 is not Hermitian"),
+        "negative in two classes": (edit(b4=lambda b: b - 30.0 * np.eye(3),
+                                         b1=lambda b: np.diag([1.0, -1e-6])),
+                                    DEFAULT_TOL, "block 1 has negative eigenvalue"),
+        "negative within tolerance": (edit(b3=lambda b: np.diag([1.0, -1e-12])),
+                                      DEFAULT_TOL, "ok"),
+        "nan": (edit(b3=lambda b: np.full((2, 2), np.nan)), DEFAULT_TOL, "ok"),
+        "nan beside a negative class": (edit(b3=lambda b: np.full((2, 2), np.nan),
+                                             b4=lambda b: b - 30.0 * np.eye(3)),
+                                        DEFAULT_TOL, "block 4 has negative eigenvalue"),
+        "nan beside a negative block": (edit(b3=lambda b: np.full((2, 2), np.nan),
+                                             b1=lambda b: np.diag([1.0, -1e-6])),
+                                        DEFAULT_TOL, "block 1 has negative eigenvalue"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_eig_cases()))
+def test_eig_classes_keep_the_bits_and_errors_of_the_block_by_block_checks(case):
+    h, tol, verdict = _eig_cases()[case]
+    outcomes = []
+    for check in (_reference_eig_classes, _eig_classes):
+        _eig_classes.cache_clear()
+        try:
+            outcomes.append(check(h, tol))
+        except NotPositiveError as err:
+            outcomes.append(str(err))
+    want, got = outcomes
+    if verdict == "ok":
+        assert not isinstance(want, str) and len(got) == len(want)
+        for (w1, u1), (w2, u2) in zip(got, want):
+            assert w1.tobytes() == w2.tobytes() and u1.tobytes() == u2.tobytes()
+            assert not w1.flags.writeable and not u1.flags.writeable
+    else:
+        assert want.startswith(verdict) and got == want
+
+
 def test_pos_eig_names_the_first_offending_block():
     blocks = [np.eye(n, dtype=complex) for n in MIXED.block_dims]
     blocks[4] = np.array([[1, 5, 0], [0, 1, 0], [0, 0, 1]], dtype=complex)
@@ -653,15 +747,15 @@ def test_algebra_construction_builds_no_coords():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
-    assert "coords" not in vars(M) and M.classes == ((0,),)
+    assert M._coords is None and M.classes == ((0,),)
 
 
 def _coords_up_front(dims):
     """An algebra whose coords are written before first use, by the flat-layout formula."""
     M = BlockAlgebra(dims)
     starts = np.cumsum([0, *(n * n for n in dims)])
-    vars(M)["coords"] = tuple(np.arange(s, s + n * n).reshape(n, n)
-                              for s, n in zip(starts, dims))
+    object.__setattr__(M, "_coords", tuple(np.arange(s, s + n * n).reshape(n, n)
+                                           for s, n in zip(starts, dims)))
     return M
 
 
@@ -692,7 +786,7 @@ def test_lazy_coords_give_the_bits_of_coords_built_up_front():
         assert _same_bits(M.coords, eager.coords)
         assert not any(c.flags.writeable for c in M.coords)
     back = pickle.loads(pickle.dumps(x))
-    assert "coords" not in vars(back.algebra)
+    assert back.algebra._coords is None
     assert _same_bits(flatten_element(back), vec)
 
 
@@ -767,6 +861,29 @@ def test_identity_is_one_shared_read_only_element():
     with pytest.raises(ValueError):
         one.stacks[0][0, 0, 0] = 2.0
     assert pickle.loads(pickle.dumps(M)).identity() is not one
+
+
+def test_fields_built_on_first_use_are_built_once_and_stay_frozen():
+    # coords, the identity, blocks and a weight's support are placeholders
+    # filled on first read; every later read returns the same object
+    M = BlockAlgebra((1, 2, 3, 2))
+    x = random_element(make_rng(47), M)
+    p = random_projection(make_rng(48), M)
+    mu = Weight(p @ random_positive(make_rng(49), M) @ p)
+    reads = {"coords": lambda: M.coords, "identity": M.identity,
+             "blocks": lambda: x.blocks, "support": lambda: mu.support}
+    for name, read in reads.items():
+        first = read()
+        assert read() is first and read() is first, name
+    for obj, name in ((M, "_coords"), (M, "_identity"), (x, "_blocks"), (mu, "_support")):
+        assert getattr(obj, name) is not None
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    assert all(not c.flags.writeable for c in M.coords)
+    assert all(not b.flags.writeable for b in x.blocks)
+    back = pickle.loads(pickle.dumps(mu))
+    assert back.support is back.support
+    assert all(np.array_equal(a, b) for a, b in zip(back.support.stacks, mu.support.stacks))
 
 
 def test_trace_sums_the_block_traces_in_block_order():

@@ -99,9 +99,22 @@ def test_suite_run_imports_no_masked_arrays():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    # and the ladder, the cyclic generator and the cocycle check on many
+    # blocks and on one big block, whose ladder has many rung widths
     code = ("import sys\n"
+            "from nclp import BlockAlgebra, DEFAULT_TOL, decomp, weights\n"
             "from nclp.properties import SuiteConfig, run_suite\n"
+            "from nclp.sampling import (make_rng, random_conditioned, random_element,\n"
+            "                           random_graded, random_weight)\n"
             "run_suite(SuiteConfig(trials=1))\n"
+            "rng = make_rng(0)\n"
+            "for dims in ((2,) * 64, (64,)):\n"
+            "    M = BlockAlgebra(dims)\n"
+            "    x = random_conditioned(rng, M, DEFAULT_TOL)\n"
+            "    decomp.douglas_ladder(x, random_element(rng, M) @ x)\n"
+            "    mu, nu = random_weight(rng, M), random_weight(rng, M)\n"
+            "    decomp.cyclic_generator([random_graded(rng, M, 0.5 + 0.3j) for _ in range(2)], mu)\n"
+            "    weights.cocycle_identity_check(mu, nu, 0.3j, -0.7j)\n"
             "print('numpy.ma' in sys.modules)\n")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)

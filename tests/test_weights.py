@@ -14,6 +14,7 @@ from nclp import (
     NotPositiveError,
     OperatorValuedWeight,
     Tolerances,
+    ToleranceReport,
     ValidationError,
     Weight,
     change_of_weight,
@@ -28,7 +29,14 @@ from nclp import (
     trace,
     trace_weight,
 )
-from nclp.matcore import _eig_classes, _eighs, _svals, _svds, flatten_element as flatten
+from nclp.matcore import (
+    _eig_classes,
+    _eighs,
+    _operator_norms,
+    _svals,
+    _svds,
+    flatten_element as flatten,
+)
 from nclp.sampling import make_rng, random_element, random_weight
 
 M2 = BlockAlgebra((2,))
@@ -638,6 +646,57 @@ def test_weight_functions_match_separate_powers_bit_for_bit():
     report = cocycle_identity_check(mu, nu, a, b)
     assert report.max_residual == operator_norm(lhs - rhs)
     assert report.passed
+
+
+def _eager_cocycle_report(mu, nu, a, b, tol):
+    """The cocycle check as first written: ||lhs|| taken on every call."""
+    h_ab, h_a, h_b = mu.powers((a + b, a, b), tol)
+    k_ab, k_a, k_b, k_up = nu.powers((-(a + b), -a, -b, a), tol)
+    lhs = h_ab @ k_ab
+    rhs = (h_a @ k_a) @ (k_up @ (h_b @ k_b) @ k_a)
+    residual, norm_lhs = _operator_norms(lhs - rhs, lhs)
+    return ToleranceReport(residual, residual <= tol.eq_bound(max(norm_lhs, 1.0)),
+                           f"cocycle identity at a={a}, b={b}")
+
+
+def test_cocycle_check_takes_the_norm_of_lhs_only_to_refuse(monkeypatch):
+    # a residual within eq_bound(1) passes whatever ||lhs|| is; a tolerance
+    # far below rounding makes every check refuse and take ||lhs||
+    rng = make_rng(24)
+    strict = Tolerances(eq_abs=1e-30, eq_rel=1e-30)
+    seen, verdicts = [], []
+    real = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        seen.append(len(a))
+        return real(a, *args, **kwargs)
+
+    def hermitian(h):   # exactly, so that the strict policy accepts it
+        return (h + h.adjoint()) * 0.5
+
+    for dims in ((1,), (2,), (3,), (2, 2), (1, 2, 3, 2)):
+        M = BlockAlgebra(dims)
+        for faithful in (True, False):
+            if faithful:
+                mu = Weight(hermitian(random_weight(rng, M).density))
+            else:   # exact zeros in the spectrum
+                mu = Weight(Element(M, [np.diag(rng.uniform(0.0, 2.0, n) * (np.arange(n) > 0))
+                                        for n in dims]))
+            nu = Weight(hermitian(random_weight(rng, M).density))
+            a, b = complex(0.0, rng.uniform(-2, 2)), complex(0.0, rng.uniform(-2, 2))
+            for tol in (DEFAULT_TOL, strict):
+                want = _eager_cocycle_report(mu, nu, a, b, tol)
+                mu.powers((a,), tol), nu.powers((a,), tol)   # warm eigensystems
+                seen.clear()
+                monkeypatch.setattr(np.linalg, "svd", svd)
+                got = cocycle_identity_check(mu, nu, a, b, tol)
+                monkeypatch.setattr(np.linalg, "svd", real)
+                assert got == want and repr(got.max_residual) == repr(want.max_residual)
+                verdicts.append((tol, got.passed))
+                # one matrix per block for the residual, and as many for ||lhs||
+                assert sum(seen) == (1 if got.passed else 2) * len(dims)
+    assert verdicts.count((DEFAULT_TOL, True)) == 10
+    assert verdicts.count((strict, False)) >= 8   # a (1,) residual can be exactly 0
 
 
 def test_weight_rejects_indefinite_density():
