@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -49,8 +48,6 @@ def cmd_verify(args) -> int:
         obj = _load_json(args.config) if args.config else {}
         if args.seed is not None:
             obj["seed"] = args.seed
-        elif "seed" not in obj and os.environ.get("NCLP_SEED"):
-            obj["seed"] = int(os.environ["NCLP_SEED"])
         if args.trials is not None:
             obj["trials"] = args.trials
         cfg = SuiteConfig.from_obj(obj)
@@ -226,7 +223,7 @@ def main(argv=None) -> int:
 
     verify = sub.add_parser("verify", help="run the seeded property suite")
     verify.add_argument("--config", help="JSON suite configuration file")
-    verify.add_argument("--seed", type=int, help="overrides config and NCLP_SEED")
+    verify.add_argument("--seed", type=int, help="overrides the config's seed")
     verify.add_argument("--trials", type=int, help="trials per property")
     verify.set_defaults(func=cmd_verify)
 

@@ -18,6 +18,7 @@ from .errors import (
     ConditionViolatedError,
     GradingError,
     NonFaithfulError,
+    NonFiniteError,
     UnsolvableError,
 )
 from .graded import GradedElement, _same_grading
@@ -25,10 +26,10 @@ from .matcore import (
     DEFAULT_TOL,
     Element,
     Tolerances,
+    _first_over,
     _h,
     _operator_norms,
     _same_algebra,
-    _surely_within,
     _svd_support,
     _udv,
     _setfield,
@@ -119,39 +120,25 @@ class DivisionResult(_Value):
         _setfield(self, "residual", residual)
 
 
-def _solve(x: Element, ys, tol: Tolerances, pinv=None, measure=None):
-    """The quotients p_k = y_k @ pinv(x) of p @ x = y_k, each checked solvable.
+def _solve(x: Element, ys, tol: Tolerances, pinv=None):
+    """(quotients, remainders) of p @ x = y_k, each checked solvable.
 
-    p @ x = y is solvable when ||y - p @ x|| <= tol.eq_bound(||y||); else
-    UnsolvableError carries the exact residual of the first failing y_k.
-    The remainders are always taken against x itself, so a pseudo-inverse
-    built another way is checked, not trusted.
-    The entry brackets accept most solvable families outright; only an
-    undecided family takes the exact norms, all in one values-only SVD per
-    size class.  measure(quotients, remainders) names the elements whose
-    exact norms the caller needs: they join that SVD, or take their own
-    when the brackets decide, and are returned after the quotients.
-    pinv is the pseudo-inverse of x, taken here from its SVD when not given.
+    The quotients are p_k = y_k @ pinv(x), pinv the pseudo-inverse of x,
+    taken here from its SVD when not given.  p @ x = y is solvable when
+    ||y - p @ x|| <= tol.eq_bound(||y||), decided by matcore._first_over;
+    else UnsolvableError carries the exact residual of the first failing
+    y_k.  The remainders are always taken against x itself, so a
+    pseudo-inverse built another way is checked, not trusted.
     """
     if pinv is None:
         pinv = _pinv(x, _svd_support(x, tol))
     ps = [y @ pinv for y in ys]
     rems = [y - p @ x for y, p in zip(ys, ps)]
-    wanted = list(measure(ps, rems)) if measure else []
-    if _surely_within(rems, ys, tol):
-        return ps, _operator_norms(*wanted) if wanted else []
-    m = len(ys)
-    named = [*rems, *ys, *wanted]
-    # an element named twice (douglas_divide's remainder, graded_divide's y)
-    # enters the SVD once; Element hashes by identity
-    distinct = list(dict.fromkeys(named))
-    norm_of = dict(zip(distinct, _operator_norms(*distinct)))
-    norms = [norm_of[e] for e in named]
-    for residual, norm_y in zip(norms[:m], norms[m:2 * m]):
-        if residual > tol.eq_bound(norm_y):
-            raise UnsolvableError(
-                f"no c satisfies c^2 x*x >= y*y: residual {residual:.3e}", residual)
-    return ps, norms[2 * m:]
+    residual = _first_over([(r, (y,)) for r, y in zip(rems, ys)], tol)
+    if residual is not None:
+        raise UnsolvableError(
+            f"no c satisfies c^2 x*x >= y*y: residual {residual:.3e}", residual)
+    return ps, rems
 
 
 def douglas_divide(x: Element, y: Element,
@@ -166,7 +153,8 @@ def douglas_divide(x: Element, y: Element,
     the kernel inclusion fails.
     """
     _same_algebra(x.algebra, y.algebra, "incompatible algebras")
-    (p,), (residual, norm_p) = _solve(x, [y], tol, measure=lambda ps, rems: (rems[0], ps[0]))
+    (p,), (rem,) = _solve(x, [y], tol)
+    residual, norm_p = _operator_norms(rem, p)
     return DivisionResult(p, norm_p, residual)
 
 
@@ -191,7 +179,7 @@ def douglas_ladder(x: Element, y: Element, epsilons=None,
     values-only SVD per distinct width and size class; a rung that keeps no
     column has gap exactly 0.  Raises UnsolvableError as douglas_divide
     does; its check needs no norm of the quotient and, on a solvable pair,
-    usually no SVD at all.
+    usually no SVD at all.  A NaN epsilon raises NonFiniteError.
     """
     _same_algebra(x.algebra, y.algebra, "incompatible algebras")
     svd = _svd_support(x, tol)
@@ -201,6 +189,8 @@ def douglas_ladder(x: Element, y: Element, epsilons=None,
         top = smax if smax > 0.0 else 1.0
         epsilons = [top * 2.0 ** (-k) for k in range(26)]
     eps = np.array([float(e) for e in epsilons])
+    if np.isnan(eps).any():
+        raise NonFiniteError("ladder epsilons must not be NaN")
     gaps = np.zeros(eps.size)
     for (_, s, vh, keep), b in zip(svd, y.stacks):                  # s: (k, n)
         k, n = s.shape
@@ -228,18 +218,14 @@ def isometry_divide(x: Element, y: Element,
 
     Returns p with p @ x = y, p*p the left support of x, and p* @ y = x.
     Built from the two polar decompositions, which keeps it well defined
-    on degenerate spectra.  The Gram check ||x*x - y*y|| against
-    max(||x*x||, ||y*y||) is accepted from entry brackets when they
-    decide it, and otherwise takes the exact norms.
+    on degenerate spectra.  The Gram check is ||x*x - y*y|| against
+    max(||x*x||, ||y*y||), decided by matcore._first_over.
     """
     gram_x = x.adjoint() @ x
     gram_y = y.adjoint() @ y
-    gap = gram_x - gram_y
-    if not _surely_within([gap], [gram_x], tol):
-        residual, norm_x, norm_y = _operator_norms(gap, gram_x, gram_y)
-        if residual > tol.eq_bound(max(norm_x, norm_y)):
-            raise ConditionViolatedError(
-                f"x*x != y*y: residual {residual:.3e}", residual)
+    residual = _first_over([(gram_x - gram_y, (gram_x, gram_y))], tol)
+    if residual is not None:
+        raise ConditionViolatedError(f"x*x != y*y: residual {residual:.3e}", residual)
     u_y = _isometry(y, _svd_support(y, tol))
     return u_y @ _isometry(x, _svd_support(x, tol)).adjoint()
 
@@ -256,16 +242,14 @@ def graded_divide(x: GradedElement, y: GradedElement,
     """
     a, b = x.grading, y.grading
     g = b - a
-    if abs(g.real) > tol.eq_abs:   # only y = 0 divides across real parts
-        norm_y = operator_norm(y.data)
-        if norm_y > tol.eq_abs:
-            raise GradingError(
-                f"cannot divide grading {b} data by grading {a} data: "
-                "real parts differ and y != 0")
-    else:
-        (p,), (norm_y,) = _solve(x.data, [y.data], tol, measure=lambda ps, rems: (y.data,))
-    if norm_y <= tol.eq_abs:
+    across = abs(g.real) > tol.eq_abs   # only y = 0 divides across real parts
+    if not across:
+        (p,), _ = _solve(x.data, [y.data], tol)
+    if operator_norm(y.data) <= tol.eq_abs:
         return GradedElement(y.algebra.zero(), complex(max(g.real, 0.0), g.imag), tol)
+    if across:
+        raise GradingError(f"cannot divide grading {b} data by grading {a} data: "
+                           "real parts differ and y != 0")
     return GradedElement(p, g, tol)
 
 

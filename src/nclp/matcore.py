@@ -14,7 +14,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import AlgebraMismatchError, NotPositiveError, ShapeError
+from .errors import AlgebraMismatchError, NonFiniteError, NotPositiveError, ShapeError
 
 
 # Sets a field of a _Frozen record, as a frozen dataclass sets it.  Writing
@@ -304,12 +304,12 @@ def _h(a: np.ndarray) -> np.ndarray:
 # algebra.classes, rebuilt with Element._of.  numpy.linalg is looked up at
 # call time throughout, so it can be wrapped to count factorizations.
 #
-# Four results are kept for the last FACTOR_CACHE elements each: the full
-# SVDs (_svds), the values-only singular values (_svals), the raw
-# eigensystems (_eighs) and the validated, clamped eigensystems of
-# _eig_classes, keyed by element and Tolerances.  So the supports, polar
-# parts, quotients and powers of one element share one factorization, its
-# norms one values-only SVD, and its positivity is checked once per policy.
+# Three results are kept for the last FACTOR_CACHE elements each: the full
+# SVDs (_svds), the values-only singular values (_svals) and the
+# validated, clamped eigensystems of _eig_classes, keyed by element and
+# Tolerances.  So the supports, polar parts, quotients and powers of one
+# element share one factorization, its norms one values-only SVD, and its
+# positivity is checked once per policy.
 # The key is the element itself: Element hashes by identity and its stacks
 # are read-only, so a key never outlives or changes its results, which are
 # read-only too.  Each cache holds its keys alive, which bounds it by
@@ -417,29 +417,39 @@ def _entry_bracket(x: Element) -> tuple[float, float]:
     return lo, hi
 
 
-def _surely_within(residuals, scales, tol: Tolerances) -> bool:
-    """True only if ||r|| <= tol.eq_bound(||s||) for every pair (r, s).
+def _first_over(checks, tol: Tolerances):
+    """The first residual norm over its bound, or None: the one pass/fail verdict.
 
-    Decided from entry brackets alone: each pair must satisfy
-    2 hi(r) <= tol.eq_bound(lo(s)).  The factor 2 absorbs the rounding of
-    the brackets and of the SVD, so an accept here is never refused by the
-    exact operator norms.  False means undecided, not failed: the caller
-    then takes the exact norms.  Non-finite brackets never accept.
+    checks holds pairs (r, scales) of a residual r and a tuple of elements,
+    and a check passes when ||r|| <= tol.eq_bound(max of ||s|| over scales).
+    The entry brackets decide first: a check passes at once when
+    2 hi(r) <= tol.eq_bound(lo(s)) for some s in scales.  The factor 2
+    absorbs the rounding of the brackets and of the SVD, so a pass here is
+    never refused by the exact operator norms; non-finite brackets never
+    pass.  The checks left open take their exact norms, in one values-only
+    SVD per size class over their distinct elements (Element hashes by
+    identity), and a NaN residual is over its bound.
     """
-    for r, s in zip(residuals, scales, strict=True):
+    open_checks = []
+    for r, scales in checks:
         hi = _entry_bracket(r)[1]
-        lo = _entry_bracket(s)[0]
-        if not (math.isfinite(hi) and math.isfinite(lo) and 2.0 * hi <= tol.eq_bound(lo)):
-            return False
-    return True
+        if not (hi < math.inf
+                and any(2.0 * hi <= tol.eq_bound(_entry_bracket(s)[0]) for s in scales)):
+            open_checks.append((r, scales))
+    if not open_checks:
+        return None
+    distinct = list(dict.fromkeys(e for r, scales in open_checks for e in (r, *scales)))
+    norm_of = dict(zip(distinct, _operator_norms(*distinct)))
+    for r, scales in open_checks:
+        residual = norm_of[r]
+        if not residual <= tol.eq_bound(max(norm_of[s] for s in scales)):
+            return residual
+    return None
 
 
 def allclose(x: Element, y: Element, tol: Tolerances = DEFAULT_TOL) -> bool:
-    gap = x - y
-    if _surely_within([gap], [x], tol):
-        return True
-    nx, ny, gap_norm = _operator_norms(x, y, gap)
-    return gap_norm <= tol.eq_bound(max(nx, ny))
+    """Whether ||x - y|| <= tol.eq_bound(max(||x||, ||y||))."""
+    return _first_over([(x - y, (x, y))], tol) is None
 
 
 def _norm2_bound(matrix: np.ndarray, top: float, gap: float, values,
@@ -493,38 +503,15 @@ def _general_blocks(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=FACTOR_CACHE)
-def _eighs(h: Element) -> tuple:
-    """The raw eigensystem (w, U) of each size-class stack of h, read-only.
-
-    Blocks that are exactly diagonal with real entries get the trivial
-    eigensystem, which keeps identity densities bit-exact through powers;
-    the rest of each class shares one batched eigh of its Hermitian part.
-    """
-    raw = []
-    for a in h.stacks:
-        general = _general_blocks(a)
-        count = np.count_nonzero(general)
-        if count == len(a):
-            raw.append(_frozen(*np.linalg.eigh((a + _h(a)) / 2.0)))
-            continue
-        w = np.diagonal(a, axis1=-2, axis2=-1).real.copy()
-        u = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
-        if count:
-            g = a[general]
-            w[general], u[general] = np.linalg.eigh((g + _h(g)) / 2.0)
-        raw.append(_frozen(w, u))
-    return tuple(raw)
-
-
-@lru_cache(maxsize=FACTOR_CACHE)
 def _eig_classes(h: Element, tol: Tolerances) -> tuple:
     """Stacked eigensystems of a positive element, one per size class.
 
     Returns a tuple of read-only (w, U) aligned with h.algebra.classes:
     eigenvalues w (k, n) clamped to 0 below the support cutoff, and
-    eigenvectors U (k, n, n).  The eigensystem is _eighs(h), shared with
-    every other caller on the same element; the checks and the clamp
-    depend on tol, and their result is cached per (h, tol).  Raises
+    eigenvectors U (k, n, n).  Blocks that are exactly diagonal with real
+    entries get the trivial eigensystem, which keeps identity densities
+    bit-exact through powers; the rest of each class shares one batched
+    eigh of its Hermitian part.  The result is cached per (h, tol).  Raises
     NotPositiveError, naming the first offending block, if h is not
     Hermitian PSD within tolerance, on every call.
 
@@ -543,7 +530,19 @@ def _eig_classes(h: Element, tol: Tolerances) -> tuple:
         if any(o.any() for o in over):
             k, worst = min(_offenders(h, over, asym))
             raise NotPositiveError(f"block {k} is not Hermitian: asymmetry {worst:.3e}")
-    raw = _eighs(h)
+    raw = []
+    for a in h.stacks:
+        general = _general_blocks(a)
+        count = np.count_nonzero(general)
+        if count == len(a):
+            raw.append(np.linalg.eigh((a + _h(a)) / 2.0))
+            continue
+        w = np.diagonal(a, axis1=-2, axis2=-1).real.copy()
+        u = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
+        if count:
+            g = a[general]
+            w[general], u[general] = np.linalg.eigh((g + _h(g)) / 2.0)
+        raw.append((w, u))
     lows = [float(w.min()) for w, _ in raw]
     # max |w| per class, NaN if the class holds one, as np.abs(w).max() gives it
     lmax = max(max(float(w.max()), -low) for (w, _), low in zip(raw, lows))
@@ -558,7 +557,7 @@ def _eig_classes(h: Element, tol: Tolerances) -> tuple:
     for (w, _), low in zip(raw, lows):
         cutoff = tol.rank_rel * lmax * w.shape[-1]
         clamped.append(w if low > cutoff else np.where(w > cutoff, w, 0.0))
-    return tuple(zip(_frozen(*clamped), (u for _, u in raw)))
+    return tuple(zip(_frozen(*clamped), _frozen(*(u for _, u in raw))))
 
 
 def _offenders(h: Element, flags, values) -> list:
@@ -602,6 +601,8 @@ def spectral_projection(h: Element, c: float, tol: Tolerances = DEFAULT_TOL) -> 
     For c = 0 this is the support projection (the kernel never counts).
     """
     c = float(c)
+    if math.isnan(c):
+        raise NonFiniteError("threshold must not be NaN")
     if c < 0.0:
         raise ValueError(f"threshold must be nonnegative, got {c}")
     return func_calc(h, lambda w: (w >= c) & (w > 0.0), tol)

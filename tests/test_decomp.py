@@ -11,6 +11,7 @@ from nclp import (
     GradedElement,
     GradingError,
     NonFaithfulError,
+    NonFiniteError,
     UnsolvableError,
     cyclic_generator,
     distance,
@@ -29,7 +30,7 @@ from nclp import (
     right_support,
     trace_weight,
 )
-from nclp.matcore import _eig_classes, _eighs, _operator_norms, _svals, _svds
+from nclp.matcore import _eig_classes, _first_over, _operator_norms, _svals, _svds
 from nclp.sampling import (
     make_rng,
     random_conditioned,
@@ -228,6 +229,16 @@ def test_ladder_agrees_with_func_calc_ladder_at_the_edges(case):
         assert [g for _, g in ladder] == [0.0] * 3
 
 
+@pytest.mark.parametrize("epsilons", [[1.0, np.nan], [np.nan], np.array([0.5, np.nan, 0.1])],
+                         ids=["last", "only", "array"])
+def test_douglas_ladder_refuses_a_nan_epsilon(epsilons):
+    x = diag(2.0, 1.0)
+    with pytest.raises(NonFiniteError, match="epsilons"):
+        douglas_ladder(x, e(1, 2) @ x, epsilons)
+    ladder = douglas_ladder(x, e(1, 2) @ x, [np.inf, 1.5, 0.5])
+    assert ladder[0][1] == operator_norm(e(1, 2)) and ladder[-1] == (0.5, 0.0)
+
+
 def test_ladder_rung_at_a_singular_value_inverts_it():
     x = Element(BlockAlgebra((3,)), [np.diag([4.0, 2.0, 1.0])])
     gaps = [g for _, g in douglas_ladder(x, x)]
@@ -306,6 +317,16 @@ def test_isometry_divide_rejects_mismatched_grams():
     x = random_element(rng, M2)
     with pytest.raises(ConditionViolatedError):
         isometry_divide(x, 2.0 * x)
+
+
+def test_isometry_divide_refuses_a_gram_check_it_cannot_decide():
+    # y*y is inf, so x*x - y*y has no finite norm: the check is refused,
+    # never passed
+    M1 = BlockAlgebra((1,))
+    x = Element(M1, [np.array([[2.0]])])
+    with pytest.raises(ConditionViolatedError) as exc, np.errstate(invalid="ignore"):
+        isometry_divide(x, Element(M1, [np.array([[np.inf]])]))
+    assert not exc.value.residual <= DEFAULT_TOL.eq_bound(4.0)
 
 
 def test_cyclic_generator_single_real_grading():
@@ -418,7 +439,7 @@ def _count_factorizations(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    for cached in (_svds, _svals, _eighs, _eig_classes):
+    for cached in (_svds, _svals, _eig_classes):
         cached.cache_clear()
     return calls
 
@@ -502,6 +523,13 @@ def test_cyclic_generator_reports_a_direction_below_the_support_cutoff():
     assert exc.value.residual == pytest.approx(1e-6, rel=1e-6)
 
 
+def test_rank1_reduce_requires_a_pair():
+    with pytest.raises(ValueError, match="at least one pair"):
+        rank1_reduce([], trace_weight(M2))
+    with pytest.raises(ValueError, match="at least one pair"):
+        rank1_reduce(iter(()), trace_weight(M2))
+
+
 def test_rank1_matrix_units():
     pairs = [(GradedElement(e(1, 1), 0.0), GradedElement(e(1, 1), 0.0)),
              (GradedElement(e(1, 2), 0.0), GradedElement(e(2, 1), 0.0))]
@@ -546,8 +574,9 @@ def test_graded_divide_rejects_real_part_mismatch():
 
 
 def test_graded_divide_takes_the_norm_of_y_once(monkeypatch):
-    # across real parts only ||y|| is needed; otherwise one full SVD of x
-    # and one values-only SVD for the residual, y and p, even for y = 0
+    # across real parts only ||y|| is needed; otherwise one full SVD of x,
+    # and the entry brackets decide solvability, even for y = 0, so the one
+    # values-only SVD is that of ||y||
     rng = make_rng(17)
     M = BlockAlgebra((2,) * 8)
     x = random_graded(rng, M, 0.5 + 0.3j)
@@ -555,15 +584,15 @@ def test_graded_divide_takes_the_norm_of_y_once(monkeypatch):
     calls = _count_factorizations(monkeypatch)
     divide = [("svd", True), ("svd", False)]
     norms = [("svd", False)]
-    for target, expected, again in ((y, divide, norms),
-                                    (GradedElement(M.zero(), 0.5), divide, norms),
+    for target, expected, again in ((y, divide, []),
+                                    (GradedElement(M.zero(), 0.5), divide, []),
                                     (GradedElement(M.zero(), 1.5), norms, [])):
         _svds.cache_clear()
+        _svals.cache_clear()
         calls.clear()
         graded_divide(x, target)
         assert calls == expected
-        # again on the same x: its SVD is reused, the norms of a division are
-        # taken afresh, and ||y|| across real parts comes from the cache
+        # again on the same x and y: both factorizations come from the cache
         calls.clear()
         graded_divide(x, target)
         assert calls == again
@@ -589,9 +618,10 @@ def _undecided_division():
     return x, random_element(rng, M) @ x + 3e-11 * (random_element(rng, M) @ kernel)
 
 
-def test_undecided_division_takes_each_norm_once(monkeypatch):
-    # the remainder of douglas_divide and the y of graded_divide are each
-    # named twice; each enters the values-only SVD once
+def test_undecided_division_reports_the_exact_figures(monkeypatch):
+    # the verdict takes the norms of the remainder and y in one values-only
+    # SVD; douglas_divide then takes those of the remainder and the quotient,
+    # and graded_divide that of y, so each takes one norm twice
     x, y = _undecided_division()
     seen = []
     real = np.linalg.svd
@@ -604,12 +634,13 @@ def test_undecided_division_takes_each_norm_once(monkeypatch):
     for cached in (_svds, _svals):
         cached.cache_clear()
     result = douglas_divide(x, y)
-    assert seen == [(1, True), (3, False)]   # x; then remainder, y and quotient
+    assert seen == [(1, True), (2, False), (2, False)]   # x; remainder, y; remainder, p
     seen.clear()
     quotient = graded_divide(GradedElement(x, 0.5), GradedElement(y, 0.5 + 0.2j))
-    assert seen == [(2, False)]               # remainder and y; x's SVD is cached
+    assert seen == [(2, False), (1, False)]   # remainder, y; y; x's SVD is cached
     monkeypatch.undo()
-    # the figures of the old call, which took the remainder twice, bit for bit
+    # the figures of the one SVD that once took every norm of the division,
+    # the remainder twice among them, bit for bit
     p = y @ pseudo_inverse(x)
     rem = y - p @ x
     assert rem.stacks[0].tobytes() == (y - result.quotient @ x).stacks[0].tobytes()
@@ -618,6 +649,11 @@ def test_undecided_division_takes_each_norm_once(monkeypatch):
     assert residual > 0.0
     assert p.stacks[0].tobytes() == result.quotient.stacks[0].tobytes()
     assert p.stacks[0].tobytes() == quotient.data.stacks[0].tobytes()
+    # open checks that share elements take each norm once
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    seen.clear()
+    assert _first_over([(rem, (y,)), (rem, (y, y))], DEFAULT_TOL) is None
+    assert seen == [(2, False)]
 
 
 MIXED = BlockAlgebra((1, 2, 3, 2, 3, 1))

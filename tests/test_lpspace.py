@@ -336,6 +336,12 @@ def test_hom_to_element_single_entry_perturbation(dims, entry):
         assert exc.value.residual == np.linalg.norm(mat - multiply)
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (4, 5), (4,), (2, 2, 4)], ids=str)
+def test_module_hom_rejects_a_matrix_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError, match=r"hom matrix must have shape \(4, 4\)"):
+        ModuleHom(M2, 0.5, 0.5, np.ones(shape, dtype=complex))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_module_hom_rejects_non_finite_matrices(bad):
     mat = np.eye(M2.total_dim, dtype=complex)
@@ -566,6 +572,21 @@ def test_hom_norm_diagonal_witness():
 def test_hom_norm_zero():
     T = hom_from_element(GradedElement(M2.zero(), 0.5), 0.5)
     assert hom_norm(T) == 0.0
+
+
+def test_hom_norm_refuses_a_value_its_witnesses_do_not_reach(monkeypatch):
+    T = hom_from_element(GradedElement(diag(3, 4), 0.5), 0.5)
+    reported, certified = hom_norm_certificate(T)
+    # the witnesses reach 5 to within 1e-10; one that reached only 1 - 1e-7 of
+    # it would miss the 1e-8 slack of a real grading difference
+    for short in (1e-7, 0.5):
+        monkeypatch.setattr(lpspace, "hom_norm_certificate",
+                            lambda T, tol, got=certified * (1.0 - short): (reported, got))
+        with pytest.raises(NclpError, match="witness certification failed"):
+            hom_norm(T)
+    monkeypatch.setattr(lpspace, "hom_norm_certificate",
+                        lambda T, tol: (reported, certified * (1.0 - 1e-9)))
+    assert hom_norm(T) == reported
 
 
 def test_hom_norm_imaginary_ladder():

@@ -1,5 +1,6 @@
 """Unit tests for the block-matrix substrate."""
 
+import math
 import numbers
 import pickle
 import sys
@@ -17,6 +18,7 @@ from nclp import (
     DivisionResult,
     Element,
     GradedElement,
+    NonFiniteError,
     NotModuleMapError,
     NotPositiveError,
     OperatorValuedWeight,
@@ -49,7 +51,6 @@ from nclp.lpspace import lnorm
 from nclp.matcore import (
     FACTOR_CACHE,
     _eig_classes,
-    _eighs,
     _general_blocks,
     _operator_norms,
     _svals,
@@ -84,6 +85,18 @@ def test_make_element_shape_mismatch_names_block():
         Element(M2, [np.zeros((3, 3))])
     with pytest.raises(ShapeError, match="block 1"):
         Element(DIAG2, [np.zeros((1, 1)), np.zeros((2, 2))])
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: BlockAlgebra(()), ValueError, "nonempty"),
+    (lambda: BlockAlgebra((0,)), ValueError, ">= 1"),
+    (lambda: BlockAlgebra((2, 0)), ValueError, ">= 1"),
+    (lambda: unflatten_element(M2, np.zeros(3)), ShapeError, "length 4, got 3"),
+    (lambda: unflatten_element(DIAG2, np.zeros((2, 2))), ShapeError, "length 2, got 4"),
+], ids=["no blocks", "empty block", "empty second block", "short vector", "long vector"])
+def test_malformed_algebras_and_vectors_are_refused(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
 
 
 def test_arithmetic_rejects_incompatible_algebras():
@@ -147,6 +160,15 @@ def test_power_pos_rejects_nonpositive():
         power_pos(Element(M2, [np.diag([1.0, -1.0])]), 0.5)
     with pytest.raises(NotPositiveError, match="not Hermitian"):
         power_pos(e(1, 2), 0.5)
+
+
+@pytest.mark.parametrize("c, error", [(math.nan, NonFiniteError), (-0.5, ValueError),
+                                      (-math.inf, ValueError)],
+                         ids=["nan", "negative", "-inf"])
+def test_spectral_projection_refuses_a_nan_or_negative_threshold(c, error):
+    h = Element(M2, [np.diag([2.0, 0.5])])
+    with pytest.raises(error, match="threshold"):
+        spectral_projection(h, c)
 
 
 def test_power_addition_and_adjoint():
@@ -412,6 +434,20 @@ def test_eig_classes_match_per_block_eigh_and_keep_diagonal_path():
         assert np.array_equal(u, ref_u)
 
 
+def _reference_eighs(h):
+    """Per size class, the raw eigensystem (w, U) of its blocks, one block
+    at a time: the trivial one for an exactly real diagonal block, else the
+    eigh of its Hermitian part.
+    """
+    raw = []
+    for a in h.stacks:
+        pairs = [np.linalg.eigh((b + b.conj().T) / 2.0) if general
+                 else (np.diagonal(b).real, np.eye(len(b), dtype=complex))
+                 for b, general in zip(a, _general_blocks(a))]
+        raw.append((np.array([w for w, _ in pairs]), np.array([u for _, u in pairs])))
+    return raw
+
+
 def _reference_eig_classes(h, tol):
     """_eig_classes as first written: every check block by block."""
     asym = [np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) for a in h.stacks]
@@ -422,7 +458,7 @@ def _reference_eig_classes(h, tol):
     if offenders:
         k, worst = min(offenders)
         raise NotPositiveError(f"block {k} is not Hermitian: asymmetry {worst:.3e}")
-    raw = _eighs(h)
+    raw = _reference_eighs(h)
     lmax = max(float(np.abs(w).max()) for w, _ in raw)
     floor = -tol.eq_bound(lmax)
     lows = [w.min(axis=-1) for w, _ in raw]
@@ -576,7 +612,7 @@ def test_func_calc_calls_f_once_per_size_class():
     assert distance(got, h) <= DEFAULT_TOL.eq_bound(operator_norm(h))
 
 
-CACHES = (_svds, _svals, _eighs, _eig_classes)
+CACHES = (_svds, _svals, _eig_classes)
 
 
 def _clear_caches():
@@ -664,9 +700,8 @@ def test_cached_factors_are_read_only():
     rng = make_rng(38)
     x, h = random_element(rng, MIXED), random_positive(rng, MIXED)
     factors = [a for triple in _svds(x) for a in triple] + list(_svals(x))
-    for pairs in (_eighs(h), _eig_classes(h, DEFAULT_TOL)):
-        factors += [a for pair in pairs for a in pair]
-    assert len(factors) == 3 * 3 + 3 + 3 * 2 + 3 * 2
+    factors += [a for pair in _eig_classes(h, DEFAULT_TOL) for a in pair]
+    assert len(factors) == 3 * 3 + 3 + 3 * 2
     for a in factors:
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -695,7 +730,6 @@ def test_factor_cache_holds_the_last_factor_cache_elements(monkeypatch):
     power = lambda z: power_pos(z, 0.5)   # noqa: E731
     for cached, run, name, items in ((_svds, left_support, "svd", xs),
                                      (_svals, operator_norm, "svdvals", xs),
-                                     (_eighs, power, "eigh", hs),
                                      (_eig_classes, power, "eigh", hs)):
         _clear_caches()
         calls.clear()

@@ -1,12 +1,14 @@
-"""The entry-bracket fast path of the pass/fail-only norm checks.
+"""The entry-bracket fast path of the one pass/fail norm verdict.
 
 isometry_divide, douglas_divide, douglas_ladder, cyclic_generator and
-allclose first ask _surely_within whether a residual is surely inside its
-bound, and take the exact operator norms only when it cannot tell.  These
-tests hold every call to the outcome of the exact decision alone: the same
-value bit for bit, or the same error type, residual and message.
+allclose decide their checks through matcore._first_over, which first asks
+the entry brackets whether a residual is surely inside its bound, and takes
+the exact operator norms only when they cannot tell.  These tests hold
+every call to the outcome of the exact decision alone: the same value bit
+for bit, or the same error type, residual and message.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -33,9 +35,8 @@ from nclp import (
 from nclp.matcore import (
     Element,
     _eig_classes,
-    _eighs,
     _entry_bracket,
-    _surely_within,
+    _first_over,
     _svals,
     _svds,
 )
@@ -69,24 +70,39 @@ def _outcome(call):
         return type(exc), _key(residual), str(exc)
 
 
-def _never(*args):
-    return False
+def _no_bracket(x):
+    return math.nan, math.nan
 
 
 def _both(call, accepted):
-    """(fast, exact) outcomes of call; accepted collects the fast verdicts."""
-    def spy(*args):
-        verdict = _surely_within(*args)
-        accepted.append(verdict)
-        return verdict
+    """(fast, exact) outcomes of call.
+
+    The exact outcome has every entry bracket NaN, which never passes, so
+    every check takes its exact norms.  accepted collects, per verdict of
+    the fast call, whether the brackets decided it: whether it took no
+    exact norm.
+    """
+    exact_norms = []
+    operator_norms = matcore._operator_norms
+
+    def norms(*xs):
+        exact_norms.append(xs)
+        return operator_norms(*xs)
+
+    def spy(checks, tol):
+        before = len(exact_norms)
+        try:
+            return _first_over(checks, tol)
+        finally:   # the exact norms may raise, as on a NaN
+            accepted.append(len(exact_norms) == before)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decomp, "_surely_within", spy)
-        mp.setattr(matcore, "_surely_within", spy)
+        mp.setattr(decomp, "_first_over", spy)
+        mp.setattr(matcore, "_first_over", spy)
+        mp.setattr(matcore, "_operator_norms", norms)
         fast = _outcome(call)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(decomp, "_surely_within", _never)
-        mp.setattr(matcore, "_surely_within", _never)
+        mp.setattr(matcore, "_entry_bracket", _no_bracket)
         exact = _outcome(call)
     return fast, exact
 
@@ -201,7 +217,7 @@ def _count_factorizations(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    for cached in (_svds, _svals, _eighs, _eig_classes):
+    for cached in (_svds, _svals, _eig_classes):
         cached.cache_clear()
     return calls
 
@@ -246,7 +262,7 @@ def test_extreme_scales_decide_without_warnings(scale):
             lo1, hi1 = _entry_bracket(x)
             assert lo == pytest.approx(ratio * lo1, rel=1e-14)
             assert hi == pytest.approx(ratio * hi1, rel=1e-14)
-        assert _surely_within([1e-14 * xs], [xs], DEFAULT_TOL)
+        assert _first_over([(1e-14 * xs, (xs,))], DEFAULT_TOL) is None
         isometry_divide(xs, ys)
         douglas_divide(xs, r @ xs)
         douglas_ladder(xs, r @ xs)
@@ -273,8 +289,7 @@ def test_non_finite_residuals_take_the_exact_path(bad, monkeypatch):
     blocks = [np.array(b) for b in x.blocks]
     blocks[1][0, 1] = bad
     y = Element(M, blocks)
-    assert not _surely_within([y - x], [x], DEFAULT_TOL)
-    assert not _surely_within([x * 1e-20], [y], DEFAULT_TOL)
+    assert math.isnan(_entry_bracket(y - x)[1]) and math.isnan(_entry_bracket(y)[0])
     accepted = []
     fast, exact = _both(lambda: allclose(x, y), accepted)
     assert fast == exact and accepted == [False]
@@ -308,12 +323,12 @@ def test_valid_checks_take_no_values_only_svd(monkeypatch):
 
 def test_exact_fallback_keeps_the_reported_figures(monkeypatch):
     # x = 0 and y at 0.99 of its bound: hi(y) = 16 ||y||_2 leaves the verdict
-    # to the exact norms, which also give the reported residual
+    # to the exact norms; the reported residual is taken again beside ||p||
     M = BlockAlgebra((16,))
     y = (0.99 * DEFAULT_TOL.eq_abs) * M.identity()
     calls = _count_factorizations(monkeypatch)
     result = douglas_divide(M.zero(), y)
-    assert calls == [("svd", True), ("svd", False)]
+    assert calls == [("svd", True), ("svd", False), ("svd", False)]
     assert result.residual == operator_norm(y) and result.minimal_c == 0.0
     with pytest.raises(NclpError):
         douglas_divide(M.zero(), y * 1.02)

@@ -70,7 +70,6 @@ with contextlib.redirect_stdout(io.StringIO()):
 def _loaded(body, *argv):
     """(exit code, nclp submodules loaded) of body run in a fresh process."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    env.pop("NCLP_SEED", None)
     proc = subprocess.run([sys.executable, "-c", _PROBE.format(body=body), *argv], env=env,
                           cwd=ROOT, capture_output=True, text=True, check=True)
     code, modules = json.loads(proc.stdout.splitlines()[-1])

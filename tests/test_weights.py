@@ -31,7 +31,6 @@ from nclp import (
 )
 from nclp.matcore import (
     _eig_classes,
-    _eighs,
     _operator_norms,
     _svals,
     _svds,
@@ -121,6 +120,19 @@ def test_cocycle_rejects_nonfaithful_denominator():
         connes_cocycle(trace_weight(M2), nonfaithful, 1j)
 
 
+_NONFAITHFUL = Weight(Element(M2, [np.diag([1.0, 0.0])]))
+
+
+@pytest.mark.parametrize("run", [
+    lambda: cocycle_identity_check(trace_weight(M2), _NONFAITHFUL, 0.5j, -0.5j),
+    lambda: change_of_weight(M2.identity(), 0.5, _NONFAITHFUL, trace_weight(M2)),
+    lambda: change_of_weight(M2.identity(), 0.5, trace_weight(M2), _NONFAITHFUL),
+], ids=["cocycle identity", "change from", "change to"])
+def test_non_faithful_weights_are_refused(run):
+    with pytest.raises(NonFaithfulError):
+        run()
+
+
 def test_cocycle_identity_check():
     rng = make_rng(7)
     mu, nu = random_weight(rng, M3), random_weight(rng, M3)
@@ -171,6 +183,11 @@ def test_embedding_validation():
         BlockEmbedding(M2, BlockAlgebra((3,)), ((0,),))
     with pytest.raises(ValueError, match="source block"):
         BlockEmbedding(BlockAlgebra((1, 1)), M2, ((0, 0),))
+    with pytest.raises(ValueError, match="one row per target block"):
+        BlockEmbedding(M2, BlockAlgebra((2, 2)), ((0,),))
+    for index in (1, -1):
+        with pytest.raises(ValueError, match=f"row 0 references block {index}"):
+            BlockEmbedding(M2, M2, ((index,),))
 
 
 def test_embedding_places_blocks_on_the_target_diagonal():
@@ -238,6 +255,9 @@ def test_ovw_validation_rejects_bad_maps():
         mat = np.array(good.matrix)
         mat[0, 0] = value
         with pytest.raises(NonFiniteError):
+            OperatorValuedWeight(emb, mat)
+    for mat in (good.matrix.T, good.matrix[:, :-1], good.matrix[0]):
+        with pytest.raises(ValueError, match=r"matrix must have shape \(4, 16\)"):
             OperatorValuedWeight(emb, mat)
 
 
@@ -531,7 +551,7 @@ def test_pushforward_keeps_the_callers_tolerance():
 
 
 def _clear_caches():
-    for cached in (_svds, _svals, _eighs, _eig_classes):
+    for cached in (_svds, _svals, _eig_classes):
         cached.cache_clear()
 
 
