@@ -31,8 +31,8 @@ from .matcore import (
     _operator_norms,
     _same_algebra,
     _svd_support,
-    _udv,
     _setfield,
+    _spectral,
     _Value,
     operator_norm,
     power_pos,
@@ -44,14 +44,12 @@ if TYPE_CHECKING:   # annotations only: division loads no weight code
 
 def right_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     """Smallest projection p with x @ p = x (projection onto the row space)."""
-    return Element._of(x.algebra, [_udv(_h(vh), keep, vh)
-                                   for _, _, vh, keep in _svd_support(x, tol)])
+    return _spectral(x.algebra, [(_h(vh), keep, vh) for _, _, vh, keep in _svd_support(x, tol)])
 
 
 def left_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
     """Smallest projection p with p @ x = x; equals right_support(x*)."""
-    return Element._of(x.algebra, [_udv(u, keep, _h(u))
-                                   for u, _, _, keep in _svd_support(x, tol)])
+    return _spectral(x.algebra, [(u, keep, _h(u)) for u, _, _, keep in _svd_support(x, tol)])
 
 
 def _inv(s: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -60,8 +58,7 @@ def _inv(s: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def _pinv(x: Element, svd) -> Element:
-    return Element._of(x.algebra, [_udv(_h(vh), _inv(s, keep), _h(u))
-                                   for u, s, vh, keep in svd])
+    return _spectral(x.algebra, [(_h(vh), _inv(s, keep), _h(u)) for u, s, vh, keep in svd])
 
 
 def pseudo_inverse(x: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
@@ -86,7 +83,7 @@ class PolarDecomposition(_Value):
 
 
 def _isometry(x: Element, svd) -> Element:
-    return Element._of(x.algebra, [_udv(u, keep, vh) for u, _, vh, keep in svd])
+    return _spectral(x.algebra, [(u, keep, vh) for u, _, vh, keep in svd])
 
 
 def polar_right(x: Element, tol: Tolerances = DEFAULT_TOL) -> PolarDecomposition:
@@ -96,16 +93,14 @@ def polar_right(x: Element, tol: Tolerances = DEFAULT_TOL) -> PolarDecomposition
     u*u is exactly the support of z and uu* the left support of x.
     """
     svd = _svd_support(x, tol)
-    pos = Element._of(x.algebra, [_udv(_h(vh), np.where(keep, s, 0.0), vh)
-                                  for _, s, vh, keep in svd])
+    pos = _spectral(x.algebra, [(_h(vh), np.where(keep, s, 0.0), vh) for _, s, vh, keep in svd])
     return PolarDecomposition(_isometry(x, svd), pos, "right")
 
 
 def polar_left(x: Element, tol: Tolerances = DEFAULT_TOL) -> PolarDecomposition:
     """x = z @ u with z = (xx*)^(1/2); u is the same partial isometry part."""
     svd = _svd_support(x, tol)
-    pos = Element._of(x.algebra, [_udv(u, np.where(keep, s, 0.0), _h(u))
-                                  for u, s, _, keep in svd])
+    pos = _spectral(x.algebra, [(u, np.where(keep, s, 0.0), _h(u)) for u, s, _, keep in svd])
     return PolarDecomposition(_isometry(x, svd), pos, "left")
 
 

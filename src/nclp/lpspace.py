@@ -24,11 +24,11 @@ from .matcore import (
     _h,
     _norm2_bound,
     _same_algebra,
+    _spectral,
     _spectral_power,
     _svals,
     _svd_support,
     _svds,
-    _udv,
     _Frozen,
     _setfield,
     flatten_element,
@@ -93,7 +93,7 @@ def holder_witness(xi: GradedElement, b,
     if max(float(s.max()) for _, s, _ in svd) <= tol.eq_abs:
         raise NclpError("the zero element has no Hölder witness")
     e = b / a.real
-    y = Element._of(xi.algebra, [_udv(_h(vh), _spectral_power(s, e), vh) for _, s, vh in svd])
+    y = _spectral(xi.algebra, [(_h(vh), _spectral_power(s, e), vh) for _, s, vh in svd])
     return GradedElement(y, b, tol)
 
 
@@ -113,14 +113,15 @@ def holder_witness_imaginary(xi: GradedElement, b, c,
     b = _grading(b, tol, "witness grading")
     svd = _svd_support(xi.data, tol)
     top = max(float(s.max()) for _, s, _, _ in svd)
-    # operator_norm's values-only SVD may differ from this one by ulps (13 on
-    # 64 x 64 blocks): near the top, decide with it and keep the top direction
+    # operator_norm's figure (a values-only SVD, or the values xi carries) may
+    # differ from this one by ulps (13 on 64 x 64 blocks): near the top,
+    # decide with it and keep the top direction
     near = abs(c - top) <= 16.0 * np.finfo(float).eps * max(xi.algebra.block_dims) * top
     nrm = operator_norm(xi.data) if near else top
     if not 0.0 <= c < nrm:
         raise NclpError(f"threshold {c} must lie in [0, {nrm})")
-    y = Element._of(xi.algebra, [_udv(_h(vh), keep & (s >= min(c, top)), _h(u))
-                                 for u, s, vh, keep in svd])
+    y = _spectral(xi.algebra, [(_h(vh), keep & (s >= min(c, top)), _h(u))
+                               for u, s, vh, keep in svd])
     return GradedElement(y, b, tol)
 
 
@@ -149,9 +150,8 @@ def comultiply(zeta: GradedElement, split,
     e1 = complex(a.real, -b.imag) / re_sum
     e2 = b / re_sum
     svd = _svds(zeta.data)
-    first = Element._of(zeta.algebra, [_udv(u, _spectral_power(s, e1), vh) for u, s, vh in svd])
-    second = Element._of(zeta.algebra, [_udv(_h(vh), _spectral_power(s, e2), vh)
-                                        for _, s, vh in svd])
+    first = _spectral(zeta.algebra, [(u, _spectral_power(s, e1), vh) for u, s, vh in svd])
+    second = _spectral(zeta.algebra, [(_h(vh), _spectral_power(s, e2), vh) for _, s, vh in svd])
     return GradedElement(first, a, tol), GradedElement(second, b, tol)
 
 
@@ -203,13 +203,21 @@ def turpin_upper(z: TensorElement, tol: Tolerances = DEFAULT_TOL) -> float:
     over the given representation and the rank-one form obtained by
     comultiplying the product.  By the isometry of multiplication this
     meets the norm of the product from above.
+
+    The rank-one form is never built: its bound is ||zeta||, zeta the
+    product, exactly.  comultiply gives U diag(s^e1) V* and V diag(s^e2) V*
+    from the singular values s of zeta, with Re e1 = Re a / Re(a+b) and
+    Re e2 = Re b / Re(a+b), so their norms are (sum s^(1/Re(a+b)))^Re a
+    and (sum s^(1/Re(a+b)))^Re b, whose product is ||zeta||.  A factor of
+    imaginary grading has singular values s^0 = 1 on the support of zeta
+    and 0 off it, so its norm is 1 (0 for zeta = 0), and the other factor
+    alone carries ||zeta||.  When Re(a+b) = 0 the factors are zeta and its
+    right support, of norms ||zeta|| and 1 (0 and 0 for zeta = 0).
     """
     r = max(1.0, float((z.grading_left + z.grading_right).real))
     given = sum((lnorm(l, tol) * lnorm(rr, tol)) ** (1.0 / r)
                 for l, rr in z.pairs) ** r
-    first, second = comultiply(tensor_multiply(z),
-                               (z.grading_left, z.grading_right), tol)
-    reduced = lnorm(first, tol) * lnorm(second, tol)
+    reduced = lnorm(tensor_multiply(z), tol)
     return min(given, reduced)
 
 

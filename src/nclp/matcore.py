@@ -206,6 +206,11 @@ class Element(_Frozen):
     Elements compare and hash by identity.
     """
 
+    # Placeholders read by _svals, class-level so that building an element
+    # sets neither: _d holds the diagonal factors of an element built by
+    # _spectral, and _sv the singular values once a norm has read them.
+    _d = _sv = None
+
     def __init__(self, algebra: BlockAlgebra, blocks):
         dims = algebra.block_dims
         blocks = [np.asarray(b) for b in blocks]
@@ -301,19 +306,23 @@ def _h(a: np.ndarray) -> np.ndarray:
 # U diag(f(w)) U*.  Each factorization therefore runs on x.stacks, one
 # batched LAPACK call per size class whose results equal the per-block
 # calls bit for bit, and its results are plain lists aligned with
-# algebra.classes, rebuilt with Element._of.  numpy.linalg is looked up at
+# algebra.classes, rebuilt with _spectral.  numpy.linalg is looked up at
 # call time throughout, so it can be wrapped to count factorizations.
 #
-# Three results are kept for the last FACTOR_CACHE elements each: the full
-# SVDs (_svds), the values-only singular values (_svals) and the
-# validated, clamped eigensystems of _eig_classes, keyed by element and
-# Tolerances.  So the supports, polar parts, quotients and powers of one
-# element share one factorization, its norms one values-only SVD, and its
-# positivity is checked once per policy.
-# The key is the element itself: Element hashes by identity and its stacks
-# are read-only, so a key never outlives or changes its results, which are
-# read-only too.  Each cache holds its keys alive, which bounds it by
-# FACTOR_CACHE results, whatever callers keep.  Errors are not cached.
+# Two results are kept for the last FACTOR_CACHE elements each: the full
+# SVDs (_svds) and the validated, clamped eigensystems of _eig_classes,
+# keyed by element and Tolerances.  So the supports, polar parts, quotients
+# and powers of one element share one factorization, and its positivity is
+# checked once per policy.  The key is the element itself: Element hashes
+# by identity and its stacks are read-only, so a key never outlives or
+# changes its results, which are read-only too.  Each cache holds its keys
+# alive, which bounds it by FACTOR_CACHE results, whatever callers keep.
+# Errors are not cached.
+#
+# Singular values live on the element instead (_svals): an element that
+# _spectral builds as U diag(d) V*, with U and V unitary, carries |d|, and
+# any other element takes one values-only SVD the first time a norm reads
+# them.
 
 FACTOR_CACHE = 4
 
@@ -324,9 +333,36 @@ def _frozen(*arrays):
     return arrays
 
 
-def _udv(u: np.ndarray, d: np.ndarray, vh: np.ndarray) -> np.ndarray:
-    """u @ diag(d) @ vh for every matrix in the stacks; d has shape (k, n)."""
-    return (u * d[:, None, :]) @ vh
+def _spectral(algebra: BlockAlgebra, triples) -> Element:
+    """The element u @ diag(d) @ vh, from one triple (u, d, vh) per size class.
+
+    u and vh are (k, n, n) stacks of unitaries and d is (k, n), so the
+    singular values of each block are |d|: the element keeps d, and _svals
+    sorts it only when a norm reads it.
+    """
+    ds = []
+    stacks = []
+    for u, d, vh in triples:
+        ds.append(d)
+        stacks.append((u * d[:, None, :]) @ vh)
+    out = Element._of(algebra, stacks)
+    _setfield(out, "_d", ds)
+    return out
+
+
+def _svd(a: np.ndarray, what: str, compute_uv: bool = True):
+    """np.linalg.svd(a); NonFiniteError, naming the operation what, when
+    LAPACK fails on an a that holds a NaN or an infinity.
+
+    Finiteness is tested only after a failure, so a factorization that
+    succeeds pays nothing for it.
+    """
+    try:
+        return np.linalg.svd(a, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        if np.isfinite(a).all():
+            raise
+        raise NonFiniteError(f"{what}: the matrix holds a NaN or an infinity") from None
 
 
 def _spectral_power(s: np.ndarray, a) -> np.ndarray:
@@ -340,7 +376,7 @@ def _spectral_power(s: np.ndarray, a) -> np.ndarray:
 @lru_cache(maxsize=FACTOR_CACHE)
 def _svds(x: Element) -> tuple:
     """The full SVD (u, s, vh) of each size-class stack of x, read-only."""
-    return tuple(_frozen(*np.linalg.svd(a)) for a in x.stacks)
+    return tuple(_frozen(*_svd(a, "singular value decomposition")) for a in x.stacks)
 
 
 def _svd_support(x: Element, tol: Tolerances) -> list:
@@ -356,13 +392,23 @@ def _svd_support(x: Element, tol: Tolerances) -> list:
     return [(u, s, vh, s > tol.rank_rel * smax * s.shape[-1]) for u, s, vh in svds]
 
 
-@lru_cache(maxsize=FACTOR_CACHE)
 def _svals(x: Element) -> tuple:
     """The singular values (k, n) of each size-class stack of x, read-only.
 
-    Values only, never taken from _svds: the two can differ by a few ulps.
+    Each row descends, with a NaN first, where _top sees it.  An element
+    built by _spectral sorts its |d| as floats; any other takes one
+    values-only SVD, never taken from _svds, as the two can differ by a few
+    ulps.  Either way the values are kept on x, filled on first read.
     """
-    return _frozen(*(np.linalg.svd(a, compute_uv=False) for a in x.stacks))
+    sv = x._sv
+    if sv is None:
+        if x._d is None:
+            sv = _frozen(*(_svd(a, "singular values", compute_uv=False) for a in x.stacks))
+        else:
+            sv = _frozen(*(np.sort(np.abs(d).astype(float, copy=False), axis=-1)[:, ::-1]
+                           for d in x._d))
+        _setfield(x, "_sv", sv)
+    return sv
 
 
 def _top(svals) -> float:
@@ -375,7 +421,7 @@ def _top(svals) -> float:
 
 def _operator_norms(*xs: Element) -> list[float]:
     """operator_norm of each element of one algebra, one values-only SVD per class."""
-    tops = [np.linalg.svd(np.concatenate(stacks), compute_uv=False)[:, 0]
+    tops = [_svd(np.concatenate(stacks), "operator norm", compute_uv=False)[:, 0]
             .reshape(len(xs), -1).max(axis=1)
             for stacks in zip(*(x.stacks for x in xs))]
     return reduce(np.maximum, tops).tolist()
@@ -389,11 +435,11 @@ def operator_norm(x: Element) -> float:
 def distance(x: Element, y: Element) -> float:
     """operator_norm(x - y), the metric used by all closeness checks.
 
-    x - y is used once, so its values-only SVD is taken here and not kept
-    in _svals, where it would evict an element that is read again.
+    x - y is used once, so its values-only SVD is taken here, on the
+    stacks, and no element is built to keep it.
     """
     _same_algebra(x.algebra, y.algebra, "incompatible algebras")
-    return _top([np.linalg.svd(a - b, compute_uv=False) for a, b in zip(x.stacks, y.stacks)])
+    return _top([_svd(a - b, "distance", compute_uv=False) for a, b in zip(x.stacks, y.stacks)])
 
 
 def _entry_bracket(x: Element) -> tuple[float, float]:
@@ -570,7 +616,7 @@ def _offenders(h: Element, flags, values) -> list:
 
 def _calc(algebra: BlockAlgebra, classes, f) -> Element:
     """U diag(f(w)) U* for every size class of an _eig_classes result."""
-    return Element._of(algebra, [_udv(u, f(w), _h(u)) for w, u in classes])
+    return _spectral(algebra, [(u, f(w), _h(u)) for w, u in classes])
 
 
 def func_calc(h: Element, f, tol: Tolerances = DEFAULT_TOL) -> Element:

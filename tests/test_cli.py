@@ -249,6 +249,20 @@ def test_a_demo_result_that_overflows_is_a_numerical_error(capsys, tmp_path):
     assert out["error"]["type"] == "numerical"
 
 
+def test_a_division_that_overflows_to_nan_is_a_non_finite_error(capsys, tmp_path):
+    # pinv(x) = 1e300, so p = y pinv(x) is inf and p @ x is inf * 0 = NaN:
+    # LAPACK refuses the remainder, which is a typed error, not a raw one
+    tiny = {"block_dims": [2], "blocks": [[[[1e-300, 0], [0, 0]], [[0, 1e-300], [0, 0]]]]}
+    huge = {"block_dims": [2], "blocks": [[[[1e300, 0], [1e300, 0]], [[1e300, 0], [1e300, 0]]]]}
+    path = write(tmp_path, "overflow.json", {"x": tiny, "y": huge})
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["demo", "douglas", "--input", path])
+    out = _strict_json(capsys.readouterr().out)
+    assert code == 2
+    assert out["error"] == {"type": "NonFiniteError", "message":
+                            "operator norm: the matrix holds a NaN or an infinity"}
+
+
 def test_an_overflowed_figure_is_reported_with_json_s_message(capsys, tmp_path, monkeypatch):
     import nclp.cli as cli
 

@@ -612,7 +612,7 @@ def test_func_calc_calls_f_once_per_size_class():
     assert distance(got, h) <= DEFAULT_TOL.eq_bound(operator_norm(h))
 
 
-CACHES = (_svds, _svals, _eig_classes)
+CACHES = (_svds, _eig_classes)
 
 
 def _clear_caches():
@@ -729,7 +729,6 @@ def test_factor_cache_holds_the_last_factor_cache_elements(monkeypatch):
     calls = _count_linalg(monkeypatch)
     power = lambda z: power_pos(z, 0.5)   # noqa: E731
     for cached, run, name, items in ((_svds, left_support, "svd", xs),
-                                     (_svals, operator_norm, "svdvals", xs),
                                      (_eig_classes, power, "eigh", hs)):
         _clear_caches()
         calls.clear()
@@ -744,6 +743,16 @@ def test_factor_cache_holds_the_last_factor_cache_elements(monkeypatch):
         assert calls == [name]
         assert cached.cache_info().misses == len(items) + 1
         assert cached.cache_info().currsize == FACTOR_CACHE
+    # singular values live on each element, so none is ever dropped
+    calls.clear()
+    for z in xs:
+        operator_norm(z)
+    assert calls == ["svdvals"] * len(xs)
+    calls.clear()
+    for z in xs:
+        operator_norm(z)
+    assert calls == []
+    assert all(z._sv is not None for z in xs)
 
 
 def test_lnorm_after_operator_norm_takes_no_svd(monkeypatch):
@@ -766,9 +775,14 @@ def test_suite_report_is_the_same_with_the_caches_bypassed(monkeypatch):
         for name, value in list(vars(module).items()):
             if callable(value) and value in bare:
                 monkeypatch.setattr(module, name, bare[value])
+    # no element keeps its singular values: every read takes them again
+    kept = []
+    monkeypatch.setattr(Element, "_sv", property(lambda self: None,
+                                                 lambda self, value: kept.append(value)))
     _clear_caches()
     uncached = run_suite(cfg)
     assert all(c.cache_info().currsize == 0 for c in CACHES)
+    assert kept
     cached.pop("duration_seconds"), uncached.pop("duration_seconds")
     assert cached == uncached
 
@@ -829,12 +843,14 @@ def test_distance_is_the_norm_of_the_difference_and_caches_nothing():
     x, y = random_element(rng, MIXED), random_element(rng, MIXED)
     _clear_caches()
     got = distance(x, y)
-    assert _svals.cache_info().currsize == 0
+    assert x._sv is None and y._sv is None
+    assert all(c.cache_info().currsize == 0 for c in CACHES)
     assert got.hex() == operator_norm(x - y).hex()
-    operator_norm(x)
-    before = _svals.cache_info()
+    nrm, kept = operator_norm(x), _svals(x)
+    before = [c.cache_info() for c in CACHES]
     distance(x, y)
-    assert _svals.cache_info() == before
+    assert _svals(x) is kept and operator_norm(x) == nrm and y._sv is None
+    assert [c.cache_info() for c in CACHES] == before
     with pytest.raises(AlgebraMismatchError, match="incompatible algebras"):
         distance(x, M2.identity())
 

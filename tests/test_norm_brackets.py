@@ -20,9 +20,11 @@ from nclp import (
     DivisionResult,
     GradedElement,
     NclpError,
+    NonFiniteError,
     allclose,
     cyclic_generator,
     decomp,
+    distance,
     douglas_divide,
     douglas_ladder,
     isometry_divide,
@@ -37,7 +39,6 @@ from nclp.matcore import (
     _eig_classes,
     _entry_bracket,
     _first_over,
-    _svals,
     _svds,
 )
 from nclp.sampling import make_rng, random_element, random_positive, random_weight
@@ -217,7 +218,7 @@ def _count_factorizations(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    for cached in (_svds, _svals, _eig_classes):
+    for cached in (_svds, _eig_classes):
         cached.cache_clear()
     return calls
 
@@ -281,8 +282,11 @@ def test_brackets_enclose_the_operator_norm():
     assert _entry_bracket(M.zero()) == (0.0, 0.0)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_residuals_take_the_exact_path(bad, monkeypatch):
+# LAPACK refuses a NaN, which is a typed input error; an infinity gives NaN
+# singular values, which are over every bound
+@pytest.mark.parametrize("bad, outcome", [(np.nan, NonFiniteError), (np.inf, "ok")],
+                         ids=["nan", "inf"])
+def test_non_finite_residuals_take_the_exact_path(bad, outcome, monkeypatch):
     rng = make_rng(97)
     M = BlockAlgebra((2, 2))
     x = random_element(rng, M)
@@ -293,6 +297,7 @@ def test_non_finite_residuals_take_the_exact_path(bad, monkeypatch):
     accepted = []
     fast, exact = _both(lambda: allclose(x, y), accepted)
     assert fast == exact and accepted == [False]
+    assert fast[0] == outcome and (outcome is NonFiniteError or fast[1] is False)
     calls = _count_factorizations(monkeypatch)
     _outcome(lambda: allclose(x, y))
     assert calls == [("svd", False)]
@@ -332,3 +337,33 @@ def test_exact_fallback_keeps_the_reported_figures(monkeypatch):
     assert result.residual == operator_norm(y) and result.minimal_c == 0.0
     with pytest.raises(NclpError):
         douglas_divide(M.zero(), y * 1.02)
+
+
+NAN_PAIR = (BlockAlgebra((1,)), [[2.0]], [[np.nan]])
+
+
+@pytest.mark.parametrize("call, operation", [
+    (lambda x, y: allclose(x, y), "operator norm"),
+    (lambda x, y: douglas_divide(x, y), "operator norm"),
+    (lambda x, y: isometry_divide(x, y), "operator norm"),
+    (lambda x, y: douglas_divide(y, x), "singular value decomposition"),
+    (lambda x, y: operator_norm(y), "singular values"),
+    (lambda x, y: distance(x, y), "distance"),
+], ids=["allclose", "douglas_divide", "isometry_divide", "douglas_divide_by_nan",
+        "operator_norm", "distance"])
+def test_a_nan_operand_is_a_non_finite_error_naming_the_operation(call, operation):
+    M, x, y = NAN_PAIR
+    x, y = Element(M, [np.array(x)]), Element(M, [np.array(y)])
+    with pytest.raises(NonFiniteError, match=f"^{operation}: "):
+        call(x, y)
+
+
+def test_a_finite_svd_failure_is_left_to_lapack(monkeypatch):
+    def fail(a, compute_uv=True):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    x = random_element(make_rng(99), BlockAlgebra((2,)))
+    for call in (lambda: operator_norm(x), lambda: polar_right(x)):
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            call()

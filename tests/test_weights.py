@@ -32,7 +32,6 @@ from nclp import (
 from nclp.matcore import (
     _eig_classes,
     _operator_norms,
-    _svals,
     _svds,
     flatten_element as flatten,
 )
@@ -551,7 +550,7 @@ def test_pushforward_keeps_the_callers_tolerance():
 
 
 def _clear_caches():
-    for cached in (_svds, _svals, _eig_classes):
+    for cached in (_svds, _eig_classes):
         cached.cache_clear()
 
 
