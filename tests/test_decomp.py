@@ -30,7 +30,7 @@ from nclp import (
     right_support,
     trace_weight,
 )
-from nclp.matcore import _eig_classes, _first_over, _operator_norms, _svds
+from nclp.matcore import _first_over, _operator_norms
 from nclp.sampling import (
     make_rng,
     random_conditioned,
@@ -262,32 +262,23 @@ def _rung_pairs(x, epsilons, tol=DEFAULT_TOL):
     return pairs
 
 
-def test_douglas_ladder_factorizes_once_per_size_class(monkeypatch):
+def test_douglas_ladder_factorizes_once_per_size_class(lapack):
     # one SVD of x, then one values-only SVD per distinct rung width, each
     # on exactly the live columns of every (block, first column) pair of
     # that width; the solvability check is decided by entry brackets
     instances = [_ladder_instance(50, (2,) * 8), _ladder_instance(51, (2,) * 64),
                  _ladder_instance(52, (2,) * 64), _ladder_instance(53, (64,))]
     ladders = [None, None, np.geomspace(8.0, 1e-9, 200), None]
-    seen, counts = [], []
-    real = np.linalg.svd
-
-    def svd(a, *args, **kwargs):
-        seen.append((kwargs.get("compute_uv", True), a.shape))
-        return real(a, *args, **kwargs)
-
-    for name in ("eigh", "eigvalsh", "norm"):
-        monkeypatch.setattr(np.linalg, name, lambda *args, _name=name, **kwargs: pytest.fail(_name))
+    counts = []
+    lapack.forbid("eigh", "eigvalsh", "norm")
     for (x, y), epsilons in zip(instances, ladders):
         rungs = [e for e, _ in douglas_ladder(x, y, epsilons)]
         pairs = _rung_pairs(x, rungs)
         widths = sorted({end - first for _, first, end in pairs})
         n = x.algebra.block_dims[0]
-        _svds.cache_clear()
-        seen.clear()
-        monkeypatch.setattr(np.linalg, "svd", svd)
+        lapack.reset()
         douglas_ladder(x, y, epsilons)
-        monkeypatch.setattr(np.linalg, "svd", real)
+        seen = lapack.of("svd")
         assert seen[0] == (True, x.stacks[0].shape)
         assert [(uv, shape[1:]) for uv, shape in seen[1:]] == [(False, (n, w)) for w in widths]
         assert sum(shape[0] for _, shape in seen[1:]) == len(pairs)
@@ -429,21 +420,6 @@ def test_closed_form_certificate_matches_the_amplified_one():
         assert distance(row, left_support(y.data)) <= DEFAULT_TOL.eq_bound(1.0)
 
 
-def _count_factorizations(monkeypatch):
-    calls = []
-    for name in ("svd", "eigh", "eigvalsh", "norm"):
-        real = getattr(np.linalg, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append((_name, kwargs.get("compute_uv", True)))
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    for cached in (_svds, _eig_classes):
-        cached.cache_clear()
-    return calls
-
-
 def _gram_pinv(gens, mu):
     """G^(-1/2) h^(-i Im a), the pseudo-inverse of the cyclic generator."""
     gram = gens[0].algebra.zero()
@@ -452,7 +428,7 @@ def _gram_pinv(gens, mu):
     return power_pos(gram, -0.5) @ mu.power(complex(0.0, -gens[0].grading.imag))
 
 
-def test_cyclic_generator_decides_every_division_in_one_norm_call(monkeypatch):
+def test_cyclic_generator_decides_every_division_in_one_norm_call(lapack):
     # one eigh for G^(1/2) and G^(-1/2) and one for mu's density, and no
     # factorization of y; the entry brackets accept every division, so no
     # values-only SVD
@@ -460,10 +436,9 @@ def test_cyclic_generator_decides_every_division_in_one_norm_call(monkeypatch):
     M = BlockAlgebra((2,) * 8)
     gens = [random_graded(rng, M, 0.5 + 0.3j) for _ in range(2)]
     mu = random_weight(rng, M)
-    calls = _count_factorizations(monkeypatch)
+    lapack.reset()
     y, qs, _ = cyclic_generator(gens, mu)
-    assert calls == [("eigh", True), ("eigh", True)]
-    monkeypatch.undo()
+    assert lapack.names() == ["eigh", "eigh"]
     pinv = _gram_pinv(gens, mu)
     for g, q in zip(gens, qs):   # u_i y^+, bit for bit
         assert all(np.array_equal(a, b) for a, b in zip(q.stacks, (g.data @ pinv).stacks))
@@ -471,21 +446,20 @@ def test_cyclic_generator_decides_every_division_in_one_norm_call(monkeypatch):
         assert distance(q, divided) <= DEFAULT_TOL.eq_bound(operator_norm(divided))
 
 
-def test_cyclic_generator_takes_no_svd_when_the_weight_is_warm(monkeypatch):
+def test_cyclic_generator_takes_no_svd_when_the_weight_is_warm(lapack):
     rng = make_rng(64)
     for dims in ((2,), (3, 1), (64,)):
         M = BlockAlgebra(dims)
         gens = [random_graded(rng, M, 1.0 - 0.4j) for _ in range(3)]
         mu = random_weight(rng, M)
-        calls = _count_factorizations(monkeypatch)
+        lapack.reset()
         mu.power(0.4j)   # mu's eigensystem is cached
-        calls.clear()
+        lapack.calls.clear()
         cyclic_generator(gens, mu)
-        assert calls == [("eigh", True)]   # G's alone
-        monkeypatch.undo()
+        assert lapack.names() == ["eigh"]   # G's alone
 
 
-def test_failing_cyclic_generator_decides_in_one_norm_call(monkeypatch):
+def test_failing_cyclic_generator_decides_in_one_norm_call(lapack):
     # every block of u keeps a direction at 1e-6 that G^(1/2) drops, so the
     # brackets leave the divisions open and one values-only SVD for all of
     # them decides, raising with the exact residual of the first generator
@@ -498,11 +472,10 @@ def test_failing_cyclic_generator_decides_in_one_norm_call(monkeypatch):
         d = Element(M, [np.diag([scale, 1e-6])] * 8)
         gens.append(GradedElement(w @ d @ v, 0.5 + 0.3j))
     mu = random_weight(rng, M)
-    calls = _count_factorizations(monkeypatch)
+    lapack.reset()
     with pytest.raises(UnsolvableError) as exc:
         cyclic_generator(gens, mu)
-    assert calls == [("eigh", True), ("eigh", True), ("svd", False)]
-    monkeypatch.undo()
+    assert lapack.names() == ["eigh", "eigh", "svdvals"]
     y_mat = mu.power(0.3j) @ power_pos(
         gens[0].data.adjoint() @ gens[0].data + gens[1].data.adjoint() @ gens[1].data, 0.5)
     u = gens[0].data
@@ -573,7 +546,7 @@ def test_graded_divide_rejects_real_part_mismatch():
         graded_divide(singular, GradedElement(e(2, 2), 0.5))
 
 
-def test_graded_divide_takes_the_norm_of_y_once(monkeypatch):
+def test_graded_divide_takes_the_norm_of_y_once(lapack):
     # across real parts only ||y|| is needed; otherwise one full SVD of x,
     # and the entry brackets decide solvability, even for y = 0, so the one
     # values-only SVD is that of ||y||
@@ -581,26 +554,24 @@ def test_graded_divide_takes_the_norm_of_y_once(monkeypatch):
     M = BlockAlgebra((2,) * 8)
     x = random_graded(rng, M, 0.5 + 0.3j)
     y = GradedElement(random_element(rng, M) @ x.data, 0.5 - 0.9j)
-    calls = _count_factorizations(monkeypatch)
-    divide = [("svd", True), ("svd", False)]
-    norms = [("svd", False)]
+    divide = ["svd", "svdvals"]
+    norms = ["svdvals"]
     for target, expected, again in ((y, divide, []),
                                     (GradedElement(M.zero(), 0.5), divide, []),
                                     (GradedElement(M.zero(), 1.5), norms, [])):
-        _svds.cache_clear()
-        calls.clear()
+        lapack.reset()
         graded_divide(x, target)
-        assert calls == expected
+        assert lapack.names() == expected
         # again on the same x and y: x's SVD comes from the cache, and y
         # keeps its singular values
-        calls.clear()
+        lapack.calls.clear()
         graded_divide(x, target)
-        assert calls == again
-    for data, expected in ((Element(M, y.data.blocks), [("svd", False)]), (y.data, [])):
-        calls.clear()
+        assert lapack.names() == again
+    for data, expected in ((Element(M, y.data.blocks), ["svdvals"]), (y.data, [])):
+        lapack.calls.clear()
         with pytest.raises(GradingError):
             graded_divide(x, GradedElement(data, 1.5))
-        assert calls == expected
+        assert lapack.names() == expected
 
 
 def _undecided_division():
@@ -619,26 +590,21 @@ def _undecided_division():
     return x, random_element(rng, M) @ x + 3e-11 * (random_element(rng, M) @ kernel)
 
 
-def test_undecided_division_reports_the_exact_figures(monkeypatch):
+def test_undecided_division_reports_the_exact_figures(lapack):
     # the verdict takes the norms of the remainder and y in one values-only
     # SVD; douglas_divide then takes those of the remainder and the quotient,
     # and graded_divide that of y, so each takes one norm twice
     x, y = _undecided_division()
-    seen = []
-    real = np.linalg.svd
 
-    def svd(a, *args, **kwargs):
-        seen.append((len(a), kwargs.get("compute_uv", True)))
-        return real(a, *args, **kwargs)
+    def seen():
+        return [(shape[0], uv) for uv, shape in lapack.of("svd")]
 
-    monkeypatch.setattr(np.linalg, "svd", svd)
-    _svds.cache_clear()
+    lapack.reset()
     result = douglas_divide(x, y)
-    assert seen == [(1, True), (2, False), (2, False)]   # x; remainder, y; remainder, p
-    seen.clear()
+    assert seen() == [(1, True), (2, False), (2, False)]   # x; remainder, y; remainder, p
+    lapack.calls.clear()
     quotient = graded_divide(GradedElement(x, 0.5), GradedElement(y, 0.5 + 0.2j))
-    assert seen == [(2, False), (1, False)]   # remainder, y; y; x's SVD is cached
-    monkeypatch.undo()
+    assert seen() == [(2, False), (1, False)]   # remainder, y; y; x's SVD is cached
     # the figures of the one SVD that once took every norm of the division,
     # the remainder twice among them, bit for bit
     p = y @ pseudo_inverse(x)
@@ -650,10 +616,9 @@ def test_undecided_division_reports_the_exact_figures(monkeypatch):
     assert p.stacks[0].tobytes() == result.quotient.stacks[0].tobytes()
     assert p.stacks[0].tobytes() == quotient.data.stacks[0].tobytes()
     # open checks that share elements take each norm once
-    monkeypatch.setattr(np.linalg, "svd", svd)
-    seen.clear()
+    lapack.calls.clear()
     assert _first_over([(rem, (y,)), (rem, (y, y))], DEFAULT_TOL) is None
-    assert seen == [(2, False)]
+    assert seen() == [(2, False)]
 
 
 MIXED = BlockAlgebra((1, 2, 3, 2, 3, 1))

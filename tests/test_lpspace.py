@@ -511,54 +511,39 @@ def test_hom_call_grading_check_reads_the_tolerance():
     assert T(eta, Tolerances(eq_abs=1e-6)).grading == 1.5
 
 
-def _count_dense_norms(monkeypatch, d):
-    """Record every norm(., 2) and every SVD of a d x d matrix."""
-    calls = []
-    real_norm, real_svd = np.linalg.norm, np.linalg.svd
-
-    def norm(x, ord=None, *args, **kwargs):
-        if ord == 2:
-            calls.append("norm2")
-        return real_norm(x, ord, *args, **kwargs)
-
-    def svd(a, *args, **kwargs):
-        if np.shape(a)[-2:] == (d, d):
-            calls.append("svd")
-        return real_svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "norm", norm)
-    monkeypatch.setattr(np.linalg, "svd", svd)
-    return calls
+def _dense_norms(lapack, d):
+    """"norm2" for each recorded norm(., 2), "svd" for each SVD of a d x d matrix."""
+    return ["norm2" if name == "norm" else "svd" for name, option, shape in lapack.calls
+            if (name, option) == ("norm", 2) or (name == "svd" and shape[-2:] == (d, d))]
 
 
-def test_hom_to_element_brackets_the_norm_of_a_module_map(monkeypatch):
+def test_hom_to_element_brackets_the_norm_of_a_module_map(lapack):
     M = BlockAlgebra((16,))
     xi = random_graded(make_rng(27), M, 0.5 + 0.2j)
     T = hom_from_element(xi, 0.5)
-    calls = _count_dense_norms(monkeypatch, M.total_dim)
+    lapack.calls.clear()
     back = hom_to_element(T)
-    assert calls == []
+    assert _dense_norms(lapack, M.total_dim) == []
     assert distance(back.data, xi.data) <= 1e-10 * (1 + operator_norm(xi.data))
 
 
-def test_hom_to_element_takes_the_dense_norm_inside_the_bracket(monkeypatch):
+def test_hom_to_element_takes_the_dense_norm_inside_the_bracket(lapack):
     # T = L_xi + c E_01 with xi = 10: r = c and ||T||_2 = (sqrt(c^2 + 400) + c) / 2.
     # Under eq_rel = 0.1 both c lie in the bracket (0.1 (10 - c), 0.1 (10 + c)],
     # and only ||T||_2 separates them: 1.05 <= 0.1 * 10.539 but 1.06 > 0.1 * 10.544
     tol = Tolerances(eq_abs=1e-12, eq_rel=0.1)
-    calls = _count_dense_norms(monkeypatch, M2.total_dim)
     for c, accepted in ((1.05, True), (1.06, False)):
         mat = 10.0 * np.eye(M2.total_dim, dtype=complex)
         mat[0, 1] = c       # column 1 is not read by T(1)
         T = ModuleHom(M2, 0.5, 0.5, mat)
-        calls.clear()
+        lapack.calls.clear()
         if accepted:
             assert distance(hom_to_element(T, tol).data, 10.0 * M2.identity()) == 0.0
         else:
             with pytest.raises(NotModuleMapError) as exc:
                 hom_to_element(T, tol)
             assert exc.value.residual == c
-        assert calls == ["norm2"]
+        assert _dense_norms(lapack, M2.total_dim) == ["norm2"]
 
 
 def test_hom_norm_diagonal_witness():
@@ -688,20 +673,12 @@ def test_lnorm_is_scale_free_across_the_float_range():
 MIXED = BlockAlgebra((1, 2, 3, 2, 3, 1))
 
 
-def test_holder_witness_imaginary_factorizes_once(monkeypatch):
+def test_holder_witness_imaginary_factorizes_once(lapack):
     xi = random_graded(make_rng(61), BlockAlgebra((2,) * 64), 0.7j)
     c = 0.5 * operator_norm(xi.data)
-    calls = []
-    for name in ("svd", "eigh", "eigvalsh", "norm"):
-        real = getattr(np.linalg, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append((_name, kwargs.get("compute_uv", True)))
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    lapack.calls.clear()
     holder_witness_imaginary(xi, 0.5, c)
-    assert calls == [("svd", True)]
+    assert lapack.names() == ["svd"]
 
 
 def test_stacked_witnesses_match_per_block_column_selection():

@@ -522,12 +522,12 @@ def _eig_cases():
     }
 
 
+@pytest.mark.usefixtures("lapack")   # cold caches
 @pytest.mark.parametrize("case", sorted(_eig_cases()))
 def test_eig_classes_keep_the_bits_and_errors_of_the_block_by_block_checks(case):
     h, tol, verdict = _eig_cases()[case]
     outcomes = []
     for check in (_reference_eig_classes, _eig_classes):
-        _eig_classes.cache_clear()
         try:
             outcomes.append(check(h, tol))
         except NotPositiveError as err:
@@ -612,42 +612,18 @@ def test_func_calc_calls_f_once_per_size_class():
     assert distance(got, h) <= DEFAULT_TOL.eq_bound(operator_norm(h))
 
 
-CACHES = (_svds, _eig_classes)
-
-
-def _clear_caches():
-    for cached in CACHES:
-        cached.cache_clear()
-
-
-def _count_linalg(monkeypatch):
-    calls = []
-    for name in ("svd", "eigh", "eigvalsh", "norm"):
-        real = getattr(np.linalg, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name if kwargs.get("compute_uv", True) else "svdvals")
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    _clear_caches()
-    return calls
-
-
-def test_calculus_takes_one_eigh_per_general_size_class(monkeypatch):
+def test_calculus_takes_one_eigh_per_general_size_class(lapack):
     h = random_positive(make_rng(36), MIXED)   # the 1x1 class is diagonal
     mu = Weight(h)
-    calls = _count_linalg(monkeypatch)
     for build in (lambda: func_calc(h, np.sqrt), lambda: power_pos(h, 0.5j),
                   lambda: spectral_projection(h, 0.5), lambda: mu.powers((0.5j,)),
                   lambda: mu.powers((0.5j, -0.5j, 1.5, 2.0 - 1j, 0.25))):
-        _clear_caches()
-        calls.clear()
+        lapack.reset()
         build()
-        assert calls == ["eigh", "eigh"]
-        calls.clear()
+        assert lapack.names() == ["eigh", "eigh"]
+        lapack.calls.clear()
         build()
-        assert calls == []
+        assert lapack.calls == []
 
 
 def _leaves(result):
@@ -669,7 +645,7 @@ def _leaves(result):
     return [result]
 
 
-def test_cached_factorizations_give_bit_identical_results(monkeypatch):
+def test_cached_factorizations_give_bit_identical_results(lapack):
     rng = make_rng(37)
     x = random_element(rng, MIXED)
     y = random_element(rng, MIXED) @ x
@@ -682,15 +658,14 @@ def test_cached_factorizations_give_bit_identical_results(monkeypatch):
             lambda: operator_norm(x), lambda: lnorm(GradedElement(x, 0.7 + 0.2j)),
             lambda: func_calc(mu.density, np.sqrt),
             lambda: Weight(mu.density).support)
-    calls = _count_linalg(monkeypatch)
     for run in runs:
-        _clear_caches()
+        lapack.reset()
         cold = _leaves(run())
         for other in runs:      # warm the caches from every caller
             other()
-        calls.clear()
+        lapack.calls.clear()
         warm = _leaves(run())
-        assert "svd" not in calls and "eigh" not in calls
+        assert "svd" not in lapack.names() and "eigh" not in lapack.names()
         assert len(cold) == len(warm)
         assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
                    for a, b in zip(cold, warm))
@@ -708,69 +683,64 @@ def test_cached_factors_are_read_only():
             a[...] = 0.0
 
 
-def test_factor_cache_is_keyed_by_identity(monkeypatch):
+def test_factor_cache_is_keyed_by_identity(lapack):
     rng = make_rng(39)
     x, h = random_element(rng, M2), random_positive(rng, M2)
     twin_x, twin_h = Element(M2, x.blocks), Element(M2, h.blocks)
-    calls = _count_linalg(monkeypatch)
     for z in (x, twin_x, x, twin_x):
         left_support(z)
-    assert calls == ["svd", "svd"]
-    calls.clear()
+    assert lapack.names() == ["svd", "svd"]
+    lapack.calls.clear()
     for z in (h, twin_h, h, twin_h):
         power_pos(z, 0.5)
-    assert calls == ["eigh", "eigh"]
+    assert lapack.names() == ["eigh", "eigh"]
 
 
-def test_factor_cache_holds_the_last_factor_cache_elements(monkeypatch):
+def test_factor_cache_holds_the_last_factor_cache_elements(lapack):
     rng = make_rng(40)
     xs = [random_element(rng, M2) for _ in range(FACTOR_CACHE + 1)]
     hs = [random_positive(rng, M2) for _ in range(FACTOR_CACHE + 1)]
-    calls = _count_linalg(monkeypatch)
     power = lambda z: power_pos(z, 0.5)   # noqa: E731
     for cached, run, name, items in ((_svds, left_support, "svd", xs),
                                      (_eig_classes, power, "eigh", hs)):
-        _clear_caches()
-        calls.clear()
+        lapack.reset()
         for z in items:
             run(z)
-        assert calls == [name] * len(items)
+        assert lapack.names() == [name] * len(items)
         assert cached.cache_info().currsize == FACTOR_CACHE
-        calls.clear()
+        lapack.calls.clear()
         run(items[-1])
-        assert calls == []
+        assert lapack.calls == []
         run(items[0])       # the oldest was dropped
-        assert calls == [name]
+        assert lapack.names() == [name]
         assert cached.cache_info().misses == len(items) + 1
         assert cached.cache_info().currsize == FACTOR_CACHE
     # singular values live on each element, so none is ever dropped
-    calls.clear()
+    lapack.calls.clear()
     for z in xs:
         operator_norm(z)
-    assert calls == ["svdvals"] * len(xs)
-    calls.clear()
+    assert lapack.names() == ["svdvals"] * len(xs)
+    lapack.calls.clear()
     for z in xs:
         operator_norm(z)
-    assert calls == []
+    assert lapack.calls == []
     assert all(z._sv is not None for z in xs)
 
 
-def test_lnorm_after_operator_norm_takes_no_svd(monkeypatch):
+def test_lnorm_after_operator_norm_takes_no_svd(lapack):
     x = random_element(make_rng(41), MIXED)
-    calls = _count_linalg(monkeypatch)
     nrm = operator_norm(x)
-    assert calls == ["svdvals"] * 3   # one per size class
+    assert lapack.names() == ["svdvals"] * 3   # one per size class
     for a in (0.0, 0.3j, 0.7 + 0.2j, 2.0):
         got = lnorm(GradedElement(x, a))
         assert got == nrm if a.real == 0.0 else got > 0.0
-    assert calls == ["svdvals"] * 3
+    assert lapack.names() == ["svdvals"] * 3
 
 
-def test_suite_report_is_the_same_with_the_caches_bypassed(monkeypatch):
+def test_suite_report_is_the_same_with_the_caches_bypassed(lapack, monkeypatch):
     cfg = SuiteConfig(seed=7, trials=5)
-    _clear_caches()
     cached = run_suite(cfg)
-    bare = {c: c.__wrapped__ for c in CACHES}
+    bare = {c: c.__wrapped__ for c in lapack.caches}
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "nclp"]:
         for name, value in list(vars(module).items()):
             if callable(value) and value in bare:
@@ -779,9 +749,9 @@ def test_suite_report_is_the_same_with_the_caches_bypassed(monkeypatch):
     kept = []
     monkeypatch.setattr(Element, "_sv", property(lambda self: None,
                                                  lambda self, value: kept.append(value)))
-    _clear_caches()
+    lapack.reset()
     uncached = run_suite(cfg)
-    assert all(c.cache_info().currsize == 0 for c in CACHES)
+    assert all(c.cache_info().currsize == 0 for c in lapack.caches)
     assert kept
     cached.pop("duration_seconds"), uncached.pop("duration_seconds")
     assert cached == uncached
@@ -838,19 +808,18 @@ def test_lazy_coords_give_the_bits_of_coords_built_up_front():
     assert _same_bits(flatten_element(back), vec)
 
 
-def test_distance_is_the_norm_of_the_difference_and_caches_nothing():
+def test_distance_is_the_norm_of_the_difference_and_caches_nothing(lapack):
     rng = make_rng(43)
     x, y = random_element(rng, MIXED), random_element(rng, MIXED)
-    _clear_caches()
     got = distance(x, y)
     assert x._sv is None and y._sv is None
-    assert all(c.cache_info().currsize == 0 for c in CACHES)
+    assert all(c.cache_info().currsize == 0 for c in lapack.caches)
     assert got.hex() == operator_norm(x - y).hex()
     nrm, kept = operator_norm(x), _svals(x)
-    before = [c.cache_info() for c in CACHES]
+    before = [c.cache_info() for c in lapack.caches]
     distance(x, y)
     assert _svals(x) is kept and operator_norm(x) == nrm and y._sv is None
-    assert [c.cache_info() for c in CACHES] == before
+    assert [c.cache_info() for c in lapack.caches] == before
     with pytest.raises(AlgebraMismatchError, match="incompatible algebras"):
         distance(x, M2.identity())
 

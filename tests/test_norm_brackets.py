@@ -9,7 +9,12 @@ for bit, or the same error type, residual and message.
 """
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +41,6 @@ from nclp import (
 )
 from nclp.matcore import (
     Element,
-    _eig_classes,
     _entry_bracket,
     _first_over,
     _svds,
@@ -208,21 +212,6 @@ def _allclose_cases(rng, M):
             yield x, x + (t * bound) * r, t < 1.0
 
 
-def _count_factorizations(monkeypatch):
-    calls = []
-    for name in ("svd", "eigh", "eigvalsh", "norm"):
-        real = getattr(np.linalg, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append((_name, kwargs.get("compute_uv", True)))
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    for cached in (_svds, _eig_classes):
-        cached.cache_clear()
-    return calls
-
-
 @pytest.mark.parametrize("dims", SHAPES, ids=str)
 def test_fast_and_exact_deciders_agree(dims):
     M = BlockAlgebra(dims)
@@ -286,7 +275,7 @@ def test_brackets_enclose_the_operator_norm():
 # singular values, which are over every bound
 @pytest.mark.parametrize("bad, outcome", [(np.nan, NonFiniteError), (np.inf, "ok")],
                          ids=["nan", "inf"])
-def test_non_finite_residuals_take_the_exact_path(bad, outcome, monkeypatch):
+def test_non_finite_residuals_take_the_exact_path(bad, outcome, lapack):
     rng = make_rng(97)
     M = BlockAlgebra((2, 2))
     x = random_element(rng, M)
@@ -298,42 +287,40 @@ def test_non_finite_residuals_take_the_exact_path(bad, outcome, monkeypatch):
     fast, exact = _both(lambda: allclose(x, y), accepted)
     assert fast == exact and accepted == [False]
     assert fast[0] == outcome and (outcome is NonFiniteError or fast[1] is False)
-    calls = _count_factorizations(monkeypatch)
+    lapack.reset()
     _outcome(lambda: allclose(x, y))
-    assert calls == [("svd", False)]
+    assert lapack.names() == ["svdvals"]
 
 
-def test_valid_checks_take_no_values_only_svd(monkeypatch):
+def test_valid_checks_take_no_values_only_svd(lapack):
     rng = make_rng(98)
     M = BlockAlgebra((2,) * 8)
     x = random_element(rng, M)
     y = polar_right(random_element(rng, M)).isometry @ x
     xc = polar_right(random_element(rng, M) @ _kernel_projection(M)).positive
     yc = random_element(rng, M) @ xc
-    calls = _count_factorizations(monkeypatch)
+    lapack.reset()
     _svds(x)   # a warm x: only y is factorized
-    calls.clear()
+    lapack.calls.clear()
     isometry_divide(x, y)
-    assert calls == [("svd", True)]
-    calls.clear()
+    assert lapack.names() == ["svd"]
+    lapack.calls.clear()
     assert allclose(x, x + 1e-14 * y)
-    assert calls == []
-    calls.clear()
+    assert lapack.calls == []
     douglas_ladder(xc, yc)   # one SVD of x and one values-only SVD for its rungs
-    assert calls == [("svd", True), ("svd", False)]
-    calls.clear()
+    assert lapack.names() == ["svd", "svdvals"]
+    lapack.calls.clear()
     douglas_divide(xc, yc)   # x is warm; the residual and ||p|| stay exact
-    assert calls == [("svd", False)]
+    assert lapack.names() == ["svdvals"]
 
 
-def test_exact_fallback_keeps_the_reported_figures(monkeypatch):
+def test_exact_fallback_keeps_the_reported_figures(lapack):
     # x = 0 and y at 0.99 of its bound: hi(y) = 16 ||y||_2 leaves the verdict
     # to the exact norms; the reported residual is taken again beside ||p||
     M = BlockAlgebra((16,))
     y = (0.99 * DEFAULT_TOL.eq_abs) * M.identity()
-    calls = _count_factorizations(monkeypatch)
     result = douglas_divide(M.zero(), y)
-    assert calls == [("svd", True), ("svd", False), ("svd", False)]
+    assert lapack.names() == ["svd", "svdvals", "svdvals"]
     assert result.residual == operator_norm(y) and result.minimal_c == 0.0
     with pytest.raises(NclpError):
         douglas_divide(M.zero(), y * 1.02)
@@ -358,12 +345,42 @@ def test_a_nan_operand_is_a_non_finite_error_naming_the_operation(call, operatio
         call(x, y)
 
 
-def test_a_finite_svd_failure_is_left_to_lapack(monkeypatch):
-    def fail(a, compute_uv=True):
-        raise np.linalg.LinAlgError("SVD did not converge")
-
-    monkeypatch.setattr(np.linalg, "svd", fail)
+def test_a_finite_svd_failure_is_left_to_lapack(lapack):
+    lapack.fail("svd", np.linalg.LinAlgError("SVD did not converge"))
     x = random_element(make_rng(99), BlockAlgebra((2,)))
     for call in (lambda: operator_norm(x), lambda: polar_right(x)):
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             call()
+
+
+def test_an_infinity_is_refused_before_any_full_svd():
+    # LAPACK's full SVD of a 3 x 3 block that holds an infinity may never
+    # return, so every caller of matcore._svds runs in a child with a timeout
+    code = textwrap.dedent("""
+        import numpy as np
+        from nclp import (BlockAlgebra, Element, GradedElement, NonFiniteError, comultiply,
+                          douglas_divide, douglas_ladder, holder_witness,
+                          holder_witness_imaginary, left_support, polar_left, polar_right,
+                          pseudo_inverse, right_support)
+        M = BlockAlgebra((3,))
+        x, y = Element(M, [np.diag([np.inf, 1.0, 1.0])]), M.identity()
+        for call in (lambda: left_support(x), lambda: right_support(x),
+                     lambda: polar_right(x), lambda: polar_left(x),
+                     lambda: pseudo_inverse(x), lambda: douglas_divide(x, y),
+                     lambda: douglas_ladder(x, y),
+                     lambda: holder_witness(GradedElement(x, 0.5), 0.5),
+                     lambda: holder_witness_imaginary(GradedElement(x, 0.3j), 0.5, 0.5),
+                     lambda: comultiply(GradedElement(x, 1.0), (0.5, 0.5))):
+            try:
+                call()
+            except NonFiniteError as err:
+                print(err)
+        """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    message = "singular value decomposition: the matrix holds a NaN or an infinity"
+    assert done.stdout.splitlines() == [message] * 10

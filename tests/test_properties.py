@@ -1,4 +1,5 @@
-"""The seeded property registry: every property passes, reports add up."""
+"""The seeded property registry: every property passes and refuses a broken
+result, and reports add up."""
 
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from nclp import properties
+from nclp import (DivisionResult, GradingError, NotModuleMapError, decomp, lpspace,
+                  operator_norm, properties)
 from nclp.properties import PROPERTIES, SuiteConfig, run_suite
 from nclp.sampling import spawn_rng
 from nclp.serialize import dumps
@@ -120,3 +122,85 @@ def test_suite_run_imports_no_masked_arrays():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def _run(name, cfg):
+    return PROPERTIES[name](spawn_rng(cfg.seed, name), cfg)
+
+
+def test_holder_witness_equality_falls_back_to_a_real_left_grading(monkeypatch):
+    # no configured grading has Re a > eq_abs: the property draws its own pair
+    seen = []
+    real = lpspace.holder_witness
+
+    def spy(xi, b, tol):
+        seen.append((xi.grading, b))
+        return real(xi, b, tol)
+
+    monkeypatch.setattr(lpspace, "holder_witness", spy)
+    cfg = SuiteConfig(seed=3, trials=1, gradings=((0.4j, 0.5),))
+    passed, residual = _run("lpspace.holder_witness_equality", cfg)
+    assert seen == [(0.5 + 0.3j, 0.5 - 0.2j)]
+    assert passed and 0.0 <= residual <= 1e-8
+
+
+def test_douglas_minimal_constant_refuses_a_constant_that_is_not_minimal(monkeypatch):
+    # twice the minimal constant majorizes, but so does 0.999 of it; on 1 x 1
+    # blocks a nonzero x is invertible, so no kernel leaves that to rounding
+    real = decomp.douglas_divide
+
+    def doubled(x, y, tol):
+        result = real(x, y, tol)
+        return DivisionResult(result.quotient, 2.0 * result.minimal_c, result.residual)
+
+    monkeypatch.setattr(decomp, "douglas_divide", doubled)
+    cfg = SuiteConfig(seed=1, trials=1, block_shapes=((1,),))
+    assert _run("decomp.douglas_minimal_constant", cfg) == (False, 1.0)
+
+
+def test_graded_division_grading_refuses_an_accepted_mismatch(monkeypatch):
+    real = decomp.graded_divide
+
+    def lenient(x, y, tol):
+        try:
+            return real(x, y, tol)
+        except GradingError:
+            return None
+
+    monkeypatch.setattr(decomp, "graded_divide", lenient)
+    cfg = SuiteConfig(seed=3, trials=1)
+    assert _run("decomp.graded_division_grading", cfg) == (False, 1.0)
+
+
+def test_holder_witness_ladder_refuses_a_ratio_below_c(monkeypatch):
+    # a witness that ignores c: on Re b = 1/2 its ratio is the root mean
+    # square of the singular values, below 0.9 of the largest
+    calls = []
+    real = lpspace.holder_witness_imaginary
+
+    def ignores_c(xi, b, c, tol):
+        calls.append((xi, c, real(xi, b, 0.0, tol)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(lpspace, "holder_witness_imaginary", ignores_c)
+    cfg = SuiteConfig(seed=3, trials=1, block_shapes=((3,),), gradings=((0.5, 0.5),))
+    passed, residual = _run("lpspace.holder_witness_ladder", cfg)
+    [(xi, c, y)] = calls     # the first rung already fails
+    tol = cfg.tolerances
+    ratio = lpspace.lnorm(lpspace.gmul(xi, y), tol) / lpspace.lnorm(y, tol)
+    assert c == operator_norm(xi.data) * 0.9
+    assert not passed and residual == c - ratio > 0.0
+
+
+def test_hom_roundtrip_refuses_an_accepted_corrupted_map(monkeypatch):
+    real = lpspace.hom_to_element
+
+    def lenient(T, tol):
+        try:
+            return real(T, tol)
+        except NotModuleMapError:
+            return None
+
+    monkeypatch.setattr(lpspace, "hom_to_element", lenient)
+    cfg = SuiteConfig(seed=3, trials=1, block_shapes=((2,),))
+    assert _run("lpspace.hom_roundtrip", cfg) == (False, 1.0)

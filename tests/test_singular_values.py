@@ -41,7 +41,7 @@ from nclp import (  # noqa: E402
     tensor_multiply,
     turpin_upper,
 )
-from nclp.matcore import _eig_classes, _spectral, _svals, _svds  # noqa: E402
+from nclp.matcore import _spectral, _svals  # noqa: E402
 from nclp.properties import DEFAULT_GRADINGS, DEFAULT_SHAPES  # noqa: E402
 from nclp.sampling import (  # noqa: E402
     make_rng,
@@ -152,45 +152,29 @@ def test_carried_values_put_a_nan_first():
     assert math.isnan(lnorm(GradedElement(x, 0.5)))
 
 
-def _count_factorizations(monkeypatch):
-    calls = []
-    for name in ("svd", "eigh", "eigvalsh", "norm"):
-        real = getattr(np.linalg, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append((_name, kwargs.get("compute_uv", True)))
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    for cached in (_svds, _eig_classes):
-        cached.cache_clear()
-    return calls
-
-
 @pytest.mark.parametrize("dims", SHAPES, ids=str)
-def test_norms_of_built_elements_take_no_svd(dims, monkeypatch):
+def test_norms_of_built_elements_take_no_svd(dims, lapack):
     built = _built(make_rng(140 + len(dims)), BlockAlgebra(dims))
-    calls = _count_factorizations(monkeypatch)
+    lapack.reset()
     for x in built.values():
         operator_norm(x)
         for a in (0.3j, 0.5, 1.5 - 0.2j):
             lnorm(GradedElement(x, a))
-    assert calls == []
+    assert lapack.calls == []
 
 
 @pytest.mark.parametrize("dims", SHAPES, ids=str)
-def test_turpin_upper_on_a_comultiply_pair_takes_one_values_only_svd(dims, monkeypatch):
+def test_turpin_upper_on_a_comultiply_pair_takes_one_values_only_svd(dims, lapack):
     M = BlockAlgebra(dims)
     rng = make_rng(150 + len(dims))
-    calls = _count_factorizations(monkeypatch)
     for a, b in DEFAULT_GRADINGS:
         zeta = random_graded(rng, M, a + b)
         # at Re(a + b) = 0 the first factor is zeta itself, with zeta's values
         operator_norm(zeta.data)
         first, second = comultiply(zeta, (a, b))
-        calls.clear()
+        lapack.calls.clear()
         turpin_upper(TensorElement(M, a, b, ((first, second),)))
-        assert calls == [("svd", False)] * len(M.classes)   # one per size class
+        assert lapack.names() == ["svdvals"] * len(M.classes)   # one per size class
 
 
 def _fresh(xi: GradedElement) -> GradedElement:

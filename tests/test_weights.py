@@ -32,7 +32,6 @@ from nclp import (
 from nclp.matcore import (
     _eig_classes,
     _operator_norms,
-    _svds,
     flatten_element as flatten,
 )
 from nclp.sampling import make_rng, random_element, random_weight
@@ -45,6 +44,12 @@ def test_evaluate_trace_weight():
     rng = make_rng(0)
     x = random_element(rng, M2)
     assert abs(evaluate(trace_weight(M2), x) - trace(x)) < 1e-14
+
+
+def test_a_weight_called_on_an_element_evaluates_it():
+    rng = make_rng(1)
+    mu, x = random_weight(rng, M3), random_element(rng, M3)
+    assert mu(x) == evaluate(mu, x) == trace(mu.density @ x)
 
 
 def test_evaluate_examples():
@@ -330,30 +335,22 @@ def test_ovw_validation_names_a_positive_non_bimodule_map_by_its_bimodule_law():
         OperatorValuedWeight(emb, mat - 4.0 * np.eye(4)).validate()
 
 
-def test_ovw_validation_is_closed_form_in_the_relative_commutant(monkeypatch):
+def test_ovw_validation_is_closed_form_in_the_relative_commutant(lapack):
     # (16,) -> (32,): no dense SVD or spectral norm of the 256 x 1024
     # matrix, one eigvalsh on the 2 x 2 matrix K and nothing else
     ovw = OperatorValuedWeight.from_compression(
         BlockEmbedding(BlockAlgebra((16,)), BlockAlgebra((32,)), ((0, 0),)))
-    calls = []
-    for name in ("svd", "eigh", "eigvalsh", "norm"):
-        real = getattr(np.linalg, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append((_name, np.shape(args[0])))
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
+    lapack.calls.clear()
     report = ovw.validate()
     assert report.passed and report.max_residual == 0.0
-    assert calls == [("eigvalsh", (2, 2))]
+    assert [(name, shape) for name, _, shape in lapack.calls] == [("eigvalsh", (2, 2))]
     mat = np.array(ovw.matrix)
     mat[-1, 0] += 1e-3j   # in the last slab of rows the adjoint law reads
     with pytest.raises(ValidationError, match="^adjoint law violated"):
         OperatorValuedWeight(ovw.embedding, mat).validate()
 
 
-def test_ovw_residual_inside_the_norm_bracket_takes_the_dense_norm(monkeypatch):
+def test_ovw_residual_inside_the_norm_bracket_takes_the_dense_norm(lapack):
     # T = (1 + i eps) T_K + E for the partial trace T_K and a unit E that is
     # orthogonal to the bimodule maps and *-preserving: ||T_K||_2 = sqrt(2),
     # ||T - T_K||_F = 1, and the adjoint residual is 2 eps ||T_K||_F.  An
@@ -369,15 +366,13 @@ def test_ovw_residual_inside_the_norm_bracket_takes_the_dense_norm(monkeypatch):
     low, exact, high = (DEFAULT_TOL.eq_bound(s) for s in
                         (top, np.linalg.norm(base + e, 2), top + 1.0))
     assert low < exact < high
-    real, calls = np.linalg.norm, []
-    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: calls.append(a[1:]) or real(*a, **k))
     for adjoint, law in (((low + exact) / 2, "bimodule"), ((exact + high) / 2, "adjoint")):
-        eps = adjoint / (2.0 * real(base))
+        eps = adjoint / (2.0 * np.linalg.norm(base))
         T = OperatorValuedWeight(_partial_trace_map().embedding, (1 + 1j * eps) * base + e)
-        calls.clear()
+        lapack.calls.clear()
         with pytest.raises(ValidationError, match=f"^{law} law violated"):
             T.validate()
-        assert calls == [(2,)]
+        assert [option for option, _ in lapack.of("norm")] == [2]
 
 
 def _reference_validate(T, tol=DEFAULT_TOL, positivity_samples=8,
@@ -549,59 +544,43 @@ def test_pushforward_keeps_the_callers_tolerance():
     assert not pushforward_weight(mu, ovw).faithful
 
 
-def _clear_caches():
-    for cached in (_svds, _eig_classes):
-        cached.cache_clear()
-
-
-def test_weight_operations_take_one_eigh_per_density(monkeypatch):
+def test_weight_operations_take_one_eigh_per_density(lapack):
     M = BlockAlgebra((2,) * 8)
     rng = make_rng(22)
     h, k = random_weight(rng, M).density, random_weight(rng, M).density
     x = random_element(rng, M)
-    calls = []
-    for name in ("svd", "eigh", "eigvalsh", "norm"):
-        real = getattr(np.linalg, name)
-
-        def counted(*args, _real=real, _name=name, **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    _clear_caches()
+    lapack.reset()
     mu, nu = Weight(h), Weight(k)
-    assert calls == ["eigh", "eigh"]
+    assert lapack.names() == ["eigh", "eigh"]
     runs = (("modular_automorphism", lambda: modular_automorphism(mu, 0.3j, x)),
             ("connes_cocycle", lambda: connes_cocycle(mu, nu, 0.3j)),
             ("cocycle_identity_check", lambda: cocycle_identity_check(mu, nu, 0.3j, -0.7j)),
             ("support", lambda: mu.support))
     counts = {}
     for name, run in runs:
-        _clear_caches()
-        calls.clear()
+        lapack.reset()
         run()
-        counts[name] = calls.count("eigh")
-        calls.clear()
+        counts[name] = lapack.names().count("eigh")
+        lapack.calls.clear()
         run()
-        assert calls.count("eigh") == 0
+        assert lapack.names().count("eigh") == 0
     assert counts == {"modular_automorphism": 1, "connes_cocycle": 2,
                       "cocycle_identity_check": 2, "support": 1}
     # fresh weights and all their operations: one eigh per density in total
-    _clear_caches()
-    calls.clear()
+    lapack.reset()
     mu, nu = Weight(h), Weight(k)
     for _, run in runs:
         run()
-    assert calls.count("eigh") == 2
+    assert lapack.names().count("eigh") == 2
 
 
-def test_weight_checks_its_density_once_per_tolerance():
+def test_weight_checks_its_density_once_per_tolerance(lapack):
     # Weight(h), then powers, support and the modular flow at the weight's
     # own tol: one positivity check of h, all later calls hit the cache
     M = BlockAlgebra((2,) * 8)
     rng = make_rng(23)
     h, x = random_weight(rng, M).density, random_element(rng, M)
-    _clear_caches()
+    lapack.reset()
     mu = Weight(h)
     info = _eig_classes.cache_info()
     assert (info.misses, info.hits) == (1, 0)
@@ -619,10 +598,10 @@ def test_weight_checks_its_density_once_per_tolerance():
     assert _eig_classes.cache_info().misses == 2
 
 
+@pytest.mark.usefixtures("lapack")   # cold caches
 def test_non_positive_density_raises_on_every_call():
     blocks = [np.diag([1.0, -1.0]).astype(complex)]
     h = Element(M2, blocks)
-    _clear_caches()
     for _ in range(3):
         with pytest.raises(NotPositiveError, match="negative eigenvalue"):
             Weight(h)
@@ -678,17 +657,12 @@ def _eager_cocycle_report(mu, nu, a, b, tol):
                            f"cocycle identity at a={a}, b={b}")
 
 
-def test_cocycle_check_takes_the_norm_of_lhs_only_to_refuse(monkeypatch):
+def test_cocycle_check_takes_the_norm_of_lhs_only_to_refuse(lapack):
     # a residual within eq_bound(1) passes whatever ||lhs|| is; a tolerance
     # far below rounding makes every check refuse and take ||lhs||
     rng = make_rng(24)
     strict = Tolerances(eq_abs=1e-30, eq_rel=1e-30)
-    seen, verdicts = [], []
-    real = np.linalg.svd
-
-    def svd(a, *args, **kwargs):
-        seen.append(len(a))
-        return real(a, *args, **kwargs)
+    verdicts = []
 
     def hermitian(h):   # exactly, so that the strict policy accepts it
         return (h + h.adjoint()) * 0.5
@@ -706,14 +680,13 @@ def test_cocycle_check_takes_the_norm_of_lhs_only_to_refuse(monkeypatch):
             for tol in (DEFAULT_TOL, strict):
                 want = _eager_cocycle_report(mu, nu, a, b, tol)
                 mu.powers((a,), tol), nu.powers((a,), tol)   # warm eigensystems
-                seen.clear()
-                monkeypatch.setattr(np.linalg, "svd", svd)
+                lapack.calls.clear()
                 got = cocycle_identity_check(mu, nu, a, b, tol)
-                monkeypatch.setattr(np.linalg, "svd", real)
                 assert got == want and repr(got.max_residual) == repr(want.max_residual)
                 verdicts.append((tol, got.passed))
                 # one matrix per block for the residual, and as many for ||lhs||
-                assert sum(seen) == (1 if got.passed else 2) * len(dims)
+                svds = lapack.of("svd")
+                assert sum(shape[0] for _, shape in svds) == (1 if got.passed else 2) * len(dims)
     assert verdicts.count((DEFAULT_TOL, True)) == 10
     assert verdicts.count((strict, False)) >= 8   # a (1,) residual can be exactly 0
 
