@@ -10,6 +10,7 @@ finitely generated submodule, and the rank-one form of a finite tensor sum.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -181,30 +182,29 @@ def douglas_ladder(x: Element, y: Element, epsilons=None,
     _solve(x, [y], tol, _pinv(x, svd))
     if epsilons is None:
         smax = max(float(s.max()) for _, s, _, _ in svd)
-        top = smax if smax > 0.0 else 1.0
-        epsilons = [top * 2.0 ** (-k) for k in range(26)]
-    eps = np.array([float(e) for e in epsilons])
-    if np.isnan(eps).any():
-        raise NonFiniteError("ladder epsilons must not be NaN")
-    gaps = np.zeros(eps.size)
+        eps = np.ldexp(smax if smax > 0.0 else 1.0, -np.arange(26))
+    else:
+        eps = np.array([float(e) for e in epsilons])
+        if np.isnan(eps).any():
+            raise NonFiniteError("ladder epsilons must not be NaN")
+    below, per_class = eps[:, None, None], []
     for (_, s, vh, keep), b in zip(svd, y.stacks):                  # s: (k, n)
         k, n = s.shape
         blocks, rows = np.arange(k), np.arange(n)[:, None]
-        ends = keep.sum(axis=-1)                                     # kept columns
-        # the columns ends - width .. ends - 1 of each block are live at a rung
-        widths = ((s < eps[:, None, None]) & keep).sum(axis=-1)      # (rungs, k)
-        pairs = np.zeros((k, n + 1), dtype=bool)                     # (block, width)
-        pairs[blocks, widths] = True
-        pairs[:, 0] = False
+        widths = ((s < below) & keep).sum(axis=-1)                   # (rungs, k)
+        met = np.zeros((n + 1, k), dtype=bool)                       # (width, block)
+        met[widths, blocks] = True
+        met[0] = False
+        # per block, the indices of its last 1..n kept columns: cols[:, :, n - w:]
+        cols = keep.sum(axis=-1)[:, None, None] - np.arange(n, 0, -1)  # (k, 1, n)
         scaled = (b @ _h(vh)) * _inv(s, keep)[:, None, :]            # y V S^+
-        tops = np.zeros((k, n + 1))                                  # width 0: gap 0
-        for w in np.flatnonzero(pairs.any(axis=0)):
-            j = np.flatnonzero(pairs[:, w])
-            cols = ends[j, None, None] - np.arange(w, 0, -1)         # (pairs, 1, w)
-            tops[j, w] = np.linalg.svd(scaled[j[:, None, None], rows, cols],
+        tops = np.zeros((n + 1, k))                                  # width 0: gap 0
+        for w in np.flatnonzero(met.any(axis=1)):
+            j = np.flatnonzero(met[w])
+            tops[w, j] = np.linalg.svd(scaled[j[:, None, None], rows, cols[j, :, n - w:]],
                                        compute_uv=False)[:, 0]
-        gaps = np.maximum(gaps, tops[blocks, widths].max(axis=-1))
-    return [(float(e), float(g)) for e, g in zip(eps, gaps)]
+        per_class.append(tops[widths, blocks].max(axis=-1))
+    return list(zip(eps.tolist(), reduce(np.maximum, per_class).tolist()))
 
 
 def isometry_divide(x: Element, y: Element,

@@ -322,6 +322,13 @@ def _h(a: np.ndarray) -> np.ndarray:
 # (64,) instances of the big-block bench workload, peak RSS rose from 53 to
 # 63 MB that way.  Errors are not cached.
 #
+# A Weight is the exception: it keeps the validated eigensystem of its
+# density at its own policy (weights.py), as every modular operation is a
+# power of that density, so these caches serve bare elements, and weights
+# at other policies.  That costs one eigensystem per live weight: the 32
+# pooled weights of the big-block workload keep 64 KB of eigenvectors each,
+# and its peak RSS rose from 53.1 to 55.2 MB (+3.9 %).
+#
 # Singular values live on the element instead (_svals): an element that
 # _spectral builds as U diag(d) V*, with U and V unitary, carries |d|, and
 # any other element takes one values-only SVD the first time a norm reads
@@ -578,7 +585,12 @@ def _eig_classes(h: Element, tol: Tolerances) -> tuple:
     cutoff leaves nothing to clamp.  Only when this leaves a class open (a
     larger asymmetry, a lower eigenvalue, a NaN) is that check taken block
     by block, with the per-block values that its error names.
+
+    Finiteness is tested first, and raises NonFiniteError: eigh returns NaN
+    or fails on a NaN, and an infinity makes the Hermitian check NaN.
     """
+    if not all(np.isfinite(a).all() for a in h.stacks):
+        raise NonFiniteError("eigendecomposition: the matrix holds a NaN or an infinity")
     gaps = [np.abs(a - _h(a)) for a in h.stacks]
     if not all(g.max() <= tol.eq_abs for g in gaps):
         asym = [g.max(axis=(-2, -1)) for g in gaps]

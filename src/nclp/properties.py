@@ -375,15 +375,21 @@ def prop_douglas_minimal_constant(rng, cfg):
     gram_x = x.adjoint() @ x
     gram_y = y.adjoint() @ y
 
-    def min_eig(el):
-        return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min())
-                   for b in el.blocks)
+    def min_eig(blocks):
+        return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min()) for b in blocks)
 
-    scale = operator_norm(gram_y) + 1.0
-    ok_at_c = min_eig(c ** 2 * gram_x - gram_y) >= -tol.eq_bound(scale)
+    low_at_c = min_eig((c ** 2 * gram_x - gram_y).blocks)
+    ok_at_c = low_at_c >= -tol.eq_bound(operator_norm(gram_y) + 1.0)
+    # a smaller constant fails on the support of x: y = r @ x vanishes on
+    # its kernel, where every constant holds and only rounding decides, so
+    # the difference is compressed to the kept right singular vectors of x
     shrunk = (c * (1.0 - 1e-3)) ** 2
-    fails_below = min_eig(shrunk * gram_x - gram_y) < 0.0
-    resid = max(0.0, -min_eig(c ** 2 * gram_x - gram_y))
+    compressed = [v[kept] @ b @ v[kept].conj().T
+                  for (_, _, vh, keep), diff in zip(decomp._svd_support(x, tol),
+                                                    (shrunk * gram_x - gram_y).stacks)
+                  for v, kept, b in zip(vh, keep, diff) if kept.any()]
+    fails_below = min_eig(compressed) < 0.0
+    resid = max(0.0, -low_at_c)
     if not fails_below:
         resid = max(resid, 1.0)
     return ok_at_c and fails_below, resid

@@ -21,6 +21,7 @@ from itertools import accumulate
 import numpy as np
 
 from .decomp import polar_right
+from .errors import NonFiniteError
 from .graded import GradedElement
 from .matcore import BlockAlgebra, Element, Tolerances, _h
 from .weights import Weight
@@ -84,6 +85,8 @@ def random_projection(rng: np.random.Generator, algebra: BlockAlgebra,
         ranks.append(int(rng.integers(0, hi + 1)))
     stacks = []
     for idx, g in zip(algebra.classes, _gaussian_stacks(algebra, np.concatenate(draws))):
+        if not np.isfinite(g).all():   # as before every eigh in the library
+            raise NonFiniteError("random projection: the draw holds a NaN or an infinity")
         _, u = np.linalg.eigh(g + _h(g))
         p = np.empty_like(u)
         for j, k in enumerate(idx):

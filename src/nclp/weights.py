@@ -33,7 +33,6 @@ from .matcore import (
     _Frozen,
     _setfield,
     _Value,
-    func_calc,
     trace,
     unflatten_element,
 )
@@ -46,11 +45,13 @@ class Weight(_Frozen):
     more than about 1/rank_rel reports as nonfaithful unless constructed
     with a tighter policy (pass the same policy to the modular operations).
 
-    The validated eigensystem of the density comes from matcore's cache,
-    keyed by density and policy, so construction, support and every power
-    at one policy share one eigh and one positivity check while the density
-    is among the last FACTOR_CACHE elements checked at that policy.
-    Weights compare and hash by identity.
+    A weight owns the validated eigensystem of its density at its own
+    policy: construction checks positivity once, and the support and every
+    power at that policy read the kept eigensystem, however many other
+    elements have been factorized since.  At any other policy the density
+    goes through matcore's cache and its positivity check, as a bare
+    element does.  Weights compare and hash by identity, and pickle and
+    copy as (density, tol).
     """
 
     def __init__(self, density: Element, tol: Tolerances = DEFAULT_TOL):
@@ -59,7 +60,12 @@ class Weight(_Frozen):
         _setfield(self, "density", density)
         _setfield(self, "tol", tol)
         _setfield(self, "faithful", all((w > 0.0).all() for w, _ in classes))
+        _setfield(self, "_eig", classes)   # read-only, as _eig_classes returns it
         _setfield(self, "_support", None)
+
+    def __reduce__(self):
+        # rebuild the eigensystem, read-only again, from the density
+        return Weight, (self.density, self.tol)
 
     @property
     def algebra(self) -> BlockAlgebra:
@@ -69,7 +75,7 @@ class Weight(_Frozen):
     def support(self) -> Element:
         """The support projection of the density, built on first use."""
         if self._support is None:
-            _setfield(self, "_support", func_calc(self.density, lambda w: w > 0.0, self.tol))
+            _setfield(self, "_support", _calc(self.algebra, self._eig, lambda w: w > 0.0))
         return self._support
 
     def __call__(self, x: Element) -> complex:
@@ -80,8 +86,9 @@ class Weight(_Frozen):
         return self.powers((a,), tol)[0]
 
     def powers(self, exponents, tol: Tolerances | None = None) -> list[Element]:
-        """density^a for every a in exponents, from one eigensystem."""
-        classes = _eig_classes(self.density, self.tol if tol is None else tol)
+        """density^a for every a in exponents, from one eigensystem: the
+        weight's own at its own policy, else the cached one at tol."""
+        classes = self._eig if tol in (None, self.tol) else _eig_classes(self.density, tol)
         return [_calc(self.algebra, classes, partial(_spectral_power, a=a)) for a in exponents]
 
     def __repr__(self):

@@ -47,7 +47,12 @@ class Lapack:
         return call
 
     def reset(self):
-        """Forget the recorded calls and every cached factorization."""
+        """Forget the recorded calls and every cached factorization.
+
+        The caches serve bare elements only: a live Weight keeps the
+        eigensystem of its density, which no reset empties, so its
+        operations at its own policy still take no eigh.
+        """
         self.calls.clear()
         for cached in self.caches:
             cached.cache_clear()
@@ -72,5 +77,6 @@ class Lapack:
 
 @pytest.fixture
 def lapack(monkeypatch):
-    """A Lapack for one test, which starts with cold factorization caches."""
+    """A Lapack for one test, which starts with cold factorization caches;
+    a weight built earlier keeps its eigensystem all the same."""
     return Lapack(monkeypatch)

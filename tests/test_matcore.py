@@ -448,8 +448,14 @@ def _reference_eighs(h):
     return raw
 
 
+NON_FINITE = "eigendecomposition: the matrix holds a NaN or an infinity"
+
+
 def _reference_eig_classes(h, tol):
-    """_eig_classes as first written: every check block by block."""
+    """_eig_classes as first written: every check block by block, after
+    the finiteness gate."""
+    if not all(np.isfinite(b).all() for b in h.blocks):
+        raise NonFiniteError(NON_FINITE)
     asym = [np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) for a in h.stacks]
     over = [s > tol.eq_abs + tol.eq_rel * np.abs(a).max(axis=(-2, -1))
             for s, a in zip(asym, h.stacks)]
@@ -472,7 +478,8 @@ def _reference_eig_classes(h, tol):
 
 def _eig_cases():
     """{name: (element, tol, verdict)}: definite, semidefinite, near the
-    edges, failing in two size classes at once, and holding a NaN.
+    edges, failing in two size classes at once, and holding a NaN or an
+    infinity.
     """
     rng = make_rng(46)
     M = BlockAlgebra((1, 2, 3, 2, 3, 1))   # classes: blocks 0, 5 | 1, 3 | 2, 4
@@ -512,13 +519,18 @@ def _eig_cases():
                                     DEFAULT_TOL, "block 1 has negative eigenvalue"),
         "negative within tolerance": (edit(b3=lambda b: np.diag([1.0, -1e-12])),
                                       DEFAULT_TOL, "ok"),
-        "nan": (edit(b3=lambda b: np.full((2, 2), np.nan)), DEFAULT_TOL, "ok"),
+        # a NaN or an infinity is refused before any check
+        "nan": (edit(b3=lambda b: np.full((2, 2), np.nan)), DEFAULT_TOL, NON_FINITE),
+        "inf": (edit(b2=nudge(1, 1, np.inf)), DEFAULT_TOL, NON_FINITE),
         "nan beside a negative class": (edit(b3=lambda b: np.full((2, 2), np.nan),
                                              b4=lambda b: b - 30.0 * np.eye(3)),
-                                        DEFAULT_TOL, "block 4 has negative eigenvalue"),
+                                        DEFAULT_TOL, NON_FINITE),
         "nan beside a negative block": (edit(b3=lambda b: np.full((2, 2), np.nan),
                                              b1=lambda b: np.diag([1.0, -1e-6])),
-                                        DEFAULT_TOL, "block 1 has negative eigenvalue"),
+                                        DEFAULT_TOL, NON_FINITE),
+        "-inf beside an asymmetric block": (edit(b0=lambda b: np.array([[-np.inf]]),
+                                                 b4=nudge(2, 0, 1e-3)),
+                                            DEFAULT_TOL, NON_FINITE),
     }
 
 
@@ -530,7 +542,7 @@ def test_eig_classes_keep_the_bits_and_errors_of_the_block_by_block_checks(case)
     for check in (_reference_eig_classes, _eig_classes):
         try:
             outcomes.append(check(h, tol))
-        except NotPositiveError as err:
+        except (NotPositiveError, NonFiniteError) as err:
             outcomes.append(str(err))
     want, got = outcomes
     if verdict == "ok":
@@ -540,6 +552,23 @@ def test_eig_classes_keep_the_bits_and_errors_of_the_block_by_block_checks(case)
             assert not w1.flags.writeable and not u1.flags.writeable
     else:
         assert want.startswith(verdict) and got == want
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(1, 1), (0, 2)])
+def test_a_non_finite_entry_is_refused_before_any_eigh(lapack, value, entry):
+    # eigh returned NaN or failed on a NaN, and an infinity made the
+    # Hermitian check NaN with a RuntimeWarning
+    M = BlockAlgebra((3,))
+    b = 2.0 * np.eye(3, dtype=complex)
+    b[entry] = b[entry[::-1]] = value
+    h = Element(M, [b])
+    lapack.forbid("eigh")
+    for run in (lambda: Weight(h), lambda: power_pos(h, 0.5),
+                lambda: spectral_projection(h, 0.5), lambda: func_calc(h, np.sqrt)):
+        with pytest.raises(NonFiniteError, match="^" + NON_FINITE + "$"):
+            run()
 
 
 def test_pos_eig_names_the_first_offending_block():
@@ -614,16 +643,19 @@ def test_func_calc_calls_f_once_per_size_class():
 
 def test_calculus_takes_one_eigh_per_general_size_class(lapack):
     h = random_positive(make_rng(36), MIXED)   # the 1x1 class is diagonal
-    mu = Weight(h)
     for build in (lambda: func_calc(h, np.sqrt), lambda: power_pos(h, 0.5j),
-                  lambda: spectral_projection(h, 0.5), lambda: mu.powers((0.5j,)),
-                  lambda: mu.powers((0.5j, -0.5j, 1.5, 2.0 - 1j, 0.25))):
+                  lambda: spectral_projection(h, 0.5), lambda: Weight(h)):
         lapack.reset()
         build()
         assert lapack.names() == ["eigh", "eigh"]
         lapack.calls.clear()
         build()
         assert lapack.calls == []
+    # a weight keeps the eigensystem it was built with
+    mu = Weight(h)
+    lapack.reset()
+    mu.powers((0.5j,)), mu.powers((0.5j, -0.5j, 1.5, 2.0 - 1j, 0.25))
+    assert lapack.calls == []
 
 
 def _leaves(result):
@@ -749,10 +781,15 @@ def test_suite_report_is_the_same_with_the_caches_bypassed(lapack, monkeypatch):
     kept = []
     monkeypatch.setattr(Element, "_sv", property(lambda self: None,
                                                  lambda self, value: kept.append(value)))
+    # no weight keeps its eigensystem: every read factorizes its density again
+    read = []
+    monkeypatch.setattr(Weight, "_eig", property(
+        lambda self: read.append(self) or bare[_eig_classes](self.density, self.tol),
+        lambda self, value: None), raising=False)
     lapack.reset()
     uncached = run_suite(cfg)
     assert all(c.cache_info().currsize == 0 for c in lapack.caches)
-    assert kept
+    assert kept and read
     cached.pop("duration_seconds"), uncached.pop("duration_seconds")
     assert cached == uncached
 

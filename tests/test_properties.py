@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from nclp import (DivisionResult, GradingError, NotModuleMapError, decomp, lpspace,
-                  operator_norm, properties)
+from nclp import (DivisionResult, GradingError, NotModuleMapError, decomp, left_support,
+                  lpspace, operator_norm, properties, trace)
 from nclp.properties import PROPERTIES, SuiteConfig, run_suite
 from nclp.sampling import spawn_rng
 from nclp.serialize import dumps
@@ -156,6 +156,32 @@ def test_douglas_minimal_constant_refuses_a_constant_that_is_not_minimal(monkeyp
     monkeypatch.setattr(decomp, "douglas_divide", doubled)
     cfg = SuiteConfig(seed=1, trials=1, block_shapes=((1,),))
     assert _run("decomp.douglas_minimal_constant", cfg) == (False, 1.0)
+
+
+def test_douglas_minimal_constant_refuses_a_doubled_constant_on_any_kernel(monkeypatch):
+    # on the default shapes x is mostly rank-deficient; on the common kernel
+    # of the two Gram matrices every constant holds, so the refusal must come
+    # from the support of x, in every trial that reaches the division
+    real, reached = decomp.douglas_divide, []
+
+    def doubled(x, y, tol):
+        result = real(x, y, tol)
+        reached.append(x)
+        return DivisionResult(result.quotient, 2.0 * result.minimal_c, result.residual)
+
+    monkeypatch.setattr(decomp, "douglas_divide", doubled)
+    cfg = SuiteConfig()
+    rng = spawn_rng(cfg.seed, "decomp.douglas_minimal_constant")
+    verdicts = []
+    for _ in range(cfg.trials):
+        count = len(reached)
+        passed, residual = PROPERTIES["decomp.douglas_minimal_constant"](rng, cfg)
+        if len(reached) > count:
+            verdicts.append((passed, residual))
+    ranks = [round(trace(left_support(x)).real) for x in reached]
+    deficient = sum(r < x.algebra.matrix_dim for r, x in zip(ranks, reached))
+    assert len(verdicts) == 32 and deficient > len(verdicts) // 2
+    assert all(not passed and residual == 1.0 for passed, residual in verdicts)
 
 
 def test_graded_division_grading_refuses_an_accepted_mismatch(monkeypatch):

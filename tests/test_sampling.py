@@ -11,7 +11,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from nclp import DEFAULT_TOL, BlockAlgebra, Element, GradedElement, Weight, polar_right
+from nclp import (
+    DEFAULT_TOL,
+    BlockAlgebra,
+    Element,
+    GradedElement,
+    NonFiniteError,
+    Weight,
+    polar_right,
+)
 from nclp.sampling import (
     FAITHFUL_FLOOR,
     make_rng,
@@ -118,3 +126,18 @@ def test_random_element_stream_is_pinned():
     x = random_element(make_rng(42), BlockAlgebra((2, 1, 3)))
     digest = hashlib.sha256(b"".join(s.tobytes() for s in x.stacks)).hexdigest()
     assert digest == "3c90099519922c33a148832e54ed61c203db2998ca6a29876898e9c754d48a6c"
+
+
+def test_random_projection_refuses_a_non_finite_draw(lapack):
+    class Broken:
+        """A generator whose normal draws are all NaN."""
+
+        def standard_normal(self, size):
+            return np.full(size, np.nan)
+
+        def integers(self, low, high):
+            return low
+
+    lapack.forbid("eigh")
+    with pytest.raises(NonFiniteError, match="^random projection: "):
+        random_projection(Broken(), BlockAlgebra((2, 3)))

@@ -1,5 +1,8 @@
 """Unit tests for weights, modular flows, cocycles, and pushforwards."""
 
+import copy as copy_module
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from nclp import (
     BlockEmbedding,
     GradingError,
     Element,
+    GradedElement,
     NonFaithfulError,
     NonFiniteError,
     NotPositiveError,
@@ -20,8 +24,10 @@ from nclp import (
     change_of_weight,
     cocycle_identity_check,
     connes_cocycle,
+    cyclic_generator,
     distance,
     evaluate,
+    left_support,
     modular_automorphism,
     operator_norm,
     power_pos,
@@ -30,11 +36,12 @@ from nclp import (
     trace_weight,
 )
 from nclp.matcore import (
+    FACTOR_CACHE,
     _eig_classes,
     _operator_norms,
     flatten_element as flatten,
 )
-from nclp.sampling import make_rng, random_element, random_weight
+from nclp.sampling import make_rng, random_element, random_positive, random_weight
 
 M2 = BlockAlgebra((2,))
 M3 = BlockAlgebra((3,))
@@ -545,38 +552,38 @@ def test_pushforward_keeps_the_callers_tolerance():
 
 
 def test_weight_operations_take_one_eigh_per_density(lapack):
+    # construction takes the one eigh of each density; after FACTOR_CACHE + 1
+    # other factorizations have evicted both caches, the seven operations
+    # built on the weights still take no eigh of either density
     M = BlockAlgebra((2,) * 8)
     rng = make_rng(22)
     h, k = random_weight(rng, M).density, random_weight(rng, M).density
     x = random_element(rng, M)
+    # an exactly real diagonal Gram matrix takes no eigh of its own
+    gens = [GradedElement(M.identity() * c, 0.5 + 0.3j) for c in (1.0, 2.0)]
     lapack.reset()
     mu, nu = Weight(h), Weight(k)
     assert lapack.names() == ["eigh", "eigh"]
-    runs = (("modular_automorphism", lambda: modular_automorphism(mu, 0.3j, x)),
-            ("connes_cocycle", lambda: connes_cocycle(mu, nu, 0.3j)),
-            ("cocycle_identity_check", lambda: cocycle_identity_check(mu, nu, 0.3j, -0.7j)),
-            ("support", lambda: mu.support))
-    counts = {}
-    for name, run in runs:
-        lapack.reset()
-        run()
-        counts[name] = lapack.names().count("eigh")
-        lapack.calls.clear()
-        run()
-        assert lapack.names().count("eigh") == 0
-    assert counts == {"modular_automorphism": 1, "connes_cocycle": 2,
-                      "cocycle_identity_check": 2, "support": 1}
-    # fresh weights and all their operations: one eigh per density in total
-    lapack.reset()
-    mu, nu = Weight(h), Weight(k)
-    for _, run in runs:
-        run()
-    assert lapack.names().count("eigh") == 2
+    for _ in range(FACTOR_CACHE + 1):
+        power_pos(random_positive(rng, M), 0.5)
+        left_support(random_element(rng, M))
+    for cache in lapack.caches:   # the last FACTOR_CACHE calls, no density
+        info = cache.cache_info()
+        assert (info.hits, info.currsize) == (0, FACTOR_CACHE)
+    assert _eig_classes.cache_info().misses == 2 + FACTOR_CACHE + 1
+    lapack.forbid("eigh")
+    mu.powers((0.5, 0.3j)), mu.support
+    modular_automorphism(mu, 0.3j, x)
+    connes_cocycle(mu, nu, 0.3j)
+    cocycle_identity_check(mu, nu, 0.3j, -0.7j)
+    change_of_weight(x, 0.5 + 0.2j, mu, nu)
+    cyclic_generator(gens, mu)
 
 
 def test_weight_checks_its_density_once_per_tolerance(lapack):
-    # Weight(h), then powers, support and the modular flow at the weight's
-    # own tol: one positivity check of h, all later calls hit the cache
+    # Weight(h) checks h once; powers, support and the modular flow at the
+    # weight's own tol, or an equal one, read the kept eigensystem and never
+    # look in the cache; another policy checks h again, once, through it
     M = BlockAlgebra((2,) * 8)
     rng = make_rng(23)
     h, x = random_weight(rng, M).density, random_element(rng, M)
@@ -588,14 +595,47 @@ def test_weight_checks_its_density_once_per_tolerance(lapack):
     mu.support
     modular_automorphism(mu, 0.3j, x)
     modular_automorphism(mu, 0.3j, x, mu.tol)
+    mu.powers((0.5,), Tolerances())   # an equal policy
     info = _eig_classes.cache_info()
-    assert (info.misses, info.hits) == (1, 4)
-    # an equal policy is the same key, 1 and 1.0 included; another checks h again
-    mu.powers((0.5,), Tolerances())
-    assert _eig_classes.cache_info().misses == 1
+    assert (info.misses, info.hits) == (1, 0)
+    assert lapack.names() == ["eigh"]
+    # another policy is one key, 1 and 1.0 included
     mu.powers((0.5,), Tolerances(eq_abs=1))
     mu.powers((0.5,), Tolerances(eq_abs=1.0))
-    assert _eig_classes.cache_info().misses == 2
+    info = _eig_classes.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
+    assert lapack.names() == ["eigh", "eigh"]
+
+
+def test_a_weight_at_another_policy_takes_that_policys_check(lapack):
+    # eigenvalue -1e-10 is within the default floor -eq_bound(1), not within
+    # a stricter one: that policy takes one eigh and refuses on every call
+    h = Element(M2, [np.array([[0.5, 0.5 + 1e-10], [0.5 + 1e-10, 0.5]])])
+    mu = Weight(h)
+    assert not mu.faithful and lapack.names() == ["eigh"]
+    strict = Tolerances(eq_abs=1e-12, eq_rel=1e-12)
+    lapack.calls.clear()
+    for _ in range(2):
+        with pytest.raises(NotPositiveError, match="negative eigenvalue"):
+            mu.powers((0.5,), strict)
+    with pytest.raises(NotPositiveError, match="negative eigenvalue"):
+        connes_cocycle(mu, trace_weight(M2), 0.3j, strict)
+    assert lapack.names() == ["eigh"] * 3   # a failed check is not kept
+    lapack.calls.clear()
+    mu.support, mu.powers((0.5,)), mu.powers((0.5,), DEFAULT_TOL)
+    assert lapack.calls == []
+    with pytest.raises(NonFaithfulError):
+        modular_automorphism(mu, 0.3j, h)
+
+
+def test_a_copied_weight_rebuilds_its_eigensystem_read_only(lapack):
+    mu = random_weight(make_rng(26), M3)
+    for copy in (pickle.loads(pickle.dumps(mu)), copy_module.copy(mu),
+                 copy_module.deepcopy(mu)):
+        assert type(copy) is Weight and copy.tol == mu.tol and copy.faithful
+        for (w, u), (w0, u0) in zip(copy._eig, mu._eig):
+            assert not (w.flags.writeable or u.flags.writeable)
+            assert w.tobytes() == w0.tobytes() and u.tobytes() == u0.tobytes()
 
 
 @pytest.mark.usefixtures("lapack")   # cold caches
