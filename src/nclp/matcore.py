@@ -91,7 +91,7 @@ class Tolerances(_Value):
             raise ValueError(f"rank_rel must be in (0, 1), got {self.rank_rel}")
         if not (0.0 < self.eq_abs < math.inf and 0.0 < self.eq_rel < math.inf):
             raise ValueError("eq_abs and eq_rel must be finite and strictly positive")
-        # a policy is half of every factorization cache key, so its hash is kept
+        # a policy keys every eigensystem an element keeps, so its hash is kept
         _setfield(self, "_hash", hash(self._key()))
 
     def __hash__(self):
@@ -206,10 +206,11 @@ class Element(_Frozen):
     Elements compare and hash by identity.
     """
 
-    # Placeholders read by _svals, class-level so that building an element
-    # sets neither: _d holds the diagonal factors of an element built by
-    # _spectral, and _sv the singular values once a norm has read them.
-    _d = _sv = None
+    # Placeholders, class-level so that building an element sets none: _d
+    # holds the diagonal factors of an element built by _spectral, _sv the
+    # singular values once a norm has read them (both read by _svals), and
+    # _eig a dict of the eigensystems of _eig_classes, keyed by Tolerances.
+    _d = _sv = _eig = None
 
     def __init__(self, algebra: BlockAlgebra, blocks):
         dims = algebra.block_dims
@@ -309,32 +310,33 @@ def _h(a: np.ndarray) -> np.ndarray:
 # algebra.classes, rebuilt with _spectral.  numpy.linalg is looked up at
 # call time throughout, so it can be wrapped to count factorizations.
 #
-# Two results are kept for the last FACTOR_CACHE elements each: the full
-# SVDs (_svds) and the validated, clamped eigensystems of _eig_classes,
-# keyed by element and Tolerances.  So the supports, polar parts, quotients
-# and powers of one element share one factorization, and its positivity is
-# checked once per policy.  The key is the element itself: Element hashes
-# by identity and its stacks are read-only, so a key never outlives or
-# changes its results, which are read-only too.  Each cache holds its keys
-# alive, which bounds it by FACTOR_CACHE results, whatever callers keep.
-# They are not kept on the element, as singular values are, because then
-# every live element would keep its u, vh and eigenvectors: on the 16 pooled
-# (64,) instances of the big-block bench workload, peak RSS rose from 53 to
-# 63 MB that way.  Errors are not cached.
-#
-# A Weight is the exception: it keeps the validated eigensystem of its
-# density at its own policy (weights.py), as every modular operation is a
-# power of that density, so these caches serve bare elements, and weights
-# at other policies.  That costs one eigensystem per live weight: the 32
-# pooled weights of the big-block workload keep 64 KB of eigenvectors each,
-# and its peak RSS rose from 53.1 to 55.2 MB (+3.9 %).
-#
-# Singular values live on the element instead (_svals): an element that
+# Factorizations have two homes.  An element keeps what it owns: its
+# singular values (_svals), and its validated, clamped eigensystem per
+# Tolerances (_eig_classes), each filled on first use.  An element that
 # _spectral builds as U diag(d) V*, with U and V unitary, carries |d|, and
 # any other element takes one values-only SVD the first time a norm reads
-# them.
+# its singular values.  So the powers and spectral projections of one
+# positive element share one eigensystem, its positivity is checked once
+# per policy, and a weight's modular operations never factorize its density
+# again, whatever was factorized in between.  Eigensystems live as long as
+# their element: the 16-task pool of the big-block bench workload keeps 48
+# positive (64,) elements, with 64 KB of eigenvectors each, and its peak
+# RSS is 55.6 MB with them kept, 52.5 MB with none kept (x86-64, Python
+# 3.11, numpy 2.4).  Errors are not kept, so a failed check raises on
+# every call.
+#
+# The full SVDs (_svds) of the last FACTOR_CACHE elements are kept in an
+# LRU instead, keyed by the element itself: Element hashes by identity and
+# its stacks are read-only, so a key never outlives or changes its results,
+# which are read-only too.  Kept on the element, every live element would
+# keep its u and vh: with the eigensystems, that raised the peak RSS of the
+# big-block workload from 53 to 63 MB.  The LRU costs it 0.25 MB (55.35 MB
+# with no entry).  Two entries are the fewest with which no element's full
+# SVD is taken twice (tests/test_traffic.py): isometry_divide(x, y)
+# factorizes y and then x, so with one entry an x decomposed just before
+# the division would be factorized again.
 
-FACTOR_CACHE = 4
+FACTOR_CACHE = 2
 
 
 def _frozen(*arrays):
@@ -524,6 +526,14 @@ def _norm2_bound(matrix: np.ndarray, top: float, gap: float, values,
     bracket gives every v in values the verdict v > bound of the exact
     bound, unless v falls between the bounds at the two ends; only then is
     the dense norm of matrix taken.
+
+    The floor of 1 matters only for a matrix of norm below 1, where the
+    bound is absolute with or without it: eq_abs + eq_rel * ||matrix||_2
+    becomes eq_abs + eq_rel, so the floor adds at most eq_rel (equal to
+    eq_abs under the default policy).  A residual of such a matrix rounds
+    at a scale below 1, so the floor grants it the slack of a map of norm
+    1, as eq_abs alone grants that of the zero map; it moves no verdict of
+    a matrix of norm 1 or more.
     """
     lo, hi = (tol.eq_bound(max(top + e, 1.0)) for e in (-gap, gap))
     if any(lo < v <= hi for v in values):
@@ -566,7 +576,6 @@ def _general_blocks(a: np.ndarray) -> np.ndarray:
     return parts[:, _off_real_diagonal(a.shape[-1])].any(axis=-1)
 
 
-@lru_cache(maxsize=FACTOR_CACHE)
 def _eig_classes(h: Element, tol: Tolerances) -> tuple:
     """Stacked eigensystems of a positive element, one per size class.
 
@@ -575,8 +584,8 @@ def _eig_classes(h: Element, tol: Tolerances) -> tuple:
     eigenvectors U (k, n, n).  Blocks that are exactly diagonal with real
     entries get the trivial eigensystem, which keeps identity densities
     bit-exact through powers; the rest of each class shares one batched
-    eigh of its Hermitian part.  The result is cached per (h, tol).  Raises
-    NotPositiveError, naming the first offending block, if h is not
+    eigh of its Hermitian part.  The result is kept on h, one per tol.
+    Raises NotPositiveError, naming the first offending block, if h is not
     Hermitian PSD within tolerance, on every call.
 
     Each check and the clamp first look at a whole class through one
@@ -589,6 +598,8 @@ def _eig_classes(h: Element, tol: Tolerances) -> tuple:
     Finiteness is tested first, and raises NonFiniteError: eigh returns NaN
     or fails on a NaN, and an infinity makes the Hermitian check NaN.
     """
+    if h._eig and tol in h._eig:
+        return h._eig[tol]
     if not all(np.isfinite(a).all() for a in h.stacks):
         raise NonFiniteError("eigendecomposition: the matrix holds a NaN or an infinity")
     gaps = [np.abs(a - _h(a)) for a in h.stacks]
@@ -626,7 +637,9 @@ def _eig_classes(h: Element, tol: Tolerances) -> tuple:
     for (w, _), low in zip(raw, lows):
         cutoff = tol.rank_rel * lmax * w.shape[-1]
         clamped.append(w if low > cutoff else np.where(w > cutoff, w, 0.0))
-    return tuple(zip(_frozen(*clamped), _frozen(*(u for _, u in raw))))
+    classes = tuple(zip(_frozen(*clamped), _frozen(*(u for _, u in raw))))
+    _setfield(h, "_eig", {**(h._eig or {}), tol: classes})
+    return classes
 
 
 def _offenders(h: Element, flags, values) -> list:
@@ -649,7 +662,7 @@ def func_calc(h: Element, f, tol: Tolerances = DEFAULT_TOL) -> Element:
     of the eigenvalues of its k blocks of size n, and must return an array
     of the same shape.  Eigenvalues below the support cutoff are passed as
     exactly 0, so the support convention is decided by f at 0.  The array
-    is read-only, as it is cached with the eigensystem: f returns a new one.
+    is read-only, as it is kept with the eigensystem: f returns a new one.
     """
     return _calc(h.algebra, _eig_classes(h, tol), f)
 

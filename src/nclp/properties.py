@@ -133,6 +133,11 @@ def _imaginary(rng) -> complex:
     return complex(0.0, float(rng.uniform(-2.0, 2.0)))
 
 
+def _min_eig(blocks) -> float:
+    """The lowest eigenvalue of the Hermitian parts of the matrices in blocks."""
+    return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min()) for b in blocks)
+
+
 # -- matcore properties ----------------------------------------------------
 
 
@@ -174,9 +179,7 @@ def prop_spectral_projection_laws(rng, cfg):
                 distance(p @ p, p),
                 distance(p.adjoint(), p))
     low = p @ h @ p - c * p
-    worst_neg = max(0.0, *(-float(np.linalg.eigvalsh((b + b.conj().T) / 2).min())
-                           for b in low.blocks))
-    resid = max(resid, worst_neg)
+    resid = max(resid, 0.0, -_min_eig(low.blocks))
     return resid <= tol.eq_bound(operator_norm(h)), resid
 
 
@@ -374,11 +377,7 @@ def prop_douglas_minimal_constant(rng, cfg):
     c = decomp.douglas_divide(x, y, tol).minimal_c
     gram_x = x.adjoint() @ x
     gram_y = y.adjoint() @ y
-
-    def min_eig(blocks):
-        return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min()) for b in blocks)
-
-    low_at_c = min_eig((c ** 2 * gram_x - gram_y).blocks)
+    low_at_c = _min_eig((c ** 2 * gram_x - gram_y).blocks)
     ok_at_c = low_at_c >= -tol.eq_bound(operator_norm(gram_y) + 1.0)
     # a smaller constant fails on the support of x: y = r @ x vanishes on
     # its kernel, where every constant holds and only rounding decides, so
@@ -388,7 +387,7 @@ def prop_douglas_minimal_constant(rng, cfg):
                   for (_, _, vh, keep), diff in zip(decomp._svd_support(x, tol),
                                                     (shrunk * gram_x - gram_y).stacks)
                   for v, kept, b in zip(vh, keep, diff) if kept.any()]
-    fails_below = min_eig(compressed) < 0.0
+    fails_below = _min_eig(compressed) < 0.0
     resid = max(0.0, -low_at_c)
     if not fails_below:
         resid = max(resid, 1.0)

@@ -45,27 +45,22 @@ class Weight(_Frozen):
     more than about 1/rank_rel reports as nonfaithful unless constructed
     with a tighter policy (pass the same policy to the modular operations).
 
-    A weight owns the validated eigensystem of its density at its own
-    policy: construction checks positivity once, and the support and every
-    power at that policy read the kept eigensystem, however many other
-    elements have been factorized since.  At any other policy the density
-    goes through matcore's cache and its positivity check, as a bare
-    element does.  Weights compare and hash by identity, and pickle and
-    copy as (density, tol).
+    The density keeps its validated eigensystem, one per policy, as every
+    element does (matcore._eig_classes): construction checks positivity
+    once, and the support and every power at that policy read the kept
+    eigensystem, however many other elements have been factorized since.
+    Another policy checks the density again, once.  Weights compare and
+    hash by identity; a pickled or deep-copied weight holds a copy of the
+    density, which takes its eigensystem again on first use.
     """
 
     def __init__(self, density: Element, tol: Tolerances = DEFAULT_TOL):
-        # the eigensystem that checks positivity also decides faithfulness
-        classes = _eig_classes(density, tol)  # raises NotPositiveError
+        # the eigensystem that checks positivity (or raises NotPositiveError)
+        # also decides faithfulness
+        _setfield(self, "faithful", all((w > 0.0).all() for w, _ in _eig_classes(density, tol)))
         _setfield(self, "density", density)
         _setfield(self, "tol", tol)
-        _setfield(self, "faithful", all((w > 0.0).all() for w, _ in classes))
-        _setfield(self, "_eig", classes)   # read-only, as _eig_classes returns it
         _setfield(self, "_support", None)
-
-    def __reduce__(self):
-        # rebuild the eigensystem, read-only again, from the density
-        return Weight, (self.density, self.tol)
 
     @property
     def algebra(self) -> BlockAlgebra:
@@ -75,7 +70,8 @@ class Weight(_Frozen):
     def support(self) -> Element:
         """The support projection of the density, built on first use."""
         if self._support is None:
-            _setfield(self, "_support", _calc(self.algebra, self._eig, lambda w: w > 0.0))
+            _setfield(self, "_support", _calc(self.algebra, _eig_classes(self.density, self.tol),
+                                              lambda w: w > 0.0))
         return self._support
 
     def __call__(self, x: Element) -> complex:
@@ -86,9 +82,9 @@ class Weight(_Frozen):
         return self.powers((a,), tol)[0]
 
     def powers(self, exponents, tol: Tolerances | None = None) -> list[Element]:
-        """density^a for every a in exponents, from one eigensystem: the
-        weight's own at its own policy, else the cached one at tol."""
-        classes = self._eig if tol in (None, self.tol) else _eig_classes(self.density, tol)
+        """density^a for every a in exponents, from one eigensystem of the
+        density at tol, the weight's own policy by default."""
+        classes = _eig_classes(self.density, self.tol if tol is None else tol)
         return [_calc(self.algebra, classes, partial(_spectral_power, a=a)) for a in exponents]
 
     def __repr__(self):
@@ -143,7 +139,11 @@ def cocycle_identity_check(mu: Weight, nu: Weight, a, b,
 
     The bound is tol.eq_bound(max(||lhs||, 1)).  A residual within
     tol.eq_bound(1) passes whatever ||lhs|| is, so the norm of lhs is taken
-    only for a larger residual.
+    only for a larger residual.  The floor of 1 is the scale of the
+    factors: for imaginary a and faithful nu, k^a and k^-a are unitaries,
+    so rhs is formed from products of norm 1 and rounds at that scale, and
+    lhs is a partial isometry of norm 1 (0 only when mu is zero, where the
+    rounding of rhs is still at scale 1).
     """
     tol = nu.tol if tol is None else tol
     a = _require_imaginary(a, tol, "parameter")

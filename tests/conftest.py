@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from nclp.matcore import _eig_classes, _svds
+from nclp.matcore import _svds
 
 # the functions wrapped, each with the argument recorded as its option
 OPTIONS = {"svd": "compute_uv", "norm": "ord", "eigh": None, "eigvalsh": None}
@@ -19,8 +19,6 @@ class Lapack:
     shape) per call, in order: option is compute_uv for svd, ord for norm
     and None otherwise, and shape is that of the matrix argument.
     """
-
-    caches = (_svds, _eig_classes)
 
     def __init__(self, monkeypatch):
         self.calls = []
@@ -47,15 +45,14 @@ class Lapack:
         return call
 
     def reset(self):
-        """Forget the recorded calls and every cached factorization.
+        """Forget the recorded calls and the full SVDs of the _svds LRU.
 
-        The caches serve bare elements only: a live Weight keeps the
-        eigensystem of its density, which no reset empties, so its
-        operations at its own policy still take no eigh.
+        An element keeps its singular values and its eigensystems for as
+        long as it lives, which no reset empties: count on fresh elements,
+        or on elements whose factorizations the test means to reuse.
         """
         self.calls.clear()
-        for cached in self.caches:
-            cached.cache_clear()
+        _svds.cache_clear()
 
     def names(self) -> list:
         """The name of each recorded call, "svdvals" for a values-only svd."""
@@ -77,6 +74,6 @@ class Lapack:
 
 @pytest.fixture
 def lapack(monkeypatch):
-    """A Lapack for one test, which starts with cold factorization caches;
-    a weight built earlier keeps its eigensystem all the same."""
+    """A Lapack for one test, which starts with an empty full-SVD LRU; an
+    element built earlier keeps its singular values and eigensystems."""
     return Lapack(monkeypatch)

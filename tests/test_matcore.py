@@ -534,7 +534,6 @@ def _eig_cases():
     }
 
 
-@pytest.mark.usefixtures("lapack")   # cold caches
 @pytest.mark.parametrize("case", sorted(_eig_cases()))
 def test_eig_classes_keep_the_bits_and_errors_of_the_block_by_block_checks(case):
     h, tol, verdict = _eig_cases()[case]
@@ -642,18 +641,19 @@ def test_func_calc_calls_f_once_per_size_class():
 
 
 def test_calculus_takes_one_eigh_per_general_size_class(lapack):
-    h = random_positive(make_rng(36), MIXED)   # the 1x1 class is diagonal
-    for build in (lambda: func_calc(h, np.sqrt), lambda: power_pos(h, 0.5j),
-                  lambda: spectral_projection(h, 0.5), lambda: Weight(h)):
-        lapack.reset()
-        build()
+    blocks = random_positive(make_rng(36), MIXED).blocks   # the 1x1 class is diagonal
+    for build in (lambda h: func_calc(h, np.sqrt), lambda h: power_pos(h, 0.5j),
+                  lambda h: spectral_projection(h, 0.5), Weight):
+        h = Element(MIXED, blocks)
+        lapack.calls.clear()
+        build(h)
         assert lapack.names() == ["eigh", "eigh"]
         lapack.calls.clear()
-        build()
+        build(h)
         assert lapack.calls == []
-    # a weight keeps the eigensystem it was built with
-    mu = Weight(h)
-    lapack.reset()
+    # a weight's powers read the eigensystem its density was checked with
+    mu = Weight(Element(MIXED, blocks))
+    lapack.calls.clear()
     mu.powers((0.5j,)), mu.powers((0.5j, -0.5j, 1.5, 2.0 - 1j, 0.25))
     assert lapack.calls == []
 
@@ -679,24 +679,27 @@ def _leaves(result):
 
 def test_cached_factorizations_give_bit_identical_results(lapack):
     rng = make_rng(37)
-    x = random_element(rng, MIXED)
-    y = random_element(rng, MIXED) @ x
-    mu = Weight(random_positive(rng, MIXED))
-    runs = (lambda: polar_right(x), lambda: polar_left(x), lambda: left_support(x),
-            lambda: right_support(x), lambda: douglas_divide(x, y),
-            lambda: holder_witness(GradedElement(x, 0.7 + 0.2j), 0.5),
-            lambda: comultiply(GradedElement(x, 1.2 - 0.3j), (0.5, 0.7 - 0.3j)),
-            lambda: mu.powers((0.5j, -0.5j, 1.5)),
-            lambda: operator_norm(x), lambda: lnorm(GradedElement(x, 0.7 + 0.2j)),
-            lambda: func_calc(mu.density, np.sqrt),
-            lambda: Weight(mu.density).support)
+    x0 = random_element(rng, MIXED)
+    y0 = random_element(rng, MIXED) @ x0
+    h0 = random_positive(rng, MIXED)
+    runs = (lambda x, y, h: polar_right(x), lambda x, y, h: polar_left(x),
+            lambda x, y, h: left_support(x), lambda x, y, h: right_support(x),
+            lambda x, y, h: douglas_divide(x, y),
+            lambda x, y, h: holder_witness(GradedElement(x, 0.7 + 0.2j), 0.5),
+            lambda x, y, h: comultiply(GradedElement(x, 1.2 - 0.3j), (0.5, 0.7 - 0.3j)),
+            lambda x, y, h: Weight(h).powers((0.5j, -0.5j, 1.5)),
+            lambda x, y, h: operator_norm(x), lambda x, y, h: lnorm(GradedElement(x, 0.7 + 0.2j)),
+            lambda x, y, h: func_calc(h, np.sqrt),
+            lambda x, y, h: Weight(h).support)
     for run in runs:
+        # fresh elements, so that the first run factorizes them cold
+        fresh = [Element(MIXED, z.blocks) for z in (x0, y0, h0)]
         lapack.reset()
-        cold = _leaves(run())
-        for other in runs:      # warm the caches from every caller
-            other()
+        cold = _leaves(run(*fresh))
+        for other in runs:      # factorize them from every caller
+            other(*fresh)
         lapack.calls.clear()
-        warm = _leaves(run())
+        warm = _leaves(run(*fresh))
         assert "svd" not in lapack.names() and "eigh" not in lapack.names()
         assert len(cold) == len(warm)
         assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
@@ -732,30 +735,28 @@ def test_factor_cache_holds_the_last_factor_cache_elements(lapack):
     rng = make_rng(40)
     xs = [random_element(rng, M2) for _ in range(FACTOR_CACHE + 1)]
     hs = [random_positive(rng, M2) for _ in range(FACTOR_CACHE + 1)]
-    power = lambda z: power_pos(z, 0.5)   # noqa: E731
-    for cached, run, name, items in ((_svds, left_support, "svd", xs),
-                                     (_eig_classes, power, "eigh", hs)):
-        lapack.reset()
+    # the full SVDs of the last FACTOR_CACHE elements are kept
+    for z in xs:
+        left_support(z)
+    assert lapack.names() == ["svd"] * len(xs)
+    lapack.calls.clear()
+    for z in xs[1:]:
+        left_support(z)
+    assert lapack.calls == []
+    left_support(xs[0])       # the oldest was dropped
+    assert lapack.names() == ["svd"]
+    # eigensystems and singular values live on each element, so none is
+    # ever dropped
+    for run, name, items in ((lambda z: power_pos(z, 0.5), "eigh", hs),
+                             (operator_norm, "svdvals", xs)):
+        lapack.calls.clear()
         for z in items:
             run(z)
         assert lapack.names() == [name] * len(items)
-        assert cached.cache_info().currsize == FACTOR_CACHE
         lapack.calls.clear()
-        run(items[-1])
+        for z in items:
+            run(z)
         assert lapack.calls == []
-        run(items[0])       # the oldest was dropped
-        assert lapack.names() == [name]
-        assert cached.cache_info().misses == len(items) + 1
-        assert cached.cache_info().currsize == FACTOR_CACHE
-    # singular values live on each element, so none is ever dropped
-    lapack.calls.clear()
-    for z in xs:
-        operator_norm(z)
-    assert lapack.names() == ["svdvals"] * len(xs)
-    lapack.calls.clear()
-    for z in xs:
-        operator_norm(z)
-    assert lapack.calls == []
     assert all(z._sv is not None for z in xs)
 
 
@@ -772,24 +773,24 @@ def test_lnorm_after_operator_norm_takes_no_svd(lapack):
 def test_suite_report_is_the_same_with_the_caches_bypassed(lapack, monkeypatch):
     cfg = SuiteConfig(seed=7, trials=5)
     cached = run_suite(cfg)
-    bare = {c: c.__wrapped__ for c in lapack.caches}
+    counts = [lapack.names().count(name) for name in ("svd", "eigh", "svdvals")]
+    bare = _svds.__wrapped__
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "nclp"]:
         for name, value in list(vars(module).items()):
-            if callable(value) and value in bare:
-                monkeypatch.setattr(module, name, bare[value])
-    # no element keeps its singular values: every read takes them again
-    kept = []
-    monkeypatch.setattr(Element, "_sv", property(lambda self: None,
-                                                 lambda self, value: kept.append(value)))
-    # no weight keeps its eigensystem: every read factorizes its density again
-    read = []
-    monkeypatch.setattr(Weight, "_eig", property(
-        lambda self: read.append(self) or bare[_eig_classes](self.density, self.tol),
-        lambda self, value: None), raising=False)
+            if value is _svds:
+                monkeypatch.setattr(module, name, bare)
+    # no element keeps its singular values or eigensystems: every read
+    # takes them again
+    kept = {"_sv": [], "_eig": []}
+    for field, log in kept.items():
+        forgetful = property(lambda self: None, lambda self, value, log=log: log.append(value))
+        monkeypatch.setattr(Element, field, forgetful)
     lapack.reset()
     uncached = run_suite(cfg)
-    assert all(c.cache_info().currsize == 0 for c in lapack.caches)
-    assert kept and read
+    assert all(kept.values())
+    # every kind of factorization is taken more often without the caches
+    assert all(lapack.names().count(name) > count
+               for name, count in zip(("svd", "eigh", "svdvals"), counts))
     cached.pop("duration_seconds"), uncached.pop("duration_seconds")
     assert cached == uncached
 
@@ -850,13 +851,14 @@ def test_distance_is_the_norm_of_the_difference_and_caches_nothing(lapack):
     x, y = random_element(rng, MIXED), random_element(rng, MIXED)
     got = distance(x, y)
     assert x._sv is None and y._sv is None
-    assert all(c.cache_info().currsize == 0 for c in lapack.caches)
+    per_class = ["svdvals"] * len(MIXED.classes)
+    assert lapack.names() == per_class   # no full SVD is taken, so none is kept
     assert got.hex() == operator_norm(x - y).hex()
     nrm, kept = operator_norm(x), _svals(x)
-    before = [c.cache_info() for c in lapack.caches]
+    lapack.calls.clear()
     distance(x, y)
+    assert lapack.names() == per_class   # nor are the values of x - y kept
     assert _svals(x) is kept and operator_norm(x) == nrm and y._sv is None
-    assert [c.cache_info() for c in lapack.caches] == before
     with pytest.raises(AlgebraMismatchError, match="incompatible algebras"):
         distance(x, M2.identity())
 

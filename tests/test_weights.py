@@ -552,8 +552,8 @@ def test_pushforward_keeps_the_callers_tolerance():
 
 
 def test_weight_operations_take_one_eigh_per_density(lapack):
-    # construction takes the one eigh of each density; after FACTOR_CACHE + 1
-    # other factorizations have evicted both caches, the seven operations
+    # construction takes the one eigh of each density; after more than
+    # FACTOR_CACHE other elements have been factorized, the seven operations
     # built on the weights still take no eigh of either density
     M = BlockAlgebra((2,) * 8)
     rng = make_rng(22)
@@ -562,15 +562,12 @@ def test_weight_operations_take_one_eigh_per_density(lapack):
     # an exactly real diagonal Gram matrix takes no eigh of its own
     gens = [GradedElement(M.identity() * c, 0.5 + 0.3j) for c in (1.0, 2.0)]
     lapack.reset()
-    mu, nu = Weight(h), Weight(k)
+    mu, nu = Weight(Element(M, h.blocks)), Weight(Element(M, k.blocks))
     assert lapack.names() == ["eigh", "eigh"]
     for _ in range(FACTOR_CACHE + 1):
         power_pos(random_positive(rng, M), 0.5)
         left_support(random_element(rng, M))
-    for cache in lapack.caches:   # the last FACTOR_CACHE calls, no density
-        info = cache.cache_info()
-        assert (info.hits, info.currsize) == (0, FACTOR_CACHE)
-    assert _eig_classes.cache_info().misses == 2 + FACTOR_CACHE + 1
+    assert lapack.names()[2:] == ["eigh", "svd"] * (FACTOR_CACHE + 1)
     lapack.forbid("eigh")
     mu.powers((0.5, 0.3j)), mu.support
     modular_automorphism(mu, 0.3j, x)
@@ -582,28 +579,23 @@ def test_weight_operations_take_one_eigh_per_density(lapack):
 
 def test_weight_checks_its_density_once_per_tolerance(lapack):
     # Weight(h) checks h once; powers, support and the modular flow at the
-    # weight's own tol, or an equal one, read the kept eigensystem and never
-    # look in the cache; another policy checks h again, once, through it
+    # weight's own tol, or an equal one, read the kept eigensystem; another
+    # policy checks h again, once
     M = BlockAlgebra((2,) * 8)
     rng = make_rng(23)
     h, x = random_weight(rng, M).density, random_element(rng, M)
-    lapack.reset()
-    mu = Weight(h)
-    info = _eig_classes.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
+    lapack.calls.clear()
+    mu = Weight(Element(M, h.blocks))
+    assert lapack.names() == ["eigh"]
     mu.powers((0.5, 0.3j))
     mu.support
     modular_automorphism(mu, 0.3j, x)
     modular_automorphism(mu, 0.3j, x, mu.tol)
     mu.powers((0.5,), Tolerances())   # an equal policy
-    info = _eig_classes.cache_info()
-    assert (info.misses, info.hits) == (1, 0)
     assert lapack.names() == ["eigh"]
     # another policy is one key, 1 and 1.0 included
     mu.powers((0.5,), Tolerances(eq_abs=1))
     mu.powers((0.5,), Tolerances(eq_abs=1.0))
-    info = _eig_classes.cache_info()
-    assert (info.misses, info.hits) == (2, 1)
     assert lapack.names() == ["eigh", "eigh"]
 
 
@@ -629,27 +621,39 @@ def test_a_weight_at_another_policy_takes_that_policys_check(lapack):
 
 
 def test_a_copied_weight_rebuilds_its_eigensystem_read_only(lapack):
+    # a pickled or deep copy holds a copy of the density, which takes one
+    # eigh on first use; a shallow copy shares the density and takes none
     mu = random_weight(make_rng(26), M3)
-    for copy in (pickle.loads(pickle.dumps(mu)), copy_module.copy(mu),
-                 copy_module.deepcopy(mu)):
+    kept, powers = _eig_classes(mu.density, mu.tol), mu.powers((0.5, 0.3j))
+    for copy, eighs in ((pickle.loads(pickle.dumps(mu)), ["eigh"]),
+                        (copy_module.deepcopy(mu), ["eigh"]), (copy_module.copy(mu), [])):
         assert type(copy) is Weight and copy.tol == mu.tol and copy.faithful
-        for (w, u), (w0, u0) in zip(copy._eig, mu._eig):
+        lapack.calls.clear()
+        again = copy.powers((0.5, 0.3j))
+        assert lapack.names() == eighs
+        for (w, u), (w0, u0) in zip(_eig_classes(copy.density, copy.tol), kept):
             assert not (w.flags.writeable or u.flags.writeable)
             assert w.tobytes() == w0.tobytes() and u.tobytes() == u0.tobytes()
+        assert all(p.stacks[0].tobytes() == q.stacks[0].tobytes()
+                   for p, q in zip(again, powers))
+        assert lapack.names() == eighs
 
 
-@pytest.mark.usefixtures("lapack")   # cold caches
-def test_non_positive_density_raises_on_every_call():
-    blocks = [np.diag([1.0, -1.0]).astype(complex)]
+def test_non_positive_density_raises_on_every_call(lapack):
+    # a failed check is never kept: each call takes its eigh again
+    blocks = [np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)]
     h = Element(M2, blocks)
     for _ in range(3):
         with pytest.raises(NotPositiveError, match="negative eigenvalue"):
             Weight(h)
         with pytest.raises(NotPositiveError, match="negative eigenvalue"):
             power_pos(h, 0.5)
-    assert _eig_classes.cache_info().currsize == 0
+    assert lapack.names() == ["eigh"] * 6
+    diagonal = Element(M2, [np.diag([1.0, -1.0]).astype(complex)])
     asym = Element(M2, [np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)])
     for _ in range(2):
+        with pytest.raises(NotPositiveError, match="negative eigenvalue"):
+            Weight(diagonal)
         with pytest.raises(NotPositiveError, match="not Hermitian"):
             Weight(asym)
 
