@@ -31,6 +31,7 @@ from .matcore import (
     _h,
     _operator_norms,
     _same_algebra,
+    _svd,
     _svd_support,
     _setfield,
     _spectral,
@@ -201,8 +202,8 @@ def douglas_ladder(x: Element, y: Element, epsilons=None,
         tops = np.zeros((n + 1, k))                                  # width 0: gap 0
         for w in np.flatnonzero(met.any(axis=1)):
             j = np.flatnonzero(met[w])
-            tops[w, j] = np.linalg.svd(scaled[j[:, None, None], rows, cols[j, :, n - w:]],
-                                       compute_uv=False)[:, 0]
+            tops[w, j] = _svd(scaled[j[:, None, None], rows, cols[j, :, n - w:]], k,
+                              "douglas ladder", compute_uv=False)[:, 0]
         per_class.append(tops[widths, blocks].max(axis=-1))
     return list(zip(eps.tolist(), reduce(np.maximum, per_class).tolist()))
 

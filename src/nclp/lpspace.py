@@ -114,8 +114,9 @@ def holder_witness_imaginary(xi: GradedElement, b, c,
     svd = _svd_support(xi.data, tol)
     top = max(float(s.max()) for _, s, _, _ in svd)
     # operator_norm's figure (a values-only SVD, or the values xi carries) may
-    # differ from this one by ulps (13 on 64 x 64 blocks): near the top,
-    # decide with it and keep the top direction
+    # differ from this one by ulps (13 on 64 x 64 blocks, at most 2.3 eps top
+    # on 2 x 2 blocks, on LAPACK or the kernels): near the top, decide with it
+    # and keep the top direction
     near = abs(c - top) <= 16.0 * np.finfo(float).eps * max(xi.algebra.block_dims) * top
     nrm = operator_norm(xi.data) if near else top
     if not 0.0 <= c < nrm:

@@ -305,10 +305,13 @@ def _h(a: np.ndarray) -> np.ndarray:
 #
 # Every spectral quantity is one formula per block, U diag(f(s)) V* or
 # U diag(f(w)) U*.  Each factorization therefore runs on x.stacks, one
-# batched LAPACK call per size class whose results equal the per-block
-# calls bit for bit, and its results are plain lists aligned with
-# algebra.classes, rebuilt with _spectral.  numpy.linalg is looked up at
-# call time throughout, so it can be wrapped to count factorizations.
+# batched call per size class through the funnel, _svd or _eigh, and its
+# results are plain lists aligned with algebra.classes, rebuilt with
+# _spectral.  The funnel picks LAPACK or the closed-form 2 x 2 kernels by the
+# block count of the size class (KERNEL_BLOCKS), so within one algebra the
+# results of a block are the same bit for bit however its blocks are
+# batched.  numpy.linalg and nclp.kernels are looked up at call time
+# throughout, so they can be wrapped to count factorizations.
 #
 # Factorizations have two homes.  An element keeps what it owns: its
 # singular values (_svals), and its validated, clamped eigensystem per
@@ -362,20 +365,61 @@ def _spectral(algebra: BlockAlgebra, triples) -> Element:
     return out
 
 
-def _svd(a: np.ndarray, what: str, compute_uv: bool = True):
-    """np.linalg.svd(a); NonFiniteError, naming the operation what, when
-    LAPACK fails on an a that holds a NaN or an infinity.
+# A size class of KERNEL_BLOCKS or more 2 x 2 blocks is factorized by the
+# closed-form kernels of nclp.kernels, which cost a fixed 22-50 us per call
+# where LAPACK pays 1-2 us per matrix.  Per call, in us, LAPACK -> kernel, on
+# a (k, 2, 2) complex stack (2-vCPU Intel Xeon, Python 3.11.7, numpy 2.4.6,
+# one BLAS thread; median of 5 alternating rounds, each the best of 7 x 200
+# calls):
+#
+#     k          1          8          16         24          32         64
+#     full SVD   8.2 -> 47  22 -> 48   39 -> 50   110 -> 52   68 -> 52   131 -> 65
+#     values     6.0 -> 22  14 -> 23   25 -> 25   34 -> 24    44 -> 24   90 -> 26
+#     eigh       5.7 -> 28  12 -> 29   27 -> 31   25 -> 30    31 -> 30   57 -> 33
+#
+# A first run read 54 for LAPACK's full SVD at k = 24, with the same
+# crossovers: the SVDs win from 16-24 blocks, eigh from 32.  The choice
+# follows the block count of the size class, never the length of the stack
+# handed in, so that batching never changes a bit: _operator_norms stacks the
+# class of several elements, _eig_classes hands in the general blocks of a
+# class, and douglas_ladder the blocks that share a rung width.  The kernels
+# are imported on first use (about 3 ms when no bytecode is cached), so that
+# a process that factorizes only smaller classes (every shipped demo input,
+# the default verify) never loads them.
+
+KERNEL_BLOCKS = 32
+
+
+def _svd(a: np.ndarray, blocks: int, what: str, compute_uv: bool = True):
+    """The SVD (u, s, vh), or s alone, of the stack a, whose blocks come from
+    a size class of blocks blocks in their algebra: a may be that class, a
+    part of it, or the class of several elements stacked.  NonFiniteError,
+    naming the operation what, when the factorization fails on an a that
+    holds a NaN or an infinity.
 
     Finiteness is tested only after a failure, so a factorization that
-    succeeds pays nothing for it.  A values-only SVD returns NaN on an
-    infinity; a full one may never return, so _svds tests first.
+    succeeds pays nothing for it.  A values-only SVD fails on a NaN and
+    returns NaN on an infinity, on LAPACK and on the kernel alike; a full one
+    may never return, so _svds tests first.
     """
     try:
+        if blocks >= KERNEL_BLOCKS and a.shape[-2:] == (2, 2):
+            from . import kernels
+            return kernels.svd2(a, compute_uv)
         return np.linalg.svd(a, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
         if np.isfinite(a).all():
             raise
         raise NonFiniteError(f"{what}: the matrix holds a NaN or an infinity") from None
+
+
+def _eigh(a: np.ndarray, blocks: int):
+    """(w, u), the eigensystems of the finite Hermitian stack a, whose blocks
+    come from a size class of blocks blocks in their algebra."""
+    if blocks >= KERNEL_BLOCKS and a.shape[-2:] == (2, 2):
+        from . import kernels
+        return kernels.eigh2(a)
+    return np.linalg.eigh(a)
 
 
 def _spectral_power(s: np.ndarray, a) -> np.ndarray:
@@ -396,7 +440,7 @@ def _svds(x: Element) -> tuple:
     what = "singular value decomposition"
     if not all(np.isfinite(a).all() for a in x.stacks):
         raise NonFiniteError(f"{what}: the matrix holds a NaN or an infinity")
-    return tuple(_frozen(*_svd(a, what)) for a in x.stacks)
+    return tuple(_frozen(*_svd(a, len(a), what)) for a in x.stacks)
 
 
 def _svd_support(x: Element, tol: Tolerances) -> list:
@@ -417,13 +461,15 @@ def _svals(x: Element) -> tuple:
 
     Each row descends, with a NaN first, where _top sees it.  An element
     built by _spectral sorts its |d| as floats; any other takes one
-    values-only SVD, never taken from _svds, as the two can differ by a few
-    ulps.  Either way the values are kept on x, filled on first read.
+    values-only SVD per class, on LAPACK or on the kernel by the class's
+    block count, never taken from _svds, as the two can differ by a few ulps.
+    Either way the values are kept on x, filled on first read.
     """
     sv = x._sv
     if sv is None:
         if x._d is None:
-            sv = _frozen(*(_svd(a, "singular values", compute_uv=False) for a in x.stacks))
+            sv = _frozen(*(_svd(a, len(a), "singular values", compute_uv=False)
+                           for a in x.stacks))
         else:
             sv = _frozen(*(np.sort(np.abs(d).astype(float, copy=False), axis=-1)[:, ::-1]
                            for d in x._d))
@@ -441,7 +487,7 @@ def _top(svals) -> float:
 
 def _operator_norms(*xs: Element) -> list[float]:
     """operator_norm of each element of one algebra, one values-only SVD per class."""
-    tops = [_svd(np.concatenate(stacks), "operator norm", compute_uv=False)[:, 0]
+    tops = [_svd(np.concatenate(stacks), len(stacks[0]), "operator norm", compute_uv=False)[:, 0]
             .reshape(len(xs), -1).max(axis=1)
             for stacks in zip(*(x.stacks for x in xs))]
     return reduce(np.maximum, tops).tolist()
@@ -459,7 +505,8 @@ def distance(x: Element, y: Element) -> float:
     stacks, and no element is built to keep it.
     """
     _same_algebra(x.algebra, y.algebra, "incompatible algebras")
-    return _top([_svd(a - b, "distance", compute_uv=False) for a, b in zip(x.stacks, y.stacks)])
+    return _top([_svd(a - b, len(a), "distance", compute_uv=False)
+                 for a, b in zip(x.stacks, y.stacks)])
 
 
 def _entry_bracket(x: Element) -> tuple[float, float]:
@@ -615,13 +662,13 @@ def _eig_classes(h: Element, tol: Tolerances) -> tuple:
         general = _general_blocks(a)
         count = np.count_nonzero(general)
         if count == len(a):
-            raw.append(np.linalg.eigh((a + _h(a)) / 2.0))
+            raw.append(_eigh((a + _h(a)) / 2.0, len(a)))
             continue
         w = np.diagonal(a, axis1=-2, axis2=-1).real.copy()
         u = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
         if count:
             g = a[general]
-            w[general], u[general] = np.linalg.eigh((g + _h(g)) / 2.0)
+            w[general], u[general] = _eigh((g + _h(g)) / 2.0, len(a))
         raw.append((w, u))
     lows = [float(w.min()) for w, _ in raw]
     # max |w| per class, NaN if the class holds one, as np.abs(w).max() gives it

@@ -1,23 +1,28 @@
-"""The lapack fixture: the calls a test makes to numpy.linalg's factorizations."""
+"""The lapack fixture: the factorizations a test makes, on LAPACK or the 2 x 2 kernels."""
 
 import inspect
 
 import numpy as np
 import pytest
 
+from nclp import kernels
 from nclp.matcore import _svds
 
 # the functions wrapped, each with the argument recorded as its option
 OPTIONS = {"svd": "compute_uv", "norm": "ord", "eigh": None, "eigvalsh": None}
+# the closed-form 2 x 2 kernels, each recorded as the LAPACK call it stands for
+KERNELS = {"svd": "svd2", "eigh": "eigh2"}
 
 
 class Lapack:
     """Records every call to numpy.linalg's svd, eigh, eigvalsh and norm.
 
-    The library looks numpy.linalg up at call time, so the wrappers see
-    each of its factorizations.  calls holds one record (name, option,
-    shape) per call, in order: option is compute_uv for svd, ord for norm
-    and None otherwise, and shape is that of the matrix argument.
+    The library looks numpy.linalg and nclp.kernels up at call time,
+    so the wrappers see each of its factorizations; a kernel call is
+    recorded, forbidden and failed as the LAPACK call it replaces.  calls
+    holds one record (name, option, shape) per call, in order: option is
+    compute_uv for svd, ord for norm and None otherwise, and shape is that
+    of the matrix argument.
     """
 
     def __init__(self, monkeypatch):
@@ -26,6 +31,8 @@ class Lapack:
         self._errors = {}
         for name in OPTIONS:
             monkeypatch.setattr(np.linalg, name, self._wrap(name, getattr(np.linalg, name)))
+        for name, kernel in KERNELS.items():
+            monkeypatch.setattr(kernels, kernel, self._wrap(name, getattr(kernels, kernel)))
         self.reset()
 
     def _wrap(self, name, real):
@@ -33,7 +40,7 @@ class Lapack:
 
         def call(*args, **kwargs):
             if name in self._forbidden:
-                pytest.fail(f"numpy.linalg.{name} was called")
+                pytest.fail(f"numpy.linalg.{name} was called, or its kernel")
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
             self.calls.append((name, bound.arguments[option] if option else None,

@@ -1,0 +1,232 @@
+"""The closed-form 2 x 2 kernels of nclp.kernels, against LAPACK, and the
+rule that routes a size class to them: its block count, never the stack
+length."""
+
+import math
+
+import numpy as np
+import pytest
+
+from nclp import (DEFAULT_TOL, BlockAlgebra, Element, GradedElement, NonFiniteError,
+                  distance, lnorm)
+from nclp.kernels import eigh2, svd2
+from nclp.lpspace import holder_witness_imaginary
+from nclp.matcore import KERNEL_BLOCKS, _eig_classes, _operator_norms, _svds, operator_norm
+from nclp.properties import SuiteConfig, run_suite
+from nclp.sampling import make_rng, random_element, random_graded
+
+K = KERNEL_BLOCKS
+EPS = np.finfo(float).eps
+
+# The bounds, derived to first order in units of u = eps / 2 and of smax, the
+# block's largest singular value (or largest |eigenvalue|); each rounding of
+# an operation on quantities of size at most smax adds at most u smax.
+# - Scaling by 2^-e is exact.
+# - The Gram entries p, r and q carry at most 5u smax^2: two squares or
+#   products and a sum, per part.
+# - The rotation's c, s and phase carry at most 8u each: abs, hypot, divide,
+#   subtract, hypot, divide.  So V is unitary to 10u; u1 = x1 / |x1| is a unit
+#   vector to 5u (two abs, hypot, divide), and u2 is built from it, so u is
+#   unitary to 10u too.  Forming u* u or V V* adds 3u: UNITARY = 16u.
+# - x = b V carries 4u smax, and s1 u1 = x1 to 3u smax.  s2 u2 drops the part
+#   u1* x2 of x2, at most (5u + 8u) smax from the rotation's residual on the
+#   Gram matrix, and carries 3u smax of its own.  Undoing V costs its
+#   unitarity, 10u smax, and forming u diag(s) vh - a adds 4u smax:
+#   RESIDUAL = 37u smax.  The eigensystem path is the rotation alone.
+# - The singular values of u diag(s) vh are s to within the unitarity of u
+#   and vh (2 x 16u smax); by Weyl's inequality those of a are within the
+#   residual of them; LAPACK's are within p(n) eps smax of exact, taken as
+#   2 eps = 4u for n = 2: VALUES = (32 + 37 + 4)u smax.
+# Measured on the stacks below, the largest were 4 eps, 3.2 eps and 3.7 eps.
+UNITARY = 16 * EPS / 2
+RESIDUAL = 37 * EPS / 2
+VALUES = 73 * EPS / 2
+
+
+def _stacks():
+    rng = make_rng(5)
+    k = 60
+
+    def gaussian(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    g = gaussian(k, 2, 2)
+    q1, q2 = np.linalg.qr(g)[0], np.linalg.qr(gaussian(k, 2, 2))[0]
+    return {
+        "gaussian": g,
+        "zero": np.zeros((3, 2, 2), dtype=complex),
+        "rank one": gaussian(k, 2, 1) @ gaussian(k, 1, 2),
+        "diagonal": np.stack([np.diag(d) for d in rng.standard_normal((k, 2))]).astype(complex),
+        "signed diagonal": np.array([np.diag(d) for d in ([0.0, 3.0], [-2.0, 0.0], [1.0, 1.0],
+                                                          [-1.0, -4.0])], dtype=complex),
+        "signed zeros": np.array([[[-0.0, 1.0], [1.0, -0.0]], [[-0.0, 1j], [-1j, -0.0]],
+                                  [[-0.0, -0.0], [-0.0, -0.0]], [[0.0, -1.0], [1.0, -0.0]]]),
+        "unitary multiples": q1 * rng.standard_normal(k)[:, None, None],
+        "nearly equal": (q1 * np.array([1.0, 1.0 + 1e-9])) @ q2,
+        "pure phases": np.exp(2j * np.pi * rng.random((k, 2, 2))),
+        "1e-150": 1e-150 * g,
+        "1e150": 1e150 * g,
+        # squares of entries past 1e154 overflow, and below 1e-154 lose digits
+        "1e-200": 1e-200 * g,
+        "1e200": 1e200 * g,
+        "mixed scales": g * np.array([1e-200, 1.0, 1e200])[rng.integers(0, 3, k), None, None],
+    }
+
+
+STACKS = _stacks()
+
+
+def _norm2(m):
+    return np.linalg.norm(m, 2, axis=(-2, -1))
+
+
+def _gap(m):
+    """||m* m - I||_2 per matrix of a stack."""
+    return _norm2(m.conj().swapaxes(-1, -2) @ m - np.eye(2))
+
+
+@pytest.mark.parametrize("name", sorted(STACKS))
+def test_svd_kernel_agrees_with_lapack(name):
+    a = STACKS[name]
+    u, s, vh = svd2(a)
+    values = svd2(a, compute_uv=False)
+    want = np.linalg.svd(a, compute_uv=False)
+    smax = want[:, :1]
+    assert (np.diff(s, axis=-1) <= 0.0).all() and (np.diff(values, axis=-1) <= 0.0).all()
+    assert (_norm2((u * s[:, None, :]) @ vh - a) <= RESIDUAL * smax[:, 0]).all()
+    assert (_gap(u) <= UNITARY).all() and (_gap(vh.conj().swapaxes(-1, -2)) <= UNITARY).all()
+    assert (np.abs(s - want) <= VALUES * smax).all()
+    assert (np.abs(values - want) <= VALUES * smax).all()
+    zero = smax[:, 0] == 0.0
+    assert (u[zero] == np.eye(2)).all() and (vh[zero] == np.eye(2)).all()
+
+
+@pytest.mark.parametrize("name", sorted(STACKS))
+def test_eigh_kernel_agrees_with_lapack(name):
+    a = STACKS[name]
+    h = 0.5 * (a + a.conj().swapaxes(-1, -2))   # keeps a diagonal -0, as / 2.0 would not
+    w, u = eigh2(h)
+    want = np.linalg.eigh(h)[0]
+    wmax = np.abs(want).max(axis=-1, keepdims=True)
+    assert (np.diff(w, axis=-1) >= 0.0).all()
+    assert (_norm2((u * w[:, None, :]) @ u.conj().swapaxes(-1, -2) - h)
+            <= RESIDUAL * wmax[:, 0]).all()
+    assert (_gap(u) <= UNITARY).all()
+    assert (np.abs(w - want) <= VALUES * wmax).all()
+
+
+def test_the_kernels_see_their_scale_exactly():
+    # scaling is by powers of two, so scaling a block by one changes no bit
+    a = STACKS["gaussian"]
+    for c in (2.0 ** -600, 2.0 ** 600):
+        for got, want in zip(svd2(c * a), svd2(a)):
+            assert (got == want * (c if got.ndim == 2 else 1.0)).all()
+
+
+@pytest.mark.parametrize("count", [K - 1, K])
+def test_batched_norms_equal_the_single_ones_bit_for_bit(count):
+    M = BlockAlgebra((2,) * count)
+    rng = make_rng(70)
+    pairs = [[random_element(rng, M) for _ in range(2)] for _ in range(3)]
+    for x, y in pairs:
+        assert _operator_norms(x, y) == [operator_norm(x), operator_norm(y)]
+
+
+def _psd(rng, general):
+    if not general:
+        return np.diag(rng.uniform(0.1, 2.0, 2)).astype(complex)
+    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    return m @ m.conj().T
+
+
+def test_real_diagonal_blocks_leave_the_eigensystems_of_the_others_unchanged():
+    # the kernel takes the general blocks of a class, chosen by the class's
+    # block count: each gets the eigensystem it gets in an all-general class,
+    # and the one the kernel gives it alone
+    rng = make_rng(71)
+    M = BlockAlgebra((2,) * K)
+    general = rng.random(K) < 0.5
+    blocks = [_psd(rng, g) for g in general]
+    others = [b if g else _psd(rng, True) for b, g in zip(blocks, general)]
+    (w, u), = _eig_classes(Element(M, blocks), DEFAULT_TOL)
+    (w_all, u_all), = _eig_classes(Element(M, others), DEFAULT_TOL)
+    assert (w[general] == w_all[general]).all() and (u[general] == u_all[general]).all()
+    assert (u[~general] == np.eye(2)).all()
+    for j in np.flatnonzero(general):
+        b = blocks[j]
+        w_alone, u_alone = eigh2(((b + b.conj().T) / 2.0)[None])
+        assert (w[j] == w_alone[0]).all() and (u[j] == u_alone[0]).all()
+
+
+BAD = [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.inf, np.nan)]
+
+
+@pytest.mark.parametrize("count", [K - 1, K])
+@pytest.mark.parametrize("entry", range(4))
+@pytest.mark.parametrize("bad", BAD, ids=["nan", "inf", "-inf", "inf-imag", "inf-nan"])
+def test_non_finite_entries_give_what_lapack_gives(count, entry, bad):
+    # as on LAPACK: a block holding an infinity gives NaN norms, and one
+    # holding a NaN alone makes the factorization fail, which raises a
+    # NonFiniteError naming the operation
+    M = BlockAlgebra((2,) * count)
+    rng = make_rng(72)
+    blocks = [np.array(b) for b in random_element(rng, M).blocks]
+    blocks[count // 2][divmod(entry, 2)] = bad
+    x, y = Element(M, blocks), random_element(rng, M)
+    calls = {"operator norm": lambda: operator_norm(x), "distance": lambda: distance(x, y),
+             "lnorm 0": lambda: lnorm(GradedElement(x, 0.3j)),
+             "lnorm 1/2": lambda: lnorm(GradedElement(x, 0.5))}
+    for what, call in calls.items():
+        if not np.isinf(bad):
+            with pytest.raises(NonFiniteError, match="holds a NaN or an infinity"):
+                call()
+        else:
+            assert math.isnan(call()), what
+
+
+@pytest.mark.parametrize("count", [K - 1, K])
+def test_non_finite_elements_are_refused_before_any_factorization(count, lapack):
+    M = BlockAlgebra((2,) * count)
+    blocks = [np.eye(2)] * count
+    blocks[1] = np.diag([np.inf, 1.0])
+    x = Element(M, blocks)
+    lapack.forbid("svd", "eigh")
+    with pytest.raises(NonFiniteError, match="^singular value decomposition: "):
+        _svds(x)
+    with pytest.raises(NonFiniteError, match="^eigendecomposition: "):
+        _eig_classes(x, DEFAULT_TOL)
+
+
+def test_the_fixture_records_forbids_and_fails_the_kernels(lapack):
+    x = random_element(make_rng(73), BlockAlgebra((2,) * K))
+    operator_norm(x)
+    _svds(x)
+    _eig_classes(x @ x.adjoint(), DEFAULT_TOL)
+    assert lapack.calls == [("svd", False, (K, 2, 2)), ("svd", True, (K, 2, 2)),
+                            ("eigh", None, (K, 2, 2))]
+    lapack.fail("svd", np.linalg.LinAlgError("SVD did not converge"))
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        distance(x, x.adjoint())
+    lapack.forbid("svd")
+    with pytest.raises(pytest.fail.Exception):
+        distance(x, x.adjoint())
+
+
+def test_a_threshold_one_ulp_below_the_norm_is_accepted():
+    # the full SVD's top and the values-only one differ by ulps; the
+    # witness decides near the top with the values-only figure
+    rng = make_rng(74)
+    M = BlockAlgebra((2,) * K)
+    for _ in range(20):
+        xi = random_graded(rng, M, 0.4j)
+        top = operator_norm(xi.data)
+        gap = abs(top - max(float(s.max()) for _, s, _ in _svds(xi.data)))
+        assert gap <= 16.0 * EPS * 2 * top
+        y = holder_witness_imaginary(xi, 0.5, np.nextafter(top, 0.0))
+        assert operator_norm(y.data) > 0.0
+
+
+def test_the_suite_passes_on_both_sides_of_the_crossover():
+    report = run_suite(SuiteConfig(trials=1, block_shapes=[[2] * (K - 1), [2] * K]))
+    failing = {name: r for name, r in report["properties"].items() if r["failed"]}
+    assert not failing and report["all_passed"]

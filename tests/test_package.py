@@ -116,6 +116,8 @@ LOADS = {
     "pushforward": _MATRIX | {"weights"},
     "oracle": _COMMAND | {"oracle"},
 }
+# every module but kernels, which only a size class of matcore.KERNEL_BLOCKS
+# (32) blocks of size 2 loads; no default shape has more than two
 ALL_MODULES = {"cli", "decomp", "errors", "graded", "lpspace", "matcore", "oracle",
                "properties", "sampling", "serialize", "weights"}
 
@@ -136,6 +138,14 @@ def test_each_shipped_input_loads_only_its_modules(path):
 
 def test_verify_loads_every_module():
     assert _loaded(_MAIN, "verify", "--trials", "1") == (0, ALL_MODULES)
+
+
+@pytest.mark.parametrize("count, loads", [(31, set()), (32, {"kernels"})])
+def test_only_a_class_of_kernel_size_loads_the_kernels(count, loads):
+    body = ("from nclp import BlockAlgebra, operator_norm\n"
+            f"code = operator_norm(BlockAlgebra((2,) * {count}).identity())")
+    code, modules = _loaded(body)
+    assert code == 1.0 and modules == {"errors", "matcore"} | loads
 
 
 # -- the former dataclasses ----------------------------------------------------

@@ -32,7 +32,7 @@ from nclp.sampling import make_rng, random_conditioned, random_element
 # factorize some element twice in each
 CONFIGS = {
     "default": SuiteConfig(trials=5),
-    "many blocks": SuiteConfig(trials=2, block_shapes=[[2] * 64, [3, 1, 2, 1, 3]]),
+    "many blocks": SuiteConfig(trials=2, block_shapes=[[2] * 31, [2] * 64, [3, 1, 2, 1, 3]]),
     "wide blocks": SuiteConfig(trials=2, block_shapes=[[16], [5, 1, 5], [12, 3]]),
     "another policy": SuiteConfig(trials=2, tolerances=Tolerances(
         rank_rel=1e-9, eq_abs=1e-10, eq_rel=1e-10)),
