@@ -24,6 +24,7 @@ _EXPORTS = {
         "NonFiniteError",
         "NotModuleMapError",
         "NotPositiveError",
+        "OutOfRangeError",
         "ShapeError",
         "UnsolvableError",
         "ValidationError",

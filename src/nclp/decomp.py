@@ -29,6 +29,7 @@ from .matcore import (
     Tolerances,
     _first_over,
     _h,
+    _matmul,
     _operator_norms,
     _same_algebra,
     _svd,
@@ -198,7 +199,7 @@ def douglas_ladder(x: Element, y: Element, epsilons=None,
         met[0] = False
         # per block, the indices of its last 1..n kept columns: cols[:, :, n - w:]
         cols = keep.sum(axis=-1)[:, None, None] - np.arange(n, 0, -1)  # (k, 1, n)
-        scaled = (b @ _h(vh)) * _inv(s, keep)[:, None, :]            # y V S^+
+        scaled = _matmul(b, _h(vh)) * _inv(s, keep)[:, None, :]      # y V S^+
         tops = np.zeros((n + 1, k))                                  # width 0: gap 0
         for w in np.flatnonzero(met.any(axis=1)):
             j = np.flatnonzero(met[w])

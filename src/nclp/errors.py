@@ -29,6 +29,10 @@ class GradingError(NclpError):
     """A grading violates the constraints of the requested operation."""
 
 
+class OutOfRangeError(NclpError):
+    """A result of finite inputs lies outside the float range."""
+
+
 class _ResidualError(NclpError):
     """An error decided by a residual, which it carries as .residual."""
 

@@ -1,4 +1,4 @@
-"""Closed-form factorizations of stacks of 2 x 2 complex matrices.
+"""Closed-form factorizations and products of stacks of 2 x 2 complex matrices.
 
 A 2 x 2 block is diagonalized by one Jacobi rotation, in a few dozen
 elementwise numpy operations on the whole stack, where LAPACK pays 1-2 us
@@ -6,9 +6,10 @@ per matrix.  One-sided Jacobi on the Gram matrix b*b gives the SVD to the
 accuracy of LAPACK's (J. Demmel and K. Veselic, SIAM J. Matrix Anal. Appl.
 13, 1992; tests/test_kernels.py derives the bound).  Every operation is
 elementwise or reduces within one block, so the results of a block do not
-depend on the stack it is handed in.  svd2 and eigh2 return what
-numpy.linalg's svd and eigh do; matcore's funnel (_svd, _eigh) decides which
-stacks they take, and imports this module on first use.
+depend on the stack it is handed in.  svd2, eigh2 and matmul2 return what
+numpy.linalg's svd and eigh and numpy's matmul do; matcore's funnel (_svd,
+_eigh, _matmul) decides which stacks they take, and imports this module on
+first use.
 """
 
 from __future__ import annotations
@@ -151,3 +152,14 @@ def svd2(a: np.ndarray, compute_uv: bool = True):
     sv[:, 0], sv[:, 1] = s1, s2
     sv = np.ldexp(sv, e[:, None])
     return (u, sv, vh) if compute_uv else sv
+
+
+def matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.matmul of two (k, 2, 2) stacks, entry by entry: a C-contiguous
+    (k, 2, 2) stack.
+
+    Entry (i, j) of every block is a_i0 b_0j + a_i1 b_1j: the columns of a,
+    (k, 2, 1), times the rows of b, (k, 1, 2), broadcast over the whole
+    stack, where BLAS pays a call per block.
+    """
+    return np.add(a[:, :, :1] * b[:, :1], a[:, :, 1:] * b[:, 1:], order="C")

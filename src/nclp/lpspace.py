@@ -11,10 +11,18 @@ translation between graded elements and right-module homomorphisms.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .decomp import right_support
-from .errors import GradingError, NclpError, NonFiniteError, NotModuleMapError
+from .errors import (
+    GradingError,
+    NclpError,
+    NonFiniteError,
+    NotModuleMapError,
+    OutOfRangeError,
+)
 from .graded import GradedElement, _grading, _require_imaginary, _same_grading
 from .matcore import (
     DEFAULT_TOL,
@@ -53,7 +61,8 @@ def lnorm(xi: GradedElement, tol: Tolerances = DEFAULT_TOL) -> float:
 
     The sum is taken scale-free, as smax * (sum (s/smax)^(1/Re a))^(Re a),
     so that lnorm(c x) = |c| lnorm(x) holds wherever s^(1/Re a) alone
-    would overflow or underflow.
+    would overflow or underflow.  OutOfRangeError when the norm itself lies
+    past the float range: rank r alone gives a factor r^(Re a).
     """
     re = float(xi.grading.real)
     if re <= tol.eq_abs:
@@ -62,7 +71,14 @@ def lnorm(xi: GradedElement, tol: Tolerances = DEFAULT_TOL) -> float:
     smax = float(s.max())
     if smax == 0.0:
         return 0.0
-    return smax * float(np.sum((s / smax) ** (1.0 / re))) ** re
+    try:
+        norm = smax * float(np.sum((s / smax) ** (1.0 / re))) ** re
+    except OverflowError:
+        norm = math.inf
+    if norm == math.inf:
+        raise OutOfRangeError(f"lnorm: the norm at grading real part {re!r} "
+                              "exceeds the float range")
+    return norm
 
 
 def gmul(xi: GradedElement, eta: GradedElement) -> GradedElement:

@@ -266,7 +266,7 @@ class Element(_Frozen):
         return self._zip(np.subtract, other)
 
     def __matmul__(self, other: Element) -> Element:
-        return self._zip(np.matmul, other)
+        return self._zip(_matmul, other)
 
     def __neg__(self) -> Element:
         return Element._of(self.algebra, [-a for a in self.stacks])
@@ -310,8 +310,10 @@ def _h(a: np.ndarray) -> np.ndarray:
 # _spectral.  The funnel picks LAPACK or the closed-form 2 x 2 kernels by the
 # block count of the size class (KERNEL_BLOCKS), so within one algebra the
 # results of a block are the same bit for bit however its blocks are
-# batched.  numpy.linalg and nclp.kernels are looked up at call time
-# throughout, so they can be wrapped to count factorizations.
+# batched.  Products of whole size-class stacks (Element @, _spectral, the
+# ladder) go through the same gate, _matmul, to BLAS or the kernel.
+# numpy.linalg and nclp.kernels are looked up at call time throughout, so
+# they can be wrapped to count factorizations.
 #
 # Factorizations have two homes.  An element keeps what it owns: its
 # singular values (_svals), and its validated, clamped eigensystem per
@@ -359,35 +361,50 @@ def _spectral(algebra: BlockAlgebra, triples) -> Element:
     stacks = []
     for u, d, vh in triples:
         ds.append(d)
-        stacks.append((u * d[:, None, :]) @ vh)
+        stacks.append(_matmul(u * d[:, None, :], vh))
     out = Element._of(algebra, stacks)
     _setfield(out, "_d", ds)
     return out
 
 
-# A size class of KERNEL_BLOCKS or more 2 x 2 blocks is factorized by the
-# closed-form kernels of nclp.kernels, which cost a fixed 22-50 us per call
-# where LAPACK pays 1-2 us per matrix.  Per call, in us, LAPACK -> kernel, on
-# a (k, 2, 2) complex stack (2-vCPU Intel Xeon, Python 3.11.7, numpy 2.4.6,
-# one BLAS thread; median of 5 alternating rounds, each the best of 7 x 200
-# calls):
+# A size class of KERNEL_BLOCKS or more 2 x 2 blocks is factorized and
+# multiplied by the closed-form kernels of nclp.kernels, which cost a fixed
+# 22-50 us per factorization and 7-14 us per product, where LAPACK pays 1-2 us
+# per matrix and BLAS about 0.4 us.  Per call, in us, LAPACK or BLAS ->
+# kernel, on a (k, 2, 2) complex stack (2-vCPU Intel Xeon, Python 3.11.7,
+# numpy 2.4.6, one BLAS thread; median of 5 alternating rounds, each the
+# best of 7 x 200 calls):
 #
 #     k          1          8          16         24          32         64
 #     full SVD   8.2 -> 47  22 -> 48   39 -> 50   110 -> 52   68 -> 52   131 -> 65
 #     values     6.0 -> 22  14 -> 23   25 -> 25   34 -> 24    44 -> 24   90 -> 26
 #     eigh       5.7 -> 28  12 -> 29   27 -> 31   25 -> 30    31 -> 30   57 -> 33
+#     product    3.3 -> 6.7 7.2 -> 7.9 11 -> 8.9  13 -> 10    16 -> 11    30 -> 14
 #
 # A first run read 54 for LAPACK's full SVD at k = 24, with the same
-# crossovers: the SVDs win from 16-24 blocks, eigh from 32.  The choice
-# follows the block count of the size class, never the length of the stack
-# handed in, so that batching never changes a bit: _operator_norms stacks the
-# class of several elements, _eig_classes hands in the general blocks of a
-# class, and douglas_ladder the blocks that share a rung width.  The kernels
-# are imported on first use (about 3 ms when no bytecode is cached), so that
-# a process that factorizes only smaller classes (every shipped demo input,
-# the default verify) never loads them.
+# crossovers: the SVDs win from 16-24 blocks, the product from 16, eigh from
+# 32, and one gate serves them all.  The choice follows the block count of
+# the size class, never the length of the stack handed in, so that batching
+# never changes a bit: _operator_norms stacks the class of several elements,
+# _eig_classes hands in the general blocks of a class, and douglas_ladder the
+# blocks that share a rung width.  The kernels are imported on first use
+# (about 3 ms when no bytecode is cached), so that a process that factorizes
+# and multiplies only smaller classes (every shipped demo input, the default
+# verify) never loads them.
 
 KERNEL_BLOCKS = 32
+
+# nclp.kernels, bound on first use: an import statement in the funnel would
+# cost an importlib lookup per call.  Its functions are read through the
+# module at call time, so that they can be wrapped to count factorizations.
+_kernels = None
+
+
+def _load_kernels():
+    global _kernels
+    from . import kernels
+    _kernels = kernels
+    return kernels
 
 
 def _svd(a: np.ndarray, blocks: int, what: str, compute_uv: bool = True):
@@ -404,8 +421,7 @@ def _svd(a: np.ndarray, blocks: int, what: str, compute_uv: bool = True):
     """
     try:
         if blocks >= KERNEL_BLOCKS and a.shape[-2:] == (2, 2):
-            from . import kernels
-            return kernels.svd2(a, compute_uv)
+            return (_kernels or _load_kernels()).svd2(a, compute_uv)
         return np.linalg.svd(a, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
         if np.isfinite(a).all():
@@ -417,9 +433,16 @@ def _eigh(a: np.ndarray, blocks: int):
     """(w, u), the eigensystems of the finite Hermitian stack a, whose blocks
     come from a size class of blocks blocks in their algebra."""
     if blocks >= KERNEL_BLOCKS and a.shape[-2:] == (2, 2):
-        from . import kernels
-        return kernels.eigh2(a)
+        return (_kernels or _load_kernels()).eigh2(a)
     return np.linalg.eigh(a)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product a @ b of two stacks that each hold one whole size class of
+    their algebra, so that the stack's length is the class's block count."""
+    if len(a) >= KERNEL_BLOCKS and a.shape[-2:] == (2, 2):
+        return (_kernels or _load_kernels()).matmul2(a, b)
+    return np.matmul(a, b)
 
 
 def _spectral_power(s: np.ndarray, a) -> np.ndarray:

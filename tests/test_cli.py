@@ -1,7 +1,11 @@
 """CLI contract: exit codes, JSON output, determinism, seed resolution."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,9 @@ from nclp.sampling import (
     random_weight,
 )
 from nclp.serialize import dumps, element_to_obj, graded_to_obj, weight_to_obj
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -247,6 +254,33 @@ def test_a_demo_result_that_overflows_is_a_numerical_error(capsys, tmp_path):
     out = _strict_json(capsys.readouterr().out)
     assert code == 1
     assert out["error"]["type"] == "numerical"
+
+
+def _holder_past_the_float_range(tmp_path):
+    # the shipped holder input with x at grading 1e300: its norm is 2^1e300
+    obj = json.loads((ROOT / "demos" / "inputs" / "holder_identity.json").read_text())
+    obj["x"]["grading"] = [1e300, 0.0]
+    return write(tmp_path, "holder.json", obj)
+
+
+HOLDER_OVERFLOW = {"type": "OutOfRangeError", "message":
+                   "lnorm: the norm at grading real part 1e+300 exceeds the float range"}
+
+
+def test_a_norm_past_the_float_range_is_a_typed_error(capsys, tmp_path):
+    code = main(["demo", "holder", "--input", _holder_past_the_float_range(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.err
+    assert _strict_json(captured.out)["error"] == HOLDER_OVERFLOW
+
+
+def test_a_norm_past_the_float_range_exits_1_with_json_from_the_console(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONWARNINGS": "error"}
+    done = subprocess.run([sys.executable, "-m", "nclp.cli", "demo", "holder", "--input",
+                           _holder_past_the_float_range(tmp_path)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (1, "")
+    assert _strict_json(done.stdout)["error"] == HOLDER_OVERFLOW
 
 
 def test_a_division_that_overflows_to_nan_is_a_non_finite_error(capsys, tmp_path):

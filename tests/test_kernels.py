@@ -1,6 +1,6 @@
-"""The closed-form 2 x 2 kernels of nclp.kernels, against LAPACK, and the
-rule that routes a size class to them: its block count, never the stack
-length."""
+"""The closed-form 2 x 2 kernels of nclp.kernels, against LAPACK and BLAS,
+and the rule that routes a size class to them: its block count, never the
+stack length."""
 
 import math
 
@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from nclp import (DEFAULT_TOL, BlockAlgebra, Element, GradedElement, NonFiniteError,
-                  distance, lnorm)
-from nclp.kernels import eigh2, svd2
+                  distance, kernels, lnorm)
+from nclp.kernels import eigh2, matmul2, svd2
 from nclp.lpspace import holder_witness_imaginary
-from nclp.matcore import KERNEL_BLOCKS, _eig_classes, _operator_norms, _svds, operator_norm
+from nclp.matcore import (KERNEL_BLOCKS, _eig_classes, _operator_norms, _spectral, _svds,
+                          operator_norm)
 from nclp.properties import SuiteConfig, run_suite
 from nclp.sampling import make_rng, random_element, random_graded
 
@@ -38,9 +39,19 @@ EPS = np.finfo(float).eps
 #   residual of them; LAPACK's are within p(n) eps smax of exact, taken as
 #   2 eps = 4u for n = 2: VALUES = (32 + 37 + 4)u smax.
 # Measured on the stacks below, the largest were 4 eps, 3.2 eps and 3.7 eps.
+# - Products, entry by entry, in units of (|a| |b|)_ij = sum_l |a_il| |b_lj|:
+#   each part of a complex product x y is two real products and a sum, within
+#   2u (|x_r y_r| + |x_i y_i|) or 2u (|x_r y_i| + |x_i y_r|), so the product
+#   is within 2 sqrt(2) u |x| |y| (Cauchy-Schwarz), and the kernel's sum of
+#   the two adds u of their total: (2 sqrt(2) + 1)u.  BLAS may sum the four
+#   real products of a part in any order, with or without fused multiply-adds,
+#   each rounding at most u of the terms' sum: 4 sqrt(2) u.  So the two
+#   differ by at most PRODUCT = (6 sqrt(2) + 1)u, on entries whose products
+#   stay normal.  Measured below, the largest was 2.04u.
 UNITARY = 16 * EPS / 2
 RESIDUAL = 37 * EPS / 2
 VALUES = 73 * EPS / 2
+PRODUCT = (6 * math.sqrt(2) + 1) * EPS / 2
 
 
 def _stacks():
@@ -74,6 +85,7 @@ def _stacks():
 
 
 STACKS = _stacks()
+BAD = [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.inf, np.nan)]
 
 
 def _norm2(m):
@@ -123,6 +135,62 @@ def test_the_kernels_see_their_scale_exactly():
             assert (got == want * (c if got.ndim == 2 else 1.0)).all()
 
 
+# the stacks whose products stay in the normal range
+NORMAL = sorted(set(STACKS) - {"1e-200", "1e200", "mixed scales"})
+
+
+@pytest.mark.parametrize("name", NORMAL)
+def test_product_kernel_agrees_with_blas(name):
+    a = STACKS[name]
+    b = make_rng(75).standard_normal((len(a), 2, 2, 2)) @ np.array([1.0, 1j])
+    for x, y in ((a, b), (b, a), (a, a.conj().swapaxes(-1, -2))):
+        got = matmul2(x, y)
+        assert got.flags.c_contiguous and got.shape == x.shape and got.dtype == complex
+        assert (np.abs(got - x @ y) <= PRODUCT * (np.abs(x) @ np.abs(y))).all()
+
+
+def test_a_block_s_product_does_not_depend_on_its_stack():
+    a, b = STACKS["gaussian"], STACKS["unitary multiples"]
+    whole = matmul2(a, b)
+    perm = make_rng(76).permutation(len(a))
+    assert (matmul2(a[perm], b[perm]) == whole[perm]).all()
+    for j in (0, 17, len(a) - 1):
+        assert (matmul2(a[j:j + 1], b[j:j + 1])[0] == whole[j]).all()
+
+
+@pytest.mark.parametrize("entry", range(4))
+@pytest.mark.parametrize("bad", BAD, ids=["nan", "inf", "-inf", "inf-imag", "inf-nan"])
+def test_a_non_finite_entry_spreads_as_it_does_on_blas(entry, bad):
+    j = len(STACKS["gaussian"]) // 2
+    for side in range(2):
+        pair = [STACKS["gaussian"].copy(), STACKS["pure phases"].copy()]
+        pair[side][j][divmod(entry, 2)] = bad
+        with np.errstate(invalid="ignore"):
+            got, want = matmul2(*pair), np.matmul(*pair)
+        assert (np.isfinite(got) == np.isfinite(want)).all()
+        assert not np.isfinite(got[j]).all() and np.isfinite(np.delete(got, j, axis=0)).all()
+
+
+@pytest.mark.parametrize("count", [K - 1, K])
+def test_products_take_the_kernel_by_the_class_s_block_count(count, monkeypatch):
+    calls = []
+
+    def spy(a, b):
+        calls.append(a.shape)
+        return matmul2(a, b)
+
+    monkeypatch.setattr(kernels, "matmul2", spy)
+    M = BlockAlgebra((2,) * count)
+    rng = make_rng(77)
+    x, y = random_element(rng, M), random_element(rng, M)
+    u, s, vh = np.linalg.svd(x.stacks[0])
+    got = [(x @ y).stacks[0], _spectral(M, [(u, s, vh)]).stacks[0]]
+    want = [(x.stacks[0], y.stacks[0]), (u * s[:, None, :], vh)]
+    step = matmul2 if count >= K else np.matmul
+    assert calls == [(count, 2, 2)] * 2 * (count >= K)
+    assert all((g == step(*w)).all() for g, w in zip(got, want))
+
+
 @pytest.mark.parametrize("count", [K - 1, K])
 def test_batched_norms_equal_the_single_ones_bit_for_bit(count):
     M = BlockAlgebra((2,) * count)
@@ -156,9 +224,6 @@ def test_real_diagonal_blocks_leave_the_eigensystems_of_the_others_unchanged():
         b = blocks[j]
         w_alone, u_alone = eigh2(((b + b.conj().T) / 2.0)[None])
         assert (w[j] == w_alone[0]).all() and (u[j] == u_alone[0]).all()
-
-
-BAD = [np.nan, np.inf, -np.inf, complex(0.0, np.inf), complex(np.inf, np.nan)]
 
 
 @pytest.mark.parametrize("count", [K - 1, K])

@@ -16,6 +16,7 @@ from nclp import (
     NclpError,
     NonFiniteError,
     NotModuleMapError,
+    OutOfRangeError,
     TensorElement,
     Tolerances,
     comultiply,
@@ -38,6 +39,7 @@ from nclp import (
     trace_weight,
     turpin_upper,
 )
+from nclp.matcore import KERNEL_BLOCKS
 from nclp.sampling import (
     make_rng,
     random_element,
@@ -670,6 +672,17 @@ def test_lnorm_is_scale_free_across_the_float_range():
     assert lnorm(GradedElement(x * 0.0, a)) == 0.0
 
 
+def test_a_norm_past_the_float_range_is_a_typed_error():
+    # rank 2 gives the factor 2^(Re a): 2^1e300 is past the float range, and
+    # so is 2 * 1e308 at Re a = 1; rank 1 keeps the norm at smax whatever Re a
+    one = BlockAlgebra((2,)).identity()
+    for x, a in ((one, 1e300), (one * 1e308, 1.0)):
+        with pytest.raises(OutOfRangeError, match="^lnorm: .* exceeds the float range$"):
+            lnorm(GradedElement(x, a))
+    rank_one = Element(BlockAlgebra((2,)), [np.diag([1e308, 0.0])])
+    assert lnorm(GradedElement(rank_one, 1e300)) == 1e308
+
+
 MIXED = BlockAlgebra((1, 2, 3, 2, 3, 1))
 
 
@@ -681,29 +694,54 @@ def test_holder_witness_imaginary_factorizes_once(lapack):
     assert lapack.names() == ["svd"]
 
 
-def test_stacked_witnesses_match_per_block_column_selection():
+# On a rank-deficient draw x = r @ p, p = v v* a projection, a singular value
+# that is 0 in exact arithmetic comes out at a rounding floor, on each side.
+# Forming p and then r @ p leaves at most n^2 u ||r|| each on the null space
+# of p (n <= 3): 9 eps ||r|| together.  Each SVD adds its backward error, at
+# most 37 eps ||x|| <= 37 eps ||r|| on the kernel (VALUES in test_kernels.py)
+# and less on LAPACK: FLOOR = 46 eps ||r||.  A witness or factor raises the
+# singular values to an exponent of real part rho and keeps the singular
+# vectors, so a floor enters it as at most FLOOR^rho on each side, and the
+# two sides differ by at most 2 FLOOR^rho beyond the full-rank bound.  At
+# comultiply's second factor, rho = 1/3: README's eps^(1/3) envelope, here
+# 2 (46 eps)^(1/3) ~ 4e-5 of ||r||^(1/3).  The imaginary witness keeps no
+# singular value below the support cutoff, so it needs no envelope.
+FLOOR = 46 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("count", [KERNEL_BLOCKS - 1, KERNEL_BLOCKS])
+@pytest.mark.parametrize("deficient", [False, True], ids=["full rank", "rank deficient"])
+def test_stacked_witnesses_match_per_block_column_selection(deficient, count):
+    # the 2 x 2 blocks take LAPACK below KERNEL_BLOCKS and the kernels from it
+    M = BlockAlgebra(MIXED.block_dims + (2,) * (count - 2))
     rng = make_rng(62)
     for _ in range(4):
-        x = random_element(rng, MIXED) @ random_projection(rng, MIXED)
+        r = random_element(rng, M)
+        x = r @ random_projection(rng, M) if deficient else r
         svds = [np.linalg.svd(blk) for blk in x.blocks]
         smax = max(float(s.max()) for _, s, _ in svds)
 
         def ref(build, m_of):
-            return Element(MIXED, [build(u[:, m], s[m], vh[m])
-                                   for u, s, vh in svds for m in [m_of(s)]])
+            return Element(M, [build(u[:, m], s[m], vh[m])
+                               for u, s, vh in svds for m in [m_of(s)]])
 
         a, b = 0.6 - 0.4j, 0.3 + 0.9j
         e1, e2 = complex(a.real, -b.imag) / (a + b).real, b / (a + b).real
         first, second = comultiply(GradedElement(x, a + b), (a, b))
-        pairs = [
+        # (got, want, rho)
+        triples = [
             (holder_witness(GradedElement(x, a), b).data,
-             ref(lambda u, s, vh: (vh.conj().T * s ** (b / a.real)) @ vh, lambda s: s > 0.0)),
-            (first.data, ref(lambda u, s, vh: (u * s ** e1) @ vh, lambda s: s > 0.0)),
-            (second.data, ref(lambda u, s, vh: (vh.conj().T * s ** e2) @ vh, lambda s: s > 0.0)),
+             ref(lambda u, s, vh: (vh.conj().T * s ** (b / a.real)) @ vh, lambda s: s > 0.0),
+             (b / a.real).real),
+            (first.data, ref(lambda u, s, vh: (u * s ** e1) @ vh, lambda s: s > 0.0), e1.real),
+            (second.data, ref(lambda u, s, vh: (vh.conj().T * s ** e2) @ vh, lambda s: s > 0.0),
+             e2.real),
         ]
         for c in (0.0, 0.4 * smax):
-            pairs.append((holder_witness_imaginary(GradedElement(x, 0.2j), b, c).data,
-                          ref(lambda u, s, vh: vh.conj().T @ u.conj().T,
-                              lambda s: (s > DEFAULT_TOL.rank_rel * smax * s.size) & (s >= c))))
-        for got, want in pairs:
-            assert distance(got, want) <= DEFAULT_TOL.eq_bound(operator_norm(want))
+            triples.append((holder_witness_imaginary(GradedElement(x, 0.2j), b, c).data,
+                            ref(lambda u, s, vh: vh.conj().T @ u.conj().T,
+                                lambda s: (s > DEFAULT_TOL.rank_rel * smax * s.size) & (s >= c)),
+                            None))
+        for got, want, rho in triples:
+            envelope = 2 * (FLOOR * operator_norm(r)) ** rho if deficient and rho else 0.0
+            assert distance(got, want) <= DEFAULT_TOL.eq_bound(operator_norm(want)) + envelope

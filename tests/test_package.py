@@ -32,11 +32,12 @@ from nclp.sampling import make_rng, random_element
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(nclp.__file__).resolve().parent.parent
 
-# the names `import nclp` bound when it imported every module up front
+# the names `import nclp` bound when it imported every module up front, and
+# OutOfRangeError, added since
 EAGER_EXPORTS = {
     "errors": ("AlgebraMismatchError", "ConditionViolatedError", "GradingError", "NclpError",
                "NonFaithfulError", "NonFiniteError", "NotModuleMapError", "NotPositiveError",
-               "ShapeError", "UnsolvableError", "ValidationError"),
+               "OutOfRangeError", "ShapeError", "UnsolvableError", "ValidationError"),
     "matcore": ("DEFAULT_TOL", "BlockAlgebra", "Element", "Tolerances", "ToleranceReport",
                 "allclose", "distance", "flatten_element", "func_calc", "operator_norm",
                 "power_pos", "spectral_projection", "trace", "unflatten_element"),
@@ -141,9 +142,13 @@ def test_verify_loads_every_module():
 
 
 @pytest.mark.parametrize("count, loads", [(31, set()), (32, {"kernels"})])
-def test_only_a_class_of_kernel_size_loads_the_kernels(count, loads):
-    body = ("from nclp import BlockAlgebra, operator_norm\n"
-            f"code = operator_norm(BlockAlgebra((2,) * {count}).identity())")
+@pytest.mark.parametrize("call", ["operator_norm(one)", "trace(one @ one).real / trace(one).real"],
+                         ids=["factorization", "product"])
+def test_only_a_class_of_kernel_size_loads_the_kernels(call, count, loads):
+    # trace reads no singular value, so the product is the one kernel call
+    body = ("from nclp import BlockAlgebra, operator_norm, trace\n"
+            f"one = BlockAlgebra((2,) * {count}).identity()\n"
+            f"code = {call}")
     code, modules = _loaded(body)
     assert code == 1.0 and modules == {"errors", "matcore"} | loads
 
