@@ -180,7 +180,11 @@ _DEMOS = {
 
 def cmd_demo(args) -> int:
     try:
-        out = _DEMOS[args.subcommand](_load_json(args.input))
+        # an overflow or invalid operation raises where it happens, and names it
+        with np.errstate(over="raise", invalid="raise"):
+            out = _DEMOS[args.subcommand](_load_json(args.input))
+    except FloatingPointError as exc:
+        return _fail("numerical", exc, 1)
     except (ShapeError, AlgebraMismatchError) as exc:
         # structurally invalid input data, not a failed computation
         return _fail("parse", exc, 2)

@@ -30,6 +30,7 @@ from .matcore import (
     Element,
     Tolerances,
     _h,
+    _non_finite,
     _norm2_bound,
     _same_algebra,
     _spectral,
@@ -37,6 +38,7 @@ from .matcore import (
     _svals,
     _svd_support,
     _svds,
+    _top,
     _Frozen,
     _setfield,
     flatten_element,
@@ -62,13 +64,17 @@ def lnorm(xi: GradedElement, tol: Tolerances = DEFAULT_TOL) -> float:
     The sum is taken scale-free, as smax * (sum (s/smax)^(1/Re a))^(Re a),
     so that lnorm(c x) = |c| lnorm(x) holds wherever s^(1/Re a) alone
     would overflow or underflow.  OutOfRangeError when the norm itself lies
-    past the float range: rank r alone gives a factor r^(Re a).
+    past the float range: rank r alone gives a factor r^(Re a), and
+    NonFiniteError when the matrix holds a NaN or an infinity.
     """
     re = float(xi.grading.real)
+    svals = _svals(xi.data)
     if re <= tol.eq_abs:
-        return operator_norm(xi.data)
-    s = np.concatenate([v.ravel() for v in _svals(xi.data)])
+        return _top(svals, "lnorm")
+    s = np.concatenate([v.ravel() for v in svals])
     smax = float(s.max())
+    if math.isnan(smax):   # the values of a block that holds an infinity
+        raise _non_finite("lnorm")
     if smax == 0.0:
         return 0.0
     try:
@@ -109,7 +115,8 @@ def holder_witness(xi: GradedElement, b,
     if max(float(s.max()) for _, s, _ in svd) <= tol.eq_abs:
         raise NclpError("the zero element has no Hölder witness")
     e = b / a.real
-    y = _spectral(xi.algebra, [(_h(vh), _spectral_power(s, e), vh) for _, s, vh in svd])
+    y = _spectral(xi.algebra, [(_h(vh), _spectral_power(s, e, "holder_witness"), vh)
+                               for _, s, vh in svd])
     return GradedElement(y, b, tol)
 
 
@@ -167,8 +174,10 @@ def comultiply(zeta: GradedElement, split,
     e1 = complex(a.real, -b.imag) / re_sum
     e2 = b / re_sum
     svd = _svds(zeta.data)
-    first = _spectral(zeta.algebra, [(u, _spectral_power(s, e1), vh) for u, s, vh in svd])
-    second = _spectral(zeta.algebra, [(_h(vh), _spectral_power(s, e2), vh) for _, s, vh in svd])
+    first = _spectral(zeta.algebra, [(u, _spectral_power(s, e1, "comultiply"), vh)
+                                     for u, s, vh in svd])
+    second = _spectral(zeta.algebra, [(_h(vh), _spectral_power(s, e2, "comultiply"), vh)
+                                      for _, s, vh in svd])
     return GradedElement(first, a, tol), GradedElement(second, b, tol)
 
 

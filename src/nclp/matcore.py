@@ -14,7 +14,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import AlgebraMismatchError, NonFiniteError, NotPositiveError, ShapeError
+from .errors import (AlgebraMismatchError, NonFiniteError, NotPositiveError, OutOfRangeError,
+                     ShapeError)
 
 
 # Sets a field of a _Frozen record, as a frozen dataclass sets it.  Writing
@@ -311,9 +312,10 @@ def _h(a: np.ndarray) -> np.ndarray:
 # block count of the size class (KERNEL_BLOCKS), so within one algebra the
 # results of a block are the same bit for bit however its blocks are
 # batched.  Products of whole size-class stacks (Element @, _spectral, the
-# ladder) go through the same gate, _matmul, to BLAS or the kernel.
-# numpy.linalg and nclp.kernels are looked up at call time throughout, so
-# they can be wrapped to count factorizations.
+# ladder) go through the same gate, _matmul, to BLAS or the kernel.  The
+# funnel (with _eigvalsh) takes and records every factorization in the
+# library but the LAPACK eigh of sampling.random_projection, which records
+# itself.
 #
 # Factorizations have two homes.  An element keeps what it owns: its
 # singular values (_svals), and its validated, clamped eigensystem per
@@ -395,9 +397,14 @@ def _spectral(algebra: BlockAlgebra, triples) -> Element:
 KERNEL_BLOCKS = 32
 
 # nclp.kernels, bound on first use: an import statement in the funnel would
-# cost an importlib lookup per call.  Its functions are read through the
-# module at call time, so that they can be wrapped to count factorizations.
+# cost an importlib lookup per call.
 _kernels = None
+
+# None, or what the funnel calls as _recorder(kind, compute_uv, shape) before
+# each factorization: "svd", "eigh" or "eigvalsh", a kernel call as the LAPACK
+# call it replaces.  A LinAlgError it raises fails the factorization as LAPACK would.
+# The tests' lapack fixture (tests/conftest.py) installs one.
+_recorder = None
 
 
 def _load_kernels():
@@ -405,6 +412,11 @@ def _load_kernels():
     from . import kernels
     _kernels = kernels
     return kernels
+
+
+def _non_finite(what: str) -> NonFiniteError:
+    """The error of the operation what on a matrix that holds a NaN or an infinity."""
+    return NonFiniteError(f"{what}: the matrix holds a NaN or an infinity")
 
 
 def _svd(a: np.ndarray, blocks: int, what: str, compute_uv: bool = True):
@@ -420,21 +432,32 @@ def _svd(a: np.ndarray, blocks: int, what: str, compute_uv: bool = True):
     may never return, so _svds tests first.
     """
     try:
+        if _recorder is not None:
+            _recorder("svd", compute_uv, a.shape)
         if blocks >= KERNEL_BLOCKS and a.shape[-2:] == (2, 2):
             return (_kernels or _load_kernels()).svd2(a, compute_uv)
         return np.linalg.svd(a, compute_uv=compute_uv)
     except np.linalg.LinAlgError:
         if np.isfinite(a).all():
             raise
-        raise NonFiniteError(f"{what}: the matrix holds a NaN or an infinity") from None
+        raise _non_finite(what) from None
 
 
 def _eigh(a: np.ndarray, blocks: int):
     """(w, u), the eigensystems of the finite Hermitian stack a, whose blocks
     come from a size class of blocks blocks in their algebra."""
+    if _recorder is not None:
+        _recorder("eigh", None, a.shape)
     if blocks >= KERNEL_BLOCKS and a.shape[-2:] == (2, 2):
         return (_kernels or _load_kernels()).eigh2(a)
     return np.linalg.eigh(a)
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """The eigenvalues, ascending, of the finite Hermitian matrix a, on LAPACK."""
+    if _recorder is not None:
+        _recorder("eigvalsh", None, a.shape)
+    return np.linalg.eigvalsh(a)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -445,11 +468,24 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a, b)
 
 
-def _spectral_power(s: np.ndarray, a) -> np.ndarray:
-    """s^a = exp(a log s) entrywise for s >= 0, with 0^a := 0."""
+def _spectral_power(s: np.ndarray, a, what: str) -> np.ndarray:
+    """s^a = exp(a log s) entrywise for finite s >= 0, with 0^a := 0.
+
+    OutOfRangeError, naming the operation what, when a power lies past the
+    float range.  Every positive float s has log s in [-744.5, 709.8], so no
+    power overflows while -0.95 <= Re a <= 1 and |Im a| <= 1e300; only an a
+    outside that range pays for the test.
+    """
+    a = complex(a)
     out = np.zeros(s.shape, dtype=complex)
     mask = s > 0.0
-    out[mask] = np.exp(complex(a) * np.log(s[mask]))
+    if -0.95 <= a.real <= 1.0 and abs(a.imag) <= 1e300:
+        out[mask] = np.exp(a * np.log(s[mask]))
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[mask] = np.exp(a * np.log(s[mask]))
+        if not np.isfinite(out).all():
+            raise OutOfRangeError(f"{what}: a power at exponent {a} exceeds the float range")
     return out
 
 
@@ -462,7 +498,7 @@ def _svds(x: Element) -> tuple:
     """
     what = "singular value decomposition"
     if not all(np.isfinite(a).all() for a in x.stacks):
-        raise NonFiniteError(f"{what}: the matrix holds a NaN or an infinity")
+        raise _non_finite(what)
     return tuple(_frozen(*_svd(a, len(a), what)) for a in x.stacks)
 
 
@@ -500,12 +536,15 @@ def _svals(x: Element) -> tuple:
     return sv
 
 
-def _top(svals) -> float:
-    """The largest leading singular value of (k, n) arrays of singular values;
-    NaN if any is NaN, as np.max gives it (max alone would skip it).
+def _top(svals, what: str) -> float:
+    """The largest leading singular value of (k, n) arrays of singular values.
+    NonFiniteError, naming the operation what, if any is NaN: the values of a
+    block that holds an infinity (max alone would skip a NaN).
     """
     tops = [t for s in svals for t in s[:, 0].tolist()]
-    return math.nan if any(map(math.isnan, tops)) else max(tops)
+    if any(map(math.isnan, tops)):
+        raise _non_finite(what)
+    return max(tops)
 
 
 def _operator_norms(*xs: Element) -> list[float]:
@@ -517,8 +556,9 @@ def _operator_norms(*xs: Element) -> list[float]:
 
 
 def operator_norm(x: Element) -> float:
-    """Largest singular value over all blocks; NaN if any block has one."""
-    return _top(_svals(x))
+    """Largest singular value over all blocks; NonFiniteError if a block holds
+    a NaN or an infinity."""
+    return _top(_svals(x), "operator norm")
 
 
 def distance(x: Element, y: Element) -> float:
@@ -529,7 +569,7 @@ def distance(x: Element, y: Element) -> float:
     """
     _same_algebra(x.algebra, y.algebra, "incompatible algebras")
     return _top([_svd(a - b, len(a), "distance", compute_uv=False)
-                 for a, b in zip(x.stacks, y.stacks)])
+                 for a, b in zip(x.stacks, y.stacks)], "distance")
 
 
 def _entry_bracket(x: Element) -> tuple[float, float]:
@@ -595,7 +635,7 @@ def _norm2_bound(matrix: np.ndarray, top: float, gap: float, values,
     ||matrix||_2 lies within gap of top.  The bound at the low end of that
     bracket gives every v in values the verdict v > bound of the exact
     bound, unless v falls between the bounds at the two ends; only then is
-    the dense norm of matrix taken.
+    the dense norm of matrix taken, by the funnel (np.linalg.norm's bits).
 
     The floor of 1 matters only for a matrix of norm below 1, where the
     bound is absolute with or without it: eq_abs + eq_rel * ||matrix||_2
@@ -607,7 +647,7 @@ def _norm2_bound(matrix: np.ndarray, top: float, gap: float, values,
     """
     lo, hi = (tol.eq_bound(max(top + e, 1.0)) for e in (-gap, gap))
     if any(lo < v <= hi for v in values):
-        return tol.eq_bound(max(float(np.linalg.norm(matrix, 2)), 1.0))
+        return tol.eq_bound(max(float(_svd(matrix[None], 1, "norm", False)[0, 0]), 1.0))
     return lo
 
 
@@ -671,7 +711,7 @@ def _eig_classes(h: Element, tol: Tolerances) -> tuple:
     if h._eig and tol in h._eig:
         return h._eig[tol]
     if not all(np.isfinite(a).all() for a in h.stacks):
-        raise NonFiniteError("eigendecomposition: the matrix holds a NaN or an infinity")
+        raise _non_finite("eigendecomposition")
     gaps = [np.abs(a - _h(a)) for a in h.stacks]
     if not all(g.max() <= tol.eq_abs for g in gaps):
         asym = [g.max(axis=(-2, -1)) for g in gaps]
@@ -743,8 +783,9 @@ def power_pos(h: Element, a, tol: Tolerances = DEFAULT_TOL) -> Element:
     Eigenvalues above the support cutoff map to exp(a*log(lam)) with the
     principal real logarithm; the kernel is carried along as 0.  Negative
     real parts therefore act as pseudo-powers on the support.
+    OutOfRangeError when a power lies past the float range.
     """
-    return func_calc(h, lambda w: _spectral_power(w, a), tol)
+    return func_calc(h, lambda w: _spectral_power(w, a, "power_pos"), tol)
 
 
 def spectral_projection(h: Element, c: float, tol: Tolerances = DEFAULT_TOL) -> Element:

@@ -24,6 +24,7 @@ from .matcore import (
     BlockAlgebra,
     Element,
     Tolerances,
+    _eigvalsh,
     _setfield,
     _Value,
     distance,
@@ -135,7 +136,7 @@ def _imaginary(rng) -> complex:
 
 def _min_eig(blocks) -> float:
     """The lowest eigenvalue of the Hermitian parts of the matrices in blocks."""
-    return min(float(np.linalg.eigvalsh((b + b.conj().T) / 2).min()) for b in blocks)
+    return min(float(_eigvalsh((b + b.conj().T) / 2).min()) for b in blocks)
 
 
 # -- matcore properties ----------------------------------------------------
@@ -550,7 +551,7 @@ def prop_multiplication_injectivity(rng, cfg):
     a, b = _pair(rng, cfg)
     # orthogonal projections force gmul(xi, eta) = 0
     h = random_positive(rng, M)
-    lams = sorted(lam for blk in h.blocks for lam in np.linalg.eigvalsh(blk).tolist())
+    lams = sorted(lam for blk in h.blocks for lam in _eigvalsh(blk).tolist())
     mid = (lams[(len(lams) - 1) // 2] + lams[len(lams) // 2]) / 2.0   # their median
     p = spectral_projection(h, max(mid, 1e-6), tol)
     q = M.identity() - p

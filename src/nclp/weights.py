@@ -26,6 +26,7 @@ from .matcore import (
     flatten_element,
     _calc,
     _eig_classes,
+    _eigvalsh,
     _norm2_bound,
     _operator_norms,
     _same_algebra,
@@ -85,7 +86,8 @@ class Weight(_Frozen):
         """density^a for every a in exponents, from one eigensystem of the
         density at tol, the weight's own policy by default."""
         classes = _eig_classes(self.density, self.tol if tol is None else tol)
-        return [_calc(self.algebra, classes, partial(_spectral_power, a=a)) for a in exponents]
+        return [_calc(self.algebra, classes, partial(_spectral_power, a=a, what="weight power"))
+                for a in exponents]
 
     def __repr__(self):
         return f"Weight(dims={self.algebra.block_dims}, faithful={self.faithful})"
@@ -357,7 +359,7 @@ class OperatorValuedWeight(_Frozen):
             k = mat[idx_m[i], cols].mean(axis=(-2, -1))
             rest[idx_m[i], cols] -= k[..., None, None]
             row_norms[i] += np.vdot(k, k).real
-            lows[i, j] = float(np.linalg.eigvalsh((k + k.conj().T) / 2.0)[0])
+            lows[i, j] = float(_eigvalsh((k + k.conj().T) / 2.0)[0])
         resid = float(np.sqrt(np.vdot(rest, rest).real))
         top = float(np.sqrt(row_norms.max()))   # ||T_K||_2
         checked = (adjoint, resid, *(-low - e for low in lows.values() for e in (0.0, resid)))

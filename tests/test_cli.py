@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nclp import DEFAULT_TOL, BlockAlgebra
+from nclp import DEFAULT_TOL, BlockAlgebra, NonFiniteError, douglas_divide
 from nclp.cli import main
 from nclp.properties import SuiteConfig, run_suite
 from nclp.sampling import (
@@ -20,7 +20,7 @@ from nclp.sampling import (
     random_graded,
     random_weight,
 )
-from nclp.serialize import dumps, element_to_obj, graded_to_obj, weight_to_obj
+from nclp.serialize import dumps, element_from_obj, element_to_obj, graded_to_obj, weight_to_obj
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -245,15 +245,17 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_a_demo_result_that_overflows_is_a_numerical_error(capsys, tmp_path):
+    # the product x @ y overflows: the demo stops there, and says so
     huge = {"block_dims": [2], "blocks": [[[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]],
             "grading": [0.5, 0.0]}
     path = write(tmp_path, "huge.json", {"x": huge, "y": huge})
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["demo", "holder", "--input", path])
-    out = _strict_json(capsys.readouterr().out)
-    assert code == 1
-    assert out["error"]["type"] == "numerical"
+    code = main(["demo", "holder", "--input", path])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.err
+    assert _strict_json(captured.out)["error"] == {
+        "type": "numerical", "message": "overflow encountered in matmul"}
 
 
 def _holder_past_the_float_range(tmp_path):
@@ -283,18 +285,22 @@ def test_a_norm_past_the_float_range_exits_1_with_json_from_the_console(tmp_path
     assert _strict_json(done.stdout)["error"] == HOLDER_OVERFLOW
 
 
-def test_a_division_that_overflows_to_nan_is_a_non_finite_error(capsys, tmp_path):
-    # pinv(x) = 1e300, so p = y pinv(x) is inf and p @ x is inf * 0 = NaN:
-    # LAPACK refuses the remainder, which is a typed error, not a raw one
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_division_that_overflows_is_a_numerical_error(capsys, tmp_path):
+    # pinv(x) = 1e300, so p = y pinv(x) is inf and p @ x is inf * 0 = NaN.
+    # Through the API, the norm of the remainder refuses the NaN; a demo stops
+    # at the product that overflows
     tiny = {"block_dims": [2], "blocks": [[[[1e-300, 0], [0, 0]], [[0, 1e-300], [0, 0]]]]}
     huge = {"block_dims": [2], "blocks": [[[[1e300, 0], [1e300, 0]], [[1e300, 0], [1e300, 0]]]]}
-    path = write(tmp_path, "overflow.json", {"x": tiny, "y": huge})
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["demo", "douglas", "--input", path])
-    out = _strict_json(capsys.readouterr().out)
-    assert code == 2
-    assert out["error"] == {"type": "NonFiniteError", "message":
-                            "operator norm: the matrix holds a NaN or an infinity"}
+    obj = {"x": tiny, "y": huge}
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteError, match="^operator norm: the matrix holds a NaN or an infinity$"):
+        douglas_divide(element_from_obj(tiny), element_from_obj(huge))
+    code = main(["demo", "douglas", "--input", write(tmp_path, "overflow.json", obj)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.err
+    assert _strict_json(captured.out)["error"] == {
+        "type": "numerical", "message": "overflow encountered in matmul"}
 
 
 def test_an_overflowed_figure_is_reported_with_json_s_message(capsys, tmp_path, monkeypatch):

@@ -19,6 +19,7 @@ from nclp import (
     OutOfRangeError,
     TensorElement,
     Tolerances,
+    Weight,
     comultiply,
     cyclic_generator,
     distance,
@@ -34,6 +35,7 @@ from nclp import (
     lnorm,
     lpspace,
     operator_norm,
+    power_pos,
     rank1_reduce,
     tensor_multiply,
     trace_weight,
@@ -514,9 +516,10 @@ def test_hom_call_grading_check_reads_the_tolerance():
 
 
 def _dense_norms(lapack, d):
-    """"norm2" for each recorded norm(., 2), "svd" for each SVD of a d x d matrix."""
-    return ["norm2" if name == "norm" else "svd" for name, option, shape in lapack.calls
-            if (name, option) == ("norm", 2) or (name == "svd" and shape[-2:] == (d, d))]
+    """"norm2" for each values-only SVD of one d x d matrix (the dense norm of
+    _norm2_bound), "svd" for each other SVD of d x d matrices."""
+    return ["norm2" if (option, shape) == (False, (1, d, d)) else "svd"
+            for option, shape in lapack.of("svd") if shape[-2:] == (d, d)]
 
 
 def test_hom_to_element_brackets_the_norm_of_a_module_map(lapack):
@@ -681,6 +684,44 @@ def test_a_norm_past_the_float_range_is_a_typed_error():
             lnorm(GradedElement(x, a))
     rank_one = Element(BlockAlgebra((2,)), [np.diag([1e308, 0.0])])
     assert lnorm(GradedElement(rank_one, 1e300)) == 1e308
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_power_past_the_float_range_is_a_typed_error():
+    # x = diag(1, 2): x^1e300 holds 2^1e300; at grading 1/2, its witness of
+    # grading 1e300 holds 2^2e300, and at grading 1e-300 (under eq_abs 1e-305)
+    # that of grading 1/2 holds 2^5e299.  comultiply's exponents have real
+    # parts within [-1, 1] up to eq_abs, so only a subnormal singular value
+    # takes one past the range, at a first factor of real grading -eq_abs
+    M = BlockAlgebra((2,))
+    x = Element(M, [np.diag([1.0, 2.0])])
+    tiny = Tolerances(eq_abs=1e-305)
+    edge = Tolerances(eq_abs=1e-300)
+    subnormal = Element(M, [np.diag([1.0, 5e-324])])
+    overflows = {
+        "holder_witness": [lambda: holder_witness(GradedElement(x, 0.5), 1e300),
+                           lambda: holder_witness(GradedElement(x, 1e-300, tiny), 0.5, tiny)],
+        "power_pos": [lambda: power_pos(x, 1e300)],
+        "weight power": [lambda: Weight(x).power(1e300)],
+        "comultiply": [lambda: comultiply(GradedElement(subnormal, 1.04e-300, edge),
+                                          (-1e-300, 2.04e-300), edge)],
+    }
+    for what, calls in overflows.items():
+        for call in calls:
+            with pytest.raises(OutOfRangeError, match=f"^{what}: .* exceeds the float range$"):
+                call()
+    # the same operations in range: gradings 1e300 and 1e-300 that keep the
+    # exponents small, and powers that underflow to 0 or round to 1
+    support = np.eye(2)
+    fine = [holder_witness(GradedElement(x, 1e300), 0.5).data,
+            holder_witness(GradedElement(x, 0.5), 1e-300).data,
+            power_pos(x, 1e-300), power_pos(x, -1e300),
+            *(f.data for f in comultiply(GradedElement(x, 1e300), (5e299, 5e299))),
+            *(f.data for f in comultiply(GradedElement(x, 1e-300, tiny), (0.0, 1e-300), tiny))]
+    expected = [support, support, support, np.diag([1.0, 0.0]),
+                np.diag([1.0, 2.0 ** 0.5]), np.diag([1.0, 2.0 ** 0.5]), support, x.blocks[0]]
+    for y, want in zip(fine, expected, strict=True):
+        assert np.allclose(y.blocks[0], want, rtol=1e-15, atol=0.0)
 
 
 MIXED = BlockAlgebra((1, 2, 3, 2, 3, 1))

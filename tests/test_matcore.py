@@ -863,11 +863,12 @@ def test_distance_is_the_norm_of_the_difference_and_caches_nothing(lapack):
         distance(x, M2.identity())
 
 
-def test_largest_singular_value_propagates_nan():
+def test_largest_singular_value_refuses_nan():
     svals = [np.array([[2.0, 1.0], [3.0, 0.5]]), np.array([[1.0]])]
-    assert _top(svals) == 3.0
+    assert _top(svals, "norm") == 3.0
     svals[1] = np.array([[np.nan]])
-    assert np.isnan(_top(svals))
+    with pytest.raises(NonFiniteError, match="^norm: "):
+        _top(svals, "norm")
 
 
 def _general_blocks_reference(a):

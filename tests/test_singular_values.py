@@ -10,8 +10,6 @@ and turpin_upper still take, and hold turpin_upper's closed-form rank-one
 bound to the comultiply-then-lnorm bound it replaces.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -23,6 +21,7 @@ from nclp import (  # noqa: E402
     BlockAlgebra,
     Element,
     GradedElement,
+    NonFiniteError,
     TensorElement,
     Weight,
     comultiply,
@@ -144,12 +143,14 @@ def test_carried_values_put_a_nan_first():
         (s,) = _svals(_spectral(M, [(u, d, u)]))
     assert np.isnan(s[0, 0]) and s[0, 1:].tolist() == [3.0, 1.0]
     assert s[1].tolist() == [np.inf, 2.0, 0.5]
-    # a NaN that the calculus makes reaches operator_norm and lnorm
+    # a NaN that the calculus makes reaches operator_norm and lnorm, which refuse it
     h = random_positive(make_rng(131), BlockAlgebra((3, 2)))
     with np.errstate(invalid="ignore"):
         x = func_calc(h, lambda w: np.where(w < w.max(), w, np.nan))
-    assert math.isnan(operator_norm(x))
-    assert math.isnan(lnorm(GradedElement(x, 0.5)))
+    with pytest.raises(NonFiniteError, match="^operator norm: "):
+        operator_norm(x)
+    with pytest.raises(NonFiniteError, match="^lnorm: "):
+        lnorm(GradedElement(x, 0.5))
 
 
 @pytest.mark.parametrize("dims", SHAPES, ids=str)

@@ -1,4 +1,5 @@
-"""Factorization traffic of the property suite: nothing is factorized twice.
+"""Factorization traffic of the property suite: nothing is factorized twice,
+and nothing is factorized past matcore's recorder.
 
 Each full SVD is counted per element and each eigensystem per (element,
 policy), by the LAPACK calls the lapack fixture records while the entry
@@ -10,6 +11,7 @@ would be reused by a later one and read as a repeat.
 import collections
 import sys
 
+import numpy as np
 import pytest
 
 from nclp import (
@@ -18,6 +20,7 @@ from nclp import (
     douglas_divide,
     douglas_ladder,
     isometry_divide,
+    kernels,
     left_support,
     polar_left,
     polar_right,
@@ -87,3 +90,35 @@ def test_dividing_by_a_decomposed_element_takes_its_svd_once(dims, lapack, monke
         douglas_divide(x, y), douglas_ladder(x, y), isometry_divide(x, yw)
     # x, yw and two polar parts taken to draw them, per instance
     assert len(svds) == 4 * 3 and set(svds.values()) == {1}
+
+
+@pytest.mark.parametrize("shapes", [None, [[2] * 32, [5, 1, 5]]], ids=["default", "kernels"])
+def test_every_factorization_reaches_the_recorder(shapes, lapack, monkeypatch):
+    # every call to numpy.linalg's svd, eigh and eigvalsh and to the 2 x 2
+    # kernels, wrapped where it is defined: the recorder holds one record
+    # apiece, in the same order, and nothing else.  A spectral norm is an SVD
+    # out of the recorder's sight, so any call to one fails the test
+    made = []
+
+    def wrap(module, name, record):
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            entry = record(*args, **kwargs)
+            if entry is not None:
+                made.append(entry)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    wrap(np.linalg, "svd", lambda a, full_matrices=True, compute_uv=True, hermitian=False:
+         ("svd", compute_uv, np.shape(a)))
+    wrap(kernels, "svd2", lambda a, compute_uv=True: ("svd", compute_uv, np.shape(a)))
+    wrap(np.linalg, "eigh", lambda a, UPLO="L": ("eigh", None, np.shape(a)))
+    wrap(kernels, "eigh2", lambda a: ("eigh", None, np.shape(a)))
+    wrap(np.linalg, "eigvalsh", lambda a, UPLO="L": ("eigvalsh", None, np.shape(a)))
+    wrap(np.linalg, "norm", lambda x, ord=None, axis=None, keepdims=False:
+         ("norm", ord, np.shape(x)) if ord == 2 else None)
+    config = SuiteConfig(trials=2) if shapes is None else SuiteConfig(trials=2, block_shapes=shapes)
+    assert run_suite(config)["all_passed"]
+    assert len(made) > 100 and lapack.calls == made

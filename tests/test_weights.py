@@ -379,7 +379,7 @@ def test_ovw_residual_inside_the_norm_bracket_takes_the_dense_norm(lapack):
         lapack.calls.clear()
         with pytest.raises(ValidationError, match=f"^{law} law violated"):
             T.validate()
-        assert [option for option, _ in lapack.of("norm")] == [2]
+        assert lapack.of("svd") == [(False, (1, *T.matrix.shape))]   # the dense norm
 
 
 def _reference_validate(T, tol=DEFAULT_TOL, positivity_samples=8,
