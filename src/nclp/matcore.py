@@ -314,8 +314,9 @@ def _h(a: np.ndarray) -> np.ndarray:
 # batched.  Products of whole size-class stacks (Element @, _spectral, the
 # ladder) go through the same gate, _matmul, to BLAS or the kernel.  The
 # funnel (with _eigvalsh) takes and records every factorization in the
-# library but the LAPACK eigh of sampling.random_projection, which records
-# itself.
+# library.  numpy.linalg and nclp.kernels are read through their modules at
+# call time, because tests/test_traffic.py wraps them to check that no
+# factorization escapes the recorder.
 #
 # Factorizations have two homes.  An element keeps what it owns: its
 # singular values (_svals), and its validated, clamped eigensystem per
@@ -397,7 +398,8 @@ def _spectral(algebra: BlockAlgebra, triples) -> Element:
 KERNEL_BLOCKS = 32
 
 # nclp.kernels, bound on first use: an import statement in the funnel would
-# cost an importlib lookup per call.
+# cost an importlib lookup per call.  Its functions are read through the
+# module at call time, so that tests can wrap them (see the funnel comment).
 _kernels = None
 
 # None, or what the funnel calls as _recorder(kind, compute_uv, shape) before

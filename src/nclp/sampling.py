@@ -20,11 +20,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from . import matcore
 from .decomp import polar_right
 from .errors import NonFiniteError
 from .graded import GradedElement
-from .matcore import BlockAlgebra, Element, Tolerances, _h
+from .matcore import BlockAlgebra, Element, Tolerances, _eigh, _h
 from .weights import Weight
 
 FAITHFUL_FLOOR = 1e-2
@@ -88,9 +87,8 @@ def random_projection(rng: np.random.Generator, algebra: BlockAlgebra,
     for idx, g in zip(algebra.classes, _gaussian_stacks(algebra, np.concatenate(draws))):
         if not np.isfinite(g).all():   # as before every eigh in the library
             raise NonFiniteError("random projection: the draw holds a NaN or an infinity")
-        if matcore._recorder is not None:   # LAPACK at any block count, as the seeded stream needs
-            matcore._recorder("eigh", None, g.shape)
-        _, u = np.linalg.eigh(g + _h(g))
+        # a block count of 1 keeps LAPACK, whose eigenvectors the seeded stream needs
+        _, u = _eigh(g + _h(g), 1)
         p = np.empty_like(u)
         for j, k in enumerate(idx):
             v = u[j, :, :ranks[k]]

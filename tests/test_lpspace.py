@@ -515,9 +515,12 @@ def test_hom_call_grading_check_reads_the_tolerance():
     assert T(eta, Tolerances(eq_abs=1e-6)).grading == 1.5
 
 
-def _dense_norms(lapack, d):
-    """"norm2" for each values-only SVD of one d x d matrix (the dense norm of
-    _norm2_bound), "svd" for each other SVD of d x d matrices."""
+def _dense_norms(lapack, algebra):
+    """"norm2" for each values-only SVD of one D x D matrix, D = algebra.total_dim
+    (the dense norm of _norm2_bound), "svd" for each other SVD of D x D matrices.
+    No block of the algebra is D x D, so no norm of an element is counted."""
+    d = algebra.total_dim
+    assert d not in algebra.block_dims
     return ["norm2" if (option, shape) == (False, (1, d, d)) else "svd"
             for option, shape in lapack.of("svd") if shape[-2:] == (d, d)]
 
@@ -528,7 +531,7 @@ def test_hom_to_element_brackets_the_norm_of_a_module_map(lapack):
     T = hom_from_element(xi, 0.5)
     lapack.calls.clear()
     back = hom_to_element(T)
-    assert _dense_norms(lapack, M.total_dim) == []
+    assert _dense_norms(lapack, M) == []
     assert distance(back.data, xi.data) <= 1e-10 * (1 + operator_norm(xi.data))
 
 
@@ -548,7 +551,7 @@ def test_hom_to_element_takes_the_dense_norm_inside_the_bracket(lapack):
             with pytest.raises(NotModuleMapError) as exc:
                 hom_to_element(T, tol)
             assert exc.value.residual == c
-        assert _dense_norms(lapack, M2.total_dim) == ["norm2"]
+        assert _dense_norms(lapack, M2) == ["norm2"]
 
 
 def test_hom_norm_diagonal_witness():
