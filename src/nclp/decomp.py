@@ -30,7 +30,6 @@ from .matcore import (
     _first_over,
     _h,
     _matmul,
-    _operator_norms,
     _same_algebra,
     _svd,
     _svd_support,
@@ -126,7 +125,9 @@ def _solve(x: Element, ys, tol: Tolerances, pinv=None):
     ||y - p @ x|| <= tol.eq_bound(||y||), decided by matcore._first_over;
     else UnsolvableError carries the exact residual of the first failing
     y_k.  The remainders are always taken against x itself, so a
-    pseudo-inverse built another way is checked, not trusted.
+    pseudo-inverse built another way is checked, not trusted.  A remainder
+    whose verdict read its exact norm keeps it, so douglas_divide reports
+    the same figure without a second SVD.
     """
     if pinv is None:
         pinv = _pinv(x, _svd_support(x, tol))
@@ -152,8 +153,8 @@ def douglas_divide(x: Element, y: Element,
     """
     _same_algebra(x.algebra, y.algebra, "incompatible algebras")
     (p,), (rem,) = _solve(x, [y], tol)
-    residual, norm_p = _operator_norms(rem, p)
-    return DivisionResult(p, norm_p, residual)
+    residual = operator_norm(rem)
+    return DivisionResult(p, operator_norm(p), residual)
 
 
 def douglas_ladder(x: Element, y: Element, epsilons=None,

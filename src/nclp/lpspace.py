@@ -67,7 +67,7 @@ def lnorm(xi: GradedElement, tol: Tolerances = DEFAULT_TOL) -> float:
     NonFiniteError when the matrix holds a NaN or an infinity.
     """
     re = float(xi.grading.real)
-    svals = _svals(xi.data)
+    svals = _svals(xi.data, "lnorm")
     smax = _top(svals, "lnorm")
     if re <= tol.eq_abs:
         return smax

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -388,9 +388,8 @@ def _spectral(algebra: BlockAlgebra, triples) -> Element:
 # crossovers: the SVDs win from 16-24 blocks, the product from 16, eigh from
 # 32, and one gate serves them all.  The choice follows the block count of
 # the size class, never the length of the stack handed in, so that batching
-# never changes a bit: _operator_norms stacks the class of several elements,
-# _eig_classes hands in the general blocks of a class, and douglas_ladder the
-# blocks that share a rung width.  The kernels are imported on first use
+# never changes a bit: _eig_classes hands in the general blocks of a class,
+# and douglas_ladder the blocks that share a rung width.  The kernels are imported on first use
 # (about 3 ms when no bytecode is cached), so that a process that factorizes
 # and multiplies only smaller classes (every shipped demo input, the default
 # verify) never loads them.
@@ -423,10 +422,9 @@ def _non_finite(what: str) -> NonFiniteError:
 
 def _svd(a: np.ndarray, blocks: int, what: str, compute_uv: bool = True):
     """The SVD (u, s, vh), or s alone, of the stack a, whose blocks come from
-    a size class of blocks blocks in their algebra: a may be that class, a
-    part of it, or the class of several elements stacked.  NonFiniteError,
-    naming the operation what, when the factorization fails on an a that
-    holds a NaN or an infinity.
+    a size class of blocks blocks in their algebra: a may be that class or a
+    part of it.  NonFiniteError, naming the operation what, when the
+    factorization fails on an a that holds a NaN or an infinity.
 
     Finiteness is tested only after a failure, so a factorization that
     succeeds pays nothing for it.  A values-only SVD fails on a NaN and
@@ -517,20 +515,21 @@ def _svd_support(x: Element, tol: Tolerances) -> list:
     return [(u, s, vh, s > tol.rank_rel * smax * s.shape[-1]) for u, s, vh in svds]
 
 
-def _svals(x: Element) -> tuple:
+def _svals(x: Element, what: str) -> tuple:
     """The singular values (k, n) of each size-class stack of x, read-only.
 
     Each row descends, with a NaN first, where _top sees it.  An element
     built by _spectral sorts its |d| as floats; any other takes one
     values-only SVD per class, on LAPACK or on the kernel by the class's
     block count, never taken from _svds, as the two can differ by a few ulps.
-    Either way the values are kept on x, filled on first read.
+    Either way the values are kept on x, filled on first read, so every norm
+    of x reads one factorization.  NonFiniteError, naming the operation
+    what, when the SVD fails on a NaN.
     """
     sv = x._sv
     if sv is None:
         if x._d is None:
-            sv = _frozen(*(_svd(a, len(a), "singular values", compute_uv=False)
-                           for a in x.stacks))
+            sv = _frozen(*(_svd(a, len(a), what, compute_uv=False) for a in x.stacks))
         else:
             sv = _frozen(*(np.sort(np.abs(d).astype(float, copy=False), axis=-1)[:, ::-1]
                            for d in x._d))
@@ -549,29 +548,15 @@ def _top(svals, what: str) -> float:
     return max(tops)
 
 
-def _operator_norms(*xs: Element) -> list[float]:
-    """operator_norm of each element of one algebra, one values-only SVD per class."""
-    tops = [_svd(np.concatenate(stacks), len(stacks[0]), "operator norm", compute_uv=False)[:, 0]
-            .reshape(len(xs), -1).max(axis=1)
-            for stacks in zip(*(x.stacks for x in xs))]
-    return reduce(np.maximum, tops).tolist()
-
-
 def operator_norm(x: Element) -> float:
     """Largest singular value over all blocks; NonFiniteError if a block holds
     a NaN or an infinity."""
-    return _top(_svals(x), "operator norm")
+    return _top(_svals(x, "operator norm"), "operator norm")
 
 
 def distance(x: Element, y: Element) -> float:
-    """operator_norm(x - y), the metric used by all closeness checks.
-
-    x - y is used once, so its values-only SVD is taken here, on the
-    stacks, and no element is built to keep it.
-    """
-    _same_algebra(x.algebra, y.algebra, "incompatible algebras")
-    return _top([_svd(a - b, len(a), "distance", compute_uv=False)
-                 for a, b in zip(x.stacks, y.stacks)], "distance")
+    """operator_norm(x - y), the metric used by all closeness checks."""
+    return _top(_svals(x - y, "distance"), "distance")
 
 
 def _entry_bracket(x: Element) -> tuple[float, float]:
@@ -604,23 +589,16 @@ def _first_over(checks, tol: Tolerances):
     2 hi(r) <= tol.eq_bound(lo(s)) for some s in scales.  The factor 2
     absorbs the rounding of the brackets and of the SVD, so a pass here is
     never refused by the exact operator norms; non-finite brackets never
-    pass.  The checks left open take their exact norms, in one values-only
-    SVD per size class over their distinct elements (Element hashes by
-    identity), and a NaN residual is over its bound.
+    pass.  A check left open reads the exact operator norms of r and its
+    scales, which each element keeps for any later reader, so NonFiniteError
+    when one holds a NaN or an infinity.
     """
-    open_checks = []
     for r, scales in checks:
         hi = _entry_bracket(r)[1]
-        if not (hi < math.inf
-                and any(2.0 * hi <= tol.eq_bound(_entry_bracket(s)[0]) for s in scales)):
-            open_checks.append((r, scales))
-    if not open_checks:
-        return None
-    distinct = list(dict.fromkeys(e for r, scales in open_checks for e in (r, *scales)))
-    norm_of = dict(zip(distinct, _operator_norms(*distinct)))
-    for r, scales in open_checks:
-        residual = norm_of[r]
-        if not residual <= tol.eq_bound(max(norm_of[s] for s in scales)):
+        if hi < math.inf and any(2.0 * hi <= tol.eq_bound(_entry_bracket(s)[0]) for s in scales):
+            continue
+        residual = operator_norm(r)
+        if residual > tol.eq_bound(max(map(operator_norm, scales))):
             return residual
     return None
 

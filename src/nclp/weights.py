@@ -24,11 +24,11 @@ from .matcore import (
     ToleranceReport,
     distance,
     flatten_element,
+    operator_norm,
     _calc,
     _eig_classes,
     _eigvalsh,
     _norm2_bound,
-    _operator_norms,
     _same_algebra,
     _spectral_power,
     _Frozen,
@@ -161,7 +161,7 @@ def cocycle_identity_check(mu: Weight, nu: Weight, a, b,
     residual = distance(lhs, rhs)
     bound = tol.eq_bound(1.0)
     if residual > bound:
-        bound = tol.eq_bound(max(_operator_norms(lhs)[0], 1.0))
+        bound = tol.eq_bound(max(operator_norm(lhs), 1.0))
     return ToleranceReport(
         max_residual=residual,
         passed=residual <= bound,

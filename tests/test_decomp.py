@@ -30,7 +30,7 @@ from nclp import (
     right_support,
     trace_weight,
 )
-from nclp.matcore import _first_over, _operator_norms
+from nclp.matcore import _first_over
 from nclp.sampling import (
     make_rng,
     random_conditioned,
@@ -311,13 +311,11 @@ def test_isometry_divide_rejects_mismatched_grams():
 
 
 def test_isometry_divide_refuses_a_gram_check_it_cannot_decide():
-    # y*y is inf, so x*x - y*y has no finite norm: the check is refused,
-    # never passed
+    # y*y is inf, so x*x - y*y has no finite norm: the check raises, never passes
     M1 = BlockAlgebra((1,))
     x = Element(M1, [np.array([[2.0]])])
-    with pytest.raises(ConditionViolatedError) as exc, np.errstate(invalid="ignore"):
+    with pytest.raises(NonFiniteError, match="^operator norm: "), np.errstate(invalid="ignore"):
         isometry_divide(x, Element(M1, [np.array([[np.inf]])]))
-    assert not exc.value.residual <= DEFAULT_TOL.eq_bound(4.0)
 
 
 def test_cyclic_generator_single_real_grading():
@@ -457,10 +455,10 @@ def test_cyclic_generator_takes_no_svd_when_the_weight_is_warm(lapack):
         assert lapack.names() == ["eigh"]   # G's alone
 
 
-def test_failing_cyclic_generator_decides_in_one_norm_call(lapack):
+def test_failing_cyclic_generator_decides_on_its_first_generator(lapack):
     # every block of u keeps a direction at 1e-6 that G^(1/2) drops, so the
-    # brackets leave the divisions open and one values-only SVD for all of
-    # them decides, raising with the exact residual of the first generator
+    # brackets leave the first division open, and one values-only SVD each of
+    # its remainder and its generator decides, raising with the exact residual
     rng = make_rng(63)
     M = BlockAlgebra((2,) * 8)
     v = polar_right(random_element(rng, M)).isometry
@@ -473,7 +471,7 @@ def test_failing_cyclic_generator_decides_in_one_norm_call(lapack):
     lapack.reset()
     with pytest.raises(UnsolvableError) as exc:
         cyclic_generator(gens, mu)
-    assert lapack.names() == ["eigh", "svdvals"]
+    assert lapack.calls == [("eigh", None, (8, 2, 2))] + [("svd", False, (8, 2, 2))] * 2
     y_mat = mu.power(0.3j) @ power_pos(
         gens[0].data.adjoint() @ gens[0].data + gens[1].data.adjoint() @ gens[1].data, 0.5)
     u = gens[0].data
@@ -589,9 +587,10 @@ def _undecided_division():
 
 
 def test_undecided_division_reports_the_exact_figures(lapack):
-    # the verdict takes the norms of the remainder and y in one values-only
-    # SVD; douglas_divide then takes those of the remainder and the quotient,
-    # and graded_divide that of y, so each takes one norm twice
+    # the verdict takes the norms of the remainder and y, one values-only SVD
+    # each, and both elements keep them: douglas_divide reads the remainder's
+    # again and takes only that of the quotient, and graded_divide on the
+    # same y takes only that of its own remainder
     x, y = _undecided_division()
 
     def seen():
@@ -599,24 +598,24 @@ def test_undecided_division_reports_the_exact_figures(lapack):
 
     lapack.reset()
     result = douglas_divide(x, y)
-    assert seen() == [(1, True), (2, False), (2, False)]   # x; remainder, y; remainder, p
+    assert seen() == [(1, True), (1, False), (1, False), (1, False)]   # x; remainder; y; p
     lapack.calls.clear()
     quotient = graded_divide(GradedElement(x, 0.5), GradedElement(y, 0.5 + 0.2j))
-    assert seen() == [(2, False), (1, False)]   # remainder, y; y; x's SVD is cached
-    # the figures of the one SVD that once took every norm of the division,
-    # the remainder twice among them, bit for bit
+    assert seen() == [(1, False)]   # its remainder; x's SVD is cached, y keeps its norm
+    # the reported figures are the norms of the remainder and the quotient,
+    # bit for bit
     p = y @ pseudo_inverse(x)
     rem = y - p @ x
     assert rem.stacks[0].tobytes() == (y - result.quotient @ x).stacks[0].tobytes()
-    residual, _, _, norm_p = _operator_norms(rem, y, rem, p)
-    assert (result.residual, result.minimal_c) == (residual, norm_p)
-    assert residual > 0.0
+    assert (result.residual, result.minimal_c) == (operator_norm(rem), operator_norm(p))
+    assert result.residual > 0.0
     assert p.stacks[0].tobytes() == result.quotient.stacks[0].tobytes()
     assert p.stacks[0].tobytes() == quotient.data.stacks[0].tobytes()
     # open checks that share elements take each norm once
+    rem, y = (Element(e.algebra, e.blocks) for e in (rem, y))
     lapack.calls.clear()
     assert _first_over([(rem, (y,)), (rem, (y, y))], DEFAULT_TOL) is None
-    assert seen() == [(2, False)]
+    assert seen() == [(1, False), (1, False)]   # remainder; y
 
 
 MIXED = BlockAlgebra((1, 2, 3, 2, 3, 1))

@@ -52,7 +52,6 @@ from nclp.matcore import (
     FACTOR_CACHE,
     _eig_classes,
     _general_blocks,
-    _operator_norms,
     _svals,
     _svds,
     _top,
@@ -410,7 +409,6 @@ def test_stacked_factorizations_equal_per_block_calls_bit_for_bit():
     assert all(np.array_equal(g, b) for g, b in zip(back.stacks, x.stacks))
     assert all(np.array_equal(g, b) for g, b in zip(back.blocks, x.blocks))
     assert operator_norm(x) == max(float(np.linalg.norm(b, 2)) for b in x.blocks)
-    assert _operator_norms(x, h) == [operator_norm(x), operator_norm(h)]
 
 
 def test_eig_classes_match_per_block_eigh_and_keep_diagonal_path():
@@ -709,7 +707,7 @@ def test_cached_factorizations_give_bit_identical_results(lapack):
 def test_cached_factors_are_read_only():
     rng = make_rng(38)
     x, h = random_element(rng, MIXED), random_positive(rng, MIXED)
-    factors = [a for triple in _svds(x) for a in triple] + list(_svals(x))
+    factors = [a for triple in _svds(x) for a in triple] + list(_svals(x, "operator norm"))
     factors += [a for pair in _eig_classes(h, DEFAULT_TOL) for a in pair]
     assert len(factors) == 3 * 3 + 3 + 3 * 2
     for a in factors:
@@ -854,11 +852,11 @@ def test_distance_is_the_norm_of_the_difference_and_caches_nothing(lapack):
     per_class = ["svdvals"] * len(MIXED.classes)
     assert lapack.names() == per_class   # no full SVD is taken, so none is kept
     assert got.hex() == operator_norm(x - y).hex()
-    nrm, kept = operator_norm(x), _svals(x)
+    nrm, kept = operator_norm(x), _svals(x, "operator norm")
     lapack.calls.clear()
     distance(x, y)
     assert lapack.names() == per_class   # nor are the values of x - y kept
-    assert _svals(x) is kept and operator_norm(x) == nrm and y._sv is None
+    assert _svals(x, "operator norm") is kept and operator_norm(x) == nrm and y._sv is None
     with pytest.raises(AlgebraMismatchError, match="incompatible algebras"):
         distance(x, M2.identity())
 

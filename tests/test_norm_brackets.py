@@ -88,11 +88,11 @@ def _both(call, accepted):
     exact norm.
     """
     exact_norms = []
-    operator_norms = matcore._operator_norms
+    operator_norm = matcore.operator_norm
 
-    def norms(*xs):
-        exact_norms.append(xs)
-        return operator_norms(*xs)
+    def norm(x):
+        exact_norms.append(x)
+        return operator_norm(x)
 
     def spy(checks, tol):
         before = len(exact_norms)
@@ -104,7 +104,7 @@ def _both(call, accepted):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(decomp, "_first_over", spy)
         mp.setattr(matcore, "_first_over", spy)
-        mp.setattr(matcore, "_operator_norms", norms)
+        mp.setattr(matcore, "operator_norm", norm)
         fast = _outcome(call)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matcore, "_entry_bracket", _no_bracket)
@@ -271,11 +271,10 @@ def test_brackets_enclose_the_operator_norm():
     assert _entry_bracket(M.zero()) == (0.0, 0.0)
 
 
-# LAPACK refuses a NaN, which is a typed input error; an infinity gives NaN
-# singular values, which are over every bound
-@pytest.mark.parametrize("bad, outcome", [(np.nan, NonFiniteError), (np.inf, "ok")],
-                         ids=["nan", "inf"])
-def test_non_finite_residuals_take_the_exact_path(bad, outcome, lapack):
+# LAPACK refuses a NaN and gives NaN singular values on an infinity: either
+# way the exact norm raises the same typed input error
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_residuals_take_the_exact_path(bad, lapack):
     rng = make_rng(97)
     M = BlockAlgebra((2, 2))
     x = random_element(rng, M)
@@ -286,7 +285,7 @@ def test_non_finite_residuals_take_the_exact_path(bad, outcome, lapack):
     accepted = []
     fast, exact = _both(lambda: allclose(x, y), accepted)
     assert fast == exact and accepted == [False]
-    assert fast[0] == outcome and (outcome is NonFiniteError or fast[1] is False)
+    assert fast[:1] == (NonFiniteError,) and fast[2].startswith("operator norm: ")
     lapack.reset()
     _outcome(lambda: allclose(x, y))
     assert lapack.names() == ["svdvals"]
@@ -311,19 +310,46 @@ def test_valid_checks_take_no_values_only_svd(lapack):
     assert lapack.names() == ["svd", "svdvals"]
     lapack.calls.clear()
     douglas_divide(xc, yc)   # x is warm; the residual and ||p|| stay exact
-    assert lapack.names() == ["svdvals"]
+    assert lapack.names() == ["svdvals", "svdvals"]
 
 
 def test_exact_fallback_keeps_the_reported_figures(lapack):
     # x = 0 and y at 0.99 of its bound: hi(y) = 16 ||y||_2 leaves the verdict
-    # to the exact norms; the reported residual is taken again beside ||p||
+    # to the exact norms; the reported residual is the one the verdict read
     M = BlockAlgebra((16,))
     y = (0.99 * DEFAULT_TOL.eq_abs) * M.identity()
     result = douglas_divide(M.zero(), y)
-    assert lapack.names() == ["svd", "svdvals", "svdvals"]
+    assert lapack.names() == ["svd", "svdvals", "svdvals", "svdvals"]
     assert result.residual == operator_norm(y) and result.minimal_c == 0.0
     with pytest.raises(NclpError):
         douglas_divide(M.zero(), y * 1.02)
+
+
+def test_an_undecided_division_takes_one_norm_per_element(monkeypatch):
+    # the same division: the verdict's norms of the remainder and y stay on
+    # them, so douglas_divide reads the remainder's again beside that of p,
+    # and each of the three takes exactly one values-only SVD, in that order
+    M = BlockAlgebra((16,))
+    y = (0.99 * DEFAULT_TOL.eq_abs) * M.identity()
+    factorized, checks = [], []
+    svd, first_over = matcore._svd, decomp._first_over
+
+    def spy_svd(a, blocks, what, compute_uv=True):
+        if not compute_uv:
+            factorized.append(a)
+        return svd(a, blocks, what, compute_uv)
+
+    def spy_first_over(pairs, tol):
+        checks.extend(pairs)
+        return first_over(pairs, tol)
+
+    monkeypatch.setattr(matcore, "_svd", spy_svd)
+    monkeypatch.setattr(decomp, "_first_over", spy_first_over)
+    result = douglas_divide(M.zero(), y)
+    [(rem, _)] = checks
+    elements = (rem, y, result.quotient)
+    assert len(factorized) == 3
+    assert all(a is e.stacks[0] for a, e in zip(factorized, elements))
 
 
 NAN_PAIR = (BlockAlgebra((1,)), [[2.0]], [[np.nan]])
@@ -334,7 +360,7 @@ NAN_PAIR = (BlockAlgebra((1,)), [[2.0]], [[np.nan]])
     (lambda x, y: douglas_divide(x, y), "operator norm"),
     (lambda x, y: isometry_divide(x, y), "operator norm"),
     (lambda x, y: douglas_divide(y, x), "singular value decomposition"),
-    (lambda x, y: operator_norm(y), "singular values"),
+    (lambda x, y: operator_norm(y), "operator norm"),
     (lambda x, y: distance(x, y), "distance"),
 ], ids=["allclose", "douglas_divide", "isometry_divide", "douglas_divide_by_nan",
         "operator_norm", "distance"])

@@ -112,7 +112,7 @@ def test_carried_values_are_sorted_floats_within_weyl_of_lapack(dims):
     M = BlockAlgebra(dims)
     for name, x in _built(make_rng(120 + len(dims)), M).items():
         assert x._d is not None, name   # built by _spectral, so it carries d
-        svals = _svals(x)
+        svals = _svals(x, "operator norm")
         assert len(svals) == len(x.stacks), name
         for s, stack in zip(svals, x.stacks):
             n = stack.shape[-1]
@@ -140,7 +140,7 @@ def test_carried_values_put_a_nan_first():
     u = np.broadcast_to(np.eye(3, dtype=complex), (2, 3, 3))
     d = np.array([[1.0, np.nan, -3.0], [2.0, 0.5, -np.inf]])
     with np.errstate(invalid="ignore"):   # 0 * inf off the diagonal
-        (s,) = _svals(_spectral(M, [(u, d, u)]))
+        (s,) = _svals(_spectral(M, [(u, d, u)]), "operator norm")
     assert np.isnan(s[0, 0]) and s[0, 1:].tolist() == [3.0, 1.0]
     assert s[1].tolist() == [np.inf, 2.0, 0.5]
     # a NaN that the calculus makes reaches operator_norm and lnorm, which refuse it

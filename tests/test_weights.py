@@ -38,7 +38,6 @@ from nclp import (
 from nclp.matcore import (
     FACTOR_CACHE,
     _eig_classes,
-    _operator_norms,
     flatten_element as flatten,
 )
 from nclp.sampling import make_rng, random_element, random_positive, random_weight
@@ -696,7 +695,7 @@ def _eager_cocycle_report(mu, nu, a, b, tol):
     k_ab, k_a, k_b, k_up = nu.powers((-(a + b), -a, -b, a), tol)
     lhs = h_ab @ k_ab
     rhs = (h_a @ k_a) @ (k_up @ (h_b @ k_b) @ k_a)
-    residual, norm_lhs = _operator_norms(lhs - rhs, lhs)
+    residual, norm_lhs = operator_norm(lhs - rhs), operator_norm(lhs)
     return ToleranceReport(residual, residual <= tol.eq_bound(max(norm_lhs, 1.0)),
                            f"cocycle identity at a={a}, b={b}")
 
