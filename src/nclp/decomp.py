@@ -20,6 +20,7 @@ from .errors import (
     GradingError,
     NonFaithfulError,
     NonFiniteError,
+    OutOfRangeError,
     UnsolvableError,
 )
 from .graded import GradedElement, _same_grading
@@ -55,8 +56,18 @@ def left_support(x: Element, tol: Tolerances = DEFAULT_TOL) -> Element:
 
 
 def _inv(s: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """1/s on the kept singular values, 0 elsewhere."""
-    return np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    """1/s on the kept singular values, 0 elsewhere.
+
+    OutOfRangeError when a kept s is below about 5.6e-309 (subnormal), whose
+    inverse exceeds the float range: the pseudo-inverse of x has no finite
+    figure, and every quotient built from it would carry infinities.
+    """
+    with np.errstate(over="ignore"):
+        out = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    if np.isinf(out).any():
+        raise OutOfRangeError("pseudo-inverse: the inverse of a kept singular value "
+                              "exceeds the float range")
+    return out
 
 
 def _pinv(x: Element, svd) -> Element:

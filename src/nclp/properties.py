@@ -91,20 +91,6 @@ class SuiteConfig(_Value):
             kwargs["tolerances"] = Tolerances(**kwargs["tolerances"])
         return cls(**kwargs)
 
-    def to_obj(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "block_shapes": [list(s) for s in self.block_shapes],
-            "gradings": [[[a.real, a.imag], [b.real, b.imag]]
-                         for a, b in self.gradings],
-            "tolerances": {
-                "rank_rel": self.tolerances.rank_rel,
-                "eq_abs": self.tolerances.eq_abs,
-                "eq_rel": self.tolerances.eq_rel,
-            },
-        }
-
 
 # -- instance helpers ------------------------------------------------------
 

@@ -303,6 +303,16 @@ def test_a_division_that_overflows_is_a_numerical_error(capsys, tmp_path):
         "type": "numerical", "message": "overflow encountered in matmul"}
 
 
+def test_a_subnormal_singular_value_is_a_typed_error(capsys, tmp_path):
+    # x keeps the singular value 1e-310, whose inverse is past the float range
+    x = {"block_dims": [2], "blocks": [[[[1e-305, 0], [0, 0]], [[0, 0], [1e-310, 0]]]]}
+    code = main(["demo", "douglas", "--input", write(tmp_path, "subnormal.json", {"x": x, "y": x})])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.err
+    assert _strict_json(captured.out)["error"] == {"type": "OutOfRangeError", "message":
+        "pseudo-inverse: the inverse of a kept singular value exceeds the float range"}
+
+
 def test_an_overflowed_figure_is_reported_with_json_s_message(capsys, tmp_path, monkeypatch):
     import nclp.cli as cli
 

@@ -12,6 +12,7 @@ from nclp import (
     GradingError,
     NonFaithfulError,
     NonFiniteError,
+    OutOfRangeError,
     UnsolvableError,
     cyclic_generator,
     distance,
@@ -316,6 +317,30 @@ def test_isometry_divide_refuses_a_gram_check_it_cannot_decide():
     x = Element(M1, [np.array([[2.0]])])
     with pytest.raises(NonFiniteError, match="^operator norm: "), np.errstate(invalid="ignore"):
         isometry_divide(x, Element(M1, [np.array([[np.inf]])]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dims", [(2,), (3, 1), (2,) * 32], ids=str)
+def test_a_subnormal_singular_value_has_no_finite_inverse(dims):
+    # at scale 1e-310 some kept singular value is subnormal and 1/s overflows;
+    # at 1e-300 every inverse is finite
+    M = BlockAlgebra(dims)
+    rng = make_rng(11)
+    for scale, fails in ((1e-310, True), (1e-300, False)):
+        x = random_element(rng, M) * scale
+        y = random_element(rng, M) @ x
+        calls = (lambda: pseudo_inverse(x),
+                 lambda: douglas_divide(x, y).quotient,
+                 lambda: graded_divide(GradedElement(x, 0.5), GradedElement(y, 0.5)).data,
+                 lambda: douglas_ladder(x, y))
+        for call in calls:
+            if fails:
+                with pytest.raises(OutOfRangeError, match="^pseudo-inverse: .* float range$"):
+                    call()
+                continue
+            out = call()
+            figures = [gap for _, gap in out] if isinstance(out, list) else out.stacks
+            assert all(np.isfinite(f).all() for f in figures)
 
 
 def test_cyclic_generator_single_real_grading():

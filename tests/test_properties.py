@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from nclp import (DivisionResult, GradingError, NotModuleMapError, decomp, left_support,
-                  lpspace, operator_norm, properties, trace)
+from nclp import (DivisionResult, GradingError, NotModuleMapError, Tolerances, decomp,
+                  left_support, lpspace, operator_norm, properties, trace)
 from nclp.properties import PROPERTIES, SuiteConfig, run_suite
 from nclp.sampling import spawn_rng
 from nclp.serialize import dumps
@@ -56,10 +56,15 @@ def test_config_validation():
             SuiteConfig(gradings=((bad, 0.5 + 0j),))
 
 
-def test_config_obj_roundtrip():
-    cfg = SuiteConfig(seed=9, trials=3)
-    again = SuiteConfig.from_obj(cfg.to_obj())
-    assert again == cfg
+def test_config_reads_gradings_and_tolerances():
+    cfg = SuiteConfig.from_obj({
+        "seed": 9, "trials": 3, "block_shapes": [[2, 1]],
+        "gradings": [[[0.5, 0.0], [1.0, -0.25]], [[0.0, 0.7], [2.0, 0.0]]],
+        "tolerances": {"rank_rel": 1e-9, "eq_abs": 1e-10, "eq_rel": 2e-10}})
+    assert cfg == SuiteConfig(seed=9, trials=3, block_shapes=((2, 1),),
+                              gradings=((0.5, 1.0 - 0.25j), (0.7j, 2.0)),
+                              tolerances=Tolerances(1e-9, 1e-10, 2e-10))
+    assert cfg.gradings == ((0.5 + 0j, 1.0 - 0.25j), (0.7j, 2.0 + 0j))
 
 
 def test_a_crashed_trial_is_reported_with_its_reason(monkeypatch):
