@@ -389,10 +389,10 @@ def _spectral(algebra: BlockAlgebra, triples) -> Element:
 # 32, and one gate serves them all.  The choice follows the block count of
 # the size class, never the length of the stack handed in, so that batching
 # never changes a bit: _eig_classes hands in the general blocks of a class,
-# and douglas_ladder the blocks that share a rung width.  The kernels are imported on first use
-# (about 3 ms when no bytecode is cached), so that a process that factorizes
-# and multiplies only smaller classes (every shipped demo input, the default
-# verify) never loads them.
+# and douglas_ladder the blocks that share a rung width.  The kernels are
+# imported on first use (about 3 ms when no bytecode is cached), so that a
+# process that factorizes and multiplies only smaller classes (every shipped
+# demo input, the default verify) never loads them.
 
 KERNEL_BLOCKS = 32
 

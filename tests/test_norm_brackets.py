@@ -313,22 +313,11 @@ def test_valid_checks_take_no_values_only_svd(lapack):
     assert lapack.names() == ["svdvals", "svdvals"]
 
 
-def test_exact_fallback_keeps_the_reported_figures(lapack):
+def test_exact_fallback_keeps_the_reported_figures(lapack, monkeypatch):
     # x = 0 and y at 0.99 of its bound: hi(y) = 16 ||y||_2 leaves the verdict
-    # to the exact norms; the reported residual is the one the verdict read
-    M = BlockAlgebra((16,))
-    y = (0.99 * DEFAULT_TOL.eq_abs) * M.identity()
-    result = douglas_divide(M.zero(), y)
-    assert lapack.names() == ["svd", "svdvals", "svdvals", "svdvals"]
-    assert result.residual == operator_norm(y) and result.minimal_c == 0.0
-    with pytest.raises(NclpError):
-        douglas_divide(M.zero(), y * 1.02)
-
-
-def test_an_undecided_division_takes_one_norm_per_element(monkeypatch):
-    # the same division: the verdict's norms of the remainder and y stay on
-    # them, so douglas_divide reads the remainder's again beside that of p,
-    # and each of the three takes exactly one values-only SVD, in that order
+    # to the exact norms, which stay on the remainder and y; douglas_divide
+    # reads the remainder's again beside that of p, so each of the three
+    # takes exactly one values-only SVD, in that order
     M = BlockAlgebra((16,))
     y = (0.99 * DEFAULT_TOL.eq_abs) * M.identity()
     factorized, checks = [], []
@@ -346,10 +335,13 @@ def test_an_undecided_division_takes_one_norm_per_element(monkeypatch):
     monkeypatch.setattr(matcore, "_svd", spy_svd)
     monkeypatch.setattr(decomp, "_first_over", spy_first_over)
     result = douglas_divide(M.zero(), y)
+    assert lapack.names() == ["svd", "svdvals", "svdvals", "svdvals"]
     [(rem, _)] = checks
-    elements = (rem, y, result.quotient)
     assert len(factorized) == 3
-    assert all(a is e.stacks[0] for a, e in zip(factorized, elements))
+    assert all(a is e.stacks[0] for a, e in zip(factorized, (rem, y, result.quotient)))
+    assert result.residual == operator_norm(y) and result.minimal_c == 0.0
+    with pytest.raises(NclpError):
+        douglas_divide(M.zero(), y * 1.02)
 
 
 NAN_PAIR = (BlockAlgebra((1,)), [[2.0]], [[np.nan]])
