@@ -158,8 +158,7 @@ def _demo_pushforward(obj: dict) -> dict:
         slot_weights = serialize._read_array(slot_weights, "slot_weights", 1, pairs=False)
     ovw = weights.OperatorValuedWeight.from_compression(embedding, slot_weights)
     push = weights.pushforward_weight(mu, ovw)
-    agreement = max(abs(weights.evaluate(push, q) - weights.evaluate(mu, ovw.apply(q)))
-                    for q in ovw.source.basis())
+    agreement = weights._pushforward_residual(mu, push, ovw)
     return {
         "inputs": {k: obj[k] for k in ("mu", "embedding", "slot_weights") if k in obj},
         "pushforward": serialize.weight_to_obj(push),

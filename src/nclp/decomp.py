@@ -228,10 +228,16 @@ def isometry_divide(x: Element, y: Element,
     Returns p with p @ x = y, p*p the left support of x, and p* @ y = x.
     Built from the two polar decompositions, which keeps it well defined
     on degenerate spectra.  The Gram check is ||x*x - y*y|| against
-    max(||x*x||, ||y*y||), decided by matcore._first_over.
+    max(||x*x||, ||y*y||), decided by matcore._first_over.  OutOfRangeError
+    when x*x or y*y overflows, as it does for entries past about 1e154.
     """
-    gram_x = x.adjoint() @ x
-    gram_y = y.adjoint() @ y
+    with np.errstate(over="raise"):
+        try:
+            gram_x = x.adjoint() @ x
+            gram_y = y.adjoint() @ y
+        except FloatingPointError:
+            raise OutOfRangeError("isometry division: the Gram matrix x*x or y*y "
+                                  "exceeds the float range") from None
     residual = _first_over([(gram_x - gram_y, (gram_x, gram_y))], tol)
     if residual is not None:
         raise ConditionViolatedError(f"x*x != y*y: residual {residual:.3e}", residual)

@@ -288,8 +288,15 @@ class ModuleHom(_Frozen):
         return ModuleHom._of, (self.algebra, self.grading_in, self.grading_out, self.matrix)
 
     def apply(self, y: Element) -> Element:
+        """T(y); OutOfRangeError when the product overflows."""
         _same_algebra(y.algebra, self.algebra, "hom applied to an element of another algebra")
-        return unflatten_element(self.algebra, self.matrix @ flatten_element(y))
+        vec = flatten_element(y)
+        with np.errstate(over="raise"):
+            try:
+                vec = self.matrix @ vec
+            except FloatingPointError:
+                raise OutOfRangeError("module map: T(y) exceeds the float range") from None
+        return unflatten_element(self.algebra, vec)
 
     def __call__(self, eta: GradedElement, tol: Tolerances = DEFAULT_TOL) -> GradedElement:
         _same_grading(eta.grading, self.grading_in, tol, "hom input grading")

@@ -209,9 +209,10 @@ class Element(_Frozen):
 
     # Placeholders, class-level so that building an element sets none: _d
     # holds the diagonal factors of an element built by _spectral, _sv the
-    # singular values once a norm has read them (both read by _svals), and
-    # _eig a dict of the eigensystems of _eig_classes, keyed by Tolerances.
-    _d = _sv = _eig = None
+    # singular values once a norm has read them (both read by _svals), _eig
+    # a dict of the eigensystems of _eig_classes, keyed by Tolerances, and
+    # _blocks the per-block views once blocks has been read.
+    _d = _sv = _eig = _blocks = None
 
     def __init__(self, algebra: BlockAlgebra, blocks):
         dims = algebra.block_dims
@@ -230,13 +231,17 @@ class Element(_Frozen):
             s.setflags(write=False)
         _setfield(self, "algebra", algebra)
         _setfield(self, "stacks", stacks)
-        _setfield(self, "_blocks", None)
 
     @classmethod
     def _of(cls, algebra: BlockAlgebra, stacks) -> Element:
-        """The element with the given stacks, freshly computed and not copied."""
+        """The element with the given stacks, taken as they are: no copy, no check.
+
+        Every caller hands in stacks the library has just computed, one
+        complex128 (k, n, n) array per size class of algebra, which no one
+        else holds; _of only makes them read-only.
+        """
         out = object.__new__(cls)
-        out._set(algebra, tuple([np.asarray(s, dtype=complex) for s in stacks]))
+        out._set(algebra, tuple(stacks))
         return out
 
     def __reduce__(self):
@@ -257,7 +262,8 @@ class Element(_Frozen):
     # -- ring structure -------------------------------------------------
 
     def _zip(self, op, other: Element) -> Element:
-        _same_algebra(self.algebra, other.algebra, "incompatible algebras")
+        if self.algebra is not other.algebra:
+            _same_algebra(self.algebra, other.algebra, "incompatible algebras")
         return Element._of(self.algebra, [op(a, b) for a, b in zip(self.stacks, other.stacks)])
 
     def __add__(self, other: Element) -> Element:
@@ -555,8 +561,15 @@ def operator_norm(x: Element) -> float:
 
 
 def distance(x: Element, y: Element) -> float:
-    """operator_norm(x - y), the metric used by all closeness checks."""
-    return _top(_svals(x - y, "distance"), "distance")
+    """operator_norm(x - y), the metric used by all closeness checks.
+
+    The values-only SVD of each stack of the difference, as _svals takes it
+    for x - y, with no element built and nothing kept.
+    """
+    if x.algebra is not y.algebra:
+        _same_algebra(x.algebra, y.algebra, "incompatible algebras")
+    return _top([_svd(a - b, len(a), "distance", compute_uv=False)
+                 for a, b in zip(x.stacks, y.stacks)], "distance")
 
 
 def _entry_bracket(x: Element) -> tuple[float, float]:

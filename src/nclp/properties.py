@@ -294,8 +294,7 @@ def prop_pushforward_laws(rng, cfg):
         weights.BlockEmbedding(M, N, (row,)), slot_weights)
     mu = random_weight(rng, M)
     push = weights.pushforward_weight(mu, T, tol)
-    resid = max(abs(weights.evaluate(push, q) - weights.evaluate(mu, T.apply(q)))
-                for q in N.basis())
+    resid = weights._pushforward_residual(mu, push, T)
     S = weights.OperatorValuedWeight.from_compression(
         weights.BlockEmbedding(N, BlockAlgebra((2 * N.block_dims[0],)), ((0, 0),)))
     stacked = weights.pushforward_weight(push, S, tol)

@@ -62,7 +62,11 @@ def _gaussian_stacks(algebra: BlockAlgebra, flat: np.ndarray) -> list:
 
 def random_element(rng: np.random.Generator, algebra: BlockAlgebra) -> Element:
     flat = rng.standard_normal(2 * algebra.total_dim)
-    return Element._of(algebra, [g / np.sqrt(2.0) for g in _gaussian_stacks(algebra, flat)])
+    stacks = _gaussian_stacks(algebra, flat)
+    scale = np.sqrt(2.0)
+    for g in stacks:   # each a fresh array, scaled in place
+        g /= scale
+    return Element._of(algebra, stacks)
 
 
 def random_positive(rng: np.random.Generator, algebra: BlockAlgebra) -> Element:

@@ -32,6 +32,7 @@ from .matcore import (
     _same_algebra,
     _spectral_power,
     _Frozen,
+    _frozen,
     _setfield,
     _Value,
     trace,
@@ -218,6 +219,11 @@ class BlockEmbedding(_Value):
         _setfield(self, "source", source)
         _setfield(self, "target", target)
         _setfield(self, "assignment", rows)
+        _setfield(self, "_columns", None)   # filled by _commutant_columns
+
+    def __reduce__(self):
+        # rebuild the kept columns, read-only again, from the assignment
+        return BlockEmbedding, (self.source, self.target, self.assignment)
 
     def apply(self, x: Element) -> Element:
         """f(x): place the assigned source blocks on the target diagonal."""
@@ -242,7 +248,10 @@ def _commutant_columns(embedding: BlockEmbedding) -> dict:
     The bimodule maps N -> M are T_K(q)_i = sum_j sum_{s,t} K_ij[s, t] q_j[t, s]
     over the d x d sub-blocks q_j[t, s] between copies t and s; cols[s, t] holds
     the flat coordinates of q_j[t, s], and slots numbers the copies in order.
+    Built on first use and kept on the embedding, with read-only arrays.
     """
+    if embedding._columns is not None:
+        return embedding._columns
     idx_n = embedding.target.coords
     copies, slot = {}, 0
     for j, row in enumerate(embedding.assignment):
@@ -254,7 +263,8 @@ def _commutant_columns(embedding: BlockEmbedding) -> dict:
     for (i, j), pairs in copies.items():
         slots, offsets = zip(*pairs)
         p = np.array(offsets)[:, None] + np.arange(embedding.source.block_dims[i])
-        out[i, j] = idx_n[j][p[None, :, :, None], p[:, None, None, :]], list(slots)
+        out[i, j] = _frozen(idx_n[j][p[None, :, :, None], p[:, None, None, :]], np.array(slots))
+    _setfield(embedding, "_columns", out)
     return out
 
 
@@ -397,3 +407,22 @@ def pushforward_weight(mu: Weight, ovw: OperatorValuedWeight,
     k = unflatten_element(ovw.source, ovw.matrix.conj().T @ flatten_element(mu.density))
     k = (k + k.adjoint()) * 0.5
     return Weight(k, tol)
+
+
+def _trace_row(x: Element) -> np.ndarray:
+    """f(x), the transposed blocks of x flattened in turn, so that
+    trace(x @ q) = f(x) . flatten_element(q) for every q."""
+    return np.concatenate([b.T.reshape(-1) for b in x.blocks])
+
+
+def _pushforward_residual(mu: Weight, push: Weight, ovw: OperatorValuedWeight) -> float:
+    """max |push(q) - mu(T(q))| over the matrix units q of the source algebra of T.
+
+    With k and h the densities of push and mu, push(q) - mu(T(q)) is
+    f(k) . vec(q) - f(h) . (T vec(q)) (see _trace_row), so over the basis the
+    gaps are the entries of f(k) - T^T f(h).  A column of a compression map
+    holds at most one nonzero entry, so each gap rounds as the trace of the
+    two matrix products does, to the bit.
+    """
+    gaps = _trace_row(push.density) - _trace_row(mu.density) @ ovw.matrix
+    return max(map(abs, gaps.tolist()))

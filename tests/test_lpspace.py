@@ -32,9 +32,11 @@ from nclp import (
     hom_norm,
     hom_norm_certificate,
     hom_to_element,
+    isometry_divide,
     lnorm,
     lpspace,
     operator_norm,
+    polar_right,
     power_pos,
     rank1_reduce,
     tensor_multiply,
@@ -725,6 +727,26 @@ def test_a_power_past_the_float_range_is_a_typed_error():
                 np.diag([1.0, 2.0 ** 0.5]), np.diag([1.0, 2.0 ** 0.5]), support, x.blocks[0]]
     for y, want in zip(fine, expected, strict=True):
         assert np.allclose(y.blocks[0], want, rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_product_past_the_float_range_is_a_typed_error():
+    # at scale 1e160, the Gram product x*x of isometry_divide and the image
+    # T(y) of hom_norm's Hölder witness (y of the scale of x at grading 1/2)
+    # hold entries of about 1e320; at 1e150 they hold about 1e300, and both
+    # calls return
+    w = polar_right(random_element(make_rng(4), M2)).isometry
+    for scale, fails in ((1e160, True), (1e150, False)):
+        x = random_element(make_rng(3), M2) * scale
+        calls = {"isometry division": lambda: isometry_divide(x, w @ x),
+                 "module map": lambda: hom_norm(hom_from_element(GradedElement(x, 0.5), 0.5))}
+        if fails:
+            for what, call in calls.items():
+                with pytest.raises(OutOfRangeError, match=f"^{what}: .* exceeds the float range$"):
+                    call()
+        else:
+            assert distance(calls["isometry division"](), w) < 1e-12
+            assert calls["module map"]() == pytest.approx(lnorm(GradedElement(x, 0.5)), rel=1e-12)
 
 
 MIXED = BlockAlgebra((1, 2, 3, 2, 3, 1))

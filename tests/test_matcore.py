@@ -56,7 +56,7 @@ from nclp.matcore import (
     _svds,
     _top,
 )
-from nclp.properties import SuiteConfig, run_suite
+from nclp.properties import DEFAULT_SHAPES, SuiteConfig, run_suite
 from nclp.sampling import make_rng, random_element, random_positive, random_projection
 
 M2 = BlockAlgebra((2,))
@@ -844,21 +844,33 @@ def test_lazy_coords_give_the_bits_of_coords_built_up_front():
     assert _same_bits(flatten_element(back), vec)
 
 
-def test_distance_is_the_norm_of_the_difference_and_caches_nothing(lapack):
+@pytest.mark.parametrize("dims", [*DEFAULT_SHAPES, (2,) * 32], ids=str)
+def test_distance_is_the_norm_of_the_difference_and_builds_nothing(dims, lapack, monkeypatch):
+    # distance takes, on the stacks of x - y, the values-only SVDs that
+    # operator_norm(x - y) takes: the same bits, with no element built and no
+    # singular values kept on x or y (x keeps its own, y none)
+    M = BlockAlgebra(dims)
     rng = make_rng(43)
-    x, y = random_element(rng, MIXED), random_element(rng, MIXED)
-    got = distance(x, y)
-    assert x._sv is None and y._sv is None
-    per_class = ["svdvals"] * len(MIXED.classes)
-    assert lapack.names() == per_class   # no full SVD is taken, so none is kept
-    assert got.hex() == operator_norm(x - y).hex()
-    nrm, kept = operator_norm(x), _svals(x, "operator norm")
+    x, y = random_element(rng, M), random_element(rng, M)
+    kept = _svals(x, "operator norm")
+    built = []
+    of = Element._of.__func__
+    monkeypatch.setattr(Element, "_of", classmethod(
+        lambda cls, algebra, stacks: built.append(algebra) or of(cls, algebra, stacks)))
     lapack.calls.clear()
-    distance(x, y)
-    assert lapack.names() == per_class   # nor are the values of x - y kept
-    assert _svals(x, "operator norm") is kept and operator_norm(x) == nrm and y._sv is None
-    with pytest.raises(AlgebraMismatchError, match="incompatible algebras"):
-        distance(x, M2.identity())
+    got = distance(x, y)
+    assert built == []
+    assert lapack.names() == ["svdvals"] * len(M.classes)   # no full SVD, so none kept
+    assert x._sv is kept and y._sv is None
+    assert got.hex() == operator_norm(x - y).hex()
+    assert distance(x, y) == got and len(built) == 1   # x - y alone was built
+    with pytest.raises(AlgebraMismatchError, match="^incompatible algebras: "):
+        distance(x, BlockAlgebra((*dims, 1)).identity())
+    for bad in (np.nan, np.inf):
+        blocks = [np.array(b) for b in x.blocks]
+        blocks[-1][0, -1] = bad
+        with pytest.raises(NonFiniteError, match="^distance: the matrix holds a NaN"):
+            distance(Element(M, blocks), y)
 
 
 def test_largest_singular_value_refuses_nan():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from nclp import (DivisionResult, GradingError, NotModuleMapError, Tolerances, decomp,
+from nclp import (DivisionResult, Element, GradingError, NotModuleMapError, Tolerances, decomp,
                   left_support, lpspace, operator_norm, properties, trace)
 from nclp.properties import PROPERTIES, SuiteConfig, run_suite
 from nclp.sampling import spawn_rng
@@ -64,6 +64,30 @@ def test_config_reads_gradings_and_tolerances():
     assert cfg == SuiteConfig(seed=9, trials=3, block_shapes=((2, 1),),
                               gradings=((0.5, 1.0 - 0.25j), (0.7j, 2.0)),
                               tolerances=Tolerances(1e-9, 1e-10, 2e-10))
+
+
+@pytest.mark.parametrize("shapes", [properties.DEFAULT_SHAPES, [[2] * 32, [3, 1, 2, 1, 3]]],
+                         ids=["default", "many-blocks"])
+def test_every_element_the_suite_builds_takes_fresh_complex_stacks(shapes, monkeypatch):
+    # Element._of converts and copies nothing: every call site must hand it
+    # one complex128 (k, n, n) array per size class, which it makes read-only
+    of = Element._of.__func__
+    calls, faults = [], []
+
+    def checked(cls, algebra, stacks):
+        stacks = tuple(stacks)
+        out = of(cls, algebra, stacks)
+        calls.append(algebra)
+        got = [(type(s).__name__, s.dtype.name, s.shape) for s in stacks]
+        if (got != [("ndarray", "complex128", shape) for shape in algebra._shapes()]
+                or any(a is not b or a.flags.writeable for a, b in zip(out.stacks, stacks))):
+            faults.append((algebra.block_dims, got))
+        return out
+
+    monkeypatch.setattr(Element, "_of", classmethod(checked))
+    report = run_suite(SuiteConfig(trials=2, block_shapes=shapes))
+    assert report["all_passed"]
+    assert len(calls) > 1000 and not faults, faults[:3]
 
 
 def test_a_crashed_trial_is_reported_with_its_reason(monkeypatch):

@@ -40,6 +40,7 @@ from nclp.matcore import (
     _eig_classes,
     flatten_element as flatten,
 )
+from nclp.weights import _pushforward_residual
 from nclp.sampling import make_rng, random_element, random_positive, random_weight
 
 M2 = BlockAlgebra((2,))
@@ -525,6 +526,48 @@ def test_from_compression_equals_closure_build_entry_for_entry():
         for weights in (None, rng.uniform(0.5, 2.0, size=slots)):
             got = OperatorValuedWeight.from_compression(emb, weights).matrix
             assert np.array_equal(got, _reference_compression(emb, weights))
+
+
+def _pushforward_gaps_by_basis(mu, push, ovw):
+    """Reference for weights._pushforward_residual: the loop over the matrix units."""
+    return max(abs(evaluate(push, q) - evaluate(mu, ovw.apply(q))) for q in ovw.source.basis())
+
+
+def test_pushforward_residual_in_closed_form_agrees_with_the_basis_loop():
+    # Bound.  For a matrix unit q_t both ways read push(q_t) as f(k)_t exactly
+    # (one product with 1, the rest exact zeros), and T(q_t) as column t of
+    # T, so both sum the same d = dim M products f(h)_m T[m, t], in two
+    # orders.  A complex sum of d products lies within gamma_{d+2} S_t of its
+    # exact value, S_t = sum_m |f(h)_m T[m, t]| and gamma_n = n u / (1 - n u)
+    # with u = 2^-53; the subtraction from f(k)_t and the modulus add a
+    # relative u each.  So each gap lies within gamma_{d+4} (|f(k)_t| + S_t)
+    # of the exact gap, and the two maxima within twice the largest of these.
+    # A column of a compression map holds at most one nonzero entry, so there
+    # the sum is one product and the two agree to the bit.
+    rng = make_rng(20)
+    u = np.finfo(float).eps / 2
+    embeddings = [ovw.embedding for ovw in _pushforward_law_compressions()]
+    embeddings.append(BlockEmbedding(BlockAlgebra((1, 2)), BlockAlgebra((3, 2, 4)),
+                                     ((0, 1), (1,), (1, 0, 0))))
+    for emb in embeddings:
+        M, N = emb.source, emb.target
+        slots = sum(len(row) for row in emb.assignment)
+        g = rng.standard_normal((M.total_dim, N.total_dim)) * (1.0 + 1j)
+        maps = [OperatorValuedWeight.from_compression(emb, w)
+                for w in (None, rng.uniform(0.5, 2.0, size=slots))]
+        for T in [*maps, OperatorValuedWeight(emb, g)]:
+            mu = random_weight(rng, M)
+            f_h = np.concatenate([b.T.reshape(-1) for b in mu.density.blocks])
+            compression = T in maps
+            for push in ([pushforward_weight(mu, T)] if compression else []) + [
+                    random_weight(rng, N)]:
+                got, ref = _pushforward_residual(mu, push, T), _pushforward_gaps_by_basis(mu, push, T)
+                f_k = np.concatenate([b.T.reshape(-1) for b in push.density.blocks])
+                gamma = (M.total_dim + 4) * u / (1 - (M.total_dim + 4) * u)
+                bound = 2 * gamma * float(np.max(np.abs(f_k) + np.abs(f_h) @ np.abs(T.matrix)))
+                assert abs(got - ref) <= bound
+                if compression:
+                    assert got.hex() == ref.hex()
 
 
 def test_from_compression_rejects_bad_slot_weights():
