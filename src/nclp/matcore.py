@@ -566,8 +566,7 @@ def distance(x: Element, y: Element) -> float:
     The values-only SVD of each stack of the difference, as _svals takes it
     for x - y, with no element built and nothing kept.
     """
-    if x.algebra is not y.algebra:
-        _same_algebra(x.algebra, y.algebra, "incompatible algebras")
+    _same_algebra(x.algebra, y.algebra, "incompatible algebras")
     return _top([_svd(a - b, len(a), "distance", compute_uv=False)
                  for a, b in zip(x.stacks, y.stacks)], "distance")
 

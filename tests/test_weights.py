@@ -555,18 +555,19 @@ def test_pushforward_residual_in_closed_form_agrees_with_the_basis_loop():
         g = rng.standard_normal((M.total_dim, N.total_dim)) * (1.0 + 1j)
         maps = [OperatorValuedWeight.from_compression(emb, w)
                 for w in (None, rng.uniform(0.5, 2.0, size=slots))]
+        gamma = (M.total_dim + 4) * u / (1 - (M.total_dim + 4) * u)
         for T in [*maps, OperatorValuedWeight(emb, g)]:
             mu = random_weight(rng, M)
             f_h = np.concatenate([b.T.reshape(-1) for b in mu.density.blocks])
-            compression = T in maps
-            for push in ([pushforward_weight(mu, T)] if compression else []) + [
-                    random_weight(rng, N)]:
+            pushes = [random_weight(rng, N)]
+            if T in maps:
+                pushes.append(pushforward_weight(mu, T))
+            for push in pushes:
                 got, ref = _pushforward_residual(mu, push, T), _pushforward_gaps_by_basis(mu, push, T)
                 f_k = np.concatenate([b.T.reshape(-1) for b in push.density.blocks])
-                gamma = (M.total_dim + 4) * u / (1 - (M.total_dim + 4) * u)
                 bound = 2 * gamma * float(np.max(np.abs(f_k) + np.abs(f_h) @ np.abs(T.matrix)))
                 assert abs(got - ref) <= bound
-                if compression:
+                if T in maps:
                     assert got.hex() == ref.hex()
 
 
