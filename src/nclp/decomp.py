@@ -20,7 +20,6 @@ from .errors import (
     GradingError,
     NonFaithfulError,
     NonFiniteError,
-    OutOfRangeError,
     UnsolvableError,
 )
 from .graded import GradedElement, _same_grading
@@ -31,6 +30,7 @@ from .matcore import (
     _first_over,
     _h,
     _matmul,
+    _overflow,
     _same_algebra,
     _svd,
     _svd_support,
@@ -62,12 +62,8 @@ def _inv(s: np.ndarray, keep: np.ndarray) -> np.ndarray:
     inverse exceeds the float range: the pseudo-inverse of x has no finite
     figure, and every quotient built from it would carry infinities.
     """
-    with np.errstate(over="ignore"):
-        out = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    if np.isinf(out).any():
-        raise OutOfRangeError("pseudo-inverse: the inverse of a kept singular value "
-                              "exceeds the float range")
-    return out
+    with _overflow("pseudo-inverse: the inverse of a kept singular value"):
+        return np.divide(1.0, s, out=np.zeros_like(s), where=keep)
 
 
 def _pinv(x: Element, svd) -> Element:
@@ -231,13 +227,9 @@ def isometry_divide(x: Element, y: Element,
     max(||x*x||, ||y*y||), decided by matcore._first_over.  OutOfRangeError
     when x*x or y*y overflows, as it does for entries past about 1e154.
     """
-    with np.errstate(over="raise"):
-        try:
-            gram_x = x.adjoint() @ x
-            gram_y = y.adjoint() @ y
-        except FloatingPointError:
-            raise OutOfRangeError("isometry division: the Gram matrix x*x or y*y "
-                                  "exceeds the float range") from None
+    with _overflow("isometry division: the Gram matrix x*x or y*y"):
+        gram_x = x.adjoint() @ x
+        gram_y = y.adjoint() @ y
     residual = _first_over([(gram_x - gram_y, (gram_x, gram_y))], tol)
     if residual is not None:
         raise ConditionViolatedError(f"x*x != y*y: residual {residual:.3e}", residual)

@@ -9,7 +9,8 @@ elementwise or reduces within one block, so the results of a block do not
 depend on the stack it is handed in.  svd2, eigh2 and matmul2 return what
 numpy.linalg's svd and eigh and numpy's matmul do; matcore's funnel (_svd,
 _eigh, _matmul) decides which stacks they take, and imports this module on
-first use.
+first use.  The factorizations take finite stacks only: the funnel
+refuses a NaN or an infinity before any factorization.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import numpy as np
 
 
 def _scaled(a: np.ndarray):
-    """(b, e): each block of the (k, 2, 2) stack a times 2^-e, exactly, which
-    brings its largest real or imaginary part into [0.5, 1), so that no
-    square of an entry of b overflows or underflows; a zero block, or one
-    that holds a NaN or an infinity, keeps e = 0.
+    """(b, e): each block of the finite (k, 2, 2) stack a times 2^-e, exactly,
+    which brings its largest real or imaginary part into [0.5, 1), so that no
+    square of an entry of b overflows or underflows; a zero block keeps e = 0.
     """
     parts = np.ascontiguousarray(a).view(np.float64).reshape(len(a), -1)
     # the maximum over the first axis of the transposed copy is one
@@ -95,9 +95,8 @@ def eigh2(a: np.ndarray):
     return np.ldexp(w, e[:, None]), u
 
 
-@np.errstate(invalid="ignore")   # an infinity makes NaNs, silently, as on LAPACK
 def svd2(a: np.ndarray, compute_uv: bool = True):
-    """np.linalg.svd of a (k, 2, 2) stack, in closed form: (u, s, vh), or s.
+    """np.linalg.svd of a finite (k, 2, 2) stack, in closed form: (u, s, vh), or s.
 
     s[:, 0] is the root of the larger eigenvalue of the Gram matrix b*b.
     Values only, s[:, 1] is |det b| / s[:, 0].  In full, the rotation V of
@@ -106,10 +105,6 @@ def svd2(a: np.ndarray, compute_uv: bool = True):
     the unit vector orthogonal to u1 whose phase makes s[:, 1] = u2* x2 real
     and nonnegative.  A zero block gives u = vh = I.  Each row of s
     descends: where rounding inverts the two, they swap with their vectors.
-
-    As on LAPACK, a block that holds a NaN and no infinity raises
-    LinAlgError, and one that holds an infinity gets NaN singular values:
-    there s[:, 1] is NaN, as every product of an infinity is infinite or NaN.
     """
     b, e = _scaled(a)
     b0, b1 = b[:, :, 0], b[:, :, 1]                            # the columns
@@ -138,12 +133,6 @@ def svd2(a: np.ndarray, compute_uv: bool = True):
         det = np.abs(b0[:, 0] * b1[:, 1] - b1[:, 0] * b0[:, 1])
         s2 = det / _or_one(s1)
     if not _nonzero(s1 >= s2):
-        bad = np.isnan(s2)
-        if bad.any():
-            held = a[bad]
-            if (np.isnan(held).any(axis=(1, 2)) > np.isinf(held).any(axis=(1, 2))).any():
-                raise np.linalg.LinAlgError("SVD did not converge")
-        s1 = np.where(bad, np.nan, s1)
         flip = s2 > s1
         s1, s2 = np.where(flip, s2, s1), np.where(flip, s1, s2)
         if compute_uv:

@@ -31,6 +31,7 @@ from .matcore import (
     Tolerances,
     _h,
     _norm2_bound,
+    _overflow,
     _same_algebra,
     _spectral,
     _spectral_power,
@@ -68,7 +69,7 @@ def lnorm(xi: GradedElement, tol: Tolerances = DEFAULT_TOL) -> float:
     """
     re = float(xi.grading.real)
     svals = _svals(xi.data, "lnorm")
-    smax = _top(svals, "lnorm")
+    smax = _top(svals)
     if re <= tol.eq_abs:
         return smax
     s = np.concatenate([v.ravel() for v in svals])
@@ -290,13 +291,8 @@ class ModuleHom(_Frozen):
     def apply(self, y: Element) -> Element:
         """T(y); OutOfRangeError when the product overflows."""
         _same_algebra(y.algebra, self.algebra, "hom applied to an element of another algebra")
-        vec = flatten_element(y)
-        with np.errstate(over="raise"):
-            try:
-                vec = self.matrix @ vec
-            except FloatingPointError:
-                raise OutOfRangeError("module map: T(y) exceeds the float range") from None
-        return unflatten_element(self.algebra, vec)
+        with _overflow("module map: T(y)"):
+            return unflatten_element(self.algebra, self.matrix @ flatten_element(y))
 
     def __call__(self, eta: GradedElement, tol: Tolerances = DEFAULT_TOL) -> GradedElement:
         _same_grading(eta.grading, self.grading_in, tol, "hom input grading")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -138,6 +139,7 @@ class BlockAlgebra(_Value):
         _setfield(self, "block_dims", dims)
         _setfield(self, "classes", tuple(tuple(idx) for idx in classes.values()))
         _setfield(self, "_coords", None)
+        _setfield(self, "_gathers", None)
         _setfield(self, "_identity", None)
 
     @property
@@ -152,6 +154,14 @@ class BlockAlgebra(_Value):
             _setfield(self, "_coords", _frozen(*(np.arange(s, s + n * n).reshape(n, n)
                                                  for s, n in zip(starts, self.block_dims))))
         return self._coords
+
+    def _gather(self) -> tuple[np.ndarray, ...]:
+        """Per size class, the read-only (k, n, n) coords of its blocks: one
+        fancy index of a flat vector gathers its stack.  Built on first use."""
+        if self._gathers is None:
+            _setfield(self, "_gathers", _frozen(*(np.stack([self.coords[k] for k in idx])
+                                                  for idx in self.classes)))
+        return self._gathers
 
     def __reduce__(self):
         # rebuild the derived fields, read-only again, from the dimensions
@@ -409,7 +419,7 @@ _kernels = None
 
 # None, or what the funnel calls as _recorder(kind, compute_uv, shape) before
 # each factorization: "svd", "eigh" or "eigvalsh", a kernel call as the LAPACK
-# call it replaces.  A LinAlgError it raises fails the factorization as LAPACK would.
+# call it replaces.  An error it raises fails the factorization.
 # The tests' lapack fixture (tests/conftest.py) installs one.
 _recorder = None
 
@@ -421,32 +431,32 @@ def _load_kernels():
     return kernels
 
 
-def _non_finite(what: str) -> NonFiniteError:
-    """The error of the operation what on a matrix that holds a NaN or an infinity."""
-    return NonFiniteError(f"{what}: the matrix holds a NaN or an infinity")
+@contextmanager
+def _overflow(what: str):
+    """Run the body under np.errstate(over="raise"): OutOfRangeError, naming
+    what, when an operation in it overflows, with no numpy warning."""
+    with np.errstate(over="raise"):
+        try:
+            yield
+        except FloatingPointError:
+            raise OutOfRangeError(f"{what} exceeds the float range") from None
 
 
 def _svd(a: np.ndarray, blocks: int, what: str, compute_uv: bool = True):
     """The SVD (u, s, vh), or s alone, of the stack a, whose blocks come from
     a size class of blocks blocks in their algebra: a may be that class or a
-    part of it.  NonFiniteError, naming the operation what, when the
-    factorization fails on an a that holds a NaN or an infinity.
-
-    Finiteness is tested only after a failure, so a factorization that
-    succeeds pays nothing for it.  A values-only SVD fails on a NaN and
-    returns NaN on an infinity, on LAPACK and on the kernel alike; a full one
-    may never return, so _svds tests first.
+    part of it.  NonFiniteError, naming the operation what, when a holds a
+    NaN or an infinity, tested before anything is recorded or factorized:
+    the one finiteness rule of every SVD, as LAPACK's full SVD may never
+    return on a block of size 3 or more that holds an infinity.
     """
-    try:
-        if _recorder is not None:
-            _recorder("svd", compute_uv, a.shape)
-        if blocks >= KERNEL_BLOCKS and a.shape[-2:] == (2, 2):
-            return (_kernels or _load_kernels()).svd2(a, compute_uv)
-        return np.linalg.svd(a, compute_uv=compute_uv)
-    except np.linalg.LinAlgError:
-        if np.isfinite(a).all():
-            raise
-        raise _non_finite(what) from None
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"{what}: the matrix holds a NaN or an infinity")
+    if _recorder is not None:
+        _recorder("svd", compute_uv, a.shape)
+    if blocks >= KERNEL_BLOCKS and a.shape[-2:] == (2, 2):
+        return (_kernels or _load_kernels()).svd2(a, compute_uv)
+    return np.linalg.svd(a, compute_uv=compute_uv)
 
 
 def _eigh(a: np.ndarray, blocks: int):
@@ -497,15 +507,9 @@ def _spectral_power(s: np.ndarray, a, what: str) -> np.ndarray:
 
 @lru_cache(maxsize=FACTOR_CACHE)
 def _svds(x: Element) -> tuple:
-    """The full SVD (u, s, vh) of each size-class stack of x, read-only.
-
-    Finiteness is tested first: on a block of size 3 or more that holds an
-    infinity, LAPACK's full SVD may never return.
-    """
-    what = "singular value decomposition"
-    if not all(np.isfinite(a).all() for a in x.stacks):
-        raise _non_finite(what)
-    return tuple(_frozen(*_svd(a, len(a), what)) for a in x.stacks)
+    """The full SVD (u, s, vh) of each size-class stack of x, read-only;
+    NonFiniteError from _svd when a stack holds a NaN or an infinity."""
+    return tuple(_frozen(*_svd(a, len(a), "singular value decomposition")) for a in x.stacks)
 
 
 def _svd_support(x: Element, tol: Tolerances) -> list:
@@ -524,13 +528,12 @@ def _svd_support(x: Element, tol: Tolerances) -> list:
 def _svals(x: Element, what: str) -> tuple:
     """The singular values (k, n) of each size-class stack of x, read-only.
 
-    Each row descends, with a NaN first, where _top sees it.  An element
-    built by _spectral sorts its |d| as floats; any other takes one
-    values-only SVD per class, on LAPACK or on the kernel by the class's
-    block count, never taken from _svds, as the two can differ by a few ulps.
-    Either way the values are kept on x, filled on first read, so every norm
-    of x reads one factorization.  NonFiniteError, naming the operation
-    what, when the SVD fails on a NaN.
+    Each row descends.  An element built by _spectral sorts its finite |d|
+    as floats; any other takes one values-only SVD per class (_svd, naming
+    what), on LAPACK or on the kernel by the class's block count, never
+    taken from _svds, as the two can differ by a few ulps.  Either way the
+    values are kept on x, filled on first read, so every norm of x reads
+    one factorization.
     """
     sv = x._sv
     if sv is None:
@@ -543,21 +546,15 @@ def _svals(x: Element, what: str) -> tuple:
     return sv
 
 
-def _top(svals, what: str) -> float:
-    """The largest leading singular value of (k, n) arrays of singular values.
-    NonFiniteError, naming the operation what, if any is NaN: the values of a
-    block that holds an infinity (max alone would skip a NaN).
-    """
-    tops = [t for s in svals for t in s[:, 0].tolist()]
-    if any(map(math.isnan, tops)):
-        raise _non_finite(what)
-    return max(tops)
+def _top(svals) -> float:
+    """The largest leading singular value of (k, n) arrays of singular values."""
+    return max([t for s in svals for t in s[:, 0].tolist()])
 
 
 def operator_norm(x: Element) -> float:
     """Largest singular value over all blocks; NonFiniteError if a block holds
     a NaN or an infinity."""
-    return _top(_svals(x, "operator norm"), "operator norm")
+    return _top(_svals(x, "operator norm"))
 
 
 def distance(x: Element, y: Element) -> float:
@@ -568,7 +565,7 @@ def distance(x: Element, y: Element) -> float:
     """
     _same_algebra(x.algebra, y.algebra, "incompatible algebras")
     return _top([_svd(a - b, len(a), "distance", compute_uv=False)
-                 for a, b in zip(x.stacks, y.stacks)], "distance")
+                 for a, b in zip(x.stacks, y.stacks)])
 
 
 def _entry_bracket(x: Element) -> tuple[float, float]:
@@ -579,7 +576,8 @@ def _entry_bracket(x: Element) -> tuple[float, float]:
     hi = max n m over the classes.  One abs and one argmax per class, and
     scale-free, as nothing is squared.  argmax skips the setup of a ufunc
     reduction, and finds a NaN as max does.  A NaN or inf entry makes both
-    ends NaN.
+    ends NaN, so that a residual or scale formed by overflowing arithmetic
+    never passes on its bracket: it goes on to the exact norm, which refuses it.
     """
     lo = hi = 0.0
     for a in x.stacks:
@@ -649,10 +647,12 @@ def flatten_element(x: Element) -> np.ndarray:
 
 
 def unflatten_element(algebra: BlockAlgebra, vec: np.ndarray) -> Element:
+    """The element whose flat coordinates are vec: one gather per size class,
+    which makes the fresh complex stack that Element._of takes."""
     vec = np.asarray(vec, dtype=complex).reshape(-1)
     if vec.size != algebra.total_dim:
         raise ShapeError(f"expected vector of length {algebra.total_dim}, got {vec.size}")
-    return Element(algebra, [vec[c] for c in algebra.coords])
+    return Element._of(algebra, [vec[g] for g in algebra._gather()])
 
 
 # -- Hermitian eigensystems and functional calculus ----------------------
@@ -697,13 +697,14 @@ def _eig_classes(h: Element, tol: Tolerances) -> tuple:
     larger asymmetry, a lower eigenvalue, a NaN) is that check taken block
     by block, with the per-block values that its error names.
 
-    Finiteness is tested first, and raises NonFiniteError: eigh returns NaN
-    or fails on a NaN, and an infinity makes the Hermitian check NaN.
+    Finiteness is tested first, and raises NonFiniteError, as the Hermitian
+    check subtracts before any factorization, where an infinity would warn;
+    with sampling.random_projection's test, _eigh sees finite stacks only.
     """
     if h._eig and tol in h._eig:
         return h._eig[tol]
     if not all(np.isfinite(a).all() for a in h.stacks):
-        raise _non_finite("eigendecomposition")
+        raise NonFiniteError("eigendecomposition: the matrix holds a NaN or an infinity")
     gaps = [np.abs(a - _h(a)) for a in h.stacks]
     if not all(g.max() <= tol.eq_abs for g in gaps):
         asym = [g.max(axis=(-2, -1)) for g in gaps]
@@ -765,8 +766,14 @@ def func_calc(h: Element, f, tol: Tolerances = DEFAULT_TOL) -> Element:
     of the same shape.  Eigenvalues below the support cutoff are passed as
     exactly 0, so the support convention is decided by f at 0.  The array
     is read-only, as it is kept with the eigensystem: f returns a new one.
+    NonFiniteError when f returns a NaN or an infinity, which the result
+    would keep as singular values (_svals) that no SVD tests.
     """
-    return _calc(h.algebra, _eig_classes(h, tol), f)
+    classes = _eig_classes(h, tol)
+    values = [f(w) for w, _ in classes]
+    if not all(np.isfinite(d).all() for d in values):
+        raise NonFiniteError("func_calc: f returned a NaN or an infinity")
+    return _spectral(h.algebra, [(u, d, _h(u)) for d, (_, u) in zip(values, classes)])
 
 
 def power_pos(h: Element, a, tol: Tolerances = DEFAULT_TOL) -> Element:
@@ -777,7 +784,7 @@ def power_pos(h: Element, a, tol: Tolerances = DEFAULT_TOL) -> Element:
     real parts therefore act as pseudo-powers on the support.
     OutOfRangeError when a power lies past the float range.
     """
-    return func_calc(h, lambda w: _spectral_power(w, a, "power_pos"), tol)
+    return _calc(h.algebra, _eig_classes(h, tol), lambda w: _spectral_power(w, a, "power_pos"))
 
 
 def spectral_projection(h: Element, c: float, tol: Tolerances = DEFAULT_TOL) -> Element:
@@ -790,4 +797,4 @@ def spectral_projection(h: Element, c: float, tol: Tolerances = DEFAULT_TOL) -> 
         raise NonFiniteError("threshold must not be NaN")
     if c < 0.0:
         raise ValueError(f"threshold must be nonnegative, got {c}")
-    return func_calc(h, lambda w: (w >= c) & (w > 0.0), tol)
+    return _calc(h.algebra, _eig_classes(h, tol), lambda w: (w >= c) & (w > 0.0))

@@ -89,7 +89,8 @@ def random_projection(rng: np.random.Generator, algebra: BlockAlgebra,
         ranks.append(int(rng.integers(0, hi + 1)))
     stacks = []
     for idx, g in zip(algebra.classes, _gaussian_stacks(algebra, np.concatenate(draws))):
-        if not np.isfinite(g).all():   # as before every eigh in the library
+        # the generator is caller input, and _eigh takes finite stacks only
+        if not np.isfinite(g).all():
             raise NonFiniteError("random projection: the draw holds a NaN or an infinity")
         # a block count of 1 keeps LAPACK, whose eigenvectors the seeded stream needs
         _, u = _eigh(g + _h(g), 1)

@@ -29,6 +29,7 @@ from .matcore import (
     _eig_classes,
     _eigvalsh,
     _norm2_bound,
+    _overflow,
     _same_algebra,
     _spectral_power,
     _Frozen,
@@ -302,8 +303,10 @@ class OperatorValuedWeight(_Frozen):
         return self.embedding.source   # M, where values land
 
     def apply(self, q: Element) -> Element:
+        """T(q); OutOfRangeError when the product overflows."""
         _same_algebra(q.algebra, self.source, "argument does not live in the source algebra")
-        return unflatten_element(self.target, self.matrix @ flatten_element(q))
+        with _overflow("operator-valued weight: T(q)"):
+            return unflatten_element(self.target, self.matrix @ flatten_element(q))
 
     @classmethod
     def from_compression(cls, embedding: BlockEmbedding,
@@ -388,11 +391,12 @@ class OperatorValuedWeight(_Frozen):
         return ToleranceReport(max(adjoint, resid), True, "operator-valued weight validation")
 
     def compose(self, inner: OperatorValuedWeight) -> OperatorValuedWeight:
-        """self o inner for stacked maps O -> N -> M."""
+        """self o inner for stacked maps O -> N -> M; OutOfRangeError when the
+        product of the matrices overflows."""
         _same_algebra(inner.target, self.source, "operator-valued weights do not compose")
-        return OperatorValuedWeight(
-            inner.embedding.compose(self.embedding),
-            self.matrix @ inner.matrix)
+        with _overflow("operator-valued weight: the composed matrix"):
+            mat = self.matrix @ inner.matrix
+        return OperatorValuedWeight(inner.embedding.compose(self.embedding), mat)
 
 
 def pushforward_weight(mu: Weight, ovw: OperatorValuedWeight,
@@ -400,12 +404,13 @@ def pushforward_weight(mu: Weight, ovw: OperatorValuedWeight,
     """The weight mu o T on the source algebra of T.
 
     The density is the trace-adjoint of T applied to mu's density, so that
-    trace(k @ q) = trace(h @ T(q)) for every q.
+    trace(k @ q) = trace(h @ T(q)) for every q; OutOfRangeError when it overflows.
     """
     _same_algebra(mu.algebra, ovw.target, "weight does not live on the target algebra")
     ovw.validate(tol)
-    k = unflatten_element(ovw.source, ovw.matrix.conj().T @ flatten_element(mu.density))
-    k = (k + k.adjoint()) * 0.5
+    with _overflow("pushforward: the density"):
+        k = unflatten_element(ovw.source, ovw.matrix.conj().T @ flatten_element(mu.density))
+        k = (k + k.adjoint()) * 0.5
     return Weight(k, tol)
 
 

@@ -258,6 +258,19 @@ def test_a_demo_result_that_overflows_is_a_numerical_error(capsys, tmp_path):
         "type": "numerical", "message": "overflow encountered in matmul"}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_pushforward_past_the_float_range_is_a_typed_error(capsys, tmp_path):
+    # the shipped pushforward input with a density of 1e308 I and slot weight 2
+    obj = json.loads((ROOT / "demos" / "inputs" / "pushforward_partial_trace.json").read_text())
+    obj["mu"]["density"]["blocks"] = [[[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]]
+    obj["slot_weights"] = [1, 2]
+    code = main(["demo", "pushforward", "--input", write(tmp_path, "push.json", obj)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.err
+    assert _strict_json(captured.out)["error"] == {
+        "type": "OutOfRangeError", "message": "pushforward: the density exceeds the float range"}
+
+
 def _holder_past_the_float_range(tmp_path):
     # the shipped holder input with x at grading 1e300: its norm is 2^1e300
     obj = json.loads((ROOT / "demos" / "inputs" / "holder_identity.json").read_text())

@@ -219,10 +219,9 @@ def test_real_diagonal_blocks_leave_the_eigensystems_of_the_others_unchanged():
 @pytest.mark.parametrize("count", [K - 1, K])
 @pytest.mark.parametrize("entry", range(4))
 @pytest.mark.parametrize("bad", BAD, ids=["nan", "inf", "-inf", "inf-imag", "inf-nan"])
-def test_non_finite_entries_give_what_lapack_gives(count, entry, bad):
-    # as on LAPACK: a block holding an infinity gives NaN singular values,
-    # which the norms refuse, and one holding a NaN alone makes the
-    # factorization fail; either raises the same NonFiniteError, naming the norm
+def test_non_finite_entries_are_refused_on_both_sides_of_the_crossover(count, entry, bad):
+    # on LAPACK and on the kernel alike, the funnel refuses a block holding a
+    # NaN or an infinity before it factorizes: the same NonFiniteError, naming the norm
     M = BlockAlgebra((2,) * count)
     rng = make_rng(72)
     blocks = [np.array(b) for b in random_element(rng, M).blocks]

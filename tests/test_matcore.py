@@ -42,6 +42,7 @@ from nclp import (
     polar_left,
     polar_right,
     power_pos,
+    pseudo_inverse,
     right_support,
     spectral_projection,
     trace,
@@ -54,9 +55,8 @@ from nclp.matcore import (
     _general_blocks,
     _svals,
     _svds,
-    _top,
 )
-from nclp.properties import DEFAULT_SHAPES, SuiteConfig, run_suite
+from nclp.properties import DEFAULT_SHAPES, SuiteConfig, prop_pushforward_laws, run_suite
 from nclp.sampling import make_rng, random_element, random_positive, random_projection
 
 M2 = BlockAlgebra((2,))
@@ -818,6 +818,28 @@ def _same_bits(a, b):
                                     for p, q in zip(a, b))
 
 
+def test_unflatten_gives_the_bits_of_the_public_constructor():
+    vec = flatten_element(random_element(make_rng(77), MIXED))
+    got = unflatten_element(MIXED, vec)
+    want = Element(MIXED, [vec[c] for c in MIXED.coords])
+    assert _same_bits(got.stacks, want.stacks)
+    assert all(s.dtype == complex and s.flags.c_contiguous and not s.flags.writeable
+               for s in got.stacks)
+    assert _same_bits(unflatten_element(MIXED, vec.real).stacks,
+                      Element(MIXED, [vec.real[c] for c in MIXED.coords]).stacks)
+
+
+def test_pushforward_laws_build_no_element_through_the_public_constructor(monkeypatch):
+    calls = []
+    init = Element.__init__
+    monkeypatch.setattr(Element, "__init__",
+                        lambda self, *args: calls.append(args) or init(self, *args))
+    rng = make_rng(78)
+    for _ in range(5):
+        assert prop_pushforward_laws(rng, SuiteConfig())[0]
+    assert calls == []
+
+
 def test_lazy_coords_give_the_bits_of_coords_built_up_front():
     dims = (2, 3, 1, 3)
     lazy, eager = BlockAlgebra(dims), _coords_up_front(dims)
@@ -873,12 +895,45 @@ def test_distance_is_the_norm_of_the_difference_and_builds_nothing(dims, lapack,
             distance(Element(M, blocks), y)
 
 
-def test_largest_singular_value_refuses_nan():
-    svals = [np.array([[2.0, 1.0], [3.0, 0.5]]), np.array([[1.0]])]
-    assert _top(svals, "norm") == 3.0
-    svals[1] = np.array([[np.nan]])
-    with pytest.raises(NonFiniteError, match="^norm: "):
-        _top(svals, "norm")
+SVD = "singular value decomposition"
+SVD_PATHS = [
+    ("operator norm", lambda x, y: operator_norm(x)),
+    ("distance", lambda x, y: distance(y, x)),
+    ("lnorm", lambda x, y: lnorm(GradedElement(x, 0.3j))),
+    ("lnorm", lambda x, y: lnorm(GradedElement(x, 0.5))),
+    (SVD, lambda x, y: polar_right(x)),
+    (SVD, lambda x, y: left_support(x)),
+    (SVD, lambda x, y: pseudo_inverse(x)),
+    (SVD, lambda x, y: holder_witness(GradedElement(x, 0.5), 0.3)),
+    (SVD, lambda x, y: comultiply(GradedElement(x, 0.5), (0.2, 0.3))),
+]
+
+
+@pytest.mark.parametrize("dims", [(3,), (2,) * 32], ids=str)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_every_svd_path_refuses_a_non_finite_block_before_factorizing(dims, bad, lapack):
+    # matcore._svd tests its stack before anything is recorded or factorized,
+    # so neither LAPACK (on (3,), whose full SVD of a block holding an
+    # infinity may never return) nor the 2 x 2 kernel (on (2,) * 32) sees it
+    M = BlockAlgebra(dims)
+    rng = make_rng(75)
+    x, y = random_element(rng, M), random_element(rng, M)
+    blocks = [np.array(b) for b in x.blocks]
+    blocks[len(dims) // 2][1, 0] = bad
+    x = Element(M, blocks)
+    lapack.forbid("svd")
+    for operation, call in SVD_PATHS:
+        with pytest.raises(NonFiniteError,
+                           match=f"^{operation}: the matrix holds a NaN or an infinity$"):
+            call(x, y)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_func_calc_refuses_a_non_finite_value_of_f(bad):
+    # the result would carry f's values as its singular values, which no SVD tests
+    h = random_positive(make_rng(76), MIXED)
+    with pytest.raises(NonFiniteError, match="^func_calc: f returned a NaN or an infinity$"):
+        func_calc(h, lambda w: np.where(w < w.max(), w, bad))
 
 
 def _general_blocks_reference(a):

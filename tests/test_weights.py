@@ -17,6 +17,7 @@ from nclp import (
     NonFiniteError,
     NotPositiveError,
     OperatorValuedWeight,
+    OutOfRangeError,
     Tolerances,
     ToleranceReport,
     ValidationError,
@@ -246,6 +247,29 @@ def test_pushforward_homogeneity():
     mu = random_weight(rng, M2)
     assert distance(pushforward_weight(mu, doubled).density,
                     2.0 * pushforward_weight(mu, base).density) < 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_operator_valued_weight_products_past_the_float_range_are_typed_errors():
+    # each product that overflows raises OutOfRangeError naming it, with no
+    # numpy warning and no infinity handed on
+    M4 = BlockAlgebra((4,))
+    T = OperatorValuedWeight.from_compression(BlockEmbedding(M2, M4, ((0, 0),)), [1.5, 2.0])
+    with pytest.raises(OutOfRangeError,
+                       match=r"^operator-valued weight: T\(q\) exceeds the float range$"):
+        T.apply(Element(M4, [np.full((4, 4), 1e308)]))
+    with pytest.raises(OutOfRangeError,
+                       match="^pushforward: the density exceeds the float range$"):
+        pushforward_weight(Weight(Element(M2, [1e308 * np.eye(2)])), T)
+    huge = OperatorValuedWeight.from_compression(BlockEmbedding(M2, M4, ((0, 0),)), [1e200] * 2)
+    inner = OperatorValuedWeight.from_compression(
+        BlockEmbedding(M4, BlockAlgebra((8,)), ((0, 0),)), [1e200] * 2)
+    with pytest.raises(OutOfRangeError, match="^operator-valued weight: the composed matrix "
+                                              "exceeds the float range$"):
+        huge.compose(inner)
+    # below the range, each gives what it gave before
+    q = Element(M4, [np.full((4, 4), 1e300)])
+    assert (T.apply(q).stacks[0] == (1.5e300 + 2e300) * np.ones((2, 2))).all()
 
 
 def test_ovw_validation_rejects_bad_maps():
