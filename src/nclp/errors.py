@@ -58,4 +58,4 @@ class NotModuleMapError(_ResidualError):
 
 
 class ValidationError(NclpError):
-    """An operator-valued weight violates positivity or the bimodule law."""
+    """An operator-valued weight violates the adjoint law or positivity."""

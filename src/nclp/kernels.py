@@ -30,6 +30,14 @@ def _scaled(a: np.ndarray):
     return np.ldexp(parts, -e[:, None]).view(complex).reshape(a.shape), e
 
 
+def _unscaled(v: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The values v (k, 2) of the blocks _scaled made, times 2^e again; a
+    value past the float range comes back as inf, with no warning, as from
+    LAPACK, for the funnel to refuse."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(v, e[:, None])
+
+
 def _nonzero(x: np.ndarray) -> bool:
     """Whether every entry of the 1-d x is nonzero (NaN counts as nonzero);
     count_nonzero skips the setup of a ufunc reduction."""
@@ -92,7 +100,7 @@ def eigh2(a: np.ndarray):
     w[:, 0], w[:, 1] = np.where(low, big, small), np.where(low, small, big)
     u = np.empty_like(b)
     u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1] = c, s, -ph * s, ph * c
-    return np.ldexp(w, e[:, None]), u
+    return _unscaled(w, e), u
 
 
 def svd2(a: np.ndarray, compute_uv: bool = True):
@@ -139,7 +147,7 @@ def svd2(a: np.ndarray, compute_uv: bool = True):
             u[flip], vh[flip] = u[flip][:, :, ::-1], vh[flip][:, ::-1]
     sv = np.empty((len(a), 2))
     sv[:, 0], sv[:, 1] = s1, s2
-    sv = np.ldexp(sv, e[:, None])
+    sv = _unscaled(sv, e)
     return (u, sv, vh) if compute_uv else sv
 
 

@@ -318,6 +318,14 @@ def _h(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a*) / 2 for every matrix in a stack, halved before the sum, so
+    that the part of a finite stack is finite (the same bits above the
+    subnormal range)."""
+    half = a / 2.0
+    return half + _h(half)
+
+
 # -- factorizations stacked by size class ----------------------------------
 #
 # Every spectral quantity is one formula per block, U diag(f(s)) V* or
@@ -449,24 +457,37 @@ def _svd(a: np.ndarray, blocks: int, what: str, compute_uv: bool = True):
     NaN or an infinity, tested before anything is recorded or factorized:
     the one finiteness rule of every SVD, as LAPACK's full SVD may never
     return on a block of size 3 or more that holds an infinity.
+    OutOfRangeError, naming what, when a singular value of the finite a is
+    past the float range: LAPACK and the kernel both return it as inf, and
+    the leading value of each block, its largest, is tested.
     """
     if not np.isfinite(a).all():
         raise NonFiniteError(f"{what}: the matrix holds a NaN or an infinity")
     if _recorder is not None:
         _recorder("svd", compute_uv, a.shape)
     if blocks >= KERNEL_BLOCKS and a.shape[-2:] == (2, 2):
-        return (_kernels or _load_kernels()).svd2(a, compute_uv)
-    return np.linalg.svd(a, compute_uv=compute_uv)
+        out = (_kernels or _load_kernels()).svd2(a, compute_uv)
+    else:
+        out = np.linalg.svd(a, compute_uv=compute_uv)
+    if not (out[1] if compute_uv else out)[..., 0].max() < math.inf:
+        raise OutOfRangeError(f"{what}: a singular value exceeds the float range")
+    return out
 
 
 def _eigh(a: np.ndarray, blocks: int):
     """(w, u), the eigensystems of the finite Hermitian stack a, whose blocks
-    come from a size class of blocks blocks in their algebra."""
+    come from a size class of blocks blocks in their algebra.
+    OutOfRangeError when an eigenvalue is past the float range, as _svd
+    tests it: w ascends, so the values at its two ends are tested."""
     if _recorder is not None:
         _recorder("eigh", None, a.shape)
     if blocks >= KERNEL_BLOCKS and a.shape[-2:] == (2, 2):
-        return (_kernels or _load_kernels()).eigh2(a)
-    return np.linalg.eigh(a)
+        w, u = (_kernels or _load_kernels()).eigh2(a)
+    else:
+        w, u = np.linalg.eigh(a)
+    if not (w[:, -1].max() < math.inf and w[:, 0].min() > -math.inf):
+        raise OutOfRangeError("eigendecomposition: an eigenvalue exceeds the float range")
+    return w, u
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
@@ -718,13 +739,13 @@ def _eig_classes(h: Element, tol: Tolerances) -> tuple:
         general = _general_blocks(a)
         count = np.count_nonzero(general)
         if count == len(a):
-            raw.append(_eigh((a + _h(a)) / 2.0, len(a)))
+            raw.append(_eigh(_hermitian_part(a), len(a)))
             continue
         w = np.diagonal(a, axis1=-2, axis2=-1).real.copy()
         u = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
         if count:
             g = a[general]
-            w[general], u[general] = _eigh((g + _h(g)) / 2.0, len(a))
+            w[general], u[general] = _eigh(_hermitian_part(g), len(a))
         raw.append((w, u))
     lows = [float(w.min()) for w, _ in raw]
     # max |w| per class, NaN if the class holds one, as np.abs(w).max() gives it

@@ -28,7 +28,6 @@ from .matcore import (
     _calc,
     _eig_classes,
     _eigvalsh,
-    _norm2_bound,
     _overflow,
     _same_algebra,
     _spectral_power,
@@ -272,27 +271,31 @@ def _commutant_columns(embedding: BlockEmbedding) -> dict:
 class OperatorValuedWeight(_Frozen):
     """A positive bimodule map T: N -> M over an embedding f: M -> N.
 
-    Stored as an explicit linear map on the flattened coordinates of N, of
-    shape (dim M, dim N); constructors guarantee nothing, use validate()
-    before trusting it.  Maps compare and hash by identity.
+    Stored as T_K (see _commutant_columns): K[i, j] is (r, r) for the r copies
+    of source block i in target block j, so every map is a bimodule map; use
+    validate() for the rest before trusting it.  Compares by identity.
     """
 
-    _fields = ("embedding", "matrix")
+    _fields = ("embedding", "K")
 
-    def __init__(self, embedding: BlockEmbedding, matrix: np.ndarray):
-        mat = np.array(matrix, dtype=complex, copy=True)
-        expected = (embedding.source.total_dim, embedding.target.total_dim)
-        if mat.shape != expected:
-            raise ValueError(f"matrix must have shape {expected}, got {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise NonFiniteError("operator-valued weight matrix must be finite")
-        mat.setflags(write=False)
+    def __init__(self, embedding: BlockEmbedding, K: dict):
+        columns = _commutant_columns(embedding)
+        if set(K) != set(columns):
+            raise ValueError(f"K must have one matrix per key {sorted(columns)}, got {sorted(K)}")
         _setfield(self, "embedding", embedding)
-        _setfield(self, "matrix", mat)
+        _setfield(self, "K", {})
+        for ij, (_, slots) in columns.items():
+            k = np.array(K[ij], dtype=complex, copy=True)
+            if k.shape != (len(slots),) * 2:
+                raise ValueError(f"K{ij} must have shape {(len(slots),) * 2}, got {k.shape}")
+            if not np.isfinite(k).all():
+                raise NonFiniteError("operator-valued weight matrix must be finite")
+            self.K[ij] = _frozen(k)[0]
+        _setfield(self, "_matrix", None)   # filled by matrix
 
     def __reduce__(self):
         # numpy does not pickle the read-only flag, so rebuild through __init__
-        return OperatorValuedWeight, (self.embedding, self.matrix)
+        return OperatorValuedWeight, (self.embedding, self.K)
 
     @property
     def source(self) -> BlockAlgebra:
@@ -302,21 +305,33 @@ class OperatorValuedWeight(_Frozen):
     def target(self) -> BlockAlgebra:
         return self.embedding.source   # M, where values land
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense (dim M, dim N) matrix of T, read-only, scattered from K on
+        first read and kept for _pushforward_residual, the dense reference."""
+        if self._matrix is None:
+            mat = np.zeros((self.target.total_dim, self.source.total_dim), dtype=complex)
+            for (i, j), (cols, _) in _commutant_columns(self.embedding).items():
+                mat[self.target.coords[i], cols] = self.K[i, j][:, :, None, None]
+            _setfield(self, "_matrix", _frozen(mat)[0])
+        return self._matrix
+
     def apply(self, q: Element) -> Element:
         """T(q); OutOfRangeError when the product overflows."""
         _same_algebra(q.algebra, self.source, "argument does not live in the source algebra")
+        vec = flatten_element(q)
+        out = [np.zeros(d * d, dtype=complex) for d in self.target.block_dims]
         with _overflow("operator-valued weight: T(q)"):
-            return unflatten_element(self.target, self.matrix @ flatten_element(q))
+            for (i, j), (cols, slots) in _commutant_columns(self.embedding).items():
+                out[i] += self.K[i, j].reshape(-1) @ vec[cols].reshape(len(slots) ** 2, -1)
+        return unflatten_element(self.target, np.concatenate(out))
 
     @classmethod
     def from_compression(cls, embedding: BlockEmbedding,
                          slot_weights=None) -> OperatorValuedWeight:
-        """Canonical bimodule map: sum the diagonal sub-blocks cut by f.
-
-        With the left-factor embedding of a tensor square this is the
-        partial trace; slot_weights rescales the diagonal sub-blocks, one per
-        copy, and must be strictly positive to keep the map faithful.
-        """
+        """Canonical bimodule map: the sum of the diagonal sub-blocks cut by f,
+        each times its copy's slot weight (strictly positive, to keep T faithful;
+        1 by default, a partial trace on a tensor square): each K_ij is diagonal."""
         slots = sum(map(len, embedding.assignment))
         w = np.ones(slots) if slot_weights is None else np.array(slot_weights, dtype=float)
         if w.shape != (slots,):
@@ -325,91 +340,76 @@ class OperatorValuedWeight(_Frozen):
             raise NonFiniteError("slot_weights must be finite")
         if np.any(w <= 0.0):
             raise ValueError("slot_weights must be strictly positive")
-        idx_m = embedding.source.coords
-        mat = np.zeros((embedding.source.total_dim, embedding.target.total_dim),
-                       dtype=complex)
-        for (i, j), (cols, copies) in _commutant_columns(embedding).items():
-            mat[idx_m[i], cols] = np.diag(w[copies])[:, :, None, None]   # K_ij diagonal
-        return cls(embedding, mat)
+        return cls(embedding, {ij: np.diag(w[copies])
+                               for ij, (_, copies) in _commutant_columns(embedding).items()})
 
     def validate(self, tol: Tolerances = DEFAULT_TOL) -> ToleranceReport:
-        """Check the adjoint law, positivity and the bimodule law, in that order.
+        """Check the adjoint law, then positivity, against eq_bound(max(||T||_2, 1)).
 
-        Raises ValidationError at the first law that fails, against the bound
-        eq_bound(max(||T||_2, 1)).  Averaging the d_i^2 positions of each
-        K_ij[s, t] (see _commutant_columns) is the orthogonal projection
-        T -> T_K onto the bimodule maps.  As T_K(vv*)_i = V K_ij^T V* for v in
-        block j and V its copies side by side, T_K is positive (indeed
-        completely positive) exactly when every K_ij is positive semidefinite.
-
-        - adjoint law: T against its conjugate under the per-block
-          transposes, in Frobenius norm;
-        - positivity: lambda_min(K_ij) >= -bound; off the bimodule maps,
-          lambda_min + ||T - T_K||_F >= -bound, since the lowest eigenvector
-          of K_ij gives a positive q with a diagonal entry of T(q) at most that;
-        - bimodule law: ||T - T_K||_F.
-
-        The rows of T_K have disjoint supports, so ||T_K||_2 is
-        max_i (sum_j ||K_ij||_F^2)^(1/2), within ||T - T_K||_F of ||T||_2; only a
-        residual between the bounds at the ends of that bracket takes the dense
-        norm.  Reports the worse of the adjoint and bimodule residuals.
+        Raises ValidationError at the first law that fails.  The rows of T
+        have disjoint supports, so ||T||_2 = max_i (sum_j ||K_ij||_F^2)^(1/2).
+        - adjoint law: T against its conjugate under the per-block transposes
+          differs by K_ij - K_ij* at d_i^2 places: the Frobenius residual, the
+          one reported, is (sum d_i^2 ||K_ij - K_ij*||_F^2)^(1/2);
+        - positivity: T(vv*)_i = V K_ij^T V* for v in block j and V its copies
+          side by side, so T is positive (indeed completely positive) exactly
+          when every K_ij is positive semidefinite (M.-D. Choi, 1975).
         """
-        mat = self.matrix
-        idx_m = self.target.coords
-        # conj(mat[t_M][:, t_N]) = mat for the per-block transposes t_M of
-        # values (a row gather) and t_N of arguments (a swap per block of N)
-        rest, square = mat[np.concatenate([idx.T.reshape(-1) for idx in idx_m])], 0.0
-        for idx in self.source.coords:
-            n, cols = len(idx), slice(idx[0, 0], idx[-1, -1] + 1)
-            for r in range(0, len(mat), 64):   # slabs keep the temporaries small
-                diff = np.conj(rest[r:r + 64, cols].reshape(-1, n, n).swapaxes(1, 2), order="C")
-                diff -= mat[r:r + 64, cols].reshape(-1, n, n)
-                square += np.vdot(diff, diff).real
+        square, rows = 0.0, np.zeros(len(self.target.block_dims))
+        for (i, _), k in self.K.items():
+            diff = k - k.conj().T
+            square += self.target.block_dims[i] ** 2 * np.vdot(diff, diff).real
+            rows[i] += np.vdot(k, k).real
         adjoint = float(np.sqrt(square))
-        np.copyto(rest, mat)   # becomes T - T_K as K is gathered
-        lows, row_norms = {}, np.zeros(len(idx_m))
-        for (i, j), (cols, _) in _commutant_columns(self.embedding).items():
-            k = mat[idx_m[i], cols].mean(axis=(-2, -1))
-            rest[idx_m[i], cols] -= k[..., None, None]
-            row_norms[i] += np.vdot(k, k).real
-            lows[i, j] = float(_eigvalsh((k + k.conj().T) / 2.0)[0])
-        resid = float(np.sqrt(np.vdot(rest, rest).real))
-        top = float(np.sqrt(row_norms.max()))   # ||T_K||_2
-        checked = (adjoint, resid, *(-low - e for low in lows.values() for e in (0.0, resid)))
-        bound = _norm2_bound(mat, top, resid, checked, tol)
+        bound = tol.eq_bound(max(float(np.sqrt(rows.max())), 1.0))
         if adjoint > bound:
-            raise ValidationError(
-                f"adjoint law violated: residual {adjoint:.3e} > {bound:.3e}")
-        slack = 0.0 if resid <= bound else resid
-        for (i, j), low in lows.items():
-            if -(low + slack) > bound:
+            raise ValidationError(f"adjoint law violated: residual {adjoint:.3e} > {bound:.3e}")
+        for (i, j), k in self.K.items():
+            low = float(_eigvalsh((k + k.conj().T) / 2.0)[0])
+            if -low > bound:
                 raise ValidationError(
-                    f"positivity violated: T(vv*) has a diagonal entry <= {low + slack:.3e} "
+                    f"positivity violated: T(vv*) has a diagonal entry <= {low:.3e} "
                     f"< {-bound:.3e}, v from the lowest eigenvector of K_ij at {(i, j)}")
-        if slack:
-            raise ValidationError(f"bimodule law violated: residual {resid:.3e} > {bound:.3e}")
-        return ToleranceReport(max(adjoint, resid), True, "operator-valued weight validation")
+        return ToleranceReport(adjoint, True, "operator-valued weight validation")
 
     def compose(self, inner: OperatorValuedWeight) -> OperatorValuedWeight:
-        """self o inner for stacked maps O -> N -> M; OutOfRangeError when the
-        product of the matrices overflows."""
+        """self o inner for stacked maps O -> N -> M; OutOfRangeError when a
+        product of their matrices K overflows.
+
+        The copies of block i of M in block k of O are the pairs (u, s), copy u
+        of a block j of N in k, then copy s of i in j, in that order: the
+        composed K_ik is kron(K^inner_jk, K^self_ij) on the pairs of each j.
+        """
         _same_algebra(inner.target, self.source, "operator-valued weights do not compose")
+        embedding = inner.embedding.compose(self.embedding)
+        K = {}
         with _overflow("operator-valued weight: the composed matrix"):
-            mat = self.matrix @ inner.matrix
-        return OperatorValuedWeight(inner.embedding.compose(self.embedding), mat)
+            for (i, k), (_, slots) in _commutant_columns(embedding).items():
+                at, end = {}, 0   # j -> the places of its pairs (u, s)
+                for j in inner.embedding.assignment[k]:
+                    if (i, j) in self.K:
+                        at.setdefault(j, []).extend(range(end, end + len(self.K[i, j])))
+                        end += len(self.K[i, j])
+                K[i, k] = np.zeros((len(slots),) * 2, dtype=complex)
+                for j, p in at.items():   # kron(K^inner_jk, K^self_ij) on the places p
+                    kron = inner.K[j, k][:, None, :, None] * self.K[i, j][None, :, None, :]
+                    K[i, k][np.array(p)[:, None], p] = kron.reshape(len(p), len(p))
+        return OperatorValuedWeight(embedding, K)
 
 
 def pushforward_weight(mu: Weight, ovw: OperatorValuedWeight,
                        tol: Tolerances = DEFAULT_TOL) -> Weight:
-    """The weight mu o T on the source algebra of T.
-
-    The density is the trace-adjoint of T applied to mu's density, so that
-    trace(k @ q) = trace(h @ T(q)) for every q; OutOfRangeError when it overflows.
-    """
+    """The weight mu o T on the source algebra of T; OutOfRangeError when its
+    density overflows.  The density k, with trace(k @ q) = trace(h @ T(q))
+    for mu's density h, holds conj(K_ij[t, s]) h_i in its sub-block (s, t)
+    between copies s and t of block i in block j, Hermitian-symmetrized."""
     _same_algebra(mu.algebra, ovw.target, "weight does not live on the target algebra")
     ovw.validate(tol)
+    flat, h = np.zeros(ovw.source.total_dim, dtype=complex), mu.density.blocks
     with _overflow("pushforward: the density"):
-        k = unflatten_element(ovw.source, ovw.matrix.conj().T @ flatten_element(mu.density))
+        for (i, j), (cols, _) in _commutant_columns(ovw.embedding).items():
+            flat[cols] = ovw.K[i, j].conj()[:, :, None, None] * h[i]   # cols[s, t] is q_j[t, s]
+        k = unflatten_element(ovw.source, flat)
         k = (k + k.adjoint()) * 0.5
     return Weight(k, tol)
 
@@ -426,8 +426,7 @@ def _pushforward_residual(mu: Weight, push: Weight, ovw: OperatorValuedWeight) -
     With k and h the densities of push and mu, push(q) - mu(T(q)) is
     f(k) . vec(q) - f(h) . (T vec(q)) (see _trace_row), so over the basis the
     gaps are the entries of f(k) - T^T f(h).  A column of a compression map
-    holds at most one nonzero entry, so each gap rounds as the trace of the
-    two matrix products does, to the bit.
+    holds one real entry at most, so each gap rounds as the traces do, to the bit.
     """
     gaps = _trace_row(push.density) - _trace_row(mu.density) @ ovw.matrix
     return max(map(abs, gaps.tolist()))

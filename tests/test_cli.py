@@ -271,6 +271,18 @@ def test_a_pushforward_past_the_float_range_is_a_typed_error(capsys, tmp_path):
         "type": "OutOfRangeError", "message": "pushforward: the density exceeds the float range"}
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_singular_value_past_the_float_range_is_a_typed_error(capsys, tmp_path):
+    # finite entries of 1e308: the singular value 2e308 is past the float range
+    row = [[1e308, 0], [1e308, 0]]
+    path = write(tmp_path, "huge_polar.json", {"x": {"block_dims": [2], "blocks": [[row, row]]}})
+    code = main(["demo", "polar", "--input", path])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.err
+    assert _strict_json(captured.out)["error"] == {"type": "OutOfRangeError", "message":
+        "singular value decomposition: a singular value exceeds the float range"}
+
+
 def _holder_past_the_float_range(tmp_path):
     # the shipped holder input with x at grading 1e300: its norm is 2^1e300
     obj = json.loads((ROOT / "demos" / "inputs" / "holder_identity.json").read_text())

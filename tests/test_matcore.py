@@ -22,6 +22,7 @@ from nclp import (
     NotModuleMapError,
     NotPositiveError,
     OperatorValuedWeight,
+    OutOfRangeError,
     PolarDecomposition,
     ShapeError,
     ToleranceReport,
@@ -364,6 +365,11 @@ def test_unpickled_operator_valued_weights_stay_read_only():
         BlockEmbedding(M2, BlockAlgebra((4,)), ((0, 0),)), [1.0, 2.0])
     back = pickle.loads(pickle.dumps(ovw))
     assert back.embedding == ovw.embedding
+    assert back.K.keys() == ovw.K.keys()
+    for k, kept in zip(back.K.values(), ovw.K.values()):
+        assert np.array_equal(k, kept) and not k.flags.writeable
+        with pytest.raises(ValueError):
+            k[0, 0] = 5.0
     assert np.array_equal(back.matrix, ovw.matrix)
     assert not back.matrix.flags.writeable
     with pytest.raises(ValueError):
@@ -926,6 +932,32 @@ def test_every_svd_path_refuses_a_non_finite_block_before_factorizing(dims, bad,
         with pytest.raises(NonFiniteError,
                            match=f"^{operation}: the matrix holds a NaN or an infinity$"):
             call(x, y)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dims", [(2,), (2,) * 32], ids=["lapack", "kernel"])
+def test_a_spectrum_past_the_float_range_is_refused_on_both_sides_of_the_kernel_gate(dims):
+    # the finite blocks full(1e308) have singular values and eigenvalues 2e308
+    # and 0: LAPACK and the kernel both come back with inf, which the funnel
+    # refuses, so no norm reads inf and no support or power reads 0
+    M = BlockAlgebra(dims)
+    x = Element(M, [np.full((2, 2), 1e308)] * len(dims))
+    svd = "a singular value exceeds the float range$"
+    for match, call in (
+            (f"^operator norm: {svd}", operator_norm),
+            (f"^singular value decomposition: {svd}", lambda x: polar_right(x).positive),
+            (f"^singular value decomposition: {svd}", right_support),
+            ("^eigendecomposition: an eigenvalue exceeds the float range$", Weight),
+            ("^eigendecomposition: an eigenvalue exceeds the float range$",
+             lambda x: power_pos(x, 1))):
+        with pytest.raises(OutOfRangeError, match=match):
+            call(Element(M, x.blocks))   # a new element, which keeps nothing yet
+    # half the scale is in range, and both sides agree with the exact figures
+    half = Element(M, [np.full((2, 2), 0.5e308)] * len(dims))
+    assert operator_norm(half) == 1e308
+    assert operator_norm(polar_right(half).positive) == 1e308
+    assert operator_norm(power_pos(half, 1)) == pytest.approx(1e308, rel=1e-13)
+    assert Weight(half).support.blocks[0] == pytest.approx(np.full((2, 2), 0.5))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

@@ -185,11 +185,11 @@ RECORDS = {
                       "GradedElement(grading=(0.5+0j), dims=(2,))"),
     "Weight": (lambda: Weight(N.identity()), False, "faithful", "Weight(dims=(2,), faithful=True)"),
     "OperatorValuedWeight": (lambda: OperatorValuedWeight.from_compression(EMBEDDING), False,
-                             "matrix",
+                             "K",
                              "OperatorValuedWeight(embedding=BlockEmbedding(source=BlockAlgebra("
                              "block_dims=(1,)), target=BlockAlgebra(block_dims=(2,)), "
-                             "assignment=((0, 0),)), matrix=array([[1.+0.j, 0.+0.j, 0.+0.j, "
-                             "1.+0.j]]))"),
+                             "assignment=((0, 0),)), K={(0, 0): array([[1.+0.j, 0.+0.j],\n"
+                             "       [0.+0.j, 1.+0.j]])})"),
     "TensorElement": (lambda: TensorElement(N, 0.5, 0.5, [(G, G)]), False, "pairs",
                       "TensorElement(1 pairs, gradings ((0.5+0j), (0.5+0j)))"),
     "ModuleHom": (lambda: ModuleHom(M, 0.5, 1.0, np.eye(1)), False, "matrix",

@@ -2,6 +2,7 @@
 
 import copy as copy_module
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,7 +243,7 @@ def test_pushforward_homogeneity():
     M4 = BlockAlgebra((4,))
     emb = BlockEmbedding(M2, M4, ((0, 0),))
     base = OperatorValuedWeight.from_compression(emb)
-    doubled = OperatorValuedWeight(emb, 2.0 * np.asarray(base.matrix))
+    doubled = OperatorValuedWeight(emb, {ij: 2.0 * k for ij, k in base.K.items()})
     rng = make_rng(12)
     mu = random_weight(rng, M2)
     assert distance(pushforward_weight(mu, doubled).density,
@@ -278,22 +279,31 @@ def test_ovw_validation_rejects_bad_maps():
     good = OperatorValuedWeight.from_compression(emb)
     assert good.validate().passed
     rng = make_rng(13)
+    k = good.K[0, 0]
     bad = OperatorValuedWeight(
-        emb, np.asarray(good.matrix) + 0.5 * (
-            rng.standard_normal(good.matrix.shape)
-            + 1j * rng.standard_normal(good.matrix.shape)))
+        emb, {(0, 0): k + 0.5 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))})
     with pytest.raises(ValidationError):
         bad.validate()
     with pytest.raises(ValidationError):
         pushforward_weight(random_weight(rng, M2), bad)
-    for value in (np.nan, np.inf):
-        mat = np.array(good.matrix)
-        mat[0, 0] = value
-        with pytest.raises(NonFiniteError):
-            OperatorValuedWeight(emb, mat)
-    for mat in (good.matrix.T, good.matrix[:, :-1], good.matrix[0]):
-        with pytest.raises(ValueError, match=r"matrix must have shape \(4, 16\)"):
-            OperatorValuedWeight(emb, mat)
+    for value in (np.nan, np.inf, -np.inf):
+        K = np.array(k)
+        K[1, 0] = value
+        with pytest.raises(NonFiniteError, match="^operator-valued weight matrix must be finite$"):
+            OperatorValuedWeight(emb, {(0, 0): K})
+    for K in (k[:1], k[0], np.eye(3)):
+        with pytest.raises(ValueError, match=r"^K\(0, 0\) must have shape \(2, 2\), got"):
+            OperatorValuedWeight(emb, {(0, 0): K})
+    for K in ({}, {(0, 1): k}, {(0, 0): k, (1, 0): k}):
+        with pytest.raises(ValueError, match=r"^K must have one matrix per key \[\(0, 0\)\]"):
+            OperatorValuedWeight(emb, K)
+    # the matrices are copied, complex and read-only
+    given = np.eye(2)
+    copied = OperatorValuedWeight(emb, {(0, 0): given})
+    given[0, 0] = 5.0
+    assert copied.K[0, 0].dtype == complex and copied.K[0, 0][0, 0] == 1.0
+    with pytest.raises(ValueError):
+        copied.K[0, 0][0, 0] = 5.0
 
 
 def _partial_trace_map():
@@ -306,10 +316,10 @@ def test_ovw_validation_of_compression_is_exact():
 
 
 def test_ovw_validation_adjoint_branch():
-    # adding the anti-Hermitian-valued map q -> 1e-3j T(q) keeps the
-    # bimodule law and breaks T(q*) = T(q)*, the first law checked
+    # adding the anti-Hermitian-valued map q -> 1e-3j T(q) breaks
+    # T(q*) = T(q)*, the first law checked
     good = _partial_trace_map()
-    skewed = OperatorValuedWeight(good.embedding, (1 + 1e-3j) * good.matrix)
+    skewed = OperatorValuedWeight(good.embedding, {(0, 0): (1 + 1e-3j) * good.K[0, 0]})
     with pytest.raises(ValidationError, match="^adjoint law violated"):
         skewed.validate()
 
@@ -317,21 +327,45 @@ def test_ovw_validation_adjoint_branch():
 def test_ovw_validation_positivity_branch():
     # -T is bimodular and *-preserving but sends 1 to a negative element
     good = _partial_trace_map()
-    negated = OperatorValuedWeight(good.embedding, -good.matrix)
+    negated = OperatorValuedWeight(good.embedding, {(0, 0): -good.K[0, 0]})
     with pytest.raises(ValidationError, match="^positivity violated"):
         negated.validate()
 
 
-def test_ovw_validation_bimodule_branch():
-    # q -> tr(q)/2 * 1 from M_4 to M_2 is positive and *-preserving, and
-    # T(f(p) q) = p T(q) fails for p = E_12
-    M4 = BlockAlgebra((4,))
-    mat = np.zeros((M2.total_dim, M4.total_dim), dtype=complex)
-    for i in range(4):
-        mat[0, 5 * i] = mat[3, 5 * i] = 0.5
-    average = OperatorValuedWeight(BlockEmbedding(M2, M4, ((0, 0),)), mat)
-    with pytest.raises(ValidationError, match="^bimodule law violated"):
-        average.validate()
+def test_ovw_validation_bound_is_at_the_exact_norm_of_T():
+    # over (1,) -> (2,), T is the 1 x 4 row of K's entries, so ||T||_2 = ||K||_F:
+    # K = diag(3e3, 4e3) with K[1, 0] = x gives the bound 1e-9 + 1e-9 * 5e3
+    # and the adjoint residual ||K - K*||_F = sqrt(2) x
+    emb = BlockEmbedding(BlockAlgebra((1,)), M2, ((0, 0),))
+    for x, passed in ((3.5e-6, True), (3.6e-6, False)):
+        T = OperatorValuedWeight(emb, {(0, 0): np.array([[3e3, 0.0], [x, 4e3]])})
+        if passed:
+            assert T.validate().max_residual == pytest.approx(np.sqrt(2.0) * x, rel=1e-15)
+        else:
+            with pytest.raises(ValidationError, match=r"^adjoint law violated: residual "
+                                                      r"5\.091e-06 > 5\.001e-06$"):
+                T.validate()
+
+
+def test_ovw_operations_at_scale_never_build_the_dense_matrix():
+    # (64,) -> (128,): the dense matrix would be 4096 x 16384 complex, 1 GiB;
+    # from_compression, validate and pushforward_weight work on the two 2 x 2
+    # matrices K and the (128, 128) density only
+    emb = BlockEmbedding(BlockAlgebra((64,)), BlockAlgebra((128,)), ((0, 0),))
+    mu = random_weight(make_rng(23), emb.source)
+    tracemalloc.start()
+    try:
+        T = OperatorValuedWeight.from_compression(emb, [1.0, 2.0])
+        report = T.validate()
+        push = pushforward_weight(mu, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert T._matrix is None
+    assert report.passed and report.max_residual == 0.0
+    h = mu.density.blocks[0]
+    assert np.array_equal(push.density.blocks[0], np.kron(np.diag([1.0, 2.0]), h))
 
 
 def test_ovw_validation_rejects_the_missed_negative_direction():
@@ -339,71 +373,27 @@ def test_ovw_validation_rejects_the_missed_negative_direction():
     # x -> diag(x, x) with K = diag(1, -0.1): it sends E_22 to -0.1, and the
     # sampled check in _reference_validate misses that direction
     emb = BlockEmbedding(BlockAlgebra((1,)), M2, ((0, 0),))
-    defect = OperatorValuedWeight(emb, np.array([[1.0, 0.0, 0.0, -0.1]]))
+    defect = OperatorValuedWeight(emb, {(0, 0): np.diag([1.0, -0.1])})
     assert defect.apply(Element(M2, [np.diag([0.0, 1.0])])).blocks[0][0, 0] == -0.1
     assert _reference_validate(defect)
     with pytest.raises(ValidationError, match="^positivity violated"):
         defect.validate()
 
 
-def test_ovw_validation_names_a_positive_non_bimodule_map_by_its_bimodule_law():
-    # q -> tr(q) 1 - q on M_2 over the identity embedding is positive, but
-    # its projection onto the bimodule maps is -1/2 q: the negative K alone
-    # does not show that T is not positive, so the bimodule law reports it
-    emb = BlockEmbedding(M2, M2, ((0,),))
-    mat = np.stack([flatten(Element(M2, [np.trace(e.blocks[0]) * np.eye(2) - e.blocks[0]]))
-                    for e in M2.basis()], axis=1)
-    reduction = OperatorValuedWeight(emb, mat)
-    rng = make_rng(22)
-    for _ in range(20):
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        out = reduction.apply(Element(M2, [np.outer(v, v.conj())])).blocks[0]
-        assert np.linalg.eigvalsh(out).min() > -1e-12
-    with pytest.raises(ValidationError, match="^bimodule law violated"):
-        reduction.validate()
-    # a clearly negative map off the bimodule maps is still caught as such
-    with pytest.raises(ValidationError, match="^positivity violated"):
-        OperatorValuedWeight(emb, mat - 4.0 * np.eye(4)).validate()
-
-
 def test_ovw_validation_is_closed_form_in_the_relative_commutant(lapack):
-    # (16,) -> (32,): no dense SVD or spectral norm of the 256 x 1024
-    # matrix, one eigvalsh on the 2 x 2 matrix K and nothing else
+    # (16,) -> (32,): no dense matrix, one eigvalsh on the 2 x 2 matrix K
+    # and nothing else
     ovw = OperatorValuedWeight.from_compression(
         BlockEmbedding(BlockAlgebra((16,)), BlockAlgebra((32,)), ((0, 0),)))
     lapack.calls.clear()
     report = ovw.validate()
     assert report.passed and report.max_residual == 0.0
     assert [(name, shape) for name, _, shape in lapack.calls] == [("eigvalsh", (2, 2))]
-    mat = np.array(ovw.matrix)
-    mat[-1, 0] += 1e-3j   # in the last slab of rows the adjoint law reads
-    with pytest.raises(ValidationError, match="^adjoint law violated"):
-        OperatorValuedWeight(ovw.embedding, mat).validate()
-
-
-def test_ovw_residual_inside_the_norm_bracket_takes_the_dense_norm(lapack):
-    # T = (1 + i eps) T_K + E for the partial trace T_K and a unit E that is
-    # orthogonal to the bimodule maps and *-preserving: ||T_K||_2 = sqrt(2),
-    # ||T - T_K||_F = 1, and the adjoint residual is 2 eps ||T_K||_F.  An
-    # adjoint residual between eq_bound(||T_K||_2) and eq_bound(||T_K||_2 + 1)
-    # needs the dense norm, and eq_bound(||T||_2) decides which law fails first
-    base = _partial_trace_map().matrix
-    e = np.zeros(base.shape)
-    for a, b in np.ndindex(2, 2):
-        e[2 * a + b, 4 * a + b] = -0.25   # the four positions of K[0, 0]
-    e[0, 0] = 0.75
-    e /= np.linalg.norm(e)
-    top = np.sqrt(2.0)
-    low, exact, high = (DEFAULT_TOL.eq_bound(s) for s in
-                        (top, np.linalg.norm(base + e, 2), top + 1.0))
-    assert low < exact < high
-    for adjoint, law in (((low + exact) / 2, "bimodule"), ((exact + high) / 2, "adjoint")):
-        eps = adjoint / (2.0 * np.linalg.norm(base))
-        T = OperatorValuedWeight(_partial_trace_map().embedding, (1 + 1j * eps) * base + e)
-        lapack.calls.clear()
-        with pytest.raises(ValidationError, match=f"^{law} law violated"):
-            T.validate()
-        assert lapack.of("svd") == [(False, (1, *T.matrix.shape))]   # the dense norm
+    assert ovw._matrix is None
+    K = np.array(ovw.K[0, 0])
+    K[1, 0] += 1e-3j
+    with pytest.raises(ValidationError, match=r"^adjoint law violated: residual 2\.263e-02 "):
+        OperatorValuedWeight(ovw.embedding, {(0, 0): K}).validate()   # 16 * 1e-3 * sqrt(2)
 
 
 def _reference_validate(T, tol=DEFAULT_TOL, positivity_samples=8,
@@ -488,27 +478,36 @@ def _pushforward_law_compressions():
     return list(seen.values())
 
 
-def _adjoint_conjugate(T):
-    """The matrix of q -> T(q*)*, so that T + this map is *-preserving."""
-    cols = [flatten(T.apply(e.adjoint()).adjoint()) for e in T.source.basis()]
-    return np.stack(cols, axis=1)
+def _perturbation(rng, r, kind):
+    """A random r x r matrix: "general" (not Hermitian), "psd" (G G*) or
+    "indefinite" (Hermitian, with a negative eigenvalue, and a positive one
+    when r > 1)."""
+    g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    if kind == "psd":
+        return g @ g.conj().T
+    if kind == "indefinite":
+        w, u = np.linalg.eigh(g + g.conj().T)
+        w[0] = -1.0 - abs(w[0])
+        if r > 1:
+            w[-1] = 1.0 + abs(w[-1])
+        return (u * w) @ u.conj().T
+    return g
 
 
 def test_ovw_validation_agrees_with_basis_pair_loop():
-    # the first two maps move entries far below the bound (1e-13), the rest
-    # far above it (1e-6), so both checkers must reach the same verdict;
-    # every other map keeps T(q*) = T(q)* so that the bimodule law decides
+    # every map of weights.pushforward_laws, its negation (not positive), and
+    # its K moved far below the bound (1e-13) and far above it (1e-6), by
+    # non-Hermitian, positive semidefinite and indefinite perturbations, the
+    # Hermitian kinds taken in turn from map to map, so both checkers must
+    # reach the same verdict
     rng = make_rng(17)
+    kinds = ("general", "psd", "indefinite")
     verdicts = []
-    for ovw in _pushforward_law_compressions():
-        candidates = [ovw]
-        for k in range(20):
-            shape = ovw.matrix.shape
-            g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            if k % 2:
-                g = g + _adjoint_conjugate(OperatorValuedWeight(ovw.embedding, g))
-            eps = 1e-13 if k < 2 else 1e-6
-            candidates.append(OperatorValuedWeight(ovw.embedding, ovw.matrix + eps * g))
+    for n, ovw in enumerate(_pushforward_law_compressions()):
+        candidates = [ovw, OperatorValuedWeight(ovw.embedding, {ij: -k for ij, k in ovw.K.items()})]
+        for eps, kind in ((1e-13, kinds[n % 3]), (1e-6, "general"), (1e-6, kinds[1 + n % 2])):
+            candidates.append(OperatorValuedWeight(ovw.embedding, {
+                ij: k + eps * _perturbation(rng, len(k), kind) for ij, k in ovw.K.items()}))
         for cand in candidates:
             try:
                 cand.validate()
@@ -576,7 +575,8 @@ def test_pushforward_residual_in_closed_form_agrees_with_the_basis_loop():
     for emb in embeddings:
         M, N = emb.source, emb.target
         slots = sum(len(row) for row in emb.assignment)
-        g = rng.standard_normal((M.total_dim, N.total_dim)) * (1.0 + 1j)
+        g = {ij: rng.standard_normal(k.shape) * (1.0 + 1j)
+             for ij, k in OperatorValuedWeight.from_compression(emb).K.items()}
         maps = [OperatorValuedWeight.from_compression(emb, w)
                 for w in (None, rng.uniform(0.5, 2.0, size=slots))]
         gamma = (M.total_dim + 4) * u / (1 - (M.total_dim + 4) * u)
