@@ -30,6 +30,7 @@ from .matcore import (
     Element,
     Tolerances,
     _h,
+    _ldexp,
     _norm2_bound,
     _overflow,
     _same_algebra,
@@ -248,55 +249,106 @@ def turpin_upper(z: TensorElement, tol: Tolerances = DEFAULT_TOL) -> float:
 class ModuleHom(_Frozen):
     """A right-module map from grading-b data to grading-(a+b) data.
 
-    Stored as a full linear map on the flattened coordinates of the
-    algebra, which must be finite; nothing else about it is trusted until
-    hom_to_element validates right-linearity.  ModuleHom(...) copies the
-    matrix once; the internal _of takes ownership of a fresh array.
+    A right-linear map, T(y @ p) = T(y) @ p, is left multiplication by
+    its multiplier T(1), so a map is stored as that Element and nothing
+    else.  ModuleHom(algebra, grading_in, grading_out, matrix, tol) takes
+    a linear map on the flattened coordinates of the algebra, a finite
+    (D, D) matrix for D = total_dim, and keeps T(1) once _multiplier has
+    found the matrix to be left multiplication by it; NotModuleMapError
+    otherwise.  The internal _of takes the multiplier unchecked.
     Maps compare and hash by identity.
     """
 
-    _fields = ("algebra", "grading_in", "grading_out", "matrix")
+    _fields = ("algebra", "grading_in", "grading_out", "multiplier")
 
     def __init__(self, algebra: BlockAlgebra, grading_in: complex, grading_out: complex,
-                 matrix: np.ndarray):
-        self._set(algebra, grading_in, grading_out, np.array(matrix, dtype=complex, copy=True))
-
-    def _set(self, algebra: BlockAlgebra, grading_in, grading_out, mat: np.ndarray):
+                 matrix: np.ndarray, tol: Tolerances = DEFAULT_TOL):
         gin, gout = complex(grading_in), complex(grading_out)
         if not np.all(np.isfinite([gin, gout])):
             raise NonFiniteError(f"hom gradings must be finite, got {gin} and {gout}")
-        d = algebra.total_dim
-        if mat.shape != (d, d):
-            raise ValueError(f"hom matrix must have shape ({d}, {d}), got {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise NonFiniteError("hom matrix must be finite")
-        mat.setflags(write=False)
+        self._set(algebra, gin, gout, _multiplier(algebra, matrix, tol))
+
+    def _set(self, algebra: BlockAlgebra, grading_in, grading_out, multiplier: Element):
         _setfield(self, "algebra", algebra)
-        _setfield(self, "grading_in", gin)
-        _setfield(self, "grading_out", gout)
-        _setfield(self, "matrix", mat)
+        _setfield(self, "grading_in", grading_in)
+        _setfield(self, "grading_out", grading_out)
+        _setfield(self, "multiplier", multiplier)
 
     @classmethod
-    def _of(cls, algebra: BlockAlgebra, grading_in, grading_out,
-            matrix: np.ndarray) -> ModuleHom:
-        """The map with the given complex matrix, freshly built and not copied."""
+    def _of(cls, algebra: BlockAlgebra, grading_in: complex, grading_out: complex,
+            multiplier: Element) -> ModuleHom:
+        """Left multiplication by multiplier, an element of algebra, between
+        finite complex gradings: no check."""
         out = object.__new__(cls)
-        out._set(algebra, grading_in, grading_out, matrix)
+        out._set(algebra, grading_in, grading_out, multiplier)
         return out
-
-    def __reduce__(self):
-        # numpy does not pickle the read-only flag, so rebuild through _of
-        return ModuleHom._of, (self.algebra, self.grading_in, self.grading_out, self.matrix)
 
     def apply(self, y: Element) -> Element:
         """T(y); OutOfRangeError when the product overflows."""
         _same_algebra(y.algebra, self.algebra, "hom applied to an element of another algebra")
         with _overflow("module map: T(y)"):
-            return unflatten_element(self.algebra, self.matrix @ flatten_element(y))
+            return self.multiplier @ y
 
     def __call__(self, eta: GradedElement, tol: Tolerances = DEFAULT_TOL) -> GradedElement:
         _same_grading(eta.grading, self.grading_in, tol, "hom input grading")
         return GradedElement(self.apply(eta.data), self.grading_out, tol)
+
+
+def _slabs(matrix: np.ndarray, algebra: BlockAlgebra):
+    """(c, i, slab) for each block, of coords c, and each row i of c: slab
+    holds the rows i of the dense map on the flat coordinates, as a complex
+    array.  In order, the slabs tile its total_dim rows."""
+    for c in algebra.coords:
+        for i in c:
+            yield c, i, np.ascontiguousarray(matrix[i[0]:i[-1] + 1], dtype=complex)
+
+
+def _multiplier(algebra: BlockAlgebra, matrix, tol: Tolerances) -> Element:
+    """T(1) for the linear map T of the (D, D) matrix, once T is found to be
+    left multiplication by it: the check of ModuleHom(...).
+
+    ValueError for another shape, NonFiniteError for a NaN or an infinity,
+    OutOfRangeError when T(1) overflows, and NotModuleMapError, carrying
+    r = ||T - L_xi||_F for xi = T(1), when r exceeds the bound of
+    _norm2_bound: ||T||_2 lies within r of ||L_xi||_2 = ||xi||_op, so only
+    an r inside that bracket takes the dense norm of the matrix.
+
+    The matrix is read twice, in the slabs of _slabs: once for finiteness,
+    its largest real or imaginary part and the rows of T(1); then each slab
+    and xi, scaled exactly by one 2^-e to parts below 1, give the gap to
+    the rows of L_xi (xi_k[i, j] at row c[i, r] and column c[j, r] for each
+    r), whose squares are summed.  So no square overflows or underflows,
+    and no (D, D) array is built.
+    """
+    mat = np.asarray(matrix)
+    d = algebra.total_dim
+    if mat.shape != (d, d):
+        raise ValueError(f"hom matrix must have shape ({d}, {d}), got {mat.shape}")
+    one = flatten_element(algebra.identity())
+    flat = np.empty(d, dtype=complex)
+    top = 0.0
+    for _, i, slab in _slabs(mat, algebra):
+        m = float(np.abs(slab.view(np.float64)).max())
+        if not m < math.inf:
+            raise NonFiniteError("hom matrix must be finite")
+        top = max(top, m)
+        with _overflow("module map: T(1)"):
+            flat[i] = slab @ one
+    e = math.frexp(max(top, float(np.abs(flat.view(np.float64)).max())))[1]
+    scaled = np.ldexp(flat.view(np.float64), -e).view(complex)
+    square = 0.0
+    for c, i, slab in _slabs(mat, algebra):
+        gap = np.ldexp(slab.view(np.float64), -e)
+        gap.view(complex)[np.arange(len(c))[:, None], c.T] -= scaled[i]
+        square += float(np.dot(gap.ravel(), gap.ravel()))
+    residual = _ldexp(math.sqrt(square), e)
+    xi = unflatten_element(algebra, flat)
+    bound = _norm2_bound(mat, operator_norm(xi), residual, (residual,), tol)
+    if residual > bound:
+        raise NotModuleMapError(
+            f"right-linearity fails: residual {residual:.3e} against left "
+            "multiplication by T(1)", residual)
+    return xi
 
 
 def _left_multiplication(x: Element) -> np.ndarray:
@@ -315,38 +367,23 @@ def _left_multiplication(x: Element) -> np.ndarray:
 
 def hom_from_element(xi: GradedElement, b,
                      tol: Tolerances = DEFAULT_TOL) -> ModuleHom:
-    """Left multiplication by xi as a module map on grading-b data."""
+    """Left multiplication by xi as a module map on grading-b data: the map
+    with multiplier xi.data, taken as it is."""
     b = _grading(b, tol, "input grading")
-    return ModuleHom._of(xi.algebra, b, xi.grading + b, _left_multiplication(xi.data))
+    return ModuleHom._of(xi.algebra, b, xi.grading + b, xi.data)
 
 
 def hom_to_element(T: ModuleHom, tol: Tolerances = DEFAULT_TOL) -> GradedElement:
-    """Recover the multiplier of a right-module map: xi = T(1).
+    """The multiplier xi = T(1) of a right-module map, graded by the
+    difference of its gradings.
 
-    A linear map is right-linear, T(y @ p) = T(y) @ p, exactly when it is
-    left multiplication by T(1).  So the stored matrix is compared with the
-    left-multiplication matrix of T(1); a map that differs from it by more
-    than the tolerance is not left multiplication by anything, and
-    NotModuleMapError reports the Frobenius norm of the difference.
-
-    The tolerance scales with ||T||_2, which lies within that residual r of
-    ||L_xi||_2 = ||xi||_op; only an r between the bounds at the ends of
-    that bracket takes the dense norm of the D x D matrix.  T - L_xi is
-    formed in place of L_xi, so no second D x D array is held.
+    Every ModuleHom is left multiplication by its multiplier, which
+    ModuleHom(...) checks where a matrix enters; what is left to check is
+    that the grading difference lies in the allowed half-plane, within tol.
     """
-    xi = T.apply(T.algebra.identity())
-    gap = _left_multiplication(xi)
-    np.subtract(T.matrix, gap, out=gap)
-    residual = float(np.linalg.norm(gap))
-    del gap
-    bound = _norm2_bound(T.matrix, operator_norm(xi), residual, (residual,), tol)
-    if residual > bound:
-        raise NotModuleMapError(
-            f"right-linearity fails: residual {residual:.3e} against left "
-            "multiplication by T(1)", residual)
     a = _grading(T.grading_out - T.grading_in, tol,
                  f"multiplier grading of the hom {T.grading_in} -> {T.grading_out}")
-    return GradedElement(xi, complex(max(a.real, 0.0), a.imag), tol)
+    return GradedElement(T.multiplier, complex(max(a.real, 0.0), a.imag), tol)
 
 
 def hom_norm_certificate(T: ModuleHom,

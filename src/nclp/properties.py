@@ -563,11 +563,10 @@ def prop_hom_roundtrip(rng, cfg):
     T = lpspace.hom_from_element(xi, b, tol)
     back = lpspace.hom_to_element(T, tol)
     resid = max(distance(back.data, xi.data), abs(back.grading - a))
-    corrupted = lpspace.ModuleHom(
-        M, b, a + b,
-        np.asarray(T.matrix) + rng.standard_normal(T.matrix.shape))
+    m = lpspace._left_multiplication(xi.data)
+    m += rng.standard_normal(m.shape)
     try:
-        lpspace.hom_to_element(corrupted, tol)
+        lpspace.hom_to_element(lpspace.ModuleHom(M, b, a + b, m, tol), tol)
         if M.total_dim > 1:  # on C every linear map is a multiplication
             return False, 1.0
     except NotModuleMapError:

@@ -9,6 +9,7 @@ with complex powers taken through the positive functional calculus.
 
 from __future__ import annotations
 
+import math
 import operator
 from functools import partial
 
@@ -28,6 +29,8 @@ from .matcore import (
     _calc,
     _eig_classes,
     _eigvalsh,
+    _hermitian_part,
+    _ldexp,
     _overflow,
     _same_algebra,
     _spectral_power,
@@ -354,18 +357,23 @@ class OperatorValuedWeight(_Frozen):
         - positivity: T(vv*)_i = V K_ij^T V* for v in block j and V its copies
           side by side, so T is positive (indeed completely positive) exactly
           when every K_ij is positive semidefinite (M.-D. Choi, 1975).
+        Both norms are summed on K scaled by 2^-e, exactly, to parts below 1,
+        so no square overflows or underflows: they are those of K wherever
+        they are finite, and inf past the float range.
         """
+        e = math.frexp(max(float(np.abs(k.view(np.float64)).max()) for k in self.K.values()))[1]
         square, rows = 0.0, np.zeros(len(self.target.block_dims))
         for (i, _), k in self.K.items():
+            k = np.ldexp(k.view(np.float64), -e).view(complex)
             diff = k - k.conj().T
             square += self.target.block_dims[i] ** 2 * np.vdot(diff, diff).real
             rows[i] += np.vdot(k, k).real
-        adjoint = float(np.sqrt(square))
-        bound = tol.eq_bound(max(float(np.sqrt(rows.max())), 1.0))
+        adjoint = _ldexp(math.sqrt(square), e)
+        bound = tol.eq_bound(max(_ldexp(math.sqrt(rows.max()), e), 1.0))
         if adjoint > bound:
             raise ValidationError(f"adjoint law violated: residual {adjoint:.3e} > {bound:.3e}")
         for (i, j), k in self.K.items():
-            low = float(_eigvalsh((k + k.conj().T) / 2.0)[0])
+            low = float(_eigvalsh(_hermitian_part(k))[0])
             if -low > bound:
                 raise ValidationError(
                     f"positivity violated: T(vv*) has a diagonal entry <= {low:.3e} "

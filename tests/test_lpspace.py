@@ -42,6 +42,7 @@ from nclp import (
     tensor_multiply,
     trace_weight,
     turpin_upper,
+    unflatten_element,
 )
 from nclp.matcore import KERNEL_BLOCKS
 from nclp.sampling import (
@@ -312,10 +313,8 @@ def test_hom_roundtrip_random():
 
 def test_hom_rejects_non_module_map():
     rng = make_rng(18)
-    bad = ModuleHom(M2, 0.5, 1.0,
-                    rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     with pytest.raises(NotModuleMapError):
-        hom_to_element(bad)
+        ModuleHom(M2, 0.5, 1.0, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
 
 
 @pytest.mark.parametrize("dims, entry", [((3,), (1, 5)), ((2, 2), (4, 4))])
@@ -323,23 +322,43 @@ def test_hom_to_element_single_entry_perturbation(dims, entry):
     M = BlockAlgebra(dims)
     rng = make_rng(24)
     xi = random_graded(rng, M, 0.5 + 0.2j)
-    T = hom_from_element(xi, 0.5)
+    dense = lpspace._left_multiplication(xi.data)
     # the Kronecker form is exactly the matrix of x -> xi @ x, column by column
-    assert np.array_equal(T.matrix, np.stack(
+    assert np.array_equal(dense, np.stack(
         [flatten_element(xi.data @ e) for e in M.basis()], axis=1))
     for eps, rejected in ((1e-6, True), (1e-14, False)):
-        mat = np.array(T.matrix)
+        mat = np.array(dense)
         mat[entry] += eps
-        moved = ModuleHom(M, T.grading_in, T.grading_out, mat)
         if not rejected:
-            hom_to_element(moved)
+            ModuleHom(M, 0.5, 1.0 + 0.2j, mat)
             continue
         with pytest.raises(NotModuleMapError) as exc:
-            hom_to_element(moved)
-        unit = moved.apply(M.identity())
+            ModuleHom(M, 0.5, 1.0 + 0.2j, mat)
+        unit = unflatten_element(M, mat @ flatten_element(M.identity()))
         # left multiplication by T(1), one flattened basis image per column
         multiply = np.stack([flatten_element(unit @ e) for e in M.basis()], axis=1)
         assert exc.value.residual == np.linalg.norm(mat - multiply)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_module_hom_residual_is_scale_free(scale):
+    # the squares of entries of 1e200 overflow a plain Frobenius norm; the
+    # residual scales with the matrix and stays finite
+    mat = make_rng(18).standard_normal((4, 4))
+    with pytest.raises(NotModuleMapError) as unit:
+        ModuleHom(M2, 0.5, 1.0, mat)
+    with pytest.raises(NotModuleMapError) as exc:
+        ModuleHom(M2, 0.5, 1.0, scale * mat)
+    assert np.isfinite(exc.value.residual)
+    assert exc.value.residual == pytest.approx(scale * unit.value.residual, rel=1e-14)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_module_hom_refuses_a_unit_image_past_the_float_range():
+    # T(1) sums two entries of 1e308 in each row
+    with pytest.raises(OutOfRangeError, match=r"^module map: T\(1\) exceeds the float range$"):
+        ModuleHom(M2, 0.5, 1.0, np.full((4, 4), 1e308))
 
 
 @pytest.mark.parametrize("shape", [(3, 3), (4, 5), (4,), (2, 2, 4)], ids=str)
@@ -369,39 +388,6 @@ def test_non_finite_gradings_are_rejected(bad):
                  lambda: ModuleHom(M2, 0.5, bad, np.eye(M2.total_dim))):
         with pytest.raises(NonFiniteError):
             call()
-
-
-def test_hom_from_element_owns_its_matrix():
-    # the D x D matrix (1 MiB at (16,)) is built once and not copied again
-    M = BlockAlgebra((16,))
-    xi = random_graded(make_rng(28), M, 0.5)
-    tracemalloc.start()
-    try:
-        T = hom_from_element(xi, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert T.matrix.nbytes == 2 ** 20
-    assert peak < 1.5 * 2 ** 20
-    assert not T.matrix.flags.writeable
-    with pytest.raises(ValueError):
-        T.matrix[0, 0] = 5.0
-
-
-@pytest.mark.parametrize("recover", [hom_to_element, hom_norm_certificate],
-                         ids=lambda f: f.__name__)
-def test_hom_recovery_holds_one_matrix(recover):
-    # T - L_xi is formed in place of L_xi: one D x D array (1 MiB at (16,))
-    # besides T itself
-    M = BlockAlgebra((16,))
-    T = hom_from_element(random_graded(make_rng(28), M, 0.5), 0.5)
-    tracemalloc.start()
-    try:
-        recover(T)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 2 ** 20
 
 
 def _witnessed_by_hom_norm(rng, tol, grading, monkeypatch):
@@ -527,14 +513,27 @@ def _dense_norms(lapack, algebra):
             for option, shape in lapack.of("svd") if shape[-2:] == (d, d)]
 
 
-def test_hom_to_element_brackets_the_norm_of_a_module_map(lapack):
-    M = BlockAlgebra((16,))
-    xi = random_graded(make_rng(27), M, 0.5 + 0.2j)
-    T = hom_from_element(xi, 0.5)
+def test_module_maps_of_an_element_build_no_dense_matrix(lapack):
+    # on (64,) one D x D matrix, D = 4096, would take 256 MiB: the round trip,
+    # the norm certificate and T(y) read the 64 x 64 multiplier and witnesses
+    M = BlockAlgebra((64,))
+    rng = make_rng(27)
+    xi, y = random_graded(rng, M, 0.5 + 0.2j), random_element(rng, M)
     lapack.calls.clear()
-    back = hom_to_element(T)
+    tracemalloc.start()
+    try:
+        T = hom_from_element(xi, 0.5)
+        back = hom_to_element(T)
+        reported, certified = hom_norm_certificate(T)
+        image = T.apply(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
     assert _dense_norms(lapack, M) == []
-    assert distance(back.data, xi.data) <= 1e-10 * (1 + operator_norm(xi.data))
+    assert back.data is xi.data and back.grading == xi.grading
+    assert reported - certified <= 1e-10 * reported
+    assert distance(image, xi.data @ y) == 0.0
 
 
 def test_hom_to_element_takes_the_dense_norm_inside_the_bracket(lapack):
@@ -545,13 +544,13 @@ def test_hom_to_element_takes_the_dense_norm_inside_the_bracket(lapack):
     for c, accepted in ((1.05, True), (1.06, False)):
         mat = 10.0 * np.eye(M2.total_dim, dtype=complex)
         mat[0, 1] = c       # column 1 is not read by T(1)
-        T = ModuleHom(M2, 0.5, 0.5, mat)
         lapack.calls.clear()
         if accepted:
+            T = ModuleHom(M2, 0.5, 0.5, mat, tol)
             assert distance(hom_to_element(T, tol).data, 10.0 * M2.identity()) == 0.0
         else:
             with pytest.raises(NotModuleMapError) as exc:
-                hom_to_element(T, tol)
+                ModuleHom(M2, 0.5, 0.5, mat, tol)
             assert exc.value.residual == c
         assert _dense_norms(lapack, M2) == ["norm2"]
 

@@ -192,9 +192,9 @@ RECORDS = {
                              "       [0.+0.j, 1.+0.j]])})"),
     "TensorElement": (lambda: TensorElement(N, 0.5, 0.5, [(G, G)]), False, "pairs",
                       "TensorElement(1 pairs, gradings ((0.5+0j), (0.5+0j)))"),
-    "ModuleHom": (lambda: ModuleHom(M, 0.5, 1.0, np.eye(1)), False, "matrix",
+    "ModuleHom": (lambda: ModuleHom(M, 0.5, 1.0, np.eye(1)), False, "multiplier",
                   "ModuleHom(algebra=BlockAlgebra(block_dims=(1,)), grading_in=(0.5+0j), "
-                  "grading_out=(1+0j), matrix=array([[1.+0.j]]))"),
+                  "grading_out=(1+0j), multiplier=Element(dims=(1,)))"),
 }
 
 

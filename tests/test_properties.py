@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from nclp import (DivisionResult, Element, GradingError, NotModuleMapError, Tolerances, decomp,
-                  left_support, lpspace, operator_norm, properties, trace)
+                  flatten_element, left_support, lpspace, operator_norm, properties, trace,
+                  unflatten_element)
 from nclp.properties import PROPERTIES, SuiteConfig, run_suite
 from nclp.sampling import spawn_rng
 from nclp.serialize import dumps
@@ -247,14 +248,16 @@ def test_holder_witness_ladder_refuses_a_ratio_below_c(monkeypatch):
 
 
 def test_hom_roundtrip_refuses_an_accepted_corrupted_map(monkeypatch):
-    real = lpspace.hom_to_element
+    real = lpspace._multiplier
 
-    def lenient(T, tol):
+    def lenient(algebra, matrix, tol):
+        # the constructor's check keeps T(1) of a map that is not left
+        # multiplication by it
         try:
-            return real(T, tol)
+            return real(algebra, matrix, tol)
         except NotModuleMapError:
-            return None
+            return unflatten_element(algebra, matrix @ flatten_element(algebra.identity()))
 
-    monkeypatch.setattr(lpspace, "hom_to_element", lenient)
+    monkeypatch.setattr(lpspace, "_multiplier", lenient)
     cfg = SuiteConfig(seed=3, trials=1, block_shapes=((2,),))
     assert _run("lpspace.hom_roundtrip", cfg) == (False, 1.0)

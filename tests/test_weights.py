@@ -347,6 +347,21 @@ def test_ovw_validation_bound_is_at_the_exact_norm_of_T():
                 T.validate()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_ovw_validation_is_scale_free():
+    # squares of entries of 1e200 and 1e300 overflow: the norms of K are
+    # summed at a power-of-two scale, so the skew K is refused, with the
+    # residual ||K - K*||_F = sqrt(2) 1e200 against 1e-9 ||K||_F, and the
+    # Hermitian one passes
+    emb = BlockEmbedding(BlockAlgebra((1,)), M2, ((0, 0),))
+    skew = OperatorValuedWeight(emb, {(0, 0): [[1e200, 1e200], [0, 1e200]]})
+    with pytest.raises(ValidationError, match=r"^adjoint law violated: residual "
+                                              r"1\.414e\+200 > 1\.732e\+191$"):
+        skew.validate()
+    report = OperatorValuedWeight(emb, {(0, 0): np.diag([1e300, 2e300])}).validate()
+    assert report.passed and report.max_residual == 0.0
+
+
 def test_ovw_operations_at_scale_never_build_the_dense_matrix():
     # (64,) -> (128,): the dense matrix would be 4096 x 16384 complex, 1 GiB;
     # from_compression, validate and pushforward_weight work on the two 2 x 2
@@ -723,6 +738,16 @@ def test_non_positive_density_raises_on_every_call(lapack):
             Weight(diagonal)
         with pytest.raises(NotPositiveError, match="not Hermitian"):
             Weight(asym)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_asymmetry_past_the_float_range_is_not_hermitian():
+    # finite blocks whose asymmetry |a - a*| (and, in the second, whose
+    # entries' moduli) lie past the float range
+    for block in ([[0, 1e308], [-1e308, 0]],
+                  [[0, 1.5e308 * (1 + 1j)], [-1.5e308 * (1 - 1j), 0]]):
+        with pytest.raises(NotPositiveError, match="^block 0 is not Hermitian: asymmetry inf$"):
+            Weight(Element(M2, [block]))
 
 
 def test_flow_parameters_must_be_finite():
