@@ -86,7 +86,10 @@ def eigh2(a: np.ndarray):
     Reads the lower triangle, as LAPACK does, and w ascends.  The eigenvalue
     of larger magnitude is mean + h or mean - h, by the sign of the mean;
     the other is det / big, as in LAPACK's dlaev2, which keeps it accurate
-    when it is tiny.
+    when it is tiny.  A diagonal block (beta = 0), whose u is I or the
+    signed swap, returns its real diagonal, sorted and exact, where det /
+    big may lose an ulp: as LAPACK does on a block it does not rescale,
+    whose largest entry lies between about 1e-146 and 1e146.
     """
     b, e = _scaled(a)
     alpha, gamma, beta = b[:, 0, 0].real, b[:, 1, 1].real, b[:, 1, 0].conj()
@@ -100,7 +103,11 @@ def eigh2(a: np.ndarray):
     w[:, 0], w[:, 1] = np.where(low, big, small), np.where(low, small, big)
     u = np.empty_like(b)
     u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1] = c, s, -ph * s, ph * c
-    return _unscaled(w, e), u
+    w = _unscaled(w, e)
+    if not _nonzero(a[:, 1, 0]):
+        flat = a[:, 1, 0] == 0.0
+        w[flat] = np.sort(np.diagonal(a[flat], axis1=1, axis2=2).real)
+    return w, u
 
 
 def svd2(a: np.ndarray, compute_uv: bool = True):

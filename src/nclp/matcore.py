@@ -212,7 +212,8 @@ class Element(_Frozen):
     Stored as stacks, one read-only (k, n, n) array per class of the
     algebra, so every ring operation and factorization is one numpy call
     per class.  Element(algebra, blocks) copies the blocks once into these
-    stacks; blocks gives them back as read-only per-block views.
+    stacks, and refuses a block that holds a NaN or an infinity with
+    NonFiniteError; blocks gives them back as read-only per-block views.
     Immutable after construction; all arithmetic returns new elements.
     Elements compare and hash by identity.
     """
@@ -233,8 +234,13 @@ class Element(_Frozen):
             if arr.shape != (n, n):
                 raise ShapeError(
                     f"block {k} must have shape ({n}, {n}), got {arr.shape}")
-        self._set(algebra, tuple([np.array([blocks[k] for k in idx], dtype=complex)
-                                  for idx in algebra.classes]))
+        stacks = tuple([np.array([blocks[k] for k in idx], dtype=complex)
+                        for idx in algebra.classes])
+        if not all(np.isfinite(s).all() for s in stacks):
+            k = min(idx[j] for idx, s in zip(algebra.classes, stacks)
+                    for j in np.flatnonzero(~np.isfinite(s).all(axis=(-2, -1))))
+            raise NonFiniteError(f"block {k} has a NaN or infinite entry")
+        self._set(algebra, stacks)
 
     def _set(self, algebra: BlockAlgebra, stacks: tuple):
         for s in stacks:
@@ -412,11 +418,12 @@ def _spectral(algebra: BlockAlgebra, triples) -> Element:
 # crossovers: the SVDs win from 16-24 blocks, the product from 16, eigh from
 # 32, and one gate serves them all.  The choice follows the block count of
 # the size class, never the length of the stack handed in, so that batching
-# never changes a bit: _eig_classes hands in the general blocks of a class,
-# and douglas_ladder the blocks that share a rung width.  The kernels are
-# imported on first use (about 3 ms when no bytecode is cached), so that a
-# process that factorizes and multiplies only smaller classes (every shipped
-# demo input, the default verify) never loads them.
+# never changes a bit: douglas_ladder hands in the blocks of a class that
+# share a rung width.  Both sides give a real diagonal block its diagonal as
+# eigenvalues, exactly, so diagonal densities stay exact through powers.
+# The kernels are imported on first use (about 3 ms when no bytecode is
+# cached), so that a process that factorizes and multiplies only smaller
+# classes (every shipped demo input, the default verify) never loads them.
 
 KERNEL_BLOCKS = 32
 
@@ -688,35 +695,15 @@ def unflatten_element(algebra: BlockAlgebra, vec: np.ndarray) -> Element:
 # -- Hermitian eigensystems and functional calculus ----------------------
 
 
-@lru_cache(maxsize=64)
-def _off_real_diagonal(n: int) -> np.ndarray:
-    """Read-only mask of the 2 n^2 float parts of an n x n complex matrix, in
-    memory order, that are not the real part of a diagonal entry.
-    """
-    mask = np.ones((n, n, 2), dtype=bool)
-    mask[range(n), range(n), 0] = False
-    mask = mask.ravel()
-    mask.setflags(write=False)
-    return mask
-
-
-def _general_blocks(a: np.ndarray) -> np.ndarray:
-    """Per block of the stack a, whether it is not exactly diagonal and real:
-    whether any part that _off_real_diagonal marks is nonzero (or NaN).
-    """
-    parts = np.ascontiguousarray(a).view(np.float64).reshape(len(a), -1)
-    return parts[:, _off_real_diagonal(a.shape[-1])].any(axis=-1)
-
-
 def _eig_classes(h: Element, tol: Tolerances) -> tuple:
     """Stacked eigensystems of a positive element, one per size class.
 
     Returns a tuple of read-only (w, U) aligned with h.algebra.classes:
     eigenvalues w (k, n) clamped to 0 below the support cutoff, and
-    eigenvectors U (k, n, n).  Blocks that are exactly diagonal with real
-    entries get the trivial eigensystem, which keeps identity densities
-    bit-exact through powers; the rest of each class shares one batched
-    eigh of its Hermitian part.  The result is kept on h, one per tol.
+    eigenvectors U (k, n, n).  Each class takes one batched eigh of its
+    Hermitian part through _eigh, which returns an exactly diagonal real
+    block's diagonal exactly (the funnel comment), so diagonal densities
+    stay bit-exact through powers.  The result is kept on h, one per tol.
     Raises NotPositiveError, naming the first offending block, if h is not
     Hermitian PSD within tolerance, on every call.
 
@@ -748,19 +735,7 @@ def _eig_classes(h: Element, tol: Tolerances) -> tuple:
             k, worst = min(_offenders(h, over, asym))
             raise NotPositiveError(
                 f"block {k} is not Hermitian: asymmetry {4.0 * float(worst):.3e}")
-    raw = []
-    for a in h.stacks:
-        general = _general_blocks(a)
-        count = np.count_nonzero(general)
-        if count == len(a):
-            raw.append(_eigh(_hermitian_part(a), len(a)))
-            continue
-        w = np.diagonal(a, axis1=-2, axis2=-1).real.copy()
-        u = np.broadcast_to(np.eye(a.shape[-1], dtype=complex), a.shape).copy()
-        if count:
-            g = a[general]
-            w[general], u[general] = _eigh(_hermitian_part(g), len(a))
-        raw.append((w, u))
+    raw = [_eigh(_hermitian_part(a), len(a)) for a in h.stacks]
     lows = [float(w.min()) for w, _ in raw]
     # max |w| per class, NaN if the class holds one, as np.abs(w).max() gives it
     lmax = max(max(float(w.max()), -low) for (w, _), low in zip(raw, lows))

@@ -564,7 +564,10 @@ def prop_hom_roundtrip(rng, cfg):
     back = lpspace.hom_to_element(T, tol)
     resid = max(distance(back.data, xi.data), abs(back.grading - a))
     m = lpspace._left_multiplication(xi.data)
-    m += rng.standard_normal(m.shape)
+    # the noise of one (D, D) draw, a block-row of coordinates at a time,
+    # so that no D x D float array lives beside m
+    for rows in (r for c in M.coords for r in c):
+        m[rows] += rng.standard_normal((len(rows), len(m)))
     try:
         lpspace.hom_to_element(lpspace.ModuleHom(M, b, a + b, m, tol), tol)
         if M.total_dim > 1:  # on C every linear map is a multiplication

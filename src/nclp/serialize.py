@@ -26,8 +26,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NonFiniteError
-
 # The readers import the types they build, so a command loads only the
 # modules of the objects it reads: `nclp oracle` loads no matrix code.
 if TYPE_CHECKING:
@@ -82,9 +80,6 @@ def element_from_obj(obj: dict) -> Element:
 
     algebra = BlockAlgebra(tuple(obj["block_dims"]))
     blocks = [_read_array(b, f"block {k}", 2) for k, b in enumerate(obj["blocks"])]
-    for k, b in enumerate(blocks):
-        if not np.all(np.isfinite(b)):
-            raise NonFiniteError(f"block {k} has a NaN or infinite entry")
     return Element(algebra, tuple(blocks))
 
 

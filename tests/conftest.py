@@ -1,9 +1,20 @@
-"""The lapack fixture: the factorizations a test makes, as matcore's funnel records them."""
+"""The lapack fixture: the factorizations a test makes, as matcore's funnel
+records them; and unchecked, the element of blocks that may hold a NaN or
+an infinity."""
 
+import numpy as np
 import pytest
 
 from nclp import matcore
-from nclp.matcore import _svds
+from nclp.matcore import Element, _svds
+
+
+def unchecked(algebra, blocks) -> Element:
+    """The element of blocks, built as the library builds its results
+    (Element._of), past Element(...)'s finiteness check: so that a test can
+    probe the checks downstream of the constructor with a NaN or an infinity."""
+    return Element._of(algebra, [np.array([blocks[k] for k in idx], dtype=complex)
+                                 for idx in algebra.classes])
 
 
 class Lapack:

@@ -7,13 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from nclp import (DEFAULT_TOL, BlockAlgebra, Element, GradedElement, NonFiniteError,
-                  distance, kernels, lnorm)
+from nclp import (DEFAULT_TOL, BlockAlgebra, Element, GradedElement, NonFiniteError, Weight,
+                  distance, kernels, lnorm, power_pos, spectral_projection)
 from nclp.kernels import eigh2, matmul2, svd2
 from nclp.lpspace import holder_witness_imaginary
-from nclp.matcore import KERNEL_BLOCKS, _eig_classes, _spectral, _svds, operator_norm
+from nclp.matcore import (KERNEL_BLOCKS, _eig_classes, _spectral, _spectral_power, _svds,
+                          operator_norm)
 from nclp.properties import SuiteConfig, run_suite
 from nclp.sampling import make_rng, random_element, random_graded
+
+from conftest import unchecked
 
 K = KERNEL_BLOCKS
 EPS = np.finfo(float).eps
@@ -197,23 +200,66 @@ def _psd(rng, general):
     return m @ m.conj().T
 
 
-def test_real_diagonal_blocks_leave_the_eigensystems_of_the_others_unchanged():
-    # the kernel takes the general blocks of a class, chosen by the class's
-    # block count: each gets the eigensystem it gets in an all-general class,
-    # and the one the kernel gives it alone
+def test_each_block_of_a_kernel_class_gets_the_eigensystem_it_gets_alone():
+    # a class of diagonal and general blocks takes one kernel call: each
+    # block gets the eigensystem the kernel gives it alone, and a diagonal
+    # block its diagonal, sorted, with I or the signed swap
     rng = make_rng(71)
     M = BlockAlgebra((2,) * K)
     general = rng.random(K) < 0.5
     blocks = [_psd(rng, g) for g in general]
-    others = [b if g else _psd(rng, True) for b, g in zip(blocks, general)]
     (w, u), = _eig_classes(Element(M, blocks), DEFAULT_TOL)
-    (w_all, u_all), = _eig_classes(Element(M, others), DEFAULT_TOL)
-    assert (w[general] == w_all[general]).all() and (u[general] == u_all[general]).all()
-    assert (u[~general] == np.eye(2)).all()
-    for j in np.flatnonzero(general):
-        b = blocks[j]
+    for j, b in enumerate(blocks):
         w_alone, u_alone = eigh2(((b + b.conj().T) / 2.0)[None])
         assert (w[j] == w_alone[0]).all() and (u[j] == u_alone[0]).all()
+    d = np.array([np.diagonal(b).real for b in blocks])[~general]
+    assert (w[~general] == np.sort(d)).all()
+    assert (np.abs(u[~general]) == [np.eye(2)[::-1] if x > y else np.eye(2) for x, y in d]).all()
+
+
+EXPONENTS = (0.5, -1.0, 2.0, 0.3j, 0.5 - 0.7j)
+
+
+def test_diagonal_densities_stay_exact_on_both_sides_of_the_crossover():
+    # LAPACK returns a diagonal block's diagonal as its eigenvalues, exactly,
+    # and so does the kernel, where det / big would lose an ulp on a few
+    # blocks in a hundred: so the powers and spectral projections of a real
+    # diagonal density are those of its diagonal, bit for bit
+    rng = make_rng(78)
+    lam = rng.uniform(0.1, 10.0)
+    for dims in ((1,), (3,), (1, 2, 3, 2, 3, 1), (2,) * (K - 1), (2,) * K):
+        M = BlockAlgebra(dims)
+        diagonals = {
+            "identity": [np.ones(n) for n in dims],
+            "scalar": [np.full(n, lam) for n in dims],
+            "blockwise scalars": [np.full(n, rng.uniform(0.1, 10.0)) for n in dims],
+            # a zero in every other block, where every power is 0
+            "general": [rng.uniform(0.1, 10.0, n) * (k % 2 == 0 or np.arange(n) > 0)
+                        for k, n in enumerate(dims)],
+        }
+        for name, diags in diagonals.items():
+            h = Element(M, [np.diag(d) for d in diags])
+            weight_powers = Weight(Element(M, h.blocks)).powers(EXPONENTS)
+            for a, via_weight in zip(EXPONENTS, weight_powers):
+                want = [np.diag(_spectral_power(d, a, "power")) for d in diags]
+                for got in (power_pos(h, a), via_weight):
+                    assert all(map(np.array_equal, got.blocks, want)), (dims, name, a)
+            for c in (0.0, lam, 5.0):
+                want = [np.diag(((d >= c) & (d > 0.0)).astype(float)) for d in diags]
+                got = spectral_projection(h, c)
+                assert all(map(np.array_equal, got.blocks, want)), (dims, name, c)
+    # the kernel against LAPACK, bit for bit, on diagonal stacks of every
+    # sign and of magnitudes where LAPACK does not rescale (below about 1e146)
+    k = 10_000
+    scale = 10.0 ** rng.uniform(-100.0, 100.0, (k, 1))
+    diags = {"scalar": np.repeat(scale * rng.standard_normal((k, 1)), 2, axis=1),
+             "general": scale * rng.standard_normal((k, 2)) * (rng.random((k, 2)) < 0.9)}
+    for name, d in diags.items():
+        a = np.zeros((k, 2, 2), dtype=complex)
+        a[:, 0, 0], a[:, 1, 1] = d.T
+        (w, u), (w_lapack, u_lapack) = eigh2(a), np.linalg.eigh(a)
+        assert w.tobytes() == w_lapack.tobytes(), name
+        assert (np.abs(u) == np.abs(u_lapack)).all(), name
 
 
 @pytest.mark.parametrize("count", [K - 1, K])
@@ -226,7 +272,7 @@ def test_non_finite_entries_are_refused_on_both_sides_of_the_crossover(count, en
     rng = make_rng(72)
     blocks = [np.array(b) for b in random_element(rng, M).blocks]
     blocks[count // 2][divmod(entry, 2)] = bad
-    x, y = Element(M, blocks), random_element(rng, M)
+    x, y = unchecked(M, blocks), random_element(rng, M)
     calls = [("operator norm", lambda: operator_norm(x)), ("distance", lambda: distance(x, y)),
              ("lnorm", lambda: lnorm(GradedElement(x, 0.3j))),
              ("lnorm", lambda: lnorm(GradedElement(x, 0.5)))]
@@ -240,7 +286,7 @@ def test_non_finite_elements_are_refused_before_any_factorization(count, lapack)
     M = BlockAlgebra((2,) * count)
     blocks = [np.eye(2)] * count
     blocks[1] = np.diag([np.inf, 1.0])
-    x = Element(M, blocks)
+    x = unchecked(M, blocks)
     lapack.forbid("svd", "eigh")
     with pytest.raises(NonFiniteError, match="^singular value decomposition: "):
         _svds(x)

@@ -54,12 +54,13 @@ from nclp.lpspace import _left_multiplication, lnorm
 from nclp.matcore import (
     FACTOR_CACHE,
     _eig_classes,
-    _general_blocks,
     _svals,
     _svds,
 )
 from nclp.properties import DEFAULT_SHAPES, SuiteConfig, prop_pushforward_laws, run_suite
 from nclp.sampling import make_rng, random_element, random_positive, random_projection
+
+from conftest import unchecked
 
 M2 = BlockAlgebra((2,))
 DIAG2 = BlockAlgebra((1, 1))
@@ -86,6 +87,27 @@ def test_make_element_shape_mismatch_names_block():
         Element(M2, [np.zeros((3, 3))])
     with pytest.raises(ShapeError, match="block 1"):
         Element(DIAG2, [np.zeros((1, 1)), np.zeros((2, 2))])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)],
+                         ids=["nan", "inf", "-inf", "inf-imag"])
+def test_element_refuses_a_non_finite_block_naming_the_first(bad):
+    # the data of every public operation enters through Element(...), so no
+    # operation (allclose, douglas_divide, isometry_divide...) meets a NaN
+    # or an infinity in its arithmetic, where numpy would warn
+    with pytest.raises(NonFiniteError, match="^block 0 has a NaN or infinite entry$"):
+        Element(M2, [np.diag([bad, 1.0])])
+    # blocks 2 and 5 hold it: the first in block order, though 5's size
+    # class comes first in MIXED.classes
+    blocks = [np.eye(n, dtype=complex) for n in MIXED.block_dims]
+    blocks[2][1, 2] = blocks[5][0, 0] = bad
+    assert MIXED.classes[0] == (0, 5)
+    with pytest.raises(NonFiniteError, match="^block 2 has a NaN or infinite entry$"):
+        Element(MIXED, blocks)
+    # past the constructor, an element holding one (Element._of) still
+    # meets the typed checks downstream
+    with pytest.raises(NonFiniteError, match="^operator norm: "):
+        allclose(unchecked(MIXED, blocks), MIXED.identity())
 
 
 @pytest.mark.parametrize("build, error, match", [
@@ -298,6 +320,7 @@ def test_allclose_scales():
 MIXED = BlockAlgebra((1, 2, 3, 2, 3, 1))
 
 
+
 def _per_block(classes):
     """{block index: its slice of every stacked factor}, from factors per MIXED class."""
     out = {}
@@ -418,37 +441,33 @@ def test_stacked_factorizations_equal_per_block_calls_bit_for_bit():
     assert operator_norm(x) == max(float(np.linalg.norm(b, 2)) for b in x.blocks)
 
 
-def test_eig_classes_match_per_block_eigh_and_keep_diagonal_path():
+def test_eig_classes_match_per_block_eigh_and_keep_diagonal_blocks_exact():
     rng = make_rng(31)
     h = random_positive(rng, MIXED)
     blocks = list(h.blocks)
     blocks[3] = np.diag([2.0, 0.5]).astype(complex)   # exactly diagonal, size 2
     h = Element(MIXED, blocks)
     pairs = _per_block(_eig_classes(h, DEFAULT_TOL))
-    refs = []
-    for k, b in enumerate(h.blocks):
-        if k in (0, 3, 5):   # 1x1 blocks are real diagonal too
-            refs.append((np.diagonal(b).real, np.eye(b.shape[0])))
-        else:
-            refs.append(np.linalg.eigh((b + b.conj().T) / 2.0))
+    refs = [np.linalg.eigh((b + b.conj().T) / 2.0) for b in h.blocks]
     lmax = max(float(np.abs(ref_w).max()) for ref_w, _ in refs)
     for k, (ref_w, ref_u) in enumerate(refs):
         w, u = pairs[k]
         cutoff = DEFAULT_TOL.rank_rel * lmax * ref_w.size
         assert np.array_equal(w, np.where(ref_w > cutoff, ref_w, 0.0))
         assert np.array_equal(u, ref_u)
+    # a diagonal block's eigenvalues are its diagonal, sorted, and its
+    # eigenvectors a signed permutation of I
+    w, u = pairs[3]
+    assert w.tolist() == [0.5, 2.0] and np.array_equal(np.abs(u), [[0.0, 1.0], [1.0, 0.0]])
 
 
 def _reference_eighs(h):
     """Per size class, the raw eigensystem (w, U) of its blocks, one block
-    at a time: the trivial one for an exactly real diagonal block, else the
-    eigh of its Hermitian part.
+    at a time: the eigh of its Hermitian part.
     """
     raw = []
     for a in h.stacks:
-        pairs = [np.linalg.eigh((b + b.conj().T) / 2.0) if general
-                 else (np.diagonal(b).real, np.eye(len(b), dtype=complex))
-                 for b, general in zip(a, _general_blocks(a))]
+        pairs = [np.linalg.eigh((b + b.conj().T) / 2.0) for b in a]
         raw.append((np.array([w for w, _ in pairs]), np.array([u for _, u in pairs])))
     return raw
 
@@ -497,7 +516,7 @@ def _eig_cases():
         blocks = [np.array(b) for b in definite.blocks]
         for k, change in changes.items():
             blocks[int(k[1:])] = change(blocks[int(k[1:])])
-        return Element(M, blocks)
+        return unchecked(M, blocks)
 
     def nudge(i, j, by):
         def change(b):
@@ -567,7 +586,7 @@ def test_a_non_finite_entry_is_refused_before_any_eigh(lapack, value, entry):
     M = BlockAlgebra((3,))
     b = 2.0 * np.eye(3, dtype=complex)
     b[entry] = b[entry[::-1]] = value
-    h = Element(M, [b])
+    h = unchecked(M, [b])
     lapack.forbid("eigh")
     for run in (lambda: Weight(h), lambda: power_pos(h, 0.5),
                 lambda: spectral_projection(h, 0.5), lambda: func_calc(h, np.sqrt)):
@@ -586,18 +605,6 @@ def test_pos_eig_names_the_first_offending_block():
     blocks[2] = np.diag([1.0, -1.0, 1.0]).astype(complex)
     with pytest.raises(NotPositiveError, match="block 2 has negative eigenvalue"):
         power_pos(Element(MIXED, blocks), 0.5)
-
-
-def test_identity_and_diagonal_densities_stay_bit_exact_through_powers():
-    d = np.array([0.25, 3.0])
-    diagonal = Element(BlockAlgebra((2, 2, 1)), [np.diag(d), np.diag(d[::-1]), [[7.0]]])
-    for a in (0.5, 1j, -1.0, 2.0 - 0.3j):
-        assert all(np.array_equal(b, np.eye(n))
-                   for b, n in zip(power_pos(MIXED.identity(), a).blocks, MIXED.block_dims))
-        got = power_pos(diagonal, a).blocks
-        assert np.array_equal(got[0], np.diag(np.exp(a * np.log(d))))
-        assert np.array_equal(got[1], np.diag(np.exp(a * np.log(d[::-1]))))
-        assert np.array_equal(got[2], [[np.exp(a * np.log(7.0))]])
 
 
 def test_powers_equal_power_pos_bit_for_bit():
@@ -645,14 +652,14 @@ def test_func_calc_calls_f_once_per_size_class():
     assert distance(got, h) <= DEFAULT_TOL.eq_bound(operator_norm(h))
 
 
-def test_calculus_takes_one_eigh_per_general_size_class(lapack):
+def test_calculus_takes_one_eigh_per_size_class(lapack):
     blocks = random_positive(make_rng(36), MIXED).blocks   # the 1x1 class is diagonal
     for build in (lambda h: func_calc(h, np.sqrt), lambda h: power_pos(h, 0.5j),
                   lambda h: spectral_projection(h, 0.5), Weight):
         h = Element(MIXED, blocks)
         lapack.calls.clear()
         build(h)
-        assert lapack.names() == ["eigh", "eigh"]
+        assert lapack.of("eigh") == [(None, a.shape) for a in h.stacks]
         lapack.calls.clear()
         build(h)
         assert lapack.calls == []
@@ -900,7 +907,7 @@ def test_distance_is_the_norm_of_the_difference_and_builds_nothing(dims, lapack,
         blocks = [np.array(b) for b in x.blocks]
         blocks[-1][0, -1] = bad
         with pytest.raises(NonFiniteError, match="^distance: the matrix holds a NaN"):
-            distance(Element(M, blocks), y)
+            distance(unchecked(M, blocks), y)
 
 
 SVD = "singular value decomposition"
@@ -928,7 +935,7 @@ def test_every_svd_path_refuses_a_non_finite_block_before_factorizing(dims, bad,
     x, y = random_element(rng, M), random_element(rng, M)
     blocks = [np.array(b) for b in x.blocks]
     blocks[len(dims) // 2][1, 0] = bad
-    x = Element(M, blocks)
+    x = unchecked(M, blocks)
     lapack.forbid("svd")
     for operation, call in SVD_PATHS:
         with pytest.raises(NonFiniteError,
@@ -970,43 +977,6 @@ def test_func_calc_refuses_a_non_finite_value_of_f(bad):
         func_calc(h, lambda w: np.where(w < w.max(), w, bad))
 
 
-def _general_blocks_reference(a):
-    """Reference: a block is general when an off-diagonal entry or any
-    imaginary part is nonzero (NaN counts as nonzero)."""
-    n = a.shape[-1]
-    return (np.any(a[:, ~np.eye(n, dtype=bool)], axis=-1)
-            | np.any(a.imag, axis=(-2, -1)))
-
-
-def test_general_blocks_select_the_blocks_of_the_reference_test():
-    rng = make_rng(44)
-    real_diagonal = np.stack([np.diag(rng.standard_normal(3)) for _ in range(4)]).astype(complex)
-    complex_diagonal = real_diagonal.copy()
-    complex_diagonal[2, 1, 1] += 1e-300j
-    off_diagonal = real_diagonal.copy()
-    off_diagonal[1, 0, 2] = 5e-324        # subnormal, still nonzero
-    mixed = np.concatenate([real_diagonal[:2], random_element(rng, BlockAlgebra((3, 3))).stacks[0],
-                            complex_diagonal[2:3], off_diagonal[1:2]])
-    nan_entries = real_diagonal.copy()
-    nan_entries[0, 0, 0] = np.nan          # a real diagonal NaN stays on the trivial path
-    nan_entries[3, 2, 0] = np.nan
-    signed_zeros = real_diagonal.copy()
-    signed_zeros[1, 0, 1] = -0.0
-    signed_zeros[2, 2, 2] = complex(1.0, -0.0)
-    one_by_one = np.array([[[2.0]], [[1.0 + 1j]], [[0.0]], [[-3.0 - 0.0j]]])
-    stacks = [real_diagonal, complex_diagonal, off_diagonal, mixed, nan_entries, signed_zeros,
-              one_by_one, _h_view(mixed)]
-    for a in stacks:
-        got, ref = _general_blocks(a), _general_blocks_reference(a)
-        assert got.dtype == bool and np.array_equal(got, ref)
-    assert [_general_blocks(a).tolist() for a in stacks[:3]] == [
-        [False] * 4, [False, False, True, False], [False, True, False, False]]
-    assert _general_blocks(one_by_one).tolist() == [False, True, False, False]
-
-
-def _h_view(a):
-    """The conjugate transpose as a non-contiguous view, as Element.adjoint stores it."""
-    return a.conj().swapaxes(-1, -2)
 
 
 def test_identity_is_one_shared_read_only_element():
