@@ -31,12 +31,12 @@ from .matcore import (
     Tolerances,
     _h,
     _ldexp,
-    _norm2_bound,
     _overflow,
     _same_algebra,
     _spectral,
     _spectral_power,
     _svals,
+    _svd,
     _svd_support,
     _svds,
     _top,
@@ -309,9 +309,14 @@ def _multiplier(algebra: BlockAlgebra, matrix, tol: Tolerances) -> Element:
 
     ValueError for another shape, NonFiniteError for a NaN or an infinity,
     OutOfRangeError when T(1) overflows, and NotModuleMapError, carrying
-    r = ||T - L_xi||_F for xi = T(1), when r exceeds the bound of
-    _norm2_bound: ||T||_2 lies within r of ||L_xi||_2 = ||xi||_op, so only
-    an r inside that bracket takes the dense norm of the matrix.
+    r = ||T - L_xi||_F for xi = T(1), when r exceeds
+    tol.eq_bound(max(||T||_2, 1)).  ||T||_2 lies within r of
+    ||L_xi||_2 = ||xi||_op, and the bound at the low end of that bracket
+    gives r the verdict of the exact bound unless r falls between the
+    bounds at its two ends; only then is the dense norm of the matrix taken,
+    by the funnel.  The floor of 1 moves no verdict of a map of norm 1 or
+    more; below, it grants the slack of a map of norm 1, at most eq_rel
+    more than eq_abs grants the zero map.
 
     The matrix is read twice, in the slabs of _slabs: once for finiteness,
     its largest real or imaginary part and the rows of T(1); then each slab
@@ -343,26 +348,14 @@ def _multiplier(algebra: BlockAlgebra, matrix, tol: Tolerances) -> Element:
         square += float(np.dot(gap.ravel(), gap.ravel()))
     residual = _ldexp(math.sqrt(square), e)
     xi = unflatten_element(algebra, flat)
-    bound = _norm2_bound(mat, operator_norm(xi), residual, (residual,), tol)
+    bound, hi = (tol.eq_bound(max(operator_norm(xi) + gap, 1.0)) for gap in (-residual, residual))
+    if bound < residual <= hi:
+        bound = tol.eq_bound(max(float(_svd(mat[None], 1, "norm", False)[0, 0]), 1.0))
     if residual > bound:
         raise NotModuleMapError(
             f"right-linearity fails: residual {residual:.3e} against left "
             "multiplication by T(1)", residual)
     return xi
-
-
-def _left_multiplication(x: Element) -> np.ndarray:
-    """Matrix of y -> x @ y on flattened coordinates: kron(x_k, 1) per block.
-
-    Each block is written in place, x_k[i, j] at row c[i, r] and column
-    c[j, r] for every r < n, c the block's coords, so the D x D matrix is
-    the only large array built.
-    """
-    d = x.algebra.total_dim
-    out = np.zeros((d, d), dtype=complex)
-    for blk, c in zip(x.blocks, x.algebra.coords):
-        out[c[:, None, :], c[None, :, :]] = blk[:, :, None]
-    return out
 
 
 def hom_from_element(xi: GradedElement, b,

@@ -117,6 +117,14 @@ class ToleranceReport(_Value):
         _setfield(self, "context", context)
 
 
+def _index(value, what: str) -> int:
+    """operator.index(value), refusing a bool: JSON's true and false are no
+    sizes or counts, though Python takes them for 1 and 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 class BlockAlgebra(_Value):
     """Direct sum of full matrix blocks, recorded by their dimensions.
 
@@ -128,7 +136,7 @@ class BlockAlgebra(_Value):
     _fields = ("block_dims",)
 
     def __init__(self, block_dims: tuple[int, ...]):
-        dims = tuple(map(operator.index, block_dims))
+        dims = tuple(_index(n, "block dimension") for n in block_dims)
         if len(dims) == 0:
             raise ValueError("block_dims must be nonempty")
         if any(n < 1 for n in dims):
@@ -644,29 +652,6 @@ def _first_over(checks, tol: Tolerances):
 def allclose(x: Element, y: Element, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Whether ||x - y|| <= tol.eq_bound(max(||x||, ||y||))."""
     return _first_over([(x - y, (x, y))], tol) is None
-
-
-def _norm2_bound(matrix: np.ndarray, top: float, gap: float, values,
-                 tol: Tolerances) -> float:
-    """tol.eq_bound(max(||matrix||_2, 1)), as far as the checks of values see it.
-
-    ||matrix||_2 lies within gap of top.  The bound at the low end of that
-    bracket gives every v in values the verdict v > bound of the exact
-    bound, unless v falls between the bounds at the two ends; only then is
-    the dense norm of matrix taken, by the funnel (np.linalg.norm's bits).
-
-    The floor of 1 matters only for a matrix of norm below 1, where the
-    bound is absolute with or without it: eq_abs + eq_rel * ||matrix||_2
-    becomes eq_abs + eq_rel, so the floor adds at most eq_rel (equal to
-    eq_abs under the default policy).  A residual of such a matrix rounds
-    at a scale below 1, so the floor grants it the slack of a map of norm
-    1, as eq_abs alone grants that of the zero map; it moves no verdict of
-    a matrix of norm 1 or more.
-    """
-    lo, hi = (tol.eq_bound(max(top + e, 1.0)) for e in (-gap, gap))
-    if any(lo < v <= hi for v in values):
-        return tol.eq_bound(max(float(_svd(matrix[None], 1, "norm", False)[0, 0]), 1.0))
-    return lo
 
 
 def _ldexp(v: float, e: int) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import time
 
 import numpy as np
@@ -25,6 +24,7 @@ from .matcore import (
     Element,
     Tolerances,
     _eigvalsh,
+    _index,
     _setfield,
     _Value,
     distance,
@@ -65,8 +65,8 @@ class SuiteConfig(_Value):
 
     def __init__(self, seed: int = 42, trials: int = 50, block_shapes: tuple = DEFAULT_SHAPES,
                  gradings: tuple = DEFAULT_GRADINGS, tolerances: Tolerances = DEFAULT_TOL):
-        seed = operator.index(seed) & (2 ** 64 - 1)
-        trials = operator.index(trials)
+        seed = _index(seed, "seed") & (2 ** 64 - 1)
+        trials = _index(trials, "trials")
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         shapes = tuple(BlockAlgebra(s).block_dims for s in block_shapes)
@@ -563,13 +563,11 @@ def prop_hom_roundtrip(rng, cfg):
     T = lpspace.hom_from_element(xi, b, tol)
     back = lpspace.hom_to_element(T, tol)
     resid = max(distance(back.data, xi.data), abs(back.grading - a))
-    m = lpspace._left_multiplication(xi.data)
-    # the noise of one (D, D) draw, a block-row of coordinates at a time,
-    # so that no D x D float array lives beside m
-    for rows in (r for c in M.coords for r in c):
-        m[rows] += rng.standard_normal((len(rows), len(m)))
+    # a random (D, D) matrix N is no multiplication: its residual is that of
+    # the perturbed map L_xi + N, with no D x D complex array beside it
+    noise = rng.standard_normal((M.total_dim, M.total_dim))
     try:
-        lpspace.hom_to_element(lpspace.ModuleHom(M, b, a + b, m, tol), tol)
+        lpspace.hom_to_element(lpspace.ModuleHom(M, b, a + b, noise, tol), tol)
         if M.total_dim > 1:  # on C every linear map is a multiplication
             return False, 1.0
     except NotModuleMapError:

@@ -10,8 +10,8 @@ with complex powers taken through the positive functional calculus.
 from __future__ import annotations
 
 import math
-import operator
 from functools import partial
+from types import MappingProxyType
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .matcore import (
     _spectral_power,
     _Frozen,
     _frozen,
+    _index,
     _setfield,
     _Value,
     trace,
@@ -202,7 +203,7 @@ class BlockEmbedding(_Value):
 
     def __init__(self, source: BlockAlgebra, target: BlockAlgebra,
                  assignment: tuple[tuple[int, ...], ...]):
-        rows = tuple(tuple(map(operator.index, row)) for row in assignment)
+        rows = tuple(tuple(_index(i, "assignment entry") for i in row) for row in assignment)
         if len(rows) != len(target.block_dims):
             raise ValueError("assignment must have one row per target block")
         used = set()
@@ -274,9 +275,12 @@ def _commutant_columns(embedding: BlockEmbedding) -> dict:
 class OperatorValuedWeight(_Frozen):
     """A positive bimodule map T: N -> M over an embedding f: M -> N.
 
-    Stored as T_K (see _commutant_columns): K[i, j] is (r, r) for the r copies
-    of source block i in target block j, so every map is a bimodule map; use
-    validate() for the rest before trusting it.  Compares by identity.
+    Stored as T_K (see _commutant_columns) and nothing else: K maps each key
+    (i, j) to the read-only (r, r) matrix of the r copies of source block i in
+    target block j, and is itself read-only, so every map is a bimodule map
+    and stays the one it was built as; use validate() for the rest before
+    trusting it.  No operation builds the dense (dim M, dim N) matrix of T.
+    Compares by identity.
     """
 
     _fields = ("embedding", "K")
@@ -285,20 +289,21 @@ class OperatorValuedWeight(_Frozen):
         columns = _commutant_columns(embedding)
         if set(K) != set(columns):
             raise ValueError(f"K must have one matrix per key {sorted(columns)}, got {sorted(K)}")
-        _setfield(self, "embedding", embedding)
-        _setfield(self, "K", {})
+        kept = {}
         for ij, (_, slots) in columns.items():
             k = np.array(K[ij], dtype=complex, copy=True)
             if k.shape != (len(slots),) * 2:
                 raise ValueError(f"K{ij} must have shape {(len(slots),) * 2}, got {k.shape}")
             if not np.isfinite(k).all():
                 raise NonFiniteError("operator-valued weight matrix must be finite")
-            self.K[ij] = _frozen(k)[0]
-        _setfield(self, "_matrix", None)   # filled by matrix
+            kept[ij] = _frozen(k)[0]
+        _setfield(self, "embedding", embedding)
+        _setfield(self, "K", MappingProxyType(kept))
 
     def __reduce__(self):
-        # numpy does not pickle the read-only flag, so rebuild through __init__
-        return OperatorValuedWeight, (self.embedding, self.K)
+        # numpy does not pickle the read-only flag, nor Python a mapping proxy,
+        # so rebuild through __init__ from a plain dict
+        return OperatorValuedWeight, (self.embedding, dict(self.K))
 
     @property
     def source(self) -> BlockAlgebra:
@@ -307,17 +312,6 @@ class OperatorValuedWeight(_Frozen):
     @property
     def target(self) -> BlockAlgebra:
         return self.embedding.source   # M, where values land
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense (dim M, dim N) matrix of T, read-only, scattered from K on
-        first read and kept for _pushforward_residual, the dense reference."""
-        if self._matrix is None:
-            mat = np.zeros((self.target.total_dim, self.source.total_dim), dtype=complex)
-            for (i, j), (cols, _) in _commutant_columns(self.embedding).items():
-                mat[self.target.coords[i], cols] = self.K[i, j][:, :, None, None]
-            _setfield(self, "_matrix", _frozen(mat)[0])
-        return self._matrix
 
     def apply(self, q: Element) -> Element:
         """T(q); OutOfRangeError when the product overflows."""
@@ -433,8 +427,14 @@ def _pushforward_residual(mu: Weight, push: Weight, ovw: OperatorValuedWeight) -
 
     With k and h the densities of push and mu, push(q) - mu(T(q)) is
     f(k) . vec(q) - f(h) . (T vec(q)) (see _trace_row), so over the basis the
-    gaps are the entries of f(k) - T^T f(h).  A column of a compression map
-    holds one real entry at most, so each gap rounds as the traces do, to the bit.
+    gaps are the entries of f(k) - T^T f(h).  A column of T holds one entry at
+    most, K_ij[s, t] in row (a, b) of block i for the column cols[s, t, a, b]
+    (see _commutant_columns), so T^T f(h) is one product per coordinate,
+    K_ij[s, t] h_i[b, a], scattered once per key (i, j).  With the real K of
+    a compression each gap rounds as the traces do, to the bit.
     """
-    gaps = _trace_row(push.density) - _trace_row(mu.density) @ ovw.matrix
+    row, h = np.zeros(ovw.source.total_dim, dtype=complex), mu.density.blocks
+    for (i, j), (cols, _) in _commutant_columns(ovw.embedding).items():
+        row[cols] = ovw.K[i, j][:, :, None, None] * h[i].T
+    gaps = _trace_row(push.density) - row
     return max(map(abs, gaps.tolist()))

@@ -1,12 +1,13 @@
 """The lapack fixture: the factorizations a test makes, as matcore's funnel
-records them; and unchecked, the element of blocks that may hold a NaN or
-an infinity."""
+records them; unchecked, the element of blocks that may hold a NaN or an
+infinity; and _commutant_map, the dense matrix of a bimodule map built
+independently of the library."""
 
 import numpy as np
 import pytest
 
 from nclp import matcore
-from nclp.matcore import Element, _svds
+from nclp.matcore import Element, _svds, flatten_element
 
 
 def unchecked(algebra, blocks) -> Element:
@@ -15,6 +16,36 @@ def unchecked(algebra, blocks) -> Element:
     probe the checks downstream of the constructor with a NaN or an infinity."""
     return Element._of(algebra, [np.array([blocks[k] for k in idx], dtype=complex)
                                  for idx in algebra.classes])
+
+
+def _copies(embedding):
+    """(i, j) -> offsets of the copies of source block i in target block j."""
+    out = {}
+    for j, row in enumerate(embedding.assignment):
+        pos = 0
+        for i in row:
+            out.setdefault((i, j), []).append(pos)
+            pos += embedding.source.block_dims[i]
+    return out
+
+
+def _commutant_map(embedding, K):
+    """The dense (dim M, dim N) matrix of the bimodule map T_K over embedding,
+    T_K(q)_i = sum_j sum_{s,t} K_ij[s, t] q_j[copy t, copy s], applied to every
+    matrix unit of N one at a time: the referee of every operation that
+    OperatorValuedWeight carries out on K alone."""
+    dims = embedding.source.block_dims
+
+    def apply(q):
+        out = [np.zeros((d, d), dtype=complex) for d in dims]
+        for (i, j), offsets in _copies(embedding).items():
+            d = dims[i]
+            for s, ps in enumerate(offsets):
+                for t, pt in enumerate(offsets):
+                    out[i] += K[i, j][s, t] * q.blocks[j][pt:pt + d, ps:ps + d]
+        return Element(embedding.source, out)
+
+    return np.stack([flatten_element(apply(e)) for e in embedding.target.basis()], axis=1)
 
 
 class Lapack:

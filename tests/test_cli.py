@@ -424,6 +424,15 @@ EMBEDDING = {"source_dims": [2], "target_dims": [4], "assignment": [[0, 0]]}
     (("demo", "polar"), {"x": {"block_dims": [2],
                                "blocks": [[[[True, 0], [0, 0]], [[0, 0], [1, 0]]]]}}, "parse"),
     (("oracle",), {"f": [True, 4], "a": 0.5}, "parse"),
+    # a size or count is an integer, and Python's True is 1
+    (("verify",), {"trials": True}, "config"),
+    (("verify",), {"trials": 1, "seed": False}, "config"),
+    (("verify",), {"trials": 1, "block_shapes": [[True]]}, "config"),
+    (("demo", "polar"), {"x": {"block_dims": [True], "blocks": [[[[1, 0]]]]}}, "parse"),
+    (("demo", "pushforward"),
+     {"mu": {"density": {"block_dims": [1], "blocks": [[[[1, 0]]]]}},
+      "embedding": {"source_dims": [1], "target_dims": [2], "assignment": [[False, False]]}},
+     "parse"),
 ])
 def test_malformed_input_exits_2_with_a_typed_error(capsys, tmp_path, command, obj, kind):
     flag = "--config" if command == ("verify",) else "--input"

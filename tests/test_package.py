@@ -7,6 +7,7 @@ import pickle
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -188,8 +189,9 @@ RECORDS = {
                              "K",
                              "OperatorValuedWeight(embedding=BlockEmbedding(source=BlockAlgebra("
                              "block_dims=(1,)), target=BlockAlgebra(block_dims=(2,)), "
-                             "assignment=((0, 0),)), K={(0, 0): array([[1.+0.j, 0.+0.j],\n"
-                             "       [0.+0.j, 1.+0.j]])})"),
+                             "assignment=((0, 0),)), K=mappingproxy({(0, 0): "
+                             "array([[1.+0.j, 0.+0.j],\n"
+                             "       [0.+0.j, 1.+0.j]])}))"),
     "TensorElement": (lambda: TensorElement(N, 0.5, 0.5, [(G, G)]), False, "pairs",
                       "TensorElement(1 pairs, gradings ((0.5+0j), (0.5+0j)))"),
     "ModuleHom": (lambda: ModuleHom(M, 0.5, 1.0, np.eye(1)), False, "multiplier",
@@ -208,8 +210,9 @@ def _same(u, v) -> bool:
     if isinstance(u, GradedElement):
         return type(v) is GradedElement and _same((u.data, u.grading, u.tol),
                                                   (v.data, v.grading, v.tol))
-    if isinstance(u, dict):
-        return u.keys() == v.keys() and all(_same(u[k], v[k]) for k in u)
+    if isinstance(u, (dict, MappingProxyType)):
+        return (type(v) is type(u) and u.keys() == v.keys()
+                and all(_same(u[k], v[k]) for k in u))
     if isinstance(u, tuple):
         return type(v) is tuple and len(u) == len(v) and all(map(_same, u, v))
     return type(u) is type(v) and u == v

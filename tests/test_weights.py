@@ -1,6 +1,7 @@
 """Unit tests for weights, modular flows, cocycles, and pushforwards."""
 
 import copy as copy_module
+import json
 import pickle
 import tracemalloc
 
@@ -42,8 +43,12 @@ from nclp.matcore import (
     _eig_classes,
     flatten_element as flatten,
 )
+from nclp.cli import main
+from nclp.serialize import weight_to_obj
 from nclp.weights import _pushforward_residual
 from nclp.sampling import make_rng, random_element, random_positive, random_weight
+
+from conftest import _commutant_map
 
 M2 = BlockAlgebra((2,))
 M3 = BlockAlgebra((3,))
@@ -362,10 +367,11 @@ def test_ovw_validation_is_scale_free():
     assert report.passed and report.max_residual == 0.0
 
 
-def test_ovw_operations_at_scale_never_build_the_dense_matrix():
+def test_ovw_operations_at_scale_never_build_the_dense_matrix(capsys, tmp_path):
     # (64,) -> (128,): the dense matrix would be 4096 x 16384 complex, 1 GiB;
-    # from_compression, validate and pushforward_weight work on the two 2 x 2
-    # matrices K and the (128, 128) density only
+    # from_compression, validate, pushforward_weight and the residual of the
+    # pushforward law work on the two 2 x 2 matrices K and the (128, 128)
+    # densities only
     emb = BlockEmbedding(BlockAlgebra((64,)), BlockAlgebra((128,)), ((0, 0),))
     mu = random_weight(make_rng(23), emb.source)
     tracemalloc.start()
@@ -373,14 +379,29 @@ def test_ovw_operations_at_scale_never_build_the_dense_matrix():
         T = OperatorValuedWeight.from_compression(emb, [1.0, 2.0])
         report = T.validate()
         push = pushforward_weight(mu, T)
+        agreement = _pushforward_residual(mu, push, T)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
-    assert T._matrix is None
     assert report.passed and report.max_residual == 0.0
+    assert agreement == 0.0
     h = mu.density.blocks[0]
     assert np.array_equal(push.density.blocks[0], np.kron(np.diag([1.0, 2.0]), h))
+    # the same tower through the command line, in-process
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps({
+        "mu": weight_to_obj(mu), "slot_weights": [1.0, 2.0],
+        "embedding": {"source_dims": [64], "target_dims": [128], "assignment": [[0, 0]]}}))
+    tracemalloc.start()
+    try:
+        code = main(["demo", "pushforward", "--input", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 and peak < 16 * 2 ** 20
+    assert out["agreement_residual"] == 0.0 and out["faithful"] is True
 
 
 def test_ovw_validation_rejects_the_missed_negative_direction():
@@ -404,7 +425,6 @@ def test_ovw_validation_is_closed_form_in_the_relative_commutant(lapack):
     report = ovw.validate()
     assert report.passed and report.max_residual == 0.0
     assert [(name, shape) for name, _, shape in lapack.calls] == [("eigvalsh", (2, 2))]
-    assert ovw._matrix is None
     K = np.array(ovw.K[0, 0])
     K[1, 0] += 1e-3j
     with pytest.raises(ValidationError, match=r"^adjoint law violated: residual 2\.263e-02 "):
@@ -424,7 +444,7 @@ def _reference_validate(T, tol=DEFAULT_TOL, positivity_samples=8,
     negative eigenvalue that those samples miss, such as the q11 - 0.1 q22
     map of test_ovw_validation_rejects_the_missed_negative_direction.
     """
-    scale = max(float(np.linalg.norm(T.matrix, 2)), 1.0)
+    scale = max(float(np.linalg.norm(_commutant_map(T.embedding, T.K), 2)), 1.0)
     bound = tol.eq_bound(scale)
     rng = np.random.Generator(np.random.PCG64(0))
     source_basis = list(T.source.basis())
@@ -562,8 +582,8 @@ def test_from_compression_equals_closure_build_entry_for_entry():
     for emb in embeddings:
         slots = sum(len(row) for row in emb.assignment)
         for weights in (None, rng.uniform(0.5, 2.0, size=slots)):
-            got = OperatorValuedWeight.from_compression(emb, weights).matrix
-            assert np.array_equal(got, _reference_compression(emb, weights))
+            T = OperatorValuedWeight.from_compression(emb, weights)
+            assert np.array_equal(_commutant_map(emb, T.K), _reference_compression(emb, weights))
 
 
 def _pushforward_gaps_by_basis(mu, push, ovw):
@@ -572,16 +592,19 @@ def _pushforward_gaps_by_basis(mu, push, ovw):
 
 
 def test_pushforward_residual_in_closed_form_agrees_with_the_basis_loop():
-    # Bound.  For a matrix unit q_t both ways read push(q_t) as f(k)_t exactly
-    # (one product with 1, the rest exact zeros), and T(q_t) as column t of
-    # T, so both sum the same d = dim M products f(h)_m T[m, t], in two
-    # orders.  A complex sum of d products lies within gamma_{d+2} S_t of its
-    # exact value, S_t = sum_m |f(h)_m T[m, t]| and gamma_n = n u / (1 - n u)
-    # with u = 2^-53; the subtraction from f(k)_t and the modulus add a
-    # relative u each.  So each gap lies within gamma_{d+4} (|f(k)_t| + S_t)
-    # of the exact gap, and the two maxima within twice the largest of these.
-    # A column of a compression map holds at most one nonzero entry, so there
-    # the sum is one product and the two agree to the bit.
+    # Bound.  For a matrix unit q_t the basis loop reads push(q_t) as f(k)_t
+    # exactly (one product with 1, the rest exact zeros), and T(q_t) as column
+    # t of T, the dense matrix of the commutant map; so it sums the
+    # d = dim M products f(h)_m T[m, t], as the dense product f(h) @ T does
+    # in another order, and the residual from K forms the one of them that
+    # can be nonzero.  A complex sum of at most d products lies within
+    # gamma_{d+2} S_t of its exact value, S_t = sum_m |f(h)_m T[m, t]| and
+    # gamma_n = n u / (1 - n u) with u = 2^-53; the subtraction from f(k)_t
+    # and the modulus add a relative u each.  So each gap lies within
+    # gamma_{d+4} (|f(k)_t| + S_t) of the exact gap, each way, and any two
+    # maxima within twice the largest of these.  A column of a compression
+    # map holds at most one nonzero entry, with a real K, so there every sum
+    # is one product and all three agree to the bit.
     rng = make_rng(20)
     u = np.finfo(float).eps / 2
     embeddings = [ovw.embedding for ovw in _pushforward_law_compressions()]
@@ -601,13 +624,15 @@ def test_pushforward_residual_in_closed_form_agrees_with_the_basis_loop():
             pushes = [random_weight(rng, N)]
             if T in maps:
                 pushes.append(pushforward_weight(mu, T))
+            mat = _commutant_map(emb, T.K)
             for push in pushes:
                 got, ref = _pushforward_residual(mu, push, T), _pushforward_gaps_by_basis(mu, push, T)
                 f_k = np.concatenate([b.T.reshape(-1) for b in push.density.blocks])
-                bound = 2 * gamma * float(np.max(np.abs(f_k) + np.abs(f_h) @ np.abs(T.matrix)))
-                assert abs(got - ref) <= bound
+                dense = max(map(abs, (f_k - f_h @ mat).tolist()))
+                bound = 2 * gamma * float(np.max(np.abs(f_k) + np.abs(f_h) @ np.abs(mat)))
+                assert abs(got - ref) <= bound and abs(got - dense) <= bound
                 if T in maps:
-                    assert got.hex() == ref.hex()
+                    assert got.hex() == ref.hex() == dense.hex()
 
 
 def test_from_compression_rejects_bad_slot_weights():
