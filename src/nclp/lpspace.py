@@ -124,13 +124,16 @@ def holder_witness_imaginary(xi: GradedElement, b, c,
     """A grading-b element y with ||xi @ y|| >= c * ||y||, for Re a = 0.
 
     Here c must lie in [0, ||xi||), with ||xi|| the number operator_norm and
-    lnorm return; y is u* @ p where xi = z @ u is the left polar
+    lnorm return, and a NaN c raises NonFiniteError, as in
+    spectral_projection.  y is u* @ p where xi = z @ u is the left polar
     decomposition and p the spectral projection of z on [c, inf).
     Sweeping c toward ||xi|| makes the ratio approach the norm.  Both come
     from one SVD xi = U S V*: u* p = V diag(m) U*, with m marking the
     singular values that are above the support cutoff and at least c.
     """
     c = float(c)
+    if math.isnan(c):
+        raise NonFiniteError("threshold must not be NaN")
     _require_imaginary(xi.grading, tol, "spectral-threshold witness input grading")
     b = _grading(b, tol, "witness grading")
     svd = _svd_support(xi.data, tol)
@@ -379,6 +382,12 @@ def hom_to_element(T: ModuleHom, tol: Tolerances = DEFAULT_TOL) -> GradedElement
     return GradedElement(T.multiplier, complex(max(a.real, 0.0), a.imag), tol)
 
 
+def _hom_norm_slack(a: complex, tol: Tolerances) -> float:
+    """The relative shortfall hom_norm allows its witnesses at multiplier
+    grading a: 1e-8 for the Hölder witness (Re a > 0), 1e-6 for the ladder."""
+    return 1e-8 if a.real > tol.eq_abs else 1e-6
+
+
 def hom_norm_certificate(T: ModuleHom,
                          tol: Tolerances = DEFAULT_TOL) -> tuple[float, float]:
     """(reported, certified) pair for the operator norm of a module map.
@@ -410,14 +419,13 @@ def hom_norm(T: ModuleHom, tol: Tolerances = DEFAULT_TOL) -> float:
     """Operator norm of a module map, certified from below by witnesses.
 
     The witness evaluation must reach the reported value (within 1e-8
-    relative for Re a > 0, within 1e-6 for the imaginary-grading ladder)
-    or the computation refuses to answer.
+    relative for Re a > 0, within 1e-6 for the imaginary-grading ladder:
+    _hom_norm_slack) or the computation refuses to answer.
     """
     reported, certified = hom_norm_certificate(T, tol)
     if reported <= tol.eq_abs:
         return reported
-    a = T.grading_out - T.grading_in
-    slack = 1e-8 if a.real > tol.eq_abs else 1e-6
+    slack = _hom_norm_slack(T.grading_out - T.grading_in, tol)
     if certified < reported * (1.0 - slack) - tol.eq_abs:
         raise NclpError(
             f"witness certification failed: certified {certified:.12e} "

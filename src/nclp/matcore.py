@@ -524,9 +524,10 @@ def _spectral_power(s: np.ndarray, a, what: str) -> np.ndarray:
     """s^a = exp(a log s) entrywise for finite s >= 0, with 0^a := 0.
 
     OutOfRangeError, naming the operation what, when a power lies past the
-    float range.  Every positive float s has log s in [-744.5, 709.8], so no
-    power overflows while -0.95 <= Re a <= 1 and |Im a| <= 1e300; only an a
-    outside that range pays for the test.
+    float range, and NonFiniteError when a is not finite.  Every positive
+    float s has log s in [-744.5, 709.8], so no power overflows while
+    -0.95 <= Re a <= 1 and |Im a| <= 1e300; only an a outside that range,
+    every non-finite one among them, pays for the tests.
     """
     a = complex(a)
     out = np.zeros(s.shape, dtype=complex)
@@ -534,6 +535,8 @@ def _spectral_power(s: np.ndarray, a, what: str) -> np.ndarray:
     if -0.95 <= a.real <= 1.0 and abs(a.imag) <= 1e300:
         out[mask] = np.exp(a * np.log(s[mask]))
     else:
+        if not np.isfinite(a):
+            raise NonFiniteError(f"{what}: the exponent {a} is not finite")
         with np.errstate(over="ignore", invalid="ignore"):
             out[mask] = np.exp(a * np.log(s[mask]))
         if not np.isfinite(out).all():

@@ -39,6 +39,7 @@ from nclp import (
     polar_right,
     power_pos,
     rank1_reduce,
+    spectral_projection,
     tensor_multiply,
     trace_weight,
     turpin_upper,
@@ -168,6 +169,14 @@ def test_holder_witness_imaginary_rejects_large_threshold():
     xi = random_graded(rng, M2, 0.2j)
     with pytest.raises(NclpError):
         holder_witness_imaginary(xi, 0.5, operator_norm(xi.data) * 1.5)
+
+
+def test_holder_witness_imaginary_refuses_a_nan_threshold_as_spectral_projection_does():
+    xi = random_graded(make_rng(8), M2, 0.2j)
+    for refuse in (lambda c: holder_witness_imaginary(xi, 0.5, c),
+                   lambda c: spectral_projection(xi.data.adjoint() @ xi.data, c)):
+        with pytest.raises(NonFiniteError, match="^threshold must not be NaN$"):
+            refuse(float("nan"))
 
 
 def test_holder_witness_imaginary_threshold_reads_the_callers_norm():

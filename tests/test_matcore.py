@@ -185,6 +185,19 @@ def test_power_pos_rejects_nonpositive():
         power_pos(e(1, 2), 0.5)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_non_finite_exponent_is_no_range_error():
+    h = Element(M2, [np.diag([4.0, 0.5])])
+    for a in (math.nan, math.inf, -math.inf, complex(0.0, math.inf), complex(0.5, math.nan)):
+        with pytest.raises(NonFiniteError, match="^power_pos: the exponent .* is not finite$"):
+            power_pos(h, a)
+    with pytest.raises(NonFiniteError, match="^weight power: the exponent .* is not finite$"):
+        Weight(h).power(complex(math.nan))
+    # a finite exponent past the range is still a range error
+    with pytest.raises(OutOfRangeError, match="^power_pos: a power at exponent"):
+        power_pos(h, 1e300)
+
+
 @pytest.mark.parametrize("c, error", [(math.nan, NonFiniteError), (-0.5, ValueError),
                                       (-math.inf, ValueError)],
                          ids=["nan", "negative", "-inf"])

@@ -1,6 +1,7 @@
 """The seeded property registry: every property passes and refuses a broken
 result, and reports add up."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -8,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from nclp import (DivisionResult, Element, GradingError, NotModuleMapError, Tolerances, decomp,
-                  flatten_element, left_support, lpspace, operator_norm, properties, trace,
-                  unflatten_element)
+from nclp import (DivisionResult, Element, GradingError, NotModuleMapError, ToleranceReport,
+                  Tolerances, decomp, flatten_element, left_support, lpspace, operator_norm,
+                  properties, serialize, trace, unflatten_element, weights)
 from nclp.properties import PROPERTIES, SuiteConfig, run_suite
 from nclp.sampling import spawn_rng
 from nclp.serialize import dumps
@@ -103,13 +104,21 @@ def test_a_crashed_trial_is_reported_with_its_reason(monkeypatch):
     def steady(rng, cfg):
         return True, 0.0
 
-    monkeypatch.setattr(properties, "PROPERTIES", {"a.flaky": flaky, "b.steady": steady})
+    def broken(rng, cfg):
+        # a law that no residual measures fails by naming itself
+        raise AssertionError("a mismatched grading is accepted")
+
+    monkeypatch.setattr(properties, "PROPERTIES",
+                        {"a.flaky": flaky, "b.steady": steady, "c.law": broken})
     report = run_suite(SuiteConfig(seed=1, trials=4))
     assert report["properties"] == {
         "a.flaky": {"passed": 3, "failed": 1, "worst_residual": None,
                     "first_crash": {"trial": 2, "type": "RuntimeError",
                                     "message": "injected at trial 2"}},
         "b.steady": {"passed": 4, "failed": 0, "worst_residual": 0.0},
+        "c.law": {"passed": 0, "failed": 4, "worst_residual": None,
+                  "first_crash": {"trial": 0, "type": "AssertionError",
+                                  "message": "a mismatched grading is accepted"}},
     }
     assert not report["all_passed"]
 
@@ -173,6 +182,9 @@ def test_holder_witness_equality_falls_back_to_a_real_left_grading(monkeypatch):
     assert passed and 0.0 <= residual <= 1e-8
 
 
+MINIMAL = "a constant below the minimal one still majorizes"
+
+
 def test_douglas_minimal_constant_refuses_a_constant_that_is_not_minimal(monkeypatch):
     # twice the minimal constant majorizes, but so does 0.999 of it; on 1 x 1
     # blocks a nonzero x is invertible, so no kernel leaves that to rounding
@@ -184,7 +196,8 @@ def test_douglas_minimal_constant_refuses_a_constant_that_is_not_minimal(monkeyp
 
     monkeypatch.setattr(decomp, "douglas_divide", doubled)
     cfg = SuiteConfig(seed=1, trials=1, block_shapes=((1,),))
-    assert _run("decomp.douglas_minimal_constant", cfg) == (False, 1.0)
+    with pytest.raises(AssertionError, match=f"^{MINIMAL}$"):
+        _run("decomp.douglas_minimal_constant", cfg)
 
 
 def test_douglas_minimal_constant_refuses_a_doubled_constant_on_any_kernel(monkeypatch):
@@ -201,16 +214,16 @@ def test_douglas_minimal_constant_refuses_a_doubled_constant_on_any_kernel(monke
     monkeypatch.setattr(decomp, "douglas_divide", doubled)
     cfg = SuiteConfig()
     rng = spawn_rng(cfg.seed, "decomp.douglas_minimal_constant")
-    verdicts = []
+    refusals = []
     for _ in range(cfg.trials):
-        count = len(reached)
-        passed, residual = PROPERTIES["decomp.douglas_minimal_constant"](rng, cfg)
-        if len(reached) > count:
-            verdicts.append((passed, residual))
+        try:
+            PROPERTIES["decomp.douglas_minimal_constant"](rng, cfg)
+        except AssertionError as exc:
+            refusals.append(str(exc))
+        assert len(refusals) == len(reached)   # every trial that divides refuses
     ranks = [round(trace(left_support(x)).real) for x in reached]
     deficient = sum(r < x.algebra.matrix_dim for r, x in zip(ranks, reached))
-    assert len(verdicts) == 32 and deficient > len(verdicts) // 2
-    assert all(not passed and residual == 1.0 for passed, residual in verdicts)
+    assert refusals == [MINIMAL] * 32 and deficient > len(refusals) // 2
 
 
 def test_graded_division_grading_refuses_an_accepted_mismatch(monkeypatch):
@@ -224,7 +237,8 @@ def test_graded_division_grading_refuses_an_accepted_mismatch(monkeypatch):
 
     monkeypatch.setattr(decomp, "graded_divide", lenient)
     cfg = SuiteConfig(seed=3, trials=1)
-    assert _run("decomp.graded_division_grading", cfg) == (False, 1.0)
+    with pytest.raises(AssertionError, match="^a division across real gradings is accepted$"):
+        _run("decomp.graded_division_grading", cfg)
 
 
 def test_holder_witness_ladder_refuses_a_ratio_below_c(monkeypatch):
@@ -260,4 +274,44 @@ def test_hom_roundtrip_refuses_an_accepted_corrupted_map(monkeypatch):
 
     monkeypatch.setattr(lpspace, "_multiplier", lenient)
     cfg = SuiteConfig(seed=3, trials=1, block_shapes=((2,),))
-    assert _run("lpspace.hom_roundtrip", cfg) == (False, 1.0)
+    with pytest.raises(AssertionError,
+                       match="^a map that is no left multiplication is accepted$"):
+        _run("lpspace.hom_roundtrip", cfg)
+
+
+def test_modular_trivial_iff_central_refuses_a_flow_that_moves_nothing(monkeypatch):
+    # the central density passes with residual 0, so only the noncentral one fails
+    monkeypatch.setattr(weights, "modular_automorphism", lambda mu, a, p, tol: p)
+    cfg = SuiteConfig(seed=3, trials=1, block_shapes=((2,),))
+    with pytest.raises(AssertionError, match="^the flow of a noncentral density moves nothing$"):
+        _run("weights.modular_trivial_iff_central", cfg)
+
+
+def test_douglas_ladder_refuses_gaps_that_increase(monkeypatch):
+    # the last gap is exact, so only the order of the rungs fails
+    monkeypatch.setattr(decomp, "douglas_ladder",
+                        lambda x, y, tol: [(1.0, 0.0), (0.5, 1.0), (0.25, 0.0)])
+    with pytest.raises(AssertionError, match="^the gaps of the Douglas ladder increase$"):
+        _run("decomp.douglas_ladder", SuiteConfig(seed=3, trials=1))
+
+
+def test_serialization_roundtrip_refuses_a_reprint_that_differs(monkeypatch):
+    # a printer that stamps each print with its serial number
+    real, serial = serialize.dumps, itertools.count()
+    monkeypatch.setattr(serialize, "dumps", lambda obj: real({**obj, "serial": next(serial)}))
+    with pytest.raises(AssertionError, match="^a reprint of the JSON differs from the print$"):
+        _run("cli.serialization_roundtrip", SuiteConfig(seed=3, trials=1))
+
+
+def test_cocycle_identity_judges_the_residual_not_the_checks_verdict(monkeypatch):
+    # a check that passes a residual of 1 on partial isometries, whose bound
+    # is a rounding error at scale 1
+    real = weights.cocycle_identity_check
+
+    def lenient(mu, nu, a, b, tol):
+        report = real(mu, nu, a, b, tol)
+        return ToleranceReport(report.max_residual + 1.0, True, report.context)
+
+    monkeypatch.setattr(weights, "cocycle_identity_check", lenient)
+    passed, residual = _run("weights.cocycle_identity", SuiteConfig(seed=3, trials=1))
+    assert not passed and residual >= 1.0
