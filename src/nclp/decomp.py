@@ -130,8 +130,8 @@ def _solve(x: Element, ys, tol: Tolerances, pinv=None):
     The quotients are p_k = y_k @ pinv(x), pinv the pseudo-inverse of x,
     taken here from its SVD when not given.  p @ x = y is solvable when
     ||y - p @ x|| <= tol.eq_bound(||y||), decided by matcore._first_over;
-    else UnsolvableError carries the exact residual of the first failing
-    y_k.  The remainders are always taken against x itself, so a
+    else UnsolvableError carries the exact residual and bound of the first
+    failing y_k.  The remainders are always taken against x itself, so a
     pseudo-inverse built another way is checked, not trusted.  A remainder
     whose verdict read its exact norm keeps it, so douglas_divide reports
     the same figure without a second SVD.
@@ -140,10 +140,9 @@ def _solve(x: Element, ys, tol: Tolerances, pinv=None):
         pinv = _pinv(x, _svd_support(x, tol))
     ps = [y @ pinv for y in ys]
     rems = [y - p @ x for y, p in zip(ys, ps)]
-    residual = _first_over([(r, (y,)) for r, y in zip(rems, ys)], tol)
-    if residual is not None:
-        raise UnsolvableError(
-            f"no c satisfies c^2 x*x >= y*y: residual {residual:.3e}", residual)
+    over = _first_over([(r, (y,)) for r, y in zip(rems, ys)], tol)
+    if over is not None:
+        raise UnsolvableError(f"no c satisfies c^2 x*x >= y*y: residual {over[0]:.3e}", *over)
     return ps, rems
 
 
@@ -155,8 +154,8 @@ def douglas_divide(x: Element, y: Element,
     y @ pinv(x), its operator norm is the smallest constant c with
     c^2 x*x >= y*y, and its left support equals the left support of y.
 
-    Raises UnsolvableError carrying the best-approximation residual when
-    the kernel inclusion fails.
+    Raises UnsolvableError carrying the best-approximation residual and its
+    bound tol.eq_bound(||y||) when the kernel inclusion fails.
     """
     _same_algebra(x.algebra, y.algebra, "incompatible algebras")
     (p,), (rem,) = _solve(x, [y], tol)
@@ -224,15 +223,15 @@ def isometry_divide(x: Element, y: Element,
     Returns p with p @ x = y, p*p the left support of x, and p* @ y = x.
     Built from the two polar decompositions, which keeps it well defined
     on degenerate spectra.  The Gram check is ||x*x - y*y|| against
-    max(||x*x||, ||y*y||), decided by matcore._first_over.  OutOfRangeError
-    when x*x or y*y overflows, as it does for entries past about 1e154.
+    tol.eq_bound(max(||x*x||, ||y*y||)), decided by matcore._first_over.
+    OutOfRangeError when x*x or y*y overflows (entries past about 1e154).
     """
     with _overflow("isometry division: the Gram matrix x*x or y*y"):
         gram_x = x.adjoint() @ x
         gram_y = y.adjoint() @ y
-    residual = _first_over([(gram_x - gram_y, (gram_x, gram_y))], tol)
-    if residual is not None:
-        raise ConditionViolatedError(f"x*x != y*y: residual {residual:.3e}", residual)
+    over = _first_over([(gram_x - gram_y, (gram_x, gram_y))], tol)
+    if over is not None:
+        raise ConditionViolatedError(f"x*x != y*y: residual {over[0]:.3e}", *over)
     u_y = _isometry(y, _svd_support(y, tol))
     return u_y @ _isometry(x, _svd_support(x, tol)).adjoint()
 

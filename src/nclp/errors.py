@@ -34,15 +34,16 @@ class OutOfRangeError(NclpError):
 
 
 class _ResidualError(NclpError):
-    """An error decided by a residual, which it carries as .residual."""
+    """An error decided by a residual over its bound; it carries both, as .residual and .bound."""
 
-    def __init__(self, message, residual):
+    def __init__(self, message, residual, bound):
         super().__init__(message)
         self.residual = residual
+        self.bound = bound
 
     def __reduce__(self):
-        # Exception pickles self.args alone, which leaves out the residual
-        return type(self), (*self.args, self.residual)
+        # Exception pickles self.args alone, which leaves out both numbers
+        return type(self), (*self.args, self.residual, self.bound)
 
 
 class UnsolvableError(_ResidualError):

@@ -49,6 +49,10 @@ from .matcore import (
 
 # rungs of the spectral-threshold ladder that certifies imaginary-grading norms
 HOM_LADDER_STEPS = 7
+# relative slack where graded norms meet the Hölder bound, a witness's or a factorization's
+HOLDER_SLACK = 1e-8
+# relative slack of the ladder: ten times the 10^-HOM_LADDER_STEPS its last rung may miss
+LADDER_SLACK = 1e-6
 
 
 def lnorm(xi: GradedElement, tol: Tolerances = DEFAULT_TOL) -> float:
@@ -312,14 +316,15 @@ def _multiplier(algebra: BlockAlgebra, matrix, tol: Tolerances) -> Element:
 
     ValueError for another shape, NonFiniteError for a NaN or an infinity,
     OutOfRangeError when T(1) overflows, and NotModuleMapError, carrying
-    r = ||T - L_xi||_F for xi = T(1), when r exceeds
+    r = ||T - L_xi||_F for xi = T(1) and the bound it exceeds, when r exceeds
     tol.eq_bound(max(||T||_2, 1)).  ||T||_2 lies within r of
-    ||L_xi||_2 = ||xi||_op, and the bound at the low end of that bracket
-    gives r the verdict of the exact bound unless r falls between the
-    bounds at its two ends; only then is the dense norm of the matrix taken,
-    by the funnel.  The floor of 1 moves no verdict of a map of norm 1 or
-    more; below, it grants the slack of a map of norm 1, at most eq_rel
-    more than eq_abs grants the zero map.
+    ||L_xi||_2 = ||xi||_op, and the bounds at the two ends of that bracket
+    decide unless r falls between them; only then is the dense norm of the
+    matrix taken, by the funnel, and its bound carried; else the error
+    carries the high end, tol.eq_bound(max(||xi||_op + r, 1)), never below it.
+    The floor of 1 moves no verdict of a map of norm 1 or more; below, it
+    grants the slack of a map of norm 1, at most eq_rel more than eq_abs
+    grants the zero map.
 
     The matrix is read twice, in the slabs of _slabs: once for finiteness,
     its largest real or imaginary part and the rows of T(1); then each slab
@@ -351,13 +356,13 @@ def _multiplier(algebra: BlockAlgebra, matrix, tol: Tolerances) -> Element:
         square += float(np.dot(gap.ravel(), gap.ravel()))
     residual = _ldexp(math.sqrt(square), e)
     xi = unflatten_element(algebra, flat)
-    bound, hi = (tol.eq_bound(max(operator_norm(xi) + gap, 1.0)) for gap in (-residual, residual))
-    if bound < residual <= hi:
+    lo, bound = (tol.eq_bound(max(operator_norm(xi) + gap, 1.0)) for gap in (-residual, residual))
+    if lo < residual <= bound:
         bound = tol.eq_bound(max(float(_svd(mat[None], 1, "norm", False)[0, 0]), 1.0))
     if residual > bound:
         raise NotModuleMapError(
             f"right-linearity fails: residual {residual:.3e} against left "
-            "multiplication by T(1)", residual)
+            "multiplication by T(1)", residual, bound)
     return xi
 
 
@@ -384,8 +389,9 @@ def hom_to_element(T: ModuleHom, tol: Tolerances = DEFAULT_TOL) -> GradedElement
 
 def _hom_norm_slack(a: complex, tol: Tolerances) -> float:
     """The relative shortfall hom_norm allows its witnesses at multiplier
-    grading a: 1e-8 for the Hölder witness (Re a > 0), 1e-6 for the ladder."""
-    return 1e-8 if a.real > tol.eq_abs else 1e-6
+    grading a: HOLDER_SLACK for the Hölder witness (Re a > 0), LADDER_SLACK
+    for the ladder."""
+    return HOLDER_SLACK if a.real > tol.eq_abs else LADDER_SLACK
 
 
 def hom_norm_certificate(T: ModuleHom,
@@ -418,9 +424,10 @@ def hom_norm_certificate(T: ModuleHom,
 def hom_norm(T: ModuleHom, tol: Tolerances = DEFAULT_TOL) -> float:
     """Operator norm of a module map, certified from below by witnesses.
 
-    The witness evaluation must reach the reported value (within 1e-8
-    relative for Re a > 0, within 1e-6 for the imaginary-grading ladder:
-    _hom_norm_slack) or the computation refuses to answer.
+    The witness evaluation must reach the reported value (within
+    HOLDER_SLACK relative for Re a > 0, within LADDER_SLACK for the
+    imaginary-grading ladder: _hom_norm_slack) or the computation refuses
+    to answer.
     """
     reported, certified = hom_norm_certificate(T, tol)
     if reported <= tol.eq_abs:

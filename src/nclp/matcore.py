@@ -107,14 +107,17 @@ DEFAULT_TOL = Tolerances()
 
 
 class ToleranceReport(_Value):
-    """Outcome of a tolerance-governed identity check."""
+    """A check's residual and the bound that decided it; passed, residual <= bound, fails a NaN."""
 
-    _fields = ("max_residual", "passed", "context")
+    _fields = ("max_residual", "bound")
 
-    def __init__(self, max_residual: float, passed: bool, context: str = ""):
+    def __init__(self, max_residual: float, bound: float):
         _setfield(self, "max_residual", max_residual)
-        _setfield(self, "passed", passed)
-        _setfield(self, "context", context)
+        _setfield(self, "bound", bound)
+
+    @property
+    def passed(self) -> bool:
+        return self.max_residual <= self.bound
 
 
 def _index(value, what: str) -> int:
@@ -630,7 +633,7 @@ def _entry_bracket(x: Element) -> tuple[float, float]:
 
 
 def _first_over(checks, tol: Tolerances):
-    """The first residual norm over its bound, or None: the one pass/fail verdict.
+    """(residual, bound) of the first check over its bound, or None: the one verdict.
 
     checks holds pairs (r, scales) of a residual r and a tuple of elements,
     and a check passes when ||r|| <= tol.eq_bound(max of ||s|| over scales).
@@ -646,9 +649,9 @@ def _first_over(checks, tol: Tolerances):
         hi = _entry_bracket(r)[1]
         if hi < math.inf and any(2.0 * hi <= tol.eq_bound(_entry_bracket(s)[0]) for s in scales):
             continue
-        residual = operator_norm(r)
-        if residual > tol.eq_bound(max(map(operator_norm, scales))):
-            return residual
+        residual, bound = operator_norm(r), tol.eq_bound(max(map(operator_norm, scales)))
+        if residual > bound:
+            return residual, bound
     return None
 
 

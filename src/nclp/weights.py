@@ -15,7 +15,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import NonFaithfulError, NonFiniteError, ValidationError
+from .errors import NonFaithfulError, NonFiniteError, OutOfRangeError, ValidationError
 from .graded import _grading, _require_imaginary
 from .matcore import (
     DEFAULT_TOL,
@@ -142,15 +142,15 @@ def connes_cocycle(mu: Weight, nu: Weight, a,
 
 def cocycle_identity_check(mu: Weight, nu: Weight, a, b,
                            tol: Tolerances | None = None) -> ToleranceReport:
-    """Residual of (Dmu:Dnu)_{a+b} = (Dmu:Dnu)_a sigma^nu_a((Dmu:Dnu)_b).
+    """Residual of (Dmu:Dnu)_{a+b} = (Dmu:Dnu)_a sigma^nu_a((Dmu:Dnu)_b), and its bound.
 
     The bound is tol.eq_bound(max(||lhs||, 1)).  A residual within
-    tol.eq_bound(1) passes whatever ||lhs|| is, so the norm of lhs is taken
-    only for a larger residual.  The floor of 1 is the scale of the
-    factors: for imaginary a and faithful nu, k^a and k^-a are unitaries,
-    so rhs is formed from products of norm 1 and rounds at that scale, and
-    lhs is a partial isometry of norm 1 (0 only when mu is zero, where the
-    rounding of rhs is still at scale 1).
+    tol.eq_bound(1) passes whatever ||lhs|| is, with that bound, so the
+    norm of lhs is taken only for a larger residual.  The floor of 1 is the
+    scale of the factors: for imaginary a and faithful nu, k^a and k^-a are
+    unitaries, so rhs is formed from products of norm 1 and rounds at that
+    scale, and lhs is a partial isometry of norm 1 (0 only when mu is zero,
+    where the rounding of rhs is still at scale 1).
     """
     tol = nu.tol if tol is None else tol
     a = _require_imaginary(a, tol, "parameter")
@@ -167,10 +167,7 @@ def cocycle_identity_check(mu: Weight, nu: Weight, a, b,
     bound = tol.eq_bound(1.0)
     if residual > bound:
         bound = tol.eq_bound(max(operator_norm(lhs), 1.0))
-    return ToleranceReport(
-        max_residual=residual,
-        passed=residual <= bound,
-        context=f"cocycle identity at a={a}, b={b}")
+    return ToleranceReport(residual, bound)
 
 
 def change_of_weight(x: Element, a, mu: Weight, nu: Weight,
@@ -343,7 +340,9 @@ class OperatorValuedWeight(_Frozen):
     def validate(self, tol: Tolerances = DEFAULT_TOL) -> ToleranceReport:
         """Check the adjoint law, then positivity, against eq_bound(max(||T||_2, 1)).
 
-        Raises ValidationError at the first law that fails.  The rows of T
+        Returns the adjoint residual with that bound.  Raises ValidationError
+        at the first law that fails, and OutOfRangeError when the bound is
+        past the float range, where no residual exceeds it.  The rows of T
         have disjoint supports, so ||T||_2 = max_i (sum_j ||K_ij||_F^2)^(1/2).
         - adjoint law: T against its conjugate under the per-block transposes
           differs by K_ij - K_ij* at d_i^2 places: the Frobenius residual, the
@@ -364,6 +363,9 @@ class OperatorValuedWeight(_Frozen):
             rows[i] += np.vdot(k, k).real
         adjoint = _ldexp(math.sqrt(square), e)
         bound = tol.eq_bound(max(_ldexp(math.sqrt(rows.max()), e), 1.0))
+        if bound == math.inf:
+            raise OutOfRangeError("operator-valued weight: the bound of validation "
+                                  "exceeds the float range")
         if adjoint > bound:
             raise ValidationError(f"adjoint law violated: residual {adjoint:.3e} > {bound:.3e}")
         for (i, j), k in self.K.items():
@@ -372,7 +374,7 @@ class OperatorValuedWeight(_Frozen):
                 raise ValidationError(
                     f"positivity violated: T(vv*) has a diagonal entry <= {low:.3e} "
                     f"< {-bound:.3e}, v from the lowest eigenvector of K_ij at {(i, j)}")
-        return ToleranceReport(adjoint, True, "operator-valued weight validation")
+        return ToleranceReport(adjoint, bound)
 
     def compose(self, inner: OperatorValuedWeight) -> OperatorValuedWeight:
         """self o inner for stacked maps O -> N -> M; OutOfRangeError when a

@@ -113,6 +113,16 @@ def test_demo_douglas_unsolvable_error_object(capsys, tmp_path):
     assert out["error"]["residual"] == pytest.approx(2.0)
 
 
+def test_shipped_unsolvable_division_writes_type_message_and_residual_only(capsys):
+    # the bound an UnsolvableError carries stays out of the CLI's error object
+    path = ROOT / "demos" / "inputs" / "douglas_unsolvable.json"
+    code, out = run_cli(capsys, "demo", "douglas", "--input", str(path))
+    assert code == 1
+    assert out == {"error": {"type": "UnsolvableError",
+                             "message": "no c satisfies c^2 x*x >= y*y: residual 1.000e+00",
+                             "residual": 1.0}}
+
+
 def test_demo_holder_identity(capsys, tmp_path):
     graded_id = {"block_dims": [2],
                  "blocks": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]],

@@ -559,6 +559,8 @@ def test_hom_to_element_takes_the_dense_norm_inside_the_bracket(lapack):
             with pytest.raises(NotModuleMapError) as exc:
                 ModuleHom(M2, 0.5, 0.5, mat, tol)
             assert exc.value.residual == c
+            law = tol.eq_bound(float(np.linalg.norm(mat, 2)))
+            assert exc.value.bound == pytest.approx(law, rel=1e-14, abs=0.0)
         assert _dense_norms(lapack, M2) == ["norm2"]
 
 

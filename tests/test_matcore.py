@@ -1,10 +1,12 @@
 """Unit tests for the block-matrix substrate."""
 
+import json
 import math
 import numbers
 import pickle
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from nclp import (
     holder_witness,
     hom_from_element,
     hom_to_element,
+    isometry_divide,
     left_support,
     operator_norm,
     polar_left,
@@ -59,9 +62,11 @@ from nclp.matcore import (
 )
 from nclp.properties import DEFAULT_SHAPES, SuiteConfig, prop_pushforward_laws, run_suite
 from nclp.sampling import make_rng, random_element, random_positive, random_projection
+from nclp.serialize import element_from_obj
 
 from conftest import unchecked
 
+ROOT = Path(__file__).resolve().parent.parent
 M2 = BlockAlgebra((2,))
 DIAG2 = BlockAlgebra((1, 1))
 
@@ -430,9 +435,50 @@ def test_unpickled_module_homs_stay_read_only():
 
 @pytest.mark.parametrize("error", [UnsolvableError, ConditionViolatedError, NotModuleMapError])
 def test_residual_errors_survive_pickling(error):
-    back = pickle.loads(pickle.dumps(error("no solution", 0.25)))
+    back = pickle.loads(pickle.dumps(error("no solution", 0.25, 0.125)))
     assert type(back) is error
-    assert str(back) == "no solution" and back.residual == 0.25
+    assert str(back) == "no solution" and (back.residual, back.bound) == (0.25, 0.125)
+
+
+def _douglas_refusal():
+    obj = json.loads((ROOT / "demos" / "inputs" / "douglas_unsolvable.json").read_text())
+    x, y = element_from_obj(obj["x"]), element_from_obj(obj["y"])
+    with pytest.raises(UnsolvableError) as refused:
+        douglas_divide(x, y)
+    law = DEFAULT_TOL.eq_bound(operator_norm(y))
+    return refused.value, law, law
+
+
+def _gram_refusal():
+    x = random_element(make_rng(40), MIXED)
+    y = x * 1.5
+    with pytest.raises(ConditionViolatedError) as refused:
+        isometry_divide(x, y)
+    law = DEFAULT_TOL.eq_bound(max(operator_norm(x.adjoint() @ x), operator_norm(y.adjoint() @ y)))
+    return refused.value, law, law
+
+
+def _module_refusal():
+    # no multiplication: the bound carried is the high end of the bracket
+    # ||T||_2 <= ||T(1)|| + r, never below the law's bound at ||T||_2 itself
+    mat = make_rng(41).standard_normal((M2.total_dim,) * 2)
+    with pytest.raises(NotModuleMapError) as refused:
+        ModuleHom(M2, 0.5, 1.0, mat)
+    xi = unflatten_element(M2, mat @ flatten_element(M2.identity()))
+    stated = DEFAULT_TOL.eq_bound(max(operator_norm(xi) + refused.value.residual, 1.0))
+    return refused.value, stated, DEFAULT_TOL.eq_bound(max(float(np.linalg.norm(mat, 2)), 1.0))
+
+
+@pytest.mark.parametrize("refusal", [_douglas_refusal, _gram_refusal, _module_refusal])
+def test_residual_errors_carry_the_bound_their_residual_exceeds(refusal):
+    error, stated, law = refusal()
+    assert error.bound == pytest.approx(stated, rel=1e-14, abs=0.0)
+    assert error.residual > error.bound >= law
+
+
+def test_a_report_passes_only_a_residual_within_its_bound():
+    assert ToleranceReport(0.5, 0.5).passed and not ToleranceReport(0.5, 0.25).passed
+    assert ToleranceReport(float("nan"), 1.0).passed is False
 
 
 def test_stacked_factorizations_equal_per_block_calls_bit_for_bit():

@@ -73,8 +73,8 @@ def _outcome(call):
     try:
         return "ok", _key(call())
     except Exception as exc:   # noqa: BLE001 -- the error is the outcome
-        residual = getattr(exc, "residual", None)
-        return type(exc), _key(residual), str(exc)
+        numbers = getattr(exc, "residual", None), getattr(exc, "bound", None)
+        return type(exc), _key(numbers), str(exc)
 
 
 def _no_bracket(x):

@@ -165,8 +165,8 @@ TOL_REPR = "Tolerances(rank_rel=1e-10, eq_abs=1e-09, eq_rel=1e-09)"
 # name -> (build a fresh instance, compares by value, a field, repr)
 RECORDS = {
     "Tolerances": (lambda: Tolerances(1e-10, 1e-9, 1e-9), True, "eq_abs", TOL_REPR),
-    "ToleranceReport": (lambda: ToleranceReport(0.25, True, "ctx"), True, "passed",
-                        "ToleranceReport(max_residual=0.25, passed=True, context='ctx')"),
+    "ToleranceReport": (lambda: ToleranceReport(0.25, 0.5), True, "bound",
+                        "ToleranceReport(max_residual=0.25, bound=0.5)"),
     "BlockAlgebra": (lambda: BlockAlgebra([2, 1, 2]), True, "block_dims",
                      "BlockAlgebra(block_dims=(2, 1, 2))"),
     "BlockEmbedding": (lambda: BlockEmbedding(M, N, [[0, 0]]), True, "assignment",

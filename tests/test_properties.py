@@ -303,14 +303,14 @@ def test_serialization_roundtrip_refuses_a_reprint_that_differs(monkeypatch):
         _run("cli.serialization_roundtrip", SuiteConfig(seed=3, trials=1))
 
 
-def test_cocycle_identity_judges_the_residual_not_the_checks_verdict(monkeypatch):
-    # a check that passes a residual of 1 on partial isometries, whose bound
-    # is a rounding error at scale 1
+def test_cocycle_identity_fails_a_residual_over_the_checks_bound(monkeypatch):
+    # a check off by 1 on partial isometries, whose bound is a rounding
+    # error at scale 1
     real = weights.cocycle_identity_check
 
     def lenient(mu, nu, a, b, tol):
         report = real(mu, nu, a, b, tol)
-        return ToleranceReport(report.max_residual + 1.0, True, report.context)
+        return ToleranceReport(report.max_residual + 1.0, report.bound)
 
     monkeypatch.setattr(weights, "cocycle_identity_check", lenient)
     passed, residual = _run("weights.cocycle_identity", SuiteConfig(seed=3, trials=1))

@@ -21,7 +21,6 @@ from nclp import (
     OperatorValuedWeight,
     OutOfRangeError,
     Tolerances,
-    ToleranceReport,
     ValidationError,
     Weight,
     change_of_weight,
@@ -365,6 +364,18 @@ def test_ovw_validation_is_scale_free():
         skew.validate()
     report = OperatorValuedWeight(emb, {(0, 0): np.diag([1e300, 2e300])}).validate()
     assert report.passed and report.max_residual == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_ovw_validation_past_the_float_range_is_a_typed_error():
+    # ||T||_2 of entries 1.7e308 is past the float range, so the bound is inf,
+    # which no residual exceeds: the skew K was passed with residual inf
+    emb = BlockEmbedding(BlockAlgebra((1,)), M2, ((0, 0),))
+    for K in ([[1.7e308, 1.7e308], [0, 1.7e308]], np.diag([1.7e308, 1.7e308])):
+        with pytest.raises(OutOfRangeError, match="^operator-valued weight: the bound"):
+            OperatorValuedWeight(emb, {(0, 0): K}).validate()
+    with pytest.raises(ValidationError, match="^adjoint law violated"):
+        OperatorValuedWeight(emb, {(0, 0): [[1e307, 1e307], [0, 1e307]]}).validate()
 
 
 def test_ovw_operations_at_scale_never_build_the_dense_matrix(capsys, tmp_path):
@@ -808,20 +819,20 @@ def test_weight_functions_match_separate_powers_bit_for_bit():
     assert report.passed
 
 
-def _eager_cocycle_report(mu, nu, a, b, tol):
-    """The cocycle check as first written: ||lhs|| taken on every call."""
+def _eager_cocycle_check(mu, nu, a, b, tol):
+    """The cocycle check as first written, ||lhs|| taken on every call:
+    (the residual, ||lhs||)."""
     h_ab, h_a, h_b = mu.powers((a + b, a, b), tol)
     k_ab, k_a, k_b, k_up = nu.powers((-(a + b), -a, -b, a), tol)
     lhs = h_ab @ k_ab
     rhs = (h_a @ k_a) @ (k_up @ (h_b @ k_b) @ k_a)
-    residual, norm_lhs = operator_norm(lhs - rhs), operator_norm(lhs)
-    return ToleranceReport(residual, residual <= tol.eq_bound(max(norm_lhs, 1.0)),
-                           f"cocycle identity at a={a}, b={b}")
+    return operator_norm(lhs - rhs), operator_norm(lhs)
 
 
 def test_cocycle_check_takes_the_norm_of_lhs_only_to_refuse(lapack):
-    # a residual within eq_bound(1) passes whatever ||lhs|| is; a tolerance
-    # far below rounding makes every check refuse and take ||lhs||
+    # a residual within eq_bound(1) passes whatever ||lhs|| is, and the report
+    # carries eq_bound(1); a tolerance far below rounding makes every check
+    # refuse, take ||lhs|| and carry the law's bound, eq_bound(max(||lhs||, 1))
     rng = make_rng(24)
     strict = Tolerances(eq_abs=1e-30, eq_rel=1e-30)
     verdicts = []
@@ -840,11 +851,13 @@ def test_cocycle_check_takes_the_norm_of_lhs_only_to_refuse(lapack):
             nu = Weight(hermitian(random_weight(rng, M).density))
             a, b = complex(0.0, rng.uniform(-2, 2)), complex(0.0, rng.uniform(-2, 2))
             for tol in (DEFAULT_TOL, strict):
-                want = _eager_cocycle_report(mu, nu, a, b, tol)
+                residual, norm_lhs = _eager_cocycle_check(mu, nu, a, b, tol)
                 mu.powers((a,), tol), nu.powers((a,), tol)   # warm eigensystems
                 lapack.calls.clear()
                 got = cocycle_identity_check(mu, nu, a, b, tol)
-                assert got == want and repr(got.max_residual) == repr(want.max_residual)
+                assert repr(got.max_residual) == repr(residual)
+                assert got.passed == (residual <= tol.eq_bound(max(norm_lhs, 1.0)))
+                assert got.bound == tol.eq_bound(1.0 if got.passed else max(norm_lhs, 1.0))
                 verdicts.append((tol, got.passed))
                 # one matrix per block for the residual, and as many for ||lhs||
                 svds = lapack.of("svd")
