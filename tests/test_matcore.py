@@ -60,7 +60,7 @@ from nclp.matcore import (
     _svals,
     _svds,
 )
-from nclp.properties import DEFAULT_SHAPES, SuiteConfig, prop_pushforward_laws, run_suite
+from nclp.properties import DEFAULT_SHAPES, PROPERTIES, SuiteConfig, run_suite
 from nclp.sampling import make_rng, random_element, random_positive, random_projection
 from nclp.serialize import element_from_obj
 
@@ -913,7 +913,7 @@ def test_pushforward_laws_build_no_element_through_the_public_constructor(monkey
                         lambda self, *args: calls.append(args) or init(self, *args))
     rng = make_rng(78)
     for _ in range(5):
-        assert prop_pushforward_laws(rng, SuiteConfig())[0]
+        assert PROPERTIES["weights.pushforward_laws"](rng, SuiteConfig())[0]
     assert calls == []
 
 

@@ -12,7 +12,7 @@ import pytest
 from nclp import (DivisionResult, Element, GradingError, NotModuleMapError, ToleranceReport,
                   Tolerances, decomp, flatten_element, left_support, lpspace, operator_norm,
                   properties, serialize, trace, unflatten_element, weights)
-from nclp.properties import PROPERTIES, SuiteConfig, run_suite
+from nclp.properties import LAWS, PROPERTIES, SuiteConfig, run_suite
 from nclp.sampling import spawn_rng
 from nclp.serialize import dumps
 
@@ -46,6 +46,52 @@ def test_property_is_deterministic(name):
         rng = spawn_rng(cfg.seed, name)
         runs.append([PROPERTIES[name](rng, cfg) for _ in range(cfg.trials)])
     assert runs[0] == runs[1]
+
+
+def test_every_law_is_a_property():
+    assert PROPERTIES.keys() == LAWS.keys()
+
+
+@pytest.mark.parametrize("shapes", [properties.DEFAULT_SHAPES, [[2] * 32, [3, 1, 2, 1, 3]]],
+                         ids=["default", "many-blocks"])
+@pytest.mark.parametrize("name", sorted(LAWS))
+def test_a_draw_leaves_the_generator_where_a_full_trial_leaves_it(name, shapes):
+    # every read of the generator is the draw's, so a check that raises
+    # cannot shift the instance the next trial draws
+    cfg = SuiteConfig(trials=2, block_shapes=shapes)
+    draw = LAWS[name][0]
+    drawn, run = spawn_rng(cfg.seed, name), spawn_rng(cfg.seed, name)
+    for _ in range(cfg.trials):
+        draw(drawn, cfg)
+        PROPERTIES[name](run, cfg)
+        assert drawn.bit_generator.state == run.bit_generator.state
+
+
+def test_a_crashed_check_leaves_the_next_trial_its_instance(monkeypatch):
+    # a division that raises once: trial 0 crashes, and trial 1 still
+    # measures the instance it measures in a clean run
+    name, cfg = "decomp.douglas_uniqueness", SuiteConfig()
+    clean = spawn_rng(cfg.seed, name)
+    want = [PROPERTIES[name](clean, cfg) for _ in range(2)][1]
+    real, calls = decomp.douglas_divide, []
+
+    def fails_once(x, y, tol):
+        calls.append(None)
+        if len(calls) == 1:
+            raise RuntimeError("injected at the first division")
+        return real(x, y, tol)
+
+    monkeypatch.setattr(decomp, "douglas_divide", fails_once)
+    rng = spawn_rng(cfg.seed, name)
+    with pytest.raises(RuntimeError, match="^injected at the first division$"):
+        PROPERTIES[name](rng, cfg)
+    assert PROPERTIES[name](rng, cfg) == want
+
+
+def test_the_verdict_fails_a_nan_residual():
+    for resid, bound, ok in ((0.5, 0.5, True), (0.6, 0.5, False), (float("nan"), 0.5, False)):
+        trial = properties._trial(lambda rng, cfg: (), lambda tol: (resid, bound))
+        assert trial(None, SuiteConfig())[0] is ok
 
 
 def test_config_validation():
