@@ -134,12 +134,14 @@ def _solve(x: Element, ys, tol: Tolerances, pinv=None):
     failing y_k.  The remainders are always taken against x itself, so a
     pseudo-inverse built another way is checked, not trusted.  A remainder
     whose verdict read its exact norm keeps it, so douglas_divide reports
-    the same figure without a second SVD.
+    the same figure without a second SVD.  OutOfRangeError when a quotient
+    or a remainder overflows, as y @ pinv(x) does for a large y over a tiny x.
     """
     if pinv is None:
         pinv = _pinv(x, _svd_support(x, tol))
-    ps = [y @ pinv for y in ys]
-    rems = [y - p @ x for y, p in zip(ys, ps)]
+    with _overflow("division: the quotient y @ pinv(x) or its remainder"):
+        ps = [y @ pinv for y in ys]
+        rems = [y - p @ x for y, p in zip(ys, ps)]
     over = _first_over([(r, (y,)) for r, y in zip(rems, ys)], tol)
     if over is not None:
         raise UnsolvableError(f"no c satisfies c^2 x*x >= y*y: residual {over[0]:.3e}", *over)
@@ -155,7 +157,8 @@ def douglas_divide(x: Element, y: Element,
     c^2 x*x >= y*y, and its left support equals the left support of y.
 
     Raises UnsolvableError carrying the best-approximation residual and its
-    bound tol.eq_bound(||y||) when the kernel inclusion fails.
+    bound tol.eq_bound(||y||) when the kernel inclusion fails, and
+    OutOfRangeError when the quotient is past the float range.
     """
     _same_algebra(x.algebra, y.algebra, "incompatible algebras")
     (p,), (rem,) = _solve(x, [y], tol)
@@ -279,7 +282,8 @@ def cyclic_generator(generators, mu: Weight, tol: Tolerances = DEFAULT_TOL):
     mu is faithful, so h^(i Im a) is unitary and y^+ = G^(-1/2) h^(-i Im a):
     y is never factorized, as the eigensystems of G and of mu's density
     give both y and y^+.  Each remainder u_i - q_i y is still checked
-    against y, as douglas_divide checks it.
+    against y, as douglas_divide checks it.  OutOfRangeError when G or a
+    quotient is past the float range.
     """
     gens = list(generators)
     if not gens:
@@ -293,9 +297,10 @@ def cyclic_generator(generators, mu: Weight, tol: Tolerances = DEFAULT_TOL):
     if not mu.faithful:
         raise NonFaithfulError("cyclic generator requires a faithful weight")
 
-    gram = algebra.zero()
-    for g in gens:
-        gram = gram + g.data.adjoint() @ g.data
+    with _overflow("cyclic generator: the Gram matrix sum u_i* u_i"):
+        gram = algebra.zero()
+        for g in gens:
+            gram = gram + g.data.adjoint() @ g.data
     phase, unphase = mu.powers((complex(0.0, a.imag), complex(0.0, -a.imag)), tol)
     y_mat = phase @ power_pos(gram, 0.5, tol)
     y = GradedElement(y_mat, a, tol)

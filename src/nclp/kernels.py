@@ -6,11 +6,11 @@ per matrix.  One-sided Jacobi on the Gram matrix b*b gives the SVD to the
 accuracy of LAPACK's (J. Demmel and K. Veselic, SIAM J. Matrix Anal. Appl.
 13, 1992; tests/test_kernels.py derives the bound).  Every operation is
 elementwise or reduces within one block, so the results of a block do not
-depend on the stack it is handed in.  svd2, eigh2 and matmul2 return what
-numpy.linalg's svd and eigh and numpy's matmul do; matcore's funnel (_svd,
-_eigh, _matmul) decides which stacks they take, and imports this module on
-first use.  The factorizations take finite stacks only: the funnel
-refuses a NaN or an infinity before any factorization.
+depend on the stack it is handed in.  svd2 and matmul2 return what
+numpy.linalg's svd and numpy's matmul do; matcore's funnel (_svd, _matmul)
+decides which stacks they take, and imports this module on first use.
+svd2 takes finite stacks only: the funnel refuses a NaN or an infinity
+before any factorization.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ def _phase(z: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def _rotation(d, beta):
-    """(c, s, ph, h): the unitaries [[c, s], [-ph s, ph c]] diagonalize the
+    """(c, s, ph): the unitaries [[c, s], [-ph s, ph c]] diagonalize the
     Hermitian blocks [[m + d, beta], [conj(beta), m - d]], for any real m,
-    with their eigenvalues m - h and m + h in that order.
+    with the smaller eigenvalue, m - h for h = hypot(d, |beta|), first.
 
     With beta = g conj(ph), g = |beta| and ph a phase (1 when beta = 0), the
     block is D S D* for D = diag(1, ph) and the real S = [[m + d, g],
@@ -77,37 +77,7 @@ def _rotation(d, beta):
     r = np.hypot(c, s)
     if not _nonzero(r):
         c[r == 0.0] = r[r == 0.0] = 1.0
-    return c / r, s / r, ph, h
-
-
-def eigh2(a: np.ndarray):
-    """np.linalg.eigh of a finite Hermitian (k, 2, 2) stack, in closed form.
-
-    Reads the lower triangle, as LAPACK does, and w ascends.  The eigenvalue
-    of larger magnitude is mean + h or mean - h, by the sign of the mean;
-    the other is det / big, as in LAPACK's dlaev2, which keeps it accurate
-    when it is tiny.  A diagonal block (beta = 0), whose u is I or the
-    signed swap, returns its real diagonal, sorted and exact, where det /
-    big may lose an ulp: as LAPACK does on a block it does not rescale,
-    whose largest entry lies between about 1e-146 and 1e146.
-    """
-    b, e = _scaled(a)
-    alpha, gamma, beta = b[:, 0, 0].real, b[:, 1, 1].real, b[:, 1, 0].conj()
-    c, s, ph, h = _rotation(0.5 * (alpha - gamma), beta)
-    mean = 0.5 * (alpha + gamma)
-    det = alpha * gamma - (beta.real ** 2 + beta.imag ** 2)
-    low = np.signbit(mean)                  # as copysign reads it, -0 included
-    big = mean + np.copysign(h, mean)
-    small = det / _or_one(big)
-    w = np.empty((len(a), 2))
-    w[:, 0], w[:, 1] = np.where(low, big, small), np.where(low, small, big)
-    u = np.empty_like(b)
-    u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1] = c, s, -ph * s, ph * c
-    w = _unscaled(w, e)
-    if not _nonzero(a[:, 1, 0]):
-        flat = a[:, 1, 0] == 0.0
-        w[flat] = np.sort(np.diagonal(a[flat], axis1=1, axis2=2).real)
-    return w, u
+    return c / r, s / r, ph
 
 
 def svd2(a: np.ndarray, compute_uv: bool = True):
@@ -127,7 +97,7 @@ def svd2(a: np.ndarray, compute_uv: bool = True):
     p, r = sq[:, 0, 0] + sq[:, 1, 0], sq[:, 0, 1] + sq[:, 1, 1]
     q = b0[:, 0].conj() * b1[:, 0] + b0[:, 1].conj() * b1[:, 1]  # b*b = [[p, q], [q*, r]]
     if compute_uv:
-        c, s, ph, _ = _rotation(0.5 * (r - p), -q)
+        c, s, ph = _rotation(0.5 * (r - p), -q)
         phs, phc = ph * s, ph * c                                # V = [[c, s], [-phs, phc]]
         x1 = b0 * c[:, None] - b1 * phs[:, None]
         x2 = b0 * s[:, None] + b1 * phc[:, None]

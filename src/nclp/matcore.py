@@ -349,15 +349,15 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
 # U diag(f(w)) U*.  Each factorization therefore runs on x.stacks, one
 # batched call per size class through the funnel, _svd or _eigh, and its
 # results are plain lists aligned with algebra.classes, rebuilt with
-# _spectral.  The funnel picks LAPACK or the closed-form 2 x 2 kernels by the
-# block count of the size class (KERNEL_BLOCKS), so within one algebra the
-# results of a block are the same bit for bit however its blocks are
-# batched.  Products of whole size-class stacks (Element @, _spectral, the
-# ladder) go through the same gate, _matmul, to BLAS or the kernel.  The
-# funnel (with _eigvalsh) takes and records every factorization in the
-# library.  numpy.linalg and nclp.kernels are read through their modules at
-# call time, because tests/test_traffic.py wraps them to check that no
-# factorization escapes the recorder.
+# _spectral.  _svd picks LAPACK or the closed-form 2 x 2 kernel by the block
+# count of the size class (KERNEL_BLOCKS), so within one algebra the results
+# of a block are the same bit for bit however its blocks are batched; _eigh
+# takes every eigensystem on LAPACK.  Products of whole size-class stacks
+# (Element @, _spectral, the ladder) go through _matmul, by the same gate,
+# to BLAS or the kernel.  The funnel (with _eigvalsh) takes and records
+# every factorization in the library.  numpy.linalg and nclp.kernels are
+# read through their modules at call time, because tests/test_traffic.py
+# wraps them to check that no factorization escapes the recorder.
 #
 # Factorizations have two homes.  An element keeps what it owns: its
 # singular values (_svals), and its validated, clamped eigensystem per
@@ -411,30 +411,34 @@ def _spectral(algebra: BlockAlgebra, triples) -> Element:
     return out
 
 
-# A size class of KERNEL_BLOCKS or more 2 x 2 blocks is factorized and
-# multiplied by the closed-form kernels of nclp.kernels, which cost a fixed
-# 22-50 us per factorization and 7-14 us per product, where LAPACK pays 1-2 us
-# per matrix and BLAS about 0.4 us.  Per call, in us, LAPACK or BLAS ->
-# kernel, on a (k, 2, 2) complex stack (2-vCPU Intel Xeon, Python 3.11.7,
-# numpy 2.4.6, one BLAS thread; median of 5 alternating rounds, each the
-# best of 7 x 200 calls):
+# A size class of KERNEL_BLOCKS or more 2 x 2 blocks takes its SVDs and
+# products from the closed-form kernels of nclp.kernels, which cost a fixed
+# 22-50 us per SVD and 7-14 us per product, where LAPACK pays 1-2 us per
+# matrix and BLAS about 0.4 us.  Per call, in us, LAPACK or BLAS -> kernel,
+# on a (k, 2, 2) complex stack (2-vCPU Intel Xeon, Python 3.11.7, numpy
+# 2.4.6, one BLAS thread; median of 5 alternating rounds, each the best of
+# 7 x 200 calls):
 #
 #     k          1          8          16         24          32         64
 #     full SVD   8.2 -> 47  22 -> 48   39 -> 50   110 -> 52   68 -> 52   131 -> 65
 #     values     6.0 -> 22  14 -> 23   25 -> 25   34 -> 24    44 -> 24   90 -> 26
-#     eigh       5.7 -> 28  12 -> 29   27 -> 31   25 -> 30    31 -> 30   57 -> 33
 #     product    3.3 -> 6.7 7.2 -> 7.9 11 -> 8.9  13 -> 10    16 -> 11    30 -> 14
 #
 # A first run read 54 for LAPACK's full SVD at k = 24, with the same
-# crossovers: the SVDs win from 16-24 blocks, the product from 16, eigh from
-# 32, and one gate serves them all.  The choice follows the block count of
-# the size class, never the length of the stack handed in, so that batching
-# never changes a bit: douglas_ladder hands in the blocks of a class that
-# share a rung width.  Both sides give a real diagonal block its diagonal as
-# eigenvalues, exactly, so diagonal densities stay exact through powers.
-# The kernels are imported on first use (about 3 ms when no bytecode is
-# cached), so that a process that factorizes and multiplies only smaller
-# classes (every shipped demo input, the default verify) never loads them.
+# crossovers: the SVDs win from 16-24 blocks and the product from 16, and
+# one gate serves them all.  Each kernel is seen end to end: routed back to
+# LAPACK or BLAS alone, it raised the median item_ms_p50 of the many-blocks
+# bench workload, whose classes hold 64 blocks of size 2, by 10 % (values-
+# only SVDs), 5 % (full SVDs) and 22 % (products), from 5.47 ms over 8
+# alternating runs (bench/run.py --workload many-blocks --seconds 6, same
+# machine).  A closed-form 2 x 2 eigh saved 2 %, within the workload's
+# run-to-run spread, and was dropped: every eigensystem is LAPACK's.  The
+# choice follows the block count of the size class, never the length of
+# the stack handed in, so that batching never changes a bit: douglas_ladder
+# hands in the blocks of a class that share a rung width.  The kernels are
+# imported on first use (about 3 ms when no bytecode is cached), so that a
+# process that factorizes and multiplies only smaller classes (every
+# shipped demo input, the default verify) never loads them.
 
 KERNEL_BLOCKS = 32
 
@@ -492,17 +496,13 @@ def _svd(a: np.ndarray, blocks: int, what: str, compute_uv: bool = True):
     return out
 
 
-def _eigh(a: np.ndarray, blocks: int):
-    """(w, u), the eigensystems of the finite Hermitian stack a, whose blocks
-    come from a size class of blocks blocks in their algebra.
+def _eigh(a: np.ndarray):
+    """(w, u), the eigensystems of the finite Hermitian stack a, on LAPACK.
     OutOfRangeError when an eigenvalue is past the float range, as _svd
     tests it: w ascends, so the values at its two ends are tested."""
     if _recorder is not None:
         _recorder("eigh", None, a.shape)
-    if blocks >= KERNEL_BLOCKS and a.shape[-2:] == (2, 2):
-        w, u = (_kernels or _load_kernels()).eigh2(a)
-    else:
-        w, u = np.linalg.eigh(a)
+    w, u = np.linalg.eigh(a)
     if not (w[:, -1].max() < math.inf and w[:, 0].min() > -math.inf):
         raise OutOfRangeError("eigendecomposition: an eigenvalue exceeds the float range")
     return w, u
@@ -691,10 +691,12 @@ def _eig_classes(h: Element, tol: Tolerances) -> tuple:
 
     Returns a tuple of read-only (w, U) aligned with h.algebra.classes:
     eigenvalues w (k, n) clamped to 0 below the support cutoff, and
-    eigenvectors U (k, n, n).  Each class takes one batched eigh of its
-    Hermitian part through _eigh, which returns an exactly diagonal real
-    block's diagonal exactly (the funnel comment), so diagonal densities
-    stay bit-exact through powers.  The result is kept on h, one per tol.
+    eigenvectors U (k, n, n).  Each class takes one batched LAPACK eigh of
+    its Hermitian part through _eigh, at any block count, which returns an
+    exactly diagonal real block's diagonal exactly while its entries lie
+    between about 1e-146 and 1e146, where LAPACK does not rescale, so
+    diagonal densities stay bit-exact through powers.  The result is kept
+    on h, one per tol.
     Raises NotPositiveError, naming the first offending block, if h is not
     Hermitian PSD within tolerance, on every call.
 
@@ -726,7 +728,7 @@ def _eig_classes(h: Element, tol: Tolerances) -> tuple:
             k, worst = min(_offenders(h, over, asym))
             raise NotPositiveError(
                 f"block {k} is not Hermitian: asymmetry {4.0 * float(worst):.3e}")
-    raw = [_eigh(_hermitian_part(a), len(a)) for a in h.stacks]
+    raw = [_eigh(_hermitian_part(a)) for a in h.stacks]
     lows = [float(w.min()) for w, _ in raw]
     # max |w| per class, NaN if the class holds one, as np.abs(w).max() gives it
     lmax = max(max(float(w.max()), -low) for (w, _), low in zip(raw, lows))

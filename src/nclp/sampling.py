@@ -92,8 +92,7 @@ def random_projection(rng: np.random.Generator, algebra: BlockAlgebra,
         # the generator is caller input, and _eigh takes finite stacks only
         if not np.isfinite(g).all():
             raise NonFiniteError("random projection: the draw holds a NaN or an infinity")
-        # a block count of 1 keeps LAPACK, whose eigenvectors the seeded stream needs
-        _, u = _eigh(g + _h(g), 1)
+        _, u = _eigh(g + _h(g))
         p = np.empty_like(u)
         for j, k in enumerate(idx):
             v = u[j, :, :ranks[k]]

@@ -50,9 +50,9 @@ def _commutant_map(embedding, K):
 
 class Lapack:
     """Installed as matcore's recorder, which sees every factorization the
-    library takes: each SVD, eigh and eigvalsh, on LAPACK or on the 2 x 2
-    kernels, a kernel call recorded, forbidden and failed as the LAPACK call
-    it replaces.  calls holds one record (kind, compute_uv, shape) per call,
+    library takes: each SVD, eigh and eigvalsh, an SVD on LAPACK or on the
+    2 x 2 kernel, a kernel call recorded, forbidden and failed as the LAPACK
+    call it replaces.  calls holds one record (kind, compute_uv, shape) per call,
     in order: compute_uv is None but for an svd, and shape is that of the
     matrix or stack factorized.
     """

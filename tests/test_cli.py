@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nclp import DEFAULT_TOL, BlockAlgebra, NonFiniteError, douglas_divide
+from nclp import DEFAULT_TOL, BlockAlgebra, NonFiniteError, OutOfRangeError, douglas_divide
 from nclp.cli import main
 from nclp.properties import SuiteConfig, run_suite
 from nclp.sampling import (
@@ -320,22 +321,35 @@ def test_a_norm_past_the_float_range_exits_1_with_json_from_the_console(tmp_path
     assert _strict_json(done.stdout)["error"] == HOLDER_OVERFLOW
 
 
+# the finite pairs whose quotient y @ pinv(x) is past the float range: a
+# diagonal one, and a rank-one x under a y of 1e300 entries, where p @ x
+# would be inf * 0 = NaN
+def _pair(x, y):
+    return tuple({"block_dims": [2], "blocks": [b]} for b in (x, y))
+
+
+OVERFLOWING_DIVISIONS = {
+    "diagonal": _pair([[[1e-200, 0], [0, 0]], [[0, 0], [2e-200, 0]]],
+                      [[[1e200, 0], [0, 0]], [[0, 0], [1e200, 0]]]),
+    "rank one": _pair([[[1e-300, 0], [0, 0]], [[0, 1e-300], [0, 0]]],
+                      [[[1e300, 0], [1e300, 0]], [[1e300, 0], [1e300, 0]]]),
+}
+DIVISION_OVERFLOW = "division: the quotient y @ pinv(x) or its remainder exceeds the float range"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_a_division_that_overflows_is_a_numerical_error(capsys, tmp_path):
-    # pinv(x) = 1e300, so p = y pinv(x) is inf and p @ x is inf * 0 = NaN.
-    # Through the API, the norm of the remainder refuses the NaN; a demo stops
-    # at the product that overflows
-    tiny = {"block_dims": [2], "blocks": [[[[1e-300, 0], [0, 0]], [[0, 1e-300], [0, 0]]]]}
-    huge = {"block_dims": [2], "blocks": [[[[1e300, 0], [1e300, 0]], [[1e300, 0], [1e300, 0]]]]}
-    obj = {"x": tiny, "y": huge}
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            NonFiniteError, match="^operator norm: the matrix holds a NaN or an infinity$"):
-        douglas_divide(element_from_obj(tiny), element_from_obj(huge))
-    code = main(["demo", "douglas", "--input", write(tmp_path, "overflow.json", obj)])
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_DIVISIONS))
+def test_a_division_that_overflows_is_out_of_range(name, capsys, tmp_path):
+    # the API and the demo stop at the product that overflows, with the same
+    # typed error and no numpy warning
+    x, y = OVERFLOWING_DIVISIONS[name]
+    with pytest.raises(OutOfRangeError, match=f"^{re.escape(DIVISION_OVERFLOW)}$"):
+        douglas_divide(element_from_obj(x), element_from_obj(y))
+    code = main(["demo", "douglas", "--input", write(tmp_path, "overflow.json", {"x": x, "y": y})])
     captured = capsys.readouterr()
     assert code == 1 and not captured.err
-    assert _strict_json(captured.out)["error"] == {
-        "type": "numerical", "message": "overflow encountered in matmul"}
+    assert _strict_json(captured.out)["error"] == {"type": "OutOfRangeError",
+                                                   "message": DIVISION_OVERFLOW}
 
 
 def test_a_subnormal_singular_value_is_a_typed_error(capsys, tmp_path):

@@ -343,6 +343,21 @@ def test_a_subnormal_singular_value_has_no_finite_inverse(dims):
                 assert all(np.isfinite(f).all() for f in call())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_quotient_past_the_float_range_is_out_of_range():
+    # finite x = diag(1e-200, 2e-200) and y = diag(1e200, 1e200): the quotient
+    # y @ pinv(x) and the Gram matrix y* y are 1e400, refused where they are formed
+    x = Element(M2, [np.diag([1e-200, 2e-200])])
+    y = Element(M2, [np.diag([1e200, 1e200])])
+    division = "^division: the quotient y @ pinv\\(x\\) or its remainder exceeds the float range$"
+    for call in (lambda: douglas_divide(x, y), lambda: douglas_ladder(x, y),
+                 lambda: graded_divide(GradedElement(x, 0.5), GradedElement(y, 0.5))):
+        with pytest.raises(OutOfRangeError, match=division):
+            call()
+    with pytest.raises(OutOfRangeError, match="^cyclic generator: the Gram matrix .* float range$"):
+        cyclic_generator([GradedElement(y, 0.5)], trace_weight(M2))
+
+
 def test_cyclic_generator_single_real_grading():
     rng = make_rng(10)
     u = random_graded(rng, M2, 0.5)

@@ -9,12 +9,12 @@ import pytest
 
 from nclp import (DEFAULT_TOL, BlockAlgebra, Element, GradedElement, NonFiniteError, Weight,
                   distance, kernels, lnorm, power_pos, spectral_projection)
-from nclp.kernels import eigh2, matmul2, svd2
+from nclp.kernels import matmul2, svd2
 from nclp.lpspace import holder_witness_imaginary
 from nclp.matcore import (KERNEL_BLOCKS, _eig_classes, _spectral, _spectral_power, _svds,
                           operator_norm)
 from nclp.properties import SuiteConfig, run_suite
-from nclp.sampling import make_rng, random_element, random_graded
+from nclp.sampling import make_rng, random_element, random_graded, random_positive
 
 from conftest import unchecked
 
@@ -22,8 +22,8 @@ K = KERNEL_BLOCKS
 EPS = np.finfo(float).eps
 
 # The bounds, derived to first order in units of u = eps / 2 and of smax, the
-# block's largest singular value (or largest |eigenvalue|); each rounding of
-# an operation on quantities of size at most smax adds at most u smax.
+# block's largest singular value; each rounding of an operation on
+# quantities of size at most smax adds at most u smax.
 # - Scaling by 2^-e is exact.
 # - The Gram entries p, r and q carry at most 5u smax^2: two squares or
 #   products and a sum, per part.
@@ -35,7 +35,7 @@ EPS = np.finfo(float).eps
 #   u1* x2 of x2, at most (5u + 8u) smax from the rotation's residual on the
 #   Gram matrix, and carries 3u smax of its own.  Undoing V costs its
 #   unitarity, 10u smax, and forming u diag(s) vh - a adds 4u smax:
-#   RESIDUAL = 37u smax.  The eigensystem path is the rotation alone.
+#   RESIDUAL = 37u smax.
 # - The singular values of u diag(s) vh are s to within the unitarity of u
 #   and vh (2 x 16u smax); by Weyl's inequality those of a are within the
 #   residual of them; LAPACK's are within p(n) eps smax of exact, taken as
@@ -115,20 +115,6 @@ def test_svd_kernel_agrees_with_lapack(name):
     assert (u[zero] == np.eye(2)).all() and (vh[zero] == np.eye(2)).all()
 
 
-@pytest.mark.parametrize("name", sorted(STACKS))
-def test_eigh_kernel_agrees_with_lapack(name):
-    a = STACKS[name]
-    h = 0.5 * (a + a.conj().swapaxes(-1, -2))   # keeps a diagonal -0, as / 2.0 would not
-    w, u = eigh2(h)
-    want = np.linalg.eigh(h)[0]
-    wmax = np.abs(want).max(axis=-1, keepdims=True)
-    assert (np.diff(w, axis=-1) >= 0.0).all()
-    assert (_norm2((u * w[:, None, :]) @ u.conj().swapaxes(-1, -2) - h)
-            <= RESIDUAL * wmax[:, 0]).all()
-    assert (_gap(u) <= UNITARY).all()
-    assert (np.abs(w - want) <= VALUES * wmax).all()
-
-
 def test_the_kernels_see_their_scale_exactly():
     # scaling is by powers of two, so scaling a block by one changes no bit
     a = STACKS["gaussian"]
@@ -193,28 +179,37 @@ def test_products_take_the_kernel_by_the_class_s_block_count(count, monkeypatch)
     assert all((g == step(*w)).all() for g, w in zip(got, want))
 
 
-def _psd(rng, general):
-    if not general:
-        return np.diag(rng.uniform(0.1, 2.0, 2)).astype(complex)
-    m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    return m @ m.conj().T
+def _positive_blocks(name):
+    """K positive 2x2 blocks: random_positive's, every third made diagonal,
+    or b b* s of STACKS[name], cycled to K blocks, with s the power of two
+    that takes each block's largest entry into [1, 2): of the stack's scale
+    and signs, and finite at 1e200."""
+    if name == "positive":
+        rng = make_rng(71)
+        return [np.diag(rng.uniform(0.1, 2.0, 2)).astype(complex) if j % 3 == 0 else b
+                for j, b in enumerate(random_positive(rng, BlockAlgebra((2,) * K)).blocks)]
+    a = np.resize(STACKS[name], (K, 2, 2))
+    s = np.ldexp(1.0, np.frexp(np.abs(a).max(axis=(-2, -1)))[1] - 1)[:, None, None]
+    b = a / s
+    return list(s * (b @ b.conj().swapaxes(-1, -2)))
 
 
-def test_each_block_of_a_kernel_class_gets_the_eigensystem_it_gets_alone():
-    # a class of diagonal and general blocks takes one kernel call: each
-    # block gets the eigensystem the kernel gives it alone, and a diagonal
-    # block its diagonal, sorted, with I or the signed swap
-    rng = make_rng(71)
-    M = BlockAlgebra((2,) * K)
-    general = rng.random(K) < 0.5
-    blocks = [_psd(rng, g) for g in general]
-    (w, u), = _eig_classes(Element(M, blocks), DEFAULT_TOL)
-    for j, b in enumerate(blocks):
-        w_alone, u_alone = eigh2(((b + b.conj().T) / 2.0)[None])
-        assert (w[j] == w_alone[0]).all() and (u[j] == u_alone[0]).all()
-    d = np.array([np.diagonal(b).real for b in blocks])[~general]
-    assert (w[~general] == np.sort(d)).all()
-    assert (np.abs(u[~general]) == [np.eye(2)[::-1] if x > y else np.eye(2) for x, y in d]).all()
+@pytest.mark.parametrize("name", ["positive"] + sorted(STACKS))
+def test_every_eigensystem_is_lapack_s_on_both_sides_of_the_crossover(name, lapack):
+    # the same blocks, in a class below and at the kernels' block count, take
+    # one eigh per class, and each block gets the eigensystem LAPACK gives its
+    # Hermitian part alone, bit for bit, with its eigenvalues below the
+    # support cutoff read as 0
+    blocks = _positive_blocks(name)
+    for count in (K - 1, K):
+        lapack.reset()
+        (w, u), = _eig_classes(Element(BlockAlgebra((2,) * count), blocks[:count]), DEFAULT_TOL)
+        assert lapack.calls == [("eigh", None, (count, 2, 2))]
+        alone = [np.linalg.eigh((b + b.conj().T) / 2.0) for b in blocks[:count]]
+        cutoff = DEFAULT_TOL.rank_rel * 2 * max(np.abs(w_alone).max() for w_alone, _ in alone)
+        for j, (w_alone, u_alone) in enumerate(alone):
+            want = np.where(w_alone > cutoff, w_alone, 0.0)
+            assert w[j].tobytes() == want.tobytes() and u[j].tobytes() == u_alone.tobytes()
 
 
 EXPONENTS = (0.5, -1.0, 2.0, 0.3j, 0.5 - 0.7j)
@@ -222,8 +217,8 @@ EXPONENTS = (0.5, -1.0, 2.0, 0.3j, 0.5 - 0.7j)
 
 def test_diagonal_densities_stay_exact_on_both_sides_of_the_crossover():
     # LAPACK returns a diagonal block's diagonal as its eigenvalues, exactly,
-    # and so does the kernel, where det / big would lose an ulp on a few
-    # blocks in a hundred: so the powers and spectral projections of a real
+    # below the kernels' block count and from it, where the product kernel
+    # rebuilds the powers: so the powers and spectral projections of a real
     # diagonal density are those of its diagonal, bit for bit
     rng = make_rng(78)
     lam = rng.uniform(0.1, 10.0)
@@ -248,18 +243,6 @@ def test_diagonal_densities_stay_exact_on_both_sides_of_the_crossover():
                 want = [np.diag(((d >= c) & (d > 0.0)).astype(float)) for d in diags]
                 got = spectral_projection(h, c)
                 assert all(map(np.array_equal, got.blocks, want)), (dims, name, c)
-    # the kernel against LAPACK, bit for bit, on diagonal stacks of every
-    # sign and of magnitudes where LAPACK does not rescale (below about 1e146)
-    k = 10_000
-    scale = 10.0 ** rng.uniform(-100.0, 100.0, (k, 1))
-    diags = {"scalar": np.repeat(scale * rng.standard_normal((k, 1)), 2, axis=1),
-             "general": scale * rng.standard_normal((k, 2)) * (rng.random((k, 2)) < 0.9)}
-    for name, d in diags.items():
-        a = np.zeros((k, 2, 2), dtype=complex)
-        a[:, 0, 0], a[:, 1, 1] = d.T
-        (w, u), (w_lapack, u_lapack) = eigh2(a), np.linalg.eigh(a)
-        assert w.tobytes() == w_lapack.tobytes(), name
-        assert (np.abs(u) == np.abs(u_lapack)).all(), name
 
 
 @pytest.mark.parametrize("count", [K - 1, K])

@@ -1012,8 +1012,9 @@ def test_every_svd_path_refuses_a_non_finite_block_before_factorizing(dims, bad,
 @pytest.mark.parametrize("dims", [(2,), (2,) * 32], ids=["lapack", "kernel"])
 def test_a_spectrum_past_the_float_range_is_refused_on_both_sides_of_the_kernel_gate(dims):
     # the finite blocks full(1e308) have singular values and eigenvalues 2e308
-    # and 0: LAPACK and the kernel both come back with inf, which the funnel
-    # refuses, so no norm reads inf and no support or power reads 0
+    # and 0: LAPACK and the SVD kernel both come back with inf, and so does
+    # LAPACK's eigh on either side, which the funnel refuses, so no norm
+    # reads inf and no support or power reads 0
     M = BlockAlgebra(dims)
     x = Element(M, [np.full((2, 2), 1e308)] * len(dims))
     svd = "a singular value exceeds the float range$"

@@ -95,7 +95,7 @@ def test_dividing_by_a_decomposed_element_takes_its_svd_once(dims, lapack, monke
 @pytest.mark.parametrize("shapes", [None, [[2] * 32, [5, 1, 5]]], ids=["default", "kernels"])
 def test_every_factorization_reaches_the_recorder(shapes, lapack, monkeypatch):
     # every call to numpy.linalg's svd, eigh and eigvalsh and to the 2 x 2
-    # kernels, wrapped where it is defined: the recorder holds one record
+    # SVD kernel, wrapped where it is defined: the recorder holds one record
     # apiece, in the same order, and nothing else.  A spectral norm is an SVD
     # out of the recorder's sight, so any call to one fails the test
     made = []
@@ -115,7 +115,6 @@ def test_every_factorization_reaches_the_recorder(shapes, lapack, monkeypatch):
          ("svd", compute_uv, np.shape(a)))
     wrap(kernels, "svd2", lambda a, compute_uv=True: ("svd", compute_uv, np.shape(a)))
     wrap(np.linalg, "eigh", lambda a, UPLO="L": ("eigh", None, np.shape(a)))
-    wrap(kernels, "eigh2", lambda a: ("eigh", None, np.shape(a)))
     wrap(np.linalg, "eigvalsh", lambda a, UPLO="L": ("eigvalsh", None, np.shape(a)))
     wrap(np.linalg, "norm", lambda x, ord=None, axis=None, keepdims=False:
          ("norm", ord, np.shape(x)) if ord == 2 else None)
